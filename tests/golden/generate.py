@@ -1,0 +1,112 @@
+"""Write the golden fixtures that pin today's tables and codewords.
+
+    PYTHONPATH=src python3 tests/golden/generate.py
+
+`tests/test_golden.py` checks every build against these files, so a
+refactor must reproduce them bit for bit.  Regenerate them only together
+with a deliberate change of the tables or of the file format (and a bump
+of the file-format VERSION).
+
+- tables.json: SHA-256 of the `dump_csv` grid of every joint type's
+  colored table, binary for n <= 8 and a 3x2 alphabet for n <= 5.
+- codec.json: a seeded DSBS(0.11) letter pair of 403 letters (the last
+  n=8 block is short), its FF(rate 0.8) and FV codeword files as the CLI
+  writes them, the decoded output of both sides, and the bits of the
+  `WrappedFVCode` codeword of each zero-padded block.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from compdeliv.cli import main
+from compdeliv.coding_table import get_coding_table
+from compdeliv.ff_codec import FFCodeConfig
+from compdeliv.fv_codec import wrap_ff_as_fv
+from compdeliv.types_core import Alphabet, Sequence, enumerate_joint_types
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+TABLE_ALPHABETS = ((2, 2, 8), (3, 2, 5))  # (kx, ky, largest n)
+CODEC_N, CODEC_RATE, CODEC_LETTERS, CODEC_SEED = 8, 0.8, 403, 2007
+
+
+def table_key(kx: int, ky: int, jt) -> str:
+    counts = ";".join(",".join(map(str, row)) for row in jt.counts)
+    return f"{kx}x{ky} n={jt.n} {counts}"
+
+
+def table_digest(jt) -> str:
+    buf = io.StringIO()
+    get_coding_table(jt).dump_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def table_hashes() -> dict[str, str]:
+    out = {}
+    for kx, ky, n_max in TABLE_ALPHABETS:
+        for n in range(1, n_max + 1):
+            for jt in enumerate_joint_types(n, Alphabet(kx), Alphabet(ky)):
+                out[table_key(kx, ky, jt)] = table_digest(jt)
+    return out
+
+
+def letter_pair() -> tuple[bytes, bytes]:
+    rng = np.random.default_rng(CODEC_SEED)
+    x = rng.integers(0, 2, size=CODEC_LETTERS, dtype=np.uint8)
+    y = x ^ (rng.random(CODEC_LETTERS) < 0.11).astype(np.uint8)
+    return x.tobytes(), y.tobytes()
+
+
+def padded_blocks(data: bytes, n: int):
+    for i in range(0, len(data), n):
+        block = tuple(data[i:i + n])
+        yield Sequence(block + (0,) * (n - len(block)), Alphabet(2))
+
+
+def run_cli(argv: list[str]) -> None:
+    code = main(argv)
+    if code != 0:
+        raise SystemExit(f"compdeliv {' '.join(argv)} exited {code}")
+
+
+def codec_fixture() -> dict:
+    x, y = letter_pair()
+    out = {
+        "n": CODEC_N, "rate": CODEC_RATE, "seed": CODEC_SEED,
+        "x": x.hex(), "y": y.hex(),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "x.bin").write_bytes(x)
+        (d / "y.bin").write_bytes(y)
+        for mode in ("ff", "fv"):
+            rate = ["--rate", str(CODEC_RATE)] if mode == "ff" else []
+            run_cli(["encode", "--mode", mode, "--n", str(CODEC_N), *rate,
+                     "--input-x", str(d / "x.bin"), "--input-y", str(d / "y.bin"),
+                     "--out", str(d / f"{mode}.cdlv")])
+            out[mode] = (d / f"{mode}.cdlv").read_bytes().hex()
+            for side, side_info in (("x", "y.bin"), ("y", "x.bin")):
+                run_cli(["decode", "--side", side, "--codeword", str(d / f"{mode}.cdlv"),
+                         "--side-info", str(d / side_info), "--out", str(d / "out.bin")])
+                out[f"{mode}_decoded_{side}"] = (d / "out.bin").read_bytes().hex()
+    wrapped = wrap_ff_as_fv(FFCodeConfig(CODEC_N, CODEC_RATE))
+    out["wrapped"] = [
+        wrapped.encode(bx, by).bits
+        for bx, by in zip(padded_blocks(x, CODEC_N), padded_blocks(y, CODEC_N))
+    ]
+    return out
+
+
+def write_json(name: str, obj) -> None:
+    (GOLDEN_DIR / name).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_json("tables.json", table_hashes())
+    write_json("codec.json", codec_fixture())
