@@ -40,8 +40,6 @@ from .coding_table import (
     build_graph,
     edge_color,
     get_coding_table,
-    lookup_col,
-    lookup_row,
     lookup_symbol,
 )
 from .ff_codec import (

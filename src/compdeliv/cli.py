@@ -26,12 +26,7 @@ import struct
 import sys
 from pathlib import Path
 
-from .types_core import (
-    Alphabet,
-    JointType,
-    Sequence,
-    enumerate_joint_types,
-)
+from .types_core import Alphabet, JointType, Sequence
 from .info_measures import (
     SourceSpec,
     achievable_rate,
@@ -42,12 +37,7 @@ from .info_measures import (
 )
 from .coding_table import get_coding_table
 from .ff_codec import FFCodeConfig, FFCodeword, ff_decode_x, ff_decode_y, ff_encode, make_code
-from .fv_codec import (
-    fv_decode_x_stream,
-    fv_decode_y_stream,
-    fv_encode,
-    make_fv_code,
-)
+from .fv_codec import fv_decode_x_stream, fv_decode_y_stream, fv_encode
 from .bitio import BitReader, BitWriter, TruncatedStreamError
 from .simulator import TrialPlan, run_plan
 
@@ -201,7 +191,6 @@ def cmd_encode(args) -> int:
             writer.write(cw.type_index, type_width)
             writer.write(cw.symbol, symbol_width)
     else:
-        make_fv_code(n, ax, ay)
         type_width = symbol_width = 0
         for bx, by in zip(_blocks(data_x, n), _blocks(data_y, n)):
             cw = fv_encode(n, Sequence(tuple(bx), ax), Sequence(tuple(by), ay))
@@ -241,36 +230,31 @@ def cmd_decode(args) -> int:
     fields, payload = _read_header(args.codeword)
     _, _, mode, n, kx, ky, orig_len, rate, type_width, symbol_width = fields
     ax, ay = Alphabet(kx), Alphabet(ky)
-    side_k = ky if args.side == "x" else kx
-    side_data = _read_letters(args.side_info, side_k)
+    # --side names the sequence reproduced; the side information is the other one.
+    other, held = (ax, ay) if args.side == "x" else (ay, ax)
+    side_data = _read_letters(args.side_info, held.size)
     if len(side_data) != orig_len:
         raise CliError("side information length does not match header", EXIT_MALFORMED)
-    side_alphabet = ay if args.side == "x" else ax
-    nblocks = -(-orig_len // n)
     out = bytearray()
     flagged = 0
     try:
         if mode == MODE_FF:
             cfg = FFCodeConfig(n, rate, ax, ay)
+            decode = ff_decode_x if args.side == "x" else ff_decode_y
             reader = BitReader(payload)
             for block in _blocks(side_data, n):
-                side = Sequence(tuple(block), side_alphabet)
                 flag = reader.read(1)
                 idx = reader.read(type_width)
                 sym = reader.read(symbol_width)
-                cw = FFCodeword(idx, sym, bool(flag))
-                flagged += cw.error_flag
-                dec = ff_decode_x(cfg, cw, side) if args.side == "x" else ff_decode_y(cfg, cw, side)
+                flagged += flag
+                dec = decode(cfg, FFCodeword(idx, sym, bool(flag)), Sequence(tuple(block), held))
                 out.extend(dec.letters)
         else:
+            decode = fv_decode_x_stream if args.side == "x" else fv_decode_y_stream
             bits = "".join(format(b, "08b") for b in payload)
             offset = 0
             for block in _blocks(side_data, n):
-                side = Sequence(tuple(block), side_alphabet)
-                if args.side == "x":
-                    dec, offset = fv_decode_x_stream(n, bits, offset, side, ax)
-                else:
-                    dec, offset = fv_decode_y_stream(n, bits, offset, side, ay)
+                dec, offset = decode(n, bits, offset, Sequence(tuple(block), held), other)
                 out.extend(dec.letters)
     except TruncatedStreamError as exc:
         raise CliError(f"codeword stream truncated: {exc}", EXIT_TRUNCATED) from exc

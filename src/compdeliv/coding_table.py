@@ -15,6 +15,7 @@ rebuild tables locally and never exchange them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,10 +24,10 @@ from .types_core import (
     Sequence,
     joint_type_of,
     multiset_permutations,
+    multiset_ranker,
     rank_in_type_class,
     type_class_size,
     type_of,
-    unrank_in_v_shell,
     unrank_in_type_class,
     v_shell_size,
     w_shell_size,
@@ -40,12 +41,16 @@ class TableBudgetError(ResourceWarning, ValueError):
     """Joint type's table exceeds the configured cell budget."""
 
 
-class SymbolNotFoundError(KeyError):
+class SymbolNotFoundError(ValueError):
     """No cell with the requested symbol in that row/column: desync or corruption."""
 
 
 class PairTypeMismatchError(ValueError):
     """Sequence pair does not belong to this table's joint type."""
+
+
+class SideInfoMismatchError(ValueError):
+    """Side information inconsistent with the codeword's joint type."""
 
 
 @dataclass(frozen=True)
@@ -87,20 +92,9 @@ def _enumerate_edges(jt: JointType) -> list[tuple[int, int]]:
     one arrangement per row of the joint counts, placed at the positions
     where x takes the corresponding letter.
     """
-    import itertools
-
-    from .types_core import Alphabet
-
     n = jt.n
-    ax = Alphabet(jt.num_x)
     row_perms = [tuple(multiset_permutations(list(jt.counts[a]))) for a in range(jt.num_x)]
-    ym = jt.y_marginal()
-    fast_rank = type_class_size(ym) <= 1 << 16
-    if fast_rank:
-        from .types_core import _lex_maps
-
-        rank_y = _lex_maps(ym.counts)[0]
-    ay = Alphabet(jt.num_y)
+    rank_y = multiset_ranker(jt.y_marginal().counts)
     edges = []
     for i, x_letters in enumerate(multiset_permutations(list(jt.x_marginal().counts))):
         positions = [[t for t, c in enumerate(x_letters) if c == a] for a in range(jt.num_x)]
@@ -109,9 +103,7 @@ def _enumerate_edges(jt: JointType) -> list[tuple[int, int]]:
             for a in range(jt.num_x):
                 for t, letter in zip(positions[a], combo[a]):
                     y[t] = letter
-            yt = tuple(y)
-            j = rank_y[yt] if fast_rank else rank_in_type_class(Sequence(yt, ay))
-            edges.append((i, j))
+            edges.append((i, rank_y(tuple(y))))
     return edges
 
 
@@ -241,27 +233,18 @@ def lookup_symbol(t: CodingTable, x: Sequence, y: Sequence) -> int:
     return t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
 
 
-def lookup_row(t: CodingTable, y: Sequence, symbol: int) -> int:
-    """Row rank of the unique cell in y's column carrying `symbol`."""
-    if type_of(y) != t.jt.y_marginal():
-        raise PairTypeMismatchError("side information is not of the column-marginal type")
-    return t.row_for(rank_in_type_class(y), symbol)
+def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> Sequence:
+    """Reproduce one sequence of a pair from the other one and the cell symbol.
 
-
-def lookup_col(t: CodingTable, x: Sequence, symbol: int) -> int:
-    """Column rank of the unique cell in x's row carrying `symbol`."""
-    if type_of(x) != t.jt.x_marginal():
-        raise PairTypeMismatchError("side information is not of the row-marginal type")
-    return t.col_for(rank_in_type_class(x), symbol)
-
-
-def decode_row_sequence(t: CodingTable, y: Sequence, symbol: int) -> Sequence:
-    """The x-sequence reproduced from side information y and a symbol."""
-    row = lookup_row(t, y, symbol)
-    return unrank_in_type_class(t.jt.x_marginal(), row)
-
-
-def decode_col_sequence(t: CodingTable, x: Sequence, symbol: int) -> Sequence:
-    """The y-sequence reproduced from side information x and a symbol."""
-    col = lookup_col(t, x, symbol)
-    return unrank_in_type_class(t.jt.y_marginal(), col)
+    `side` names the sequence reproduced, as `decode --side` does: "x"
+    reads the column of side information y, "y" reads the row of x.
+    """
+    if side == "x":
+        held, lookup, other = t.jt.y_marginal(), t.row_for, t.jt.x_marginal()
+    elif side == "y":
+        held, lookup, other = t.jt.x_marginal(), t.col_for, t.jt.y_marginal()
+    else:
+        raise ValueError(f"side must be 'x' or 'y', not {side!r}")
+    if type_of(side_info) != held:
+        raise SideInfoMismatchError("side information type does not match codeword")
+    return unrank_in_type_class(other, lookup(rank_in_type_class(side_info), symbol))

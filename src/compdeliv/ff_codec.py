@@ -24,23 +24,17 @@ from .types_core import (
     Sequence,
     joint_type_of,
     rank_in_type_class,
-    type_class_size,
-    type_of,
-    unrank_in_type_class,
     enumerate_joint_types,
     v_shell_size,
     w_shell_size,
 )
 from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
-from .coding_table import get_coding_table
+from .coding_table import decode_side, get_coding_table
+from .coding_table import SideInfoMismatchError  # noqa: F401  (re-exported)
 
 
 class CodewordRangeError(ValueError):
     """Codeword fields outside the configured widths."""
-
-
-class SideInfoMismatchError(ValueError):
-    """Side information inconsistent with the codeword's joint type."""
 
 
 @dataclass(frozen=True)
@@ -122,44 +116,28 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
     return FFCodeword(idx, symbol, False)
 
 
-def _fallback(n: int, alphabet: Alphabet) -> Sequence:
-    # Total-decoder fallback for flagged codewords: the lexicographically
-    # first sequence (row/column 0 of the constant-letter coupling).
-    return Sequence((0,) * n, alphabet)
+def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str) -> Sequence:
+    if len(side_info) != cfg.n:
+        raise ValueError(f"side information must have length n={cfg.n}")
+    code = make_code(cfg)
+    if cw.error_flag:
+        # Total-decoder fallback for flagged codewords: the lexicographically
+        # first sequence (row/column 0 of the constant-letter coupling).
+        return Sequence((0,) * cfg.n, cfg.ax if side == "x" else cfg.ay)
+    if not 0 <= cw.type_index < len(code.region):
+        raise CodewordRangeError(f"type index {cw.type_index} out of range")
+    table = get_coding_table(code.region[cw.type_index])
+    return decode_side(table, side_info, cw.symbol, side)
 
 
 def ff_decode_x(cfg: FFCodeConfig, cw: FFCodeword, y: Sequence) -> Sequence:
     """Reproduce x from the codeword and side information y."""
-    if len(y) != cfg.n:
-        raise ValueError(f"side information must have length n={cfg.n}")
-    code = make_code(cfg)
-    if cw.error_flag:
-        return _fallback(cfg.n, cfg.ax)
-    if not 0 <= cw.type_index < len(code.region):
-        raise CodewordRangeError(f"type index {cw.type_index} out of range")
-    jt = code.region[cw.type_index]
-    if type_of(y) != jt.y_marginal():
-        raise SideInfoMismatchError("side information type does not match codeword")
-    table = get_coding_table(jt)
-    row = table.row_for(rank_in_type_class(y), cw.symbol)
-    return unrank_in_type_class(jt.x_marginal(), row)
+    return _ff_decode(cfg, cw, y, "x")
 
 
 def ff_decode_y(cfg: FFCodeConfig, cw: FFCodeword, x: Sequence) -> Sequence:
     """Reproduce y from the codeword and side information x."""
-    if len(x) != cfg.n:
-        raise ValueError(f"side information must have length n={cfg.n}")
-    code = make_code(cfg)
-    if cw.error_flag:
-        return _fallback(cfg.n, cfg.ay)
-    if not 0 <= cw.type_index < len(code.region):
-        raise CodewordRangeError(f"type index {cw.type_index} out of range")
-    jt = code.region[cw.type_index]
-    if type_of(x) != jt.x_marginal():
-        raise SideInfoMismatchError("side information type does not match codeword")
-    table = get_coding_table(jt)
-    col = table.col_for(rank_in_type_class(x), cw.symbol)
-    return unrank_in_type_class(jt.y_marginal(), col)
+    return _ff_decode(cfg, cw, x, "y")
 
 
 def codebook_size(cfg: FFCodeConfig) -> int:

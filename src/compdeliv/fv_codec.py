@@ -26,11 +26,9 @@ from .types_core import (
     enumerate_joint_types,
     joint_type_of,
     rank_in_type_class,
-    type_of,
-    unrank_in_type_class,
 )
 from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
-from .coding_table import get_coding_table
+from .coding_table import decode_side, get_coding_table
 from .ff_codec import (
     FFCodeConfig,
     bit_width,
@@ -40,7 +38,6 @@ from .ff_codec import (
     make_code,
     num_symbols_of,
     FFCodeword,
-    SideInfoMismatchError,
 )
 
 
@@ -128,6 +125,15 @@ def _parse(code: FVCode, bits: str, offset: int) -> tuple[JointType, int, int]:
     return jt, symbol, end
 
 
+def _fv_decode_stream(
+    n: int, bits: str, offset: int, side_info: Sequence, side: str, other: Alphabet | None
+) -> tuple[Sequence, int]:
+    held = side_info.alphabet
+    ax, ay = (other or held, held) if side == "x" else (held, other or held)
+    jt, symbol, end = _parse(make_fv_code(n, ax, ay), bits, offset)
+    return decode_side(get_coding_table(jt), side_info, symbol, side), end
+
+
 def fv_decode_x_stream(
     n: int, bits: str, offset: int, y: Sequence, ax: Alphabet | None = None
 ) -> tuple[Sequence, int]:
@@ -136,40 +142,31 @@ def fv_decode_x_stream(
     The x-alphabet defaults to the side information's alphabet; pass `ax`
     when the two differ.
     """
-    code = make_fv_code(n, ax or y.alphabet, y.alphabet)
-    jt, symbol, end = _parse(code, bits, offset)
-    if type_of(y) != jt.y_marginal():
-        raise SideInfoMismatchError("side information type does not match codeword")
-    table = get_coding_table(jt)
-    row = table.row_for(rank_in_type_class(y), symbol)
-    return unrank_in_type_class(jt.x_marginal(), row), end
-
-
-def fv_decode_x(cw: FVCodeword, y: Sequence) -> Sequence:
-    """Exact reproduction of x from the codeword and side information y."""
-    x, end = fv_decode_x_stream(len(y), cw.bits, 0, y)
-    if end != len(cw.bits):
-        raise MalformedCodewordError("trailing bits after codeword")
-    return x
+    return _fv_decode_stream(n, bits, offset, y, "x", ax)
 
 
 def fv_decode_y_stream(
     n: int, bits: str, offset: int, x: Sequence, ay: Alphabet | None = None
 ) -> tuple[Sequence, int]:
-    code = make_fv_code(n, x.alphabet, ay or x.alphabet)
-    jt, symbol, end = _parse(code, bits, offset)
-    if type_of(x) != jt.x_marginal():
-        raise SideInfoMismatchError("side information type does not match codeword")
-    table = get_coding_table(jt)
-    col = table.col_for(rank_in_type_class(x), symbol)
-    return unrank_in_type_class(jt.y_marginal(), col), end
+    """Decode one codeword from a concatenated stream; returns (y, next offset)."""
+    return _fv_decode_stream(n, bits, offset, x, "y", ay)
+
+
+def _fv_decode(decode_stream, cw: FVCodeword, side_info: Sequence) -> Sequence:
+    out, end = decode_stream(len(side_info), cw.bits, 0, side_info)
+    if end != len(cw.bits):
+        raise MalformedCodewordError("trailing bits after codeword")
+    return out
+
+
+def fv_decode_x(cw: FVCodeword, y: Sequence) -> Sequence:
+    """Exact reproduction of x from the codeword and side information y."""
+    return _fv_decode(fv_decode_x_stream, cw, y)
 
 
 def fv_decode_y(cw: FVCodeword, x: Sequence) -> Sequence:
-    y, end = fv_decode_y_stream(len(x), cw.bits, 0, x)
-    if end != len(cw.bits):
-        raise MalformedCodewordError("trailing bits after codeword")
-    return y
+    """Exact reproduction of y from the codeword and side information x."""
+    return _fv_decode(fv_decode_y_stream, cw, x)
 
 
 def expected_length(n: int, p: SourceSpec) -> float:
@@ -205,9 +202,13 @@ def underflow_probability(n: int, rate: float, p: SourceSpec, threshold: float |
 # --- Wrapping a fixed-length code into a zero-error variable-length one ---
 
 
+def _letter_width(alphabet: Alphabet) -> int:
+    return max(1, bit_width(alphabet.size))
+
+
 def raw_pair_width(n: int, ax: Alphabet, ay: Alphabet) -> int:
     """Bits to send the pair verbatim: per-symbol ceil-log widths."""
-    return n * (max(1, bit_width(ax.size)) + max(1, bit_width(ay.size)))
+    return n * (_letter_width(ax) + _letter_width(ay))
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,9 @@ class WrappedFVCode:
                 + _to_bits(cw.symbol, code.symbol_width)
             )
             return FVCodeword("0" + body)
-        raw = "".join(
-            _to_bits(c, max(1, bit_width(self.cfg.ax.size))) for c in x.letters
-        ) + "".join(_to_bits(c, max(1, bit_width(self.cfg.ay.size))) for c in y.letters)
+        raw = "".join(_to_bits(c, _letter_width(self.cfg.ax)) for c in x.letters) + "".join(
+            _to_bits(c, _letter_width(self.cfg.ay)) for c in y.letters
+        )
         return FVCodeword("1" + raw)
 
     def codeword_length(self, jt: JointType) -> int:
@@ -242,38 +243,25 @@ class WrappedFVCode:
             return 1 + code.codeword_width
         return 1 + raw_pair_width(self.cfg.n, self.cfg.ax, self.cfg.ay)
 
-    def decode_x(self, cw: FVCodeword, y: Sequence) -> Sequence:
-        code = make_code(self.cfg)
+    def decode(self, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
+        """Reproduce the `side` sequence ("x" or "y") from cw and the other one."""
         bits = cw.bits
         if bits[0] == "1":
-            w = max(1, bit_width(self.cfg.ax.size))
+            wx = _letter_width(self.cfg.ax)
+            if side == "x":
+                start, w, alphabet = 1, wx, self.cfg.ax
+            else:
+                start, w, alphabet = 1 + self.cfg.n * wx, _letter_width(self.cfg.ay), self.cfg.ay
             letters = tuple(
-                int(bits[1 + i * w:1 + (i + 1) * w], 2) for i in range(self.cfg.n)
+                int(bits[start + i * w:start + (i + 1) * w], 2) for i in range(self.cfg.n)
             )
-            return Sequence(letters, self.cfg.ax)
-        flag = bits[1]
+            return Sequence(letters, alphabet)
+        code = make_code(self.cfg)
         idx_end = 2 + code.type_width
         idx = int(bits[2:idx_end], 2) if code.type_width else 0
         symbol = int(bits[idx_end:], 2) if code.symbol_width else 0
-        return ff_decode_x(self.cfg, FFCodeword(idx, symbol, flag == "1"), y)
-
-    def decode_y(self, cw: FVCodeword, x: Sequence) -> Sequence:
-        code = make_code(self.cfg)
-        bits = cw.bits
-        if bits[0] == "1":
-            wx = max(1, bit_width(self.cfg.ax.size))
-            wy = max(1, bit_width(self.cfg.ay.size))
-            start = 1 + self.cfg.n * wx
-            letters = tuple(
-                int(bits[start + i * wy:start + (i + 1) * wy], 2)
-                for i in range(self.cfg.n)
-            )
-            return Sequence(letters, self.cfg.ay)
-        flag = bits[1]
-        idx_end = 2 + code.type_width
-        idx = int(bits[2:idx_end], 2) if code.type_width else 0
-        symbol = int(bits[idx_end:], 2) if code.symbol_width else 0
-        return ff_decode_y(self.cfg, FFCodeword(idx, symbol, flag == "1"), x)
+        decode = ff_decode_x if side == "x" else ff_decode_y
+        return decode(self.cfg, FFCodeword(idx, symbol, bits[1] == "1"), side_info)
 
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""

@@ -137,10 +137,6 @@ def in_decodable_region(jt: JointType, rate: float) -> bool:
     return max_conditional_entropy(jt) <= rate + RATE_TIE_TOL
 
 
-# Alias matching the region's usual symbol-free description.
-in_S_n = in_decodable_region
-
-
 def epsilon_n(n: int, ax: Alphabet, ay: Alphabet) -> float:
     """Per-symbol slack (|X||Y| log(n+1) + 1)/n; vanishes as n grows."""
     if n < 1:
@@ -180,28 +176,26 @@ class ExponentReport:
     argmin_type: JointType | None
 
 
-def error_exponent_outside(rate: float, p: SourceSpec, n: int) -> ExponentReport:
-    """min D(Q||P) over joint types outside the decodable region; +inf if empty."""
+def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> ExponentReport:
+    """min D(Q||P) over the joint types inside (or outside) the decodable region."""
     best, arg = math.inf, None
     for jt in enumerate_joint_types(n, p.ax, p.ay):
-        if in_decodable_region(jt, rate):
+        if in_decodable_region(jt, rate) != inside:
             continue
         d = kl_divergence(jt, p)
         if d < best:
             best, arg = d, jt
     return ExponentReport(rate, n, best, arg)
+
+
+def error_exponent_outside(rate: float, p: SourceSpec, n: int) -> ExponentReport:
+    """min D(Q||P) over joint types outside the decodable region; +inf if empty."""
+    return _min_divergence(rate, p, n, inside=False)
 
 
 def correct_exponent_inside(rate: float, p: SourceSpec, n: int) -> ExponentReport:
     """min D(Q||P) over joint types inside the decodable region."""
-    best, arg = math.inf, None
-    for jt in enumerate_joint_types(n, p.ax, p.ay):
-        if not in_decodable_region(jt, rate):
-            continue
-        d = kl_divergence(jt, p)
-        if d < best:
-            best, arg = d, jt
-    return ExponentReport(rate, n, best, arg)
+    return _min_divergence(rate, p, n, inside=True)
 
 
 def converse_rate_slack(n: int, ax: Alphabet, ay: Alphabet) -> float:

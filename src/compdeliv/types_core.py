@@ -10,7 +10,7 @@ independently and never exchange them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import factorial
 
 
@@ -222,19 +222,21 @@ _RANK_MAP_LIMIT = 1 << 16
 
 @lru_cache(maxsize=None)
 def _lex_maps(counts: tuple[int, ...]):
+    """(letters -> rank, rank -> letters) of a class up to _RANK_MAP_LIMIT, else None."""
+    if multinomial(counts) > _RANK_MAP_LIMIT:
+        return None
     seqs = tuple(multiset_permutations(list(counts)))
     return {s: i for i, s in enumerate(seqs)}, seqs
 
 
-def _rank_multiset(letters: tuple[int, ...], counts: list[int]) -> int:
-    """Lexicographic rank of `letters` among all arrangements of `counts`."""
-    key = tuple(counts)
-    if multinomial(key) <= _RANK_MAP_LIMIT:
-        return _lex_maps(key)[0][letters]
-    return _rank_multiset_arith(letters, counts)
+@lru_cache(maxsize=None)
+def multiset_ranker(counts: tuple[int, ...]):
+    """Lexicographic rank function over all arrangements of `counts`."""
+    maps = _lex_maps(counts)
+    return maps[0].__getitem__ if maps else partial(_rank_multiset_arith, counts=counts)
 
 
-def _rank_multiset_arith(letters: tuple[int, ...], counts: list[int]) -> int:
+def _rank_multiset_arith(letters: tuple[int, ...], counts: tuple[int, ...]) -> int:
     rank = 0
     remaining = list(counts)
     for i, c in enumerate(letters):
@@ -247,18 +249,18 @@ def _rank_multiset_arith(letters: tuple[int, ...], counts: list[int]) -> int:
     return rank
 
 
-def _unrank_multiset(counts: list[int], r: int) -> tuple[int, ...]:
-    """Inverse of _rank_multiset."""
-    key = tuple(counts)
-    if multinomial(key) <= _RANK_MAP_LIMIT:
-        try:
-            return _lex_maps(key)[1][r]
-        except IndexError:
-            raise RankRangeError("rank exceeds class size") from None
-    return _unrank_multiset_arith(counts, r)
+def _unrank_multiset(counts: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Inverse of multiset_ranker(counts)."""
+    maps = _lex_maps(counts)
+    if maps is None:
+        return _unrank_multiset_arith(counts, r)
+    try:
+        return maps[1][r]
+    except IndexError:
+        raise RankRangeError("rank exceeds class size") from None
 
 
-def _unrank_multiset_arith(counts: list[int], r: int) -> tuple[int, ...]:
+def _unrank_multiset_arith(counts: tuple[int, ...], r: int) -> tuple[int, ...]:
     remaining = list(counts)
     n = sum(remaining)
     out = []
@@ -280,14 +282,14 @@ def _unrank_multiset_arith(counts: list[int], r: int) -> tuple[int, ...]:
 
 def rank_in_type_class(x: Sequence) -> int:
     """Lexicographic rank of x within its type class."""
-    return _rank_multiset(x.letters, list(type_of(x).counts))
+    return multiset_ranker(type_of(x).counts)(x.letters)
 
 
 def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
     """Sequence at lexicographic rank r within T_Q; inverse of rank_in_type_class."""
     if not 0 <= r < type_class_size(q):
         raise RankRangeError(f"rank {r} outside type class of size {type_class_size(q)}")
-    letters = _unrank_multiset(list(q.counts), r)
+    letters = _unrank_multiset(q.counts, r)
     return Sequence(letters, Alphabet(q.num_letters))
 
 
@@ -302,8 +304,8 @@ def rank_in_v_shell(y: Sequence, x: Sequence) -> int:
     rank = 0
     for a in range(jt.num_x):
         sub_y = tuple(yc for xc, yc in zip(x.letters, y.letters) if xc == a)
-        sub_counts = list(jt.counts[a])
-        rank = rank * multinomial(sub_counts) + _rank_multiset(sub_y, sub_counts)
+        sub_counts = jt.counts[a]
+        rank = rank * multinomial(sub_counts) + multiset_ranker(sub_counts)(sub_y)
     return rank
 
 
@@ -321,7 +323,7 @@ def unrank_in_v_shell(x: Sequence, jt: JointType, r: int) -> Sequence:
         r //= radix
     subranks.reverse()
     sub_letters = [
-        iter(_unrank_multiset(list(jt.counts[a]), subranks[a])) for a in range(jt.num_x)
+        iter(_unrank_multiset(jt.counts[a], subranks[a])) for a in range(jt.num_x)
     ]
     letters = tuple(next(sub_letters[a]) for a in x.letters)
     return Sequence(letters, Alphabet(jt.num_y))

@@ -299,8 +299,8 @@ def test_criterion_9_wrapping_construction():
             wrapped = wrap_ff_as_fv(FFCodeConfig(4, rate))
             for x, y in all_binary_pairs(4):
                 cw = wrapped.encode(x, y)
-                assert wrapped.decode_x(cw, y) == x
-                assert wrapped.decode_y(cw, x) == y
+                assert wrapped.decode(cw, y, "x") == x
+                assert wrapped.decode(cw, x, "y") == y
         # expected-rate bound by exact type summation on the full grid
         for crossover in GRID_SOURCES:
             p = dsbs(crossover)

@@ -307,3 +307,43 @@ class TestExitCodes:
         assert (n, kx, ky, orig_len) == (4, 2, 2, 13)
         assert rate == 1.0
         assert tw > 0 and sw > 0
+
+
+class TestCorruptedFiles:
+    """Seeded single-bit payload flips: every decode ends in a documented exit."""
+
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    def test_payload_bit_flips_exit_cleanly(self, mode, tmp_path, capsys):
+        import numpy as np
+
+        rng = np.random.default_rng(4000)
+        x = rng.integers(0, 2, size=800, dtype=np.uint8)
+        y = x ^ (rng.random(800) < 0.11).astype(np.uint8)
+        write_letters(tmp_path / "x.bin", x.tolist())
+        write_letters(tmp_path / "y.bin", y.tolist())
+        cw = tmp_path / "code.bin"
+        rate = ["--rate", "0.8"] if mode == "ff" else []
+        assert main(
+            [
+                "encode", "--mode", mode, "--n", "8", *rate,
+                "--input-x", str(tmp_path / "x.bin"), "--input-y", str(tmp_path / "y.bin"),
+                "--out", str(cw),
+            ]
+        ) == EXIT_OK
+        clean = cw.read_bytes()
+        payload_bits = 8 * (len(clean) - HEADER.size)
+        bad = tmp_path / "bad.bin"
+        for bit in rng.choice(payload_bits, size=25, replace=False):
+            data = bytearray(clean)
+            data[HEADER.size + bit // 8] ^= 0x80 >> (bit % 8)
+            bad.write_bytes(bytes(data))
+            for side, side_info in (("x", "y.bin"), ("y", "x.bin")):
+                code = main(
+                    [
+                        "decode", "--side", side, "--codeword", str(bad),
+                        "--side-info", str(tmp_path / side_info),
+                        "--out", str(tmp_path / "out.bin"),
+                    ]
+                )
+                assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_TRUNCATED), (bit, side, code)
+        capsys.readouterr()

@@ -7,15 +7,13 @@ import pytest
 from compdeliv.coding_table import (
     BipartiteTypeGraph,
     PairTypeMismatchError,
+    SideInfoMismatchError,
     SymbolNotFoundError,
     TableBudgetError,
     build_graph,
-    decode_col_sequence,
-    decode_row_sequence,
+    decode_side,
     edge_color,
     get_coding_table,
-    lookup_col,
-    lookup_row,
     lookup_symbol,
 )
 from compdeliv.types_core import (
@@ -140,10 +138,10 @@ class TestLookups:
             t = get_coding_table(joint_type_of(x, y))
             s = lookup_symbol(t, x, y)
             assert s < t.num_symbols
-            assert lookup_row(t, y, s) == rank_in_type_class(x)
-            assert lookup_col(t, x, s) == rank_in_type_class(y)
-            assert decode_row_sequence(t, y, s) == x
-            assert decode_col_sequence(t, x, s) == y
+            assert t.row_for(rank_in_type_class(y), s) == rank_in_type_class(x)
+            assert t.col_for(rank_in_type_class(x), s) == rank_in_type_class(y)
+            assert decode_side(t, y, s, "x") == x
+            assert decode_side(t, x, s, "y") == y
 
     def test_pair_of_wrong_type_rejected(self):
         from compdeliv.types_core import seq
@@ -157,7 +155,16 @@ class TestLookups:
 
         t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
         with pytest.raises(SymbolNotFoundError):
-            lookup_row(t, seq("0011"), 5)
+            decode_side(t, seq("0011"), 5, "x")
+
+    def test_side_info_of_wrong_type_rejected(self):
+        from compdeliv.types_core import seq
+
+        t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
+        with pytest.raises(SideInfoMismatchError):
+            decode_side(t, seq("0001"), 0, "y")
+        with pytest.raises(ValueError):
+            decode_side(t, seq("0011"), 0, "z")
 
 
 class TestDump:

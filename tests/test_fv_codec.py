@@ -187,8 +187,8 @@ class TestWrapping:
         wrapped = wrap_ff_as_fv(FFCodeConfig(n, rate))
         for x, y in all_binary_pairs(n):
             cw = wrapped.encode(x, y)
-            assert wrapped.decode_x(cw, y) == x
-            assert wrapped.decode_y(cw, x) == y
+            assert wrapped.decode(cw, y, "x") == x
+            assert wrapped.decode(cw, x, "y") == y
 
     def test_expected_rate_matches_type_sum(self):
         cfg = FFCodeConfig(10, 0.8)

@@ -68,5 +68,5 @@ def test_wrapped_codewords(codec):
     for (x, y), bits in zip(blocks, codec["wrapped"], strict=True):
         cw = wrapped.encode(x, y)
         assert cw.bits == bits
-        assert wrapped.decode_x(cw, y) == x
-        assert wrapped.decode_y(cw, x) == y
+        assert wrapped.decode(cw, y, "x") == x
+        assert wrapped.decode(cw, x, "y") == y

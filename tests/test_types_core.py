@@ -16,6 +16,7 @@ from compdeliv.types_core import (
     enumerate_joint_types,
     joint_type_of,
     multinomial,
+    multiset_ranker,
     rank_in_type_class,
     rank_in_v_shell,
     seq,
@@ -154,6 +155,15 @@ class TestRankUnrank:
         a3 = Alphabet(3)
         x = Sequence((2, 0, 1, 0), a3)
         assert unrank_in_type_class(type_of(x), rank_in_type_class(x)) == x
+
+    def test_large_class_ranks_by_arithmetic(self):
+        # C(20, 10) = 184756 arrangements: above the memoized-class limit
+        first, last, x = seq("0" * 10 + "1" * 10), seq("1" * 10 + "0" * 10), seq("01" * 10)
+        q = type_of(x)
+        assert rank_in_type_class(first) == 0
+        assert rank_in_type_class(last) == type_class_size(q) - 1
+        assert multiset_ranker(q.counts)(x.letters) == rank_in_type_class(x)
+        assert unrank_in_type_class(q, rank_in_type_class(x)) == x
 
 
 class TestShellRankUnrank:
