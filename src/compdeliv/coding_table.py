@@ -11,20 +11,26 @@ Construction is deterministic: edges are processed in lexicographic
 right endpoint of the conflicted edge, so two independent builds of the
 same joint type produce identical tables.  Encoder and decoder therefore
 rebuild tables locally and never exchange them.
+
+Tables live in flat 32-bit integer buffers, not per-cell Python objects:
+`col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` hold
+the other end of the cell carrying symbol s, or -1 for a hole.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .types_core import (
     JointType,
     Sequence,
     joint_type_of,
-    multiset_permutations,
-    multiset_ranker,
     rank_in_type_class,
     type_class_size,
     type_of,
@@ -33,8 +39,17 @@ from .types_core import (
     w_shell_size,
 )
 
-# Largest table, in marked cells, built without an explicit override.
+# Largest table, in allocated lookup slots ((rows + columns) x symbols),
+# built without an explicit override.  A table costs 4 B per slot plus
+# 12 B per marked cell; slots are at least twice the cells, so
+# a table at this budget takes at most 640 MB.  Measured: about 20 B per
+# cell on a balanced table, 29 B per cell over the whole n=10 codebook.
+# The per-cell dicts these buffers replaced cost about 320 B per cell,
+# about 21 GB at this budget.
 DEFAULT_CELL_BUDGET = 2 ** 26
+
+# Buffers hold 32-bit ranks; every stored value is below the slot count.
+_MAX_SLOTS = 2 ** 31 - 1
 
 
 class TableBudgetError(ResourceWarning, ValueError):
@@ -53,16 +68,42 @@ class SideInfoMismatchError(ValueError):
     """Side information inconsistent with the codeword's joint type."""
 
 
+class TypeEdges:
+    """The (row, col) edges of a type graph, row-major, columns ascending.
+
+    Every row of a type graph has the same degree, so only the columns are
+    stored: row i's columns are `cols[i * degree:(i + 1) * degree]`.
+    """
+
+    __slots__ = ("cols", "degree")
+
+    def __init__(self, cols: array, degree: int):
+        self.cols = cols
+        self.degree = degree
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __iter__(self):
+        rows = range(len(self.cols) // self.degree)
+        repeated = map(itertools.repeat, rows, itertools.repeat(self.degree))
+        return zip(itertools.chain.from_iterable(repeated), self.cols)
+
+
 @dataclass(frozen=True)
 class BipartiteTypeGraph:
-    """Bipartite graph of one joint type class: left = rows, right = columns."""
+    """Bipartite graph of one joint type class: left = rows, right = columns.
+
+    `edges` is any sized iterable of (row, col) pairs; `build_graph` gives
+    a `TypeEdges`.
+    """
 
     jt: JointType
     left_size: int
     right_size: int
     left_degree: int
     right_degree: int
-    edges: tuple[tuple[int, int], ...]
+    edges: TypeEdges | tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
@@ -70,83 +111,141 @@ class BipartiteTypeGraph:
 
 
 def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> BipartiteTypeGraph:
-    """Materialize the type class as rank-indexed edges, lex sorted."""
+    """Materialize the type class as rank-indexed edges, lex sorted.
+
+    The budget bounds the slots the colored table allocates, checked
+    before anything is built.
+    """
     left_size = type_class_size(jt.x_marginal())
     right_size = type_class_size(jt.y_marginal())
     left_degree = v_shell_size(jt)
     right_degree = w_shell_size(jt)
-    if left_size * left_degree > cell_budget:
+    cells = left_size * left_degree
+    slots = (left_size + right_size) * max(left_degree, right_degree)
+    limit = min(cell_budget, _MAX_SLOTS)
+    if slots > limit:
         raise TableBudgetError(
-            f"joint type {jt.counts} at n={jt.n} needs "
-            f"{left_size * left_degree} cells (> budget {cell_budget})"
+            f"joint type {jt.counts} at n={jt.n} needs {slots} table slots for {cells} "
+            f"cells, about {(4 * slots + 12 * cells) / 2 ** 20:.0f} MB (> budget {limit} slots)"
         )
-    edges = _enumerate_edges(jt)
-    edges.sort()
-    return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, tuple(edges))
+    edges = TypeEdges(_int_array(_shell_columns(jt)), left_degree)
+    return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, edges)
 
 
-def _enumerate_edges(jt: JointType) -> list[tuple[int, int]]:
-    """All (row rank, column rank) pairs of the type class.
+@lru_cache(maxsize=256)
+def _class_letters(counts: tuple[int, ...]) -> np.ndarray:
+    """Every arrangement of the multiset `counts`, one per row, lexicographic.
 
-    For each x in lex order, its shell members are the interleavings of
-    one arrangement per row of the joint counts, placed at the positions
-    where x takes the corresponding letter.
+    Tables of one block length share few classes, so they are cached
+    (read-only).  Letters are bytes, or words above 256 letters.
+    """
+    dtype = np.uint8 if len(counts) <= 256 else np.uint32
+    letters = np.zeros((1, 0), dtype)
+    remaining = np.array([counts], np.int64)
+    for _ in range(sum(counts)):
+        parent, letter = np.nonzero(remaining)  # row-major: sorted by prefix, then letter
+        letters = np.concatenate([letters[parent], letter[:, None].astype(dtype)], axis=1)
+        remaining = remaining[parent]
+        remaining[np.arange(len(parent)), letter] -= 1
+    letters.flags.writeable = False
+    return letters
+
+
+def _as_keys(letters: np.ndarray) -> np.ndarray:
+    """Sequences, one per row, as fixed-width byte strings.
+
+    numpy orders equal-width byte strings as if NUL-padded, which is plain
+    lexicographic order of the letters, NUL bytes included, once each
+    letter's bytes are big-endian.
+    """
+    width = letters.shape[1] * letters.itemsize
+    return np.ascontiguousarray(letters, letters.dtype.newbyteorder(">")).view(f"S{width}").ravel()
+
+
+def _shell_columns(jt: JointType) -> np.ndarray:
+    """Column ranks of every row's V-shell, row-major, ascending in a row.
+
+    Row x's shell is every interleaving of one arrangement of each joint
+    count row jt.counts[a], placed where x takes letter a.  Lexicographic
+    rank in a type class is the position among the class's sequences in
+    sorted order, so a searchsorted over byte-string keys gives the column
+    ranks with no integer code to overflow at large n.
     """
     n = jt.n
-    row_perms = [tuple(multiset_permutations(list(jt.counts[a]))) for a in range(jt.num_x)]
-    rank_y = multiset_ranker(jt.y_marginal().counts)
-    edges = []
-    for i, x_letters in enumerate(multiset_permutations(list(jt.x_marginal().counts))):
-        positions = [[t for t, c in enumerate(x_letters) if c == a] for a in range(jt.num_x)]
-        for combo in itertools.product(*row_perms):
-            y = [0] * n
-            for a in range(jt.num_x):
-                for t, letter in zip(positions[a], combo[a]):
-                    y[t] = letter
-            edges.append((i, rank_y(tuple(y))))
-    return edges
+    x_class = _class_letters(jt.x_marginal().counts)
+    rows = len(x_class)
+    row_idx = np.arange(rows)[:, None, None]
+    y_class = _class_letters(jt.y_marginal().counts)
+    shells = np.zeros((rows, 1, n), y_class.dtype)
+    for a, row_counts in enumerate(jt.counts):
+        arrangements = _class_letters(row_counts)
+        positions = np.argsort(x_class != a, axis=1, kind="stable")[:, : sum(row_counts)]
+        part = np.zeros((rows, len(arrangements), n), y_class.dtype)
+        arr_idx = np.arange(len(arrangements))[None, :, None]
+        part[row_idx, arr_idx, positions[:, None, :]] = arrangements
+        shells = (shells[:, :, None, :] + part[:, None, :, :]).reshape(rows, -1, n)
+    cols = np.searchsorted(_as_keys(y_class), _as_keys(shells.reshape(-1, n))).reshape(rows, -1)
+    cols.sort(axis=1)
+    return cols
+
+
+def _int_array(values: np.ndarray) -> array:
+    """A numpy integer array as a flat array('i'), whose items read as Python ints."""
+    out = array("i", [0]) * values.size  # sized exactly; frombytes would over-allocate
+    np.frombuffer(out, np.int32)[:] = values.ravel()
+    return out
 
 
 @dataclass(frozen=True)
 class CodingTable:
-    """Edge-colored table with O(1) forward and inverse lookups."""
+    """Edge-colored table over flat 32-bit buffers.
+
+    `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
+    the other end of the cell carrying symbol s, -1 for a hole.  Row i's
+    cells by ascending column are `sorted_cols[k]`/`sorted_syms[k]` for k in
+    `row_start[i]:row_start[i + 1]`.  Lookups return Python ints.
+    """
 
     graph: BipartiteTypeGraph
     num_symbols: int
-    color_of: dict  # (row rank, col rank) -> symbol
-    rows_by_col: dict  # col rank -> {symbol: row rank}
-    cols_by_row: dict  # row rank -> {symbol: col rank}
+    col_of: array
+    row_of: array
+    row_start: array
+    sorted_cols: array
+    sorted_syms: array
 
     @property
     def jt(self) -> JointType:
         return self.graph.jt
 
     def symbol_at(self, row: int, col: int) -> int:
-        return self.color_of[(row, col)]
+        lo, hi = self.row_start[row], self.row_start[row + 1]
+        k = bisect_left(self.sorted_cols, col, lo, hi)
+        if k == hi or self.sorted_cols[k] != col:
+            raise PairTypeMismatchError(f"no marked cell at row {row}, column {col}")
+        return self.sorted_syms[k]
 
     def row_for(self, col: int, symbol: int) -> int:
-        try:
-            return self.rows_by_col[col][symbol]
-        except KeyError:
-            raise SymbolNotFoundError(
-                f"symbol {symbol} absent in column {col}"
-            ) from None
+        if 0 <= symbol < self.num_symbols:
+            row = self.row_of[col * self.num_symbols + symbol]
+            if row >= 0:
+                return row
+        raise SymbolNotFoundError(f"symbol {symbol} absent in column {col}")
 
     def col_for(self, row: int, symbol: int) -> int:
-        try:
-            return self.cols_by_row[row][symbol]
-        except KeyError:
-            raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}") from None
+        if 0 <= symbol < self.num_symbols:
+            col = self.col_of[row * self.num_symbols + symbol]
+            if col >= 0:
+                return col
+        raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}")
 
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
+        start, cols, syms = self.row_start, self.sorted_cols, self.sorted_syms
         for i in range(self.graph.left_size):
-            row_syms = self.cols_by_row.get(i, {})
-            by_col = {col: sym for sym, col in row_syms.items()}
-            cells = [
-                str(by_col[j]) if j in by_col else ""
-                for j in range(self.graph.right_size)
-            ]
+            cells = [""] * self.graph.right_size
+            for k in range(start[i], start[i + 1]):
+                cells[cols[k]] = str(syms[k])
             stream.write(",".join(cells) + "\n")
 
 
@@ -157,67 +256,76 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
     endpoints of a fresh edge have no common free color, swap the two
     candidate colors along the alternating chain starting at the right
     endpoint, which frees the left endpoint's candidate on both sides.
+    Colors used at a vertex are a bitmask; `~u & (u + 1)` is the lowest
+    free one.
     """
     delta = max(g.left_degree, g.right_degree)
-    left_used: dict[int, dict[int, int]] = {}   # row -> {color: col}
-    right_used: dict[int, dict[int, int]] = {}  # col -> {color: row}
-    color_of: dict[tuple[int, int], int] = {}
+    col_of = array("i", [-1]) * (g.left_size * delta)
+    row_of = array("i", [-1]) * (g.right_size * delta)
+    left_used = [0] * g.left_size
+    right_used = [0] * g.right_size
+    full = 1 << delta
 
-    def first_free(used: dict[int, int]) -> int:
-        for c in range(delta):
-            if c not in used:
-                return c
-        raise AssertionError("node already at maximum degree")  # internal defect
+    for i, j in g.edges:
+        lu = left_used[i]
+        ru = right_used[j]
+        used = lu | ru
+        bit = ~used & (used + 1)
+        if bit >= full:  # no common free color
+            bit = ~lu & (lu + 1)
+            b = ~ru & (ru + 1)
+            if bit >= full or b >= full:
+                raise ValueError(f"edge ({i}, {j}) exceeds the maximum degree {delta}")
+            _flip_chain(col_of, row_of, left_used, right_used, delta, j,
+                        bit.bit_length() - 1, b.bit_length() - 1)
+            ru = right_used[j]
+        s = bit.bit_length() - 1
+        left_used[i] = lu | bit
+        right_used[j] = ru | bit
+        col_of[i * delta + s] = j
+        row_of[j * delta + s] = i
 
-    for (i, j) in g.edges:
-        lu = left_used.setdefault(i, {})
-        ru = right_used.setdefault(j, {})
-        common = next((c for c in range(delta) if c not in lu and c not in ru), None)
-        if common is None:
-            a = first_free(lu)
-            b = first_free(ru)
-            _flip_chain(g, left_used, right_used, color_of, start_col=j, a=a, b=b)
-            common = a
-        color_of[(i, j)] = common
-        lu[common] = j
-        ru[common] = i
-
-    return CodingTable(
-        graph=g,
-        num_symbols=delta,
-        color_of=color_of,
-        rows_by_col=right_used,
-        cols_by_row=left_used,
-    )
+    return CodingTable(g, delta, col_of, row_of, *_row_cells(col_of, g.left_size, delta))
 
 
-def _flip_chain(g, left_used, right_used, color_of, start_col: int, a: int, b: int):
-    """Swap colors a and b along the alternating chain starting at start_col.
+def _flip_chain(col_of, row_of, left_used, right_used, delta: int, col: int, a: int, b: int):
+    """Swap colors a and b along the alternating chain starting at `col`.
 
-    start_col misses b and carries a; the chain alternates a (into rows)
-    and b (into columns) and, being simple and unable to reach the left
-    endpoint of the conflicted edge, the swap leaves a free at start_col.
+    `col` carries a and misses b; the chain alternates a (into rows) and b
+    (into columns) and, being simple and unable to reach the left endpoint
+    of the conflicted edge, the swap leaves a free at `col`.  Swapping the
+    a and b slots of every chain vertex recolors the chain; only its two
+    ends change which of a and b they use.
     """
-    path = []
-    col = start_col
+    ab = (1 << a) | (1 << b)
+    right_used[col] ^= ab
     while True:
-        row = right_used[col].get(a)
-        if row is None:
-            break
-        path.append((row, col, a))
-        nxt = left_used[row].get(b)
-        if nxt is None:
-            break
-        path.append((row, nxt, b))
+        ka, kb = col * delta + a, col * delta + b
+        row = row_of[ka]
+        row_of[ka], row_of[kb] = row_of[kb], row
+        if row < 0:
+            right_used[col] ^= ab
+            return
+        ka, kb = row * delta + a, row * delta + b
+        nxt = col_of[kb]
+        col_of[ka], col_of[kb] = nxt, col_of[ka]
+        if nxt < 0:
+            left_used[row] ^= ab
+            return
         col = nxt
-    for row, col, old in path:
-        del left_used[row][old]
-        del right_used[col][old]
-    for row, col, old in path:
-        new = b if old == a else a
-        color_of[(row, col)] = new
-        left_used[row][new] = col
-        right_used[col][new] = row
+
+
+def _row_cells(col_of: array, rows: int, delta: int) -> tuple[array, array, array]:
+    """(row_start, sorted_cols, sorted_syms): each row's cells by ascending column."""
+    hole = np.iinfo(np.int32).max
+    slots = np.frombuffer(col_of, np.int32).reshape(rows, delta)
+    slots = np.where(slots < 0, hole, slots)
+    syms = np.argsort(slots, axis=1, kind="stable")
+    cols = np.take_along_axis(slots, syms, axis=1)
+    filled = cols != hole
+    start = np.zeros(rows + 1, np.int64)
+    np.cumsum(filled.sum(axis=1), out=start[1:])
+    return _int_array(start), _int_array(cols[filled]), _int_array(syms[filled])
 
 
 @lru_cache(maxsize=None)

@@ -14,3 +14,34 @@ def all_binary_pairs(n):
     """All 4^n (x, y) pairs of binary sequences of length n."""
     seqs = all_binary_sequences(n)
     return [(x, y) for x in seqs for y in seqs]
+
+
+def assert_proper_coloring(table):
+    """Every edge carries one symbol in range, no symbol repeats within a
+    row or a column, both inverse lookups return the edge, and every other
+    (row or column, symbol) slot is a hole."""
+    from compdeliv.coding_table import SymbolNotFoundError
+
+    g = table.graph
+    k = table.num_symbols
+    row_syms, col_syms = set(), set()
+    for i, j in g.edges:
+        c = table.symbol_at(i, j)
+        assert type(c) is int and 0 <= c < k
+        assert (i, c) not in row_syms, f"symbol {c} repeats in row {i}"
+        assert (j, c) not in col_syms, f"symbol {c} repeats in column {j}"
+        row_syms.add((i, c))
+        col_syms.add((j, c))
+        assert table.row_for(j, c) == i and table.col_for(i, c) == j
+    assert len(row_syms) == len(g.edges)
+    for size, used, lookup in ((g.left_size, row_syms, table.col_for),
+                               (g.right_size, col_syms, table.row_for)):
+        for v in range(size):
+            for c in range(k):
+                if (v, c) in used:
+                    continue
+                try:
+                    lookup(v, c)
+                except SymbolNotFoundError:
+                    continue
+                raise AssertionError(f"slot ({v}, {c}) marked outside the edges")

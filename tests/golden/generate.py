@@ -9,6 +9,9 @@ of the file-format VERSION).
 
 - tables.json: SHA-256 of the `dump_csv` grid of every joint type's
   colored table, binary for n <= 8 and a 3x2 alphabet for n <= 5.
+- sweep.json: SHA-256 of the CSV report of criterion 6's Monte-Carlo
+  plan (DSBS(0.11), n in 4..10, three rates, 100k trials per row; takes
+  a few minutes).
 - codec.json: a seeded DSBS(0.11) letter pair of 403 letters (the last
   n=8 block is short), its FF(rate 0.8) and FV codeword files as the CLI
   writes them, the decoded output of both sides, and the bits of the
@@ -29,6 +32,8 @@ from compdeliv.cli import main
 from compdeliv.coding_table import get_coding_table
 from compdeliv.ff_codec import FFCodeConfig
 from compdeliv.fv_codec import wrap_ff_as_fv
+from compdeliv.info_measures import dsbs
+from compdeliv.simulator import TrialPlan, run_plan
 from compdeliv.types_core import Alphabet, Sequence, enumerate_joint_types
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -103,6 +108,17 @@ def codec_fixture() -> dict:
     return out
 
 
+def sweep_fixture() -> dict:
+    # The plan of tests/test_acceptance.py::test_criterion_6_monte_carlo_consistency.
+    plan = TrialPlan(p=dsbs(0.11), n_grid=(4, 6, 8, 10), rates=(0.7, 0.8, 0.9),
+                     trials=100_000, master_seed=20230817)
+    text = run_plan(plan).to_csv()
+    return {"criterion_6": {
+        "plan": "dsbs(0.11) n=4,6,8,10 rates=0.7,0.8,0.9 trials=100000 seed=20230817",
+        "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }}
+
+
 def write_json(name: str, obj) -> None:
     (GOLDEN_DIR / name).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -110,3 +126,4 @@ def write_json(name: str, obj) -> None:
 if __name__ == "__main__":
     write_json("tables.json", table_hashes())
     write_json("codec.json", codec_fixture())
+    write_json("sweep.json", sweep_fixture())

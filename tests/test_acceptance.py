@@ -6,8 +6,11 @@ entropy, and divergence arithmetic); the comparison requires bit-for-bit
 equality, not approximate agreement.
 """
 
+import hashlib
+import json
 import math
 import sys
+from pathlib import Path
 
 from compdeliv.coding_table import build_graph, edge_color
 from compdeliv.ff_codec import (
@@ -47,8 +50,9 @@ from compdeliv.types_core import (
     v_shell_size,
     w_shell_size,
 )
-from conftest import all_binary_pairs
+from conftest import all_binary_pairs, assert_proper_coloring
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 RATES_FF = (0.25, 0.5, 0.75, 1.0)
 GRID_SOURCES = (0.05, 0.11, 0.2)
 GRID_N = (4, 6, 8, 10)
@@ -135,15 +139,8 @@ def test_criterion_1_coloring_optimality():
             for jt in enumerate_joint_types(n, BINARY, BINARY):
                 table = edge_color(build_graph(jt))
                 assert table.num_symbols == max(v_shell_size(jt), w_shell_size(jt))
-                seen_row = set()
-                seen_col = set()
-                for (i, j), c in table.color_of.items():
-                    assert c < table.num_symbols
-                    assert (i, c) not in seen_row
-                    assert (j, c) not in seen_col
-                    seen_row.add((i, c))
-                    seen_col.add((j, c))
-                assert len(table.color_of) == len(build_graph(jt).edges)
+                assert len(table.graph.edges) == table.graph.left_size * v_shell_size(jt)
+                assert_proper_coloring(table)
 
     _report(1, "edge colorings proper with exactly max-degree symbols, n=2..8", check)
 
@@ -230,6 +227,8 @@ def test_criterion_6_monte_carlo_consistency():
         )
         report = run_plan(plan)
         assert len(report.rows) == len(GRID_N) * len(GRID_RATES)
+        pinned = json.loads((GOLDEN / "sweep.json").read_text())["criterion_6"]
+        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == pinned["csv_sha256"]
         for row in report.rows:
             if row.mc_stderr > 0:
                 assert abs(row.mc_e_sum - row.exact_e_sum) <= 3 * row.mc_stderr
@@ -241,7 +240,7 @@ def test_criterion_6_monte_carlo_consistency():
         )
         assert run_plan(repeat_plan).to_csv() == run_plan(repeat_plan).to_csv()
 
-    _report(6, "MC within 3 sigma of exact on every row; seeded runs identical", check)
+    _report(6, "MC within 3 sigma of exact on every row; seeded runs identical, CSV pinned", check)
 
 
 def test_criterion_7_fv_zero_error_prefix_and_length():

@@ -16,6 +16,7 @@ from compdeliv.coding_table import (
     get_coding_table,
     lookup_symbol,
 )
+from compdeliv.ff_codec import bit_width
 from compdeliv.types_core import (
     BINARY,
     JointType,
@@ -23,22 +24,16 @@ from compdeliv.types_core import (
     joint_type_of,
     rank_in_type_class,
     type_class_size,
+    unrank_in_type_class,
     v_shell_size,
     w_shell_size,
 )
-from conftest import all_binary_pairs
+from conftest import all_binary_pairs, assert_proper_coloring as assert_proper
 
 
-def assert_proper(table):
-    """No symbol repeats within any row or any column."""
-    seen_row = {}
-    seen_col = {}
-    for (i, j), c in table.color_of.items():
-        assert c < table.num_symbols
-        assert (i, c) not in seen_row, f"color {c} repeats in row {i}"
-        assert (j, c) not in seen_col, f"color {c} repeats in column {j}"
-        seen_row[(i, c)] = j
-        seen_col[(j, c)] = i
+def cells(table):
+    """(row, col, symbol) of every edge, in edge order."""
+    return [(i, j, table.symbol_at(i, j)) for i, j in table.graph.edges]
 
 
 class TestBuildGraph:
@@ -62,7 +57,7 @@ class TestBuildGraph:
             )
         for jt, expected in pairs_by_type.items():
             g = build_graph(jt)
-            assert set(g.edges) == expected
+            assert list(g.edges) == sorted(expected)
             assert g.left_size == type_class_size(jt.x_marginal())
             assert g.right_size == type_class_size(jt.y_marginal())
 
@@ -83,12 +78,67 @@ class TestBuildGraph:
         with pytest.raises(TableBudgetError, match="n=32"):
             build_graph(jt, cell_budget=100)
 
+    def test_budget_bounds_allocated_slots_not_cells(self):
+        # one row of degree 3 against three columns of degree 1: 3 cells,
+        # but (1 + 3) rows and columns x 3 symbols = 12 lookup slots
+        jt = JointType(((2, 1), (0, 0)), 3)
+        with pytest.raises(TableBudgetError, match=r"12 table slots .* MB"):
+            build_graph(jt, cell_budget=11)
+        assert len(build_graph(jt, cell_budget=12).edges) == 3
+
+
+# Types whose sequence codes k^n overflow 64 bits: binary n=64 and a 3x2
+# alphabet at n=40 (3^40 > 2^63).
+LARGE_N_TYPES = [
+    JointType(((63, 1), (0, 0)), 64),
+    JointType(((64, 0), (0, 0)), 64),
+    JointType(((62, 1), (1, 0)), 64),
+    JointType(((37, 1), (1, 0), (0, 1)), 40),
+]
+
+
+@pytest.mark.parametrize("jt", LARGE_N_TYPES, ids=lambda jt: f"n={jt.n} {jt.counts}")
+def test_large_block_length_tables(jt):
+    g = build_graph(jt)
+    assert g.left_size == type_class_size(jt.x_marginal())
+    assert g.right_size == type_class_size(jt.y_marginal())
+    left, right = {}, {}
+    for i, j in g.edges:
+        x = unrank_in_type_class(jt.x_marginal(), i)
+        y = unrank_in_type_class(jt.y_marginal(), j)
+        assert joint_type_of(x, y) == jt
+        left[i] = left.get(i, 0) + 1
+        right[j] = right.get(j, 0) + 1
+    assert len(set(g.edges)) == len(g.edges)
+    assert len(left) == g.left_size and set(left.values()) == {v_shell_size(jt)}
+    assert len(right) == g.right_size and set(right.values()) == {w_shell_size(jt)}
+    table = edge_color(g)
+    assert table.num_symbols == max(v_shell_size(jt), w_shell_size(jt))
+    assert_proper(table)
+
+
+def test_alphabet_above_256_letters():
+    # y letters 0, 1 and 256 of 300: 256 needs a second byte, and as a
+    # little-endian word it would sort below 1
+    row = [0] * 300
+    row[0] = row[1] = row[256] = 1
+    jt = JointType((tuple(row),), 3)
+    g = build_graph(jt)
+    assert g.left_size == 1 and g.right_size == 6 == len(g.edges)
+    for i, j in g.edges:
+        y = unrank_in_type_class(jt.y_marginal(), j)
+        assert joint_type_of(unrank_in_type_class(jt.x_marginal(), i), y) == jt
+    assert [unrank_in_type_class(jt.y_marginal(), j).letters for _, j in g.edges] == [
+        (0, 1, 256), (0, 256, 1), (1, 0, 256), (1, 256, 0), (256, 0, 1), (256, 1, 0)
+    ]
+    assert_proper(edge_color(g))
+
 
 class TestEdgeColor:
     def test_perfect_matching_one_color(self):
         table = edge_color(build_graph(JointType(((2, 0), (0, 2)), 4)))
         assert table.num_symbols == 1
-        assert set(table.color_of.values()) == {0}
+        assert {s for _, _, s in cells(table)} == {0}
 
     def test_complete_bipartite_k33(self):
         # not a type class; exercises the coloring algorithm directly
@@ -100,8 +150,10 @@ class TestEdgeColor:
         assert_proper(table)
         # Latin square: every row and column uses all three symbols
         for i in range(3):
-            assert set(table.cols_by_row[i]) == {0, 1, 2}
-            assert set(table.rows_by_col[i]) == {0, 1, 2}
+            assert {table.symbol_at(i, j) for j in range(3)} == {0, 1, 2}
+            assert {table.symbol_at(j, i) for j in range(3)} == {0, 1, 2}
+            assert {table.col_for(i, s) for s in range(3)} == {0, 1, 2}
+            assert {table.row_for(i, s) for s in range(3)} == {0, 1, 2}
 
     def test_five_by_five_three_regular(self):
         # circulant 3-regular bipartite graph on 5+5 nodes
@@ -112,6 +164,12 @@ class TestEdgeColor:
         table = edge_color(BipartiteTypeGraph(placeholder, 5, 5, 3, 3, edges))
         assert table.num_symbols == 3
         assert_proper(table)
+
+    def test_edges_beyond_the_declared_degree_rejected(self):
+        placeholder = JointType(((2, 0), (0, 0)), 2)
+        edges = ((0, 0), (0, 1), (1, 0))  # row 0 and column 0 have degree 2
+        with pytest.raises(ValueError, match="maximum degree 1"):
+            edge_color(BipartiteTypeGraph(placeholder, 2, 2, 1, 1, edges))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_types_proper_and_optimal(self, n):
@@ -124,7 +182,7 @@ class TestEdgeColor:
         jt = JointType(((2, 1), (1, 2)), 6)
         a = edge_color(build_graph(jt))
         b = edge_color(build_graph(jt))
-        assert a.color_of == b.color_of
+        assert cells(a) == cells(b)
 
     def test_cache_returns_same_table(self):
         jt = JointType(((1, 1), (1, 1)), 4)
@@ -156,6 +214,38 @@ class TestLookups:
         t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
         with pytest.raises(SymbolNotFoundError):
             decode_side(t, seq("0011"), 5, "x")
+
+    # Lookups index flat buffers: a symbol outside [0, num_symbols) must
+    # not read a neighbouring row's or column's slot, nor run off the end.
+    # Delta = 3 on 4 rows and 4 columns, so a 2-bit symbol field can carry
+    # the invalid 3.
+    @pytest.mark.parametrize("symbol", [-1, 3, 2 ** 40])
+    def test_out_of_range_symbol_signals_desync(self, symbol):
+        t = get_coding_table(JointType(((2, 1), (1, 0)), 4))
+        assert t.graph.left_size == t.graph.right_size == 4
+        assert t.num_symbols == 3 < 2 ** bit_width(t.num_symbols)
+        for col in (0, t.graph.right_size - 1):
+            with pytest.raises(SymbolNotFoundError):
+                t.row_for(col, symbol)
+        for row in (0, t.graph.left_size - 1):
+            with pytest.raises(SymbolNotFoundError):
+                t.col_for(row, symbol)
+
+    def test_holes_signal_desync_and_lookups_return_ints(self):
+        t = get_coding_table(JointType(((2, 1), (0, 0)), 3))
+        for col in range(t.graph.right_size):
+            found = []
+            for s in range(t.num_symbols):
+                try:
+                    found.append(t.row_for(col, s))
+                except SymbolNotFoundError:
+                    continue
+            assert found == [0]  # column degree 1: the other two slots are holes
+            assert type(found[0]) is int
+        for i, j in t.graph.edges:
+            s = t.symbol_at(i, j)
+            assert type(s) is int
+            assert type(t.col_for(i, s)) is int and type(t.row_for(j, s)) is int
 
     def test_side_info_of_wrong_type_rejected(self):
         from compdeliv.types_core import seq
