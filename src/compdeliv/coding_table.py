@@ -30,11 +30,15 @@ import numpy as np
 from .types_core import (
     JointType,
     Sequence,
+    _as_keys,
+    _class_letters,
     joint_type_of,
     rank_in_type_class,
+    rank_rows,
     type_class_size,
     type_of,
     unrank_in_type_class,
+    unrank_rows,
     v_shell_size,
     w_shell_size,
 )
@@ -132,36 +136,6 @@ def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> Bipart
     return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, edges)
 
 
-@lru_cache(maxsize=256)
-def _class_letters(counts: tuple[int, ...]) -> np.ndarray:
-    """Every arrangement of the multiset `counts`, one per row, lexicographic.
-
-    Tables of one block length share few classes, so they are cached
-    (read-only).  Letters are bytes, or words above 256 letters.
-    """
-    dtype = np.uint8 if len(counts) <= 256 else np.uint32
-    letters = np.zeros((1, 0), dtype)
-    remaining = np.array([counts], np.int64)
-    for _ in range(sum(counts)):
-        parent, letter = np.nonzero(remaining)  # row-major: sorted by prefix, then letter
-        letters = np.concatenate([letters[parent], letter[:, None].astype(dtype)], axis=1)
-        remaining = remaining[parent]
-        remaining[np.arange(len(parent)), letter] -= 1
-    letters.flags.writeable = False
-    return letters
-
-
-def _as_keys(letters: np.ndarray) -> np.ndarray:
-    """Sequences, one per row, as fixed-width byte strings.
-
-    numpy orders equal-width byte strings as if NUL-padded, which is plain
-    lexicographic order of the letters, NUL bytes included, once each
-    letter's bytes are big-endian.
-    """
-    width = letters.shape[1] * letters.itemsize
-    return np.ascontiguousarray(letters, letters.dtype.newbyteorder(">")).view(f"S{width}").ravel()
-
-
 def _shell_columns(jt: JointType) -> np.ndarray:
     """Column ranks of every row's V-shell, row-major, ascending in a row.
 
@@ -177,9 +151,9 @@ def _shell_columns(jt: JointType) -> np.ndarray:
     row_idx = np.arange(rows)[:, None, None]
     y_class = _class_letters(jt.y_marginal().counts)
     shells = np.zeros((rows, 1, n), y_class.dtype)
-    for a, row_counts in enumerate(jt.counts):
-        arrangements = _class_letters(row_counts)
-        positions = np.argsort(x_class != a, axis=1, kind="stable")[:, : sum(row_counts)]
+    for a, sub_counts in enumerate(jt.counts):
+        arrangements = _class_letters(sub_counts)
+        positions = np.argsort(x_class != a, axis=1, kind="stable")[:, : sum(sub_counts)]
         part = np.zeros((rows, len(arrangements), n), y_class.dtype)
         arr_idx = np.arange(len(arrangements))[None, :, None]
         part[row_idx, arr_idx, positions[:, None, :]] = arrangements
@@ -191,9 +165,13 @@ def _shell_columns(jt: JointType) -> np.ndarray:
 
 def _int_array(values: np.ndarray) -> array:
     """A numpy integer array as a flat array('i'), whose items read as Python ints."""
-    out = array("i", [0]) * values.size  # sized exactly; frombytes would over-allocate
+    out = _zeros(values.size)
     np.frombuffer(out, np.int32)[:] = values.ravel()
     return out
+
+
+def _zeros(size: int) -> array:
+    return array("i", [0]) * size  # sized exactly; frombytes would over-allocate
 
 
 @dataclass(frozen=True)
@@ -203,7 +181,9 @@ class CodingTable:
     `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
     the other end of the cell carrying symbol s, -1 for a hole.  Row i's
     cells by ascending column are `sorted_cols[k]`/`sorted_syms[k]` for k in
-    `row_start[i]:row_start[i + 1]`.  Lookups return Python ints.
+    `row_start[i]:row_start[i + 1]`.  Lookups return Python ints; the
+    plural lookups take and return numpy arrays, one element per lookup,
+    and raise what the scalar ones raise if any element fails.
     """
 
     graph: BipartiteTypeGraph
@@ -239,6 +219,33 @@ class CodingTable:
                 return col
         raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}")
 
+    def symbols_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Vector `symbol_at`.
+
+        Cells sorted by row, then column, have ascending keys
+        row * right_size + column, so one search over the table's keys finds
+        every cell.
+        """
+        width = self.graph.right_size
+        start = np.frombuffer(self.row_start, np.int32)
+        keys = np.repeat(np.arange(self.graph.left_size, dtype=np.int64) * width, np.diff(start))
+        keys += np.frombuffer(self.sorted_cols, np.int32)
+        wanted = np.asarray(rows, np.int64) * width + cols
+        k = np.searchsorted(keys, wanted)
+        missing = keys[np.minimum(k, len(keys) - 1)] != wanted
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}")
+        return np.frombuffer(self.sorted_syms, np.int32)[k]
+
+    def rows_for(self, cols: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Vector `row_for`."""
+        return _slot_lookup(self.row_of, self.num_symbols, cols, symbols, "column")
+
+    def cols_for(self, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Vector `col_for`."""
+        return _slot_lookup(self.col_of, self.num_symbols, rows, symbols, "row")
+
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
         start, cols, syms = self.row_start, self.sorted_cols, self.sorted_syms
@@ -247,6 +254,18 @@ class CodingTable:
             for k in range(start[i], start[i + 1]):
                 cells[cols[k]] = str(syms[k])
             stream.write(",".join(cells) + "\n")
+
+
+def _slot_lookup(slots: array, delta: int, at: np.ndarray, symbols: np.ndarray, what: str) -> np.ndarray:
+    """slots[at * delta + symbol] for every element, or SymbolNotFoundError
+    for a symbol outside [0, delta) or a hole, as `row_for`/`col_for`."""
+    at, symbols = np.asarray(at, np.int64), np.asarray(symbols, np.int64)
+    found = np.frombuffer(slots, np.int32).take(at * delta + symbols, mode="clip")
+    bad = (found < 0) | (symbols < 0) | (symbols >= delta)  # a clipped read is a bad symbol
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SymbolNotFoundError(f"symbol {symbols[i]} absent in {what} {at[i]}")
+    return found
 
 
 def edge_color(g: BipartiteTypeGraph) -> CodingTable:
@@ -316,16 +335,31 @@ def _flip_chain(col_of, row_of, left_used, right_used, delta: int, col: int, a: 
 
 
 def _row_cells(col_of: array, rows: int, delta: int) -> tuple[array, array, array]:
-    """(row_start, sorted_cols, sorted_syms): each row's cells by ascending column."""
-    hole = np.iinfo(np.int32).max
+    """(row_start, sorted_cols, sorted_syms): each row's cells by ascending column.
+
+    Each slot packs into one int64 key col * delta + symbol (holes last),
+    so one in-place sort per row orders a row's cells by column.
+    """
+    hole = np.iinfo(np.int64).max
     slots = np.frombuffer(col_of, np.int32).reshape(rows, delta)
-    slots = np.where(slots < 0, hole, slots)
-    syms = np.argsort(slots, axis=1, kind="stable")
-    cols = np.take_along_axis(slots, syms, axis=1)
-    filled = cols != hole
+    holes = slots < 0
+    degrees = delta - holes.sum(axis=1)
+    keys = slots.astype(np.int64)
+    keys *= delta
+    keys += np.arange(delta)
+    keys[holes] = hole
+    del holes
+    keys.sort(axis=1)
+    width = int(degrees.max(initial=0))
+    kept = keys[:, :width]
+    if (degrees != width).any():  # rows of unequal degree: drop their holes
+        kept = kept[kept != hole]
     start = np.zeros(rows + 1, np.int64)
-    np.cumsum(filled.sum(axis=1), out=start[1:])
-    return _int_array(start), _int_array(cols[filled]), _int_array(syms[filled])
+    np.cumsum(degrees, out=start[1:])
+    cols, syms = _zeros(kept.size), _zeros(kept.size)
+    np.floor_divide(kept, delta, out=np.frombuffer(cols, np.int32).reshape(kept.shape))
+    np.remainder(kept, delta, out=np.frombuffer(syms, np.int32).reshape(kept.shape))
+    return _int_array(start), cols, syms
 
 
 @lru_cache(maxsize=None)
@@ -356,3 +390,19 @@ def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> 
     if type_of(side_info) != held:
         raise SideInfoMismatchError("side information type does not match codeword")
     return unrank_in_type_class(other, lookup(rank_in_type_class(side_info), symbol))
+
+
+def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray, side: str) -> np.ndarray:
+    """Vector `decode_side`: one reproduced sequence per row of `side_info`."""
+    x_counts, y_counts = tuple(map(sum, t.jt.counts)), tuple(map(sum, zip(*t.jt.counts)))
+    if side == "x":
+        held, lookup, other = y_counts, t.rows_for, x_counts
+    elif side == "y":
+        held, lookup, other = x_counts, t.cols_for, y_counts
+    else:
+        raise ValueError(f"side must be 'x' or 'y', not {side!r}")
+    try:
+        ranks = rank_rows(side_info, held)
+    except ValueError:
+        raise SideInfoMismatchError("side information type does not match codeword") from None
+    return unrank_rows(other, lookup(ranks, symbols))

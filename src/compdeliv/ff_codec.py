@@ -18,10 +18,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .types_core import (
     Alphabet,
     JointType,
     Sequence,
+    _letter_dtype,
+    class_ranks,
+    group_rows,
+    joint_type_groups,
     joint_type_of,
     rank_in_type_class,
     enumerate_joint_types,
@@ -29,7 +35,7 @@ from .types_core import (
     w_shell_size,
 )
 from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
-from .coding_table import decode_side, get_coding_table
+from .coding_table import decode_side, decode_side_rows, get_coding_table
 from .coding_table import SideInfoMismatchError  # noqa: F401  (re-exported)
 
 
@@ -63,6 +69,7 @@ def bit_width(count: int) -> int:
     return (count - 1).bit_length() if count > 1 else 0
 
 
+@lru_cache(maxsize=None)
 def num_symbols_of(jt: JointType) -> int:
     """Symbols a table for jt uses: its maximum degree, in closed form."""
     return max(v_shell_size(jt), w_shell_size(jt))
@@ -138,6 +145,69 @@ def ff_decode_x(cfg: FFCodeConfig, cw: FFCodeword, y: Sequence) -> Sequence:
 def ff_decode_y(cfg: FFCodeConfig, cw: FFCodeword, x: Sequence) -> Sequence:
     """Reproduce y from the codeword and side information x."""
     return _ff_decode(cfg, cw, x, "y")
+
+
+# A batch of FF codewords: (error flags, type indices, symbols), one per row.
+FFWords = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray) -> FFWords:
+    """`ff_encode` of every row pair of two (m, n) letter arrays.
+
+    Returns the codewords as three arrays (error flags, type indices,
+    symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
+    Rows are grouped by joint type, so each table is searched once.
+    """
+    x, y = _as_blocks(cfg, x, cfg.ax, "x"), _as_blocks(cfg, y, cfg.ay, "y")
+    code = make_code(cfg)
+    # Tables first: a build checks its budget before it materializes the
+    # type classes that the ranks below then search.
+    tables, live = [], np.zeros(len(x), bool)
+    for jt, rows in joint_type_groups(x, y, cfg.ax.size, cfg.ay.size):
+        if jt in code.index_of:
+            tables.append((code.index_of[jt], get_coding_table(jt), rows))
+            live[rows] = True
+    x_ranks, y_ranks = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
+    x_ranks[live] = class_ranks(x[live], cfg.ax.size)
+    y_ranks[live] = class_ranks(y[live], cfg.ay.size)
+    type_index, symbols = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
+    for idx, table, rows in tables:
+        symbols[rows] = table.symbols_at(x_ranks[rows], y_ranks[rows])
+        type_index[rows] = idx
+    return ~live, type_index, symbols
+
+
+def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, side: str) -> np.ndarray:
+    """`ff_decode_x` (side "x") or `ff_decode_y` (side "y") of every row.
+
+    `words` is what `ff_encode_batch` returns; row i of `side_info` is the
+    side information of codeword i.  Flagged rows decode to all zeros, as
+    in the scalar path.
+    """
+    flags, type_index, symbols = np.asarray(words[0], bool), np.asarray(words[1]), np.asarray(words[2])
+    held, reproduced = (cfg.ay, cfg.ax) if side == "x" else (cfg.ax, cfg.ay)
+    side_info = _as_blocks(cfg, side_info, held, "side information")
+    code = make_code(cfg)
+    out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
+    live = np.flatnonzero(~flags)
+    bad = (type_index[live] < 0) | (type_index[live] >= len(code.region))
+    if bad.any():
+        raise CodewordRangeError(f"type index {type_index[live[np.argmax(bad)]]} out of range")
+    for (idx,), rows in group_rows(type_index[live, None]):
+        rows = live[rows]
+        table = get_coding_table(code.region[idx])
+        out[rows] = decode_side_rows(table, side_info[rows], symbols[rows], side)
+    return out
+
+
+def _as_blocks(cfg: FFCodeConfig, letters: np.ndarray, alphabet: Alphabet, what: str) -> np.ndarray:
+    """`letters` checked as (m, n) blocks over `alphabet`, in its array letter type."""
+    letters = np.asarray(letters)
+    if letters.ndim != 2 or letters.shape[1] != cfg.n:
+        raise ValueError(f"{what} must be an (m, {cfg.n}) letter array")
+    if letters.size and not (0 <= letters.min() and letters.max() < alphabet.size):
+        raise ValueError(f"{what} has a letter outside the alphabet of size {alphabet.size}")
+    return letters.astype(_letter_dtype(alphabet.size), copy=False)
 
 
 def codebook_size(cfg: FFCodeConfig) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .types_core import Alphabet, JointType, enumerate_joint_types, multinomial
 
@@ -132,9 +133,15 @@ def achievable_rate(p: SourceSpec) -> float:
     return max(conditional_entropy(p, "y|x"), conditional_entropy(p, "x|y"))
 
 
+# A sweep row scans every joint type of its n five or six times, at more
+# than one rate, so the per-type quantities are worked out once.
+_type_max_conditional_entropy = lru_cache(maxsize=None)(max_conditional_entropy)
+_type_divergence = lru_cache(maxsize=None)(kl_divergence)
+
+
 def in_decodable_region(jt: JointType, rate: float) -> bool:
     """True iff both conditional entropies of jt lie at or below `rate`."""
-    return max_conditional_entropy(jt) <= rate + RATE_TIE_TOL
+    return _type_max_conditional_entropy(jt) <= rate + RATE_TIE_TOL
 
 
 def epsilon_n(n: int, ax: Alphabet, ay: Alphabet) -> float:
@@ -182,7 +189,7 @@ def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> Exponen
     for jt in enumerate_joint_types(n, p.ax, p.ay):
         if in_decodable_region(jt, rate) != inside:
             continue
-        d = kl_divergence(jt, p)
+        d = _type_divergence(jt, p)
         if d < best:
             best, arg = d, jt
     return ExponentReport(rate, n, best, arg)
@@ -283,17 +290,3 @@ def underflow_upper_bound(rate: float, p: SourceSpec, n: int, slack: float | Non
     if mind == math.inf:
         return 0.0
     return _exp2(-n * (eps + mind))
-
-
-def underflow_converse_bound(rate: float, p: SourceSpec, n: int, slack: float | None = None) -> float:
-    """Converse-style bound on the underflow probability, as printed.
-
-    Stated as an upper bound with the clipped-gap objective; implemented
-    exactly as written, with the undefined vanishing sequence pinned to
-    epsilon_n (overridable via `slack`).
-    """
-    eps = epsilon_n(n, p.ax, p.ay)
-    if slack is None:
-        slack = eps
-    obj = converse_correct_exponent(rate, p, n).value
-    return _exp2(-n * (-slack + obj))

@@ -3,7 +3,8 @@
 Exact type-sum computation is the primary truth; the Monte-Carlo columns
 exist to exercise the full encode/decode pipeline end to end, so every
 trial is actually encoded and both-side decoded (an unflagged mismatch is
-a table-logic defect and raises immediately).
+a table-logic defect and raises immediately).  A row's trials go through
+the array codec (`ff_encode_batch`, `ff_decode_batch`) as one batch.
 
 PRNG contract: NumPy PCG64 (period 2^128), seeded through SeedSequence.
 Per-row generators are spawned from the master seed in row order, so the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .types_core import Sequence, JointType
+from .types_core import Sequence, joint_type_groups
 from .info_measures import (
     SourceSpec,
     correct_exponent_inside,
@@ -29,7 +30,7 @@ from .info_measures import (
     error_sum_lower_bound,
     error_sum_upper_bound,
 )
-from .ff_codec import FFCodeConfig, exact_error_probability, ff_decode_x, ff_decode_y, ff_encode
+from .ff_codec import FFCodeConfig, exact_error_probability, ff_decode_batch, ff_encode_batch
 from .fv_codec import make_fv_code, overflow_probability
 
 
@@ -127,25 +128,20 @@ def _run_row(p: SourceSpec, n: int, rate: float, trials: int, seed) -> ReportRow
     overflow_threshold = n * (rate + eps)
     rng = np.random.Generator(np.random.PCG64(seed))
     cells = _sample_cells(p, n, trials, rng)
-    ky = p.num_y
+    x, y = np.divmod(cells, p.num_y)
 
-    xs = (cells // ky).tolist()
-    ys = (cells % ky).tolist()
-    escapes = 0
-    overflows = 0
-    for t in range(trials):
-        row_cells = cells[t]
-        x = Sequence(tuple(xs[t]), p.ax)
-        y = Sequence(tuple(ys[t]), p.ay)
-        cw = ff_encode(cfg, x, y)
-        if cw.error_flag:
-            escapes += 1
-        else:
-            if ff_decode_x(cfg, cw, y) != x or ff_decode_y(cfg, cw, x) != y:
-                raise DecoderDesyncError(f"round-trip failure at n={n}, rate={rate}")
-        jt = _jt_of_cells(row_cells, n, p.num_x, ky)
-        if fv.codeword_length(jt) > overflow_threshold:
-            overflows += 1
+    words = ff_encode_batch(cfg, x, y)
+    unflagged = ~words[0]
+    for side, truth, side_info in (("x", x, y), ("y", y, x)):
+        decoded = ff_decode_batch(cfg, words, side_info, side)
+        if not np.array_equal(decoded[unflagged], truth[unflagged]):
+            raise DecoderDesyncError(f"round-trip failure of {side} at n={n}, rate={rate}")
+    escapes = int(words[0].sum())
+    overflows = sum(
+        len(rows)
+        for jt, rows in joint_type_groups(x, y, p.num_x, p.num_y)
+        if fv.codeword_length(jt) > overflow_threshold
+    )
 
     escape_exact = exact.e_x
     stderr = 2.0 * math.sqrt(escape_exact * (1 - escape_exact) / trials)
@@ -163,8 +159,3 @@ def _run_row(p: SourceSpec, n: int, rate: float, trials: int, seed) -> ReportRow
         overflow_mc=overflows / trials,
     )
 
-
-def _jt_of_cells(row_cells, n: int, kx: int, ky: int) -> JointType:
-    counts = np.bincount(row_cells, minlength=kx * ky)
-    rows = tuple(tuple(int(c) for c in counts[a * ky:(a + 1) * ky]) for a in range(kx))
-    return JointType(rows, n)

@@ -2,7 +2,10 @@
 
 Everything here is exact integer combinatorics: type-class sizes and ranks
 are multinomial-sized and exceed 64 bits quickly, so all counting uses
-Python's unbounded integers.  Enumeration and ranking orders are fixed
+Python's unbounded integers.  The row-array functions (`rank_rows`,
+`unrank_rows`) rank whole batches of sequences by searching the sorted
+class itself, so they stay exact at any block length whose class fits in
+memory.  Enumeration and ranking orders are fixed
 (lexicographic) because encoder and decoder rebuild the same tables
 independently and never exchange them.
 """
@@ -12,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import factorial
+
+import numpy as np
 
 
 class LengthMismatchError(ValueError):
@@ -327,3 +332,131 @@ def unrank_in_v_shell(x: Sequence, jt: JointType, r: int) -> Sequence:
     ]
     letters = tuple(next(sub_letters[a]) for a in x.letters)
     return Sequence(letters, Alphabet(jt.num_y))
+
+
+# --- batches of sequences as (m, n) integer arrays ------------------------------
+
+
+def _letter_dtype(k: int) -> type:
+    """Array letters are bytes, or words above 256 letters."""
+    return np.uint8 if k <= 256 else np.uint32
+
+
+@lru_cache(maxsize=256)
+def _class_letters(counts: tuple[int, ...]) -> np.ndarray:
+    """Every arrangement of the multiset `counts`, one per row, lexicographic.
+
+    Tables of one block length share few classes, so they are cached
+    (read-only).
+    """
+    dtype = _letter_dtype(len(counts))
+    letters = np.zeros((1, 0), dtype)
+    remaining = np.array([counts], np.int64)
+    for _ in range(sum(counts)):
+        parent, letter = np.nonzero(remaining)  # row-major: sorted by prefix, then letter
+        letters = np.concatenate([letters[parent], letter[:, None].astype(dtype)], axis=1)
+        remaining = remaining[parent]
+        remaining[np.arange(len(parent)), letter] -= 1
+    letters.flags.writeable = False
+    return letters
+
+
+def _as_keys(letters: np.ndarray) -> np.ndarray:
+    """Sequences, one per row, as fixed-width byte strings.
+
+    numpy orders equal-width byte strings as if NUL-padded, which is plain
+    lexicographic order of the letters, NUL bytes included, once each
+    letter's bytes are big-endian.
+    """
+    width = letters.shape[1] * letters.itemsize
+    return np.ascontiguousarray(letters, letters.dtype.newbyteorder(">")).view(f"S{width}").ravel()
+
+
+@lru_cache(maxsize=256)
+def _class_keys(counts: tuple[int, ...]) -> np.ndarray:
+    """`_as_keys` of `_class_letters(counts)`: the class's sorted search keys."""
+    keys = _as_keys(_class_letters(counts))
+    keys.flags.writeable = False
+    return keys
+
+
+def rank_rows(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Lexicographic rank of every row of `letters` within the class `counts`.
+
+    Vector `rank_in_type_class`: rank is position in the sorted class, so
+    one search over the class's keys ranks the whole batch.  The class is
+    materialized and cached (about 2n bytes per member), as a coding table
+    over it already does.  Raises ValueError if a row is not of type
+    `counts`.
+    """
+    letters, dtype = np.asarray(letters), _letter_dtype(len(counts))
+    if letters.dtype != dtype:  # a cast could wrap a stray letter into the class
+        if letters.size and not (0 <= letters.min() and letters.max() < len(counts)):
+            raise ValueError(f"a row is not of type {counts}")
+        letters = letters.astype(dtype)
+    keys, wanted = _class_keys(counts), _as_keys(letters)
+    ranks = np.searchsorted(keys, wanted)
+    if (keys[np.minimum(ranks, len(keys) - 1)] != wanted).any():
+        raise ValueError(f"a row is not of type {counts}")
+    return ranks
+
+
+def class_ranks(letters: np.ndarray, k: int) -> np.ndarray:
+    """Rank of every row of `letters` within its own type class (k letters)."""
+    ranks = np.empty(len(letters), np.int64)
+    for counts, rows in group_rows(row_counts(letters, k)):
+        ranks[rows] = rank_rows(letters[rows], counts)
+    return ranks
+
+
+def unrank_rows(counts: tuple[int, ...], ranks: np.ndarray) -> np.ndarray:
+    """Inverse of `rank_rows`: the class `counts` sequence at each rank, one per row."""
+    letters = _class_letters(counts)
+    ranks = np.asarray(ranks, np.int64)
+    if ranks.size and not (0 <= ranks.min() and ranks.max() < len(letters)):
+        raise RankRangeError(f"rank outside type class of size {len(letters)}")
+    return letters[ranks]
+
+
+def row_counts(letters: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) letter counts of every row of an (m, n) letter array."""
+    if letters.size and not (0 <= letters.min() and letters.max() < k):
+        raise ValueError(f"letter outside alphabet of size {k}")
+    m = len(letters)
+    offsets = np.arange(m)[:, None] * k
+    return np.bincount((letters + offsets).ravel(), minlength=m * k).reshape(m, k)
+
+
+def group_rows(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Rows of a 2-D array of nonnegative ints grouped by value.
+
+    Returns (value, row indices) pairs, values ascending.  Each row is
+    packed into one int64 code, column by column; before a column could
+    overflow the code, the distinct codes so far are renumbered densely,
+    so the grouping is exact for any number of columns (each value times
+    the row count must stay below 2^63).
+    """
+    if not len(keys):
+        return []
+    code, bound = np.zeros(len(keys), np.int64), 1
+    for column in keys.T:
+        base = int(column.max()) + 1
+        if bound * base >= 2 ** 63:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = len(distinct)
+        code = code * base + column
+        bound *= base
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.diff(code[order])) + 1
+    values = keys[order[np.concatenate(([0], starts))]].tolist()
+    return list(zip(map(tuple, values), np.split(order, starts)))
+
+
+def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
+    """Row pairs (x[i], y[i]) grouped by joint type: (joint type, row indices) pairs."""
+    n = x.shape[1]
+    groups = group_rows(row_counts(x.astype(np.intp) * ky + y, kx * ky))
+    return [
+        (JointType(tuple(flat[a * ky:(a + 1) * ky] for a in range(kx)), n), rows)
+        for flat, rows in groups
+    ]

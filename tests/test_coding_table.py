@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from compdeliv.coding_table import (
@@ -207,6 +208,10 @@ class TestLookups:
         t = get_coding_table(JointType(((1, 1), (1, 1)), 4))
         with pytest.raises(PairTypeMismatchError):
             lookup_symbol(t, seq("0000"), seq("0101"))
+        unmarked = next(c for c in range(t.graph.right_size) if (0, c) not in set(t.graph.edges))
+        (first_row, first_col), *_ = t.graph.edges
+        with pytest.raises(PairTypeMismatchError):  # one bad element fails the batch
+            t.symbols_at(np.array([first_row, 0]), np.array([first_col, unmarked]))
 
     def test_absent_symbol_signals_desync(self):
         from compdeliv.types_core import seq
@@ -227,9 +232,13 @@ class TestLookups:
         for col in (0, t.graph.right_size - 1):
             with pytest.raises(SymbolNotFoundError):
                 t.row_for(col, symbol)
+            with pytest.raises(SymbolNotFoundError):
+                t.rows_for(np.array([0, col]), np.array([0, symbol]))
         for row in (0, t.graph.left_size - 1):
             with pytest.raises(SymbolNotFoundError):
                 t.col_for(row, symbol)
+            with pytest.raises(SymbolNotFoundError):
+                t.cols_for(np.array([0, row]), np.array([0, symbol]))
 
     def test_holes_signal_desync_and_lookups_return_ints(self):
         t = get_coding_table(JointType(((2, 1), (0, 0)), 3))
@@ -242,6 +251,9 @@ class TestLookups:
                     continue
             assert found == [0]  # column degree 1: the other two slots are holes
             assert type(found[0]) is int
+            holes = [s for s in range(t.num_symbols) if s != t.symbol_at(0, col)]
+            with pytest.raises(SymbolNotFoundError):
+                t.rows_for(np.array([col]), np.array(holes[:1]))
         for i, j in t.graph.edges:
             s = t.symbol_at(i, j)
             assert type(s) is int
@@ -255,6 +267,16 @@ class TestLookups:
             decode_side(t, seq("0001"), 0, "y")
         with pytest.raises(ValueError):
             decode_side(t, seq("0011"), 0, "z")
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_vector_lookups_match_scalar(self, n):
+        for jt in enumerate_joint_types(n, BINARY, BINARY):
+            t = get_coding_table(jt)
+            rows, cols = np.array(list(t.graph.edges)).T
+            syms = t.symbols_at(rows, cols)
+            assert syms.tolist() == [t.symbol_at(i, j) for i, j in t.graph.edges]
+            assert (t.rows_for(cols, syms) == rows).all()
+            assert (t.cols_for(rows, syms) == cols).all()
 
 
 class TestDump:

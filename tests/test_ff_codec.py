@@ -1,5 +1,6 @@
 """Fixed-to-fixed codec: encoding, decoding, sizing, exact error probability."""
 
+import numpy as np
 import pytest
 
 from compdeliv.ff_codec import (
@@ -10,15 +11,17 @@ from compdeliv.ff_codec import (
     bit_width,
     codebook_size,
     exact_error_probability,
+    ff_decode_batch,
     ff_decode_x,
     ff_decode_y,
     ff_encode,
+    ff_encode_batch,
     make_code,
     num_symbols_of,
     rate_bound_check,
 )
 from compdeliv.info_measures import dsbs, in_decodable_region, uniform_independent
-from compdeliv.types_core import BINARY, JointType, joint_type_of
+from compdeliv.types_core import BINARY, Alphabet, JointType, Sequence, joint_type_of
 from conftest import all_binary_pairs
 
 RATES = (0.25, 0.5, 0.75, 1.0)
@@ -107,6 +110,57 @@ class TestDecode:
         cw = ff_encode(cfg, seq("0011"), seq("0101"))
         with pytest.raises(SideInfoMismatchError):
             ff_decode_x(cfg, cw, seq("1111"))
+
+
+def _blocks(seed: int, m: int, n: int, k: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, k, size=(m, n), dtype=np.uint8)
+
+
+class TestBatch:
+    """The array codec against the per-block one, codeword for codeword."""
+
+    @staticmethod
+    def check_matches_scalar(cfg: FFCodeConfig, seed: int) -> np.ndarray:
+        x = _blocks(seed, 300, cfg.n, cfg.ax.size)
+        y = _blocks(seed + 1, 300, cfg.n, cfg.ay.size)
+        words = ff_encode_batch(cfg, x, y)
+        decoded_x = ff_decode_batch(cfg, words, y, "x")
+        decoded_y = ff_decode_batch(cfg, words, x, "y")
+        for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+            xs, ys = Sequence(tuple(xi), cfg.ax), Sequence(tuple(yi), cfg.ay)
+            cw = ff_encode(cfg, xs, ys)
+            assert (words[0][i], words[1][i], words[2][i]) == (cw.error_flag, cw.type_index, cw.symbol)
+            assert tuple(decoded_x[i].tolist()) == ff_decode_x(cfg, cw, ys).letters
+            assert tuple(decoded_y[i].tolist()) == ff_decode_y(cfg, cw, xs).letters
+        return words[0]
+
+    @pytest.mark.parametrize("rate", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("n", [1, 4, 8, 10])
+    def test_binary_matches_scalar(self, n, rate):
+        flags = self.check_matches_scalar(FFCodeConfig(n, rate), seed=n)
+        if n >= 4 and rate < 1.0:  # both branches, the flagged fallback included
+            assert flags.any() and not flags.all()
+
+    @pytest.mark.parametrize("rate", [0.5, 0.8, 1.0])
+    def test_3x2_alphabet_matches_scalar(self, rate):
+        self.check_matches_scalar(FFCodeConfig(5, rate, Alphabet(3), Alphabet(2)), seed=5)
+
+    def test_bad_codewords_and_side_information_rejected(self):
+        cfg = FFCodeConfig(4, 1.0)
+        x, y = _blocks(1, 20, 4, 2), _blocks(2, 20, 4, 2)
+        flags, type_index, symbols = ff_encode_batch(cfg, x, y)
+        for shift in (10 ** 6, -1 - type_index.max()):
+            with pytest.raises(CodewordRangeError):
+                ff_decode_batch(cfg, (flags, type_index + shift, symbols), y, "x")
+        wrong = y.copy()
+        wrong[0] = 0 if y[0].all() else 1  # a block of another type than y[0]
+        with pytest.raises(SideInfoMismatchError):
+            ff_decode_batch(cfg, (flags, type_index, symbols), wrong, "x")
+        with pytest.raises(ValueError):
+            ff_encode_batch(cfg, x[:, :3], y[:, :3])
+        for bad_x, bad_y in ((x + 2, y), (x, y + 2)):  # letters outside the alphabet
+            with pytest.raises(ValueError):
+                ff_encode_batch(cfg, bad_x, bad_y)
 
 
 class TestSizing:

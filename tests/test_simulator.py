@@ -2,9 +2,13 @@
 
 import json
 import math
+from array import array
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from compdeliv import ff_codec
 from compdeliv.info_measures import (
     SourceSpec,
     correct_exponent_inside,
@@ -15,6 +19,7 @@ from compdeliv.info_measures import (
 )
 from compdeliv.ff_codec import FFCodeConfig, exact_error_probability
 from compdeliv.simulator import (
+    DecoderDesyncError,
     ExperimentReport,
     ReportRow,
     TrialPlan,
@@ -127,3 +132,32 @@ class TestReportSerialization:
         data = json.loads(ExperimentReport((row,)).to_json())
         assert data[0]["n"] == 4
         assert data[0]["mc_e_sum"] == 0.11
+
+
+def _swap_first_two_symbols(slots: array, vertices: int, delta: int) -> array:
+    """A copy of a lookup buffer whose every vertex with two or more cells
+    has its first two symbols exchanged."""
+    grid = np.frombuffer(slots, np.int32).reshape(vertices, delta).copy()
+    for cells in grid:
+        used = np.flatnonzero(cells >= 0)[:2]
+        cells[used] = cells[used[::-1]]
+    return array("i", grid.tobytes())
+
+
+class TestDesyncCheck:
+    """A table that decodes one side wrong must stop the sweep."""
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_corrupted_table_raises(self, monkeypatch, side):
+        real = ff_codec.get_coding_table
+
+        def corrupted(jt):
+            t = real(jt)
+            if side == "x":  # x is read from row_of, y from col_of
+                return replace(t, row_of=_swap_first_two_symbols(t.row_of, t.graph.right_size, t.num_symbols))
+            return replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
+
+        monkeypatch.setattr(ff_codec, "get_coding_table", corrupted)
+        plan = TrialPlan(dsbs(0.11), (4,), (1.0,), trials=200, master_seed=1)
+        with pytest.raises(DecoderDesyncError, match=f"failure of {side} "):
+            run_plan(plan)

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from compdeliv.types_core import (
+    _RANK_MAP_LIMIT,
     Alphabet,
     BINARY,
     JointType,
@@ -13,17 +15,21 @@ from compdeliv.types_core import (
     RankRangeError,
     Sequence,
     TypeVector,
+    class_ranks,
     enumerate_joint_types,
+    group_rows,
     joint_type_of,
     multinomial,
     multiset_ranker,
     rank_in_type_class,
     rank_in_v_shell,
     seq,
+    rank_rows,
     type_class_size,
     type_of,
     unrank_in_type_class,
     unrank_in_v_shell,
+    unrank_rows,
     v_shell_size,
     w_shell_size,
 )
@@ -164,6 +170,62 @@ class TestRankUnrank:
         assert rank_in_type_class(last) == type_class_size(q) - 1
         assert multiset_ranker(q.counts)(x.letters) == rank_in_type_class(x)
         assert unrank_in_type_class(q, rank_in_type_class(x)) == x
+
+
+class TestRowRanks:
+    """Array ranks against the per-sequence ones, both rank paths included."""
+
+    @pytest.mark.parametrize(
+        "counts", [(1,), (3, 1), (2, 2, 1), (3, 4, 5), (10, 10), (12, 8)]
+    )
+    def test_round_trip_against_scalar(self, counts):
+        k, size = len(counts), multinomial(counts)
+        rng = np.random.default_rng(sum(counts))
+        base = np.repeat(np.arange(k, dtype=np.uint8), counts)
+        rows = np.array([rng.permutation(base) for _ in range(200)])
+        ranks = rank_rows(rows, counts)
+        alphabet = Alphabet(k)
+        assert ranks.tolist() == [
+            rank_in_type_class(Sequence(tuple(r), alphabet)) for r in rows.tolist()
+        ]
+        assert (unrank_rows(counts, ranks) == rows).all()
+        ends = unrank_rows(counts, [0, size - 1])
+        q = TypeVector(counts, sum(counts))
+        assert [tuple(r) for r in ends.tolist()] == [
+            unrank_in_type_class(q, 0).letters, unrank_in_type_class(q, size - 1).letters
+        ]
+
+    def test_cases_cross_the_memoized_class_limit(self):
+        assert multinomial((3, 4, 5)) <= _RANK_MAP_LIMIT < multinomial((10, 10))
+
+    def test_rows_of_another_type_and_bad_ranks_rejected(self):
+        with pytest.raises(ValueError):
+            rank_rows(np.array([[0, 1, 1], [0, 0, 1]], np.uint8), (2, 1))
+        with pytest.raises(ValueError):  # 256 would wrap to the letter 0 in a byte
+            rank_rows(np.array([[256, 0, 1]]), (2, 1))
+        with pytest.raises(RankRangeError):
+            unrank_rows((2, 1), [0, 3])
+        with pytest.raises(RankRangeError):
+            unrank_rows((2, 1), [-1])
+
+    def test_class_ranks_rank_each_row_in_its_own_class(self):
+        rows = np.random.default_rng(3).integers(0, 3, size=(300, 6), dtype=np.uint8)
+        expected = [rank_in_type_class(Sequence(tuple(r), Alphabet(3))) for r in rows.tolist()]
+        assert class_ranks(rows, 3).tolist() == expected
+
+    @pytest.mark.parametrize("high", [3, 2 ** 40])
+    def test_group_rows_exact_at_any_width(self, high):
+        # 2^40-wide values in 8 columns overflow a packed int64 code, so the
+        # grouping must renumber the prefixes it has seen.
+        rng = np.random.default_rng(high)
+        keys = rng.integers(0, high, size=(50, 8))[rng.integers(0, 50, size=400)]
+        expected = {}
+        for i, row in enumerate(keys.tolist()):
+            expected.setdefault(tuple(row), []).append(i)
+        groups = group_rows(keys)
+        assert [value for value, _ in groups] == sorted(expected)
+        assert {value: rows.tolist() for value, rows in groups} == expected
+        assert group_rows(keys[:0]) == []
 
 
 class TestShellRankUnrank:
