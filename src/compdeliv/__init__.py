@@ -9,12 +9,10 @@ from .types_core import (
     enumerate_joint_types,
     joint_type_of,
     rank_in_type_class,
-    rank_in_v_shell,
     seq,
     type_class_size,
     type_of,
     unrank_in_type_class,
-    unrank_in_v_shell,
     v_shell_size,
     w_shell_size,
 )
@@ -40,7 +38,6 @@ from .coding_table import (
     build_graph,
     edge_color,
     get_coding_table,
-    lookup_symbol,
 )
 from .ff_codec import (
     FFCodeConfig,

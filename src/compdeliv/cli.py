@@ -131,13 +131,16 @@ def cmd_exponent(args) -> int:
 def cmd_sweep(args) -> int:
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
-        plan = TrialPlan(
-            p=SourceSpec(tuple(tuple(row) for row in cfg["p_xy"])),
-            n_grid=tuple(cfg["n_grid"]),
-            rates=tuple(cfg["rates"]),
-            trials=int(cfg["trials"]),
-            master_seed=int(cfg["master_seed"]),
-        )
+        try:
+            plan = TrialPlan(
+                p=SourceSpec(tuple(tuple(row) for row in cfg["p_xy"])),
+                n_grid=tuple(cfg["n_grid"]),
+                rates=tuple(cfg["rates"]),
+                trials=int(cfg["trials"]),
+                master_seed=int(cfg["master_seed"]),
+            )
+        except KeyError as exc:
+            raise CliError(f"sweep config {args.config} has no field {exc}") from exc
     else:
         if not (args.source and args.n_grid and args.rates):
             raise CliError("sweep needs --config or (--source, --n, --rate)")

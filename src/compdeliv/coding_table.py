@@ -28,11 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from .types_core import (
+    MAX_CLASS_SIZE,
     JointType,
     Sequence,
     _as_keys,
     _class_letters,
-    joint_type_of,
     rank_in_type_class,
     rank_rows,
     type_class_size,
@@ -49,8 +49,9 @@ from .types_core import (
 # a table at this budget takes at most 640 MB.  Measured: about 20 B per
 # cell on a balanced table, 29 B per cell over the whole n=10 codebook.
 # The per-cell dicts these buffers replaced cost about 320 B per cell,
-# about 21 GB at this budget.
-DEFAULT_CELL_BUDGET = 2 ** 26
+# about 21 GB at this budget.  Both classes of a table within it are
+# small enough to enumerate.
+DEFAULT_CELL_BUDGET = MAX_CLASS_SIZE
 
 # Buffers hold 32-bit ranks; every stored value is below the slot count.
 _MAX_SLOTS = 2 ** 31 - 1
@@ -366,13 +367,6 @@ def _row_cells(col_of: array, rows: int, delta: int) -> tuple[array, array, arra
 def get_coding_table(jt: JointType) -> CodingTable:
     """Deterministic table for jt, cached per process (idempotent rebuild)."""
     return edge_color(build_graph(jt))
-
-
-def lookup_symbol(t: CodingTable, x: Sequence, y: Sequence) -> int:
-    """Symbol stored at the cell of (x, y); pair must belong to t's joint type."""
-    if joint_type_of(x, y) != t.jt:
-        raise PairTypeMismatchError("pair does not belong to this table's joint type")
-    return t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
 
 
 def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> Sequence:

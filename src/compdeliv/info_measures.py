@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .types_core import Alphabet, JointType, enumerate_joint_types, multinomial
+import numpy as np
+
+from .types_core import Alphabet, JointType, enumerate_joint_types, _is_rectangular, multinomial
 
 # Ties against the rate threshold count as inside the decodable region
 # (the region is defined with "<=").
@@ -30,6 +32,8 @@ class SourceSpec:
     p_xy: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        if not _is_rectangular(self.p_xy):
+            raise ValueError("probabilities must be a nonempty rectangular matrix")
         total = sum(sum(row) for row in self.p_xy)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -77,12 +81,13 @@ def entropy(q) -> float:
     return -sum(p * math.log2(p) for p in q if p > 0)
 
 
-def _joint_probs(arg) -> tuple[tuple[float, ...], ...]:
+def _joint_probs(arg):
+    """The probability matrix of a joint type or a source; anything else as given."""
     if isinstance(arg, JointType):
         return arg.empirical()
     if isinstance(arg, SourceSpec):
         return arg.p_xy
-    return tuple(tuple(row) for row in arg)
+    return arg
 
 
 def conditional_entropy(joint, direction: str = "y|x") -> float:
@@ -108,8 +113,7 @@ def max_conditional_entropy(joint) -> float:
 
 def kl_divergence(q, p) -> float:
     """D(q || p) in bits; +inf when q puts mass outside p's support."""
-    qf = [v for row in _joint_probs(q) for v in row] if not _is_flat(q) else list(q)
-    pf = [v for row in _joint_probs(p) for v in row] if not _is_flat(p) else list(p)
+    qf, pf = (np.ravel(_joint_probs(arg)).tolist() for arg in (q, p))
     if len(qf) != len(pf):
         raise ValueError("dimension mismatch")
     d = 0.0
@@ -120,12 +124,6 @@ def kl_divergence(q, p) -> float:
             return math.inf
         d += qi * math.log2(qi / pi)
     return d
-
-
-def _is_flat(arg) -> bool:
-    return not isinstance(arg, (JointType, SourceSpec)) and all(
-        not hasattr(v, "__len__") for v in arg
-    )
 
 
 def achievable_rate(p: SourceSpec) -> float:
@@ -205,21 +203,16 @@ def correct_exponent_inside(rate: float, p: SourceSpec, n: int) -> ExponentRepor
     return _min_divergence(rate, p, n, inside=True)
 
 
-def converse_rate_slack(n: int, ax: Alphabet, ay: Alphabet) -> float:
-    """Slack added to the rate inside the converse objective.
-
-    The converse bounds carry an unspecified vanishing sequence; we pin it
-    to epsilon_n.  Override by passing `slack` explicitly to the scans.
-    """
-    return epsilon_n(n, ax, ay)
-
-
 def converse_correct_exponent(
     rate: float, p: SourceSpec, n: int, slack: float | None = None
 ) -> ExponentReport:
-    """min over all joint types of |maxH - (rate+slack)|+ + D(Q||P)."""
+    """min over all joint types of |maxH - (rate+slack)|+ + D(Q||P).
+
+    The converse bounds carry an unspecified vanishing sequence; `slack`
+    pins it, to epsilon_n unless given.
+    """
     if slack is None:
-        slack = converse_rate_slack(n, p.ax, p.ay)
+        slack = epsilon_n(n, p.ax, p.ay)
     best, arg = math.inf, None
     for jt in enumerate_joint_types(n, p.ax, p.ay):
         gap = max(max_conditional_entropy(jt) - (rate + slack), 0.0)

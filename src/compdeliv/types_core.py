@@ -1,19 +1,22 @@
 """Alphabets, sequences, empirical types and exact enumerative ranking.
 
-Everything here is exact integer combinatorics: type-class sizes and ranks
-are multinomial-sized and exceed 64 bits quickly, so all counting uses
-Python's unbounded integers.  The row-array functions (`rank_rows`,
-`unrank_rows`) rank whole batches of sequences by searching the sorted
-class itself, so they stay exact at any block length whose class fits in
-memory.  Enumeration and ranking orders are fixed
-(lexicographic) because encoder and decoder rebuild the same tables
-independently and never exchange them.
+Type-class sizes are multinomials and exceed 64 bits quickly, so counting
+uses Python's unbounded integers.  The order of the sequences inside a
+type class is lexicographic (Cover's enumerative order) and has one
+definition, `_class_letters`, which lists a class row by row; encoder and
+decoder rebuild the same tables independently and never exchange them.
+A rank is a position in that list: `rank_rows`/`unrank_rows` search it
+for whole batches, and the scalar `rank_in_type_class`/
+`unrank_in_type_class` read maps memoized from it (small classes) or go
+through the row functions (larger ones).  A class is enumerated only up
+to MAX_CLASS_SIZE members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from math import factorial
 
 import numpy as np
@@ -25,6 +28,17 @@ class LengthMismatchError(ValueError):
 
 class RankRangeError(ValueError):
     """Rank argument outside the class being unranked."""
+
+
+class ClassSizeError(ValueError):
+    """Type class too large to enumerate."""
+
+
+# Most members of a type class that is enumerated (about 2n bytes each,
+# letters and search keys).  It is also the default cell budget of coding
+# tables: a table's slots are (rows + columns) x symbols, so both classes
+# of a table within the budget pass.
+MAX_CLASS_SIZE = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,11 @@ class TypeVector:
         return tuple(c / self.n for c in self.counts)
 
 
+def _is_rectangular(rows) -> bool:
+    """True for a nonempty matrix: nonempty rows, all of one length."""
+    return bool(rows) and len(set(map(len, rows))) == 1 and len(rows[0]) > 0
+
+
 @dataclass(frozen=True)
 class JointType:
     """Empirical joint counts of a sequence pair, indexed (x-letter, y-letter)."""
@@ -102,10 +121,12 @@ class JointType:
     n: int
 
     def __post_init__(self):
-        total = sum(sum(row) for row in self.counts)
-        if total != self.n:
+        if not _is_rectangular(self.counts):
+            raise ValueError("joint counts must be a nonempty rectangular matrix")
+        flat = list(chain.from_iterable(self.counts))
+        if sum(flat) != self.n:
             raise ValueError("joint counts must sum to n")
-        if any(c < 0 for row in self.counts for c in row):
+        if min(flat) < 0:
             raise ValueError("negative count")
 
     @property
@@ -206,22 +227,8 @@ def w_shell_size(jt: JointType) -> int:
     return size
 
 
-def multiset_permutations(counts: list[int]):
-    """All arrangements of the multiset `counts`, lexicographic."""
-    if sum(counts) == 0:
-        yield ()
-        return
-    for c in range(len(counts)):
-        if counts[c] == 0:
-            continue
-        counts[c] -= 1
-        for rest in multiset_permutations(counts):
-            yield (c,) + rest
-        counts[c] += 1
-
-
-# Classes up to this size get memoized rank<->letters tables; larger ones
-# fall back to pure arithmetic ranking (identical ordering either way).
+# Classes up to this size get memoized rank<->letters maps for the scalar
+# calls; larger ones are ranked by searching the class (same order).
 _RANK_MAP_LIMIT = 1 << 16
 
 
@@ -230,108 +237,26 @@ def _lex_maps(counts: tuple[int, ...]):
     """(letters -> rank, rank -> letters) of a class up to _RANK_MAP_LIMIT, else None."""
     if multinomial(counts) > _RANK_MAP_LIMIT:
         return None
-    seqs = tuple(multiset_permutations(list(counts)))
+    seqs = tuple(map(tuple, _class_letters(counts).tolist()))
     return {s: i for i, s in enumerate(seqs)}, seqs
-
-
-@lru_cache(maxsize=None)
-def multiset_ranker(counts: tuple[int, ...]):
-    """Lexicographic rank function over all arrangements of `counts`."""
-    maps = _lex_maps(counts)
-    return maps[0].__getitem__ if maps else partial(_rank_multiset_arith, counts=counts)
-
-
-def _rank_multiset_arith(letters: tuple[int, ...], counts: tuple[int, ...]) -> int:
-    rank = 0
-    remaining = list(counts)
-    for i, c in enumerate(letters):
-        for smaller in range(c):
-            if remaining[smaller] > 0:
-                remaining[smaller] -= 1
-                rank += multinomial(remaining)
-                remaining[smaller] += 1
-        remaining[c] -= 1
-    return rank
-
-
-def _unrank_multiset(counts: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Inverse of multiset_ranker(counts)."""
-    maps = _lex_maps(counts)
-    if maps is None:
-        return _unrank_multiset_arith(counts, r)
-    try:
-        return maps[1][r]
-    except IndexError:
-        raise RankRangeError("rank exceeds class size") from None
-
-
-def _unrank_multiset_arith(counts: tuple[int, ...], r: int) -> tuple[int, ...]:
-    remaining = list(counts)
-    n = sum(remaining)
-    out = []
-    for _ in range(n):
-        for c in range(len(remaining)):
-            if remaining[c] == 0:
-                continue
-            remaining[c] -= 1
-            block = multinomial(remaining)
-            if r < block:
-                out.append(c)
-                break
-            remaining[c] += 1
-            r -= block
-        else:
-            raise RankRangeError("rank exceeds class size")
-    return tuple(out)
 
 
 def rank_in_type_class(x: Sequence) -> int:
     """Lexicographic rank of x within its type class."""
-    return multiset_ranker(type_of(x).counts)(x.letters)
+    counts = type_of(x).counts
+    maps = _lex_maps(counts)
+    if maps:
+        return maps[0][x.letters]
+    return int(rank_rows(np.array([x.letters]), counts)[0])
 
 
 def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
     """Sequence at lexicographic rank r within T_Q; inverse of rank_in_type_class."""
     if not 0 <= r < type_class_size(q):
         raise RankRangeError(f"rank {r} outside type class of size {type_class_size(q)}")
-    letters = _unrank_multiset(q.counts, r)
+    maps = _lex_maps(q.counts)
+    letters = maps[1][r] if maps else tuple(unrank_rows(q.counts, [r])[0].tolist())
     return Sequence(letters, Alphabet(q.num_letters))
-
-
-def rank_in_v_shell(y: Sequence, x: Sequence) -> int:
-    """Rank of y within the shell of x under their joint type.
-
-    Mixed-radix over x-letters: for each x-letter a (ascending, a=0 most
-    significant), the restriction of y to positions where x equals a is
-    ranked lexicographically within its own sub-type class.
-    """
-    jt = joint_type_of(x, y)
-    rank = 0
-    for a in range(jt.num_x):
-        sub_y = tuple(yc for xc, yc in zip(x.letters, y.letters) if xc == a)
-        sub_counts = jt.counts[a]
-        rank = rank * multinomial(sub_counts) + multiset_ranker(sub_counts)(sub_y)
-    return rank
-
-
-def unrank_in_v_shell(x: Sequence, jt: JointType, r: int) -> Sequence:
-    """Inverse of rank_in_v_shell: the y at rank r in the shell of x under jt."""
-    if type_of(x) != jt.x_marginal():
-        raise ValueError("x is not of jt's row-marginal type")
-    size = v_shell_size(jt)
-    if not 0 <= r < size:
-        raise RankRangeError(f"rank {r} outside shell of size {size}")
-    subranks = []
-    for a in range(jt.num_x - 1, -1, -1):
-        radix = multinomial(jt.counts[a])
-        subranks.append(r % radix)
-        r //= radix
-    subranks.reverse()
-    sub_letters = [
-        iter(_unrank_multiset(jt.counts[a], subranks[a])) for a in range(jt.num_x)
-    ]
-    letters = tuple(next(sub_letters[a]) for a in x.letters)
-    return Sequence(letters, Alphabet(jt.num_y))
 
 
 # --- batches of sequences as (m, n) integer arrays ------------------------------
@@ -347,8 +272,12 @@ def _class_letters(counts: tuple[int, ...]) -> np.ndarray:
     """Every arrangement of the multiset `counts`, one per row, lexicographic.
 
     Tables of one block length share few classes, so they are cached
-    (read-only).
+    (read-only).  A class above MAX_CLASS_SIZE members is refused before
+    anything is allocated.
     """
+    size = multinomial(counts)
+    if size > MAX_CLASS_SIZE:
+        raise ClassSizeError(f"type class {counts} has {size} members (> {MAX_CLASS_SIZE})")
     dtype = _letter_dtype(len(counts))
     letters = np.zeros((1, 0), dtype)
     remaining = np.array([counts], np.int64)

@@ -136,6 +136,21 @@ class TestSweep:
     def test_sweep_requires_arguments(self):
         assert main(["sweep"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("missing", ["p_xy", "n_grid", "rates", "trials", "master_seed"])
+    def test_sweep_config_missing_field_is_validation_error(self, missing, tmp_path, capsys):
+        fields = {
+            "p_xy": [[0.25, 0.25], [0.25, 0.25]],
+            "n_grid": [4],
+            "rates": [1.0],
+            "trials": 10,
+            "master_seed": 1,
+        }
+        del fields[missing]
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert missing in capsys.readouterr().err
+
 
 class TestDumpTable:
     def test_latin_rectangle_pattern(self, capsys):
@@ -233,6 +248,20 @@ class TestFileCodec:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dump-table", "--n", "3", "--counts", "1,1;1"],
+            ["rate", "--source", "[[0.5, 0.5], [0.0]]"],
+            ["rate", "--source", "[[1.0], [0.0, 0.0]]"],
+            ["rate", "--source", "[[]]"],
+            ["exponent", "--source", "[[0.5, 0.5], [0.0]]", "--n", "2", "--rate", "0.5"],
+        ],
+    )
+    def test_ragged_or_empty_matrix_is_validation_error(self, argv, capsys):
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_alphabet_violation(self, tmp_path):
         x = tmp_path / "x.bin"
         y = tmp_path / "y.bin"

@@ -15,7 +15,6 @@ from compdeliv.coding_table import (
     decode_side,
     edge_color,
     get_coding_table,
-    lookup_symbol,
 )
 from compdeliv.ff_codec import bit_width
 from compdeliv.types_core import (
@@ -195,7 +194,7 @@ class TestLookups:
     def test_round_trips(self, n):
         for x, y in all_binary_pairs(n):
             t = get_coding_table(joint_type_of(x, y))
-            s = lookup_symbol(t, x, y)
+            s = t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
             assert s < t.num_symbols
             assert t.row_for(rank_in_type_class(y), s) == rank_in_type_class(x)
             assert t.col_for(rank_in_type_class(x), s) == rank_in_type_class(y)
@@ -206,8 +205,9 @@ class TestLookups:
         from compdeliv.types_core import seq
 
         t = get_coding_table(JointType(((1, 1), (1, 1)), 4))
+        x, y = seq("0011"), seq("0011")  # joint type ((2, 0), (0, 2)), not the table's
         with pytest.raises(PairTypeMismatchError):
-            lookup_symbol(t, seq("0000"), seq("0101"))
+            t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
         unmarked = next(c for c in range(t.graph.right_size) if (0, c) not in set(t.graph.edges))
         (first_row, first_col), *_ = t.graph.edges
         with pytest.raises(PairTypeMismatchError):  # one bad element fails the batch

@@ -8,8 +8,11 @@ import pytest
 
 from compdeliv.types_core import (
     _RANK_MAP_LIMIT,
+    _class_letters,
+    MAX_CLASS_SIZE,
     Alphabet,
     BINARY,
+    ClassSizeError,
     JointType,
     LengthMismatchError,
     RankRangeError,
@@ -20,15 +23,12 @@ from compdeliv.types_core import (
     group_rows,
     joint_type_of,
     multinomial,
-    multiset_ranker,
     rank_in_type_class,
-    rank_in_v_shell,
     seq,
     rank_rows,
     type_class_size,
     type_of,
     unrank_in_type_class,
-    unrank_in_v_shell,
     unrank_rows,
     v_shell_size,
     w_shell_size,
@@ -163,13 +163,57 @@ class TestRankUnrank:
         assert unrank_in_type_class(type_of(x), rank_in_type_class(x)) == x
 
     def test_large_class_ranks_by_arithmetic(self):
-        # C(20, 10) = 184756 arrangements: above the memoized-class limit
+        # C(20, 10) = 184756 arrangements: above the memoized-class limit,
+        # so the scalar calls search the class.  Cover's rank of 0101...01
+        # sums, over each 1 at position p, C(positions after p, ones left).
         first, last, x = seq("0" * 10 + "1" * 10), seq("1" * 10 + "0" * 10), seq("01" * 10)
         q = type_of(x)
         assert rank_in_type_class(first) == 0
         assert rank_in_type_class(last) == type_class_size(q) - 1
-        assert multiset_ranker(q.counts)(x.letters) == rank_in_type_class(x)
-        assert unrank_in_type_class(q, rank_in_type_class(x)) == x
+        expected = sum(math.comb(18 - 2 * i, 10 - i) for i in range(10))
+        assert rank_in_type_class(x) == expected
+        assert unrank_in_type_class(q, expected) == x
+
+
+class TestClassOrder:
+    """`_class_letters`, the one definition of the order, against references."""
+
+    @pytest.mark.parametrize(
+        "counts", [(1,), (0, 3), (2, 2), (3, 1), (2, 1, 1), (0, 2, 3), (1, 1, 1, 1), (2, 0, 1, 2)]
+    )
+    def test_small_classes_list_the_sorted_permutations(self, counts):
+        base = [letter for letter, c in enumerate(counts) for _ in range(c)]
+        expected = sorted(set(itertools.permutations(base)))
+        assert [tuple(r) for r in _class_letters(counts).tolist()] == expected
+
+    @pytest.mark.parametrize("counts", [(10, 10), (5, 5, 4)])
+    def test_ranks_increase_along_a_sorted_sample(self, counts):
+        size = multinomial(counts)
+        assert size > _RANK_MAP_LIMIT
+        base = np.repeat(np.arange(len(counts)), counts)
+        rng = np.random.default_rng(size)
+        sample = {tuple(rng.permutation(base).tolist()) for _ in range(300)}
+        sample |= {tuple(base.tolist()), tuple(base[::-1].tolist())}
+        alphabet = Alphabet(len(counts))
+        ranks = [rank_in_type_class(Sequence(s, alphabet)) for s in sorted(sample)]
+        assert ranks[0] == 0 and ranks[-1] == size - 1
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+
+    def test_oversize_class_refused_before_it_is_built(self):
+        counts = (40, 40)  # about 1.1e23 members
+        assert multinomial(counts) > MAX_CLASS_SIZE
+        with pytest.raises(ClassSizeError):
+            _class_letters(counts)
+        with pytest.raises(ClassSizeError):
+            rank_in_type_class(seq("01" * 40))
+        with pytest.raises(ClassSizeError):
+            unrank_rows(counts, [0])
+
+    def test_too_large_table_refused_by_its_budget_first(self):
+        from compdeliv.coding_table import TableBudgetError, build_graph
+
+        with pytest.raises(TableBudgetError):
+            build_graph(JointType(((20, 20), (20, 20)), 80))
 
 
 class TestRowRanks:
@@ -226,40 +270,6 @@ class TestRowRanks:
         assert [value for value, _ in groups] == sorted(expected)
         assert {value: rows.tolist() for value, rows in groups} == expected
         assert group_rows(keys[:0]) == []
-
-
-class TestShellRankUnrank:
-    def test_singleton_shell(self):
-        jt = JointType(((2, 0), (0, 2)), 4)
-        assert rank_in_v_shell(seq("0011"), seq("0011")) == 0
-
-    def test_two_member_shell(self):
-        x = seq("0011")
-        jt = JointType(((1, 1), (2, 0)), 4)
-        members = [
-            y for y in all_binary_sequences(4) if joint_type_of(x, y) == jt
-        ]
-        ranks = sorted(rank_in_v_shell(y, x) for y in members)
-        assert len(members) == 2
-        assert ranks == [0, 1]
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_round_trip_all_shells(self, n):
-        for x, y in all_binary_pairs(n):
-            jt = joint_type_of(x, y)
-            r = rank_in_v_shell(y, x)
-            assert 0 <= r < v_shell_size(jt)
-            assert unrank_in_v_shell(x, jt, r) == y
-
-    def test_unrank_rejects_wrong_marginal(self):
-        jt = JointType(((1, 1), (2, 0)), 4)
-        with pytest.raises(ValueError):
-            unrank_in_v_shell(seq("0001"), jt, 0)
-
-    def test_unrank_rejects_bad_rank(self):
-        jt = JointType(((1, 1), (2, 0)), 4)
-        with pytest.raises(RankRangeError):
-            unrank_in_v_shell(seq("0011"), jt, v_shell_size(jt))
 
 
 class TestValidation:
