@@ -9,7 +9,6 @@ from .types_core import (
     enumerate_joint_types,
     joint_type_of,
     rank_in_type_class,
-    seq,
     type_class_size,
     type_of,
     unrank_in_type_class,
@@ -59,6 +58,6 @@ from .fv_codec import (
     underflow_probability,
     wrap_ff_as_fv,
 )
-from .simulator import ExperimentReport, TrialPlan, run_plan, sample_pair
+from .simulator import ExperimentReport, TrialPlan, run_plan
 
 __version__ = "0.1.0"

@@ -11,11 +11,15 @@ Codeword file layout (little-endian header, then MSB-first packed bits):
     magic 'CDLV' | version u8 | mode u8 (0=ff, 1=fv) | n u16 |
     kx u16 | ky u16 | original length u64 | rate f64 |
     type_width u16 | symbol_width u16
-FF payload: one fixed-width word [flag|type index|symbol] per block.
-FV payload: concatenated variable-length codewords.
+FF payload: one fixed-width `FFCode.pack` word per block; the header
+widths are those of `make_code` for (n, rate, kx, ky).
+FV payload: concatenated variable-length codewords; both header widths 0.
+Zero bits pad the payload to a whole byte.
 
-Exit codes: 0 success, 2 validation error, 3 malformed file,
-4 alphabet violation, 5 truncated stream.
+Exit codes: 0 success, 2 validation error, 3 malformed file (including
+a header or payload the encoder cannot have written: an unknown mode,
+other widths, a byte or more after the last block, or nonzero padding),
+4 alphabet violation, 5 truncated stream (in both modes).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .info_measures import (
     error_exponent_outside,
 )
 from .coding_table import get_coding_table
-from .ff_codec import FFCodeConfig, FFCodeword, ff_decode_x, ff_decode_y, ff_encode, make_code
+from .ff_codec import FFCodeConfig, ff_decode_x, ff_decode_y, ff_encode, make_code
 from .fv_codec import fv_decode_x_stream, fv_decode_y_stream, fv_encode
 from .bitio import BitReader, BitWriter, TruncatedStreamError
 from .simulator import TrialPlan, run_plan
@@ -130,7 +134,12 @@ def cmd_exponent(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.config:
-        cfg = json.loads(Path(args.config).read_text())
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read sweep config {args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise CliError(f"sweep config {args.config} is not a JSON object")
         try:
             plan = TrialPlan(
                 p=SourceSpec(tuple(tuple(row) for row in cfg["p_xy"])),
@@ -190,14 +199,12 @@ def cmd_encode(args) -> int:
         for bx, by in zip(_blocks(data_x, n), _blocks(data_y, n)):
             cw = ff_encode(cfg, Sequence(tuple(bx), ax), Sequence(tuple(by), ay))
             flagged += cw.error_flag
-            writer.write(int(cw.error_flag), 1)
-            writer.write(cw.type_index, type_width)
-            writer.write(cw.symbol, symbol_width)
+            writer.write(code.pack(cw), code.codeword_width)
     else:
         type_width = symbol_width = 0
         for bx, by in zip(_blocks(data_x, n), _blocks(data_y, n)):
             cw = fv_encode(n, Sequence(tuple(bx), ax), Sequence(tuple(by), ay))
-            writer.write_bits(cw.bits)
+            writer.write(cw.value, cw.length)
     header = HEADER.pack(
         MAGIC,
         VERSION,
@@ -226,7 +233,14 @@ def _read_header(path: str):
     fields = HEADER.unpack(data[:HEADER.size])
     if fields[0] != MAGIC or fields[1] != VERSION:
         raise CliError(f"{path}: not a codeword file", EXIT_MALFORMED)
+    if fields[2] not in (MODE_FF, MODE_FV):
+        raise CliError(f"{path}: unknown mode {fields[2]}", EXIT_MALFORMED)
     return fields, data[HEADER.size:]
+
+
+def _check_widths(path: str, stored: tuple[int, int], expected: tuple[int, int]) -> None:
+    if stored != expected:
+        raise CliError(f"{path}: field widths {stored} in the header, {expected} in the code", EXIT_MALFORMED)
 
 
 def cmd_decode(args) -> int:
@@ -238,27 +252,26 @@ def cmd_decode(args) -> int:
     side_data = _read_letters(args.side_info, held.size)
     if len(side_data) != orig_len:
         raise CliError("side information length does not match header", EXIT_MALFORMED)
+    reader = BitReader(payload)
     out = bytearray()
     flagged = 0
     try:
         if mode == MODE_FF:
             cfg = FFCodeConfig(n, rate, ax, ay)
+            code = make_code(cfg)
+            _check_widths(args.codeword, (type_width, symbol_width), (code.type_width, code.symbol_width))
             decode = ff_decode_x if args.side == "x" else ff_decode_y
-            reader = BitReader(payload)
             for block in _blocks(side_data, n):
-                flag = reader.read(1)
-                idx = reader.read(type_width)
-                sym = reader.read(symbol_width)
-                flagged += flag
-                dec = decode(cfg, FFCodeword(idx, sym, bool(flag)), Sequence(tuple(block), held))
-                out.extend(dec.letters)
+                cw = code.unpack(reader.read(code.codeword_width))
+                flagged += cw.error_flag
+                out.extend(decode(cfg, cw, Sequence(tuple(block), held)).letters)
         else:
+            _check_widths(args.codeword, (type_width, symbol_width), (0, 0))
             decode = fv_decode_x_stream if args.side == "x" else fv_decode_y_stream
-            bits = "".join(format(b, "08b") for b in payload)
-            offset = 0
             for block in _blocks(side_data, n):
-                dec, offset = decode(n, bits, offset, Sequence(tuple(block), held), other)
-                out.extend(dec.letters)
+                out.extend(decode(n, reader, Sequence(tuple(block), held), other).letters)
+        if reader.remaining >= 8 or reader.read(reader.remaining):
+            raise CliError(f"{args.codeword}: data after the last codeword", EXIT_MALFORMED)
     except TruncatedStreamError as exc:
         raise CliError(f"codeword stream truncated: {exc}", EXIT_TRUNCATED) from exc
     except ValueError as exc:

@@ -7,7 +7,8 @@ type falls outside the region get a reserved all-zero codeword with an
 explicit error flag; both per-decoder error probabilities are charged on
 that event, which makes the accounting exact and testable.
 
-Binary layout (most significant bit first):
+Binary layout (most significant bit first), written by `FFCode.pack` and
+read by `FFCode.unpack`, the only code that places these fields:
     [1 flag bit][type_index: type_width bits][symbol: symbol_width bits]
 with widths fixed per configuration, as a fixed-length code requires.
 """
@@ -88,6 +89,23 @@ class FFCode:
     @property
     def codeword_width(self) -> int:
         return 1 + self.type_width + self.symbol_width
+
+    def pack(self, cw: FFCodeword) -> int:
+        """The `codeword_width`-bit word [flag|type index|symbol] of `cw`."""
+        if not (0 <= cw.type_index < 1 << self.type_width and 0 <= cw.symbol < 1 << self.symbol_width):
+            raise CodewordRangeError(f"codeword {cw} does not fit the field widths")
+        return ((cw.error_flag << self.type_width | cw.type_index) << self.symbol_width) | cw.symbol
+
+    def unpack(self, word: int) -> FFCodeword:
+        """The codeword that `pack` wrote as `word`."""
+        if not 0 <= word < 1 << self.codeword_width:
+            raise CodewordRangeError(f"word {word} wider than {self.codeword_width} bits")
+        type_index = word >> self.symbol_width
+        return FFCodeword(
+            type_index & ((1 << self.type_width) - 1),
+            word & ((1 << self.symbol_width) - 1),
+            bool(type_index >> self.type_width),
+        )
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from .types_core import (
     joint_type_of,
     rank_in_type_class,
 )
+from .bitio import BitReader, TruncatedStreamError
 from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
 from .coding_table import decode_side, get_coding_table
 from .ff_codec import (
@@ -37,30 +38,26 @@ from .ff_codec import (
     ff_encode,
     make_code,
     num_symbols_of,
-    FFCodeword,
 )
 
 
 class MalformedCodewordError(ValueError):
-    """Bit string too short or fields out of range."""
+    """Codeword too short or too long, or fields out of range."""
 
 
 @dataclass(frozen=True)
 class FVCodeword:
-    bits: str
+    """`length` bits, most significant first, held as the integer `value`."""
+
+    value: int
+    length: int
 
     def __post_init__(self):
-        if set(self.bits) - {"0", "1"}:
-            raise ValueError("codeword must be a string of 0/1")
+        if not 0 <= self.value < 1 << self.length:
+            raise ValueError(f"codeword value {self.value} does not fit in {self.length} bits")
 
     def __len__(self) -> int:
-        return len(self.bits)
-
-
-def _to_bits(value: int, width: int) -> str:
-    if value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return format(value, f"0{width}b") if width else ""
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -99,62 +96,52 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
         raise ValueError(f"sequences must have length n={n}")
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
-    header = _to_bits(code.index_of[jt], code.header_width)
     width = code.symbol_width(jt)
-    if width == 0:
-        return FVCodeword(header)
-    table = get_coding_table(jt)
-    symbol = table.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
-    return FVCodeword(header + _to_bits(symbol, width))
-
-
-def _parse(code: FVCode, bits: str, offset: int) -> tuple[JointType, int, int]:
-    """Parse one codeword starting at `offset`; returns (jt, symbol, end)."""
-    end_header = offset + code.header_width
-    if end_header > len(bits):
-        raise MalformedCodewordError("truncated type header")
-    idx = int(bits[offset:end_header], 2) if code.header_width else 0
-    if idx >= len(code.types):
-        raise MalformedCodewordError(f"type index {idx} out of range")
-    jt = code.types[idx]
-    width = code.symbol_width(jt)
-    end = end_header + width
-    if end > len(bits):
-        raise MalformedCodewordError("truncated symbol field")
-    symbol = int(bits[end_header:end], 2) if width else 0
-    return jt, symbol, end
+    symbol = 0
+    if width:
+        table = get_coding_table(jt)
+        symbol = table.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
+    return FVCodeword(code.index_of[jt] << width | symbol, code.header_width + width)
 
 
 def _fv_decode_stream(
-    n: int, bits: str, offset: int, side_info: Sequence, side: str, other: Alphabet | None
-) -> tuple[Sequence, int]:
+    n: int, reader: BitReader, side_info: Sequence, side: str, other: Alphabet | None
+) -> Sequence:
     held = side_info.alphabet
     ax, ay = (other or held, held) if side == "x" else (held, other or held)
-    jt, symbol, end = _parse(make_fv_code(n, ax, ay), bits, offset)
-    return decode_side(get_coding_table(jt), side_info, symbol, side), end
+    code = make_fv_code(n, ax, ay)
+    idx = reader.read(code.header_width)
+    if idx >= len(code.types):
+        raise MalformedCodewordError(f"type index {idx} out of range")
+    jt = code.types[idx]
+    symbol = reader.read(code.symbol_width(jt))
+    return decode_side(get_coding_table(jt), side_info, symbol, side)
 
 
-def fv_decode_x_stream(
-    n: int, bits: str, offset: int, y: Sequence, ax: Alphabet | None = None
-) -> tuple[Sequence, int]:
-    """Decode one codeword from a concatenated stream; returns (x, next offset).
+def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | None = None) -> Sequence:
+    """Decode the next codeword of a concatenated stream; returns x.
 
-    The x-alphabet defaults to the side information's alphabet; pass `ax`
+    The reader is left at the start of the following codeword, and raises
+    `TruncatedStreamError` if the stream ends inside this one.  The
+    x-alphabet defaults to the side information's alphabet; pass `ax`
     when the two differ.
     """
-    return _fv_decode_stream(n, bits, offset, y, "x", ax)
+    return _fv_decode_stream(n, reader, y, "x", ax)
 
 
-def fv_decode_y_stream(
-    n: int, bits: str, offset: int, x: Sequence, ay: Alphabet | None = None
-) -> tuple[Sequence, int]:
-    """Decode one codeword from a concatenated stream; returns (y, next offset)."""
-    return _fv_decode_stream(n, bits, offset, x, "y", ay)
+def fv_decode_y_stream(n: int, reader: BitReader, x: Sequence, ay: Alphabet | None = None) -> Sequence:
+    """Decode the next codeword of a concatenated stream; returns y."""
+    return _fv_decode_stream(n, reader, x, "y", ay)
 
 
 def _fv_decode(decode_stream, cw: FVCodeword, side_info: Sequence) -> Sequence:
-    out, end = decode_stream(len(side_info), cw.bits, 0, side_info)
-    if end != len(cw.bits):
+    pad = -cw.length % 8
+    reader = BitReader((cw.value << pad).to_bytes((cw.length + pad) // 8, "big"), cw.length)
+    try:
+        out = decode_stream(len(side_info), reader, side_info)
+    except TruncatedStreamError as exc:
+        raise MalformedCodewordError("codeword ends inside a field") from exc
+    if reader.remaining:
         raise MalformedCodewordError("trailing bits after codeword")
     return out
 
@@ -223,19 +210,15 @@ class WrappedFVCode:
     cfg: FFCodeConfig
 
     def encode(self, x: Sequence, y: Sequence) -> FVCodeword:
-        code = make_code(self.cfg)
         cw = ff_encode(self.cfg, x, y)
         if not cw.error_flag:
-            body = (
-                "0"
-                + _to_bits(cw.type_index, code.type_width)
-                + _to_bits(cw.symbol, code.symbol_width)
-            )
-            return FVCodeword("0" + body)
-        raw = "".join(_to_bits(c, _letter_width(self.cfg.ax)) for c in x.letters) + "".join(
-            _to_bits(c, _letter_width(self.cfg.ay)) for c in y.letters
-        )
-        return FVCodeword("1" + raw)
+            code = make_code(self.cfg)
+            return FVCodeword(code.pack(cw), 1 + code.codeword_width)
+        raw = 1
+        for seq, width in ((x, _letter_width(self.cfg.ax)), (y, _letter_width(self.cfg.ay))):
+            for c in seq.letters:
+                raw = raw << width | c
+        return FVCodeword(raw, 1 + raw_pair_width(self.cfg.n, self.cfg.ax, self.cfg.ay))
 
     def codeword_length(self, jt: JointType) -> int:
         code = make_code(self.cfg)
@@ -245,23 +228,16 @@ class WrappedFVCode:
 
     def decode(self, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
         """Reproduce the `side` sequence ("x" or "y") from cw and the other one."""
-        bits = cw.bits
-        if bits[0] == "1":
-            wx = _letter_width(self.cfg.ax)
+        n, wx, wy = self.cfg.n, _letter_width(self.cfg.ax), _letter_width(self.cfg.ay)
+        if cw.value >> (cw.length - 1):  # the verbatim pair: [1][x letters][y letters]
             if side == "x":
-                start, w, alphabet = 1, wx, self.cfg.ax
+                body, w, alphabet = cw.value >> n * wy, wx, self.cfg.ax
             else:
-                start, w, alphabet = 1 + self.cfg.n * wx, _letter_width(self.cfg.ay), self.cfg.ay
-            letters = tuple(
-                int(bits[start + i * w:start + (i + 1) * w], 2) for i in range(self.cfg.n)
-            )
-            return Sequence(letters, alphabet)
-        code = make_code(self.cfg)
-        idx_end = 2 + code.type_width
-        idx = int(bits[2:idx_end], 2) if code.type_width else 0
-        symbol = int(bits[idx_end:], 2) if code.symbol_width else 0
+                body, w, alphabet = cw.value, wy, self.cfg.ay
+            mask = (1 << w) - 1
+            return Sequence(tuple(body >> w * (n - 1 - i) & mask for i in range(n)), alphabet)
         decode = ff_decode_x if side == "x" else ff_decode_y
-        return decode(self.cfg, FFCodeword(idx, symbol, bits[1] == "1"), side_info)
+        return decode(self.cfg, make_code(self.cfg).unpack(cw.value), side_info)
 
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .types_core import Sequence, joint_type_groups
+from .types_core import joint_type_groups
 from .info_measures import (
     SourceSpec,
     correct_exponent_inside,
@@ -83,20 +83,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps([asdict(row) for row in self.rows], indent=2) + "\n"
-
-
-def sample_pair(p: SourceSpec, n: int, seed) -> tuple[Sequence, Sequence]:
-    """One i.i.d. pair via inverse-CDF over the flattened joint distribution.
-
-    `seed` may be an int, a SeedSequence, or a Generator; a given int
-    always yields the same pair.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
-    cells = _sample_cells(p, n, 1, rng)[0]
-    ky = p.num_y
-    x = Sequence(tuple(int(c) // ky for c in cells), p.ax)
-    y = Sequence(tuple(int(c) % ky for c in cells), p.ay)
-    return x, y
 
 
 def _sample_cells(p: SourceSpec, n: int, trials: int, rng) -> np.ndarray:

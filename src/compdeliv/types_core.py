@@ -80,13 +80,6 @@ class Sequence:
         return len(self.letters)
 
 
-def seq(letters, k: int = 2) -> Sequence:
-    """Convenience constructor: seq('0011') or seq([0,0,1,1])."""
-    if isinstance(letters, str):
-        letters = [int(c) for c in letters]
-    return Sequence(tuple(letters), Alphabet(k))
-
-
 @dataclass(frozen=True)
 class TypeVector:
     """Empirical letter counts of a single sequence (counts sum to n)."""

@@ -2,7 +2,26 @@
 
 import itertools
 
-from compdeliv.types_core import BINARY, Sequence
+import numpy as np
+
+from compdeliv.simulator import _sample_cells
+from compdeliv.types_core import Alphabet, BINARY, Sequence
+
+
+def seq(letters, k=2):
+    """A sequence over k letters: seq('0011') or seq([0, 0, 1, 1])."""
+    return Sequence(tuple(int(c) for c in letters), Alphabet(k))
+
+
+def sample_pair(p, n, seed):
+    """One (x, y) pair of letter tuples from the cell sampler `run_plan` draws with."""
+    cells = _sample_cells(p, n, 1, np.random.Generator(np.random.PCG64(seed)))[0]
+    return tuple((cells // p.num_y).tolist()), tuple((cells % p.num_y).tolist())
+
+
+def bit_text(cw):
+    """The '0'/'1' text of a variable-length codeword."""
+    return format(cw.value, f"0{len(cw)}b") if len(cw) else ""
 
 
 def all_binary_sequences(n):

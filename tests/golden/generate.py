@@ -101,10 +101,8 @@ def codec_fixture() -> dict:
                          "--side-info", str(d / side_info), "--out", str(d / "out.bin")])
                 out[f"{mode}_decoded_{side}"] = (d / "out.bin").read_bytes().hex()
     wrapped = wrap_ff_as_fv(FFCodeConfig(CODEC_N, CODEC_RATE))
-    out["wrapped"] = [
-        wrapped.encode(bx, by).bits
-        for bx, by in zip(padded_blocks(x, CODEC_N), padded_blocks(y, CODEC_N))
-    ]
+    words = [wrapped.encode(bx, by) for bx, by in zip(padded_blocks(x, CODEC_N), padded_blocks(y, CODEC_N))]
+    out["wrapped"] = [format(cw.value, f"0{cw.length}b") for cw in words]
     return out
 
 

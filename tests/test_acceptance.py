@@ -50,7 +50,7 @@ from compdeliv.types_core import (
     v_shell_size,
     w_shell_size,
 )
-from conftest import all_binary_pairs, assert_proper_coloring
+from conftest import all_binary_pairs, assert_proper_coloring, bit_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RATES_FF = (0.25, 0.5, 0.75, 1.0)
@@ -251,7 +251,7 @@ def test_criterion_7_fv_zero_error_prefix_and_length():
                 cw = fv_encode(n, x, y)
                 assert fv_decode_x(cw, y) == x
                 assert fv_decode_y(cw, x) == y
-                words.add(cw.bits)
+                words.add(bit_text(cw))
             ordered = sorted(words)
             for w, nxt in zip(ordered, ordered[1:]):
                 assert not nxt.startswith(w)

@@ -1,5 +1,7 @@
 """MSB-first bit packing round trips."""
 
+import random
+
 import pytest
 
 from compdeliv.bitio import BitReader, BitWriter, TruncatedStreamError
@@ -51,3 +53,39 @@ def test_reader_remaining():
     r = BitReader(bytes([0xAA, 0x55]))
     r.read(3)
     assert r.remaining == 13
+
+
+def test_wide_fields_at_every_bit_offset():
+    # Fields up to 70 bits wide, starting at every offset within a byte,
+    # against the same fields formatted as text.
+    rng = random.Random(6)
+    fields = [(rng.getrandbits(w), w) for w in [rng.randrange(71) for _ in range(400)]]
+    w = BitWriter()
+    for value, width in fields:
+        w.write(value, width)
+    text = "".join(format(v, f"0{width}b") if width else "" for v, width in fields)
+    assert w.bit_length() == len(text)
+    assert w.getvalue() == int(text + "0" * (-len(text) % 8), 2).to_bytes(-(-len(text) // 8), "big")
+    r = BitReader(w.getvalue())
+    for value, width in fields:
+        assert r.read(width) == value
+    assert r.remaining == -len(text) % 8
+
+
+def test_text_adapters_round_trip():
+    w = BitWriter()
+    w.write_bits("")
+    w.write_bits("1011")
+    w.write(0b01, 2)
+    r = BitReader(w.getvalue())
+    assert r.read_bits(0) == ""
+    assert r.read_bits(6) == "101101"
+    assert r.read_bits(2) == "00"
+
+
+def test_reader_bounded_by_nbits():
+    r = BitReader(bytes([0b10110000]), 3)
+    assert r.remaining == 3
+    assert r.read(3) == 0b101
+    with pytest.raises(TruncatedStreamError):
+        r.read(1)

@@ -22,6 +22,31 @@ def write_letters(path, letters):
     path.write_bytes(bytes(letters))
 
 
+def encode_file(mode, sample_files, tmp_path):
+    """Encode the 13-letter sample pair at n=5 (FF at rate 1.0); returns the file.
+
+    Both payloads end in padding: 33 FF and 22 FV codeword bits.
+    """
+    x, y = sample_files
+    cw = tmp_path / f"{mode}.cdlv"
+    rate = ["--rate", "1.0"] if mode == "ff" else []
+    assert main(
+        [
+            "encode", "--mode", mode, "--n", "5", *rate,
+            "--input-x", str(x), "--input-y", str(y), "--out", str(cw),
+        ]
+    ) == EXIT_OK
+    return cw
+
+
+def header_with(data, **fields):
+    """`data` with some header fields replaced."""
+    names = ("magic", "version", "mode", "n", "kx", "ky", "orig_len", "rate", "type_width", "symbol_width")
+    header = dict(zip(names, HEADER.unpack(data[:HEADER.size])))
+    header.update(fields)
+    return HEADER.pack(*header.values()) + data[HEADER.size:]
+
+
 @pytest.fixture
 def sample_files(tmp_path):
     x = tmp_path / "x.bin"
@@ -135,6 +160,18 @@ class TestSweep:
 
     def test_sweep_requires_arguments(self):
         assert main(["sweep"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"{not json", b"\xff\xfe{", b"[]", b"7", b'"plan"'],
+        ids=["missing", "not-json", "not-utf8", "list", "number", "string"],
+    )
+    def test_sweep_config_unusable_is_validation_error(self, content, tmp_path, capsys):
+        cfg = tmp_path / "plan.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert str(cfg) in capsys.readouterr().err
 
     @pytest.mark.parametrize("missing", ["p_xy", "n_grid", "rates", "trials", "master_seed"])
     def test_sweep_config_missing_field_is_validation_error(self, missing, tmp_path, capsys):
@@ -302,15 +339,10 @@ class TestExitCodes:
         )
         assert code == EXIT_MALFORMED
 
-    def test_truncated_stream(self, sample_files, tmp_path):
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    def test_truncated_stream(self, mode, sample_files, tmp_path):
         x, y = sample_files
-        cw = tmp_path / "code.bin"
-        main(
-            [
-                "encode", "--mode", "ff", "--n", "4", "--rate", "1.0",
-                "--input-x", str(x), "--input-y", str(y), "--out", str(cw),
-            ]
-        )
+        cw = encode_file(mode, sample_files, tmp_path)
         data = cw.read_bytes()
         cw.write_bytes(data[: HEADER.size + 1])  # keep header, drop payload
         code = main(
@@ -320,6 +352,32 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_TRUNCATED
+
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda data: data + bytes(64), id="zero-bytes-appended"),
+            pytest.param(lambda data: data + bytes(1), id="zero-byte-appended"),
+            pytest.param(lambda data: data[:-1] + bytes([data[-1] | 1]), id="padding-bit-set"),
+            pytest.param(lambda data: header_with(data, mode=2), id="unknown-mode"),
+            pytest.param(lambda data: header_with(data, type_width=7), id="type-width"),
+            pytest.param(lambda data: header_with(data, symbol_width=1), id="symbol-width"),
+        ],
+    )
+    def test_file_the_encoder_cannot_write_is_malformed(self, mode, tamper, sample_files, tmp_path, capsys):
+        x, y = sample_files
+        cw = encode_file(mode, sample_files, tmp_path)
+        cw.write_bytes(tamper(cw.read_bytes()))
+        for side, side_info in (("x", y), ("y", x)):
+            code = main(
+                [
+                    "decode", "--side", side, "--codeword", str(cw),
+                    "--side-info", str(side_info), "--out", str(tmp_path / "o.bin"),
+                ]
+            )
+            assert code == EXIT_MALFORMED, side
+            assert str(cw) in capsys.readouterr().err
 
     def test_header_layout(self, sample_files, tmp_path):
         x, y = sample_files

@@ -28,7 +28,7 @@ from compdeliv.types_core import (
     v_shell_size,
     w_shell_size,
 )
-from conftest import all_binary_pairs, assert_proper_coloring as assert_proper
+from conftest import all_binary_pairs, assert_proper_coloring as assert_proper, seq
 
 
 def cells(table):
@@ -202,8 +202,6 @@ class TestLookups:
             assert decode_side(t, x, s, "y") == y
 
     def test_pair_of_wrong_type_rejected(self):
-        from compdeliv.types_core import seq
-
         t = get_coding_table(JointType(((1, 1), (1, 1)), 4))
         x, y = seq("0011"), seq("0011")  # joint type ((2, 0), (0, 2)), not the table's
         with pytest.raises(PairTypeMismatchError):
@@ -214,8 +212,6 @@ class TestLookups:
             t.symbols_at(np.array([first_row, 0]), np.array([first_col, unmarked]))
 
     def test_absent_symbol_signals_desync(self):
-        from compdeliv.types_core import seq
-
         t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
         with pytest.raises(SymbolNotFoundError):
             decode_side(t, seq("0011"), 5, "x")
@@ -260,8 +256,6 @@ class TestLookups:
             assert type(t.col_for(i, s)) is int and type(t.row_for(j, s)) is int
 
     def test_side_info_of_wrong_type_rejected(self):
-        from compdeliv.types_core import seq
-
         t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
         with pytest.raises(SideInfoMismatchError):
             decode_side(t, seq("0001"), 0, "y")

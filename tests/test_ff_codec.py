@@ -22,7 +22,7 @@ from compdeliv.ff_codec import (
 )
 from compdeliv.info_measures import dsbs, in_decodable_region, uniform_independent
 from compdeliv.types_core import BINARY, Alphabet, JointType, Sequence, joint_type_of
-from conftest import all_binary_pairs
+from conftest import all_binary_pairs, seq
 
 RATES = (0.25, 0.5, 0.75, 1.0)
 
@@ -42,24 +42,18 @@ class TestBitWidth:
 
 class TestEncode:
     def test_identity_pair_always_encodable(self):
-        from compdeliv.types_core import seq
-
         cfg = FFCodeConfig(4, 0.25)
         cw = ff_encode(cfg, seq("0101"), seq("0101"))
         assert not cw.error_flag
         assert ff_decode_x(cfg, cw, seq("0101")) == seq("0101")
 
     def test_balanced_type_escapes_below_one(self):
-        from compdeliv.types_core import seq
-
         cfg = FFCodeConfig(4, 0.9)
         cw = ff_encode(cfg, seq("0011"), seq("0101"))
         assert cw.error_flag
         assert cw.type_index == 0 and cw.symbol == 0
 
     def test_balanced_type_included_at_one(self):
-        from compdeliv.types_core import seq
-
         cfg = FFCodeConfig(4, 1.0)
         x, y = seq("0011"), seq("0101")
         cw = ff_encode(cfg, x, y)
@@ -68,8 +62,6 @@ class TestEncode:
         assert ff_decode_y(cfg, cw, x) == y
 
     def test_wrong_length_rejected(self):
-        from compdeliv.types_core import seq
-
         with pytest.raises(ValueError):
             ff_encode(FFCodeConfig(4, 0.5), seq("001"), seq("010"))
 
@@ -89,23 +81,17 @@ class TestDecode:
                 assert cw.error_flag
 
     def test_flagged_codeword_decodes_totally(self):
-        from compdeliv.types_core import seq
-
         cfg = FFCodeConfig(4, 0.5)
         cw = FFCodeword(0, 0, True)
         assert ff_decode_x(cfg, cw, seq("0101")) == seq("0000")
         assert ff_decode_y(cfg, cw, seq("0101")) == seq("0000")
 
     def test_type_index_out_of_range(self):
-        from compdeliv.types_core import seq
-
         cfg = FFCodeConfig(2, 0.5)
         with pytest.raises(CodewordRangeError):
             ff_decode_x(cfg, FFCodeword(10 ** 6, 0, False), seq("01"))
 
     def test_side_info_of_wrong_type(self):
-        from compdeliv.types_core import seq
-
         cfg = FFCodeConfig(4, 1.0)
         cw = ff_encode(cfg, seq("0011"), seq("0101"))
         with pytest.raises(SideInfoMismatchError):
@@ -195,6 +181,26 @@ class TestSizing:
     def test_codeword_width_layout(self):
         code = make_code(FFCodeConfig(4, 1.0))
         assert code.codeword_width == 1 + code.type_width + code.symbol_width
+
+    def test_pack_layout_and_round_trip(self):
+        code = make_code(FFCodeConfig(4, 1.0))
+        tw, sw = code.type_width, code.symbol_width
+        word = code.pack(FFCodeword(3, 2, False))
+        assert format(word, f"0{code.codeword_width}b") == "0" + format(3, f"0{tw}b") + format(2, f"0{sw}b")
+        assert code.pack(FFCodeword(0, 0, True)) == 1 << (tw + sw)
+        for x, y in all_binary_pairs(4):
+            cw = ff_encode(code.cfg, x, y)
+            assert code.unpack(code.pack(cw)) == cw
+
+    def test_pack_and_unpack_reject_fields_out_of_range(self):
+        code = make_code(FFCodeConfig(4, 1.0))
+        for cw in (FFCodeword(1 << code.type_width, 0, False), FFCodeword(0, 1 << code.symbol_width, False),
+                   FFCodeword(-1, 0, False), FFCodeword(0, -1, False)):
+            with pytest.raises(CodewordRangeError):
+                code.pack(cw)
+        for word in (-1, 1 << code.codeword_width):
+            with pytest.raises(CodewordRangeError):
+                code.unpack(word)
 
 
 class TestExactError:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from compdeliv.bitio import BitReader, BitWriter, TruncatedStreamError
 from compdeliv.ff_codec import FFCodeConfig, bit_width, exact_error_probability
 from compdeliv.fv_codec import (
     MalformedCodewordError,
@@ -31,9 +32,8 @@ from compdeliv.types_core import (
     BINARY,
     enumerate_joint_types,
     joint_type_of,
-    seq,
 )
-from conftest import all_binary_pairs
+from conftest import all_binary_pairs, bit_text, seq
 
 
 class TestEncode:
@@ -79,7 +79,7 @@ class TestDecode:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_prefix_free(self, n):
-        words = {fv_encode(n, x, y).bits for x, y in all_binary_pairs(n)}
+        words = {bit_text(fv_encode(n, x, y)) for x, y in all_binary_pairs(n)}
         for w in words:
             for v in words:
                 if w != v:
@@ -92,30 +92,36 @@ class TestDecode:
             (seq("0000"), seq("1111")),
             (seq("0101"), seq("0101")),
         ]
-        bits = "".join(fv_encode(n, x, y).bits for x, y in pairs)
-        offset = 0
+        writer = BitWriter()
         for x, y in pairs:
-            decoded, offset = fv_decode_x_stream(n, bits, offset, y)
-            assert decoded == x
-        assert offset == len(bits)
-        offset = 0
+            cw = fv_encode(n, x, y)
+            writer.write(cw.value, cw.length)
+        payload, total = writer.getvalue(), writer.bit_length()
+        reader = BitReader(payload)
         for x, y in pairs:
-            decoded, offset = fv_decode_y_stream(n, bits, offset, x)
-            assert decoded == y
+            assert fv_decode_x_stream(n, reader, y) == x
+        assert reader.remaining == 8 * len(payload) - total
+        reader = BitReader(payload, total)
+        for x, y in pairs:
+            assert fv_decode_y_stream(n, reader, x) == y
+        assert reader.remaining == 0
+        with pytest.raises(TruncatedStreamError):
+            fv_decode_y_stream(n, reader, pairs[0][0])
 
     def test_truncated_codeword_rejected(self):
         cw = fv_encode(4, seq("0011"), seq("0101"))
         with pytest.raises(MalformedCodewordError):
-            fv_decode_x(FVCodeword(cw.bits[:-1]), seq("0101"))
+            fv_decode_x(FVCodeword(cw.value >> 1, cw.length - 1), seq("0101"))
 
     def test_trailing_bits_rejected(self):
         cw = fv_encode(4, seq("0011"), seq("0101"))
         with pytest.raises(MalformedCodewordError):
-            fv_decode_x(FVCodeword(cw.bits + "0"), seq("0101"))
+            fv_decode_x(FVCodeword(cw.value << 1, cw.length + 1), seq("0101"))
 
-    def test_codeword_must_be_binary_string(self):
+    @pytest.mark.parametrize("value, length", [(4, 2), (-1, 2), (1, 0)])
+    def test_codeword_value_must_fit_its_length(self, value, length):
         with pytest.raises(ValueError):
-            FVCodeword("01x")
+            FVCodeword(value, length)
 
 
 class TestLengthStatistics:
@@ -151,7 +157,7 @@ class TestLengthStatistics:
     def test_kraft_sum_at_most_one_plus_slack(self):
         # widths are ceilings, so the distinct emitted words satisfy Kraft
         n = 5
-        words = {fv_encode(n, x, y).bits for x, y in all_binary_pairs(n)}
+        words = {bit_text(fv_encode(n, x, y)) for x, y in all_binary_pairs(n)}
         kraft = sum(2.0 ** -len(w) for w in words)
         assert kraft <= 1.0 + 1e-12
 

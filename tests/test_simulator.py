@@ -24,16 +24,16 @@ from compdeliv.simulator import (
     ReportRow,
     TrialPlan,
     run_plan,
-    sample_pair,
 )
+from conftest import sample_pair
 
 
 class TestSamplePair:
     def test_degenerate_source(self):
         p = SourceSpec(((0.0, 1.0), (0.0, 0.0)))
         x, y = sample_pair(p, 8, 123)
-        assert x.letters == (0,) * 8
-        assert y.letters == (1,) * 8
+        assert x == (0,) * 8
+        assert y == (1,) * 8
 
     def test_same_seed_same_pair(self):
         p = dsbs(0.11)
@@ -49,13 +49,18 @@ class TestSamplePair:
         n = 100_000
         x, y = sample_pair(p, n, 7)
         counts = [[0, 0], [0, 0]]
-        for a, b in zip(x.letters, y.letters):
+        for a, b in zip(x, y):
             counts[a][b] += 1
         for a in range(2):
             for b in range(2):
                 cell = p.p_xy[a][b]
                 sigma = math.sqrt(cell * (1 - cell) / n)
                 assert abs(counts[a][b] / n - cell) <= 3 * sigma
+
+    def test_letters_inside_the_alphabets(self):
+        p = SourceSpec(((0.1, 0.2), (0.3, 0.1), (0.2, 0.1)))
+        x, y = sample_pair(p, 2000, 5)
+        assert set(x) == {0, 1, 2} and set(y) == {0, 1}
 
 
 class TestTrialPlanValidation:

@@ -24,7 +24,6 @@ from compdeliv.types_core import (
     joint_type_of,
     multinomial,
     rank_in_type_class,
-    seq,
     rank_rows,
     type_class_size,
     type_of,
@@ -33,7 +32,7 @@ from compdeliv.types_core import (
     v_shell_size,
     w_shell_size,
 )
-from conftest import all_binary_pairs, all_binary_sequences
+from conftest import all_binary_pairs, all_binary_sequences, seq
 
 
 class TestJointTypeOf:
