@@ -14,12 +14,18 @@ Codeword file layout (little-endian header, then MSB-first packed bits):
 FF payload: one fixed-width `FFCode.pack` word per block; the header
 widths are those of `make_code` for (n, rate, kx, ky).
 FV payload: concatenated variable-length codewords; both header widths 0.
-Zero bits pad the payload to a whole byte.
+Zero bits pad the payload to a whole byte.  Both commands code all blocks
+of a file as arrays (`ff_encode_batch`, `fv_encode_batch` and the
+decoders beside them); the bytes are those of coding block by block.
+
+Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
+bytes), and the joint types of (n, kx, ky) within MAX_JOINT_TYPE_COUNTS.
 
 Exit codes: 0 success, 2 validation error, 3 malformed file (including
 a header or payload the encoder cannot have written: an unknown mode,
-other widths, a byte or more after the last block, or nonzero padding),
-4 alphabet violation, 5 truncated stream (in both modes).
+other widths, n, kx or ky out of the limits above, a byte or more after
+the last block, or nonzero padding), 4 alphabet violation, 5 truncated
+stream (in both modes).  A decode error names the first failing block.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ import struct
 import sys
 from pathlib import Path
 
-from .types_core import Alphabet, JointType, Sequence
+import numpy as np
+
+from .types_core import Alphabet, JointType, check_joint_type_count
 from .info_measures import (
     SourceSpec,
     achievable_rate,
@@ -40,9 +48,9 @@ from .info_measures import (
     error_exponent_outside,
 )
 from .coding_table import get_coding_table
-from .ff_codec import FFCodeConfig, ff_decode_x, ff_decode_y, ff_encode, make_code
-from .fv_codec import fv_decode_x_stream, fv_decode_y_stream, fv_encode
-from .bitio import BitReader, BitWriter, TruncatedStreamError
+from .ff_codec import FFCodeConfig, ff_decode_batch, ff_encode_batch, make_code
+from .fv_codec import fv_decode_batch, fv_encode_batch, make_fv_code
+from .bitio import TruncatedStreamError
 from .simulator import TrialPlan, run_plan
 
 EXIT_OK = 0
@@ -55,6 +63,7 @@ MAGIC = b"CDLV"
 VERSION = 1
 HEADER = struct.Struct("<4sBBHHHQdHH")
 MODE_FF, MODE_FV = 0, 1
+MAX_N = 2 ** 16 - 1  # the header's n is a u16
 
 
 class CliError(Exception):
@@ -89,27 +98,42 @@ def parse_counts(text: str, n: int) -> JointType:
         raise CliError(f"invalid joint counts: {exc}") from exc
 
 
-def _read_letters(path: str, k: int) -> bytes:
+def _read_letters(path: str, k: int) -> np.ndarray:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     if not data:
         raise CliError(f"{path} is empty", EXIT_MALFORMED)
-    bad = [b for b in data if b >= k]
-    if bad:
+    letters = np.frombuffer(data, np.uint8)
+    outside = letters >= k
+    if outside.any():
+        at = int(np.argmax(outside))
         raise CliError(
-            f"{path}: letter {bad[0]} outside alphabet of size {k}", EXIT_ALPHABET
+            f"{path}: letter {letters[at]} at byte {at} outside alphabet of size {k}", EXIT_ALPHABET
         )
-    return data
+    return letters
 
 
-def _blocks(data: bytes, n: int):
-    for i in range(0, len(data), n):
-        block = data[i:i + n]
-        if len(block) < n:
-            block = block + bytes(n - len(block))
-        yield block
+def _pad_blocks(letters: np.ndarray, n: int) -> np.ndarray:
+    """Letters as (m, n) blocks, the last one padded with letter 0."""
+    blocks = np.zeros(-(-len(letters) // n) * n, np.uint8)
+    blocks[:len(letters)] = letters
+    return blocks.reshape(-1, n)
+
+
+def _check_size(n: int, kx: int, ky: int, code: int, prefix: str, names: tuple[str, str, str]) -> None:
+    """Refuse a block length or alphabets the header cannot hold or the
+    codecs cannot enumerate, before any work; `names` are the fields."""
+    if not 1 <= n <= MAX_N:
+        raise CliError(f"{prefix}{names[0]} is {n}; it must be 1 to {MAX_N}", code)
+    for name, k in zip(names[1:], (kx, ky)):
+        if not 1 <= k <= 256:
+            raise CliError(f"{prefix}{name} is {k}; letters are bytes, so it must be 1 to 256", code)
+    try:
+        check_joint_type_count(n, kx, ky)
+    except ValueError as exc:
+        raise CliError(f"{prefix}{'/'.join(names)}: {exc}", code) from exc
 
 
 def cmd_rate(args) -> int:
@@ -132,6 +156,37 @@ def cmd_exponent(args) -> int:
     return EXIT_OK
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _json_list(convert):
+    def items(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return tuple(map(convert, value))
+
+    return items
+
+
+# The fields of a sweep config: what each must be, and its reader.
+SWEEP_FIELDS = {
+    "p_xy": ("a list of lists of numbers", _json_list(_json_list(_json_number))),
+    "n_grid": ("a list of integers", _json_list(_json_int)),
+    "rates": ("a list of numbers", _json_list(_json_number)),
+    "trials": ("an integer", _json_int),
+    "master_seed": ("an integer", _json_int),
+}
+
+
 def cmd_sweep(args) -> int:
     if args.config:
         try:
@@ -140,16 +195,15 @@ def cmd_sweep(args) -> int:
             raise CliError(f"cannot read sweep config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise CliError(f"sweep config {args.config} is not a JSON object")
-        try:
-            plan = TrialPlan(
-                p=SourceSpec(tuple(tuple(row) for row in cfg["p_xy"])),
-                n_grid=tuple(cfg["n_grid"]),
-                rates=tuple(cfg["rates"]),
-                trials=int(cfg["trials"]),
-                master_seed=int(cfg["master_seed"]),
-            )
-        except KeyError as exc:
-            raise CliError(f"sweep config {args.config} has no field {exc}") from exc
+        fields = {}
+        for name, (kind, convert) in SWEEP_FIELDS.items():
+            if name not in cfg:
+                raise CliError(f"sweep config {args.config} has no field '{name}'")
+            try:
+                fields[name] = convert(cfg[name])
+            except TypeError as exc:
+                raise CliError(f"sweep config {args.config}: field '{name}' must be {kind}") from exc
+        plan = TrialPlan(p=SourceSpec(fields.pop("p_xy")), **fields)
     else:
         if not (args.source and args.n_grid and args.rates):
             raise CliError("sweep needs --config or (--source, --n, --rate)")
@@ -181,14 +235,14 @@ def cmd_dump_table(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    n = args.n
-    kx, ky = args.kx, args.ky
-    data_x = _read_letters(args.input_x, kx)
-    data_y = _read_letters(args.input_y, ky)
-    if len(data_x) != len(data_y):
+    n, kx, ky = args.n, args.kx, args.ky
+    _check_size(n, kx, ky, EXIT_VALIDATION, "", ("--n", "--kx", "--ky"))
+    letters_x = _read_letters(args.input_x, kx)
+    letters_y = _read_letters(args.input_y, ky)
+    if len(letters_x) != len(letters_y):
         raise CliError("input files must have equal length", EXIT_MALFORMED)
+    x, y = _pad_blocks(letters_x, n), _pad_blocks(letters_y, n)
     ax, ay = Alphabet(kx), Alphabet(ky)
-    writer = BitWriter()
     flagged = 0
     if args.mode == "ff":
         if args.rate is None:
@@ -196,15 +250,12 @@ def cmd_encode(args) -> int:
         cfg = FFCodeConfig(n, args.rate, ax, ay)
         code = make_code(cfg)
         type_width, symbol_width = code.type_width, code.symbol_width
-        for bx, by in zip(_blocks(data_x, n), _blocks(data_y, n)):
-            cw = ff_encode(cfg, Sequence(tuple(bx), ax), Sequence(tuple(by), ay))
-            flagged += cw.error_flag
-            writer.write(code.pack(cw), code.codeword_width)
+        words = ff_encode_batch(cfg, x, y)
+        flagged = int(words[0].sum())
     else:
         type_width = symbol_width = 0
-        for bx, by in zip(_blocks(data_x, n), _blocks(data_y, n)):
-            cw = fv_encode(n, Sequence(tuple(bx), ax), Sequence(tuple(by), ay))
-            writer.write(cw.value, cw.length)
+        code = make_fv_code(n, ax, ay)
+        words = fv_encode_batch(code, x, y)
     header = HEADER.pack(
         MAGIC,
         VERSION,
@@ -212,12 +263,12 @@ def cmd_encode(args) -> int:
         n,
         kx,
         ky,
-        len(data_x),
+        len(letters_x),
         args.rate if args.rate is not None else 0.0,
         type_width,
         symbol_width,
     )
-    Path(args.out).write_bytes(header + writer.getvalue())
+    Path(args.out).write_bytes(header + code.pack_words(words))
     if flagged:
         print(f"{flagged} block(s) flagged as encoding errors", file=sys.stderr)
     return EXIT_OK
@@ -246,40 +297,48 @@ def _check_widths(path: str, stored: tuple[int, int], expected: tuple[int, int])
 def cmd_decode(args) -> int:
     fields, payload = _read_header(args.codeword)
     _, _, mode, n, kx, ky, orig_len, rate, type_width, symbol_width = fields
+    _check_size(n, kx, ky, EXIT_MALFORMED, f"{args.codeword}: header field ", ("n", "kx", "ky"))
     ax, ay = Alphabet(kx), Alphabet(ky)
     # --side names the sequence reproduced; the side information is the other one.
-    other, held = (ax, ay) if args.side == "x" else (ay, ax)
-    side_data = _read_letters(args.side_info, held.size)
-    if len(side_data) != orig_len:
+    held = ay if args.side == "x" else ax
+    side_letters = _read_letters(args.side_info, held.size)
+    if len(side_letters) != orig_len:
         raise CliError("side information length does not match header", EXIT_MALFORMED)
-    reader = BitReader(payload)
-    out = bytearray()
+    side_info = _pad_blocks(side_letters, n)
     flagged = 0
     try:
+        # Words are decoded up to the first one that cannot be framed, so
+        # an error names the first failing block, as decoding in order would.
         if mode == MODE_FF:
             cfg = FFCodeConfig(n, rate, ax, ay)
             code = make_code(cfg)
             _check_widths(args.codeword, (type_width, symbol_width), (code.type_width, code.symbol_width))
-            decode = ff_decode_x if args.side == "x" else ff_decode_y
-            for block in _blocks(side_data, n):
-                cw = code.unpack(reader.read(code.codeword_width))
-                flagged += cw.error_flag
-                out.extend(decode(cfg, cw, Sequence(tuple(block), held)).letters)
+            words, end, framing = code.read_words(payload, len(side_info))
+            out = ff_decode_batch(cfg, words, side_info[:len(words[0])], args.side)
+            flagged = int(words[0].sum())
         else:
             _check_widths(args.codeword, (type_width, symbol_width), (0, 0))
-            decode = fv_decode_x_stream if args.side == "x" else fv_decode_y_stream
-            for block in _blocks(side_data, n):
-                out.extend(decode(n, reader, Sequence(tuple(block), held), other).letters)
-        if reader.remaining >= 8 or reader.read(reader.remaining):
-            raise CliError(f"{args.codeword}: data after the last codeword", EXIT_MALFORMED)
+            code = make_fv_code(n, ax, ay)
+            words, end, framing = code.read_words(payload, len(side_info))
+            out = fv_decode_batch(code, words, side_info[:len(words[0])], args.side)
+        if framing is not None:
+            raise framing
     except TruncatedStreamError as exc:
-        raise CliError(f"codeword stream truncated: {exc}", EXIT_TRUNCATED) from exc
+        raise CliError(f"codeword stream truncated: {_located(exc)}", EXIT_TRUNCATED) from exc
     except ValueError as exc:
-        raise CliError(f"malformed codeword stream: {exc}", EXIT_MALFORMED) from exc
-    Path(args.out).write_bytes(bytes(out[:orig_len]))
+        raise CliError(f"malformed codeword stream: {_located(exc)}", EXIT_MALFORMED) from exc
+    if len(payload) != -(-end // 8) or payload and payload[-1] & (0xFF >> (end % 8 or 8)):
+        raise CliError(f"{args.codeword}: data after the last codeword", EXIT_MALFORMED)
+    Path(args.out).write_bytes(out.tobytes()[:orig_len])
     if flagged:
         print(f"{flagged} flagged block(s): output there is a fallback", file=sys.stderr)
     return EXIT_OK
+
+
+def _located(exc: ValueError) -> str:
+    """The message of a decode error, naming its block when it has one."""
+    row = getattr(exc, "row", None)
+    return str(exc) if row is None else f"block {row}: {exc}"
 
 
 def build_parser() -> argparse.ArgumentParser:

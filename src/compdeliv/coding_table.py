@@ -30,6 +30,7 @@ import numpy as np
 from .types_core import (
     MAX_CLASS_SIZE,
     JointType,
+    RowError,
     Sequence,
     _as_keys,
     _class_letters,
@@ -61,15 +62,15 @@ class TableBudgetError(ResourceWarning, ValueError):
     """Joint type's table exceeds the configured cell budget."""
 
 
-class SymbolNotFoundError(ValueError):
+class SymbolNotFoundError(RowError):
     """No cell with the requested symbol in that row/column: desync or corruption."""
 
 
-class PairTypeMismatchError(ValueError):
+class PairTypeMismatchError(RowError):
     """Sequence pair does not belong to this table's joint type."""
 
 
-class SideInfoMismatchError(ValueError):
+class SideInfoMismatchError(RowError):
     """Side information inconsistent with the codeword's joint type."""
 
 
@@ -184,7 +185,8 @@ class CodingTable:
     cells by ascending column are `sorted_cols[k]`/`sorted_syms[k]` for k in
     `row_start[i]:row_start[i + 1]`.  Lookups return Python ints; the
     plural lookups take and return numpy arrays, one element per lookup,
-    and raise what the scalar ones raise if any element fails.
+    and raise what the scalar ones raise if any element fails, with the
+    first failing element as its `row`.
     """
 
     graph: BipartiteTypeGraph
@@ -236,7 +238,7 @@ class CodingTable:
         missing = keys[np.minimum(k, len(keys) - 1)] != wanted
         if missing.any():
             i = int(np.argmax(missing))
-            raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}")
+            raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}", i)
         return np.frombuffer(self.sorted_syms, np.int32)[k]
 
     def rows_for(self, cols: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -265,7 +267,7 @@ def _slot_lookup(slots: array, delta: int, at: np.ndarray, symbols: np.ndarray, 
     bad = (found < 0) | (symbols < 0) | (symbols >= delta)  # a clipped read is a bad symbol
     if bad.any():
         i = int(np.argmax(bad))
-        raise SymbolNotFoundError(f"symbol {symbols[i]} absent in {what} {at[i]}")
+        raise SymbolNotFoundError(f"symbol {symbols[i]} absent in {what} {at[i]}", i)
     return found
 
 
@@ -387,7 +389,11 @@ def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> 
 
 
 def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray, side: str) -> np.ndarray:
-    """Vector `decode_side`: one reproduced sequence per row of `side_info`."""
+    """Vector `decode_side`: one reproduced sequence per row of `side_info`.
+
+    A failure raises what `decode_side` raises, with the first failing row
+    as its `row`.
+    """
     x_counts, y_counts = tuple(map(sum, t.jt.counts)), tuple(map(sum, zip(*t.jt.counts)))
     if side == "x":
         held, lookup, other = y_counts, t.rows_for, x_counts
@@ -397,6 +403,6 @@ def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray,
         raise ValueError(f"side must be 'x' or 'y', not {side!r}")
     try:
         ranks = rank_rows(side_info, held)
-    except ValueError:
-        raise SideInfoMismatchError("side information type does not match codeword") from None
+    except RowError as exc:
+        raise SideInfoMismatchError("side information type does not match codeword", exc.row) from None
     return unrank_rows(other, lookup(ranks, symbols))

@@ -8,7 +8,9 @@ explicit error flag; both per-decoder error probabilities are charged on
 that event, which makes the accounting exact and testable.
 
 Binary layout (most significant bit first), written by `FFCode.pack` and
-read by `FFCode.unpack`, the only code that places these fields:
+read by `FFCode.unpack`, and for whole payloads by their array twins
+`FFCode.pack_words` and `FFCode.read_words`, the only code that places
+these fields:
     [1 flag bit][type_index: type_width bits][symbol: symbol_width bits]
 with widths fixed per configuration, as a fixed-length code requires.
 """
@@ -24,6 +26,7 @@ import numpy as np
 from .types_core import (
     Alphabet,
     JointType,
+    RowError,
     Sequence,
     _letter_dtype,
     class_ranks,
@@ -35,12 +38,13 @@ from .types_core import (
     v_shell_size,
     w_shell_size,
 )
+from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
 from .coding_table import decode_side, decode_side_rows, get_coding_table
 from .coding_table import SideInfoMismatchError  # noqa: F401  (re-exported)
 
 
-class CodewordRangeError(ValueError):
+class CodewordRangeError(RowError):
     """Codeword fields outside the configured widths."""
 
 
@@ -107,6 +111,34 @@ class FFCode:
             bool(type_index >> self.type_width),
         )
 
+    @property
+    def _field_widths(self) -> tuple[int, int, int]:
+        return 1, self.type_width, self.symbol_width
+
+    def pack_words(self, words: FFWords) -> bytes:
+        """The `pack` words of a batch (as `ff_encode_batch` returns it),
+        back to back and zero-padded to a whole byte."""
+        fields = np.stack([np.asarray(part, np.int64) for part in words], axis=1)
+        return pack_fields(fields, np.broadcast_to(self._field_widths, fields.shape))
+
+    def read_words(self, payload: bytes, count: int) -> tuple[FFWords, int, TruncatedStreamError | None]:
+        """The first `count` words `pack_words` wrote to `payload`.
+
+        Returns (words, bits read, None), or, when the payload ends inside
+        word i, the i whole words before it, their bits and the
+        TruncatedStreamError of word i.  A field wider than 63 bits whose
+        value does not fit in them reads as -1 (see `read_fields`).
+        """
+        whole = min(count, 8 * len(payload) // self.codeword_width)
+        offsets = np.cumsum((0,) + self._field_widths[:-1])
+        starts = np.arange(whole)[:, None] * self.codeword_width + offsets
+        fields = read_fields(payload, starts, np.broadcast_to(self._field_widths, starts.shape))
+        fields = fields.reshape(whole, 3)
+        error = None
+        if whole < count:
+            error = TruncatedStreamError("the payload ends inside this codeword", whole)
+        return (fields[:, 0] == 1, fields[:, 1], fields[:, 2]), whole * self.codeword_width, error
+
 
 @lru_cache(maxsize=None)
 def make_code(cfg: FFCodeConfig) -> FFCode:
@@ -169,30 +201,47 @@ def ff_decode_y(cfg: FFCodeConfig, cw: FFCodeword, x: Sequence) -> Sequence:
 FFWords = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray) -> FFWords:
+def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None) -> FFWords:
     """`ff_encode` of every row pair of two (m, n) letter arrays.
 
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
-    Rows are grouped by joint type, so each table is searched once.
+    Rows are grouped by joint type, so each table is searched once;
+    `groups` is `joint_type_groups` of the rows when the caller has it.
     """
-    x, y = _as_blocks(cfg, x, cfg.ax, "x"), _as_blocks(cfg, y, cfg.ay, "y")
-    code = make_code(cfg)
+    x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y")
+    if groups is None:
+        groups = joint_type_groups(x, y, cfg.ax.size, cfg.ay.size)
+    found, type_index, symbols = encode_rows(x, y, cfg.ax, cfg.ay, groups, make_code(cfg).index_of)
+    return ~found, type_index, symbols
+
+
+def encode_rows(x, y, ax: Alphabet, ay: Alphabet, groups, index_of: dict) -> tuple[np.ndarray, ...]:
+    """(found, type index, symbol) of every row pair of (m, n) letter arrays.
+
+    `groups` is `joint_type_groups(x, y, ...)`.  A row is found when
+    `index_of` maps its joint type to a type index; its symbol is the
+    coding-table symbol of the pair.  Rows not found get index and symbol
+    0.  A table of one symbol gives every pair symbol 0, so none is built.
+    """
     # Tables first: a build checks its budget before it materializes the
     # type classes that the ranks below then search.
-    tables, live = [], np.zeros(len(x), bool)
-    for jt, rows in joint_type_groups(x, y, cfg.ax.size, cfg.ay.size):
-        if jt in code.index_of:
-            tables.append((code.index_of[jt], get_coding_table(jt), rows))
-            live[rows] = True
-    x_ranks, y_ranks = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
-    x_ranks[live] = class_ranks(x[live], cfg.ax.size)
-    y_ranks[live] = class_ranks(y[live], cfg.ay.size)
+    tables, found, ranked = [], np.zeros(len(x), bool), np.zeros(len(x), bool)
     type_index, symbols = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
-    for idx, table, rows in tables:
+    for jt, rows in groups:
+        if jt not in index_of:
+            continue
+        found[rows] = True
+        type_index[rows] = index_of[jt]
+        if num_symbols_of(jt) > 1:
+            tables.append((get_coding_table(jt), rows))
+            ranked[rows] = True
+    x_ranks, y_ranks = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
+    x_ranks[ranked] = class_ranks(x[ranked], ax.size)
+    y_ranks[ranked] = class_ranks(y[ranked], ay.size)
+    for table, rows in tables:
         symbols[rows] = table.symbols_at(x_ranks[rows], y_ranks[rows])
-        type_index[rows] = idx
-    return ~live, type_index, symbols
+    return found, type_index, symbols
 
 
 def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -200,29 +249,48 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
 
     `words` is what `ff_encode_batch` returns; row i of `side_info` is the
     side information of codeword i.  Flagged rows decode to all zeros, as
-    in the scalar path.
+    in the scalar path.  A failure raises what the scalar path raises for
+    the first failing row, with that row as its `row`.
     """
-    flags, type_index, symbols = np.asarray(words[0], bool), np.asarray(words[1]), np.asarray(words[2])
+    flags = np.asarray(words[0], bool)
     held, reproduced = (cfg.ay, cfg.ax) if side == "x" else (cfg.ax, cfg.ay)
-    side_info = _as_blocks(cfg, side_info, held, "side information")
-    code = make_code(cfg)
+    side_info = _as_blocks(cfg.n, side_info, held, "side information")
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    live = np.flatnonzero(~flags)
-    bad = (type_index[live] < 0) | (type_index[live] >= len(code.region))
-    if bad.any():
-        raise CodewordRangeError(f"type index {type_index[live[np.argmax(bad)]]} out of range")
-    for (idx,), rows in group_rows(type_index[live, None]):
-        rows = live[rows]
-        table = get_coding_table(code.region[idx])
-        out[rows] = decode_side_rows(table, side_info[rows], symbols[rows], side)
+    decode_rows(make_code(cfg).region, words[1], words[2], side_info, side, out, np.flatnonzero(~flags))
     return out
 
 
-def _as_blocks(cfg: FFCodeConfig, letters: np.ndarray, alphabet: Alphabet, what: str) -> np.ndarray:
+def decode_rows(types, type_index, symbols, side_info: np.ndarray, side: str, out: np.ndarray, rows) -> None:
+    """Decode the given rows into `out`: row i has the codeword (type
+    `types[type_index[i]]`, `symbols[i]`) and side information `side_info[i]`.
+
+    Rows are decoded grouped by type.  Every group is tried, so that a
+    failure raises the error of the lowest failing row, with that row as
+    its `row`.
+    """
+    type_index, symbols = np.asarray(type_index), np.asarray(symbols)
+    failures = []
+    bad = (type_index[rows] < 0) | (type_index[rows] >= len(types))
+    if bad.any():
+        row = int(rows[np.argmax(bad)])
+        failures.append(CodewordRangeError(f"type index {type_index[row]} out of range", row))
+        rows = rows[~bad]
+    for (idx,), group in group_rows(type_index[rows, None]):
+        group = rows[group]
+        try:
+            out[group] = decode_side_rows(get_coding_table(types[idx]), side_info[group], symbols[group], side)
+        except RowError as exc:
+            exc.row = int(group[exc.row])
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.row)
+
+
+def _as_blocks(n: int, letters: np.ndarray, alphabet: Alphabet, what: str) -> np.ndarray:
     """`letters` checked as (m, n) blocks over `alphabet`, in its array letter type."""
     letters = np.asarray(letters)
-    if letters.ndim != 2 or letters.shape[1] != cfg.n:
-        raise ValueError(f"{what} must be an (m, {cfg.n}) letter array")
+    if letters.ndim != 2 or letters.shape[1] != n:
+        raise ValueError(f"{what} must be an (m, {n}) letter array")
     if letters.size and not (0 <= letters.min() and letters.max() < alphabet.size):
         raise ValueError(f"{what} has a letter outside the alphabet of size {alphabet.size}")
     return letters.astype(_letter_dtype(alphabet.size), copy=False)

@@ -11,28 +11,39 @@ header makes the code a prefix set: a parser always knows the symbol
 width after reading the header, so concatenated codewords frame uniquely.
 
 Codeword length is therefore a function of the joint type only, which is
-what the overflow/underflow analysis sums over.
+what the overflow/underflow analysis sums over.  `fv_encode` and the
+stream decoders code one block; `fv_encode_batch`, `FVCode.pack_words`,
+`FVCode.read_words` and `fv_decode_batch` code whole (m, n) arrays of
+blocks to and from the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .types_core import (
     Alphabet,
     JointType,
+    RowError,
     Sequence,
+    _letter_dtype,
     enumerate_joint_types,
+    joint_type_groups,
     joint_type_of,
     rank_in_type_class,
 )
-from .bitio import BitReader, TruncatedStreamError
+from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
 from .coding_table import decode_side, get_coding_table
 from .ff_codec import (
     FFCodeConfig,
+    _as_blocks,
     bit_width,
+    decode_rows,
+    encode_rows,
     ff_decode_x,
     ff_decode_y,
     ff_encode,
@@ -41,7 +52,7 @@ from .ff_codec import (
 )
 
 
-class MalformedCodewordError(ValueError):
+class MalformedCodewordError(RowError):
     """Codeword too short or too long, or fields out of range."""
 
 
@@ -77,6 +88,58 @@ class FVCode:
     def codeword_length(self, jt: JointType) -> int:
         return self.header_width + self.symbol_width(jt)
 
+    @cached_property
+    def symbol_widths(self) -> tuple[int, ...]:
+        """`symbol_width` of every type, by type index."""
+        return tuple(map(self.symbol_width, self.types))
+
+    @cached_property
+    def codeword_lengths(self) -> tuple[int, ...]:
+        """`codeword_length` of every type, by type index."""
+        return tuple(self.header_width + w for w in self.symbol_widths)
+
+    def pack_words(self, words: FVWords) -> bytes:
+        """The codewords of a batch (as `fv_encode_batch` returns it), back
+        to back and zero-padded to a whole byte: the bits `fv_encode`'s
+        words make, written one after another."""
+        type_index, symbols = np.asarray(words[0], np.int64), np.asarray(words[1], np.int64)
+        widths = np.stack([np.full(len(type_index), self.header_width), np.take(self.symbol_widths, type_index)], 1)
+        return pack_fields(np.stack([type_index, symbols], 1), widths)
+
+    def read_words(self, payload: bytes, count: int) -> tuple[FVWords, int, RowError | None]:
+        """The first `count` codewords of a concatenated stream.
+
+        Framing is sequential, since a word's length is known only from its
+        type index: a loop steps from word to word through a table of the
+        type index at every bit offset.  Returns (words, bits read, None),
+        or, when word i cannot be framed (the payload ends inside it, or
+        its type index is out of range), the i words before it, their bits
+        and the error of word i.  A symbol wider than 63 bits whose value
+        does not fit in them reads as -1 (see `read_fields`).
+        """
+        header, size, total = self.header_width, len(self.types), 8 * len(payload)
+        heads = fields_at_every_offset(payload, header)
+        head_at, lengths = memoryview(heads), self.codeword_lengths
+        starts, pos, error = [], 0, None
+        for i in range(count):
+            if pos >= len(heads):
+                error = TruncatedStreamError("the payload ends inside this codeword", i)
+                break
+            idx = head_at[pos]
+            if idx >= size:
+                error = MalformedCodewordError(f"type index {idx} out of range", i)
+                break
+            end = pos + lengths[idx]
+            if end > total:
+                error = TruncatedStreamError("the payload ends inside this codeword", i)
+                break
+            starts.append(pos)
+            pos = end
+        starts = np.array(starts, np.int64)
+        type_index = heads[starts].astype(np.int64)
+        symbol_widths = np.take(self.symbol_widths, type_index)
+        return (type_index, read_fields(payload, starts + header, symbol_widths)), pos, error
+
 
 @lru_cache(maxsize=None)
 def make_fv_code(n: int, ax: Alphabet = Alphabet(2), ay: Alphabet = Alphabet(2)) -> FVCode:
@@ -102,6 +165,39 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
         table = get_coding_table(jt)
         symbol = table.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
     return FVCodeword(code.index_of[jt] << width | symbol, code.header_width + width)
+
+
+# A batch of FV codewords: (type indices, symbols), one per row.
+FVWords = tuple[np.ndarray, np.ndarray]
+
+
+def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
+    """`fv_encode` of every row pair of two (m, n) letter arrays over the
+    code's alphabets: the word of row i is `words[0][i]` in the header and
+    `words[1][i]` in the symbol field (0 for a type of one symbol).
+
+    Rows are grouped by joint type, so each table is searched once.  The
+    fields are kept apart because a word can be wider than an int64.
+    """
+    x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y")
+    groups = joint_type_groups(x, y, code.ax.size, code.ay.size)
+    _, type_index, symbols = encode_rows(x, y, code.ax, code.ay, groups, code.index_of)
+    return type_index, symbols
+
+
+def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: str) -> np.ndarray:
+    """`fv_decode_x` (side "x") or `fv_decode_y` (side "y") of every row.
+
+    `words` is what `fv_encode_batch` or `FVCode.read_words` returns; row i
+    of `side_info` is the side information of codeword i.  A failure
+    raises what the scalar path raises for the first failing row, with
+    that row as its `row`.
+    """
+    held, reproduced = (code.ay, code.ax) if side == "x" else (code.ax, code.ay)
+    side_info = _as_blocks(code.n, side_info, held, "side information")
+    out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
+    decode_rows(code.types, words[0], words[1], side_info, side, out, np.arange(len(side_info)))
+    return out
 
 
 def _fv_decode_stream(

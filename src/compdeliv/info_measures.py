@@ -230,10 +230,16 @@ def _exp2_scaled(n: int, exponent: float) -> float:
     return _exp2(-n * exponent)
 
 
-def error_sum_upper_bound(rate: float, p: SourceSpec, n: int) -> float:
-    """Direct bound on e_x + e_y: 2 (n+1)^|XY| 2^(-n minD outside)."""
+def error_sum_upper_bound(rate: float, p: SourceSpec, n: int, exponent: float | None = None) -> float:
+    """Direct bound on e_x + e_y: 2 (n+1)^|XY| 2^(-n minD outside).
+
+    `exponent` is `error_exponent_outside(rate, p, n).value` when the
+    caller has it already.
+    """
+    if exponent is None:
+        exponent = error_exponent_outside(rate, p, n).value
     cells = p.num_x * p.num_y
-    return 2 * (n + 1) ** cells * _exp2_scaled(n, error_exponent_outside(rate, p, n).value)
+    return 2 * (n + 1) ** cells * _exp2_scaled(n, exponent)
 
 
 def error_sum_lower_bound(rate: float, p: SourceSpec, n: int) -> float:

@@ -115,19 +115,16 @@ def _run_row(p: SourceSpec, n: int, rate: float, trials: int, seed) -> ReportRow
     rng = np.random.Generator(np.random.PCG64(seed))
     cells = _sample_cells(p, n, trials, rng)
     x, y = np.divmod(cells, p.num_y)
+    groups = joint_type_groups(x, y, p.num_x, p.num_y)
 
-    words = ff_encode_batch(cfg, x, y)
+    words = ff_encode_batch(cfg, x, y, groups)
     unflagged = ~words[0]
     for side, truth, side_info in (("x", x, y), ("y", y, x)):
         decoded = ff_decode_batch(cfg, words, side_info, side)
         if not np.array_equal(decoded[unflagged], truth[unflagged]):
             raise DecoderDesyncError(f"round-trip failure of {side} at n={n}, rate={rate}")
     escapes = int(words[0].sum())
-    overflows = sum(
-        len(rows)
-        for jt, rows in joint_type_groups(x, y, p.num_x, p.num_y)
-        if fv.codeword_length(jt) > overflow_threshold
-    )
+    overflows = sum(len(rows) for jt, rows in groups if fv.codeword_length(jt) > overflow_threshold)
 
     escape_exact = exact.e_x
     stderr = 2.0 * math.sqrt(escape_exact * (1 - escape_exact) / trials)
@@ -139,7 +136,7 @@ def _run_row(p: SourceSpec, n: int, rate: float, trials: int, seed) -> ReportRow
         mc_stderr=stderr,
         min_divergence_outside=mind_out,
         min_divergence_inside=mind_in,
-        bound_upper=error_sum_upper_bound(rate, p, n),
+        bound_upper=error_sum_upper_bound(rate, p, n, mind_out),
         bound_lower=error_sum_lower_bound(rate, p, n),
         overflow_exact=overflow_exact,
         overflow_mc=overflows / trials,

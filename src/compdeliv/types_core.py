@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
-from math import factorial
+from itertools import chain, combinations
+from math import comb, factorial
 
 import numpy as np
 
@@ -34,11 +34,27 @@ class ClassSizeError(ValueError):
     """Type class too large to enumerate."""
 
 
+class RowError(ValueError):
+    """A batch call failed; `row` is the first row it failed on (None from a scalar call)."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
 # Most members of a type class that is enumerated (about 2n bytes each,
 # letters and search keys).  It is also the default cell budget of coding
 # tables: a table's slots are (rows + columns) x symbols, so both classes
 # of a table within the budget pass.
 MAX_CLASS_SIZE = 2 ** 26
+
+# Most counts an enumeration of joint types holds: joint types x cells.
+# Binary joint types cost about 2.5 us and 75 B per count (the most
+# measured), so this bound is about 2.6 s and 80 MB; binary block lengths
+# up to n = 114 fit, and 3 x 2 ones up to n = 26.  Bounding the number of
+# types alone would admit n = 1 over 256 x 256 letters: 65,536 types of
+# 65,536 counts each.
+MAX_JOINT_TYPE_COUNTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -162,13 +178,32 @@ def joint_type_of(x: Sequence, y: Sequence) -> JointType:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic.
+
+    Stars and bars: the parts - 1 bar positions among total + parts - 1
+    slots, taken in lexicographic order, give the compositions in
+    lexicographic order.
+    """
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+
+
+def joint_type_count(n: int, kx: int, ky: int) -> int:
+    """How many joint types of block length n over kx x ky letters there are."""
+    return comb(n + kx * ky - 1, kx * ky - 1)
+
+
+def check_joint_type_count(n: int, kx: int, ky: int) -> None:
+    """Raise ValueError if enumerating these joint types exceeds MAX_JOINT_TYPE_COUNTS."""
+    cells = kx * ky
+    # With two or more cells there are at least n + cells - 1 types; that
+    # test spares the exact count, which can run to thousands of digits.
+    if (n + cells - 1) * cells > MAX_JOINT_TYPE_COUNTS or joint_type_count(n, kx, ky) * cells > MAX_JOINT_TYPE_COUNTS:
+        raise ValueError(
+            f"n={n} over {kx} x {ky} letters: its joint types hold more than "
+            f"MAX_JOINT_TYPE_COUNTS = {MAX_JOINT_TYPE_COUNTS} counts ({cells} per type)"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +211,13 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
     """All joint types of block length n, lexicographic on flattened counts.
 
     This order fixes every downstream type index, so both codec sides
-    agree on indices without exchanging tables.
+    agree on indices without exchanging tables.  Raises ValueError above
+    MAX_JOINT_TYPE_COUNTS, before enumerating anything.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     kx, ky = ax.size, ay.size
+    check_joint_type_count(n, kx, ky)
     out = []
     for flat in _compositions(n, kx * ky):
         rows = tuple(flat[a * ky:(a + 1) * ky] for a in range(kx))
@@ -308,18 +345,20 @@ def rank_rows(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     Vector `rank_in_type_class`: rank is position in the sorted class, so
     one search over the class's keys ranks the whole batch.  The class is
     materialized and cached (about 2n bytes per member), as a coding table
-    over it already does.  Raises ValueError if a row is not of type
-    `counts`.
+    over it already does.  Raises RowError, at the first such row, if a
+    row is not of type `counts`.
     """
     letters, dtype = np.asarray(letters), _letter_dtype(len(counts))
     if letters.dtype != dtype:  # a cast could wrap a stray letter into the class
-        if letters.size and not (0 <= letters.min() and letters.max() < len(counts)):
-            raise ValueError(f"a row is not of type {counts}")
+        stray = ((letters < 0) | (letters >= len(counts))).any(axis=1)
+        if stray.any():
+            raise RowError(f"a row is not of type {counts}", int(np.argmax(stray)))
         letters = letters.astype(dtype)
     keys, wanted = _class_keys(counts), _as_keys(letters)
     ranks = np.searchsorted(keys, wanted)
-    if (keys[np.minimum(ranks, len(keys) - 1)] != wanted).any():
-        raise ValueError(f"a row is not of type {counts}")
+    missing = keys[np.minimum(ranks, len(keys) - 1)] != wanted
+    if missing.any():
+        raise RowError(f"a row is not of type {counts}", int(np.argmax(missing)))
     return ranks
 
 

@@ -2,9 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from compdeliv.bitio import BitReader, BitWriter, TruncatedStreamError
+from compdeliv.bitio import (
+    FIELD_BITS,
+    BitReader,
+    BitWriter,
+    TruncatedStreamError,
+    fields_at_every_offset,
+    pack_fields,
+    read_fields,
+)
 
 
 def test_round_trip_mixed_widths():
@@ -89,3 +98,58 @@ def test_reader_bounded_by_nbits():
     assert r.read(3) == 0b101
     with pytest.raises(TruncatedStreamError):
         r.read(1)
+
+
+def random_fields(seed, count, max_width):
+    """(values, widths): seeded fields of 0 to max_width bits whose values fit 63 bits."""
+    rng = random.Random(seed)
+    widths = [rng.randrange(max_width + 1) for _ in range(count)]
+    return [rng.getrandbits(min(w, FIELD_BITS)) for w in widths], widths
+
+
+def test_pack_fields_writes_what_bit_writer_writes():
+    values, widths = random_fields(7, 500, 80)
+    w = BitWriter()
+    for value, width in zip(values, widths):
+        w.write(value, width)
+    assert pack_fields(values, widths) == w.getvalue()
+    assert pack_fields([], []) == b""
+
+
+def test_read_fields_round_trip():
+    values, widths = random_fields(8, 500, 80)
+    starts = np.cumsum([0] + widths[:-1])
+    assert read_fields(pack_fields(values, widths), starts, widths).tolist() == values
+
+
+def test_pack_fields_rejects_values_outside_their_widths():
+    for values, widths in (([4], [2]), ([1], [0]), ([-1], [3]), ([1], [-1])):
+        with pytest.raises(ValueError):
+            pack_fields(values, widths)
+
+
+def test_wide_field_with_high_bits_reads_as_minus_one():
+    w = BitWriter()
+    w.write(1 << 69 | 5, 70)  # a bit above the low 63
+    w.write(5, 70)
+    data = w.getvalue()
+    assert read_fields(data, [0, 70, 7], [70, 70, 63]).tolist() == [-1, 5, 5]
+
+
+def test_read_fields_past_the_data_names_the_field():
+    with pytest.raises(TruncatedStreamError) as err:
+        read_fields(bytes(2), [0, 8, 9], [8, 8, 8])
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 13, 32])
+def test_fields_at_every_offset(width):
+    data = bytes(random.Random(width).getrandbits(8) for _ in range(9))
+    fields = fields_at_every_offset(data, width)
+    assert len(fields) == 8 * len(data) - width + 1
+    for start, field in enumerate(fields.tolist()):
+        reader = BitReader(data)
+        reader.read(start)
+        assert field == reader.read(width)
+    with pytest.raises(ValueError):
+        fields_at_every_offset(data, 33)

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from compdeliv import ff_codec, fv_codec, info_measures, types_core
+from compdeliv.bitio import BitReader, BitWriter
 from compdeliv.cli import (
     EXIT_ALPHABET,
     EXIT_MALFORMED,
@@ -16,6 +19,9 @@ from compdeliv.cli import (
     parse_counts,
     parse_source,
 )
+from compdeliv.ff_codec import FFCodeConfig, ff_decode_x, ff_decode_y, ff_encode, make_code
+from compdeliv.fv_codec import fv_decode_x_stream, fv_decode_y_stream, fv_encode
+from compdeliv.types_core import Alphabet, Sequence
 
 
 def write_letters(path, letters):
@@ -37,6 +43,27 @@ def encode_file(mode, sample_files, tmp_path):
         ]
     ) == EXIT_OK
     return cw
+
+
+def encode_pair(tmp_path, x, y, n, mode, rate=None, kx=2, ky=2):
+    """Write x and y as letter files and encode them; returns the codeword file."""
+    paths = tmp_path / "x.bin", tmp_path / "y.bin"
+    for path, letters in zip(paths, (x, y)):
+        write_letters(path, letters)
+    cw = tmp_path / f"{mode}.cdlv"
+    argv = ["encode", "--mode", mode, "--n", str(n), "--kx", str(kx), "--ky", str(ky)]
+    argv += ["--rate", str(rate)] if rate is not None else []
+    assert main([*argv, "--input-x", str(paths[0]), "--input-y", str(paths[1]), "--out", str(cw)]) == EXIT_OK
+    return cw
+
+
+def decode_side(tmp_path, cw, side, side_letters):
+    """Decode one side of `cw` from the other side's letters; returns (exit code, output bytes)."""
+    info, out = tmp_path / "side.bin", tmp_path / "out.bin"
+    write_letters(info, side_letters)
+    out.unlink(missing_ok=True)
+    code = main(["decode", "--side", side, "--codeword", str(cw), "--side-info", str(info), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
 
 
 def header_with(data, **fields):
@@ -173,6 +200,25 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION
         assert str(cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_grid", 4), ("rates", "0.8"), ("trials", [10]), ("p_xy", [0.5, 0.5]), ("master_seed", True)],
+    )
+    def test_sweep_config_wrong_field_type_is_validation_error(self, field, value, tmp_path, capsys):
+        fields = {
+            "p_xy": [[0.25, 0.25], [0.25, 0.25]],
+            "n_grid": [4],
+            "rates": [1.0],
+            "trials": 10,
+            "master_seed": 1,
+        }
+        fields[field] = value
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(cfg) in err and field in err
+
     @pytest.mark.parametrize("missing", ["p_xy", "n_grid", "rates", "trials", "master_seed"])
     def test_sweep_config_missing_field_is_validation_error(self, missing, tmp_path, capsys):
         fields = {
@@ -299,11 +345,11 @@ class TestExitCodes:
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_alphabet_violation(self, tmp_path):
+    def test_alphabet_violation(self, tmp_path, capsys):
         x = tmp_path / "x.bin"
         y = tmp_path / "y.bin"
-        write_letters(x, [0, 1, 2, 0])  # letter 2 outside binary
-        write_letters(y, [0, 1, 0, 0])
+        write_letters(x, [0, 1, 2, 0, 3])  # letters 2 and 3 outside binary
+        write_letters(y, [0, 1, 0, 0, 1])
         code = main(
             [
                 "encode", "--mode", "fv", "--n", "4",
@@ -312,6 +358,7 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_ALPHABET
+        assert "letter 2 at byte 2" in capsys.readouterr().err
 
     def test_length_mismatch_is_malformed(self, tmp_path):
         x = tmp_path / "x.bin"
@@ -434,3 +481,161 @@ class TestCorruptedFiles:
                 )
                 assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_TRUNCATED), (bit, side, code)
         capsys.readouterr()
+
+
+class TestArrayCodec:
+    """The file codec against the per-block library path, bit for bit."""
+
+    @staticmethod
+    def scalar_files(mode, n, rate, kx, ky, x, y):
+        """(payload, decoded x, decoded y) of the per-block path: `FFCode.pack`
+        or `fv_encode` words through `BitWriter`, and the scalar decoders."""
+        ax, ay = Alphabet(kx), Alphabet(ky)
+        pad = [0] * (-len(x) % n)
+        blocks = [
+            (Sequence(tuple(bx), ax), Sequence(tuple(by), ay))
+            for bx, by in zip(*(np.reshape(list(s) + pad, (-1, n)).tolist() for s in (x, y)))
+        ]
+        w, out_x, out_y = BitWriter(), [], []
+        if mode == "ff":
+            cfg = FFCodeConfig(n, rate, ax, ay)
+            code = make_code(cfg)
+            for bx, by in blocks:
+                w.write(code.pack(ff_encode(cfg, bx, by)), code.codeword_width)
+            reader = BitReader(w.getvalue())
+            for bx, by in blocks:
+                cw = code.unpack(reader.read(code.codeword_width))
+                out_x += ff_decode_x(cfg, cw, by).letters
+                out_y += ff_decode_y(cfg, cw, bx).letters
+        else:
+            for bx, by in blocks:
+                cw = fv_encode(n, bx, by)
+                w.write(cw.value, cw.length)
+            rx, ry = BitReader(w.getvalue()), BitReader(w.getvalue())
+            for bx, by in blocks:
+                out_x += fv_decode_x_stream(n, rx, by, ax).letters
+                out_y += fv_decode_y_stream(n, ry, bx, ay).letters
+        return w.getvalue(), bytes(out_x[:len(x)]), bytes(out_y[:len(y)])
+
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    @pytest.mark.parametrize("n, kx, ky", [(1, 2, 2), (3, 2, 2), (8, 2, 2), (4, 3, 2)])
+    def test_files_match_the_per_block_path(self, mode, n, kx, ky, tmp_path, capsys):
+        rng = np.random.default_rng(10 * n + kx)
+        x = rng.integers(0, kx, size=203).tolist()  # no n > 1 here divides 203
+        y = [(a + (rng.random() < 0.25)) % ky for a in x]
+        rate = 0.5 if mode == "ff" else None
+        cw = encode_pair(tmp_path, x, y, n, mode, rate, kx, ky)
+        payload, want_x, want_y = self.scalar_files(mode, n, rate, kx, ky, x, y)
+        assert cw.read_bytes()[HEADER.size:] == payload
+        assert decode_side(tmp_path, cw, "x", y) == (EXIT_OK, want_x)
+        assert decode_side(tmp_path, cw, "y", x) == (EXIT_OK, want_y)
+        if mode == "fv":
+            assert (want_x, want_y) == (bytes(x), bytes(y))
+        elif n > 1:  # some blocks flagged, some not
+            assert 0 < want_x.count(0) < len(x) and "flagged" in capsys.readouterr().err
+
+    @staticmethod
+    def wide_pair():
+        """Five n=70 blocks, the last one short: FF(0.99) words are 83 bits,
+        with a 66-bit symbol field; block 2 is flagged."""
+        n, zeros = 70, [0] * 70
+        x, y = [], []
+        for bx, by in (
+            (zeros, zeros),
+            (zeros, [1 if i == 5 else 0 for i in range(n)]),
+            ([i % 2 for i in range(n)], [i // 2 % 2 for i in range(n)]),
+            ([1 if i == 3 else 0 for i in range(n)], [1 if i == 3 else 0 for i in range(n)]),
+            ([1 if i == 3 else 0 for i in range(n)], [1 if i == 7 else 0 for i in range(n)]),
+        ):
+            x += bx
+            y += by
+        return x[:-10], y[:-10]
+
+    def test_round_trip_with_words_wider_than_64_bits(self, tmp_path, capsys):
+        x, y = self.wide_pair()
+        code = make_code(FFCodeConfig(70, 0.99))
+        assert code.codeword_width >= 64 and code.symbol_width > 63
+        cw = encode_pair(tmp_path, x, y, 70, "ff", 0.99)
+        assert "1 block(s) flagged" in capsys.readouterr().err
+        payload, want_x, want_y = self.scalar_files("ff", 70, 0.99, 2, 2, x, y)
+        assert cw.read_bytes()[HEADER.size:] == payload
+        assert decode_side(tmp_path, cw, "x", y) == (EXIT_OK, want_x)
+        assert decode_side(tmp_path, cw, "y", x) == (EXIT_OK, want_y)
+        flagged = slice(140, 210)
+        assert want_x[flagged] == bytes(70) and want_x[:140] + want_x[210:] == bytes(x[:140] + x[210:])
+
+    @pytest.mark.parametrize("block", [0, 1, 3])
+    def test_wide_symbol_field_with_high_bits_is_malformed(self, block, tmp_path, capsys):
+        # The bit set lies above the symbol's low 63; read as its low bits,
+        # the symbol would still be valid.
+        x, y = self.wide_pair()
+        code = make_code(FFCodeConfig(70, 0.99))
+        cw = encode_pair(tmp_path, x, y, 70, "ff", 0.99)
+        data = bytearray(cw.read_bytes())
+        bit = block * code.codeword_width + 1 + code.type_width  # the symbol's first bit
+        data[HEADER.size + bit // 8] |= 0x80 >> (bit % 8)
+        cw.write_bytes(bytes(data))
+        capsys.readouterr()
+        for side, side_letters in (("x", y), ("y", x)):
+            assert decode_side(tmp_path, cw, side, side_letters)[0] == EXIT_MALFORMED
+            assert f"block {block}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    def test_decode_errors_name_the_first_failing_block(self, mode, tmp_path, capsys):
+        # Blocks 0 and 1 get side information of another type.  Block 0's
+        # type index is the larger one, so its group is decoded last.
+        x = [0] * 4 + [1] * 4 + [0, 1, 0, 1] * 3
+        rate = 1.0 if mode == "ff" else None
+        cw = encode_pair(tmp_path, x, x, 4, mode, rate)
+        wrong = [1, 0, 0, 0, 0, 1, 1, 1] + x[8:]
+        for side in ("x", "y"):
+            assert decode_side(tmp_path, cw, side, wrong)[0] == EXIT_MALFORMED
+            assert "block 0:" in capsys.readouterr().err
+        # A payload cut inside block 4: the last block fails, unless an
+        # earlier one does, as decoding block by block would find.
+        data = cw.read_bytes()
+        cw.write_bytes(data[:-1])
+        assert decode_side(tmp_path, cw, "x", x)[0] == EXIT_TRUNCATED
+        assert "block 4:" in capsys.readouterr().err
+        assert decode_side(tmp_path, cw, "x", wrong)[0] == EXIT_MALFORMED
+        assert "block 0:" in capsys.readouterr().err
+
+
+class TestResourceLimits:
+    """Oversize block lengths and alphabets are refused before any joint
+    type is enumerated."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("joint types enumerated")
+
+        for module in (types_core, info_measures, ff_codec, fv_codec):
+            monkeypatch.setattr(module, "enumerate_joint_types", refuse)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["--mode", "fv", "--n", "8", "--kx", "40"], "--kx"),
+            (["--mode", "ff", "--rate", "0.5", "--n", "8", "--ky", "300"], "--ky"),
+            (["--mode", "fv", "--n", "0"], "--n"),
+            (["--mode", "fv", "--n", "2", "--kx", "0"], "--kx"),
+            (["--mode", "fv", "--n", "70000", "--kx", "1", "--ky", "1"], "--n"),
+        ],
+    )
+    def test_encode_refuses_with_validation_error(self, args, field, sample_files, tmp_path, capsys):
+        x, y = sample_files
+        argv = ["encode", *args, "--input-x", str(x), "--input-y", str(y), "--out", str(tmp_path / "c.bin")]
+        assert main(argv) == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("kx", 40), ("kx", 300), ("kx", 0), ("ky", 0), ("n", 0)])
+    def test_decode_refuses_header_as_malformed(self, field, value, tmp_path, capsys):
+        data = (tmp_path / "c.bin")
+        data.write_bytes(header_with(HEADER.pack(MAGIC, 1, 1, 8, 2, 2, 8, 0.0, 0, 0), **{field: value}) + bytes(2))
+        write_letters(tmp_path / "y.bin", [0] * 8)
+        argv = ["decode", "--side", "x", "--codeword", str(data), "--side-info", str(tmp_path / "y.bin"),
+                "--out", str(tmp_path / "o.bin")]
+        assert main(argv) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert "header field" in err and field in err

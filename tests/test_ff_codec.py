@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from compdeliv.bitio import BitWriter, TruncatedStreamError
 from compdeliv.ff_codec import (
     CodewordRangeError,
     FFCodeConfig,
@@ -147,6 +148,48 @@ class TestBatch:
         for bad_x, bad_y in ((x + 2, y), (x, y + 2)):  # letters outside the alphabet
             with pytest.raises(ValueError):
                 ff_encode_batch(cfg, bad_x, bad_y)
+
+    def test_decode_error_names_the_first_failing_row(self):
+        # Rows decode grouped by type index; the error raised is the lowest
+        # failing row's, whichever group fails first.
+        cfg = FFCodeConfig(4, 1.0)
+        x = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 0, 1]], np.uint8)
+        flags, type_index, symbols = ff_encode_batch(cfg, x, x)
+        assert type_index[0] > type_index[1]
+        wrong = x.copy()
+        wrong[[0, 1], 0] ^= 1  # rows 0 and 1 get side information of another type
+        for side in ("x", "y"):
+            with pytest.raises(SideInfoMismatchError) as err:
+                ff_decode_batch(cfg, (flags, type_index, symbols), wrong, side)
+            assert err.value.row == 0
+        bad_index = type_index.copy()
+        bad_index[3] = len(make_code(cfg).region)
+        with pytest.raises(SideInfoMismatchError) as err:
+            ff_decode_batch(cfg, (flags, bad_index, symbols), wrong, "x")
+        assert err.value.row == 0
+        with pytest.raises(CodewordRangeError) as err:
+            ff_decode_batch(cfg, (flags, bad_index, symbols), x, "x")
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("n, rate, k", [(1, 0.5, 2), (4, 0.5, 2), (8, 0.8, 2), (4, 0.9, 3)])
+    def test_payload_is_the_packed_words(self, n, rate, k):
+        cfg = FFCodeConfig(n, rate, Alphabet(k), Alphabet(k))
+        code = make_code(cfg)
+        words = ff_encode_batch(cfg, _blocks(n, 50, n, k), _blocks(n + 1, 50, n, k))
+        w = BitWriter()
+        for flag, idx, symbol in zip(*(part.tolist() for part in words)):
+            w.write(code.pack(FFCodeword(idx, symbol, flag)), code.codeword_width)
+        payload = code.pack_words(words)
+        assert payload == w.getvalue()
+        read, end, error = code.read_words(payload, 50)
+        assert error is None and end == 50 * code.codeword_width
+        for got, want in zip(read, words):
+            assert got.tolist() == want.tolist()
+        read, end, error = code.read_words(payload[:-1 - code.codeword_width // 8], 50)
+        whole = len(read[0])
+        assert isinstance(error, TruncatedStreamError) and error.row == whole < 50
+        assert end == whole * code.codeword_width
+        assert read[2].tolist() == words[2][:whole].tolist()
 
 
 class TestSizing:

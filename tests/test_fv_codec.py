@@ -2,19 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from compdeliv.bitio import BitReader, BitWriter, TruncatedStreamError
+from compdeliv.coding_table import SideInfoMismatchError
 from compdeliv.ff_codec import FFCodeConfig, bit_width, exact_error_probability
 from compdeliv.fv_codec import (
     MalformedCodewordError,
     FVCodeword,
     expected_length,
+    fv_decode_batch,
     fv_decode_x,
     fv_decode_x_stream,
     fv_decode_y,
     fv_decode_y_stream,
     fv_encode,
+    fv_encode_batch,
     make_fv_code,
     overflow_probability,
     raw_pair_width,
@@ -30,6 +34,8 @@ from compdeliv.info_measures import (
 )
 from compdeliv.types_core import (
     BINARY,
+    Alphabet,
+    Sequence,
     enumerate_joint_types,
     joint_type_of,
 )
@@ -122,6 +128,57 @@ class TestDecode:
     def test_codeword_value_must_fit_its_length(self, value, length):
         with pytest.raises(ValueError):
             FVCodeword(value, length)
+
+
+class TestBatch:
+    """The array codec against the per-block one, bit for bit."""
+
+    @pytest.mark.parametrize("n, kx, ky", [(1, 2, 2), (3, 2, 2), (8, 2, 2), (4, 3, 2)])
+    def test_matches_scalar(self, n, kx, ky):
+        code = make_fv_code(n, Alphabet(kx), Alphabet(ky))
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, kx, size=(60, n), dtype=np.uint8)
+        y = ((x + (rng.random(x.shape) < 0.2)) % ky).astype(np.uint8)
+        words = fv_encode_batch(code, x, y)
+        payload = code.pack_words(words)
+        w = BitWriter()
+        for xi, yi in zip(x.tolist(), y.tolist()):
+            cw = fv_encode(n, Sequence(tuple(xi), code.ax), Sequence(tuple(yi), code.ay))
+            w.write(cw.value, cw.length)
+        assert payload == w.getvalue()
+        read, end, error = code.read_words(payload, len(x))
+        assert error is None and end == w.bit_length()
+        assert read[0].tolist() == words[0].tolist() and read[1].tolist() == words[1].tolist()
+        assert (fv_decode_batch(code, read, y, "x") == x).all()
+        assert (fv_decode_batch(code, read, x, "y") == y).all()
+
+    def test_framing_stops_at_the_first_word_it_cannot_frame(self):
+        code = make_fv_code(4)
+        x = np.array([[0, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 1]], np.uint8)
+        y = np.array([[0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1]], np.uint8)
+        words = fv_encode_batch(code, x, y)
+        payload = code.pack_words(words)
+        lengths = [code.header_width + code.symbol_widths[i] for i in words[0].tolist()]
+        read, end, error = code.read_words(payload[:(lengths[0] + lengths[1]) // 8], 3)
+        assert isinstance(error, TruncatedStreamError) and error.row == len(read[0])
+        assert end == sum(lengths[:len(read[0])])
+        bad = BitWriter()
+        bad.write(int(words[0][0]) << code.symbol_widths[int(words[0][0])] | int(words[1][0]), lengths[0])
+        bad.write(len(code.types), code.header_width)  # one past the last type index
+        read, end, error = code.read_words(bad.getvalue() + bytes(4), 3)
+        assert isinstance(error, MalformedCodewordError) and error.row == 1
+        assert (len(read[0]), end) == (1, lengths[0])
+
+    def test_decode_error_names_the_first_failing_row(self):
+        code = make_fv_code(4)
+        x = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1]], np.uint8)
+        words = fv_encode_batch(code, x, x)
+        assert words[0][0] > words[0][1]  # row 0's group decodes after row 1's
+        wrong = x.copy()
+        wrong[[0, 1], 0] ^= 1
+        with pytest.raises(SideInfoMismatchError) as err:
+            fv_decode_batch(code, words, wrong, "x")
+        assert err.value.row == 0
 
 
 class TestLengthStatistics:

@@ -9,7 +9,9 @@ import pytest
 from compdeliv.types_core import (
     _RANK_MAP_LIMIT,
     _class_letters,
+    _compositions,
     MAX_CLASS_SIZE,
+    MAX_JOINT_TYPE_COUNTS,
     Alphabet,
     BINARY,
     ClassSizeError,
@@ -21,6 +23,7 @@ from compdeliv.types_core import (
     class_ranks,
     enumerate_joint_types,
     group_rows,
+    joint_type_count,
     joint_type_of,
     multinomial,
     rank_in_type_class,
@@ -79,6 +82,28 @@ class TestEnumeration:
         flats = [jt.flat_counts() for jt in types]
         assert flats == sorted(flats)
         assert len(set(flats)) == len(flats)
+
+    @pytest.mark.parametrize("total, parts", [(0, 1), (3, 1), (0, 4), (5, 3), (4, 6), (7, 2)])
+    def test_compositions_match_recursive_enumeration(self, total, parts):
+        def recursive(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in recursive(total - first, parts - 1):
+                    yield (first,) + rest
+
+        assert list(_compositions(total, parts)) == list(recursive(total, parts))
+
+    @pytest.mark.parametrize("n, kx, ky", [(1, 1, 1), (5, 1, 1), (4, 2, 2), (3, 3, 2), (2, 4, 3)])
+    def test_joint_type_count_is_closed_form(self, n, kx, ky):
+        assert joint_type_count(n, kx, ky) == len(enumerate_joint_types(n, Alphabet(kx), Alphabet(ky)))
+
+    @pytest.mark.parametrize("n, kx, ky", [(8, 40, 2), (1, 256, 256), (115, 2, 2), (2 ** 16, 2, 3)])
+    def test_oversize_enumeration_refused_before_it_starts(self, n, kx, ky):
+        assert joint_type_count(n, kx, ky) * kx * ky > MAX_JOINT_TYPE_COUNTS
+        with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS"):
+            enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_pair_has_an_enumerated_type(self, n):
