@@ -19,19 +19,22 @@ of a file as arrays (`ff_encode_batch`, `fv_encode_batch` and the
 decoders beside them); the bytes are those of coding block by block.
 
 Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
-bytes), and the joint types of (n, kx, ky) within MAX_JOINT_TYPE_COUNTS.
+bytes), the joint types of (n, kx, ky) within MAX_JOINT_TYPE_COUNTS, and
+a rate finite and positive.
 
 Exit codes: 0 success, 2 validation error, 3 malformed file (including
 a header or payload the encoder cannot have written: an unknown mode,
-other widths, n, kx or ky out of the limits above, a byte or more after
-the last block, or nonzero padding), 4 alphabet violation, 5 truncated
-stream (in both modes).  A decode error names the first failing block.
+other widths, n, kx or ky out of the limits above, a rate that is not
+finite (or, in ff mode, not positive), a byte or more after the last
+block, or nonzero padding), 4 alphabet violation, 5 truncated stream (in
+both modes).  A decode error names the first failing block.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -48,7 +51,7 @@ from .info_measures import (
     error_exponent_outside,
 )
 from .coding_table import get_coding_table
-from .ff_codec import FFCodeConfig, ff_decode_batch, ff_encode_batch, make_code
+from .ff_codec import FFCodeConfig, check_rate, ff_decode_batch, ff_encode_batch, make_code
 from .fv_codec import fv_decode_batch, fv_encode_batch, make_fv_code
 from .bitio import TruncatedStreamError
 from .simulator import TrialPlan, run_plan
@@ -143,6 +146,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_exponent(args) -> int:
+    check_rate(args.rate, "--rate")
     p = parse_source(args.source)
     kinds = {
         "outside": error_exponent_outside,
@@ -237,6 +241,8 @@ def cmd_dump_table(args) -> int:
 def cmd_encode(args) -> int:
     n, kx, ky = args.n, args.kx, args.ky
     _check_size(n, kx, ky, EXIT_VALIDATION, "", ("--n", "--kx", "--ky"))
+    if args.rate is not None:
+        check_rate(args.rate, "--rate")
     letters_x = _read_letters(args.input_x, kx)
     letters_y = _read_letters(args.input_y, ky)
     if len(letters_x) != len(letters_y):
@@ -298,6 +304,12 @@ def cmd_decode(args) -> int:
     fields, payload = _read_header(args.codeword)
     _, _, mode, n, kx, ky, orig_len, rate, type_width, symbol_width = fields
     _check_size(n, kx, ky, EXIT_MALFORMED, f"{args.codeword}: header field ", ("n", "kx", "ky"))
+    if not math.isfinite(rate) or mode == MODE_FF and rate <= 0:
+        raise CliError(
+            f"{args.codeword}: header field rate is {rate}; the encoder writes a finite rate, "
+            "positive in ff mode",
+            EXIT_MALFORMED,
+        )
     ax, ay = Alphabet(kx), Alphabet(ky)
     # --side names the sequence reproduced; the side information is the other one.
     held = ay if args.side == "x" else ax

@@ -34,7 +34,7 @@ from .types_core import (
     Sequence,
     _as_keys,
     _class_letters,
-    rank_in_type_class,
+    _rank_letters,
     rank_rows,
     type_class_size,
     type_of,
@@ -371,11 +371,18 @@ def get_coding_table(jt: JointType) -> CodingTable:
     return edge_color(build_graph(jt))
 
 
+def encode_pair(t: CodingTable, x: Sequence, y: Sequence) -> int:
+    """The symbol of the cell (x, y), a pair of t's joint type (not checked)."""
+    x_q, y_q = t.jt.x_marginal(), t.jt.y_marginal()
+    return t.symbol_at(_rank_letters(x.letters, x_q.counts), _rank_letters(y.letters, y_q.counts))
+
+
 def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> Sequence:
     """Reproduce one sequence of a pair from the other one and the cell symbol.
 
     `side` names the sequence reproduced, as `decode --side` does: "x"
-    reads the column of side information y, "y" reads the row of x.
+    reads the column of side information y, "y" reads the row of x.  The
+    side information is counted once, for its type check and its rank.
     """
     if side == "x":
         held, lookup, other = t.jt.y_marginal(), t.row_for, t.jt.x_marginal()
@@ -385,7 +392,7 @@ def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> 
         raise ValueError(f"side must be 'x' or 'y', not {side!r}")
     if type_of(side_info) != held:
         raise SideInfoMismatchError("side information type does not match codeword")
-    return unrank_in_type_class(other, lookup(rank_in_type_class(side_info), symbol))
+    return unrank_in_type_class(other, lookup(_rank_letters(side_info.letters, held.counts), symbol))
 
 
 def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray, side: str) -> np.ndarray:
@@ -394,7 +401,7 @@ def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray,
     A failure raises what `decode_side` raises, with the first failing row
     as its `row`.
     """
-    x_counts, y_counts = tuple(map(sum, t.jt.counts)), tuple(map(sum, zip(*t.jt.counts)))
+    x_counts, y_counts = t.jt.x_marginal().counts, t.jt.y_marginal().counts
     if side == "x":
         held, lookup, other = y_counts, t.rows_for, x_counts
     elif side == "y":

@@ -33,14 +33,13 @@ from .types_core import (
     group_rows,
     joint_type_groups,
     joint_type_of,
-    rank_in_type_class,
     enumerate_joint_types,
     v_shell_size,
     w_shell_size,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
-from .coding_table import decode_side, decode_side_rows, get_coding_table
+from .coding_table import decode_side, decode_side_rows, encode_pair, get_coding_table
 from .coding_table import SideInfoMismatchError  # noqa: F401  (re-exported)
 
 
@@ -58,8 +57,13 @@ class FFCodeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        check_rate(self.rate)
+
+
+def check_rate(rate: float, name: str = "rate") -> None:
+    """Raise ValueError, naming the rate `name`, unless it is finite and positive."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"{name} is {rate}; it must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,7 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
     idx = code.index_of.get(jt)
     if idx is None:
         return FFCodeword(0, 0, True)
-    table = get_coding_table(jt)
-    symbol = table.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
-    return FFCodeword(idx, symbol, False)
+    return FFCodeword(idx, encode_pair(get_coding_table(jt), x, y), False)
 
 
 def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str) -> Sequence:

@@ -33,11 +33,10 @@ from .types_core import (
     enumerate_joint_types,
     joint_type_groups,
     joint_type_of,
-    rank_in_type_class,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
-from .coding_table import decode_side, get_coding_table
+from .coding_table import decode_side, encode_pair, get_coding_table
 from .ff_codec import (
     FFCodeConfig,
     _as_blocks,
@@ -160,10 +159,7 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
     width = code.symbol_width(jt)
-    symbol = 0
-    if width:
-        table = get_coding_table(jt)
-        symbol = table.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
+    symbol = encode_pair(get_coding_table(jt), x, y) if width else 0
     return FVCodeword(code.index_of[jt] << width | symbol, code.header_width + width)
 
 

@@ -34,6 +34,8 @@ class SourceSpec:
     def __post_init__(self):
         if not _is_rectangular(self.p_xy):
             raise ValueError("probabilities must be a nonempty rectangular matrix")
+        if not all(math.isfinite(p) for row in self.p_xy for p in row):
+            raise ValueError("probabilities must be finite")
         total = sum(sum(row) for row in self.p_xy)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")

@@ -30,7 +30,7 @@ from .info_measures import (
     error_sum_lower_bound,
     error_sum_upper_bound,
 )
-from .ff_codec import FFCodeConfig, exact_error_probability, ff_decode_batch, ff_encode_batch
+from .ff_codec import FFCodeConfig, check_rate, exact_error_probability, ff_decode_batch, ff_encode_batch
 from .fv_codec import make_fv_code, overflow_probability
 
 
@@ -51,6 +51,11 @@ class TrialPlan:
             raise ValueError("trials must be >= 1")
         if not self.n_grid or not self.rates:
             raise ValueError("grid must be nonempty")
+        for i, n in enumerate(self.n_grid):
+            if n < 1:
+                raise ValueError(f"n_grid[{i}] is {n}; every block length must be >= 1")
+        for i, rate in enumerate(self.rates):
+            check_rate(rate, f"rates[{i}]")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ for whole batches, and the scalar `rank_in_type_class`/
 `unrank_in_type_class` read maps memoized from it (small classes) or go
 through the row functions (larger ones).  A class is enumerated only up
 to MAX_CLASS_SIZE members.
+
+`type_of` and `joint_type_of` count a block in one pass and return the
+validated object of that count vector from a bounded cache, and a joint
+type's marginals are memoized, so coding one block builds no new type
+objects once its types have been seen.
 """
 
 from __future__ import annotations
@@ -82,11 +87,12 @@ class Sequence:
     alphabet: Alphabet
 
     def __post_init__(self):
-        if len(self.letters) < 1:
+        letters = self.letters
+        if len(letters) < 1:
             raise ValueError("sequence must be nonempty")
-        for c in self.letters:
-            if c not in self.alphabet:
-                raise ValueError(f"letter {c} outside alphabet of size {self.alphabet.size}")
+        if min(letters) < 0 or max(letters) >= self.alphabet.size:
+            bad = next(c for c in letters if c not in self.alphabet)
+            raise ValueError(f"letter {bad} outside alphabet of size {self.alphabet.size}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -104,7 +110,8 @@ class TypeVector:
     n: int
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        _check_block_length(self.n)
+        if min(self.counts, default=0) < 0:
             raise ValueError("negative count")
         if sum(self.counts) != self.n:
             raise ValueError("counts must sum to n")
@@ -115,6 +122,11 @@ class TypeVector:
 
     def empirical(self) -> tuple[float, ...]:
         return tuple(c / self.n for c in self.counts)
+
+
+def _check_block_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"block length n={n}: a type needs n >= 1")
 
 
 def _is_rectangular(rows) -> bool:
@@ -130,6 +142,7 @@ class JointType:
     n: int
 
     def __post_init__(self):
+        _check_block_length(self.n)
         if not _is_rectangular(self.counts):
             raise ValueError("joint counts must be a nonempty rectangular matrix")
         flat = list(chain.from_iterable(self.counts))
@@ -137,6 +150,12 @@ class JointType:
             raise ValueError("joint counts must sum to n")
         if min(flat) < 0:
             raise ValueError("negative count")
+        # Joint types key the region, table and marginal lookups of every
+        # coded block: hash the counts once.
+        object.__setattr__(self, "_hash", hash((self.counts, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_x(self) -> int:
@@ -147,11 +166,10 @@ class JointType:
         return len(self.counts[0])
 
     def x_marginal(self) -> TypeVector:
-        return TypeVector(tuple(sum(row) for row in self.counts), self.n)
+        return _marginals(self)[0]
 
     def y_marginal(self) -> TypeVector:
-        cols = tuple(sum(row[b] for row in self.counts) for b in range(self.num_y))
-        return TypeVector(cols, self.n)
+        return _marginals(self)[1]
 
     def empirical(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(c / self.n for c in row) for row in self.counts)
@@ -160,21 +178,47 @@ class JointType:
         return tuple(c for row in self.counts for c in row)
 
 
+# Most entries of each type cache below: every joint type of a binary
+# block up to n = 9.  An entry holds its counts twice, as key and as
+# object, about 16 B per count: 1 MB for one type over 256 x 256 letters.
+_TYPE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def _type_vector(counts: tuple[int, ...]) -> TypeVector:
+    return TypeVector(counts, sum(counts))
+
+
+@lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def _joint_type(flat: tuple[int, ...], ky: int) -> JointType:
+    """The joint type whose counts, row after row of ky, are `flat`."""
+    return JointType(tuple(flat[i:i + ky] for i in range(0, len(flat), ky)), sum(flat))
+
+
+@lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def _marginals(jt: JointType) -> tuple[TypeVector, TypeVector]:
+    return _type_vector(tuple(map(sum, jt.counts))), _type_vector(tuple(map(sum, zip(*jt.counts))))
+
+
 def type_of(x: Sequence) -> TypeVector:
+    """Letter counts of x: one pass over x, then a cached TypeVector."""
     counts = [0] * x.alphabet.size
     for c in x.letters:
         counts[c] += 1
-    return TypeVector(tuple(counts), len(x))
+    return _type_vector(tuple(counts))
 
 
 def joint_type_of(x: Sequence, y: Sequence) -> JointType:
-    """Joint empirical counts of (x, y); both sequences must share length."""
+    """Joint empirical counts of (x, y); both sequences must share length.
+
+    One pass over the pair, then a cached JointType."""
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
-    counts = [[0] * y.alphabet.size for _ in range(x.alphabet.size)]
+    ky = y.alphabet.size
+    counts = [0] * (x.alphabet.size * ky)
     for a, b in zip(x.letters, y.letters):
-        counts[a][b] += 1
-    return JointType(tuple(tuple(row) for row in counts), len(x))
+        counts[a * ky + b] += 1
+    return _joint_type(tuple(counts), ky)
 
 
 def _compositions(total: int, parts: int):
@@ -273,11 +317,15 @@ def _lex_maps(counts: tuple[int, ...]):
 
 def rank_in_type_class(x: Sequence) -> int:
     """Lexicographic rank of x within its type class."""
-    counts = type_of(x).counts
+    return _rank_letters(x.letters, type_of(x).counts)
+
+
+def _rank_letters(letters: tuple[int, ...], counts: tuple[int, ...]) -> int:
+    """Rank of `letters`, a member of the class `counts` (not checked)."""
     maps = _lex_maps(counts)
     if maps:
-        return maps[0][x.letters]
-    return int(rank_rows(np.array([x.letters]), counts)[0])
+        return maps[0][letters]
+    return int(rank_rows(np.array([letters]), counts)[0])
 
 
 def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
@@ -415,9 +463,5 @@ def group_rows(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
     """Row pairs (x[i], y[i]) grouped by joint type: (joint type, row indices) pairs."""
-    n = x.shape[1]
     groups = group_rows(row_counts(x.astype(np.intp) * ky + y, kx * ky))
-    return [
-        (JointType(tuple(flat[a * ky:(a + 1) * ky] for a in range(kx)), n), rows)
-        for flat, rows in groups
-    ]
+    return [(_joint_type(flat, ky), rows) for flat, rows in groups]

@@ -236,6 +236,10 @@ class TestSweep:
 
 
 class TestDumpTable:
+    def test_zero_block_length_is_a_validation_error(self, capsys):
+        assert main(["dump-table", "--n", "0", "--counts", "0,0;0,0"]) == EXIT_VALIDATION
+        assert "n=0" in capsys.readouterr().err
+
     def test_latin_rectangle_pattern(self, capsys):
         assert main(["dump-table", "--n", "4", "--counts", "1,1;1,1"]) == EXIT_OK
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
@@ -441,6 +445,52 @@ class TestExitCodes:
         assert (n, kx, ky, orig_len) == (4, 2, 2, 13)
         assert rate == 1.0
         assert tw > 0 and sw > 0
+
+
+class TestNonFiniteValues:
+    """NaN and infinite rates and probabilities are refused before any work."""
+
+    RATES = ["nan", "inf", "-inf", "0"]
+
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_encode_rate(self, mode, rate, sample_files, tmp_path, capsys):
+        x, y = sample_files
+        out = tmp_path / "c.bin"
+        argv = ["encode", "--mode", mode, "--n", "4", f"--rate={rate}", "--input-x", str(x), "--input-y", str(y)]
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert "--rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_exponent_rate(self, rate, capsys):
+        assert main(["exponent", "--source", "dsbs:0.11", "--n", "4", f"--rate={rate}"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--rate" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_sweep_rate(self, rate, capsys):
+        argv = ["sweep", "--source", "dsbs:0.11", "--n", "4", f"--rate=0.8,{rate}", "--trials", "10"]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "rates[1]" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_source_probability(self, bad, capsys):
+        assert main(["rate", "--source", f"[[{bad},0.5],[0.25,0.25]]"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("mode", ["ff", "fv"])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_decode_header_rate_is_malformed(self, mode, rate, sample_files, tmp_path, capsys):
+        x, y = sample_files
+        cw = encode_file(mode, sample_files, tmp_path)
+        cw.write_bytes(header_with(cw.read_bytes(), rate=rate))
+        code = main(["decode", "--side", "x", "--codeword", str(cw), "--side-info", str(y),
+                     "--out", str(tmp_path / "o.bin")])
+        assert code == EXIT_MALFORMED
+        assert "header field rate" in capsys.readouterr().err
 
 
 class TestCorruptedFiles:

@@ -1,5 +1,7 @@
 """Fixed-to-fixed codec: encoding, decoding, sizing, exact error probability."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,11 @@ class TestEncode:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             ff_encode(FFCodeConfig(4, 0.5), seq("001"), seq("010"))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FFCodeConfig(8, rate)
 
 
 class TestDecode:

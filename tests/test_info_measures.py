@@ -236,6 +236,11 @@ class TestSourceSpecValidation:
         with pytest.raises(ValueError):
             SourceSpec(((1.5, -0.5), (0.0, 0.0)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SourceSpec(((bad, 0.5), (0.25, 0.25)))
+
     def test_marginals(self):
         p = dsbs(0.11)
         assert p.x_marginal() == pytest.approx((0.5, 0.5))

@@ -1,0 +1,185 @@
+"""The per-block codec against the array one, and the cached type objects.
+
+`ff_encode`, `fv_encode` and the decoders code one block through cached
+joint types, memoized marginals and one count per block; the array codec
+groups whole batches.  Both must give the same words and the same letters.
+"""
+
+import numpy as np
+import pytest
+
+from compdeliv.bitio import BitReader
+from compdeliv.coding_table import SideInfoMismatchError, decode_side, encode_pair, get_coding_table
+from compdeliv.ff_codec import (
+    FFCodeConfig,
+    decode_rows,
+    encode_rows,
+    ff_decode_batch,
+    ff_decode_x,
+    ff_decode_y,
+    ff_encode,
+    ff_encode_batch,
+)
+from compdeliv.fv_codec import (
+    fv_decode_batch,
+    fv_decode_x,
+    fv_decode_x_stream,
+    fv_decode_y,
+    fv_decode_y_stream,
+    fv_encode,
+    fv_encode_batch,
+    make_fv_code,
+)
+from compdeliv.types_core import (
+    _RANK_MAP_LIMIT,
+    Alphabet,
+    JointType,
+    Sequence,
+    TypeVector,
+    joint_type_groups,
+    joint_type_of,
+    multinomial,
+    type_of,
+)
+from conftest import seq
+
+
+def _pairs(seed, m, n, kx, ky):
+    """m seeded (x, y) block pairs, y mostly following x, as arrays."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, kx, size=(m, n))
+    y = np.where(rng.random((m, n)) < 0.7, x % ky, rng.integers(0, ky, size=(m, n)))
+    return x, y
+
+
+def _sequences(letters, alphabet):
+    return [Sequence(tuple(row), alphabet) for row in letters.tolist()]
+
+
+def _reader(cw):
+    """A reader over the bits of one FV codeword."""
+    pad = -cw.length % 8
+    return BitReader((cw.value << pad).to_bytes((cw.length + pad) // 8, "big"), cw.length)
+
+
+# (n, kx, ky, FF rate): 3x2 letters at n=5 and 4x4 at n=4, each with
+# flagged and unflagged FF blocks.
+SHAPES = [(5, 3, 2, 0.8), (4, 4, 4, 0.8)]
+
+
+@pytest.mark.parametrize("n, kx, ky, rate", SHAPES)
+def test_ff_scalar_matches_batch(n, kx, ky, rate):
+    cfg = FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky))
+    x, y = _pairs(n * kx * ky, 200, n, kx, ky)
+    flags, type_index, symbols = ff_encode_batch(cfg, x, y)
+    assert flags.any() and not flags.all()
+    decoded_x = ff_decode_batch(cfg, (flags, type_index, symbols), y, "x")
+    decoded_y = ff_decode_batch(cfg, (flags, type_index, symbols), x, "y")
+    xs, ys = _sequences(x, cfg.ax), _sequences(y, cfg.ay)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        cw = ff_encode(cfg, xi, yi)
+        assert (cw.error_flag, cw.type_index, cw.symbol) == (flags[i], type_index[i], symbols[i])
+        assert ff_decode_x(cfg, cw, yi).letters == tuple(decoded_x[i].tolist())
+        assert ff_decode_y(cfg, cw, xi).letters == tuple(decoded_y[i].tolist())
+        if not cw.error_flag:
+            assert (decoded_x[i] == x[i]).all() and (decoded_y[i] == y[i]).all()
+
+
+@pytest.mark.parametrize("n, kx, ky, rate", SHAPES)
+def test_fv_scalar_matches_batch(n, kx, ky, rate):
+    code = make_fv_code(n, Alphabet(kx), Alphabet(ky))
+    x, y = _pairs(n * kx * ky + 1, 200, n, kx, ky)
+    type_index, symbols = fv_encode_batch(code, x, y)
+    assert (fv_decode_batch(code, (type_index, symbols), y, "x") == x).all()
+    assert (fv_decode_batch(code, (type_index, symbols), x, "y") == y).all()
+    for i, (xi, yi) in enumerate(zip(_sequences(x, code.ax), _sequences(y, code.ay))):
+        cw = fv_encode(n, xi, yi)
+        width = code.symbol_widths[type_index[i]]
+        assert (cw.value, cw.length) == (int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
+        # The stream decoders take the reproduced alphabet when it differs
+        # from the side information's.
+        assert fv_decode_x_stream(n, _reader(cw), yi, code.ax) == xi
+        assert fv_decode_y_stream(n, _reader(cw), xi, code.ay) == yi
+
+
+def test_300_letter_blocks_match_the_array_path():
+    # No code enumerates the joint types of 300 x 300 letters at n=3 (they
+    # exceed MAX_JOINT_TYPE_COUNTS), so the steps of ff_encode and the
+    # decoders past the code are compared: the joint type, the table
+    # symbol and both reproductions.
+    k, n = 300, 3
+    ax = Alphabet(k)
+    x, y = _pairs(300, 12, n, k, k)
+    groups = joint_type_groups(x, y, k, k)
+    types = [jt for jt, _ in groups]
+    found, type_index, symbols = encode_rows(x, y, ax, ax, groups, {jt: i for i, jt in enumerate(types)})
+    assert found.all()
+    rows = np.arange(len(x))
+    out_x, out_y = np.zeros_like(x), np.zeros_like(y)
+    decode_rows(types, type_index, symbols, y, "x", out_x, rows)
+    decode_rows(types, type_index, symbols, x, "y", out_y, rows)
+    assert (out_x == x).all() and (out_y == y).all()
+    for i, (xi, yi) in enumerate(zip(_sequences(x, ax), _sequences(y, ax))):
+        jt = joint_type_of(xi, yi)
+        assert jt == types[type_index[i]]
+        table = get_coding_table(jt)
+        symbol = encode_pair(table, xi, yi)
+        assert symbol == symbols[i]
+        assert decode_side(table, yi, symbol, "x") == xi and decode_side(table, xi, symbol, "y") == yi
+
+
+def test_class_above_the_rank_map_limit():
+    # x = y of type (10, 9): a one-symbol table over a class of 92,378
+    # members, ranked and unranked by searching the class.
+    jt = JointType(((10, 0), (0, 9)), 19)
+    assert multinomial(jt.x_marginal().counts) > _RANK_MAP_LIMIT
+    cfg = FFCodeConfig(19, 1.0)
+    rng = np.random.default_rng(19)
+    x = np.array([rng.permutation([0] * 10 + [1] * 9) for _ in range(20)])
+    words = ff_encode_batch(cfg, x, x)
+    decoded = ff_decode_batch(cfg, words, x, "x")
+    assert (decoded == x).all()
+    for i, xi in enumerate(_sequences(x, cfg.ax)):
+        cw = ff_encode(cfg, xi, xi)
+        assert (cw.error_flag, cw.type_index, cw.symbol) == (False, words[1][i], 0)
+        assert ff_decode_x(cfg, cw, xi) == xi and ff_decode_y(cfg, cw, xi) == xi
+    with pytest.raises(SideInfoMismatchError):
+        ff_decode_x(cfg, cw, seq([1] * 10 + [0] * 9))  # type (9, 10)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_side_information_of_another_type_is_refused(side):
+    x, y = seq("001122", 3), seq("010101")
+    cfg = FFCodeConfig(6, 2.0, Alphabet(3), Alphabet(2))
+    ff_cw = ff_encode(cfg, x, y)
+    assert not ff_cw.error_flag
+    wrong = seq("000011") if side == "x" else seq("001102", 3)
+    with pytest.raises(SideInfoMismatchError):
+        (ff_decode_x if side == "x" else ff_decode_y)(cfg, ff_cw, wrong)
+    x = seq("001101")
+    with pytest.raises(SideInfoMismatchError):
+        (fv_decode_x if side == "x" else fv_decode_y)(fv_encode(6, x, y), seq("000011"))
+    table = get_coding_table(joint_type_of(x, y))
+    held = Sequence((y if side == "x" else x).letters, Alphabet(3))  # the right letters, over 3
+    with pytest.raises(SideInfoMismatchError):
+        decode_side(table, held, encode_pair(table, x, y), side)
+
+
+@pytest.mark.parametrize("kx, ky", [(2, 2), (3, 2), (256, 256)])
+def test_cached_types_equal_and_hash_like_fresh_objects(kx, ky):
+    rng = np.random.default_rng(kx + ky)
+    for _ in range(20):
+        x = Sequence(tuple(rng.integers(0, kx, 6).tolist()), Alphabet(kx))
+        y = Sequence(tuple(rng.integers(0, ky, 6).tolist()), Alphabet(ky))
+        counts = [[0] * ky for _ in range(kx)]
+        for a, b in zip(x.letters, y.letters):
+            counts[a][b] += 1
+        fresh = JointType(tuple(map(tuple, counts)), 6)
+        jt = joint_type_of(x, y)
+        assert jt == fresh and hash(jt) == hash(fresh)
+        assert joint_type_of(x, y) is jt  # cached
+        x_counts = tuple(map(sum, counts))
+        y_counts = tuple(sum(row[b] for row in counts) for b in range(ky))
+        for got, want in ((jt.x_marginal(), x_counts), (jt.y_marginal(), y_counts),
+                          (fresh.x_marginal(), x_counts), (type_of(x), tuple(map(x.letters.count, range(kx))))):
+            assert got == TypeVector(want, 6) and hash(got) == hash(TypeVector(want, 6))

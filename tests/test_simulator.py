@@ -72,6 +72,16 @@ class TestTrialPlanValidation:
         with pytest.raises(ValueError):
             TrialPlan(dsbs(0.11), (), (0.8,), 10, 1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match=r"rates\[1\]"):
+            TrialPlan(dsbs(0.11), (4,), (0.8, rate), 10, 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_a_block_length_below_one(self, n):
+        with pytest.raises(ValueError, match=r"n_grid\[1\]"):
+            TrialPlan(dsbs(0.11), (4, n), (0.8,), 10, 1)
+
 
 @pytest.fixture(scope="module")
 def small_report():

@@ -308,3 +308,15 @@ class TestValidation:
     def test_alphabet_positive(self):
         with pytest.raises(ValueError):
             Alphabet(0)
+
+    @pytest.mark.parametrize("letters, bad", [((0, 1, 5, 7), 5), ((1, -1, 9), -1), ((2,), 2)])
+    def test_sequence_names_the_first_letter_outside(self, letters, bad):
+        with pytest.raises(ValueError, match=f"^letter {bad} outside alphabet of size 2$"):
+            Sequence(letters, BINARY)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_types_need_a_positive_block_length(self, n):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            JointType(((0, 0), (0, 0)), n)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            TypeVector((0, 0), n)
