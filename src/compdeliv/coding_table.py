@@ -12,16 +12,16 @@ right endpoint of the conflicted edge, so two independent builds of the
 same joint type produce identical tables.  Encoder and decoder therefore
 rebuild tables locally and never exchange them.
 
-Tables live in flat 32-bit integer buffers, not per-cell Python objects:
+A table is its two flat 32-bit slot buffers, not per-cell Python objects:
 `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` hold
-the other end of the cell carrying symbol s, or -1 for a hole.
+the other end of the cell carrying symbol s, or -1 for a hole: the
+coloring and its inverse, which the recoloring chains walk from both sides.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,9 +46,10 @@ from .types_core import (
 
 # Largest table, in allocated lookup slots ((rows + columns) x symbols),
 # built without an explicit override.  A table costs 4 B per slot plus
-# 12 B per marked cell; slots are at least twice the cells, so
-# a table at this budget takes at most 640 MB.  Measured: about 20 B per
-# cell on a balanced table, 29 B per cell over the whole n=10 codebook.
+# 4 B per marked cell (its graph's edge columns); slots are at least twice
+# the cells, so a table at this budget takes at most about 384 MB.
+# Measured: 12 B per cell on a balanced table, 21 B per cell over the
+# whole n=10 codebook.
 # The per-cell dicts these buffers replaced cost about 320 B per cell,
 # about 21 GB at this budget.  Both classes of a table within it are
 # small enough to enumerate.
@@ -56,6 +57,9 @@ DEFAULT_CELL_BUDGET = MAX_CLASS_SIZE
 
 # Buffers hold 32-bit ranks; every stored value is below the slot count.
 _MAX_SLOTS = 2 ** 31 - 1
+
+# Most slots `symbols_at` compares at once.
+_SLICE_SLOTS = 2 ** 20
 
 
 class TableBudgetError(ResourceWarning, ValueError):
@@ -111,10 +115,6 @@ class BipartiteTypeGraph:
     right_degree: int
     edges: TypeEdges | tuple[tuple[int, int], ...]
 
-    @property
-    def n(self) -> int:
-        return self.jt.n
-
 
 def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> BipartiteTypeGraph:
     """Materialize the type class as rank-indexed edges, lex sorted.
@@ -132,10 +132,11 @@ def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> Bipart
     if slots > limit:
         raise TableBudgetError(
             f"joint type {jt.counts} at n={jt.n} needs {slots} table slots for {cells} "
-            f"cells, about {(4 * slots + 12 * cells) / 2 ** 20:.0f} MB (> budget {limit} slots)"
+            f"cells, about {(4 * slots + 4 * cells) / 2 ** 20:.0f} MB (> budget {limit} slots)"
         )
-    edges = TypeEdges(_int_array(_shell_columns(jt)), left_degree)
-    return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, edges)
+    cols = array("i", [0]) * cells  # sized exactly; frombytes would over-allocate
+    np.frombuffer(cols, np.int32)[:] = _shell_columns(jt).ravel()
+    return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, TypeEdges(cols, left_degree))
 
 
 def _shell_columns(jt: JointType) -> np.ndarray:
@@ -165,25 +166,13 @@ def _shell_columns(jt: JointType) -> np.ndarray:
     return cols
 
 
-def _int_array(values: np.ndarray) -> array:
-    """A numpy integer array as a flat array('i'), whose items read as Python ints."""
-    out = _zeros(values.size)
-    np.frombuffer(out, np.int32)[:] = values.ravel()
-    return out
-
-
-def _zeros(size: int) -> array:
-    return array("i", [0]) * size  # sized exactly; frombytes would over-allocate
-
-
 @dataclass(frozen=True)
 class CodingTable:
-    """Edge-colored table over flat 32-bit buffers.
+    """Edge-colored table over two flat 32-bit slot buffers.
 
     `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
-    the other end of the cell carrying symbol s, -1 for a hole.  Row i's
-    cells by ascending column are `sorted_cols[k]`/`sorted_syms[k]` for k in
-    `row_start[i]:row_start[i + 1]`.  Lookups return Python ints; the
+    the other end of the cell carrying symbol s, -1 for a hole, so a cell's
+    symbol is its slot number in its row.  Lookups return Python ints; the
     plural lookups take and return numpy arrays, one element per lookup,
     and raise what the scalar ones raise if any element fails, with the
     first failing element as its `row`.
@@ -193,20 +182,17 @@ class CodingTable:
     num_symbols: int
     col_of: array
     row_of: array
-    row_start: array
-    sorted_cols: array
-    sorted_syms: array
 
     @property
     def jt(self) -> JointType:
         return self.graph.jt
 
     def symbol_at(self, row: int, col: int) -> int:
-        lo, hi = self.row_start[row], self.row_start[row + 1]
-        k = bisect_left(self.sorted_cols, col, lo, hi)
-        if k == hi or self.sorted_cols[k] != col:
-            raise PairTypeMismatchError(f"no marked cell at row {row}, column {col}")
-        return self.sorted_syms[k]
+        start = row * self.num_symbols
+        try:
+            return self.col_of.index(col, start, start + self.num_symbols) - start
+        except ValueError:
+            raise PairTypeMismatchError(f"no marked cell at row {row}, column {col}") from None
 
     def row_for(self, col: int, symbol: int) -> int:
         if 0 <= symbol < self.num_symbols:
@@ -223,23 +209,24 @@ class CodingTable:
         raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}")
 
     def symbols_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Vector `symbol_at`.
+        """Vector `symbol_at`: each row's slots compared with its column.
 
-        Cells sorted by row, then column, have ascending keys
-        row * right_size + column, so one search over the table's keys finds
-        every cell.
+        Rows are taken in slices of at most `_SLICE_SLOTS` slots, so the
+        comparison's temporaries stay bounded on long batches.
         """
-        width = self.graph.right_size
-        start = np.frombuffer(self.row_start, np.int32)
-        keys = np.repeat(np.arange(self.graph.left_size, dtype=np.int64) * width, np.diff(start))
-        keys += np.frombuffer(self.sorted_cols, np.int32)
-        wanted = np.asarray(rows, np.int64) * width + cols
-        k = np.searchsorted(keys, wanted)
-        missing = keys[np.minimum(k, len(keys) - 1)] != wanted
-        if missing.any():
-            i = int(np.argmax(missing))
-            raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}", i)
-        return np.frombuffer(self.sorted_syms, np.int32)[k]
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        slots = np.frombuffer(self.col_of, np.int32).reshape(-1, self.num_symbols)
+        out = np.empty(len(rows), np.int64)
+        step = max(1, _SLICE_SLOTS // self.num_symbols)
+        for lo in range(0, len(rows), step):
+            r, c = rows[lo:lo + step], cols[lo:lo + step]
+            symbols = (slots[r] == c[:, None]).argmax(axis=1)
+            missing = slots[r, symbols] != c
+            if missing.any():
+                i = lo + int(np.argmax(missing))
+                raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}", i)
+            out[lo:lo + step] = symbols
+        return out
 
     def rows_for(self, cols: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """Vector `row_for`."""
@@ -251,11 +238,12 @@ class CodingTable:
 
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
-        start, cols, syms = self.row_start, self.sorted_cols, self.sorted_syms
+        delta = self.num_symbols
         for i in range(self.graph.left_size):
             cells = [""] * self.graph.right_size
-            for k in range(start[i], start[i + 1]):
-                cells[cols[k]] = str(syms[k])
+            for s, j in enumerate(self.col_of[i * delta:(i + 1) * delta]):
+                if j >= 0:
+                    cells[j] = str(s)
             stream.write(",".join(cells) + "\n")
 
 
@@ -307,7 +295,7 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
         col_of[i * delta + s] = j
         row_of[j * delta + s] = i
 
-    return CodingTable(g, delta, col_of, row_of, *_row_cells(col_of, g.left_size, delta))
+    return CodingTable(g, delta, col_of, row_of)
 
 
 def _flip_chain(col_of, row_of, left_used, right_used, delta: int, col: int, a: int, b: int):
@@ -335,34 +323,6 @@ def _flip_chain(col_of, row_of, left_used, right_used, delta: int, col: int, a: 
             left_used[row] ^= ab
             return
         col = nxt
-
-
-def _row_cells(col_of: array, rows: int, delta: int) -> tuple[array, array, array]:
-    """(row_start, sorted_cols, sorted_syms): each row's cells by ascending column.
-
-    Each slot packs into one int64 key col * delta + symbol (holes last),
-    so one in-place sort per row orders a row's cells by column.
-    """
-    hole = np.iinfo(np.int64).max
-    slots = np.frombuffer(col_of, np.int32).reshape(rows, delta)
-    holes = slots < 0
-    degrees = delta - holes.sum(axis=1)
-    keys = slots.astype(np.int64)
-    keys *= delta
-    keys += np.arange(delta)
-    keys[holes] = hole
-    del holes
-    keys.sort(axis=1)
-    width = int(degrees.max(initial=0))
-    kept = keys[:, :width]
-    if (degrees != width).any():  # rows of unequal degree: drop their holes
-        kept = kept[kept != hole]
-    start = np.zeros(rows + 1, np.int64)
-    np.cumsum(degrees, out=start[1:])
-    cols, syms = _zeros(kept.size), _zeros(kept.size)
-    np.floor_divide(kept, delta, out=np.frombuffer(cols, np.int32).reshape(kept.shape))
-    np.remainder(kept, delta, out=np.frombuffer(syms, np.int32).reshape(kept.shape))
-    return _int_array(start), cols, syms
 
 
 @lru_cache(maxsize=None)

@@ -196,18 +196,16 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     return out
 
 
-def _fv_decode_stream(
-    n: int, reader: BitReader, side_info: Sequence, side: str, other: Alphabet | None
-) -> Sequence:
+def _decode_word(n: int, read, side_info: Sequence, side: str, other: Alphabet | None) -> Sequence:
+    """Reproduce the `side` sequence from one codeword whose fields
+    `read(width)` returns in order, header first."""
     held = side_info.alphabet
     ax, ay = (other or held, held) if side == "x" else (held, other or held)
     code = make_fv_code(n, ax, ay)
-    idx = reader.read(code.header_width)
+    idx = read(code.header_width)
     if idx >= len(code.types):
         raise MalformedCodewordError(f"type index {idx} out of range")
-    jt = code.types[idx]
-    symbol = reader.read(code.symbol_width(jt))
-    return decode_side(get_coding_table(jt), side_info, symbol, side)
+    return decode_side(get_coding_table(code.types[idx]), side_info, read(code.symbol_widths[idx]), side)
 
 
 def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | None = None) -> Sequence:
@@ -218,34 +216,41 @@ def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | No
     x-alphabet defaults to the side information's alphabet; pass `ax`
     when the two differ.
     """
-    return _fv_decode_stream(n, reader, y, "x", ax)
+    return _decode_word(n, reader.read, y, "x", ax)
 
 
 def fv_decode_y_stream(n: int, reader: BitReader, x: Sequence, ay: Alphabet | None = None) -> Sequence:
     """Decode the next codeword of a concatenated stream; returns y."""
-    return _fv_decode_stream(n, reader, x, "y", ay)
+    return _decode_word(n, reader.read, x, "y", ay)
 
 
-def _fv_decode(decode_stream, cw: FVCodeword, side_info: Sequence) -> Sequence:
-    pad = -cw.length % 8
-    reader = BitReader((cw.value << pad).to_bytes((cw.length + pad) // 8, "big"), cw.length)
-    try:
-        out = decode_stream(len(side_info), reader, side_info)
-    except TruncatedStreamError as exc:
-        raise MalformedCodewordError("codeword ends inside a field") from exc
-    if reader.remaining:
+def _fv_decode(cw: FVCodeword, side_info: Sequence, side: str, other: Alphabet | None) -> Sequence:
+    rest = cw.length  # bits of the word not yet read
+
+    def read(width: int) -> int:
+        nonlocal rest
+        rest -= width
+        if rest < 0:
+            raise MalformedCodewordError("codeword ends inside a field")
+        return (cw.value >> rest) & ((1 << width) - 1)
+
+    out = _decode_word(len(side_info), read, side_info, side, other)
+    if rest:
         raise MalformedCodewordError("trailing bits after codeword")
     return out
 
 
-def fv_decode_x(cw: FVCodeword, y: Sequence) -> Sequence:
-    """Exact reproduction of x from the codeword and side information y."""
-    return _fv_decode(fv_decode_x_stream, cw, y)
+def fv_decode_x(cw: FVCodeword, y: Sequence, ax: Alphabet | None = None) -> Sequence:
+    """Exact reproduction of x from the codeword and side information y.
+
+    The x-alphabet defaults to y's alphabet; pass `ax` when the two differ.
+    """
+    return _fv_decode(cw, y, "x", ax)
 
 
-def fv_decode_y(cw: FVCodeword, x: Sequence) -> Sequence:
+def fv_decode_y(cw: FVCodeword, x: Sequence, ay: Alphabet | None = None) -> Sequence:
     """Exact reproduction of y from the codeword and side information x."""
-    return _fv_decode(fv_decode_y_stream, cw, x)
+    return _fv_decode(cw, x, "y", ay)
 
 
 def expected_length(n: int, p: SourceSpec) -> float:

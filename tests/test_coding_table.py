@@ -1,12 +1,16 @@
 """Coding-table construction: bipartite graphs and optimal edge coloring."""
 
+import dataclasses
 import io
+from array import array
 
 import numpy as np
 import pytest
 
+from compdeliv import coding_table
 from compdeliv.coding_table import (
     BipartiteTypeGraph,
+    CodingTable,
     PairTypeMismatchError,
     SideInfoMismatchError,
     SymbolNotFoundError,
@@ -19,6 +23,7 @@ from compdeliv.coding_table import (
 from compdeliv.ff_codec import bit_width
 from compdeliv.types_core import (
     BINARY,
+    Alphabet,
     JointType,
     enumerate_joint_types,
     joint_type_of,
@@ -273,6 +278,53 @@ class TestLookups:
             assert (t.cols_for(rows, syms) == cols).all()
 
 
+class TestSlotBuffers:
+    """A table is its two slot buffers: a cell's symbol is its slot in its row."""
+
+    @pytest.mark.parametrize(
+        "n, kx, ky", [(n, 2, 2) for n in range(1, 9)] + [(n, 3, 2) for n in range(1, 6)]
+    )
+    def test_lookups_agree_with_the_slots_on_every_cell(self, n, kx, ky):
+        for jt in enumerate_joint_types(n, Alphabet(kx), Alphabet(ky)):
+            t = get_coding_table(jt)
+            delta = t.num_symbols
+            rows, cols = np.array(list(t.graph.edges)).reshape(-1, 2).T
+            syms = [t.symbol_at(i, j) for i, j in t.graph.edges]
+            assert t.symbols_at(rows, cols).tolist() == syms
+            for i, j, s in zip(rows.tolist(), cols.tolist(), syms):
+                assert t.col_of[i * delta + s] == j and t.row_of[j * delta + s] == i
+                assert t.row_for(j, s) == i and t.col_for(i, s) == j
+            assert (t.rows_for(cols, syms) == rows).all() and (t.cols_for(rows, syms) == cols).all()
+            assert sum(c >= 0 for c in t.col_of) == sum(r >= 0 for r in t.row_of) == len(t.graph.edges)
+
+    @pytest.mark.parametrize("slice_slots", [1, 50, 1000])
+    def test_sliced_batch_matches_scalar(self, monkeypatch, slice_slots):
+        t = get_coding_table(JointType(((2, 2), (2, 2)), 8))
+        monkeypatch.setattr(coding_table, "_SLICE_SLOTS", slice_slots)
+        rows, cols = np.array(list(t.graph.edges)).T
+        order = np.random.default_rng(5).permutation(len(rows))
+        rows, cols = rows[order], cols[order]
+        step = max(1, slice_slots // t.num_symbols)
+        assert len(rows) > 3 * step  # the batch spans several slices
+        syms = t.symbols_at(rows, cols)
+        assert syms.tolist() == [t.symbol_at(i, j) for i, j in zip(rows.tolist(), cols.tolist())]
+        bad, delta = len(rows) - 2, t.num_symbols  # a cell in the last slice
+        marked = set(t.col_of[rows[bad] * delta:(rows[bad] + 1) * delta])
+        cols[bad] = unmarked = next(c for c in range(t.graph.right_size) if c not in marked)
+        with pytest.raises(PairTypeMismatchError, match=f"row {rows[bad]}, column {unmarked}") as info:
+            t.symbols_at(rows, cols)
+        assert info.value.row == bad
+
+    def test_buffers_total_four_bytes_per_slot(self):
+        assert [f.name for f in dataclasses.fields(CodingTable)] == ["graph", "num_symbols", "col_of", "row_of"]
+        for jt in enumerate_joint_types(6, BINARY, BINARY):
+            t = get_coding_table(jt)
+            g = t.graph
+            buffers = [v for v in vars(t).values() if isinstance(v, array)]
+            total = sum(b.itemsize * len(b) for b in buffers)
+            assert total == 4 * (g.left_size + g.right_size) * t.num_symbols
+
+
 class TestDump:
     def test_csv_shape_and_properness(self):
         t = get_coding_table(JointType(((1, 1), (1, 1)), 4))
@@ -286,3 +338,4 @@ class TestDump:
         for r in rows:
             syms = [c for c in r if c]
             assert len(syms) == len(set(syms))
+        assert all(rows[i][j] == str(t.symbol_at(i, j)) for i, j in t.graph.edges)

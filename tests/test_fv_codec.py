@@ -116,13 +116,25 @@ class TestDecode:
 
     def test_truncated_codeword_rejected(self):
         cw = fv_encode(4, seq("0011"), seq("0101"))
-        with pytest.raises(MalformedCodewordError):
+        with pytest.raises(MalformedCodewordError, match="codeword ends inside a field"):
             fv_decode_x(FVCodeword(cw.value >> 1, cw.length - 1), seq("0101"))
 
     def test_trailing_bits_rejected(self):
         cw = fv_encode(4, seq("0011"), seq("0101"))
-        with pytest.raises(MalformedCodewordError):
+        with pytest.raises(MalformedCodewordError, match="trailing bits after codeword"):
             fv_decode_x(FVCodeword(cw.value << 1, cw.length + 1), seq("0101"))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(-1, "codeword ends inside a field"), (0, "out of range"), (3, "out of range")],
+    )
+    def test_type_index_checked_before_the_symbol_field(self, extra, message):
+        code = make_fv_code(4)
+        width = code.header_width
+        assert len(code.types) < 1 << width
+        top = (1 << width) - 1  # an index past the last joint type
+        with pytest.raises(MalformedCodewordError, match=message):
+            fv_decode_y(FVCodeword(top >> -extra if extra < 0 else top << extra, width + extra), seq("0101"))
 
     @pytest.mark.parametrize("value, length", [(4, 2), (-1, 2), (1, 0)])
     def test_codeword_value_must_fit_its_length(self, value, length):

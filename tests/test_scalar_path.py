@@ -96,10 +96,12 @@ def test_fv_scalar_matches_batch(n, kx, ky, rate):
         cw = fv_encode(n, xi, yi)
         width = code.symbol_widths[type_index[i]]
         assert (cw.value, cw.length) == (int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
-        # The stream decoders take the reproduced alphabet when it differs
-        # from the side information's.
+        # The decoders take the reproduced alphabet when it differs from
+        # the side information's.
         assert fv_decode_x_stream(n, _reader(cw), yi, code.ax) == xi
         assert fv_decode_y_stream(n, _reader(cw), xi, code.ay) == yi
+        assert fv_decode_x(cw, yi, code.ax) == xi
+        assert fv_decode_y(cw, xi, code.ay) == yi
 
 
 def test_300_letter_blocks_match_the_array_path():
