@@ -22,7 +22,9 @@ Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
 bytes), the joint types of (n, kx, ky) within MAX_JOINT_TYPE_COUNTS, and
 a rate finite and positive.
 
-Exit codes: 0 success, 2 validation error, 3 malformed file (including
+Exit codes: 0 success, 2 validation error (including an --out that
+cannot be written and a --source or input file that cannot be read,
+each named), 3 malformed file (including
 a header or payload the encoder cannot have written: an unknown mode,
 other widths, n, kx or ky out of the limits above, a rate that is not
 finite (or, in ff mode, not positive), a byte or more after the last
@@ -37,6 +39,7 @@ import json
 import math
 import struct
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +85,10 @@ def parse_source(text: str) -> SourceSpec:
     if text.lstrip().startswith("["):
         raw = json.loads(text)
     else:
-        path = Path(text)
-        if not path.exists():
-            raise CliError(f"source file not found: {text}")
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(Path(text).read_text())
+        except OSError as exc:
+            raise CliError(f"cannot read source file {text}: {exc}") from exc
     try:
         return SourceSpec(tuple(tuple(float(v) for v in row) for row in raw))
     except (TypeError, ValueError) as exc:
@@ -116,6 +119,19 @@ def _read_letters(path: str, k: int) -> np.ndarray:
             f"{path}: letter {letters[at]} at byte {at} outside alphabet of size {k}", EXIT_ALPHABET
         )
     return letters
+
+
+@contextmanager
+def _output(path: str | None, mode: str = "w"):
+    """Every command's output: `path` opened in `mode`, or stdout; an OSError there exits 2."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, mode) as f:
+            yield f
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _pad_blocks(letters: np.ndarray, n: int) -> np.ndarray:
@@ -219,22 +235,15 @@ def cmd_sweep(args) -> int:
             master_seed=args.seed,
         )
     report = run_plan(plan)
-    out = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
+    with _output(args.out) as f:
+        f.write(report.to_json() if args.format == "json" else report.to_csv())
     return EXIT_OK
 
 
 def cmd_dump_table(args) -> int:
-    jt = parse_counts(args.counts, args.n)
-    table = get_coding_table(jt)
-    if args.out:
-        with open(args.out, "w") as f:
-            table.dump_csv(f)
-    else:
-        table.dump_csv(sys.stdout)
+    table = get_coding_table(parse_counts(args.counts, args.n))
+    with _output(args.out) as f:
+        table.dump_csv(f)
     return EXIT_OK
 
 
@@ -274,7 +283,8 @@ def cmd_encode(args) -> int:
         type_width,
         symbol_width,
     )
-    Path(args.out).write_bytes(header + code.pack_words(words))
+    with _output(args.out, "wb") as f:
+        f.write(header + code.pack_words(words))
     if flagged:
         print(f"{flagged} block(s) flagged as encoding errors", file=sys.stderr)
     return EXIT_OK
@@ -341,7 +351,8 @@ def cmd_decode(args) -> int:
         raise CliError(f"malformed codeword stream: {_located(exc)}", EXIT_MALFORMED) from exc
     if len(payload) != -(-end // 8) or payload and payload[-1] & (0xFF >> (end % 8 or 8)):
         raise CliError(f"{args.codeword}: data after the last codeword", EXIT_MALFORMED)
-    Path(args.out).write_bytes(out.tobytes()[:orig_len])
+    with _output(args.out, "wb") as f:
+        f.write(out.tobytes()[:orig_len])
     if flagged:
         print(f"{flagged} flagged block(s): output there is a fallback", file=sys.stderr)
     return EXIT_OK

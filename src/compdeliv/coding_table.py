@@ -16,6 +16,11 @@ A table is its two flat 32-bit slot buffers, not per-cell Python objects:
 `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` hold
 the other end of the cell carrying symbol s, or -1 for a hole: the
 coloring and its inverse, which the recoloring chains walk from both sides.
+
+Every encoder maps a pair to its symbol through `encode_pair` or its
+array twin `encode_pairs`, ranking in the joint type's marginal classes.
+A joint type of one symbol codes every pair as 0, and no encoder builds
+its table (the decoders do).
 """
 
 from __future__ import annotations
@@ -331,10 +336,32 @@ def get_coding_table(jt: JointType) -> CodingTable:
     return edge_color(build_graph(jt))
 
 
-def encode_pair(t: CodingTable, x: Sequence, y: Sequence) -> int:
-    """The symbol of the cell (x, y), a pair of t's joint type (not checked)."""
-    x_q, y_q = t.jt.x_marginal(), t.jt.y_marginal()
+@lru_cache(maxsize=None)
+def num_symbols_of(jt: JointType) -> int:
+    """Symbols a table for jt uses: its maximum degree, in closed form."""
+    return max(v_shell_size(jt), w_shell_size(jt))
+
+
+def encode_pair(jt: JointType, x: Sequence, y: Sequence) -> int:
+    """The symbol of the cell (x, y), a pair of joint type jt (not checked):
+    0 for a type of one symbol, for which no table is built.  Otherwise the
+    table, and with it its budget check, comes before the ranks."""
+    if num_symbols_of(jt) == 1:
+        return 0
+    t = get_coding_table(jt)
+    x_q, y_q = t.jt.x_marginal(), t.jt.y_marginal()  # t.jt keys the marginal cache, so no __eq__ on lookup
     return t.symbol_at(_rank_letters(x.letters, x_q.counts), _rank_letters(y.letters, y_q.counts))
+
+
+def held_and_decoded(side: str, x, y) -> tuple:
+    """(held, decoded) for a decode of `side`: of an x value and a y value,
+    the side information's and the reproduced sequence's.  Raises the
+    ValueError of `decode_side` for a side other than "x" and "y"."""
+    if side == "x":
+        return y, x
+    if side == "y":
+        return x, y
+    raise ValueError(f"side must be 'x' or 'y', not {side!r}")
 
 
 def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> Sequence:
@@ -355,21 +382,24 @@ def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> 
     return unrank_in_type_class(other, lookup(_rank_letters(side_info.letters, held.counts), symbol))
 
 
+def encode_pairs(jt: JointType, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Vector `encode_pair`: the symbol of every row pair of two (m, n)
+    letter arrays of joint type jt, built and ranked in the same order."""
+    if num_symbols_of(jt) == 1:
+        return np.zeros(len(x), np.int64)
+    t = get_coding_table(jt)
+    return t.symbols_at(rank_rows(x, jt.x_marginal().counts), rank_rows(y, jt.y_marginal().counts))
+
+
 def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray, side: str) -> np.ndarray:
     """Vector `decode_side`: one reproduced sequence per row of `side_info`.
 
     A failure raises what `decode_side` raises, with the first failing row
     as its `row`.
     """
-    x_counts, y_counts = t.jt.x_marginal().counts, t.jt.y_marginal().counts
-    if side == "x":
-        held, lookup, other = y_counts, t.rows_for, x_counts
-    elif side == "y":
-        held, lookup, other = x_counts, t.cols_for, y_counts
-    else:
-        raise ValueError(f"side must be 'x' or 'y', not {side!r}")
+    held, other = held_and_decoded(side, t.jt.x_marginal().counts, t.jt.y_marginal().counts)
     try:
         ranks = rank_rows(side_info, held)
     except RowError as exc:
         raise SideInfoMismatchError("side information type does not match codeword", exc.row) from None
-    return unrank_rows(other, lookup(ranks, symbols))
+    return unrank_rows(other, (t.rows_for if side == "x" else t.cols_for)(ranks, symbols))

@@ -2,7 +2,8 @@
 
 One codeword serves both decoders: the first part indexes the joint type
 of the pair within the decodable region for the configured rate, the
-second part is the coding-table symbol of the cell.  Pairs whose joint
+second part is the symbol of the cell, which `coding_table.encode_pair`
+(one block) and `encode_pairs` (a batch) give.  Pairs whose joint
 type falls outside the region get a reserved all-zero codeword with an
 explicit error flag; both per-decoder error probabilities are charged on
 that event, which makes the accounting exact and testable.
@@ -29,17 +30,15 @@ from .types_core import (
     RowError,
     Sequence,
     _letter_dtype,
-    class_ranks,
     group_rows,
     joint_type_groups,
     joint_type_of,
     enumerate_joint_types,
-    v_shell_size,
-    w_shell_size,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
-from .coding_table import decode_side, decode_side_rows, encode_pair, get_coding_table
+from .coding_table import decode_side, decode_side_rows, encode_pair, encode_pairs, get_coding_table
+from .coding_table import held_and_decoded, num_symbols_of
 from .coding_table import SideInfoMismatchError  # noqa: F401  (re-exported)
 
 
@@ -76,12 +75,6 @@ class FFCodeword:
 def bit_width(count: int) -> int:
     """Bits needed to address `count` distinct values (0 for count <= 1)."""
     return (count - 1).bit_length() if count > 1 else 0
-
-
-@lru_cache(maxsize=None)
-def num_symbols_of(jt: JointType) -> int:
-    """Symbols a table for jt uses: its maximum degree, in closed form."""
-    return max(v_shell_size(jt), w_shell_size(jt))
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
     idx = code.index_of.get(jt)
     if idx is None:
         return FFCodeword(0, 0, True)
-    return FFCodeword(idx, encode_pair(get_coding_table(jt), x, y), False)
+    return FFCodeword(idx, encode_pair(jt, x, y), False)
 
 
 def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str) -> Sequence:
@@ -214,35 +207,24 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None
     x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y")
     if groups is None:
         groups = joint_type_groups(x, y, cfg.ax.size, cfg.ay.size)
-    found, type_index, symbols = encode_rows(x, y, cfg.ax, cfg.ay, groups, make_code(cfg).index_of)
+    found, type_index, symbols = encode_rows(x, y, groups, make_code(cfg).index_of)
     return ~found, type_index, symbols
 
 
-def encode_rows(x, y, ax: Alphabet, ay: Alphabet, groups, index_of: dict) -> tuple[np.ndarray, ...]:
+def encode_rows(x, y, groups, index_of: dict) -> tuple[np.ndarray, ...]:
     """(found, type index, symbol) of every row pair of (m, n) letter arrays.
 
     `groups` is `joint_type_groups(x, y, ...)`.  A row is found when
-    `index_of` maps its joint type to a type index; its symbol is the
-    coding-table symbol of the pair.  Rows not found get index and symbol
-    0.  A table of one symbol gives every pair symbol 0, so none is built.
+    `index_of` maps its joint type to a type index; its symbol is
+    `encode_pairs` of its group.  Rows not found get index and symbol 0.
     """
-    # Tables first: a build checks its budget before it materializes the
-    # type classes that the ranks below then search.
-    tables, found, ranked = [], np.zeros(len(x), bool), np.zeros(len(x), bool)
+    found = np.zeros(len(x), bool)
     type_index, symbols = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
     for jt, rows in groups:
-        if jt not in index_of:
-            continue
-        found[rows] = True
-        type_index[rows] = index_of[jt]
-        if num_symbols_of(jt) > 1:
-            tables.append((get_coding_table(jt), rows))
-            ranked[rows] = True
-    x_ranks, y_ranks = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
-    x_ranks[ranked] = class_ranks(x[ranked], ax.size)
-    y_ranks[ranked] = class_ranks(y[ranked], ay.size)
-    for table, rows in tables:
-        symbols[rows] = table.symbols_at(x_ranks[rows], y_ranks[rows])
+        if jt in index_of:
+            found[rows] = True
+            type_index[rows] = index_of[jt]
+            symbols[rows] = encode_pairs(jt, x[rows], y[rows])
     return found, type_index, symbols
 
 
@@ -255,7 +237,7 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
     the first failing row, with that row as its `row`.
     """
     flags = np.asarray(words[0], bool)
-    held, reproduced = (cfg.ay, cfg.ax) if side == "x" else (cfg.ax, cfg.ay)
+    held, reproduced = held_and_decoded(side, cfg.ax, cfg.ay)
     side_info = _as_blocks(cfg.n, side_info, held, "side information")
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
     decode_rows(make_code(cfg).region, words[1], words[2], side_info, side, out, np.flatnonzero(~flags))

@@ -36,7 +36,7 @@ from .types_core import (
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
-from .coding_table import decode_side, encode_pair, get_coding_table
+from .coding_table import decode_side, encode_pair, get_coding_table, held_and_decoded, num_symbols_of
 from .ff_codec import (
     FFCodeConfig,
     _as_blocks,
@@ -47,7 +47,6 @@ from .ff_codec import (
     ff_decode_y,
     ff_encode,
     make_code,
-    num_symbols_of,
 )
 
 
@@ -158,9 +157,9 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
         raise ValueError(f"sequences must have length n={n}")
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
-    width = code.symbol_width(jt)
-    symbol = encode_pair(get_coding_table(jt), x, y) if width else 0
-    return FVCodeword(code.index_of[jt] << width | symbol, code.header_width + width)
+    idx = code.index_of[jt]
+    width = code.symbol_widths[idx]
+    return FVCodeword(idx << width | encode_pair(jt, x, y), code.header_width + width)
 
 
 # A batch of FV codewords: (type indices, symbols), one per row.
@@ -177,7 +176,7 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     """
     x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y")
     groups = joint_type_groups(x, y, code.ax.size, code.ay.size)
-    _, type_index, symbols = encode_rows(x, y, code.ax, code.ay, groups, code.index_of)
+    _, type_index, symbols = encode_rows(x, y, groups, code.index_of)
     return type_index, symbols
 
 
@@ -189,7 +188,7 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     raises what the scalar path raises for the first failing row, with
     that row as its `row`.
     """
-    held, reproduced = (code.ay, code.ax) if side == "x" else (code.ax, code.ay)
+    held, reproduced = held_and_decoded(side, code.ax, code.ay)
     side_info = _as_blocks(code.n, side_info, held, "side information")
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
     decode_rows(code.types, words[0], words[1], side_info, side, out, np.arange(len(side_info)))
@@ -259,10 +258,9 @@ def expected_length(n: int, p: SourceSpec) -> float:
     return sum(prob_of_type_class(jt, p) * code.codeword_length(jt) for jt in code.types)
 
 
-def overflow_probability(n: int, rate: float, p: SourceSpec, threshold: float | None = None) -> float:
-    """P(length > threshold), default threshold n(rate + epsilon_n)."""
-    if threshold is None:
-        threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
+def overflow_probability(n: int, rate: float, p: SourceSpec) -> float:
+    """P(length > n(rate + epsilon_n)), exact sum over joint types."""
+    threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
     code = make_fv_code(n, p.ax, p.ay)
     return sum(
         prob_of_type_class(jt, p)
@@ -271,15 +269,13 @@ def overflow_probability(n: int, rate: float, p: SourceSpec, threshold: float | 
     )
 
 
-def underflow_probability(n: int, rate: float, p: SourceSpec, threshold: float | None = None) -> float:
-    """P(length < threshold), default threshold n*rate."""
-    if threshold is None:
-        threshold = n * rate
+def underflow_probability(n: int, rate: float, p: SourceSpec) -> float:
+    """P(length < n * rate), exact sum over joint types."""
     code = make_fv_code(n, p.ax, p.ay)
     return sum(
         prob_of_type_class(jt, p)
         for jt in code.types
-        if code.codeword_length(jt) < threshold
+        if code.codeword_length(jt) < n * rate
     )
 
 
@@ -326,14 +322,12 @@ class WrappedFVCode:
     def decode(self, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
         """Reproduce the `side` sequence ("x" or "y") from cw and the other one."""
         n, wx, wy = self.cfg.n, _letter_width(self.cfg.ax), _letter_width(self.cfg.ay)
-        if cw.value >> (cw.length - 1):  # the verbatim pair: [1][x letters][y letters]
-            if side == "x":
-                body, w, alphabet = cw.value >> n * wy, wx, self.cfg.ax
-            else:
-                body, w, alphabet = cw.value, wy, self.cfg.ay
+        # A verbatim pair is [1][x letters][y letters]: each side's letters, their width and decoder.
+        x_side, y_side = (cw.value >> n * wy, wx, self.cfg.ax, ff_decode_x), (cw.value, wy, self.cfg.ay, ff_decode_y)
+        _, (body, w, alphabet, decode) = held_and_decoded(side, x_side, y_side)
+        if cw.value >> (cw.length - 1):
             mask = (1 << w) - 1
             return Sequence(tuple(body >> w * (n - 1 - i) & mask for i in range(n)), alphabet)
-        decode = ff_decode_x if side == "x" else ff_decode_y
         return decode(self.cfg, make_code(self.cfg).unpack(cw.value), side_info)
 
     def expected_rate(self, p: SourceSpec) -> float:

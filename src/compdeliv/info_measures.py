@@ -205,16 +205,13 @@ def correct_exponent_inside(rate: float, p: SourceSpec, n: int) -> ExponentRepor
     return _min_divergence(rate, p, n, inside=True)
 
 
-def converse_correct_exponent(
-    rate: float, p: SourceSpec, n: int, slack: float | None = None
-) -> ExponentReport:
-    """min over all joint types of |maxH - (rate+slack)|+ + D(Q||P).
+def converse_correct_exponent(rate: float, p: SourceSpec, n: int) -> ExponentReport:
+    """min over all joint types of |maxH - (rate + epsilon_n)|+ + D(Q||P).
 
-    The converse bounds carry an unspecified vanishing sequence; `slack`
-    pins it, to epsilon_n unless given.
+    The converse bounds carry an unspecified vanishing sequence, pinned
+    here to epsilon_n.
     """
-    if slack is None:
-        slack = epsilon_n(n, p.ax, p.ay)
+    slack = epsilon_n(n, p.ax, p.ay)
     best, arg = math.inf, None
     for jt in enumerate_joint_types(n, p.ax, p.ay):
         gap = max(max_conditional_entropy(jt) - (rate + slack), 0.0)
@@ -282,12 +279,10 @@ def overflow_lower_bound(rate: float, p: SourceSpec, n: int) -> float:
     return (n + 1) ** (-cells) * _exp2_scaled(n, mind)
 
 
-def underflow_upper_bound(rate: float, p: SourceSpec, n: int, slack: float | None = None) -> float:
-    """Direct bound on P(length < nR): 2^(-n(eps_n + minD inside at rate-slack))."""
+def underflow_upper_bound(rate: float, p: SourceSpec, n: int) -> float:
+    """Direct bound on P(length < nR): 2^(-n(eps_n + minD inside at rate-eps_n))."""
     eps = epsilon_n(n, p.ax, p.ay)
-    if slack is None:
-        slack = eps
-    mind = correct_exponent_inside(rate - slack, p, n).value
+    mind = correct_exponent_inside(rate - eps, p, n).value
     if mind == math.inf:
         return 0.0
     return _exp2(-n * (eps + mind))

@@ -410,14 +410,6 @@ def rank_rows(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     return ranks
 
 
-def class_ranks(letters: np.ndarray, k: int) -> np.ndarray:
-    """Rank of every row of `letters` within its own type class (k letters)."""
-    ranks = np.empty(len(letters), np.int64)
-    for counts, rows in group_rows(row_counts(letters, k)):
-        ranks[rows] = rank_rows(letters[rows], counts)
-    return ranks
-
-
 def unrank_rows(counts: tuple[int, ...], ranks: np.ndarray) -> np.ndarray:
     """Inverse of `rank_rows`: the class `counts` sequence at each rank, one per row."""
     letters = _class_letters(counts)
@@ -425,15 +417,6 @@ def unrank_rows(counts: tuple[int, ...], ranks: np.ndarray) -> np.ndarray:
     if ranks.size and not (0 <= ranks.min() and ranks.max() < len(letters)):
         raise RankRangeError(f"rank outside type class of size {len(letters)}")
     return letters[ranks]
-
-
-def row_counts(letters: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) letter counts of every row of an (m, n) letter array."""
-    if letters.size and not (0 <= letters.min() and letters.max() < k):
-        raise ValueError(f"letter outside alphabet of size {k}")
-    m = len(letters)
-    offsets = np.arange(m)[:, None] * k
-    return np.bincount((letters + offsets).ravel(), minlength=m * k).reshape(m, k)
 
 
 def group_rows(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -463,5 +446,9 @@ def group_rows(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
     """Row pairs (x[i], y[i]) grouped by joint type: (joint type, row indices) pairs."""
-    groups = group_rows(row_counts(x.astype(np.intp) * ky + y, kx * ky))
-    return [(_joint_type(flat, ky), rows) for flat, rows in groups]
+    cells, m = kx * ky, len(x)
+    letters = x.astype(np.intp) * ky + y  # the pair's letter in the kx * ky alphabet
+    if letters.size and not (0 <= letters.min() and letters.max() < cells):
+        raise ValueError(f"letter outside alphabet of size {cells}")
+    counts = np.bincount((letters + np.arange(m)[:, None] * cells).ravel(), minlength=m * cells)
+    return [(_joint_type(flat, ky), rows) for flat, rows in group_rows(counts.reshape(m, cells))]

@@ -349,6 +349,29 @@ class TestExitCodes:
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+    @pytest.mark.parametrize("command", ["encode", "decode", "dump-table", "sweep"])
+    def test_output_that_cannot_be_written_is_validation_error(self, command, where, sample_files, tmp_path, capsys):
+        x, y = sample_files
+        argv = {
+            "encode": ["encode", "--mode", "fv", "--n", "4", "--input-x", str(x), "--input-y", str(y)],
+            "decode": ["decode", "--side", "x", "--codeword", str(encode_file("fv", sample_files, tmp_path)),
+                       "--side-info", str(y)],
+            "dump-table": ["dump-table", "--n", "4", "--counts", "1,1;1,1"],
+            "sweep": ["sweep", "--source", "dsbs:0.11", "--n", "4", "--rate", "0.8", "--trials", "10"],
+        }[command]
+        out = str(tmp_path / "missing" / "out" if where == "in a missing directory" else tmp_path)
+        assert main([*argv, "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate"], ["exponent", "--n", "2", "--rate", "0.5"], ["sweep", "--n", "4", "--rate", "0.8", "--trials", "10"]],
+    )
+    def test_source_that_is_a_directory_is_validation_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--source", str(tmp_path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: cannot read source file {tmp_path}: ")
+
     def test_alphabet_violation(self, tmp_path, capsys):
         x = tmp_path / "x.bin"
         y = tmp_path / "y.bin"

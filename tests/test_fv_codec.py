@@ -265,6 +265,13 @@ class TestWrapping:
             assert wrapped.decode(cw, y, "x") == x
             assert wrapped.decode(cw, x, "y") == y
 
+    def test_unknown_side_refused(self):
+        wrapped = wrap_ff_as_fv(FFCodeConfig(4, 0.5))
+        x, y = seq("0011"), seq("0101")
+        for cw in (wrapped.encode(x, y), wrapped.encode(x, x)):  # verbatim, then a fixed-length word
+            with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
+                wrapped.decode(cw, x, "z")
+
     def test_expected_rate_matches_type_sum(self):
         cfg = FFCodeConfig(10, 0.8)
         wrapped = wrap_ff_as_fv(cfg)

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from compdeliv.bitio import BitReader
-from compdeliv.coding_table import SideInfoMismatchError, decode_side, encode_pair, get_coding_table
+from compdeliv.coding_table import (
+    SideInfoMismatchError,
+    TableBudgetError,
+    decode_side,
+    encode_pair,
+    encode_pairs,
+    get_coding_table,
+)
 from compdeliv.ff_codec import (
     FFCodeConfig,
     decode_rows,
@@ -32,6 +39,7 @@ from compdeliv.fv_codec import (
 )
 from compdeliv.types_core import (
     _RANK_MAP_LIMIT,
+    BINARY,
     Alphabet,
     JointType,
     Sequence,
@@ -114,7 +122,7 @@ def test_300_letter_blocks_match_the_array_path():
     x, y = _pairs(300, 12, n, k, k)
     groups = joint_type_groups(x, y, k, k)
     types = [jt for jt, _ in groups]
-    found, type_index, symbols = encode_rows(x, y, ax, ax, groups, {jt: i for i, jt in enumerate(types)})
+    found, type_index, symbols = encode_rows(x, y, groups, {jt: i for i, jt in enumerate(types)})
     assert found.all()
     rows = np.arange(len(x))
     out_x, out_y = np.zeros_like(x), np.zeros_like(y)
@@ -125,7 +133,7 @@ def test_300_letter_blocks_match_the_array_path():
         jt = joint_type_of(xi, yi)
         assert jt == types[type_index[i]]
         table = get_coding_table(jt)
-        symbol = encode_pair(table, xi, yi)
+        symbol = encode_pair(jt, xi, yi)
         assert symbol == symbols[i]
         assert decode_side(table, yi, symbol, "x") == xi and decode_side(table, xi, symbol, "y") == yi
 
@@ -164,7 +172,7 @@ def test_side_information_of_another_type_is_refused(side):
     table = get_coding_table(joint_type_of(x, y))
     held = Sequence((y if side == "x" else x).letters, Alphabet(3))  # the right letters, over 3
     with pytest.raises(SideInfoMismatchError):
-        decode_side(table, held, encode_pair(table, x, y), side)
+        decode_side(table, held, encode_pair(table.jt, x, y), side)
 
 
 @pytest.mark.parametrize("kx, ky", [(2, 2), (3, 2), (256, 256)])
@@ -185,3 +193,57 @@ def test_cached_types_equal_and_hash_like_fresh_objects(kx, ky):
         for got, want in ((jt.x_marginal(), x_counts), (jt.y_marginal(), y_counts),
                           (fresh.x_marginal(), x_counts), (type_of(x), tuple(map(x.letters.count, range(kx))))):
             assert got == TypeVector(want, 6) and hash(got) == hash(TypeVector(want, 6))
+
+
+# The four encoders, each coding the rows of two binary (m, n) letter
+# arrays; FF at a rate whose region holds every joint type.
+ENCODERS = {
+    "ff_encode": lambda x, y: [
+        ff_encode(FFCodeConfig(x.shape[1], 2.0), xi, yi) for xi, yi in zip(_sequences(x, BINARY), _sequences(y, BINARY))
+    ],
+    "fv_encode": lambda x, y: [
+        fv_encode(x.shape[1], xi, yi) for xi, yi in zip(_sequences(x, BINARY), _sequences(y, BINARY))
+    ],
+    "ff_encode_batch": lambda x, y: ff_encode_batch(FFCodeConfig(x.shape[1], 2.0), x, y),
+    "fv_encode_batch": lambda x, y: fv_encode_batch(make_fv_code(x.shape[1]), x, y),
+}
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_encoders_check_the_table_budget_before_ranking(encoder):
+    # Both classes of (16, 16) have C(32, 16) > MAX_CLASS_SIZE members, so
+    # ranking before the table's budget check raises ClassSizeError.
+    x = np.array([[0] * 16 + [1] * 16])
+    y = np.array([[0, 1] * 16])
+    with pytest.raises(TableBudgetError):
+        ENCODERS[encoder](x, y)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_no_encoder_builds_a_one_symbol_table(encoder):
+    # x = y is a joint type of one symbol: every pair codes as symbol 0.
+    x = np.random.default_rng(8).integers(0, 2, size=(50, 8))
+    get_coding_table.cache_clear()
+    ENCODERS[encoder](x, x)
+    assert get_coding_table.cache_info().currsize == 0
+    balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
+    ENCODERS[encoder](balanced, balanced)
+    assert get_coding_table.cache_info().currsize == 0
+    for jt, rows in joint_type_groups(x, x, 2, 2):
+        assert encode_pairs(jt, x[rows], x[rows]).tolist() == [0] * len(rows)
+    assert get_coding_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_batch_decoders_refuse_an_unknown_side_with_nothing_to_decode(rows):
+    # Every FF row flagged, or no FV row at all: no table is read, and the
+    # side is still checked.
+    x, y = np.tile([0, 0, 1, 1], (rows, 1)), np.tile([0, 1, 0, 1], (rows, 1))
+    cfg = FFCodeConfig(4, 0.01)
+    words = ff_encode_batch(cfg, x, y)
+    assert words[0].all()
+    with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
+        ff_decode_batch(cfg, words, y, "z")
+    code = make_fv_code(4)
+    with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
+        fv_decode_batch(code, fv_encode_batch(code, x[:0], x[:0]), x[:0], "z")

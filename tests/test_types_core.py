@@ -20,7 +20,6 @@ from compdeliv.types_core import (
     RankRangeError,
     Sequence,
     TypeVector,
-    class_ranks,
     enumerate_joint_types,
     group_rows,
     joint_type_count,
@@ -275,11 +274,6 @@ class TestRowRanks:
             unrank_rows((2, 1), [0, 3])
         with pytest.raises(RankRangeError):
             unrank_rows((2, 1), [-1])
-
-    def test_class_ranks_rank_each_row_in_its_own_class(self):
-        rows = np.random.default_rng(3).integers(0, 3, size=(300, 6), dtype=np.uint8)
-        expected = [rank_in_type_class(Sequence(tuple(r), Alphabet(3))) for r in rows.tolist()]
-        assert class_ranks(rows, 3).tolist() == expected
 
     @pytest.mark.parametrize("high", [3, 2 ** 40])
     def test_group_rows_exact_at_any_width(self, high):
