@@ -17,10 +17,10 @@ A table is its two flat 32-bit slot buffers, not per-cell Python objects:
 the other end of the cell carrying symbol s, or -1 for a hole: the
 coloring and its inverse, which the recoloring chains walk from both sides.
 
-Every encoder maps a pair to its symbol through `encode_pair` or its
-array twin `encode_pairs`, ranking in the joint type's marginal classes.
-A joint type of one symbol codes every pair as 0, and no encoder builds
-its table (the decoders do).
+A pair's symbol is `encode_pair` of one block, or `symbols_at` of a
+batch's ranks (`ff_codec.encode_rows`).  A joint type of one symbol codes
+every pair as 0 and nothing builds its table: it pairs each letter of one
+side with one of the other (`letter_map`), and the decoders apply that.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ import numpy as np
 
 from .types_core import (
     MAX_CLASS_SIZE,
+    Alphabet,
     JointType,
     RowError,
     Sequence,
     _as_keys,
     _class_letters,
     _rank_letters,
-    rank_rows,
     type_class_size,
     type_of,
     unrank_in_type_class,
-    unrank_rows,
     v_shell_size,
     w_shell_size,
 )
@@ -177,9 +176,9 @@ class CodingTable:
 
     `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
     the other end of the cell carrying symbol s, -1 for a hole, so a cell's
-    symbol is its slot number in its row.  Lookups return Python ints; the
-    plural lookups take and return numpy arrays, one element per lookup,
-    and raise what the scalar ones raise if any element fails, with the
+    symbol is its slot number in its row.  Lookups return Python ints;
+    `symbols_at` takes and returns numpy arrays, one element per lookup,
+    and raises what `symbol_at` raises if any element fails, with the
     first failing element as its `row`.
     """
 
@@ -233,14 +232,6 @@ class CodingTable:
             out[lo:lo + step] = symbols
         return out
 
-    def rows_for(self, cols: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Vector `row_for`."""
-        return _slot_lookup(self.row_of, self.num_symbols, cols, symbols, "column")
-
-    def cols_for(self, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Vector `col_for`."""
-        return _slot_lookup(self.col_of, self.num_symbols, rows, symbols, "row")
-
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
         delta = self.num_symbols
@@ -250,18 +241,6 @@ class CodingTable:
                 if j >= 0:
                     cells[j] = str(s)
             stream.write(",".join(cells) + "\n")
-
-
-def _slot_lookup(slots: array, delta: int, at: np.ndarray, symbols: np.ndarray, what: str) -> np.ndarray:
-    """slots[at * delta + symbol] for every element, or SymbolNotFoundError
-    for a symbol outside [0, delta) or a hole, as `row_for`/`col_for`."""
-    at, symbols = np.asarray(at, np.int64), np.asarray(symbols, np.int64)
-    found = np.frombuffer(slots, np.int32).take(at * delta + symbols, mode="clip")
-    bad = (found < 0) | (symbols < 0) | (symbols >= delta)  # a clipped read is a bad symbol
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SymbolNotFoundError(f"symbol {symbols[i]} absent in {what} {at[i]}", i)
-    return found
 
 
 def edge_color(g: BipartiteTypeGraph) -> CodingTable:
@@ -364,42 +343,32 @@ def held_and_decoded(side: str, x, y) -> tuple:
     raise ValueError(f"side must be 'x' or 'y', not {side!r}")
 
 
-def decode_side(t: CodingTable, side_info: Sequence, symbol: int, side: str) -> Sequence:
-    """Reproduce one sequence of a pair from the other one and the cell symbol.
+def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> Sequence:
+    """Reproduce one sequence of a pair of joint type jt from the other one
+    and the cell symbol.
 
     `side` names the sequence reproduced, as `decode --side` does: "x"
     reads the column of side information y, "y" reads the row of x.  The
-    side information is counted once, for its type check and its rank.
+    side information is counted once, for its type check and its rank; a
+    type of one symbol maps it through `letter_map`, with no table, and an
+    x = y block keeps its letters tuple (no new object for the collector).
     """
-    if side == "x":
-        held, lookup, other = t.jt.y_marginal(), t.row_for, t.jt.x_marginal()
-    elif side == "y":
-        held, lookup, other = t.jt.x_marginal(), t.col_for, t.jt.y_marginal()
-    else:
-        raise ValueError(f"side must be 'x' or 'y', not {side!r}")
+    held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
+    t = get_coding_table(jt) if num_symbols_of(jt) > 1 else None
     if type_of(side_info) != held:
         raise SideInfoMismatchError("side information type does not match codeword")
+    if t is None:
+        if symbol != 0:
+            raise SymbolNotFoundError(f"symbol {symbol} absent in a joint type of one symbol")
+        letters = tuple(map(letter_map(jt, side).__getitem__, side_info.letters))
+        return Sequence(side_info.letters if letters == side_info.letters else letters, Alphabet(len(other.counts)))
+    lookup = t.row_for if side == "x" else t.col_for
     return unrank_in_type_class(other, lookup(_rank_letters(side_info.letters, held.counts), symbol))
 
 
-def encode_pairs(jt: JointType, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vector `encode_pair`: the symbol of every row pair of two (m, n)
-    letter arrays of joint type jt, built and ranked in the same order."""
-    if num_symbols_of(jt) == 1:
-        return np.zeros(len(x), np.int64)
-    t = get_coding_table(jt)
-    return t.symbols_at(rank_rows(x, jt.x_marginal().counts), rank_rows(y, jt.y_marginal().counts))
-
-
-def decode_side_rows(t: CodingTable, side_info: np.ndarray, symbols: np.ndarray, side: str) -> np.ndarray:
-    """Vector `decode_side`: one reproduced sequence per row of `side_info`.
-
-    A failure raises what `decode_side` raises, with the first failing row
-    as its `row`.
-    """
-    held, other = held_and_decoded(side, t.jt.x_marginal().counts, t.jt.y_marginal().counts)
-    try:
-        ranks = rank_rows(side_info, held)
-    except RowError as exc:
-        raise SideInfoMismatchError("side information type does not match codeword", exc.row) from None
-    return unrank_rows(other, (t.rows_for if side == "x" else t.cols_for)(ranks, symbols))
+@lru_cache(maxsize=None)
+def letter_map(jt: JointType, side: str) -> tuple[int, ...]:
+    """For a joint type of one symbol (at most one nonzero count per row and
+    column): the `side` letter paired with each side-information letter."""
+    counts = np.array(jt.counts)
+    return tuple((counts.T if side == "x" else counts).argmax(axis=1).tolist())

@@ -3,7 +3,7 @@
 One codeword serves both decoders: the first part indexes the joint type
 of the pair within the decodable region for the configured rate, the
 second part is the symbol of the cell, which `coding_table.encode_pair`
-(one block) and `encode_pairs` (a batch) give.  Pairs whose joint
+(one block) and `encode_rows` (a batch) give.  Pairs whose joint
 type falls outside the region get a reserved all-zero codeword with an
 explicit error flag; both per-decoder error probabilities are charged on
 that event, which makes the accounting exact and testable.
@@ -29,17 +29,18 @@ from .types_core import (
     JointType,
     RowError,
     Sequence,
+    _class_letters,
     _letter_dtype,
     group_rows,
     joint_type_groups,
     joint_type_of,
     enumerate_joint_types,
+    rank_rows,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
-from .coding_table import decode_side, decode_side_rows, encode_pair, encode_pairs, get_coding_table
-from .coding_table import held_and_decoded, num_symbols_of
-from .coding_table import SideInfoMismatchError  # noqa: F401  (re-exported)
+from .coding_table import decode_side, encode_pair, get_coding_table, held_and_decoded, letter_map, num_symbols_of
+from .coding_table import SideInfoMismatchError, SymbolNotFoundError
 
 
 class CodewordRangeError(RowError):
@@ -178,8 +179,7 @@ def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str
         return Sequence((0,) * cfg.n, cfg.ax if side == "x" else cfg.ay)
     if not 0 <= cw.type_index < len(code.region):
         raise CodewordRangeError(f"type index {cw.type_index} out of range")
-    table = get_coding_table(code.region[cw.type_index])
-    return decode_side(table, side_info, cw.symbol, side)
+    return decode_side(code.region[cw.type_index], side_info, cw.symbol, side)
 
 
 def ff_decode_x(cfg: FFCodeConfig, cw: FFCodeword, y: Sequence) -> Sequence:
@@ -201,8 +201,8 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None
 
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
-    Rows are grouped by joint type, so each table is searched once;
-    `groups` is `joint_type_groups` of the rows when the caller has it.
+    Rows are ranked once per marginal class (`encode_rows`); `groups` is
+    `joint_type_groups` of the rows when the caller has it.
     """
     x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y")
     if groups is None:
@@ -215,17 +215,46 @@ def encode_rows(x, y, groups, index_of: dict) -> tuple[np.ndarray, ...]:
     """(found, type index, symbol) of every row pair of (m, n) letter arrays.
 
     `groups` is `joint_type_groups(x, y, ...)`.  A row is found when
-    `index_of` maps its joint type to a type index; its symbol is
-    `encode_pairs` of its group.  Rows not found get index and symbol 0.
+    `index_of` maps its joint type to a type index; rows not found, and rows
+    of a type of one symbol, get symbol 0 (and index 0 when not found).
+    Every table is built, and its budget checked, before x and y are ranked
+    once per marginal class (every row is of its group's marginal types, so
+    no rank misses); each type's symbols are then one `symbols_at`.
     """
-    found = np.zeros(len(x), bool)
+    found, tabled = np.zeros(len(x), bool), []
     type_index, symbols = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
     for jt, rows in groups:
         if jt in index_of:
-            found[rows] = True
-            type_index[rows] = index_of[jt]
-            symbols[rows] = encode_pairs(jt, x[rows], y[rows])
+            found[rows], type_index[rows] = True, index_of[jt]
+            if num_symbols_of(jt) > 1:
+                tabled.append((get_coding_table(jt), rows))
+    x_rank, _ = _class_ranks(x, [(t.jt.x_marginal().counts, rows) for t, rows in tabled])
+    y_rank, _ = _class_ranks(y, [(t.jt.y_marginal().counts, rows) for t, rows in tabled])
+    for t, rows in tabled:
+        symbols[rows] = t.symbols_at(x_rank[rows], y_rank[rows])
     return found, type_index, symbols
+
+
+def _by_class(members) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(class counts, row indices) pairs merged into one per class, rows sorted."""
+    parts = {}
+    for counts, rows in members:
+        parts.setdefault(counts, []).append(rows)
+    return [(counts, np.sort(np.concatenate(rows))) for counts, rows in parts.items()]
+
+
+def _class_ranks(letters: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of the rows `members` lists by class, one `rank_rows` per class,
+    and a mask of each class's lowest row not of its type; rows after that
+    one (they cannot fail first) and rows not listed rank 0."""
+    ranks, missing = np.zeros(len(letters), np.int64), np.zeros(len(letters), bool)
+    for counts, rows in _by_class(members):
+        try:
+            ranks[rows] = rank_rows(letters[rows], counts)
+        except RowError as exc:
+            missing[rows[exc.row]] = True
+            ranks[rows[:exc.row]] = rank_rows(letters[rows[:exc.row]], counts)
+    return ranks, missing
 
 
 def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -244,28 +273,56 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
     return out
 
 
-def decode_rows(types, type_index, symbols, side_info: np.ndarray, side: str, out: np.ndarray, rows) -> None:
-    """Decode the given rows into `out`: row i has the codeword (type
-    `types[type_index[i]]`, `symbols[i]`) and side information `side_info[i]`.
+def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_error=CodewordRangeError) -> None:
+    """Decode the given rows (ascending) into `out`: row i has the codeword
+    (type `types[type_index[i]]`, `symbols[i]`) and side information
+    `side_info[i]`.
 
-    Rows are decoded grouped by type.  Every group is tried, so that a
-    failure raises the error of the lowest failing row, with that row as
-    its `row`.
+    Side information is ranked once per held class (the search is its type
+    check), slots are read with one gather per type, ranks are unranked once
+    per reproduced class, and a type of one symbol goes through `letter_map`.
+    A failure raises the lowest failing row's error (`range_error` for a type
+    index out of range; checks in the scalar order), with that row as `row`.
     """
     type_index, symbols = np.asarray(type_index), np.asarray(symbols)
-    failures = []
-    bad = (type_index[rows] < 0) | (type_index[rows] >= len(types))
+    failures, bad = [], (type_index[rows] < 0) | (type_index[rows] >= len(types))
     if bad.any():
         row = int(rows[np.argmax(bad)])
-        failures.append(CodewordRangeError(f"type index {type_index[row]} out of range", row))
+        failures.append(range_error(f"type index {type_index[row]} out of range", row))
         rows = rows[~bad]
-    for (idx,), group in group_rows(type_index[rows, None]):
-        group = rows[group]
-        try:
-            out[group] = decode_side_rows(get_coding_table(types[idx]), side_info[group], symbols[group], side)
-        except RowError as exc:
-            exc.row = int(group[exc.row])
-            failures.append(exc)
+    # Positions into `rows` from here; a one-symbol row keeps delta 1, and `which` picks its map.
+    held_letters, symbol, delta = side_info[rows], symbols[rows], np.ones(len(rows), np.int64)
+    which, first, to, tabled = np.zeros(len(rows), np.intp), [], [], []
+    for (idx,), at in group_rows(type_index[rows, None]):
+        jt = types[idx]
+        held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
+        if num_symbols_of(jt) == 1:
+            which[at] = len(to)
+            first.append(np.repeat(np.arange(len(held.counts)), held.counts))
+            to.append(letter_map(jt, side))
+        else:
+            t = get_coding_table(jt)
+            delta[at] = t.num_symbols
+            tabled.append((t, at, held.counts, other.counts))
+    rank, wrong_side = _class_ranks(held_letters, [(held, at) for _, at, held, _ in tabled])
+    slot, found = rank * delta + symbol, np.zeros(len(rows), np.int64)
+    for t, at, _, _ in tabled:  # a clipped read is a bad symbol
+        found[at] = np.frombuffer(t.row_of if side == "x" else t.col_of, np.int32).take(slot[at], mode="clip")
+    if to:  # a row is of the class whose first member its sorted letters are
+        one = np.flatnonzero(delta == 1)
+        pick, held_one = which[one], held_letters[one]
+        wrong_side[one] = (np.sort(held_one, axis=1) != np.array(first)[pick]).any(axis=1)
+        out[rows[one]] = np.array(to, out.dtype).ravel()[pick[:, None] * len(to[0]) + held_one]
+    for counts, at in _by_class((other, at) for _, at, _, other in tabled):
+        out[rows[at]] = _class_letters(counts)[found[at]]
+    wrong = wrong_side | (symbol < 0) | (symbol >= delta) | (found < 0)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if wrong_side[i]:
+            failures.append(SideInfoMismatchError("side information type does not match codeword", int(rows[i])))
+        else:
+            where = "a joint type of one symbol" if delta[i] == 1 else f"{'column' if side == 'x' else 'row'} {rank[i]}"
+            failures.append(SymbolNotFoundError(f"symbol {symbol[i]} absent in {where}", int(rows[i])))
     if failures:
         raise min(failures, key=lambda exc: exc.row)
 

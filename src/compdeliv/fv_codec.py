@@ -36,7 +36,7 @@ from .types_core import (
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
-from .coding_table import decode_side, encode_pair, get_coding_table, held_and_decoded, num_symbols_of
+from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of
 from .ff_codec import (
     FFCodeConfig,
     _as_blocks,
@@ -171,7 +171,7 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     code's alphabets: the word of row i is `words[0][i]` in the header and
     `words[1][i]` in the symbol field (0 for a type of one symbol).
 
-    Rows are grouped by joint type, so each table is searched once.  The
+    Rows are ranked once per marginal class (`ff_codec.encode_rows`).  The
     fields are kept apart because a word can be wider than an int64.
     """
     x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y")
@@ -191,7 +191,7 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     held, reproduced = held_and_decoded(side, code.ax, code.ay)
     side_info = _as_blocks(code.n, side_info, held, "side information")
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    decode_rows(code.types, words[0], words[1], side_info, side, out, np.arange(len(side_info)))
+    decode_rows(code.types, words[0], words[1], side_info, side, out, np.arange(len(side_info)), MalformedCodewordError)
     return out
 
 
@@ -204,7 +204,7 @@ def _decode_word(n: int, read, side_info: Sequence, side: str, other: Alphabet |
     idx = read(code.header_width)
     if idx >= len(code.types):
         raise MalformedCodewordError(f"type index {idx} out of range")
-    return decode_side(get_coding_table(code.types[idx]), side_info, read(code.symbol_widths[idx]), side)
+    return decode_side(code.types[idx], side_info, read(code.symbol_widths[idx]), side)
 
 
 def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | None = None) -> Sequence:

@@ -3,8 +3,8 @@
 Exact type-sum computation is the primary truth; the Monte-Carlo columns
 exist to exercise the full encode/decode pipeline end to end, so every
 trial is actually encoded and both-side decoded (an unflagged mismatch is
-a table-logic defect and raises immediately).  A row's trials go through
-the array codec (`ff_encode_batch`, `ff_decode_batch`) as one batch.
+a table-logic defect and raises immediately).  A row's trials are one batch
+of `ff_encode_batch`/`ff_decode_batch`, ranked once per marginal class.
 
 PRNG contract: NumPy PCG64 (period 2^128), seeded through SeedSequence.
 Per-row generators are spawned from the master seed in row order, so the

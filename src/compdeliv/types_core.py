@@ -14,11 +14,13 @@ to MAX_CLASS_SIZE members.
 `type_of` and `joint_type_of` count a block in one pass and return the
 validated object of that count vector from a bounded cache, and a joint
 type's marginals are memoized, so coding one block builds no new type
-objects once its types have been seen.
+objects once its types have been seen.  Joint types are interned: every
+path returns the one JointType alive for its counts, if there is one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations
@@ -189,10 +191,15 @@ def _type_vector(counts: tuple[int, ...]) -> TypeVector:
     return TypeVector(counts, sum(counts))
 
 
+_LIVE_JOINT_TYPES = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=_TYPE_CACHE_SIZE)
 def _joint_type(flat: tuple[int, ...], ky: int) -> JointType:
-    """The joint type whose counts, row after row of ky, are `flat`."""
-    return JointType(tuple(flat[i:i + ky] for i in range(0, len(flat), ky)), sum(flat))
+    """The joint type whose counts, row after row of ky, are `flat`: the one
+    object alive for them, so lookups keyed by joint types hit on identity."""
+    rows = tuple(flat[i:i + ky] for i in range(0, len(flat), ky))
+    return _LIVE_JOINT_TYPES.get((flat, ky)) or _LIVE_JOINT_TYPES.setdefault((flat, ky), JointType(rows, sum(flat)))
 
 
 @lru_cache(maxsize=_TYPE_CACHE_SIZE)
@@ -262,11 +269,7 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
         raise ValueError("n must be >= 1")
     kx, ky = ax.size, ay.size
     check_joint_type_count(n, kx, ky)
-    out = []
-    for flat in _compositions(n, kx * ky):
-        rows = tuple(flat[a * ky:(a + 1) * ky] for a in range(kx))
-        out.append(JointType(rows, n))
-    return tuple(out)
+    return tuple(_joint_type(flat, ky) for flat in _compositions(n, kx * ky))
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +444,8 @@ def group_rows(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     order = np.argsort(code, kind="stable")
     starts = np.flatnonzero(np.diff(code[order])) + 1
     values = keys[order[np.concatenate(([0], starts))]].tolist()
-    return list(zip(map(tuple, values), np.split(order, starts)))
+    bounds = [0, *starts.tolist(), len(order)]  # slices: np.split costs more per group
+    return list(zip(map(tuple, values), (order[a:b] for a, b in zip(bounds, bounds[1:]))))
 
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:

@@ -21,6 +21,7 @@ from compdeliv.coding_table import (
     get_coding_table,
 )
 from compdeliv.ff_codec import bit_width
+from compdeliv.fv_codec import fv_decode_batch, make_fv_code
 from compdeliv.types_core import (
     BINARY,
     Alphabet,
@@ -203,8 +204,8 @@ class TestLookups:
             assert s < t.num_symbols
             assert t.row_for(rank_in_type_class(y), s) == rank_in_type_class(x)
             assert t.col_for(rank_in_type_class(x), s) == rank_in_type_class(y)
-            assert decode_side(t, y, s, "x") == x
-            assert decode_side(t, x, s, "y") == y
+            assert decode_side(t.jt, y, s, "x") == x
+            assert decode_side(t.jt, x, s, "y") == y
 
     def test_pair_of_wrong_type_rejected(self):
         t = get_coding_table(JointType(((1, 1), (1, 1)), 4))
@@ -217,9 +218,10 @@ class TestLookups:
             t.symbols_at(np.array([first_row, 0]), np.array([first_col, unmarked]))
 
     def test_absent_symbol_signals_desync(self):
-        t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
+        with pytest.raises(SymbolNotFoundError):  # a type of one symbol
+            decode_side(JointType(((2, 0), (0, 2)), 4), seq("0011"), 5, "x")
         with pytest.raises(SymbolNotFoundError):
-            decode_side(t, seq("0011"), 5, "x")
+            decode_side(JointType(((1, 1), (1, 1)), 4), seq("0011"), 5, "x")
 
     # Lookups index flat buffers: a symbol outside [0, num_symbols) must
     # not read a neighbouring row's or column's slot, nor run off the end.
@@ -233,13 +235,15 @@ class TestLookups:
         for col in (0, t.graph.right_size - 1):
             with pytest.raises(SymbolNotFoundError):
                 t.row_for(col, symbol)
-            with pytest.raises(SymbolNotFoundError):
-                t.rows_for(np.array([0, col]), np.array([0, symbol]))
         for row in (0, t.graph.left_size - 1):
             with pytest.raises(SymbolNotFoundError):
                 t.col_for(row, symbol)
-            with pytest.raises(SymbolNotFoundError):
-                t.cols_for(np.array([0, row]), np.array([0, symbol]))
+        code = make_fv_code(4)  # the batch decoder reads the same slots
+        words = np.array([0, code.types.index(t.jt)]), np.array([0, symbol])
+        for side in ("x", "y"):  # both marginals are (3, 1)
+            with pytest.raises(SymbolNotFoundError) as caught:
+                fv_decode_batch(code, words, np.array([[1, 1, 1, 1], [0, 0, 0, 1]]), side)
+            assert caught.value.row == 1
 
     def test_holes_signal_desync_and_lookups_return_ints(self):
         t = get_coding_table(JointType(((2, 1), (0, 0)), 3))
@@ -252,20 +256,18 @@ class TestLookups:
                     continue
             assert found == [0]  # column degree 1: the other two slots are holes
             assert type(found[0]) is int
-            holes = [s for s in range(t.num_symbols) if s != t.symbol_at(0, col)]
-            with pytest.raises(SymbolNotFoundError):
-                t.rows_for(np.array([col]), np.array(holes[:1]))
         for i, j in t.graph.edges:
             s = t.symbol_at(i, j)
             assert type(s) is int
             assert type(t.col_for(i, s)) is int and type(t.row_for(j, s)) is int
 
     def test_side_info_of_wrong_type_rejected(self):
-        t = get_coding_table(JointType(((2, 0), (0, 2)), 4))
-        with pytest.raises(SideInfoMismatchError):
-            decode_side(t, seq("0001"), 0, "y")
-        with pytest.raises(ValueError):
-            decode_side(t, seq("0011"), 0, "z")
+        for counts in (((2, 0), (0, 2)), ((1, 1), (1, 1))):  # one symbol, then a table
+            jt = JointType(counts, 4)
+            with pytest.raises(SideInfoMismatchError):
+                decode_side(jt, seq("0001"), 0, "y")
+            with pytest.raises(ValueError):
+                decode_side(jt, seq("0011"), 0, "z")
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_vector_lookups_match_scalar(self, n):
@@ -274,8 +276,6 @@ class TestLookups:
             rows, cols = np.array(list(t.graph.edges)).T
             syms = t.symbols_at(rows, cols)
             assert syms.tolist() == [t.symbol_at(i, j) for i, j in t.graph.edges]
-            assert (t.rows_for(cols, syms) == rows).all()
-            assert (t.cols_for(rows, syms) == cols).all()
 
 
 class TestSlotBuffers:
@@ -294,7 +294,6 @@ class TestSlotBuffers:
             for i, j, s in zip(rows.tolist(), cols.tolist(), syms):
                 assert t.col_of[i * delta + s] == j and t.row_of[j * delta + s] == i
                 assert t.row_for(j, s) == i and t.col_for(i, s) == j
-            assert (t.rows_for(cols, syms) == rows).all() and (t.cols_for(rows, syms) == cols).all()
             assert sum(c >= 0 for c in t.col_of) == sum(r >= 0 for r in t.row_of) == len(t.graph.edges)
 
     @pytest.mark.parametrize("slice_slots", [1, 50, 1000])

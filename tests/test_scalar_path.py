@@ -5,20 +5,25 @@ joint types, memoized marginals and one count per block; the array codec
 groups whole batches.  Both must give the same words and the same letters.
 """
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
+from compdeliv import types_core
 from compdeliv.bitio import BitReader
 from compdeliv.coding_table import (
     SideInfoMismatchError,
     TableBudgetError,
     decode_side,
     encode_pair,
-    encode_pairs,
     get_coding_table,
+    num_symbols_of,
 )
 from compdeliv.ff_codec import (
     FFCodeConfig,
+    FFCodeword,
     decode_rows,
     encode_rows,
     ff_decode_batch,
@@ -26,8 +31,10 @@ from compdeliv.ff_codec import (
     ff_decode_y,
     ff_encode,
     ff_encode_batch,
+    make_code,
 )
 from compdeliv.fv_codec import (
+    FVCodeword,
     fv_decode_batch,
     fv_decode_x,
     fv_decode_x_stream,
@@ -44,9 +51,11 @@ from compdeliv.types_core import (
     JointType,
     Sequence,
     TypeVector,
+    enumerate_joint_types,
     joint_type_groups,
     joint_type_of,
     multinomial,
+    rank_in_type_class,
     type_of,
 )
 from conftest import seq
@@ -132,10 +141,9 @@ def test_300_letter_blocks_match_the_array_path():
     for i, (xi, yi) in enumerate(zip(_sequences(x, ax), _sequences(y, ax))):
         jt = joint_type_of(xi, yi)
         assert jt == types[type_index[i]]
-        table = get_coding_table(jt)
         symbol = encode_pair(jt, xi, yi)
         assert symbol == symbols[i]
-        assert decode_side(table, yi, symbol, "x") == xi and decode_side(table, xi, symbol, "y") == yi
+        assert decode_side(jt, yi, symbol, "x") == xi and decode_side(jt, xi, symbol, "y") == yi
 
 
 def test_class_above_the_rank_map_limit():
@@ -169,10 +177,10 @@ def test_side_information_of_another_type_is_refused(side):
     x = seq("001101")
     with pytest.raises(SideInfoMismatchError):
         (fv_decode_x if side == "x" else fv_decode_y)(fv_encode(6, x, y), seq("000011"))
-    table = get_coding_table(joint_type_of(x, y))
+    jt = joint_type_of(x, y)
     held = Sequence((y if side == "x" else x).letters, Alphabet(3))  # the right letters, over 3
     with pytest.raises(SideInfoMismatchError):
-        decode_side(table, held, encode_pair(table.jt, x, y), side)
+        decode_side(jt, held, encode_pair(jt, x, y), side)
 
 
 @pytest.mark.parametrize("kx, ky", [(2, 2), (3, 2), (256, 256)])
@@ -229,8 +237,9 @@ def test_no_encoder_builds_a_one_symbol_table(encoder):
     balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
     ENCODERS[encoder](balanced, balanced)
     assert get_coding_table.cache_info().currsize == 0
-    for jt, rows in joint_type_groups(x, x, 2, 2):
-        assert encode_pairs(jt, x[rows], x[rows]).tolist() == [0] * len(rows)
+    groups = joint_type_groups(x, x, 2, 2)
+    found, _, symbols = encode_rows(x, x, groups, {jt: i for i, (jt, _) in enumerate(groups)})
+    assert found.all() and not symbols.any()
     assert get_coding_table.cache_info().currsize == 0
 
 
@@ -247,3 +256,158 @@ def test_batch_decoders_refuse_an_unknown_side_with_nothing_to_decode(rows):
     code = make_fv_code(4)
     with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
         fv_decode_batch(code, fv_encode_batch(code, x[:0], x[:0]), x[:0], "z")
+
+
+def test_joint_types_are_interned():
+    # 286 binary n=10 joint types: more than the bounded cache in front of
+    # the interning.  Every path returns the enumerated object.
+    types = enumerate_joint_types(10, BINARY, BINARY)
+    assert len(types) == 286
+    rows = []
+    for jt in types:
+        (a, b), (c, d) = jt.counts
+        rows.append(([0] * (a + b) + [1] * (c + d), [0] * a + [1] * b + [0] * c + [1] * d))
+    for (x, y), jt in zip(rows, types):
+        assert joint_type_of(seq(x), seq(y)) is jt
+    x, y = (np.array(side) for side in zip(*rows))
+    groups = joint_type_groups(x, y, 2, 2)
+    assert len(groups) == len(types) and all(got is jt for (got, _), jt in zip(groups, types))
+
+
+def test_no_decoder_builds_a_one_symbol_table():
+    # x = y and y = 1 - x: types of one symbol, decoded through their
+    # letter map on both paths.
+    x = np.random.default_rng(9).integers(0, 2, size=(50, 8))
+    cfg, code = FFCodeConfig(8, 1.0), make_fv_code(8)
+    get_coding_table.cache_clear()
+    for y in (x, 1 - x):
+        ff_words, fv_words = ff_encode_batch(cfg, x, y), fv_encode_batch(code, x, y)
+        for side, held, want in (("x", y, x), ("y", x, y)):
+            assert (ff_decode_batch(cfg, ff_words, held, side) == want).all()
+            assert (fv_decode_batch(code, fv_words, held, side) == want).all()
+        for xi, yi in zip(_sequences(x[:5], BINARY), _sequences(y[:5], BINARY)):
+            ff_cw, fv_cw = ff_encode(cfg, xi, yi), fv_encode(8, xi, yi)
+            assert ff_decode_x(cfg, ff_cw, yi) == xi and ff_decode_y(cfg, ff_cw, xi) == yi
+            assert fv_decode_x(fv_cw, yi) == xi and fv_decode_y(fv_cw, xi) == yi
+    assert get_coding_table.cache_info().currsize == 0
+
+
+# Failures planted in a decoded batch, each in its own held class: side
+# information of another type, a symbol >= the type's symbol count, a
+# hole (a free slot of the held row or column, which fits the field), a
+# type index out of range, and a row with both a side and a symbol fault.
+PLANTED = ("side", "symbol", "hole", "index", "side+symbol")
+
+
+def _plant(kinds, types, words, held, side, seed):
+    """Copies of (type index, symbol, side information) with `kinds`
+    planted at seeded rows of distinct held classes."""
+    type_index, symbols, held = words[-2].copy(), words[-1].copy(), held.copy()
+    order = np.random.default_rng(seed).permutation(len(held))
+    used = set()
+    for kind in kinds:
+        for i in order:
+            counts = tuple(np.bincount(held[i], minlength=2))
+            if counts in used or len(words) == 3 and words[0][i]:
+                continue  # a flagged FF row is not decoded
+            delta = num_symbols_of(types[type_index[i]])
+            if delta == 1 or delta & (delta - 1) == 0:
+                continue  # a symbol count that is a power of two leaves no field value >= it
+            t = get_coding_table(types[type_index[i]])
+            rank = rank_in_type_class(Sequence(tuple(held[i].tolist()), BINARY))
+            slots = (t.row_of if side == "x" else t.col_of)[rank * delta:(rank + 1) * delta]
+            holes = [s for s, other in enumerate(slots) if other < 0]
+            if kind == "hole" and not holes:
+                continue
+            if "side" in kind:
+                held[i, 0] ^= 1
+            if "symbol" in kind:
+                symbols[i] = delta
+            if kind == "hole":
+                symbols[i] = holes[0]
+            if kind == "index":
+                type_index[i] = len(types)
+            used.update({counts, tuple(np.bincount(held[i], minlength=2))})
+            break
+        else:
+            raise AssertionError(f"no row to plant {kind}")
+    return type_index, symbols, held
+
+
+def _first_scalar_failure(decode_one, count):
+    for i in range(count):
+        try:
+            decode_one(i)
+        except ValueError as exc:
+            return type(exc), i
+    return None
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("mode", ["ff", "fv"])
+def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
+    x, y = _pairs(8, 300, 8, 2, 2)
+    cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
+    if mode == "ff":
+        words, types = ff_encode_batch(cfg, x, y), make_code(cfg).region
+    else:
+        words, types = fv_encode_batch(code, x, y), code.types
+    held = y if side == "x" else x
+    subsets = [kinds for r in range(1, 4) for kinds in itertools.combinations(PLANTED, r)] + [PLANTED]
+    for seed, kinds in enumerate(subsets):
+        type_index, symbols, held_i = _plant(kinds, types, words, held, side, seed)
+        held_seqs = _sequences(held_i, BINARY)
+        if mode == "ff":
+            planted = (words[0], type_index, symbols)
+
+            def decode_one(i):
+                if not words[0][i]:
+                    cw = FFCodeword(int(type_index[i]), int(symbols[i]), False)
+                    (ff_decode_x if side == "x" else ff_decode_y)(cfg, cw, held_seqs[i])
+
+            def decode_batch():
+                ff_decode_batch(cfg, planted, held_i, side)
+        else:
+            def decode_one(i):
+                width = code.symbol_widths[type_index[i]] if type_index[i] < len(types) else 0
+                cw = FVCodeword(int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
+                (fv_decode_x if side == "x" else fv_decode_y)(cw, held_seqs[i])
+
+            def decode_batch():
+                fv_decode_batch(code, (type_index, symbols), held_i, side)
+        kind, row = _first_scalar_failure(decode_one, len(held_i))
+        with pytest.raises(kind) as caught:
+            decode_batch()
+        assert (type(caught.value), caught.value.row) == (kind, row), kinds
+
+
+@pytest.mark.parametrize("mode", ["ff", "fv"])
+def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
+    # Whichever module calls it, a batch ranks each marginal class once,
+    # however many joint types share the class.
+    calls, real = [], types_core.rank_rows
+
+    def counted(letters, counts):
+        calls.append(counts)
+        return real(letters, counts)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("compdeliv") and getattr(module, "rank_rows", None) is real:
+            monkeypatch.setattr(module, "rank_rows", counted)
+    x, y = _pairs(10, 2000, 10, 2, 2)
+    tabled = [jt for jt, _ in joint_type_groups(x, y, 2, 2) if num_symbols_of(jt) > 1]
+    x_classes = {jt.x_marginal() for jt in tabled}
+    y_classes = {jt.y_marginal() for jt in tabled}
+    assert len(tabled) > 2 * (len(x_classes) + len(y_classes))
+    cfg, code = FFCodeConfig(10, 1.0), make_fv_code(10)
+    encode, decode = (
+        (lambda: ff_encode_batch(cfg, x, y), lambda w, held, side: ff_decode_batch(cfg, w, held, side))
+        if mode == "ff" else
+        (lambda: fv_encode_batch(code, x, y), lambda w, held, side: fv_decode_batch(code, w, held, side))
+    )
+    words = encode()
+    assert 0 < len(calls) <= len(x_classes) + len(y_classes)
+    for side, held, classes in (("x", y, y_classes), ("y", x, x_classes)):
+        calls.clear()
+        assert (decode(words, held, side) == (x if side == "x" else y)).all()
+        assert 0 < len(calls) == len(set(calls)) <= len(classes)

@@ -167,16 +167,23 @@ class TestDesyncCheck:
         """Only the decoder of `side` sees the corrupted buffer: the encoder
         reads its symbols from col_of too, so corrupting the table for every
         caller would keep the y round trip consistent."""
-        real = ff_codec.decode_side_rows
+        real_decode, real_table = ff_codec.decode_rows, ff_codec.get_coding_table
 
-        def corrupted(t, side_info, symbols, decoded):
-            if decoded == side == "x":  # x is read from row_of, y from col_of
-                t = replace(t, row_of=_swap_first_two_symbols(t.row_of, t.graph.right_size, t.num_symbols))
-            elif decoded == side == "y":
-                t = replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
-            return real(t, side_info, symbols, decoded)
+        def corrupted_table(jt):
+            t = real_table(jt)
+            if side == "x":  # x is read from row_of, y from col_of
+                return replace(t, row_of=_swap_first_two_symbols(t.row_of, t.graph.right_size, t.num_symbols))
+            return replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
 
-        monkeypatch.setattr(ff_codec, "decode_side_rows", corrupted)
+        def corrupted_decode(types, type_index, symbols, side_info, decoded, out, rows):
+            if decoded == side:
+                monkeypatch.setattr(ff_codec, "get_coding_table", corrupted_table)
+            try:
+                return real_decode(types, type_index, symbols, side_info, decoded, out, rows)
+            finally:
+                monkeypatch.setattr(ff_codec, "get_coding_table", real_table)
+
+        monkeypatch.setattr(ff_codec, "decode_rows", corrupted_decode)
         plan = TrialPlan(dsbs(0.11), (4,), (1.0,), trials=200, master_seed=1)
         with pytest.raises(DecoderDesyncError, match=f"failure of {side} "):
             run_plan(plan)
