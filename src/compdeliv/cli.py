@@ -20,7 +20,9 @@ decoders beside them); the bytes are those of coding block by block.
 
 Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
 bytes), the joint types of (n, kx, ky) within MAX_JOINT_TYPE_COUNTS, and
-a rate finite and positive.
+a rate finite and positive.  That bound allows n up to 114 for 2 x 2
+alphabets, 11 for 3 x 3, 6 for 4 x 4, 2 for 8 x 8 and 1 for 16 x 16, and
+refuses 256 x 256 at every n.
 
 Exit codes: 0 success, 2 validation error (including an --out that
 cannot be written and a --source or input file that cannot be read,

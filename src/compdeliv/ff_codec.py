@@ -38,7 +38,7 @@ from .types_core import (
     rank_rows,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
-from .info_measures import SourceSpec, in_decodable_region, prob_of_type_class
+from .info_measures import SourceSpec, _type_probability, in_decodable_region
 from .coding_table import decode_side, encode_pair, get_coding_table, held_and_decoded, letter_map, num_symbols_of
 from .coding_table import SideInfoMismatchError, SymbolNotFoundError
 
@@ -202,7 +202,8 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
     Rows are ranked once per marginal class (`encode_rows`); `groups` is
-    `joint_type_groups` of the rows when the caller has it.
+    `joint_type_groups` of the rows when the caller has it, and a row the
+    caller leaves out of every group is flagged.
     """
     x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y")
     if groups is None:
@@ -214,9 +215,10 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None
 def encode_rows(x, y, groups, index_of: dict) -> tuple[np.ndarray, ...]:
     """(found, type index, symbol) of every row pair of (m, n) letter arrays.
 
-    `groups` is `joint_type_groups(x, y, ...)`.  A row is found when
-    `index_of` maps its joint type to a type index; rows not found, and rows
-    of a type of one symbol, get symbol 0 (and index 0 when not found).
+    `groups` is `joint_type_groups(x, y, ...)`, or a part of it.  A row is
+    found when it is in a group whose joint type `index_of` maps to a type
+    index; rows not found, and rows of a type of one symbol, get symbol 0
+    (and index 0 when not found).
     Every table is built, and its budget checked, before x and y are ranked
     once per marginal class (every row is of its group's marginal types, so
     no rank misses); each type's symbols are then one `symbols_at`.
@@ -371,7 +373,7 @@ def exact_error_probability(cfg: FFCodeConfig, p: SourceSpec) -> ErrorProbabilit
     code = make_code(cfg)
     in_region = set(code.region)
     escape = sum(
-        prob_of_type_class(jt, p)
+        _type_probability(jt, p)
         for jt in enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
         if jt not in in_region
     )

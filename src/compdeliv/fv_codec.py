@@ -35,7 +35,7 @@ from .types_core import (
     joint_type_of,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
-from .info_measures import SourceSpec, epsilon_n, prob_of_type_class
+from .info_measures import SourceSpec, _type_probability, epsilon_n
 from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of
 from .ff_codec import (
     FFCodeConfig,
@@ -255,7 +255,7 @@ def fv_decode_y(cw: FVCodeword, x: Sequence, ay: Alphabet | None = None) -> Sequ
 def expected_length(n: int, p: SourceSpec) -> float:
     """E[codeword length] in bits, exact sum over joint types."""
     code = make_fv_code(n, p.ax, p.ay)
-    return sum(prob_of_type_class(jt, p) * code.codeword_length(jt) for jt in code.types)
+    return sum(_type_probability(jt, p) * length for jt, length in zip(code.types, code.codeword_lengths))
 
 
 def overflow_probability(n: int, rate: float, p: SourceSpec) -> float:
@@ -263,9 +263,9 @@ def overflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
     code = make_fv_code(n, p.ax, p.ay)
     return sum(
-        prob_of_type_class(jt, p)
-        for jt in code.types
-        if code.codeword_length(jt) > threshold
+        _type_probability(jt, p)
+        for jt, length in zip(code.types, code.codeword_lengths)
+        if length > threshold
     )
 
 
@@ -273,9 +273,9 @@ def underflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     """P(length < n * rate), exact sum over joint types."""
     code = make_fv_code(n, p.ax, p.ay)
     return sum(
-        prob_of_type_class(jt, p)
-        for jt in code.types
-        if code.codeword_length(jt) < n * rate
+        _type_probability(jt, p)
+        for jt, length in zip(code.types, code.codeword_lengths)
+        if length < n * rate
     )
 
 
@@ -333,7 +333,7 @@ class WrappedFVCode:
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""
         total = sum(
-            prob_of_type_class(jt, p) * self.codeword_length(jt)
+            _type_probability(jt, p) * self.codeword_length(jt)
             for jt in enumerate_joint_types(self.cfg.n, self.cfg.ax, self.cfg.ay)
         )
         return total / self.cfg.n

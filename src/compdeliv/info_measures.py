@@ -173,6 +173,10 @@ def prob_of_type_class(jt: JointType, p: SourceSpec) -> float:
     return _exp2(math.log2(multinomial(jt.flat_counts())) + lp)
 
 
+# The exact error and overflow sums rescan every joint type at each rate.
+_type_probability = lru_cache(maxsize=None)(prob_of_type_class)
+
+
 @dataclass(frozen=True)
 class ExponentReport:
     """Result of an exhaustive exponent scan at one (rate, n) point."""

@@ -3,8 +3,12 @@
 Exact type-sum computation is the primary truth; the Monte-Carlo columns
 exist to exercise the full encode/decode pipeline end to end, so every
 trial is actually encoded and both-side decoded (an unflagged mismatch is
-a table-logic defect and raises immediately).  A row's trials are one batch
-of `ff_encode_batch`/`ff_decode_batch`, ranked once per marginal class.
+a table-logic defect and raises before the next block length is coded).
+The trials of every rate at one block length are coded together, in
+slices of at most `_BATCH_ROWS` rows: one `ff_encode_batch` and one
+`ff_decode_batch` per side and slice, with the code of the largest rate.
+Each trial is flagged by its own rate's region, so the report is the one
+that coding each grid row alone gives.
 
 PRNG contract: NumPy PCG64 (period 2^128), seeded through SeedSequence.
 Per-row generators are spawned from the master seed in row order, so the
@@ -18,10 +22,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, asdict
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
-from .types_core import joint_type_groups
+from .types_core import _letter_dtype, joint_type_groups
 from .info_measures import (
     SourceSpec,
     correct_exponent_inside,
@@ -29,9 +35,16 @@ from .info_measures import (
     error_exponent_outside,
     error_sum_lower_bound,
     error_sum_upper_bound,
+    in_decodable_region,
 )
 from .ff_codec import FFCodeConfig, check_rate, exact_error_probability, ff_decode_batch, ff_encode_batch
 from .fv_codec import make_fv_code, overflow_probability
+
+
+# Most trials coded as one batch.  A block length's trials, of every rate,
+# go through the codec in slices of at most this many rows, which bounds
+# the batch's temporaries (about 200 B per row at n = 10).
+_BATCH_ROWS = 1 << 16
 
 
 class DecoderDesyncError(RuntimeError):
@@ -97,40 +110,76 @@ def _sample_cells(p: SourceSpec, n: int, trials: int, rng) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right")
 
 
+def _sample_letters(p: SourceSpec, n: int, trials: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """A grid row's (trials, n) x and y letters, drawn from the row's own seed."""
+    cells = _sample_cells(p, n, trials, np.random.Generator(np.random.PCG64(seed)))
+    x, y = np.divmod(cells, p.num_y)
+    return x.astype(_letter_dtype(p.num_x)), y.astype(_letter_dtype(p.num_y))
+
+
 def run_plan(plan: TrialPlan) -> ExperimentReport:
     """Exact and Monte-Carlo columns for every (n, rate) grid point."""
     grid = sorted((n, r) for n in plan.n_grid for r in plan.rates)
-    seeds = np.random.SeedSequence(plan.master_seed).spawn(len(grid))
+    seeds = iter(np.random.SeedSequence(plan.master_seed).spawn(len(grid)))
     rows = []
-    for (n, rate), seed in zip(grid, seeds):
-        rows.append(_run_row(plan.p, n, rate, plan.trials, seed))
+    for n, points in groupby(grid, key=itemgetter(0)):
+        rates = [rate for _, rate in points]
+        samples = [_sample_letters(plan.p, n, plan.trials, next(seeds)) for _ in rates]
+        x, y = (np.concatenate(side) for side in zip(*samples))
+        escapes, overflows = _count_trials(plan.p, n, rates, plan.trials, x, y)
+        for rate, escaped, overflowed in zip(rates, escapes.tolist(), overflows.tolist()):
+            rows.append(_report_row(plan.p, n, rate, plan.trials, escaped, overflowed))
     return ExperimentReport(tuple(rows))
 
 
-def _run_row(p: SourceSpec, n: int, rate: float, trials: int, seed) -> ReportRow:
-    cfg = FFCodeConfig(n, rate, p.ax, p.ay)
-    exact = exact_error_probability(cfg, p)
-    mind_out = error_exponent_outside(rate, p, n).value
-    eps = epsilon_n(n, p.ax, p.ay)
-    mind_in = correct_exponent_inside(rate, p, n).value
-    overflow_exact = overflow_probability(n, rate, p)
+def _count_trials(p: SourceSpec, n: int, rates: list[float], trials: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """FF escapes and FV overflows of each rate's trials at block length n.
 
+    Rates ascend, and the trials of rate i are rows i * trials onwards of
+    x and y.  The rows are coded in slices of at most `_BATCH_ROWS` with
+    the code of the largest rate: a cell's symbol does not depend on the
+    rate, and every smaller rate's region lies inside that code's.  A row
+    whose type is outside its own rate's region is left out of the groups
+    `ff_encode_batch` is given, so it is flagged and no table is built for it.
+    """
+    cfg = FFCodeConfig(n, rates[-1], p.ax, p.ay)
     fv = make_fv_code(n, p.ax, p.ay)
-    overflow_threshold = n * (rate + eps)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cells = _sample_cells(p, n, trials, rng)
-    x, y = np.divmod(cells, p.num_y)
-    groups = joint_type_groups(x, y, p.num_x, p.num_y)
+    eps = epsilon_n(n, p.ax, p.ay)
+    overflow_threshold = np.array([n * (rate + eps) for rate in rates])
+    # Per rate: escapes, overflows, and unflagged trials decoded wrong on x and on y.
+    counts = np.zeros((4, len(rates)), np.int64)
+    for start in range(0, len(x), _BATCH_ROWS):
+        xs, ys = x[start:start + _BATCH_ROWS], y[start:start + _BATCH_ROWS]
+        at = np.arange(start, start + len(xs)) // trials  # the grid row of every trial
+        lengths, coded = np.zeros(len(xs), np.int64), []
+        for jt, rows in joint_type_groups(xs, ys, p.num_x, p.num_y):
+            lengths[rows] = fv.codeword_lengths[fv.index_of[jt]]
+            inside = [in_decodable_region(jt, rate) for rate in rates]
+            if not all(inside):
+                rows = rows[np.array(inside)[at[rows]]]
+            if len(rows):
+                coded.append((jt, rows))
+        words = ff_encode_batch(cfg, xs, ys, coded)
+        wrong = [
+            (ff_decode_batch(cfg, words, side_info, side) != truth).any(axis=1) & ~words[0]
+            for side, truth, side_info in (("x", xs, ys), ("y", ys, xs))
+        ]
+        masks = (words[0], lengths > overflow_threshold[at], *wrong)
+        counts += [np.bincount(at[m], minlength=len(rates)) for m in masks]
+    escapes, overflows, x_wrong, y_wrong = counts
+    # Name what coding row by row would: the first failing grid row, and x
+    # when that row fails on x.
+    failed = np.flatnonzero(x_wrong + y_wrong)
+    if len(failed):
+        row = failed[0]
+        side = "x" if x_wrong[row] else "y"
+        raise DecoderDesyncError(f"round-trip failure of {side} at n={n}, rate={rates[row]}")
+    return escapes, overflows
 
-    words = ff_encode_batch(cfg, x, y, groups)
-    unflagged = ~words[0]
-    for side, truth, side_info in (("x", x, y), ("y", y, x)):
-        decoded = ff_decode_batch(cfg, words, side_info, side)
-        if not np.array_equal(decoded[unflagged], truth[unflagged]):
-            raise DecoderDesyncError(f"round-trip failure of {side} at n={n}, rate={rate}")
-    escapes = int(words[0].sum())
-    overflows = sum(len(rows) for jt, rows in groups if fv.codeword_length(jt) > overflow_threshold)
 
+def _report_row(p: SourceSpec, n: int, rate: float, trials: int, escapes: int, overflows: int) -> ReportRow:
+    exact = exact_error_probability(FFCodeConfig(n, rate, p.ax, p.ay), p)
+    mind_out = error_exponent_outside(rate, p, n).value
     escape_exact = exact.e_x
     stderr = 2.0 * math.sqrt(escape_exact * (1 - escape_exact) / trials)
     return ReportRow(
@@ -140,10 +189,9 @@ def _run_row(p: SourceSpec, n: int, rate: float, trials: int, seed) -> ReportRow
         mc_e_sum=2.0 * escapes / trials,
         mc_stderr=stderr,
         min_divergence_outside=mind_out,
-        min_divergence_inside=mind_in,
+        min_divergence_inside=correct_exponent_inside(rate, p, n).value,
         bound_upper=error_sum_upper_bound(rate, p, n, mind_out),
         bound_lower=error_sum_lower_bound(rate, p, n),
-        overflow_exact=overflow_exact,
+        overflow_exact=overflow_probability(n, rate, p),
         overflow_mc=overflows / trials,
     )
-

@@ -10,8 +10,8 @@ of the file-format VERSION).
 - tables.json: SHA-256 of the `dump_csv` grid of every joint type's
   colored table, binary for n <= 8 and a 3x2 alphabet for n <= 5.
 - sweep.json: SHA-256 of the CSV report of criterion 6's Monte-Carlo
-  plan (DSBS(0.11), n in 4..10, three rates, 100k trials per row; takes
-  a few minutes).
+  plan (DSBS(0.11), n in 4..10, three rates, 100k trials per row; a few
+  seconds) and of the benchmark's mc_sweep plan (n in 4..8, 500 trials).
 - codec.json: a seeded DSBS(0.11) letter pair of 403 letters (the last
   n=8 block is short), its FF(rate 0.8) and FV codeword files as the CLI
   writes them, the decoded output of both sides, and the bits of the
@@ -106,15 +106,26 @@ def codec_fixture() -> dict:
     return out
 
 
+# The plan of tests/test_acceptance.py::test_criterion_6_monte_carlo_consistency,
+# and the benchmark's mc_sweep plan (a fast guard: about 20 ms).
+SWEEP_PLANS = {
+    "criterion_6": (
+        "dsbs(0.11) n=4,6,8,10 rates=0.7,0.8,0.9 trials=100000 seed=20230817",
+        TrialPlan(p=dsbs(0.11), n_grid=(4, 6, 8, 10), rates=(0.7, 0.8, 0.9), trials=100_000, master_seed=20230817),
+    ),
+    "mc_sweep": (
+        "dsbs(0.11) n=4,6,8 rates=0.7,0.8,0.9 trials=500 seed=20230817",
+        TrialPlan(p=dsbs(0.11), n_grid=(4, 6, 8), rates=(0.7, 0.8, 0.9), trials=500, master_seed=20230817),
+    ),
+}
+
+
+def sweep_digest(plan: TrialPlan) -> str:
+    return hashlib.sha256(run_plan(plan).to_csv().encode()).hexdigest()
+
+
 def sweep_fixture() -> dict:
-    # The plan of tests/test_acceptance.py::test_criterion_6_monte_carlo_consistency.
-    plan = TrialPlan(p=dsbs(0.11), n_grid=(4, 6, 8, 10), rates=(0.7, 0.8, 0.9),
-                     trials=100_000, master_seed=20230817)
-    text = run_plan(plan).to_csv()
-    return {"criterion_6": {
-        "plan": "dsbs(0.11) n=4,6,8,10 rates=0.7,0.8,0.9 trials=100000 seed=20230817",
-        "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
-    }}
+    return {name: {"plan": text, "csv_sha256": sweep_digest(plan)} for name, (text, plan) in SWEEP_PLANS.items()}
 
 
 def write_json(name: str, obj) -> None:

@@ -14,7 +14,7 @@ from compdeliv.ff_codec import FFCodeConfig
 from compdeliv.fv_codec import wrap_ff_as_fv
 from compdeliv.types_core import Alphabet, enumerate_joint_types
 from conftest import bit_text
-from golden.generate import TABLE_ALPHABETS, padded_blocks, table_digest, table_key
+from golden.generate import SWEEP_PLANS, TABLE_ALPHABETS, padded_blocks, sweep_digest, table_digest, table_key
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -71,3 +71,11 @@ def test_wrapped_codewords(codec):
         assert bit_text(cw) == bits
         assert wrapped.decode(cw, y, "x") == x
         assert wrapped.decode(cw, x, "y") == y
+
+
+def test_mc_sweep_csv():
+    """The benchmark's sweep plan; criterion 6's is checked in test_acceptance.py."""
+    text, plan = SWEEP_PLANS["mc_sweep"]
+    pinned = load("sweep.json")["mc_sweep"]
+    assert pinned["plan"] == text
+    assert sweep_digest(plan) == pinned["csv_sha256"]

@@ -8,23 +8,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compdeliv import ff_codec
+from compdeliv import coding_table, ff_codec, simulator
+from compdeliv.fv_codec import make_fv_code
 from compdeliv.info_measures import (
     SourceSpec,
     correct_exponent_inside,
     dsbs,
+    epsilon_n,
     error_exponent_outside,
     error_sum_lower_bound,
     error_sum_upper_bound,
+    in_decodable_region,
+    prob_of_type_class,
+    uniform_independent,
 )
-from compdeliv.ff_codec import FFCodeConfig, exact_error_probability
+from compdeliv.ff_codec import FFCodeConfig, exact_error_probability, ff_decode_batch, ff_encode_batch, make_code
 from compdeliv.simulator import (
     DecoderDesyncError,
     ExperimentReport,
     ReportRow,
     TrialPlan,
+    _sample_cells,
     run_plan,
 )
+from compdeliv.types_core import enumerate_joint_types, joint_type_groups
 from conftest import sample_pair
 
 
@@ -149,6 +156,114 @@ class TestReportSerialization:
         assert data[0]["mc_e_sum"] == 0.11
 
 
+def reference_run_plan(plan: TrialPlan) -> ExperimentReport:
+    """`run_plan` coded one grid row at a time, each row with its own rate's
+    config, and its exact escape and overflow sums taken type by type
+    without memos."""
+    grid = sorted((n, r) for n in plan.n_grid for r in plan.rates)
+    seeds = np.random.SeedSequence(plan.master_seed).spawn(len(grid))
+    rows = (_reference_row(plan.p, n, rate, plan.trials, seed) for (n, rate), seed in zip(grid, seeds))
+    return ExperimentReport(tuple(rows))
+
+
+def _reference_row(p, n, rate, trials, seed) -> ReportRow:
+    cfg, fv = FFCodeConfig(n, rate, p.ax, p.ay), make_fv_code(n, p.ax, p.ay)
+    region = set(make_code(cfg).region)
+    escape_exact = sum(prob_of_type_class(jt, p) for jt in enumerate_joint_types(n, p.ax, p.ay) if jt not in region)
+    threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
+    overflow_exact = sum(prob_of_type_class(jt, p) for jt in fv.types if fv.codeword_length(jt) > threshold)
+
+    cells = _sample_cells(p, n, trials, np.random.Generator(np.random.PCG64(seed)))
+    x, y = np.divmod(cells, p.num_y)
+    groups = joint_type_groups(x, y, p.num_x, p.num_y)
+    words = ff_encode_batch(cfg, x, y, groups)
+    unflagged = ~words[0]
+    for side, truth, side_info in (("x", x, y), ("y", y, x)):
+        decoded = ff_decode_batch(cfg, words, side_info, side)
+        if not np.array_equal(decoded[unflagged], truth[unflagged]):
+            raise DecoderDesyncError(f"round-trip failure of {side} at n={n}, rate={rate}")
+    escapes = int(words[0].sum())
+    overflows = sum(len(rows) for jt, rows in groups if fv.codeword_length(jt) > threshold)
+
+    mind_out = error_exponent_outside(rate, p, n).value
+    return ReportRow(
+        n=n,
+        rate=rate,
+        exact_e_sum=2 * escape_exact,
+        mc_e_sum=2.0 * escapes / trials,
+        mc_stderr=2.0 * math.sqrt(escape_exact * (1 - escape_exact) / trials),
+        min_divergence_outside=mind_out,
+        min_divergence_inside=correct_exponent_inside(rate, p, n).value,
+        bound_upper=error_sum_upper_bound(rate, p, n, mind_out),
+        bound_lower=error_sum_lower_bound(rate, p, n),
+        overflow_exact=overflow_exact,
+        overflow_mc=overflows / trials,
+    )
+
+
+MC_PLAN = TrialPlan(dsbs(0.11), (4, 6, 8), (0.7, 0.8, 0.9), trials=500, master_seed=20230817)
+SOURCE_3X2 = SourceSpec(((0.3, 0.05), (0.05, 0.25), (0.15, 0.2)))
+PLANS = {
+    "mc": MC_PLAN,
+    "3x2": TrialPlan(SOURCE_3X2, (3, 5), (0.5, 1.0, 1.3), trials=300, master_seed=5),
+    "duplicates": TrialPlan(dsbs(0.2), (6, 4, 6), (0.8, 0.7, 0.8), trials=200, master_seed=8),
+    "one-rate": TrialPlan(dsbs(0.11), (8, 5), (0.8,), trials=300, master_seed=13),
+    "overflows": TrialPlan(uniform_independent(), (10,), (0.05, 0.2, 0.35), trials=200, master_seed=31),
+}
+SLICED_PLANS = {
+    "mixed": TrialPlan(dsbs(0.2), (4, 6), (0.7, 0.9), trials=40, master_seed=21),
+    "3x2": TrialPlan(SOURCE_3X2, (4,), (0.6, 1.2), trials=25, master_seed=22),
+    "overflows": TrialPlan(uniform_independent(), (10,), (0.05, 0.2), trials=30, master_seed=31),
+}
+
+
+class TestBatchedSweep:
+    """One batch per block length reports what coding row by row reports."""
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_equals_the_row_by_row_reference(self, name):
+        plan = PLANS[name]
+        assert run_plan(plan).to_csv() == reference_run_plan(plan).to_csv()
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, 1000])
+    @pytest.mark.parametrize("name", SLICED_PLANS)
+    def test_slices_spanning_rates_change_nothing(self, monkeypatch, name, batch_rows):
+        plan = SLICED_PLANS[name]
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", batch_rows)
+        assert run_plan(plan).to_csv() == reference_run_plan(plan).to_csv()
+
+    def test_mc_plan_in_slices_of_1000(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", 1000)
+        assert run_plan(MC_PLAN).to_csv() == reference_run_plan(MC_PLAN).to_csv()
+
+    @pytest.mark.parametrize("batch_rows", [1000, 1 << 16])
+    def test_one_encode_and_two_decodes_per_slice(self, monkeypatch, batch_rows):
+        calls = []
+        for name in ("ff_encode_batch", "ff_decode_batch"):
+            real = getattr(simulator, name)
+            monkeypatch.setattr(simulator, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", batch_rows)
+        run_plan(MC_PLAN)
+        rows_per_n = len(MC_PLAN.rates) * MC_PLAN.trials
+        slices = len(MC_PLAN.n_grid) * -(-rows_per_n // batch_rows)
+        assert calls.count("ff_encode_batch") == slices
+        assert calls.count("ff_decode_batch") == 2 * slices
+
+    def test_builds_the_tables_the_row_by_row_sweep_builds(self, monkeypatch):
+        """On a cold cache: a type inside the largest rate's region whose
+        trials are all of smaller rates gets no table."""
+        real, wanted = ff_codec.get_coding_table, []
+        monkeypatch.setattr(ff_codec, "get_coding_table", lambda jt: wanted.append(jt) or real(jt))
+        built = []
+        for run in (reference_run_plan, run_plan):
+            coding_table.get_coding_table.cache_clear()
+            wanted.clear()
+            run(MC_PLAN)
+            built.append((coding_table.get_coding_table.cache_info().misses, set(wanted)))
+        assert built[0][0] > 0
+        assert built[1] == built[0]
+
+
 def _swap_first_two_symbols(slots: array, vertices: int, delta: int) -> array:
     """A copy of a lookup buffer whose every vertex with two or more cells
     has its first two symbols exchanged."""
@@ -159,31 +274,76 @@ def _swap_first_two_symbols(slots: array, vertices: int, delta: int) -> array:
     return array("i", grid.tobytes())
 
 
+def corrupt_decoders(monkeypatch, corrupted) -> None:
+    """Decoders of side s read a corrupted table of the joint type jt when
+    `corrupted(jt, s)`.  Only the decoders see it: the encoder reads its
+    symbols from col_of too, so corrupting the table for every caller would
+    keep the y round trip consistent."""
+    real_decode, real_table = ff_codec.decode_rows, ff_codec.get_coding_table
+
+    def table_for(side):
+        def table(jt):
+            t = real_table(jt)
+            if not corrupted(jt, side):
+                return t
+            if side == "x":  # x is read from row_of, y from col_of
+                return replace(t, row_of=_swap_first_two_symbols(t.row_of, t.graph.right_size, t.num_symbols))
+            return replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
+        return table
+
+    def corrupted_decode(types, type_index, symbols, side_info, decoded, out, rows):
+        monkeypatch.setattr(ff_codec, "get_coding_table", table_for(decoded))
+        try:
+            return real_decode(types, type_index, symbols, side_info, decoded, out, rows)
+        finally:
+            monkeypatch.setattr(ff_codec, "get_coding_table", real_table)
+
+    monkeypatch.setattr(ff_codec, "decode_rows", corrupted_decode)
+
+
+def desync_message(run, plan) -> str:
+    with pytest.raises(DecoderDesyncError) as caught:
+        run(plan)
+    return str(caught.value)
+
+
 class TestDesyncCheck:
     """A table that decodes one side wrong must stop the sweep."""
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_corrupted_table_raises(self, monkeypatch, side):
-        """Only the decoder of `side` sees the corrupted buffer: the encoder
-        reads its symbols from col_of too, so corrupting the table for every
-        caller would keep the y round trip consistent."""
-        real_decode, real_table = ff_codec.decode_rows, ff_codec.get_coding_table
-
-        def corrupted_table(jt):
-            t = real_table(jt)
-            if side == "x":  # x is read from row_of, y from col_of
-                return replace(t, row_of=_swap_first_two_symbols(t.row_of, t.graph.right_size, t.num_symbols))
-            return replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
-
-        def corrupted_decode(types, type_index, symbols, side_info, decoded, out, rows):
-            if decoded == side:
-                monkeypatch.setattr(ff_codec, "get_coding_table", corrupted_table)
-            try:
-                return real_decode(types, type_index, symbols, side_info, decoded, out, rows)
-            finally:
-                monkeypatch.setattr(ff_codec, "get_coding_table", real_table)
-
-        monkeypatch.setattr(ff_codec, "decode_rows", corrupted_decode)
+        corrupt_decoders(monkeypatch, lambda jt, decoded: decoded == side)
         plan = TrialPlan(dsbs(0.11), (4,), (1.0,), trials=200, master_seed=1)
-        with pytest.raises(DecoderDesyncError, match=f"failure of {side} "):
+        with pytest.raises(DecoderDesyncError, match=f"failure of {side} at n=4, rate=1.0$"):
             run_plan(plan)
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_names_the_first_failing_grid_row(self, monkeypatch, side, batch_rows):
+        """Only tables of types outside the rate-0.7 region decode wrong, so
+        n=4 at rate 0.7 codes its trials of those types as flagged, and the
+        first failing row is n=4 at rate 0.9, coded in the same batch."""
+        corrupt_decoders(monkeypatch, lambda jt, decoded: decoded == side and not in_decodable_region(jt, 0.7))
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", batch_rows)
+        plan = TrialPlan(dsbs(0.11), (6, 4), (0.9, 0.7), trials=60, master_seed=3)
+        message = f"round-trip failure of {side} at n=4, rate=0.9"
+        assert desync_message(reference_run_plan, plan) == message
+        assert desync_message(run_plan, plan) == message
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, 1 << 16])
+    def test_names_x_when_the_row_fails_on_x_after_a_y_failure(self, monkeypatch, batch_rows):
+        """Every table decodes y wrong, and x wrong only for types that
+        first appear in the second half of the first row: coding the row
+        alone names x, and so does the sweep, whichever slice the first
+        x failure is in."""
+        plan = TrialPlan(dsbs(0.11), (6,), (0.9, 1.0), trials=60, master_seed=3)
+        seed = np.random.SeedSequence(plan.master_seed).spawn(2)[0]
+        x, y = np.divmod(_sample_cells(plan.p, 6, plan.trials, np.random.Generator(np.random.PCG64(seed))), 2)
+        half = plan.trials // 2
+        late = {jt for jt, _ in joint_type_groups(x[half:], y[half:], 2, 2)}
+        late -= {jt for jt, _ in joint_type_groups(x[:half], y[:half], 2, 2)}
+        corrupt_decoders(monkeypatch, lambda jt, decoded: decoded == "y" or jt in late)
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", batch_rows)
+        message = "round-trip failure of x at n=6, rate=0.9"
+        assert desync_message(reference_run_plan, plan) == message
+        assert desync_message(run_plan, plan) == message
