@@ -24,6 +24,16 @@ a rate finite and positive.  That bound allows n up to 114 for 2 x 2
 alphabets, 11 for 3 x 3, 6 for 4 x 4, 2 for 8 x 8 and 1 for 16 x 16, and
 refuses 256 x 256 at every n.
 
+Large alphabets do not compress at the block lengths they allow.  Every
+block carries its joint type, log2 C(n + kx*ky - 1, kx*ky - 1) bits (the
+(n+1)^(|X||Y|) type count), before its symbol.  For 256 x 256 letters that
+header alone is 16 bits per letter at n=1 and 15 at n=4, about what the
+raw byte pair costs (16 bits).  For 16 x 16 at n=1 it is 8 bits per
+letter, the raw pair's width.  The header per letter falls as n grows
+(2 x 2: 0.92 bits at n=8, 0.16 at n=114; 3 x 3: 1.47 at n=11; 4 x 4:
+2.62 at n=6; raw pairs take 2, 4 and 4 bits), so only small alphabets
+reach block lengths where the rate can approach `achievable_rate`.
+
 Exit codes: 0 success, 2 validation error (including an --out that
 cannot be written and a --source or input file that cannot be read,
 each named), 3 malformed file (including

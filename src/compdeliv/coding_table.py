@@ -29,6 +29,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +37,17 @@ from .types_core import (
     MAX_CLASS_SIZE,
     Alphabet,
     JointType,
+    RankRangeError,
     RowError,
     Sequence,
+    TypeVector,
     _as_keys,
     _class_letters,
+    _lex_maps,
     _rank_letters,
+    _unrank_letters,
     type_class_size,
     type_of,
-    unrank_in_type_class,
     v_shell_size,
     w_shell_size,
 )
@@ -321,26 +325,78 @@ def num_symbols_of(jt: JointType) -> int:
     return max(v_shell_size(jt), w_shell_size(jt))
 
 
+class SideCoder(NamedTuple):
+    """Everything a decode of one side of a joint type reads that does not
+    depend on the block, memoized per joint type by `_side_coders`.
+
+    `held` is the side information's marginal type and `rank_of` its class
+    as letters -> rank; `other` is the reproduced marginal type and
+    `letters_of` its class as rank -> letters, `size` members over
+    `alphabet`.  A class above `_RANK_MAP_LIMIT` has no map (None) and is
+    searched instead.  `to` is the `letter_map` of a type of one symbol
+    (which reads only its held class's map, to check the side information),
+    None for a type with a table.
+    """
+
+    held: TypeVector
+    rank_of: dict | None
+    other: TypeVector
+    letters_of: tuple | None
+    size: int
+    alphabet: Alphabet
+    to: tuple[int, ...] | None
+
+
+@lru_cache(maxsize=None)
+def _side_coders(jt: JointType) -> tuple[SideCoder, SideCoder]:
+    """The `SideCoder` decoding x and the one decoding y, in that order.
+    The one decoding y holds x's class map, and the other y's."""
+    coders = []
+    for side in ("x", "y"):
+        held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
+        to = letter_map(jt, side) if num_symbols_of(jt) == 1 else None
+        held_maps, other_maps = _lex_maps(held.counts), None if to else _lex_maps(other.counts)
+        coders.append(SideCoder(
+            held,
+            held_maps and held_maps[0],
+            other,
+            other_maps and other_maps[1],
+            type_class_size(other),
+            Alphabet(other.num_letters),
+            to,
+        ))
+    return tuple(coders)
+
+
+def _rank(coder: SideCoder, letters: tuple[int, ...]) -> int:
+    """Rank of `letters`, a member of the coder's held class (not checked)."""
+    return coder.rank_of[letters] if coder.rank_of is not None else _rank_letters(letters, coder.held.counts)
+
+
 def encode_pair(jt: JointType, x: Sequence, y: Sequence) -> int:
     """The symbol of the cell (x, y), a pair of joint type jt (not checked):
     0 for a type of one symbol, for which no table is built.  Otherwise the
     table, and with it its budget check, comes before the ranks."""
-    if num_symbols_of(jt) == 1:
+    decode_x, decode_y = _side_coders(jt)
+    if decode_x.to is not None:
         return 0
     t = get_coding_table(jt)
-    x_q, y_q = t.jt.x_marginal(), t.jt.y_marginal()  # t.jt keys the marginal cache, so no __eq__ on lookup
-    return t.symbol_at(_rank_letters(x.letters, x_q.counts), _rank_letters(y.letters, y_q.counts))
+    return t.symbol_at(_rank(decode_y, x.letters), _rank(decode_x, y.letters))
+
+
+def _side_index(side: str) -> int:
+    if side == "x":
+        return 0
+    if side == "y":
+        return 1
+    raise ValueError(f"side must be 'x' or 'y', not {side!r}")
 
 
 def held_and_decoded(side: str, x, y) -> tuple:
     """(held, decoded) for a decode of `side`: of an x value and a y value,
     the side information's and the reproduced sequence's.  Raises the
     ValueError of `decode_side` for a side other than "x" and "y"."""
-    if side == "x":
-        return y, x
-    if side == "y":
-        return x, y
-    raise ValueError(f"side must be 'x' or 'y', not {side!r}")
+    return (y, x) if _side_index(side) == 0 else (x, y)
 
 
 def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> Sequence:
@@ -349,21 +405,33 @@ def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> S
 
     `side` names the sequence reproduced, as `decode --side` does: "x"
     reads the column of side information y, "y" reads the row of x.  The
-    side information is counted once, for its type check and its rank; a
-    type of one symbol maps it through `letter_map`, with no table, and an
-    x = y block keeps its letters tuple (no new object for the collector).
+    side information's rank is its type check: a block missing from its
+    held class's map is of another type; a class without a map, and a type
+    of one symbol, count the block instead.  A type of one symbol maps the
+    side information through `letter_map`, with no table, and an x = y
+    block keeps its letters tuple (no new object for the collector).
     """
-    held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
-    t = get_coding_table(jt) if num_symbols_of(jt) > 1 else None
-    if type_of(side_info) != held:
+    coder = _side_coders(jt)[_side_index(side)]
+    held, rank_of, other, letters_of, size, alphabet, to = coder
+    t = get_coding_table(jt) if to is None else None
+    letters = side_info.letters
+    if rank_of is not None and side_info.alphabet.size == len(held.counts):
+        rank = rank_of.get(letters)
+    elif type_of(side_info) == held:
+        rank = 0 if t is None else _rank(coder, letters)  # a type of one symbol reads no rank
+    else:
+        rank = None
+    if rank is None:
         raise SideInfoMismatchError("side information type does not match codeword")
     if t is None:
         if symbol != 0:
             raise SymbolNotFoundError(f"symbol {symbol} absent in a joint type of one symbol")
-        letters = tuple(map(letter_map(jt, side).__getitem__, side_info.letters))
-        return Sequence(side_info.letters if letters == side_info.letters else letters, Alphabet(len(other.counts)))
-    lookup = t.row_for if side == "x" else t.col_for
-    return unrank_in_type_class(other, lookup(_rank_letters(side_info.letters, held.counts), symbol))
+        mapped = tuple(map(to.__getitem__, letters))
+        return Sequence(letters if mapped == letters else mapped, alphabet)
+    r = t.row_for(rank, symbol) if side == "x" else t.col_for(rank, symbol)
+    if not 0 <= r < size:
+        raise RankRangeError(f"rank {r} outside type class of size {size}")
+    return Sequence(letters_of[r] if letters_of is not None else _unrank_letters(other.counts, r), alphabet)
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ from .types_core import (
     rank_rows,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
-from .info_measures import SourceSpec, _type_probability, in_decodable_region
+from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, in_decodable_region, type_columns
 from .coding_table import decode_side, encode_pair, get_coding_table, held_and_decoded, letter_map, num_symbols_of
 from .coding_table import SideInfoMismatchError, SymbolNotFoundError
 
@@ -58,6 +58,11 @@ class FFCodeConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         check_rate(self.rate)
+        # A configuration keys `make_code` on every coded block: hash it once.
+        object.__setattr__(self, "_hash", hash((self.n, self.rate, self.ax, self.ay)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def check_rate(rate: float, name: str = "rate") -> None:
@@ -158,9 +163,16 @@ def make_code(cfg: FFCodeConfig) -> FFCode:
 
 def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
     """Encode a pair; declares (but does not raise) an encoding error
-    when the pair's joint type is outside the decodable region."""
-    if len(x) != cfg.n or len(y) != cfg.n:
+    when the pair's joint type is outside the decodable region.  A pair of
+    another length or over other alphabets than the code's is refused
+    (ValueError), as `ff_encode_batch` refuses letters outside them."""
+    if len(x.letters) != cfg.n or len(y.letters) != cfg.n:
         raise ValueError(f"sequences must have length n={cfg.n}")
+    if x.alphabet.size != cfg.ax.size or y.alphabet.size != cfg.ay.size:
+        raise ValueError(
+            f"sequences over {x.alphabet.size} x {y.alphabet.size} letters; "
+            f"the code is over {cfg.ax.size} x {cfg.ay.size}"
+        )
     code = make_code(cfg)
     jt = joint_type_of(x, y)
     idx = code.index_of.get(jt)
@@ -170,7 +182,7 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
 
 
 def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str) -> Sequence:
-    if len(side_info) != cfg.n:
+    if len(side_info.letters) != cfg.n:
         raise ValueError(f"side information must have length n={cfg.n}")
     code = make_code(cfg)
     if cw.error_flag:
@@ -370,11 +382,14 @@ class ErrorProbability:
 
 def exact_error_probability(cfg: FFCodeConfig, p: SourceSpec) -> ErrorProbability:
     """Both decoders fail exactly on region escape, so e_x = e_y = P(escape)."""
-    code = make_code(cfg)
-    in_region = set(code.region)
-    escape = sum(
-        _type_probability(jt, p)
-        for jt in enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
-        if jt not in in_region
-    )
+    cols, limit = _source_columns(cfg, p), cfg.rate + RATE_TIE_TOL
+    escape = sum(q for h, q in zip(cols.max_entropy, cols.probability) if h > limit)  # outside the region
     return ErrorProbability(e_x=escape, e_y=escape)
+
+
+def _source_columns(cfg: FFCodeConfig, p: SourceSpec) -> TypeColumns:
+    """`type_columns` of the source p at cfg's block length; ValueError
+    unless p is over cfg's alphabets."""
+    if (p.num_x, p.num_y) != (cfg.ax.size, cfg.ay.size):
+        raise ValueError(f"source over {p.num_x} x {p.num_y} letters; the code is over {cfg.ax.size} x {cfg.ay.size}")
+    return type_columns(cfg.n, p)

@@ -35,7 +35,7 @@ from .types_core import (
     joint_type_of,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
-from .info_measures import SourceSpec, _type_probability, epsilon_n
+from .info_measures import SourceSpec, epsilon_n, type_columns
 from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of
 from .ff_codec import (
     FFCodeConfig,
@@ -47,6 +47,7 @@ from .ff_codec import (
     ff_decode_y,
     ff_encode,
     make_code,
+    _source_columns,
 )
 
 
@@ -62,6 +63,8 @@ class FVCodeword:
     length: int
 
     def __post_init__(self):
+        if self.length < 0:
+            raise ValueError(f"codeword length {self.length} is negative")
         if not 0 <= self.value < 1 << self.length:
             raise ValueError(f"codeword value {self.value} does not fit in {self.length} bits")
 
@@ -153,7 +156,7 @@ def make_fv_code(n: int, ax: Alphabet = Alphabet(2), ay: Alphabet = Alphabet(2))
 
 
 def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
-    if len(x) != n or len(y) != n:
+    if len(x.letters) != n or len(y.letters) != n:
         raise ValueError(f"sequences must have length n={n}")
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
@@ -233,7 +236,7 @@ def _fv_decode(cw: FVCodeword, side_info: Sequence, side: str, other: Alphabet |
             raise MalformedCodewordError("codeword ends inside a field")
         return (cw.value >> rest) & ((1 << width) - 1)
 
-    out = _decode_word(len(side_info), read, side_info, side, other)
+    out = _decode_word(len(side_info.letters), read, side_info, side, other)
     if rest:
         raise MalformedCodewordError("trailing bits after codeword")
     return out
@@ -254,29 +257,23 @@ def fv_decode_y(cw: FVCodeword, x: Sequence, ay: Alphabet | None = None) -> Sequ
 
 def expected_length(n: int, p: SourceSpec) -> float:
     """E[codeword length] in bits, exact sum over joint types."""
-    code = make_fv_code(n, p.ax, p.ay)
-    return sum(_type_probability(jt, p) * length for jt, length in zip(code.types, code.codeword_lengths))
+    return sum(q * length for q, length in _probabilities_and_lengths(n, p))
 
 
 def overflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     """P(length > n(rate + epsilon_n)), exact sum over joint types."""
     threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
-    code = make_fv_code(n, p.ax, p.ay)
-    return sum(
-        _type_probability(jt, p)
-        for jt, length in zip(code.types, code.codeword_lengths)
-        if length > threshold
-    )
+    return sum(q for q, length in _probabilities_and_lengths(n, p) if length > threshold)
 
 
 def underflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     """P(length < n * rate), exact sum over joint types."""
-    code = make_fv_code(n, p.ax, p.ay)
-    return sum(
-        _type_probability(jt, p)
-        for jt, length in zip(code.types, code.codeword_lengths)
-        if length < n * rate
-    )
+    return sum(q for q, length in _probabilities_and_lengths(n, p) if length < n * rate)
+
+
+def _probabilities_and_lengths(n: int, p: SourceSpec):
+    """(type-class probability, codeword length) of every joint type, by type index."""
+    return zip(type_columns(n, p).probability, make_fv_code(n, p.ax, p.ay).codeword_lengths)
 
 
 # --- Wrapping a fixed-length code into a zero-error variable-length one ---
@@ -320,22 +317,29 @@ class WrappedFVCode:
         return 1 + raw_pair_width(self.cfg.n, self.cfg.ax, self.cfg.ay)
 
     def decode(self, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
-        """Reproduce the `side` sequence ("x" or "y") from cw and the other one."""
+        """Reproduce the `side` sequence ("x" or "y") from cw and the other one.
+
+        A word whose length is not the one its flag implies raises
+        MalformedCodewordError."""
         n, wx, wy = self.cfg.n, _letter_width(self.cfg.ax), _letter_width(self.cfg.ay)
         # A verbatim pair is [1][x letters][y letters]: each side's letters, their width and decoder.
         x_side, y_side = (cw.value >> n * wy, wx, self.cfg.ax, ff_decode_x), (cw.value, wy, self.cfg.ay, ff_decode_y)
         _, (body, w, alphabet, decode) = held_and_decoded(side, x_side, y_side)
-        if cw.value >> (cw.length - 1):
+        code = make_code(self.cfg)
+        verbatim = cw.length > 0 and cw.value >> (cw.length - 1)
+        length = 1 + (raw_pair_width(n, self.cfg.ax, self.cfg.ay) if verbatim else code.codeword_width)
+        if cw.length != length:
+            kind = "verbatim pair" if verbatim else "coded word"
+            raise MalformedCodewordError(f"codeword of {cw.length} bits; a {kind} has {length}")
+        if verbatim:
             mask = (1 << w) - 1
             return Sequence(tuple(body >> w * (n - 1 - i) & mask for i in range(n)), alphabet)
-        return decode(self.cfg, make_code(self.cfg).unpack(cw.value), side_info)
+        return decode(self.cfg, code.unpack(cw.value), side_info)
 
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""
-        total = sum(
-            _type_probability(jt, p) * self.codeword_length(jt)
-            for jt in enumerate_joint_types(self.cfg.n, self.cfg.ax, self.cfg.ay)
-        )
+        cols = _source_columns(self.cfg, p)
+        total = sum(q * self.codeword_length(jt) for jt, q in zip(cols.types, cols.probability))
         return total / self.cfg.n
 
 

@@ -133,10 +133,9 @@ def achievable_rate(p: SourceSpec) -> float:
     return max(conditional_entropy(p, "y|x"), conditional_entropy(p, "x|y"))
 
 
-# A sweep row scans every joint type of its n five or six times, at more
-# than one rate, so the per-type quantities are worked out once.
+# Every code's region, every sweep's region filter and `type_columns`
+# read this per joint type.
 _type_max_conditional_entropy = lru_cache(maxsize=None)(max_conditional_entropy)
-_type_divergence = lru_cache(maxsize=None)(kl_divergence)
 
 
 def in_decodable_region(jt: JointType, rate: float) -> bool:
@@ -173,8 +172,29 @@ def prob_of_type_class(jt: JointType, p: SourceSpec) -> float:
     return _exp2(math.log2(multinomial(jt.flat_counts())) + lp)
 
 
-# The exact error and overflow sums rescan every joint type at each rate.
-_type_probability = lru_cache(maxsize=None)(prob_of_type_class)
+@dataclass(frozen=True)
+class TypeColumns:
+    """Per joint type of block length n over a source's alphabets, in
+    `enumerate_joint_types` order: max conditional entropy, probability of
+    the type class and divergence from the source."""
+
+    types: tuple[JointType, ...]
+    max_entropy: tuple[float, ...]
+    probability: tuple[float, ...]
+    divergence: tuple[float, ...]
+
+
+@lru_cache(maxsize=None)
+def type_columns(n: int, p: SourceSpec) -> TypeColumns:
+    """The `TypeColumns` of (n, p), worked out once: a sweep reads them at
+    every rate, for the error sum, the exponents and the overflow sum."""
+    types = enumerate_joint_types(n, p.ax, p.ay)
+    return TypeColumns(
+        types,
+        tuple(map(_type_max_conditional_entropy, types)),
+        tuple(prob_of_type_class(jt, p) for jt in types),
+        tuple(kl_divergence(jt, p) for jt in types),
+    )
 
 
 @dataclass(frozen=True)
@@ -188,13 +208,12 @@ class ExponentReport:
 
 
 def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> ExponentReport:
-    """min D(Q||P) over the joint types inside (or outside) the decodable region."""
+    """min D(Q||P) over the joint types inside (or outside) the decodable
+    region; the first minimizer in enumeration order."""
+    cols, limit = type_columns(n, p), rate + RATE_TIE_TOL
     best, arg = math.inf, None
-    for jt in enumerate_joint_types(n, p.ax, p.ay):
-        if in_decodable_region(jt, rate) != inside:
-            continue
-        d = _type_divergence(jt, p)
-        if d < best:
+    for jt, h, d in zip(cols.types, cols.max_entropy, cols.divergence):
+        if (h <= limit) == inside and d < best:
             best, arg = d, jt
     return ExponentReport(rate, n, best, arg)
 
@@ -216,11 +235,10 @@ def converse_correct_exponent(rate: float, p: SourceSpec, n: int) -> ExponentRep
     here to epsilon_n.
     """
     slack = epsilon_n(n, p.ax, p.ay)
+    cols = type_columns(n, p)
     best, arg = math.inf, None
-    for jt in enumerate_joint_types(n, p.ax, p.ay):
-        gap = max(max_conditional_entropy(jt) - (rate + slack), 0.0)
-        d = kl_divergence(jt, p)
-        obj = gap + d
+    for jt, h, d in zip(cols.types, cols.max_entropy, cols.divergence):
+        obj = max(h - (rate + slack), 0.0) + d
         if obj < best:
             best, arg = obj, jt
     return ExponentReport(rate, n, best, arg)

@@ -77,6 +77,11 @@ class Alphabet:
     def __contains__(self, letter) -> bool:
         return 0 <= letter < self.size
 
+    def __hash__(self) -> int:
+        # Alphabets key the code caches of every coded block; the generated
+        # hash would build and hash a tuple of the size each time.
+        return self.size
+
 
 BINARY = Alphabet(2)
 
@@ -219,7 +224,7 @@ def joint_type_of(x: Sequence, y: Sequence) -> JointType:
     """Joint empirical counts of (x, y); both sequences must share length.
 
     One pass over the pair, then a cached JointType."""
-    if len(x) != len(y):
+    if len(x.letters) != len(y.letters):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     ky = y.alphabet.size
     counts = [0] * (x.alphabet.size * ky)
@@ -336,8 +341,12 @@ def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
     if not 0 <= r < type_class_size(q):
         raise RankRangeError(f"rank {r} outside type class of size {type_class_size(q)}")
     maps = _lex_maps(q.counts)
-    letters = maps[1][r] if maps else tuple(unrank_rows(q.counts, [r])[0].tolist())
-    return Sequence(letters, Alphabet(q.num_letters))
+    return Sequence(maps[1][r] if maps else _unrank_letters(q.counts, r), Alphabet(q.num_letters))
+
+
+def _unrank_letters(counts: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The letters at rank r of the class `counts`, found by searching it."""
+    return tuple(unrank_rows(counts, [r])[0].tolist())
 
 
 # --- batches of sequences as (m, n) integer arrays ------------------------------

@@ -26,6 +26,7 @@ from compdeliv.types_core import (
     BINARY,
     Alphabet,
     JointType,
+    RankRangeError,
     enumerate_joint_types,
     joint_type_of,
     rank_in_type_class,
@@ -260,6 +261,24 @@ class TestLookups:
             s = t.symbol_at(i, j)
             assert type(s) is int
             assert type(t.col_for(i, s)) is int and type(t.row_for(j, s)) is int
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_table_rank_outside_its_class_raises(self, side):
+        # A slot holding a rank past the reproduced class (a corrupted
+        # table) is refused, not read past the class's end.
+        jt = JointType(((1, 1), (1, 1)), 4)
+        x, y = seq("0011"), seq("0101")
+        t = get_coding_table(jt)
+        symbol = t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
+        held, buffer = (y, t.row_of) if side == "x" else (x, t.col_of)
+        slot = rank_in_type_class(held) * t.num_symbols + symbol
+        saved, buffer[slot] = buffer[slot], 6
+        try:
+            with pytest.raises(RankRangeError, match="rank 6 outside type class of size 6"):
+                decode_side(jt, held, symbol, side)
+        finally:
+            buffer[slot] = saved
+        assert decode_side(jt, held, symbol, side) == (x if side == "x" else y)
 
     def test_side_info_of_wrong_type_rejected(self):
         for counts in (((2, 0), (0, 2)), ((1, 1), (1, 1))):  # one symbol, then a table

@@ -23,7 +23,7 @@ from compdeliv.ff_codec import (
     num_symbols_of,
     rate_bound_check,
 )
-from compdeliv.info_measures import dsbs, in_decodable_region, uniform_independent
+from compdeliv.info_measures import SourceSpec, dsbs, in_decodable_region, uniform_independent
 from compdeliv.types_core import BINARY, Alphabet, JointType, Sequence, joint_type_of
 from conftest import all_binary_pairs, seq
 
@@ -67,6 +67,19 @@ class TestEncode:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             ff_encode(FFCodeConfig(4, 0.5), seq("001"), seq("010"))
+
+    @pytest.mark.parametrize("letters", [(0, 2, 0, 1), (0, 1, 0, 1)])
+    def test_pair_over_other_alphabets_rejected(self, letters):
+        # Refused as ff_encode_batch refuses letters outside the code's
+        # alphabets, not flagged as a region escape; so is a sequence whose
+        # letters fit but whose alphabet is not the code's.
+        cfg = FFCodeConfig(4, 0.8)
+        ternary = Sequence(letters, Alphabet(3))
+        for x, y in ((seq("0101"), ternary), (ternary, seq("0101"))):
+            with pytest.raises(ValueError, match="the code is over 2 x 2"):
+                ff_encode(cfg, x, y)
+        with pytest.raises(ValueError):
+            ff_encode_batch(cfg, np.array([(0, 2, 0, 1)]), np.array([(0, 1, 0, 1)]))
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rate_must_be_finite_and_positive(self, rate):
@@ -277,6 +290,11 @@ class TestExactError:
             for r in (0.3, 0.5, 0.7, 0.9, 1.0)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_source_over_other_alphabets_rejected(self):
+        three_by_two = SourceSpec(((0.2, 0.1), (0.1, 0.2), (0.2, 0.2)))
+        with pytest.raises(ValueError, match="source over 3 x 2 letters"):
+            exact_error_probability(FFCodeConfig(4, 0.8), three_by_two)
 
     def test_both_sides_charged_equally(self):
         err = exact_error_probability(FFCodeConfig(4, 0.5), dsbs(0.11))

@@ -141,6 +141,10 @@ class TestDecode:
         with pytest.raises(ValueError):
             FVCodeword(value, length)
 
+    def test_negative_codeword_length_rejected(self):
+        with pytest.raises(ValueError, match="codeword length -1 is negative"):
+            FVCodeword(0, -1)
+
 
 class TestBatch:
     """The array codec against the per-block one, bit for bit."""
@@ -271,6 +275,28 @@ class TestWrapping:
         for cw in (wrapped.encode(x, y), wrapped.encode(x, x)):  # verbatim, then a fixed-length word
             with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
                 wrapped.decode(cw, x, "z")
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_words_of_another_length_rejected(self, side):
+        # The flag bit fixes the length: 1 + codeword_width for a coded
+        # word, 1 + raw_pair_width for a verbatim pair.
+        cfg = FFCodeConfig(4, 0.8)
+        wrapped = wrap_ff_as_fv(cfg)
+        x, y = seq("0011"), seq("0101")
+        held = y if side == "x" else x
+        coded, verbatim = wrapped.encode(x, x), wrapped.encode(x, y)
+        assert (coded.value >> (coded.length - 1), verbatim.value >> (verbatim.length - 1)) == (0, 1)
+        cases = [
+            (FVCodeword(1, 1), "codeword of 1 bits; a verbatim pair has 9"),
+            (FVCodeword(0, 0), "codeword of 0 bits; a coded word has 9"),
+            (FVCodeword(coded.value << 1, coded.length + 1), "a coded word has 9"),
+            (FVCodeword(verbatim.value << 1, verbatim.length + 1), "a verbatim pair has 9"),
+            (FVCodeword(verbatim.value >> 1, verbatim.length - 1), "codeword of 8 bits; a verbatim pair has 9"),
+        ]
+        for cw, message in cases:
+            with pytest.raises(MalformedCodewordError, match=message):
+                wrapped.decode(cw, held, side)
+        assert wrapped.decode(verbatim, held, side) == (x if side == "x" else y)
 
     def test_expected_rate_matches_type_sum(self):
         cfg = FFCodeConfig(10, 0.8)

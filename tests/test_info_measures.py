@@ -18,6 +18,7 @@ from compdeliv.info_measures import (
     kl_divergence,
     max_conditional_entropy,
     prob_of_type_class,
+    type_columns,
     uniform_independent,
 )
 from compdeliv.types_core import BINARY, JointType, enumerate_joint_types
@@ -225,6 +226,29 @@ class TestExponentScans:
 
     def test_converse_nonnegative(self):
         assert converse_correct_exponent(0.7, dsbs(0.11), 6).value >= 0.0
+
+
+class TestTypeColumns:
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_columns_are_the_per_type_quantities(self, n):
+        p = SourceSpec(((0.3, 0.1), (0.05, 0.25), (0.2, 0.1)))
+        cols = type_columns(n, p)
+        assert cols.types == enumerate_joint_types(n, p.ax, p.ay)
+        assert cols.max_entropy == tuple(map(max_conditional_entropy, cols.types))
+        assert cols.probability == tuple(prob_of_type_class(jt, p) for jt in cols.types)
+        assert cols.divergence == tuple(kl_divergence(jt, p) for jt in cols.types)
+        assert type_columns(n, p) is cols
+
+    def test_argmin_is_the_first_minimizer(self):
+        # Types of equal divergence: the scans keep the first in enumeration order.
+        p = uniform_independent()
+        for rate in (0.3, 0.6, 1.0):
+            for inside, scan in ((False, error_exponent_outside), (True, correct_exponent_inside)):
+                report = scan(rate, p, 4)
+                candidates = [jt for jt in enumerate_joint_types(4, BINARY, BINARY) if in_decodable_region(jt, rate) == inside]
+                if candidates:
+                    first = min(candidates, key=lambda jt: kl_divergence(jt, p))  # min keeps the first
+                    assert report.argmin_type is first and report.value == kl_divergence(first, p)
 
 
 class TestSourceSpecValidation:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from compdeliv import types_core
+from compdeliv import coding_table, types_core
 from compdeliv.bitio import BitReader
 from compdeliv.coding_table import (
     SideInfoMismatchError,
@@ -411,3 +411,88 @@ def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
         calls.clear()
         assert (decode(words, held, side) == (x if side == "x" else y)).all()
         assert 0 < len(calls) == len(set(calls)) <= len(classes)
+
+
+def _counted(monkeypatch, calls, name, real):
+    """Count calls to `real` through every compdeliv module that imports it as `name`."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("compdeliv") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n, kx, ky, rate", [(8, 2, 2, 0.8), *SHAPES])
+def test_warm_scalar_calls_rederive_nothing(n, kx, ky, rate, monkeypatch):
+    # Once each block has been coded, coding the same blocks again derives
+    # no per-type state: no class sizes, no held/reproduced sides, no new
+    # alphabets.  Flagged FF blocks and types of one symbol (x = y rows)
+    # are among them.
+    cfg, ax, ay = FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky)), Alphabet(kx), Alphabet(ky)
+    x, y = _pairs(n + kx, 300, n, kx, ky)
+    pairs = list(zip(_sequences(x, ax), _sequences(y, ay)))
+
+    def code_every_block():
+        for xi, yi in pairs:
+            ff_cw, fv_cw = ff_encode(cfg, xi, yi), fv_encode(n, xi, yi)
+            assert ff_cw.error_flag or (ff_decode_x(cfg, ff_cw, yi), ff_decode_y(cfg, ff_cw, xi)) == (xi, yi)
+            assert (fv_decode_x(fv_cw, yi, ax), fv_decode_y(fv_cw, xi, ay)) == (xi, yi)
+
+    code_every_block()
+    flags = [ff_encode(cfg, xi, yi).error_flag for xi, yi in pairs]
+    assert any(flags) and not all(flags)
+    assert any(num_symbols_of(joint_type_of(xi, yi)) == 1 for xi, yi in pairs)
+    calls = dict.fromkeys(("multinomial", "held_and_decoded", "Alphabet"), 0)
+    _counted(monkeypatch, calls, "multinomial", types_core.multinomial)
+    _counted(monkeypatch, calls, "held_and_decoded", coding_table.held_and_decoded)
+    post_init = Alphabet.__post_init__
+
+    def counted_post_init(self):
+        calls["Alphabet"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Alphabet, "__post_init__", counted_post_init)
+    Alphabet(2)
+    assert calls["Alphabet"] == 1  # the counter sees every construction
+    calls["Alphabet"] = 0
+    for _ in range(3):
+        code_every_block()
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_classes_without_rank_maps_code_the_same(monkeypatch):
+    # Above _RANK_MAP_LIMIT members a class has no maps and is searched:
+    # with the limit at 0 every class is, and the scalar codec gives the
+    # same words, the same blocks and the same refusals.
+    n, kx, ky = 5, 3, 2
+    cfg, ax, ay = FFCodeConfig(n, 2.0, Alphabet(kx), Alphabet(ky)), Alphabet(kx), Alphabet(ky)
+    x, y = _pairs(50, 100, n, kx, ky)
+    pairs = list(zip(_sequences(x, ax), _sequences(y, ay)))
+    wrong = Sequence((0, 0, 0, 0, 0), ay)
+
+    def code_every_block():
+        out = []
+        for xi, yi in pairs:
+            ff_cw, fv_cw = ff_encode(cfg, xi, yi), fv_encode(n, xi, yi)
+            out.append((ff_cw, fv_cw, ff_decode_x(cfg, ff_cw, yi), ff_decode_y(cfg, ff_cw, xi),
+                        fv_decode_x(fv_cw, yi, ax), fv_decode_y(fv_cw, xi, ay)))
+            if yi.letters.count(0) != n:
+                with pytest.raises(SideInfoMismatchError):
+                    ff_decode_x(cfg, ff_cw, wrong)
+        return out
+
+    with_maps = code_every_block()
+    assert [row[2:4] for row in with_maps] == pairs and [row[4:] for row in with_maps] == pairs
+    monkeypatch.setattr(types_core, "_RANK_MAP_LIMIT", 0)
+    for cache in (types_core._lex_maps, coding_table._side_coders):
+        cache.cache_clear()
+    try:
+        assert types_core._lex_maps((1, 1)) is None
+        assert code_every_block() == with_maps
+    finally:
+        monkeypatch.undo()
+        for cache in (types_core._lex_maps, coding_table._side_coders):
+            cache.cache_clear()
