@@ -331,11 +331,11 @@ class SideCoder(NamedTuple):
 
     `held` is the side information's marginal type and `rank_of` its class
     as letters -> rank; `other` is the reproduced marginal type and
-    `letters_of` its class as rank -> letters, `size` members over
-    `alphabet`.  A class above `_RANK_MAP_LIMIT` has no map (None) and is
-    searched instead.  `to` is the `letter_map` of a type of one symbol
-    (which reads only its held class's map, to check the side information),
-    None for a type with a table.
+    `letters_of` its class as rank -> shared `Sequence`, `size` members
+    over `alphabet`.  A class above `_RANK_MAP_LIMIT` has no map (None) and
+    is searched instead.  `to` is the `letter_map` of a type of one symbol,
+    None for a type with a table; such a type's `letters_of` is indexed by
+    the held rank, which its map keeps unless it reorders letters.
     """
 
     held: TypeVector
@@ -355,12 +355,16 @@ def _side_coders(jt: JointType) -> tuple[SideCoder, SideCoder]:
     for side in ("x", "y"):
         held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
         to = letter_map(jt, side) if num_symbols_of(jt) == 1 else None
-        held_maps, other_maps = _lex_maps(held.counts), None if to else _lex_maps(other.counts)
+        held_maps, other_maps = _lex_maps(held.counts), _lex_maps(other.counts)
+        members = other_maps and other_maps[1]
+        support = [to[a] for a, c in enumerate(held.counts) if c] if to is not None else []
+        if members and support != sorted(support):
+            members = tuple(members[other_maps[0][tuple(map(to.__getitem__, s))]] for s in held_maps[0])
         coders.append(SideCoder(
             held,
             held_maps and held_maps[0],
             other,
-            other_maps and other_maps[1],
+            members,
             type_class_size(other),
             Alphabet(other.num_letters),
             to,
@@ -407,9 +411,11 @@ def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> S
     reads the column of side information y, "y" reads the row of x.  The
     side information's rank is its type check: a block missing from its
     held class's map is of another type; a class without a map, and a type
-    of one symbol, count the block instead.  A type of one symbol maps the
-    side information through `letter_map`, with no table, and an x = y
-    block keeps its letters tuple (no new object for the collector).
+    of one symbol, count the block instead.  A type of one symbol reads no
+    table: its block is `letters_of` at the held rank, or, in a class
+    without maps, the side information mapped through `letter_map`.  A
+    decoded block of a class with maps is that class's shared member, so a
+    warm decode builds no object.
     """
     coder = _side_coders(jt)[_side_index(side)]
     held, rank_of, other, letters_of, size, alphabet, to = coder
@@ -417,7 +423,7 @@ def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> S
     letters = side_info.letters
     if rank_of is not None and side_info.alphabet.size == len(held.counts):
         rank = rank_of.get(letters)
-    elif type_of(side_info) == held:
+    elif type_of(side_info).counts == held.counts:
         rank = 0 if t is None else _rank(coder, letters)  # a type of one symbol reads no rank
     else:
         rank = None
@@ -426,12 +432,13 @@ def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> S
     if t is None:
         if symbol != 0:
             raise SymbolNotFoundError(f"symbol {symbol} absent in a joint type of one symbol")
-        mapped = tuple(map(to.__getitem__, letters))
-        return Sequence(letters if mapped == letters else mapped, alphabet)
+        if letters_of is None:
+            return Sequence(tuple(map(to.__getitem__, letters)), alphabet)
+        return letters_of[rank]
     r = t.row_for(rank, symbol) if side == "x" else t.col_for(rank, symbol)
     if not 0 <= r < size:
         raise RankRangeError(f"rank {r} outside type class of size {size}")
-    return Sequence(letters_of[r] if letters_of is not None else _unrank_letters(other.counts, r), alphabet)
+    return letters_of[r] if letters_of is not None else Sequence(_unrank_letters(other.counts, r), alphabet)
 
 
 @lru_cache(maxsize=None)

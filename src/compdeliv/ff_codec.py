@@ -19,18 +19,21 @@ with widths fixed per configuration, as a fixed-length code requires.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .types_core import (
+    BINARY,
     Alphabet,
     JointType,
     RowError,
     Sequence,
     _class_letters,
     _letter_dtype,
+    _lex_maps,
     group_rows,
     joint_type_groups,
     joint_type_of,
@@ -47,22 +50,32 @@ class CodewordRangeError(RowError):
     """Codeword fields outside the configured widths."""
 
 
-@dataclass(frozen=True)
+_LIVE_CONFIGS = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FFCodeConfig:
+    """Interned like `Alphabet`: `make_code`, keyed by it on every coded
+    block, hits on identity with no Python `__eq__`."""
+
     n: int
     rate: float
-    ax: Alphabet = Alphabet(2)
-    ay: Alphabet = Alphabet(2)
+    ax: Alphabet = BINARY
+    ay: Alphabet = BINARY
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        check_rate(self.rate)
-        # A configuration keys `make_code` on every coded block: hash it once.
-        object.__setattr__(self, "_hash", hash((self.n, self.rate, self.ax, self.ay)))
+    def __new__(cls, n: int, rate: float, ax: Alphabet = BINARY, ay: Alphabet = BINARY):
+        cfg = _LIVE_CONFIGS.get((n, rate, ax, ay))
+        if cfg is None:
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            check_rate(rate)
+            cfg = object.__new__(cls)
+            vars(cfg).update(n=n, rate=rate, ax=ax, ay=ay)
+            cfg = _LIVE_CONFIGS.setdefault((n, rate, ax, ay), cfg)
+        return cfg
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return FFCodeConfig, (self.n, self.rate, self.ax, self.ay)
 
 
 def check_rate(rate: float, name: str = "rate") -> None:
@@ -71,7 +84,7 @@ def check_rate(rate: float, name: str = "rate") -> None:
         raise ValueError(f"{name} is {rate}; it must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FFCodeword:
     type_index: int
     symbol: int
@@ -185,10 +198,13 @@ def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str
     if len(side_info.letters) != cfg.n:
         raise ValueError(f"side information must have length n={cfg.n}")
     code = make_code(cfg)
+    held, reproduced = (cfg.ay, cfg.ax) if side == "x" else (cfg.ax, cfg.ay)
+    if side_info.alphabet is not held:  # flagged or not, as the batch path refuses it
+        raise SideInfoMismatchError("side information type does not match codeword")
     if cw.error_flag:
         # Total-decoder fallback for flagged codewords: the lexicographically
         # first sequence (row/column 0 of the constant-letter coupling).
-        return Sequence((0,) * cfg.n, cfg.ax if side == "x" else cfg.ay)
+        return _lex_maps((cfg.n,) + (0,) * (reproduced.size - 1))[1][0]
     if not 0 <= cw.type_index < len(code.region):
         raise CodewordRangeError(f"type index {cw.type_index} out of range")
     return decode_side(code.region[cw.type_index], side_info, cw.symbol, side)

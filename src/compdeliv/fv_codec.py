@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .types_core import (
+    BINARY,
     Alphabet,
     JointType,
     RowError,
@@ -55,7 +56,7 @@ class MalformedCodewordError(RowError):
     """Codeword too short or too long, or fields out of range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FVCodeword:
     """`length` bits, most significant first, held as the integer `value`."""
 
@@ -143,7 +144,7 @@ class FVCode:
 
 
 @lru_cache(maxsize=None)
-def make_fv_code(n: int, ax: Alphabet = Alphabet(2), ay: Alphabet = Alphabet(2)) -> FVCode:
+def make_fv_code(n: int, ax: Alphabet = BINARY, ay: Alphabet = BINARY) -> FVCode:
     types = enumerate_joint_types(n, ax, ay)
     return FVCode(
         n=n,

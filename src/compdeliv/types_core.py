@@ -9,7 +9,8 @@ A rank is a position in that list: `rank_rows`/`unrank_rows` search it
 for whole batches, and the scalar `rank_in_type_class`/
 `unrank_in_type_class` read maps memoized from it (small classes) or go
 through the row functions (larger ones).  A class is enumerated only up
-to MAX_CLASS_SIZE members.
+to MAX_CLASS_SIZE members.  Alphabets are interned, and a small class's
+members are Sequence objects built once and shared by every decode.
 
 `type_of` and `joint_type_of` count a block in one pass and return the
 validated object of that count vector from a bounded cache, and a joint
@@ -23,7 +24,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb, factorial
 
 import numpy as np
@@ -64,37 +65,48 @@ MAX_CLASS_SIZE = 2 ** 26
 MAX_JOINT_TYPE_COUNTS = 2 ** 20
 
 
-@dataclass(frozen=True)
+_ALPHABETS: dict[int, Alphabet] = {}
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Alphabet:
-    """Finite alphabet whose letters are the dense integers 0..size-1."""
+    """Finite alphabet whose letters are the dense integers 0..size-1.
+
+    Interned (copies and unpickled ones too): one object per size, so the
+    caches alphabets key hit on identity, with no Python `__eq__`."""
 
     size: int
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
+    def __new__(cls, size: int):
+        alphabet = _ALPHABETS.get(size)
+        if alphabet is None:
+            if size < 1:
+                raise ValueError("alphabet size must be >= 1")
+            alphabet = object.__new__(cls)
+            object.__setattr__(alphabet, "size", size)
+            alphabet = _ALPHABETS.setdefault(size, alphabet)
+        return alphabet
+
+    def __reduce__(self):
+        return Alphabet, (self.size,)
 
     def __contains__(self, letter) -> bool:
         return 0 <= letter < self.size
-
-    def __hash__(self) -> int:
-        # Alphabets key the code caches of every coded block; the generated
-        # hash would build and hash a tuple of the size each time.
-        return self.size
 
 
 BINARY = Alphabet(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
-    """A block of letters over a fixed alphabet."""
+    """A block of letters over a fixed alphabet; `letters` is kept as a tuple."""
 
     letters: tuple[int, ...]
     alphabet: Alphabet
 
     def __post_init__(self):
-        letters = self.letters
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
         if len(letters) < 1:
             raise ValueError("sequence must be nonempty")
         if min(letters) < 0 or max(letters) >= self.alphabet.size:
@@ -309,18 +321,21 @@ def w_shell_size(jt: JointType) -> int:
     return size
 
 
-# Classes up to this size get memoized rank<->letters maps for the scalar
+# Classes up to this size get memoized rank<->sequence maps for the scalar
 # calls; larger ones are ranked by searching the class (same order).
 _RANK_MAP_LIMIT = 1 << 16
 
 
 @lru_cache(maxsize=None)
 def _lex_maps(counts: tuple[int, ...]):
-    """(letters -> rank, rank -> letters) of a class up to _RANK_MAP_LIMIT, else None."""
+    """(letters -> rank, rank -> Sequence) of a class up to _RANK_MAP_LIMIT, else None.
+
+    The scalar decoders return these Sequences: a decoded sequence is
+    immutable and shared, built once per class member, not once per block."""
     if multinomial(counts) > _RANK_MAP_LIMIT:
         return None
-    seqs = tuple(map(tuple, _class_letters(counts).tolist()))
-    return {s: i for i, s in enumerate(seqs)}, seqs
+    seqs = tuple(map(Sequence, _class_letters(counts).tolist(), repeat(Alphabet(len(counts)))))
+    return {s.letters: i for i, s in enumerate(seqs)}, seqs
 
 
 def rank_in_type_class(x: Sequence) -> int:
@@ -341,7 +356,7 @@ def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
     if not 0 <= r < type_class_size(q):
         raise RankRangeError(f"rank {r} outside type class of size {type_class_size(q)}")
     maps = _lex_maps(q.counts)
-    return Sequence(maps[1][r] if maps else _unrank_letters(q.counts, r), Alphabet(q.num_letters))
+    return maps[1][r] if maps else Sequence(_unrank_letters(q.counts, r), Alphabet(q.num_letters))
 
 
 def _unrank_letters(counts: tuple[int, ...], r: int) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ joint types, memoized marginals and one count per block; the array codec
 groups whole batches.  Both must give the same words and the same letters.
 """
 
+import functools
 import itertools
 import sys
 
@@ -181,6 +182,26 @@ def test_side_information_of_another_type_is_refused(side):
     held = Sequence((y if side == "x" else x).letters, Alphabet(3))  # the right letters, over 3
     with pytest.raises(SideInfoMismatchError):
         decode_side(jt, held, encode_pair(jt, x, y), side)
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_side_information_over_another_alphabet_is_refused_flagged_or_not(side, flagged):
+    # A 2x2 code: side information over 3 letters is refused before the
+    # flag is read, as the batch decoder refuses its letter 2.
+    cfg = FFCodeConfig(4, 0.01 if flagged else 2.0)
+    x, y = seq("0011"), seq("0101")
+    cw = ff_encode(cfg, x, y)
+    assert cw.error_flag == flagged
+    decode = ff_decode_x if side == "x" else ff_decode_y
+    for held in (Sequence((0, 2, 1, 0), Alphabet(3)), Sequence((y if side == "x" else x).letters, Alphabet(3))):
+        with pytest.raises(SideInfoMismatchError, match="side information type does not match codeword"):
+            decode(cfg, cw, held)
+    words = tuple(np.array([field]) for field in (cw.error_flag, cw.type_index, cw.symbol))
+    with pytest.raises(ValueError, match="letter outside the alphabet of size 2"):
+        ff_decode_batch(cfg, words, np.array([[0, 2, 1, 0]]), side)
+    want = seq("0000") if flagged else x if side == "x" else y
+    assert decode(cfg, cw, y if side == "x" else x) == want
 
 
 @pytest.mark.parametrize("kx, ky", [(2, 2), (3, 2), (256, 256)])
@@ -425,6 +446,40 @@ def _counted(monkeypatch, calls, name, real):
             monkeypatch.setattr(module, name, counted)
 
 
+def _count_alphabets(monkeypatch, calls):
+    """Count every `Alphabet(...)` call, interned or not, as calls["Alphabet"]."""
+    new = Alphabet.__new__
+
+    def counted_new(cls, size):
+        calls["Alphabet"] += 1
+        return new(cls, size)
+
+    monkeypatch.setattr(Alphabet, "__new__", counted_new)
+
+
+def _count_sequences_and_eq(monkeypatch, calls):
+    """Count built `Sequence`s as calls["Sequence"], and as calls["__eq__"]
+    the calls to the `__eq__` of every compdeliv class that defines one."""
+    post_init = Sequence.__post_init__
+
+    def counted_post_init(self):
+        calls["Sequence"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Sequence, "__post_init__", counted_post_init)
+    for module_name, module in list(sys.modules.items()):
+        if not module_name.startswith("compdeliv"):
+            continue
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module_name and "__eq__" in vars(cls):
+                monkeypatch.setattr(cls, "__eq__", functools.partialmethod(_counted_eq, calls, vars(cls)["__eq__"]))
+
+
+def _counted_eq(self, calls, eq, other):
+    calls["__eq__"] += 1
+    return eq(self, other)
+
+
 @pytest.mark.parametrize("n, kx, ky, rate", [(8, 2, 2, 0.8), *SHAPES])
 def test_warm_scalar_calls_rederive_nothing(n, kx, ky, rate, monkeypatch):
     # Once each block has been coded, coding the same blocks again derives
@@ -448,19 +503,95 @@ def test_warm_scalar_calls_rederive_nothing(n, kx, ky, rate, monkeypatch):
     calls = dict.fromkeys(("multinomial", "held_and_decoded", "Alphabet"), 0)
     _counted(monkeypatch, calls, "multinomial", types_core.multinomial)
     _counted(monkeypatch, calls, "held_and_decoded", coding_table.held_and_decoded)
-    post_init = Alphabet.__post_init__
-
-    def counted_post_init(self):
-        calls["Alphabet"] += 1
-        post_init(self)
-
-    monkeypatch.setattr(Alphabet, "__post_init__", counted_post_init)
+    _count_alphabets(monkeypatch, calls)
     Alphabet(2)
     assert calls["Alphabet"] == 1  # the counter sees every construction
     calls["Alphabet"] = 0
     for _ in range(3):
         code_every_block()
     assert calls == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize("n, kx, ky, rate", [(8, 2, 2, 0.8), *SHAPES])
+def test_warm_scalar_decodes_build_nothing(n, kx, ky, rate, monkeypatch):
+    # A warm decode returns its class's shared member: it builds no Sequence
+    # and no Alphabet and calls no dataclass __eq__, however the config and
+    # alphabets reach it (equal objects made anew are the interned ones).
+    # Flagged FF words and types of one symbol are among the blocks.
+    x, y = _pairs(n * kx + ky, 300, n, kx, ky)
+    pairs = list(zip(_sequences(x, Alphabet(kx)), _sequences(y, Alphabet(ky))))
+    cfg = FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky))
+    words = [(ff_encode(cfg, xi, yi), fv_encode(n, xi, yi)) for xi, yi in pairs]
+    assert any(ff.error_flag for ff, _ in words) and not all(ff.error_flag for ff, _ in words)
+    assert any(num_symbols_of(joint_type_of(xi, yi)) == 1 for xi, yi in pairs)
+    cfg, ax, ay = FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky)), Alphabet(kx), Alphabet(ky)
+
+    def decode_every_block():
+        return [
+            (ff_decode_x(cfg, ff, yi), ff_decode_y(cfg, ff, xi), fv_decode_x(fv, yi, ax), fv_decode_y(fv, xi, ay))
+            for (xi, yi), (ff, fv) in zip(pairs, words)
+        ]
+
+    first = decode_every_block()
+    calls = dict.fromkeys(("Sequence", "Alphabet", "__eq__"), 0)
+    with monkeypatch.context() as patched:
+        _count_alphabets(patched, calls)
+        _count_sequences_and_eq(patched, calls)
+        assert Sequence((0,), BINARY) == Sequence((0,), BINARY) and Alphabet(2) is BINARY
+        assert calls == {"Sequence": 2, "Alphabet": 1, "__eq__": 1}  # the counters see each call
+        calls.update(dict.fromkeys(calls, 0))
+        again = decode_every_block()
+        assert calls == dict.fromkeys(calls, 0)
+    for (xi, yi), (ff, _), got, repeat in zip(pairs, words, first, again):
+        assert all(a is b for a, b in zip(got, repeat))
+        assert got[2:] == (xi, yi) and (ff.error_flag or got[:2] == (xi, yi))
+
+
+def test_a_cold_pass_builds_each_class_member_once(monkeypatch):
+    # Every binary n=8 joint type, each block decoded on both sides twice
+    # from cold caches: the decoded blocks are the 2^8 members of the n=8
+    # classes, each built once, not once per block or per joint type.
+    n, types = 8, enumerate_joint_types(8, BINARY, BINARY)
+    blocks = []
+    for jt in types:
+        (a, b), (c, d) = jt.counts
+        blocks.append((seq([0] * (a + b) + [1] * (c + d)), seq([0] * a + [1] * b + [0] * c + [1] * d)))
+    cfg = FFCodeConfig(n, 0.8)
+    _clear_every_cache()
+    calls = dict.fromkeys(("Sequence", "__eq__"), 0)
+    _count_sequences_and_eq(monkeypatch, calls)
+    for x, y in blocks * 2:
+        ff_cw, fv_cw = ff_encode(cfg, x, y), fv_encode(n, x, y)
+        assert (fv_decode_x(fv_cw, y), fv_decode_y(fv_cw, x)) == (x, y)
+        if not ff_cw.error_flag:
+            assert (ff_decode_x(cfg, ff_cw, y), ff_decode_y(cfg, ff_cw, x)) == (x, y)
+    assert 0 < calls["Sequence"] <= 2 ** n < 4 * len(types)
+
+
+def _clear_every_cache():
+    """Clear every cache_clear-able callable of every compdeliv module."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("compdeliv"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_clearing_every_cache_rebuilds_the_shared_sequences(monkeypatch):
+    # Every memo of the scalar decoders is clearable, so a "cold caches"
+    # set-up that clears them all leaves a decode that builds its shared
+    # sequences again, and equal ones.
+    x, y = seq("00101101"), seq("00111101")
+    cw = fv_encode(8, x, y)
+    warm = fv_decode_x(cw, y)
+    assert fv_decode_x(cw, y) is warm
+    _clear_every_cache()
+    calls = dict.fromkeys(("Sequence", "__eq__"), 0)
+    _count_sequences_and_eq(monkeypatch, calls)
+    cold = fv_decode_x(cw, y)
+    assert calls["Sequence"] > 0 and types_core._lex_maps.cache_info().currsize > 0
+    assert cold is not warm and (cold.letters, cold.alphabet) == (warm.letters, warm.alphabet) == (x.letters, BINARY)
+    assert fv_decode_x(cw, y) is cold
 
 
 def test_classes_without_rank_maps_code_the_same(monkeypatch):
