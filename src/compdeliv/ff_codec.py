@@ -19,7 +19,6 @@ with widths fixed per configuration, as a fixed-length code requires.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +37,7 @@ from .types_core import (
     joint_type_groups,
     joint_type_of,
     enumerate_joint_types,
+    interned,
     rank_rows,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
@@ -50,32 +50,19 @@ class CodewordRangeError(RowError):
     """Codeword fields outside the configured widths."""
 
 
-_LIVE_CONFIGS = weakref.WeakValueDictionary()
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@interned
 class FFCodeConfig:
-    """Interned like `Alphabet`: `make_code`, keyed by it on every coded
-    block, hits on identity with no Python `__eq__`."""
+    """Block length, rate and alphabets of an FF code (`types_core.interned`)."""
 
     n: int
     rate: float
     ax: Alphabet = BINARY
     ay: Alphabet = BINARY
 
-    def __new__(cls, n: int, rate: float, ax: Alphabet = BINARY, ay: Alphabet = BINARY):
-        cfg = _LIVE_CONFIGS.get((n, rate, ax, ay))
-        if cfg is None:
-            if n < 1:
-                raise ValueError("n must be >= 1")
-            check_rate(rate)
-            cfg = object.__new__(cls)
-            vars(cfg).update(n=n, rate=rate, ax=ax, ay=ay)
-            cfg = _LIVE_CONFIGS.setdefault((n, rate, ax, ay), cfg)
-        return cfg
-
-    def __reduce__(self):
-        return FFCodeConfig, (self.n, self.rate, self.ax, self.ay)
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        check_rate(self.rate)
 
 
 def check_rate(rate: float, name: str = "rate") -> None:
@@ -194,13 +181,19 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
     return FFCodeword(idx, encode_pair(jt, x, y), False)
 
 
-def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str) -> Sequence:
+def _check_side_info(cfg: FFCodeConfig, side_info: Sequence, side: str) -> Alphabet:
+    """The alphabet a decode of `side` reproduces, once side_info passes every decoder's checks."""
     if len(side_info.letters) != cfg.n:
         raise ValueError(f"side information must have length n={cfg.n}")
-    code = make_code(cfg)
     held, reproduced = (cfg.ay, cfg.ax) if side == "x" else (cfg.ax, cfg.ay)
     if side_info.alphabet is not held:  # flagged or not, as the batch path refuses it
         raise SideInfoMismatchError("side information type does not match codeword")
+    return reproduced
+
+
+def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str) -> Sequence:
+    reproduced = _check_side_info(cfg, side_info, side)
+    code = make_code(cfg)
     if cw.error_flag:
         # Total-decoder fallback for flagged codewords: the lexicographically
         # first sequence (row/column 0 of the constant-letter coupling).
@@ -233,7 +226,7 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None
     `joint_type_groups` of the rows when the caller has it, and a row the
     caller leaves out of every group is flagged.
     """
-    x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y")
+    x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y", len(x))
     if groups is None:
         groups = joint_type_groups(x, y, cfg.ax.size, cfg.ay.size)
     found, type_index, symbols = encode_rows(x, y, groups, make_code(cfg).index_of)
@@ -297,7 +290,7 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
     """
     flags = np.asarray(words[0], bool)
     held, reproduced = held_and_decoded(side, cfg.ax, cfg.ay)
-    side_info = _as_blocks(cfg.n, side_info, held, "side information")
+    side_info = _as_blocks(cfg.n, side_info, held, "side information", len(flags))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
     decode_rows(make_code(cfg).region, words[1], words[2], side_info, side, out, np.flatnonzero(~flags))
     return out
@@ -315,6 +308,8 @@ def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_er
     index out of range; checks in the scalar order), with that row as `row`.
     """
     type_index, symbols = np.asarray(type_index), np.asarray(symbols)
+    if not len(type_index) == len(symbols) == len(side_info):
+        raise ValueError(f"codeword fields of {len(type_index)} and {len(symbols)} rows for {len(side_info)} blocks")
     failures, bad = [], (type_index[rows] < 0) | (type_index[rows] >= len(types))
     if bad.any():
         row = int(rows[np.argmax(bad)])
@@ -357,11 +352,13 @@ def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_er
         raise min(failures, key=lambda exc: exc.row)
 
 
-def _as_blocks(n: int, letters: np.ndarray, alphabet: Alphabet, what: str) -> np.ndarray:
-    """`letters` checked as (m, n) blocks over `alphabet`, in its array letter type."""
+def _as_blocks(n: int, letters: np.ndarray, alphabet: Alphabet, what: str, rows: int | None = None) -> np.ndarray:
+    """`letters` checked as (m, n) blocks over `alphabet` (m = `rows` if given), in its array letter type."""
     letters = np.asarray(letters)
     if letters.ndim != 2 or letters.shape[1] != n:
         raise ValueError(f"{what} must be an (m, {n}) letter array")
+    if rows is not None and len(letters) != rows:
+        raise ValueError(f"{what} has {len(letters)} rows, not {rows}")
     if letters.size and not (0 <= letters.min() and letters.max() < alphabet.size):
         raise ValueError(f"{what} has a letter outside the alphabet of size {alphabet.size}")
     return letters.astype(_letter_dtype(alphabet.size), copy=False)

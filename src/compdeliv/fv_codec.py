@@ -41,11 +41,11 @@ from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbol
 from .ff_codec import (
     FFCodeConfig,
     _as_blocks,
+    _check_side_info,
+    _ff_decode,
     bit_width,
     decode_rows,
     encode_rows,
-    ff_decode_x,
-    ff_decode_y,
     ff_encode,
     make_code,
     _source_columns,
@@ -178,7 +178,7 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     Rows are ranked once per marginal class (`ff_codec.encode_rows`).  The
     fields are kept apart because a word can be wider than an int64.
     """
-    x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y")
+    x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y", len(x))
     groups = joint_type_groups(x, y, code.ax.size, code.ay.size)
     _, type_index, symbols = encode_rows(x, y, groups, code.index_of)
     return type_index, symbols
@@ -193,7 +193,7 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     that row as its `row`.
     """
     held, reproduced = held_and_decoded(side, code.ax, code.ay)
-    side_info = _as_blocks(code.n, side_info, held, "side information")
+    side_info = _as_blocks(code.n, side_info, held, "side information", len(words[0]))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
     decode_rows(code.types, words[0], words[1], side_info, side, out, np.arange(len(side_info)), MalformedCodewordError)
     return out
@@ -320,12 +320,12 @@ class WrappedFVCode:
     def decode(self, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
         """Reproduce the `side` sequence ("x" or "y") from cw and the other one.
 
-        A word whose length is not the one its flag implies raises
-        MalformedCodewordError."""
+        Side information is checked first, as by `ff_decode_x`/`_y`; a word whose
+        length is not the one its flag implies raises MalformedCodewordError."""
+        alphabet = _check_side_info(self.cfg, side_info, side)
         n, wx, wy = self.cfg.n, _letter_width(self.cfg.ax), _letter_width(self.cfg.ay)
-        # A verbatim pair is [1][x letters][y letters]: each side's letters, their width and decoder.
-        x_side, y_side = (cw.value >> n * wy, wx, self.cfg.ax, ff_decode_x), (cw.value, wy, self.cfg.ay, ff_decode_y)
-        _, (body, w, alphabet, decode) = held_and_decoded(side, x_side, y_side)
+        # A verbatim pair is [1][x letters][y letters]: each side's letters and their width.
+        _, (body, w) = held_and_decoded(side, (cw.value >> n * wy, wx), (cw.value, wy))
         code = make_code(self.cfg)
         verbatim = cw.length > 0 and cw.value >> (cw.length - 1)
         length = 1 + (raw_pair_width(n, self.cfg.ax, self.cfg.ay) if verbatim else code.codeword_width)
@@ -335,7 +335,7 @@ class WrappedFVCode:
         if verbatim:
             mask = (1 << w) - 1
             return Sequence(tuple(body >> w * (n - 1 - i) & mask for i in range(n)), alphabet)
-        return decode(self.cfg, code.unpack(cw.value), side_info)
+        return _ff_decode(self.cfg, code.unpack(cw.value), side_info, side)
 
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import Alphabet, JointType, enumerate_joint_types, _is_rectangular, multinomial
+from .types_core import Alphabet, JointType, enumerate_joint_types, interned, _is_rectangular, multinomial
 
 # Ties against the rate threshold count as inside the decodable region
 # (the region is defined with "<=").
@@ -25,9 +25,9 @@ def _exp2(x: float) -> float:
     return 2.0 ** x
 
 
-@dataclass(frozen=True)
+@interned
 class SourceSpec:
-    """Generic joint distribution of a discrete memoryless source pair."""
+    """Generic joint distribution of a discrete memoryless source pair (`types_core.interned`)."""
 
     p_xy: tuple[tuple[float, ...], ...]
 

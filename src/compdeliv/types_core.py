@@ -9,20 +9,20 @@ A rank is a position in that list: `rank_rows`/`unrank_rows` search it
 for whole batches, and the scalar `rank_in_type_class`/
 `unrank_in_type_class` read maps memoized from it (small classes) or go
 through the row functions (larger ones).  A class is enumerated only up
-to MAX_CLASS_SIZE members.  Alphabets are interned, and a small class's
-members are Sequence objects built once and shared by every decode.
+to MAX_CLASS_SIZE members, and a small class's members are Sequence
+objects built once and shared by every decode.
 
 `type_of` and `joint_type_of` count a block in one pass and return the
 validated object of that count vector from a bounded cache, and a joint
 type's marginals are memoized, so coding one block builds no new type
-objects once its types have been seen.  Joint types are interned: every
-path returns the one JointType alive for its counts, if there is one.
+objects once its types have been seen.  Alphabets and types are
+`interned`: one live object per value, compared and hashed by identity.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, repeat
 from math import comb, factorial
@@ -65,30 +65,43 @@ MAX_CLASS_SIZE = 2 ** 26
 MAX_JOINT_TYPE_COUNTS = 2 ** 20
 
 
-_ALPHABETS: dict[int, Alphabet] = {}
+_LIVE = weakref.WeakValueDictionary()  # (class, field values) -> the live interned object
 
 
-@dataclass(frozen=True, init=False, eq=False)
+def interned(cls):
+    """Make `cls` a frozen dataclass with one live object per value (built, copied or unpickled): equal is identical."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    init, names = cls.__init__, tuple(f.name for f in fields(cls))
+    del cls.__init__  # construction is __new__ alone; `init` sets a new value's fields and runs __post_init__
+    # A plain dataclass of the same fields binds keyword and default arguments (its generated __init__).
+    binder = make_dataclass(cls.__name__, [(f.name, f.type, field(default=f.default)) for f in fields(cls)])
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(names):  # the key is the field values
+            args = tuple(vars(binder(*args, **kwargs)).values())
+        live = _LIVE.get((cls, args))
+        if live is None:
+            live = object.__new__(cls)
+            init(live, *args)  # a refused value is never registered
+            live = _LIVE.setdefault((cls, args), live)
+        return live
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in names)
+
+    cls.__new__, cls.__reduce__ = staticmethod(__new__), __reduce__
+    return cls
+
+
+@interned
 class Alphabet:
-    """Finite alphabet whose letters are the dense integers 0..size-1.
-
-    Interned (copies and unpickled ones too): one object per size, so the
-    caches alphabets key hit on identity, with no Python `__eq__`."""
+    """Finite alphabet whose letters are the dense integers 0..size-1."""
 
     size: int
 
-    def __new__(cls, size: int):
-        alphabet = _ALPHABETS.get(size)
-        if alphabet is None:
-            if size < 1:
-                raise ValueError("alphabet size must be >= 1")
-            alphabet = object.__new__(cls)
-            object.__setattr__(alphabet, "size", size)
-            alphabet = _ALPHABETS.setdefault(size, alphabet)
-        return alphabet
-
-    def __reduce__(self):
-        return Alphabet, (self.size,)
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("alphabet size must be >= 1")
 
     def __contains__(self, letter) -> bool:
         return 0 <= letter < self.size
@@ -121,7 +134,7 @@ class Sequence:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
+@interned
 class TypeVector:
     """Empirical letter counts of a single sequence (counts sum to n)."""
 
@@ -153,7 +166,7 @@ def _is_rectangular(rows) -> bool:
     return bool(rows) and len(set(map(len, rows))) == 1 and len(rows[0]) > 0
 
 
-@dataclass(frozen=True)
+@interned
 class JointType:
     """Empirical joint counts of a sequence pair, indexed (x-letter, y-letter)."""
 
@@ -169,12 +182,6 @@ class JointType:
             raise ValueError("joint counts must sum to n")
         if min(flat) < 0:
             raise ValueError("negative count")
-        # Joint types key the region, table and marginal lookups of every
-        # coded block: hash the counts once.
-        object.__setattr__(self, "_hash", hash((self.counts, self.n)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def num_x(self) -> int:
@@ -208,15 +215,10 @@ def _type_vector(counts: tuple[int, ...]) -> TypeVector:
     return TypeVector(counts, sum(counts))
 
 
-_LIVE_JOINT_TYPES = weakref.WeakValueDictionary()
-
-
 @lru_cache(maxsize=_TYPE_CACHE_SIZE)
 def _joint_type(flat: tuple[int, ...], ky: int) -> JointType:
-    """The joint type whose counts, row after row of ky, are `flat`: the one
-    object alive for them, so lookups keyed by joint types hit on identity."""
-    rows = tuple(flat[i:i + ky] for i in range(0, len(flat), ky))
-    return _LIVE_JOINT_TYPES.get((flat, ky)) or _LIVE_JOINT_TYPES.setdefault((flat, ky), JointType(rows, sum(flat)))
+    """The joint type whose counts, row after row of ky, are `flat`."""
+    return JointType(tuple(flat[i:i + ky] for i in range(0, len(flat), ky)), sum(flat))
 
 
 @lru_cache(maxsize=_TYPE_CACHE_SIZE)

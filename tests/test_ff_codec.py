@@ -169,6 +169,26 @@ class TestBatch:
             with pytest.raises(ValueError):
                 ff_encode_batch(cfg, bad_x, bad_y)
 
+    @pytest.mark.parametrize("m", [1, 5, 20])
+    def test_arrays_of_other_row_counts_refused(self, m):
+        # Ten rows against m, either way round: all-zero rows (one symbol
+        # each, which a broadcast y used to code) and random ones.
+        cfg = FFCodeConfig(8, 0.8)
+        for ten, other in ((np.zeros((10, 8), np.uint8), np.zeros((m, 8), np.uint8)),
+                           (_blocks(3, 10, 8, 2), _blocks(4, m, 8, 2))):
+            for x, y in ((ten, other), (other, ten)):
+                with pytest.raises(ValueError, match=f"y has {len(y)} rows, not {len(x)}"):
+                    ff_encode_batch(cfg, x, y)
+                words = ff_encode_batch(cfg, x, x)
+                for side in ("x", "y"):
+                    with pytest.raises(ValueError, match=f"side information has {len(y)} rows, not {len(x)}"):
+                        ff_decode_batch(cfg, words, y, side)
+        flags, type_index, symbols = ff_encode_batch(cfg, ten, ten)  # fields of one word batch that disagree
+        for fields, counts in (((flags, np.resize(type_index, m), symbols), (m, 10)),
+                               ((flags, type_index, np.resize(symbols, m)), (10, m))):
+            with pytest.raises(ValueError, match="codeword fields of %d and %d rows for 10 blocks" % counts):
+                ff_decode_batch(cfg, fields, ten, "x")
+
     def test_decode_error_names_the_first_failing_row(self):
         # Rows decode grouped by type index; the error raised is the lowest
         # failing row's, whichever group fails first.

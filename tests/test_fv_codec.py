@@ -185,6 +185,24 @@ class TestBatch:
         assert isinstance(error, MalformedCodewordError) and error.row == 1
         assert (len(read[0]), end) == (1, lengths[0])
 
+    @pytest.mark.parametrize("m", [1, 5, 20])
+    def test_arrays_of_other_row_counts_refused(self, m):
+        # Ten rows against m, either way round: all-zero rows (one symbol
+        # each, which a broadcast y used to code) and random ones.
+        code, rng = make_fv_code(8), np.random.default_rng(m)
+        for ten, other in ((np.zeros((10, 8), np.uint8), np.zeros((m, 8), np.uint8)),
+                           (rng.integers(0, 2, (10, 8)), rng.integers(0, 2, (m, 8)))):
+            for x, y in ((ten, other), (other, ten)):
+                with pytest.raises(ValueError, match=f"y has {len(y)} rows, not {len(x)}"):
+                    fv_encode_batch(code, x, y)
+                words = fv_encode_batch(code, x, x)
+                for side in ("x", "y"):
+                    with pytest.raises(ValueError, match=f"side information has {len(y)} rows, not {len(x)}"):
+                        fv_decode_batch(code, words, y, side)
+        type_index, symbols = fv_encode_batch(code, ten, ten)  # fields of one word batch that disagree
+        with pytest.raises(ValueError, match=f"codeword fields of 10 and {m} rows for 10 blocks"):
+            fv_decode_batch(code, (type_index, np.resize(symbols, m)), ten, "y")
+
     def test_decode_error_names_the_first_failing_row(self):
         code = make_fv_code(4)
         x = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1]], np.uint8)
@@ -297,6 +315,22 @@ class TestWrapping:
             with pytest.raises(MalformedCodewordError, match=message):
                 wrapped.decode(cw, held, side)
         assert wrapped.decode(verbatim, held, side) == (x if side == "x" else y)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_side_information_checked_before_the_flag(self, side):
+        # Verbatim or coded, a word decodes only from side information of the
+        # code's length over the other alphabet, with ff_decode_x/_y's errors.
+        wrapped = wrap_ff_as_fv(FFCodeConfig(4, 0.1))
+        x, y = seq("0110"), seq("1101")
+        verbatim, coded = wrapped.encode(x, y), wrapped.encode(x, x)
+        assert (verbatim.value >> (verbatim.length - 1), coded.value >> (coded.length - 1)) == (1, 0)
+        for cw in (verbatim, coded):
+            with pytest.raises(ValueError, match="side information must have length n=4"):
+                wrapped.decode(cw, seq("100"), side)
+            with pytest.raises(SideInfoMismatchError, match="side information type does not match codeword"):
+                wrapped.decode(cw, seq("2001", 3), side)
+        assert wrapped.decode(verbatim, y if side == "x" else x, side) == (x if side == "x" else y)
+        assert wrapped.decode(coded, x, side) == x
 
     def test_expected_rate_matches_type_sum(self):
         cfg = FFCodeConfig(10, 0.8)
