@@ -19,26 +19,24 @@ of a file as arrays (`ff_encode_batch`, `fv_encode_batch` and the
 decoders beside them); the bytes are those of coding block by block.
 
 Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
-bytes), the joint types of (n, kx, ky) within MAX_JOINT_TYPE_COUNTS, and
-a rate finite and positive.  That bound allows n up to 114 for 2 x 2
-alphabets, 11 for 3 x 3, 6 for 4 x 4, 2 for 8 x 8 and 1 for 16 x 16, and
-refuses 256 x 256 at every n.
+bytes), and a rate finite and positive.  An ff code enumerates its
+region, so its joint types must lie within MAX_JOINT_TYPE_COUNTS: n up
+to 114 for 2 x 2 alphabets, 11 for 3 x 3, 6 for 4 x 4, 2 for 8 x 8, 1
+for 16 x 16.  An fv type index must fit 32 bits (MAX_HEADER_WIDTH;
+4 x 4 at n=8 takes 19, 3 x 3 at n=12 17; 2 x 2 reaches n=2951).
 
 Large alphabets do not compress at the block lengths they allow.  Every
-block carries its joint type, log2 C(n + kx*ky - 1, kx*ky - 1) bits (the
-(n+1)^(|X||Y|) type count), before its symbol.  For 256 x 256 letters that
-header alone is 16 bits per letter at n=1 and 15 at n=4, about what the
-raw byte pair costs (16 bits).  For 16 x 16 at n=1 it is 8 bits per
-letter, the raw pair's width.  The header per letter falls as n grows
-(2 x 2: 0.92 bits at n=8, 0.16 at n=114; 3 x 3: 1.47 at n=11; 4 x 4:
-2.62 at n=6; raw pairs take 2, 4 and 4 bits), so only small alphabets
-reach block lengths where the rate can approach `achievable_rate`.
+block carries its joint type, log2 C(n + kx*ky - 1, kx*ky - 1) bits, before
+its symbol: per letter, 16 bits for 256 x 256 at n=1 and 15.5 at n=2 (the
+raw pair takes 16), and 0.92 for 2 x 2 at n=8, 1.41 for 3 x 3 at n=12 and
+2.36 for 4 x 4 at n=8 (raw: 2, 4 and 4), so only small alphabets reach
+block lengths where the rate can approach `achievable_rate`.
 
 Exit codes: 0 success, 2 validation error (including an --out that
 cannot be written and a --source or input file that cannot be read,
 each named), 3 malformed file (including
 a header or payload the encoder cannot have written: an unknown mode,
-other widths, n, kx or ky out of the limits above, a rate that is not
+other widths, n, kx or ky out of its mode's limits, a rate that is not
 finite (or, in ff mode, not positive), a byte or more after the last
 block, or nonzero padding), 4 alphabet violation, 5 truncated stream (in
 both modes).  A decode error names the first failing block.
@@ -153,16 +151,19 @@ def _pad_blocks(letters: np.ndarray, n: int) -> np.ndarray:
     return blocks.reshape(-1, n)
 
 
-def _check_size(n: int, kx: int, ky: int, code: int, prefix: str, names: tuple[str, str, str]) -> None:
+def _check_size(n: int, kx: int, ky: int, ff: bool, code: int, prefix: str, names: tuple[str, str, str]) -> None:
     """Refuse a block length or alphabets the header cannot hold or the
-    codecs cannot enumerate, before any work; `names` are the fields."""
+    code (ff or fv) cannot take, before any work; `names` are the fields."""
     if not 1 <= n <= MAX_N:
         raise CliError(f"{prefix}{names[0]} is {n}; it must be 1 to {MAX_N}", code)
     for name, k in zip(names[1:], (kx, ky)):
         if not 1 <= k <= 256:
             raise CliError(f"{prefix}{name} is {k}; letters are bytes, so it must be 1 to 256", code)
     try:
-        check_joint_type_count(n, kx, ky)
+        if ff:
+            check_joint_type_count(n, kx, ky)
+        else:
+            make_fv_code(n, Alphabet(kx), Alphabet(ky))  # refuses a type index wider than its header
     except ValueError as exc:
         raise CliError(f"{prefix}{'/'.join(names)}: {exc}", code) from exc
 
@@ -261,7 +262,7 @@ def cmd_dump_table(args) -> int:
 
 def cmd_encode(args) -> int:
     n, kx, ky = args.n, args.kx, args.ky
-    _check_size(n, kx, ky, EXIT_VALIDATION, "", ("--n", "--kx", "--ky"))
+    _check_size(n, kx, ky, args.mode == "ff", EXIT_VALIDATION, "", ("--n", "--kx", "--ky"))
     if args.rate is not None:
         check_rate(args.rate, "--rate")
     letters_x = _read_letters(args.input_x, kx)
@@ -325,7 +326,7 @@ def _check_widths(path: str, stored: tuple[int, int], expected: tuple[int, int])
 def cmd_decode(args) -> int:
     fields, payload = _read_header(args.codeword)
     _, _, mode, n, kx, ky, orig_len, rate, type_width, symbol_width = fields
-    _check_size(n, kx, ky, EXIT_MALFORMED, f"{args.codeword}: header field ", ("n", "kx", "ky"))
+    _check_size(n, kx, ky, mode == MODE_FF, EXIT_MALFORMED, f"{args.codeword}: header field ", ("n", "kx", "ky"))
     if not math.isfinite(rate) or mode == MODE_FF and rate <= 0:
         raise CliError(
             f"{args.codeword}: header field rate is {rate}; the encoder writes a finite rate, "

@@ -33,11 +33,11 @@ from .types_core import (
     _class_letters,
     _letter_dtype,
     _lex_maps,
-    group_rows,
-    joint_type_groups,
-    joint_type_of,
     enumerate_joint_types,
+    index_groups,
     interned,
+    joint_type_index,
+    joint_type_of,
     rank_rows,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
@@ -83,13 +83,13 @@ def bit_width(count: int) -> int:
     return (count - 1).bit_length() if count > 1 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FFCode:
     """Precomputed region enumeration and field widths for one configuration."""
 
     cfg: FFCodeConfig
     region: tuple[JointType, ...]
-    index_of: dict
+    region_index: np.ndarray  # by type index (`JointType.index`): index in the region, or -1; read-only
     type_width: int
     symbol_width: int
 
@@ -145,17 +145,16 @@ class FFCode:
 
 @lru_cache(maxsize=None)
 def make_code(cfg: FFCodeConfig) -> FFCode:
-    region = tuple(
-        jt
-        for jt in enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
-        if in_decodable_region(jt, cfg.rate)
-    )
-    index_of = {jt: i for i, jt in enumerate(region)}
+    types = enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
+    inside = np.array([in_decodable_region(jt, cfg.rate) for jt in types], bool)
+    region = tuple(jt for jt, keep in zip(types, inside) if keep)
+    region_index = np.where(inside, np.cumsum(inside) - 1, -1)
+    region_index.flags.writeable = False
     max_symbols = max((num_symbols_of(jt) for jt in region), default=1)
     return FFCode(
         cfg=cfg,
         region=region,
-        index_of=index_of,
+        region_index=region_index,
         type_width=bit_width(len(region)),
         symbol_width=bit_width(max_symbols),
     )
@@ -173,10 +172,9 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
             f"sequences over {x.alphabet.size} x {y.alphabet.size} letters; "
             f"the code is over {cfg.ax.size} x {cfg.ay.size}"
         )
-    code = make_code(cfg)
     jt = joint_type_of(x, y)
-    idx = code.index_of.get(jt)
-    if idx is None:
+    idx = make_code(cfg).region_index.item(jt.index)
+    if idx < 0:
         return FFCodeword(0, 0, True)
     return FFCodeword(idx, encode_pair(jt, x, y), False)
 
@@ -217,45 +215,39 @@ def ff_decode_y(cfg: FFCodeConfig, cw: FFCodeword, x: Sequence) -> Sequence:
 FFWords = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, groups=None) -> FFWords:
+def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, type_index=None) -> FFWords:
     """`ff_encode` of every row pair of two (m, n) letter arrays.
 
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
-    Rows are ranked once per marginal class (`encode_rows`); `groups` is
-    `joint_type_groups` of the rows when the caller has it, and a row the
-    caller leaves out of every group is flagged.
+    Rows are ranked once per marginal class (`encode_rows`); `type_index`
+    is `joint_type_index` of the rows when the caller has it, and a row
+    the caller gives index -1 is flagged.
     """
     x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y", len(x))
-    if groups is None:
-        groups = joint_type_groups(x, y, cfg.ax.size, cfg.ay.size)
-    found, type_index, symbols = encode_rows(x, y, groups, make_code(cfg).index_of)
-    return ~found, type_index, symbols
+    if type_index is None:
+        type_index = joint_type_index(x, y, cfg.ax.size, cfg.ay.size)
+    code = make_code(cfg)
+    region = np.where(type_index < 0, -1, code.region_index[type_index])
+    return region < 0, np.maximum(region, 0), encode_rows(x, y, code.region, region)
 
 
-def encode_rows(x, y, groups, index_of: dict) -> tuple[np.ndarray, ...]:
-    """(found, type index, symbol) of every row pair of (m, n) letter arrays.
-
-    `groups` is `joint_type_groups(x, y, ...)`, or a part of it.  A row is
-    found when it is in a group whose joint type `index_of` maps to a type
-    index; rows not found, and rows of a type of one symbol, get symbol 0
-    (and index 0 when not found).
+def encode_rows(x, y, types, index: np.ndarray) -> np.ndarray:
+    """The symbol of every row pair of (m, n) letter arrays: row i is of
+    joint type `types[index[i]]`, or left out when `index[i]` is negative;
+    rows left out, and rows of a type of one symbol, get symbol 0.
     Every table is built, and its budget checked, before x and y are ranked
     once per marginal class (every row is of its group's marginal types, so
     no rank misses); each type's symbols are then one `symbols_at`.
     """
-    found, tabled = np.zeros(len(x), bool), []
-    type_index, symbols = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
-    for jt, rows in groups:
-        if jt in index_of:
-            found[rows], type_index[rows] = True, index_of[jt]
-            if num_symbols_of(jt) > 1:
-                tabled.append((get_coding_table(jt), rows))
+    symbols = np.zeros(len(x), np.int64)
+    groups = [(types[key], rows) for key, rows in index_groups(index)]
+    tabled = [(get_coding_table(jt), rows) for jt, rows in groups if num_symbols_of(jt) > 1]
     x_rank, _ = _class_ranks(x, [(t.jt.x_marginal().counts, rows) for t, rows in tabled])
     y_rank, _ = _class_ranks(y, [(t.jt.y_marginal().counts, rows) for t, rows in tabled])
     for t, rows in tabled:
         symbols[rows] = t.symbols_at(x_rank[rows], y_rank[rows])
-    return found, type_index, symbols
+    return symbols
 
 
 def _by_class(members) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -318,7 +310,7 @@ def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_er
     # Positions into `rows` from here; a one-symbol row keeps delta 1, and `which` picks its map.
     held_letters, symbol, delta = side_info[rows], symbols[rows], np.ones(len(rows), np.int64)
     which, first, to, tabled = np.zeros(len(rows), np.intp), [], [], []
-    for (idx,), at in group_rows(type_index[rows, None]):
+    for idx, at in index_groups(type_index[rows]):
         jt = types[idx]
         held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
         if num_symbols_of(jt) == 1:
@@ -386,11 +378,6 @@ class ErrorProbability:
     @property
     def e_sum(self) -> float:
         return self.e_x + self.e_y
-
-    @property
-    def correct(self) -> float:
-        """Probability that both decoders reproduce exactly (no escape)."""
-        return 1.0 - self.e_x
 
 
 def exact_error_probability(cfg: FFCodeConfig, p: SourceSpec) -> ErrorProbability:

@@ -10,16 +10,18 @@ the larger shell size, zero when both shells are singletons).  The fixed
 header makes the code a prefix set: a parser always knows the symbol
 width after reading the header, so concatenated codewords frame uniquely.
 
-Codeword length is therefore a function of the joint type only, which is
-what the overflow/underflow analysis sums over.  `fv_encode` and the
-stream decoders code one block; `fv_encode_batch`, `FVCode.pack_words`,
-`FVCode.read_words` and `fv_decode_batch` code whole (m, n) arrays of
-blocks to and from the same bits.
+A code enumerates no types (`types_core.joint_type_index` computes the
+index), so it reaches any n and alphabets whose index fits
+MAX_HEADER_WIDTH bits.  Codeword length is a function of the joint type
+only, which is what the overflow/underflow analysis sums over.
+`fv_encode` and the stream decoders code one block; `fv_encode_batch`,
+`FVCode.pack_words`, `FVCode.read_words` and `fv_decode_batch` code
+whole (m, n) arrays of blocks to and from the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -31,9 +33,12 @@ from .types_core import (
     RowError,
     Sequence,
     _letter_dtype,
+    _types_over,
     enumerate_joint_types,
-    joint_type_groups,
+    joint_type_count,
+    joint_type_index,
     joint_type_of,
+    joint_types_at,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, type_columns
@@ -50,6 +55,8 @@ from .ff_codec import (
     make_code,
     _source_columns,
 )
+
+MAX_HEADER_WIDTH = 32  # widest type index `fields_at_every_offset` frames
 
 
 class MalformedCodewordError(RowError):
@@ -75,14 +82,20 @@ class FVCodeword:
 
 @dataclass(frozen=True)
 class FVCode:
-    """Type enumeration and widths for one block length and alphabet pair."""
+    """Block length, alphabets and type index width of an FV code; `code[i]`
+    is the joint type of type index i (memoized with its symbol width)."""
 
     n: int
     ax: Alphabet
     ay: Alphabet
-    types: tuple[JointType, ...]
-    index_of: dict
     header_width: int
+    _types: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return joint_type_count(self.n, self.ax.size, self.ay.size)
+
+    def __getitem__(self, index: int) -> JointType:
+        return self.type_at(index)[0]
 
     def symbol_width(self, jt: JointType) -> int:
         return bit_width(num_symbols_of(jt))
@@ -91,21 +104,31 @@ class FVCode:
         return self.header_width + self.symbol_width(jt)
 
     @cached_property
-    def symbol_widths(self) -> tuple[int, ...]:
-        """`symbol_width` of every type, by type index."""
-        return tuple(map(self.symbol_width, self.types))
-
-    @cached_property
     def codeword_lengths(self) -> tuple[int, ...]:
-        """`codeword_length` of every type, by type index."""
-        return tuple(self.header_width + w for w in self.symbol_widths)
+        """`codeword_length` of every type, by type index (enumerated: MAX_JOINT_TYPE_COUNTS)."""
+        return tuple(map(self.codeword_length, enumerate_joint_types(self.n, self.ax, self.ay)))
+
+    def type_at(self, index: int, jt: JointType | None = None) -> tuple[JointType, int]:
+        """(joint type, symbol width) of a type index, whose joint type is `jt`
+        when the caller has it; MalformedCodewordError if there is none."""
+        entry = self._types.get(index)
+        if entry is None:
+            if not 0 <= index < len(self):
+                raise MalformedCodewordError(f"type index {index} out of range")
+            jt = jt or joint_types_at([index], self.n, self.ax.size, self.ay.size)[0]
+            entry = self._types[index] = jt, self.symbol_width(jt)
+        return entry
+
+    def _symbol_widths(self, type_index: np.ndarray) -> np.ndarray:
+        keys, inverse = np.unique(type_index, return_inverse=True)
+        return np.array([self.type_at(key)[1] for key in keys.tolist()], np.int64)[inverse]
 
     def pack_words(self, words: FVWords) -> bytes:
         """The codewords of a batch (as `fv_encode_batch` returns it), back
         to back and zero-padded to a whole byte: the bits `fv_encode`'s
         words make, written one after another."""
         type_index, symbols = np.asarray(words[0], np.int64), np.asarray(words[1], np.int64)
-        widths = np.stack([np.full(len(type_index), self.header_width), np.take(self.symbol_widths, type_index)], 1)
+        widths = np.stack([np.full(len(type_index), self.header_width), self._symbol_widths(type_index)], 1)
         return pack_fields(np.stack([type_index, symbols], 1), widths)
 
     def read_words(self, payload: bytes, count: int) -> tuple[FVWords, int, RowError | None]:
@@ -119,9 +142,9 @@ class FVCode:
         and the error of word i.  A symbol wider than 63 bits whose value
         does not fit in them reads as -1 (see `read_fields`).
         """
-        header, size, total = self.header_width, len(self.types), 8 * len(payload)
+        header, size, total = self.header_width, len(self), 8 * len(payload)
         heads = fields_at_every_offset(payload, header)
-        head_at, lengths = memoryview(heads), self.codeword_lengths
+        head_at, types = memoryview(heads), self._types
         starts, pos, error = [], 0, None
         for i in range(count):
             if pos >= len(heads):
@@ -131,7 +154,7 @@ class FVCode:
             if idx >= size:
                 error = MalformedCodewordError(f"type index {idx} out of range", i)
                 break
-            end = pos + lengths[idx]
+            end = pos + header + (types.get(idx) or self.type_at(idx))[1]
             if end > total:
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
                 break
@@ -139,21 +162,18 @@ class FVCode:
             pos = end
         starts = np.array(starts, np.int64)
         type_index = heads[starts].astype(np.int64)
-        symbol_widths = np.take(self.symbol_widths, type_index)
-        return (type_index, read_fields(payload, starts + header, symbol_widths)), pos, error
+        return (type_index, read_fields(payload, starts + header, self._symbol_widths(type_index))), pos, error
 
 
 @lru_cache(maxsize=None)
 def make_fv_code(n: int, ax: Alphabet = BINARY, ay: Alphabet = BINARY) -> FVCode:
-    types = enumerate_joint_types(n, ax, ay)
-    return FVCode(
-        n=n,
-        ax=ax,
-        ay=ay,
-        types=types,
-        index_of={jt: i for i, jt in enumerate(types)},
-        header_width=bit_width(len(types)),
-    )
+    """The FV code of (n, ax, ay); ValueError, before anything is counted
+    out, if its type index is wider than MAX_HEADER_WIDTH bits."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if _types_over(n, ax.size * ay.size, 1 << MAX_HEADER_WIDTH):
+        raise ValueError(f"n={n} over {ax.size} x {ay.size} letters: a type index takes over {MAX_HEADER_WIDTH} bits")
+    return FVCode(n, ax, ay, bit_width(joint_type_count(n, ax.size, ay.size)))
 
 
 def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
@@ -161,8 +181,8 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
         raise ValueError(f"sequences must have length n={n}")
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
-    idx = code.index_of[jt]
-    width = code.symbol_widths[idx]
+    idx = jt.index
+    width = (code._types.get(idx) or code.type_at(idx, jt))[1]
     return FVCodeword(idx << width | encode_pair(jt, x, y), code.header_width + width)
 
 
@@ -179,9 +199,8 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     fields are kept apart because a word can be wider than an int64.
     """
     x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y", len(x))
-    groups = joint_type_groups(x, y, code.ax.size, code.ay.size)
-    _, type_index, symbols = encode_rows(x, y, groups, code.index_of)
-    return type_index, symbols
+    type_index = joint_type_index(x, y, code.ax.size, code.ay.size)
+    return type_index, encode_rows(x, y, code, type_index)
 
 
 def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -195,20 +214,8 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     held, reproduced = held_and_decoded(side, code.ax, code.ay)
     side_info = _as_blocks(code.n, side_info, held, "side information", len(words[0]))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    decode_rows(code.types, words[0], words[1], side_info, side, out, np.arange(len(side_info)), MalformedCodewordError)
+    decode_rows(code, words[0], words[1], side_info, side, out, np.arange(len(side_info)), MalformedCodewordError)
     return out
-
-
-def _decode_word(n: int, read, side_info: Sequence, side: str, other: Alphabet | None) -> Sequence:
-    """Reproduce the `side` sequence from one codeword whose fields
-    `read(width)` returns in order, header first."""
-    held = side_info.alphabet
-    ax, ay = (other or held, held) if side == "x" else (held, other or held)
-    code = make_fv_code(n, ax, ay)
-    idx = read(code.header_width)
-    if idx >= len(code.types):
-        raise MalformedCodewordError(f"type index {idx} out of range")
-    return decode_side(code.types[idx], side_info, read(code.symbol_widths[idx]), side)
 
 
 def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | None = None) -> Sequence:
@@ -219,25 +226,30 @@ def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | No
     x-alphabet defaults to the side information's alphabet; pass `ax`
     when the two differ.
     """
-    return _decode_word(n, reader.read, y, "x", ax)
+    return _decode_stream_word(make_fv_code(n, ax or y.alphabet, y.alphabet), reader, y, "x")
 
 
 def fv_decode_y_stream(n: int, reader: BitReader, x: Sequence, ay: Alphabet | None = None) -> Sequence:
     """Decode the next codeword of a concatenated stream; returns y."""
-    return _decode_word(n, reader.read, x, "y", ay)
+    return _decode_stream_word(make_fv_code(n, x.alphabet, ay or x.alphabet), reader, x, "y")
 
 
-def _fv_decode(cw: FVCodeword, side_info: Sequence, side: str, other: Alphabet | None) -> Sequence:
-    rest = cw.length  # bits of the word not yet read
+def _decode_stream_word(code: FVCode, reader: BitReader, side_info: Sequence, side: str) -> Sequence:
+    jt, width = code.type_at(reader.read(code.header_width))
+    return decode_side(jt, side_info, reader.read(width), side)
 
-    def read(width: int) -> int:
-        nonlocal rest
-        rest -= width
-        if rest < 0:
-            raise MalformedCodewordError("codeword ends inside a field")
-        return (cw.value >> rest) & ((1 << width) - 1)
 
-    out = _decode_word(len(side_info.letters), read, side_info, side, other)
+def _fv_decode(code: FVCode, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
+    """Decode one codeword, its two fields read by shifts."""
+    rest = cw.length - code.header_width  # bits of the word after the field read
+    if rest < 0:
+        raise MalformedCodewordError("codeword ends inside a field")
+    idx = cw.value >> rest
+    jt, width = code._types.get(idx) or code.type_at(idx)
+    rest -= width
+    if rest < 0:
+        raise MalformedCodewordError("codeword ends inside a field")
+    out = decode_side(jt, side_info, cw.value >> rest & ((1 << width) - 1), side)
     if rest:
         raise MalformedCodewordError("trailing bits after codeword")
     return out
@@ -248,12 +260,12 @@ def fv_decode_x(cw: FVCodeword, y: Sequence, ax: Alphabet | None = None) -> Sequ
 
     The x-alphabet defaults to y's alphabet; pass `ax` when the two differ.
     """
-    return _fv_decode(cw, y, "x", ax)
+    return _fv_decode(make_fv_code(len(y.letters), ax or y.alphabet, y.alphabet), cw, y, "x")
 
 
 def fv_decode_y(cw: FVCodeword, x: Sequence, ay: Alphabet | None = None) -> Sequence:
     """Exact reproduction of y from the codeword and side information x."""
-    return _fv_decode(cw, x, "y", ay)
+    return _fv_decode(make_fv_code(len(x.letters), x.alphabet, ay or x.alphabet), cw, x, "y")
 
 
 def expected_length(n: int, p: SourceSpec) -> float:
@@ -313,7 +325,7 @@ class WrappedFVCode:
 
     def codeword_length(self, jt: JointType) -> int:
         code = make_code(self.cfg)
-        if jt in code.index_of:
+        if code.region_index[jt.index] >= 0:
             return 1 + code.codeword_width
         return 1 + raw_pair_width(self.cfg.n, self.cfg.ax, self.cfg.ay)
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .types_core import _letter_dtype, joint_type_groups
+from .types_core import _letter_dtype, joint_type_index
 from .info_measures import (
     SourceSpec,
     correct_exponent_inside,
@@ -35,9 +35,8 @@ from .info_measures import (
     error_exponent_outside,
     error_sum_lower_bound,
     error_sum_upper_bound,
-    in_decodable_region,
 )
-from .ff_codec import FFCodeConfig, check_rate, exact_error_probability, ff_decode_batch, ff_encode_batch
+from .ff_codec import FFCodeConfig, check_rate, exact_error_probability, ff_decode_batch, ff_encode_batch, make_code
 from .fv_codec import make_fv_code, overflow_probability
 
 
@@ -139,11 +138,13 @@ def _count_trials(p: SourceSpec, n: int, rates: list[float], trials: int, x, y) 
     x and y.  The rows are coded in slices of at most `_BATCH_ROWS` with
     the code of the largest rate: a cell's symbol does not depend on the
     rate, and every smaller rate's region lies inside that code's.  A row
-    whose type is outside its own rate's region is left out of the groups
-    `ff_encode_batch` is given, so it is flagged and no table is built for it.
+    whose type is outside its own rate's region gets type index -1 in
+    `ff_encode_batch`, so it is flagged and no table is built for it.
     """
     cfg = FFCodeConfig(n, rates[-1], p.ax, p.ay)
-    fv = make_fv_code(n, p.ax, p.ay)
+    lengths = np.array(make_fv_code(n, p.ax, p.ay).codeword_lengths)
+    # inside[i, t]: joint type t lies in the region of rate i.
+    inside = np.array([make_code(FFCodeConfig(n, rate, p.ax, p.ay)).region_index >= 0 for rate in rates])
     eps = epsilon_n(n, p.ax, p.ay)
     overflow_threshold = np.array([n * (rate + eps) for rate in rates])
     # Per rate: escapes, overflows, and unflagged trials decoded wrong on x and on y.
@@ -151,20 +152,13 @@ def _count_trials(p: SourceSpec, n: int, rates: list[float], trials: int, x, y) 
     for start in range(0, len(x), _BATCH_ROWS):
         xs, ys = x[start:start + _BATCH_ROWS], y[start:start + _BATCH_ROWS]
         at = np.arange(start, start + len(xs)) // trials  # the grid row of every trial
-        lengths, coded = np.zeros(len(xs), np.int64), []
-        for jt, rows in joint_type_groups(xs, ys, p.num_x, p.num_y):
-            lengths[rows] = fv.codeword_lengths[fv.index_of[jt]]
-            inside = [in_decodable_region(jt, rate) for rate in rates]
-            if not all(inside):
-                rows = rows[np.array(inside)[at[rows]]]
-            if len(rows):
-                coded.append((jt, rows))
-        words = ff_encode_batch(cfg, xs, ys, coded)
+        index = joint_type_index(xs, ys, p.num_x, p.num_y)
+        words = ff_encode_batch(cfg, xs, ys, np.where(inside[at, index], index, -1))
         wrong = [
             (ff_decode_batch(cfg, words, side_info, side) != truth).any(axis=1) & ~words[0]
             for side, truth, side_info in (("x", xs, ys), ("y", ys, xs))
         ]
-        masks = (words[0], lengths > overflow_threshold[at], *wrong)
+        masks = (words[0], lengths[index] > overflow_threshold[at], *wrong)
         counts += [np.bincount(at[m], minlength=len(rates)) for m in masks]
     escapes, overflows, x_wrong, y_wrong = counts
     # Name what coding row by row would: the first failing grid row, and x

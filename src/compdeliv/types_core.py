@@ -17,13 +17,16 @@ validated object of that count vector from a bounded cache, and a joint
 type's marginals are memoized, so coding one block builds no new type
 objects once its types have been seen.  Alphabets and types are
 `interned`: one live object per value, compared and hashed by identity.
+
+A joint type's index, its position in `enumerate_joint_types` order, is
+computed (`joint_type_index`, inverse `joint_types_at`), not enumerated.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, fields, make_dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, repeat
 from math import comb, factorial
 
@@ -203,6 +206,12 @@ class JointType:
     def flat_counts(self) -> tuple[int, ...]:
         return tuple(c for row in self.counts for c in row)
 
+    @cached_property
+    def index(self) -> int:
+        """This type's position in `enumerate_joint_types` order (`joint_type_index`)."""
+        table = _rank_table(self.n, self.num_x * self.num_y)
+        return int(table[np.arange(self.n), np.repeat(np.arange(table.shape[1]), self.flat_counts())].sum())
+
 
 # Most entries of each type cache below: every joint type of a binary
 # block up to n = 9.  An entry holds its counts twice, as key and as
@@ -264,12 +273,16 @@ def joint_type_count(n: int, kx: int, ky: int) -> int:
     return comb(n + kx * ky - 1, kx * ky - 1)
 
 
+def _types_over(n: int, cells: int, bound: int) -> bool:
+    """Whether the joint types of n letters over `cells` pair letters number over `bound`
+    (C(N, k) >= 2^k for k = min(n, cells - 1) <= N / 2 spares a count of thousands of digits)."""
+    return min(n, cells - 1) >= bound.bit_length() or comb(n + cells - 1, cells - 1) > bound
+
+
 def check_joint_type_count(n: int, kx: int, ky: int) -> None:
     """Raise ValueError if enumerating these joint types exceeds MAX_JOINT_TYPE_COUNTS."""
     cells = kx * ky
-    # With two or more cells there are at least n + cells - 1 types; that
-    # test spares the exact count, which can run to thousands of digits.
-    if (n + cells - 1) * cells > MAX_JOINT_TYPE_COUNTS or joint_type_count(n, kx, ky) * cells > MAX_JOINT_TYPE_COUNTS:
+    if _types_over(n, cells, MAX_JOINT_TYPE_COUNTS // cells):
         raise ValueError(
             f"n={n} over {kx} x {ky} letters: its joint types hold more than "
             f"MAX_JOINT_TYPE_COUNTS = {MAX_JOINT_TYPE_COUNTS} counts ({cells} per type)"
@@ -288,7 +301,10 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
         raise ValueError("n must be >= 1")
     kx, ky = ax.size, ay.size
     check_joint_type_count(n, kx, ky)
-    return tuple(_joint_type(flat, ky) for flat in _compositions(n, kx * ky))
+    types = tuple(_joint_type(flat, ky) for flat in _compositions(n, kx * ky))
+    for i, jt in enumerate(types):  # enumeration order is index order: `JointType.index` is known
+        vars(jt).setdefault("index", i)
+    return types
 
 
 @lru_cache(maxsize=None)
@@ -448,37 +464,70 @@ def unrank_rows(counts: tuple[int, ...], ranks: np.ndarray) -> np.ndarray:
     return letters[ranks]
 
 
-def group_rows(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Rows of a 2-D array of nonnegative ints grouped by value.
+def index_groups(index: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Rows grouped by a 1-D integer index, rows of a negative value left
+    out: (value, row indices) pairs, both ascending.  One stable argsort,
+    numpy's radix sort when the values fit 16 bits."""
+    index = np.asarray(index)
+    small = len(index) and -1 <= index.min() and index.max() < (1 << 16) - 1
+    order = np.argsort((index + 1).astype(np.uint16) if small else index, kind="stable")
+    value = index[order]
+    first = int(np.searchsorted(value, 0))
+    bounds = [first, *(np.flatnonzero(np.diff(value[first:])) + first + 1).tolist(), len(order)]
+    return [(int(value[a]), order[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
 
-    Returns (value, row indices) pairs, values ascending.  Each row is
-    packed into one int64 code, column by column; before a column could
-    overflow the code, the distinct codes so far are renumbered densely,
-    so the grouping is exact for any number of columns (each value times
-    the row count must stay below 2^63).
-    """
-    if not len(keys):
-        return []
-    code, bound = np.zeros(len(keys), np.int64), 1
-    for column in keys.T:
-        base = int(column.max()) + 1
-        if bound * base >= 2 ** 63:
-            distinct, code = np.unique(code, return_inverse=True)
-            bound = len(distinct)
-        code = code * base + column
-        bound *= base
-    order = np.argsort(code, kind="stable")
-    starts = np.flatnonzero(np.diff(code[order])) + 1
-    values = keys[order[np.concatenate(([0], starts))]].tolist()
-    bounds = [0, *starts.tolist(), len(order)]  # slices: np.split costs more per group
-    return list(zip(map(tuple, values), (order[a:b] for a, b in zip(bounds, bounds[1:]))))
+
+@lru_cache(maxsize=64)
+def _rank_table(n: int, cells: int) -> np.ndarray:
+    """T[k, i] = C(n + cells - 2 - k - i, n - k), what a block's k-th smallest
+    pair letter, i, adds to its type index: the strings of n stars and
+    cells - 1 bars that agree with the block's up to its k-th star and hold
+    a bar there (Cover's enumerative rank).  ValueError past int64."""
+    _check_block_length(n)
+    if _types_over(n, cells, (1 << 63) - 1):
+        raise ValueError(f"n={n} over {cells} pair letters: 2^63 joint types or more; type indices are int64")
+    table = np.zeros((n, cells), np.int64)
+    table[n - 1] = np.arange(cells - 1, -1, -1)
+    for k in range(n - 2, -1, -1):
+        table[k] = np.cumsum(table[k + 1][::-1])[::-1]
+    table.flags.writeable = False
+    return table
+
+
+def joint_type_index(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> np.ndarray:
+    """The type index (int64) of every row pair (x[i], y[i]) of two (m, n)
+    letter arrays, with nothing enumerated: a sum over the block's sorted
+    pair letters, so its cost grows with n, not the alphabets.  ValueError
+    for arrays of two shapes or a letter outside its alphabet."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"x of shape {x.shape} and y of shape {y.shape}: row pairs need (m, n) arrays of one shape")
+    table = _rank_table(x.shape[1], kx * ky)
+    for side, k in ((x, kx), (y, ky)):
+        if side.size and not (0 <= side.min() and side.max() < k):
+            raise ValueError(f"letter outside alphabet of size {k}")
+    letters = x.astype(np.intp) * ky + y  # the pair's letter in the kx * ky alphabet
+    letters.sort(axis=1)
+    letters += np.arange(0, table.size, kx * ky)
+    return table.ravel().take(letters).sum(axis=1)
+
+
+def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
+    """The joint type of each type index, inverting `joint_type_index`: each
+    sorted letter is the first whose table entry the rest of the index
+    covers.  ValueError for an index outside the type count."""
+    table, count = _rank_table(n, kx * ky), joint_type_count(n, kx, ky)
+    rest = np.array(index, np.int64).ravel()
+    if rest.size and not (0 <= rest.min() and rest.max() < count):
+        raise ValueError(f"type index outside 0..{count - 1}")
+    letters = np.zeros((len(rest), n), np.intp)
+    for k, row in enumerate(table):  # rows descend: count the entries the rest covers from the end
+        letters[:, k] = kx * ky - np.searchsorted(row[::-1], rest, side="right")
+        rest -= row[letters[:, k]]
+    return [_joint_type(tuple(np.bincount(row, minlength=kx * ky).tolist()), ky) for row in letters]
 
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
-    """Row pairs (x[i], y[i]) grouped by joint type: (joint type, row indices) pairs."""
-    cells, m = kx * ky, len(x)
-    letters = x.astype(np.intp) * ky + y  # the pair's letter in the kx * ky alphabet
-    if letters.size and not (0 <= letters.min() and letters.max() < cells):
-        raise ValueError(f"letter outside alphabet of size {cells}")
-    counts = np.bincount((letters + np.arange(m)[:, None] * cells).ravel(), minlength=m * cells)
-    return [(_joint_type(flat, ky), rows) for flat, rows in group_rows(counts.reshape(m, cells))]
+    """Row pairs (x[i], y[i]) grouped by joint type, in type index order."""
+    groups = index_groups(joint_type_index(x, y, kx, ky))
+    return list(zip(joint_types_at([key for key, _ in groups], np.shape(x)[1], kx, ky), (rows for _, rows in groups)))

@@ -64,3 +64,16 @@ def assert_proper_coloring(table):
                 except SymbolNotFoundError:
                     continue
                 raise AssertionError(f"slot ({v}, {c}) marked outside the edges")
+
+
+# Block lengths and alphabets whose joint types exceed MAX_JOINT_TYPE_COUNTS
+# but whose FV type index fits its header: (n, letters per side, blocks).
+PAST_ENUMERATION = [(8, 4, 6), (12, 3, 4)]
+
+
+def correlated_blocks(seed, m, n, k):
+    """m seeded (x, y) block pairs over k x k letters, y mostly equal to x."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, k, size=(m, n), dtype=np.uint8)
+    y = np.where(rng.random((m, n)) < 0.9, x, rng.integers(0, k, size=(m, n), dtype=np.uint8))
+    return x, y

@@ -257,7 +257,7 @@ def test_criterion_7_fv_zero_error_prefix_and_length():
                 assert not nxt.startswith(w)
         for n in range(1, 11):
             code = make_fv_code(n, BINARY, BINARY)
-            for jt in code.types:
+            for jt in enumerate_joint_types(n, BINARY, BINARY):
                 bound = n * max_conditional_entropy(jt) + 4 * math.log2(n + 1) + 2
                 assert code.codeword_length(jt) <= bound + 1e-9
 

@@ -22,6 +22,7 @@ from compdeliv.cli import (
 from compdeliv.ff_codec import FFCodeConfig, ff_decode_x, ff_decode_y, ff_encode, make_code
 from compdeliv.fv_codec import fv_decode_x_stream, fv_decode_y_stream, fv_encode
 from compdeliv.types_core import Alphabet, Sequence
+from conftest import PAST_ENUMERATION, correlated_blocks
 
 
 def write_letters(path, letters):
@@ -726,3 +727,50 @@ class TestResourceLimits:
         assert main(argv) == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert "header field" in err and field in err
+
+    @pytest.mark.parametrize("n, k, m", PAST_ENUMERATION)
+    def test_fv_round_trip_past_the_enumeration_limit(self, n, k, m, tmp_path):
+        x, y = correlated_blocks(n, m, n, k)
+        x, y = x.ravel()[:-1].tolist(), y.ravel()[:-1].tolist()  # a short last block
+        cw = encode_pair(tmp_path, x, y, n, "fv", kx=k, ky=k)
+        assert decode_side(tmp_path, cw, "x", y) == (EXIT_OK, bytes(x))
+        assert decode_side(tmp_path, cw, "y", x) == (EXIT_OK, bytes(y))
+
+    def test_ff_still_refuses_past_the_enumeration_limit(self, tmp_path, capsys):
+        x = [0, 1, 2, 3] * 4
+        write_letters(tmp_path / "x.bin", x)
+        argv = ["encode", "--mode", "ff", "--rate", "1.0", "--n", "8", "--kx", "4", "--ky", "4",
+                "--input-x", str(tmp_path / "x.bin"), "--input-y", str(tmp_path / "x.bin"),
+                "--out", str(tmp_path / "c.bin")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--n/--kx/--ky" in (err := capsys.readouterr().err) and "MAX_JOINT_TYPE_COUNTS" in err
+        data = tmp_path / "c.bin"
+        data.write_bytes(HEADER.pack(MAGIC, 1, 0, 8, 4, 4, 16, 1.0, 19, 13) + bytes(8))
+        assert decode_side(tmp_path, data, "x", x)[0] == EXIT_MALFORMED
+        assert "header field n/kx/ky" in (err := capsys.readouterr().err) and "MAX_JOINT_TYPE_COUNTS" in err
+
+    @pytest.mark.parametrize("n, k", [(3, 256), (9, 9), (3000, 2)])
+    def test_fv_refuses_a_type_index_wider_than_32_bits(self, n, k, tmp_path, capsys):
+        # 256 x 256 letters at n=2 still fit: C(65537, 2) < 2^32.
+        assert types_core.joint_type_count(n, k, k) >= 2 ** 32 > types_core.joint_type_count(2, 256, 256)
+        write_letters(tmp_path / "x.bin", [0] * n)
+        argv = ["encode", "--mode", "fv", "--n", str(n), "--kx", str(k), "--ky", str(k),
+                "--input-x", str(tmp_path / "x.bin"), "--input-y", str(tmp_path / "x.bin"),
+                "--out", str(tmp_path / "c.bin")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--n/--kx/--ky" in (err := capsys.readouterr().err) and "32 bits" in err
+        data = tmp_path / "c.bin"
+        data.write_bytes(HEADER.pack(MAGIC, 1, 1, n, k, k, n, 0.0, 0, 0) + bytes(8))
+        assert decode_side(tmp_path, data, "x", [0] * n)[0] == EXIT_MALFORMED
+        assert "header field n/kx/ky" in (err := capsys.readouterr().err) and "32 bits" in err
+
+    def test_fv_type_index_past_the_type_count_is_malformed(self, tmp_path, capsys):
+        # 165 binary joint types at n=8 take an 8-bit index: 255 names none.
+        x = [0, 1] * 8
+        cw = encode_pair(tmp_path, x, x, 8, "fv")
+        data = bytearray(cw.read_bytes())
+        data[HEADER.size] = 0xFF
+        cw.write_bytes(bytes(data))
+        for side in ("x", "y"):
+            assert decode_side(tmp_path, cw, side, x)[0] == EXIT_MALFORMED
+            assert "block 0: type index 255 out of range" in capsys.readouterr().err

@@ -240,7 +240,7 @@ class TestLookups:
             with pytest.raises(SymbolNotFoundError):
                 t.col_for(row, symbol)
         code = make_fv_code(4)  # the batch decoder reads the same slots
-        words = np.array([0, code.types.index(t.jt)]), np.array([0, symbol])
+        words = np.array([0, t.jt.index]), np.array([0, symbol])
         for side in ("x", "y"):  # both marginals are (3, 1)
             with pytest.raises(SymbolNotFoundError) as caught:
                 fv_decode_batch(code, words, np.array([[1, 1, 1, 1], [0, 0, 0, 1]]), side)

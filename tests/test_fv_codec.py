@@ -34,12 +34,14 @@ from compdeliv.info_measures import (
 )
 from compdeliv.types_core import (
     BINARY,
+    MAX_JOINT_TYPE_COUNTS,
     Alphabet,
     Sequence,
     enumerate_joint_types,
+    joint_type_count,
     joint_type_of,
 )
-from conftest import all_binary_pairs, bit_text, seq
+from conftest import PAST_ENUMERATION, all_binary_pairs, bit_text, correlated_blocks, seq
 
 
 class TestEncode:
@@ -70,7 +72,7 @@ class TestEncode:
     def test_per_type_length_bound(self, n):
         # length <= n * maxH + eps_n overhead + 2 ceiling bits
         code = make_fv_code(n, BINARY, BINARY)
-        for jt in code.types:
+        for jt in enumerate_joint_types(n, BINARY, BINARY):
             bound = n * max_conditional_entropy(jt) + 4 * math.log2(n + 1) + 2
             assert code.codeword_length(jt) <= bound + 1e-9
 
@@ -131,7 +133,7 @@ class TestDecode:
     def test_type_index_checked_before_the_symbol_field(self, extra, message):
         code = make_fv_code(4)
         width = code.header_width
-        assert len(code.types) < 1 << width
+        assert len(code) < 1 << width
         top = (1 << width) - 1  # an index past the last joint type
         with pytest.raises(MalformedCodewordError, match=message):
             fv_decode_y(FVCodeword(top >> -extra if extra < 0 else top << extra, width + extra), seq("0101"))
@@ -168,19 +170,38 @@ class TestBatch:
         assert (fv_decode_batch(code, read, y, "x") == x).all()
         assert (fv_decode_batch(code, read, x, "y") == y).all()
 
+    @pytest.mark.parametrize("n, k, m", PAST_ENUMERATION)
+    def test_round_trip_past_the_enumeration_limit(self, n, k, m):
+        # No code could enumerate these joint types; the FV code needs none.
+        assert joint_type_count(n, k, k) * k * k > MAX_JOINT_TYPE_COUNTS
+        code = make_fv_code(n, Alphabet(k), Alphabet(k))
+        assert code.header_width == {8: 19, 12: 17}[n]
+        x, y = correlated_blocks(n, m, n, k)
+        words = fv_encode_batch(code, x, y)
+        payload = code.pack_words(words)
+        read, end, error = code.read_words(payload, m)
+        assert error is None and end <= 8 * len(payload)
+        assert read[0].tolist() == words[0].tolist() and read[1].tolist() == words[1].tolist()
+        assert (fv_decode_batch(code, read, y, "x") == x).all()
+        assert (fv_decode_batch(code, read, x, "y") == y).all()
+        for xi, yi in zip(x.tolist(), y.tolist()):
+            xs, ys = Sequence(tuple(xi), code.ax), Sequence(tuple(yi), code.ay)
+            cw = fv_encode(n, xs, ys)
+            assert fv_decode_x(cw, ys) == xs and fv_decode_y(cw, xs) == ys
+
     def test_framing_stops_at_the_first_word_it_cannot_frame(self):
         code = make_fv_code(4)
         x = np.array([[0, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 1]], np.uint8)
         y = np.array([[0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1]], np.uint8)
         words = fv_encode_batch(code, x, y)
         payload = code.pack_words(words)
-        lengths = [code.header_width + code.symbol_widths[i] for i in words[0].tolist()]
+        lengths = [code.header_width + code.type_at(i)[1] for i in words[0].tolist()]
         read, end, error = code.read_words(payload[:(lengths[0] + lengths[1]) // 8], 3)
         assert isinstance(error, TruncatedStreamError) and error.row == len(read[0])
         assert end == sum(lengths[:len(read[0])])
         bad = BitWriter()
-        bad.write(int(words[0][0]) << code.symbol_widths[int(words[0][0])] | int(words[1][0]), lengths[0])
-        bad.write(len(code.types), code.header_width)  # one past the last type index
+        bad.write(int(words[0][0]) << code.type_at(int(words[0][0]))[1] | int(words[1][0]), lengths[0])
+        bad.write(len(code), code.header_width)  # one past the last type index
         read, end, error = code.read_words(bad.getvalue() + bytes(4), 3)
         assert isinstance(error, MalformedCodewordError) and error.row == 1
         assert (len(read[0]), end) == (1, lengths[0])
@@ -357,5 +378,6 @@ class TestWidths:
     def test_bit_width_agreement(self):
         # header width addresses every joint type
         code = make_fv_code(6, BINARY, BINARY)
-        assert code.header_width == bit_width(len(code.types))
-        assert 2 ** code.header_width >= len(code.types)
+        assert len(code) == len(enumerate_joint_types(6, BINARY, BINARY))
+        assert code.header_width == bit_width(len(code))
+        assert 2 ** code.header_width >= len(code)

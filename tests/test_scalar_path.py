@@ -25,6 +25,7 @@ from compdeliv.coding_table import (
 from compdeliv.ff_codec import (
     FFCodeConfig,
     FFCodeword,
+    bit_width,
     decode_rows,
     encode_rows,
     ff_decode_batch,
@@ -35,6 +36,7 @@ from compdeliv.ff_codec import (
     make_code,
 )
 from compdeliv.fv_codec import (
+    FVCode,
     FVCodeword,
     fv_decode_batch,
     fv_decode_x,
@@ -53,7 +55,9 @@ from compdeliv.types_core import (
     Sequence,
     TypeVector,
     enumerate_joint_types,
+    joint_type_count,
     joint_type_groups,
+    joint_type_index,
     joint_type_of,
     multinomial,
     rank_in_type_class,
@@ -112,7 +116,7 @@ def test_fv_scalar_matches_batch(n, kx, ky, rate):
     assert (fv_decode_batch(code, (type_index, symbols), x, "y") == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, code.ax), _sequences(y, code.ay))):
         cw = fv_encode(n, xi, yi)
-        width = code.symbol_widths[type_index[i]]
+        width = code.type_at(int(type_index[i]))[1]
         assert (cw.value, cw.length) == (int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
         # The decoders take the reproduced alphabet when it differs from
         # the side information's.
@@ -123,25 +127,26 @@ def test_fv_scalar_matches_batch(n, kx, ky, rate):
 
 
 def test_300_letter_blocks_match_the_array_path():
-    # No code enumerates the joint types of 300 x 300 letters at n=3 (they
-    # exceed MAX_JOINT_TYPE_COUNTS), so the steps of ff_encode and the
-    # decoders past the code are compared: the joint type, the table
-    # symbol and both reproductions.
+    # No FF code enumerates the joint types of 300 x 300 letters at n=3
+    # (they exceed MAX_JOINT_TYPE_COUNTS), and their type index needs 47
+    # bits, more than an FV header may take; so the steps of the encoders
+    # and the decoders past the code are compared, through a code built
+    # directly: the joint type, the table symbol and both reproductions.
     k, n = 300, 3
     ax = Alphabet(k)
     x, y = _pairs(300, 12, n, k, k)
-    groups = joint_type_groups(x, y, k, k)
-    types = [jt for jt, _ in groups]
-    found, type_index, symbols = encode_rows(x, y, groups, {jt: i for i, jt in enumerate(types)})
-    assert found.all()
+    code = FVCode(n, ax, ax, bit_width(joint_type_count(n, k, k)))
+    type_index = joint_type_index(x, y, k, k)
+    symbols = encode_rows(x, y, code, type_index)
+    types = [code[i] for i in type_index.tolist()]
     rows = np.arange(len(x))
     out_x, out_y = np.zeros_like(x), np.zeros_like(y)
-    decode_rows(types, type_index, symbols, y, "x", out_x, rows)
-    decode_rows(types, type_index, symbols, x, "y", out_y, rows)
+    decode_rows(code, type_index, symbols, y, "x", out_x, rows)
+    decode_rows(code, type_index, symbols, x, "y", out_y, rows)
     assert (out_x == x).all() and (out_y == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, ax), _sequences(y, ax))):
         jt = joint_type_of(xi, yi)
-        assert jt == types[type_index[i]]
+        assert jt is types[i] and jt.index == type_index[i]
         symbol = encode_pair(jt, xi, yi)
         assert symbol == symbols[i]
         assert decode_side(jt, yi, symbol, "x") == xi and decode_side(jt, xi, symbol, "y") == yi
@@ -258,9 +263,8 @@ def test_no_encoder_builds_a_one_symbol_table(encoder):
     balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
     ENCODERS[encoder](balanced, balanced)
     assert get_coding_table.cache_info().currsize == 0
-    groups = joint_type_groups(x, x, 2, 2)
-    found, _, symbols = encode_rows(x, x, groups, {jt: i for i, (jt, _) in enumerate(groups)})
-    assert found.all() and not symbols.any()
+    symbols = encode_rows(x, x, make_fv_code(8), joint_type_index(x, x, 2, 2))
+    assert not symbols.any()
     assert get_coding_table.cache_info().currsize == 0
 
 
@@ -372,7 +376,7 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
     if mode == "ff":
         words, types = ff_encode_batch(cfg, x, y), make_code(cfg).region
     else:
-        words, types = fv_encode_batch(code, x, y), code.types
+        words, types = fv_encode_batch(code, x, y), code
     held = y if side == "x" else x
     subsets = [kinds for r in range(1, 4) for kinds in itertools.combinations(PLANTED, r)] + [PLANTED]
     for seed, kinds in enumerate(subsets):
@@ -390,7 +394,7 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
                 ff_decode_batch(cfg, planted, held_i, side)
         else:
             def decode_one(i):
-                width = code.symbol_widths[type_index[i]] if type_index[i] < len(types) else 0
+                width = code.type_at(int(type_index[i]))[1] if type_index[i] < len(types) else 0
                 cw = FVCodeword(int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
                 (fv_decode_x if side == "x" else fv_decode_y)(cw, held_seqs[i])
 

@@ -171,12 +171,14 @@ def _reference_row(p, n, rate, trials, seed) -> ReportRow:
     region = set(make_code(cfg).region)
     escape_exact = sum(prob_of_type_class(jt, p) for jt in enumerate_joint_types(n, p.ax, p.ay) if jt not in region)
     threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
-    overflow_exact = sum(prob_of_type_class(jt, p) for jt in fv.types if fv.codeword_length(jt) > threshold)
+    overflow_exact = sum(
+        prob_of_type_class(jt, p) for jt in enumerate_joint_types(n, p.ax, p.ay) if fv.codeword_length(jt) > threshold
+    )
 
     cells = _sample_cells(p, n, trials, np.random.Generator(np.random.PCG64(seed)))
     x, y = np.divmod(cells, p.num_y)
     groups = joint_type_groups(x, y, p.num_x, p.num_y)
-    words = ff_encode_batch(cfg, x, y, groups)
+    words = ff_encode_batch(cfg, x, y)
     unflagged = ~words[0]
     for side, truth, side_info in (("x", x, y), ("y", y, x)):
         decoded = ff_decode_batch(cfg, words, side_info, side)

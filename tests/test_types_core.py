@@ -21,7 +21,10 @@ from compdeliv.types_core import (
     Sequence,
     TypeVector,
     enumerate_joint_types,
-    group_rows,
+    index_groups,
+    joint_type_groups,
+    joint_type_index,
+    joint_types_at,
     joint_type_count,
     joint_type_of,
     multinomial,
@@ -276,18 +279,82 @@ class TestRowRanks:
             unrank_rows((2, 1), [-1])
 
     @pytest.mark.parametrize("high", [3, 2 ** 40])
-    def test_group_rows_exact_at_any_width(self, high):
-        # 2^40-wide values in 8 columns overflow a packed int64 code, so the
-        # grouping must renumber the prefixes it has seen.
+    def test_index_groups_exact_at_any_width(self, high):
+        # Values below 2^16 take the 16-bit radix sort, 2^40-wide ones the
+        # int64 sort; rows of value -1 are left out of both.
         rng = np.random.default_rng(high)
-        keys = rng.integers(0, high, size=(50, 8))[rng.integers(0, 50, size=400)]
+        keys = rng.integers(-1, high, size=50)[rng.integers(0, 50, size=400)]
+        keys[::7] = -1
         expected = {}
-        for i, row in enumerate(keys.tolist()):
-            expected.setdefault(tuple(row), []).append(i)
-        groups = group_rows(keys)
+        for i, value in enumerate(keys.tolist()):
+            if value >= 0:
+                expected.setdefault(value, []).append(i)
+        groups = index_groups(keys)
         assert [value for value, _ in groups] == sorted(expected)
         assert {value: rows.tolist() for value, rows in groups} == expected
-        assert group_rows(keys[:0]) == []
+        assert index_groups(keys[:0]) == [] and index_groups(np.full(3, -1)) == []
+
+
+def _type_rows(types, ky, rng):
+    """One (x, y) block pair of each joint type, its pairs in a seeded order, as two arrays."""
+    cells = np.array([np.repeat(np.arange(len(jt.flat_counts())), jt.flat_counts()) for jt in types])
+    return np.divmod(rng.permuted(cells, axis=1), ky)
+
+
+class TestTypeIndex:
+    SHAPES = [(8, 2, 2), (5, 3, 2), (4, 3, 3), (3, 4, 4), (1, 16, 16)]
+
+    @pytest.mark.parametrize("n, kx, ky", SHAPES)
+    def test_index_is_the_enumeration_position(self, n, kx, ky):
+        types = enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
+        x, y = _type_rows(types, ky, np.random.default_rng(n))
+        assert joint_type_index(x, y, kx, ky).tolist() == list(range(len(types)))
+        assert [jt.index for jt in types] == list(range(len(types)))
+
+    @pytest.mark.parametrize("n, kx, ky", SHAPES + [(1, 1, 1), (4, 1, 1), (2, 1, 3)])
+    def test_inverse_round_trips(self, n, kx, ky):
+        types = enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
+        back = joint_types_at(np.arange(len(types))[::-1], n, kx, ky)
+        assert all(got is jt for got, jt in zip(back, types[::-1]))
+        for bad in (-1, len(types)):
+            with pytest.raises(ValueError, match="type index outside"):
+                joint_types_at([0, bad], n, kx, ky)
+
+    @pytest.mark.parametrize("m, n, kx, ky", [(400, 8, 2, 2), (300, 6, 3, 2), (200, 12, 3, 3), (200, 8, 4, 4)])
+    def test_grouping_matches_grouping_by_counts(self, m, n, kx, ky):
+        # The reference groups rows by their count vectors, in lexicographic
+        # order of the counts, as grouping by packed counts did.
+        rng = np.random.default_rng(m + n)
+        x = rng.integers(0, kx, (m, n))
+        y = np.where(rng.random((m, n)) < 0.8, x % ky, rng.integers(0, ky, (m, n)))
+        expected = {}
+        for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+            counts = [0] * (kx * ky)
+            for c in (u * ky + v for u, v in zip(a, b)):
+                counts[c] += 1
+            expected.setdefault(tuple(counts), []).append(i)
+        groups = joint_type_groups(x, y, kx, ky)
+        assert [jt.flat_counts() for jt, _ in groups] == sorted(expected)
+        assert all(rows.tolist() == expected[jt.flat_counts()] for jt, rows in groups)
+
+    @pytest.mark.parametrize("entry", [joint_type_groups, joint_type_index])
+    def test_row_pairs_of_other_shapes_refused(self, entry):
+        # A y of one row used to be broadcast against four rows of x.
+        with pytest.raises(ValueError, match="one shape"):
+            entry(np.zeros((4, 3), np.uint8), np.zeros((1, 3), np.uint8), 2, 2)
+        with pytest.raises(ValueError, match="one shape"):
+            entry(np.zeros((4, 3), np.uint8), np.zeros((4, 2), np.uint8), 2, 2)
+
+    def test_letters_outside_either_alphabet_refused(self):
+        # y = 2 over 2 letters would still make a pair letter below 2 x 2.
+        with pytest.raises(ValueError, match="alphabet of size 2"):
+            joint_type_index(np.zeros((1, 3), np.uint8), np.array([[0, 2, 0]]), 2, 2)
+
+    @pytest.mark.parametrize("n, kx, ky", [(70, 64, 1), (200, 4, 4), (3, 2 ** 22, 1)])
+    def test_indices_past_int64_refused(self, n, kx, ky):
+        assert joint_type_count(n, kx, ky) >= 2 ** 63
+        with pytest.raises(ValueError, match="int64"):
+            joint_type_index(np.zeros((1, n), np.uint8), np.zeros((1, n), np.uint8), kx, ky)
 
 
 class TestValidation:
