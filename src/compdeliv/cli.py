@@ -23,7 +23,10 @@ bytes), and a rate finite and positive.  An ff code enumerates its
 region, so its joint types must lie within MAX_JOINT_TYPE_COUNTS: n up
 to 114 for 2 x 2 alphabets, 11 for 3 x 3, 6 for 4 x 4, 2 for 8 x 8, 1
 for 16 x 16.  An fv type index must fit 32 bits (MAX_HEADER_WIDTH;
-4 x 4 at n=8 takes 19, 3 x 3 at n=12 17; 2 x 2 reaches n=2951).
+4 x 4 at n=8 takes 19, 3 x 3 at n=12 17; 2 x 2 reaches n=2951), and an
+fv code keeps the joint types a file holds up to MAX_JOINT_TYPE_COUNTS
+counts (16 distinct types of 256 x 256 letters, 65,536 of 4 x 4),
+refusing the next before any table is built.
 
 Large alphabets do not compress at the block lengths they allow.  Every
 block carries its joint type, log2 C(n + kx*ky - 1, kx*ky - 1) bits, before
@@ -37,9 +40,10 @@ cannot be written and a --source or input file that cannot be read,
 each named), 3 malformed file (including
 a header or payload the encoder cannot have written: an unknown mode,
 other widths, n, kx or ky out of its mode's limits, a rate that is not
-finite (or, in ff mode, not positive), a byte or more after the last
-block, or nonzero padding), 4 alphabet violation, 5 truncated stream (in
-both modes).  A decode error names the first failing block.
+finite (or, in ff mode, not positive), more distinct joint types than an
+fv code keeps, a byte or more after the last block, or nonzero
+padding), 4 alphabet violation, 5 truncated stream (in both modes).  A
+decode error names the first failing block.
 """
 
 from __future__ import annotations

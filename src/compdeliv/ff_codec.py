@@ -90,6 +90,7 @@ class FFCode:
     cfg: FFCodeConfig
     region: tuple[JointType, ...]
     region_index: np.ndarray  # by type index (`JointType.index`): index in the region, or -1; read-only
+    region_of: list[int]  # `region_index` as a list, for one-block lookups
     type_width: int
     symbol_width: int
 
@@ -151,13 +152,7 @@ def make_code(cfg: FFCodeConfig) -> FFCode:
     region_index = np.where(inside, np.cumsum(inside) - 1, -1)
     region_index.flags.writeable = False
     max_symbols = max((num_symbols_of(jt) for jt in region), default=1)
-    return FFCode(
-        cfg=cfg,
-        region=region,
-        region_index=region_index,
-        type_width=bit_width(len(region)),
-        symbol_width=bit_width(max_symbols),
-    )
+    return FFCode(cfg, region, region_index, region_index.tolist(), bit_width(len(region)), bit_width(max_symbols))
 
 
 def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
@@ -173,7 +168,7 @@ def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
             f"the code is over {cfg.ax.size} x {cfg.ay.size}"
         )
     jt = joint_type_of(x, y)
-    idx = make_code(cfg).region_index.item(jt.index)
+    idx = make_code(cfg).region_of[jt.index]
     if idx < 0:
         return FFCodeword(0, 0, True)
     return FFCodeword(idx, encode_pair(jt, x, y), False)
@@ -229,19 +224,19 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, type_index=
         type_index = joint_type_index(x, y, cfg.ax.size, cfg.ay.size)
     code = make_code(cfg)
     region = np.where(type_index < 0, -1, code.region_index[type_index])
-    return region < 0, np.maximum(region, 0), encode_rows(x, y, code.region, region)
+    return region < 0, np.maximum(region, 0), encode_rows(x, y, code.region.__getitem__, region)
 
 
-def encode_rows(x, y, types, index: np.ndarray) -> np.ndarray:
+def encode_rows(x, y, type_at, index: np.ndarray) -> np.ndarray:
     """The symbol of every row pair of (m, n) letter arrays: row i is of
-    joint type `types[index[i]]`, or left out when `index[i]` is negative;
+    joint type `type_at(index[i])`, or left out when `index[i]` is negative;
     rows left out, and rows of a type of one symbol, get symbol 0.
     Every table is built, and its budget checked, before x and y are ranked
     once per marginal class (every row is of its group's marginal types, so
     no rank misses); each type's symbols are then one `symbols_at`.
     """
     symbols = np.zeros(len(x), np.int64)
-    groups = [(types[key], rows) for key, rows in index_groups(index)]
+    groups = [(type_at(key), rows) for key, rows in index_groups(index)]
     tabled = [(get_coding_table(jt), rows) for jt, rows in groups if num_symbols_of(jt) > 1]
     x_rank, _ = _class_ranks(x, [(t.jt.x_marginal().counts, rows) for t, rows in tabled])
     y_rank, _ = _class_ranks(y, [(t.jt.y_marginal().counts, rows) for t, rows in tabled])
@@ -284,14 +279,15 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
     held, reproduced = held_and_decoded(side, cfg.ax, cfg.ay)
     side_info = _as_blocks(cfg.n, side_info, held, "side information", len(flags))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    decode_rows(make_code(cfg).region, words[1], words[2], side_info, side, out, np.flatnonzero(~flags))
+    region = make_code(cfg).region
+    decode_rows(region.__getitem__, len(region), words[1], words[2], side_info, side, out, np.flatnonzero(~flags))
     return out
 
 
-def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_error=CodewordRangeError) -> None:
+def decode_rows(type_at, count, type_index, symbols, side_info, side, out, rows, range_error=CodewordRangeError) -> None:
     """Decode the given rows (ascending) into `out`: row i has the codeword
-    (type `types[type_index[i]]`, `symbols[i]`) and side information
-    `side_info[i]`.
+    (type `type_at(type_index[i])`, of the `count` types, `symbols[i]`) and
+    side information `side_info[i]`.
 
     Side information is ranked once per held class (the search is its type
     check), slots are read with one gather per type, ranks are unranked once
@@ -302,7 +298,7 @@ def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_er
     type_index, symbols = np.asarray(type_index), np.asarray(symbols)
     if not len(type_index) == len(symbols) == len(side_info):
         raise ValueError(f"codeword fields of {len(type_index)} and {len(symbols)} rows for {len(side_info)} blocks")
-    failures, bad = [], (type_index[rows] < 0) | (type_index[rows] >= len(types))
+    failures, bad = [], (type_index[rows] < 0) | (type_index[rows] >= count)
     if bad.any():
         row = int(rows[np.argmax(bad)])
         failures.append(range_error(f"type index {type_index[row]} out of range", row))
@@ -311,7 +307,7 @@ def decode_rows(types, type_index, symbols, side_info, side, out, rows, range_er
     held_letters, symbol, delta = side_info[rows], symbols[rows], np.ones(len(rows), np.int64)
     which, first, to, tabled = np.zeros(len(rows), np.intp), [], [], []
     for idx, at in index_groups(type_index[rows]):
-        jt = types[idx]
+        jt = type_at(idx)
         held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
         if num_symbols_of(jt) == 1:
             which[at] = len(to)

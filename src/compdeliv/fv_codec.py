@@ -12,28 +12,32 @@ width after reading the header, so concatenated codewords frame uniquely.
 
 A code enumerates no types (`types_core.joint_type_index` computes the
 index), so it reaches any n and alphabets whose index fits
-MAX_HEADER_WIDTH bits.  Codeword length is a function of the joint type
-only, which is what the overflow/underflow analysis sums over.
-`fv_encode` and the stream decoders code one block; `fv_encode_batch`,
-`FVCode.pack_words`, `FVCode.read_words` and `fv_decode_batch` code
-whole (m, n) arrays of blocks to and from the same bits.
+MAX_HEADER_WIDTH bits, and keeps the types it meets up to
+MAX_JOINT_TYPE_COUNTS counts (`FVCode.type_at`).  Codeword length is a
+function of the joint type only, which is what the overflow/underflow
+analysis sums over.  `fv_encode` and the stream decoders code one block;
+`fv_encode_batch`, `FVCode.pack_words`, `FVCode.read_words` and
+`fv_decode_batch` code whole (m, n) arrays of blocks to and from the
+same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .types_core import (
     BINARY,
+    MAX_JOINT_TYPE_COUNTS,
     Alphabet,
     JointType,
     RowError,
     Sequence,
     _letter_dtype,
     _types_over,
+    cached_attribute,
     enumerate_joint_types,
     joint_type_count,
     joint_type_index,
@@ -80,10 +84,20 @@ class FVCodeword:
         return self.length
 
 
+@lru_cache(maxsize=None)
+def symbol_width(jt: JointType) -> int:
+    """Bits of the symbol field of a codeword of joint type jt."""
+    return bit_width(num_symbols_of(jt))
+
+
 @dataclass(frozen=True)
 class FVCode:
-    """Block length, alphabets and type index width of an FV code; `code[i]`
-    is the joint type of type index i (memoized with its symbol width)."""
+    """Block length, alphabets and type index width of an FV code.
+
+    `type_at` memoizes the joint type of each type index the code meets,
+    up to MAX_JOINT_TYPE_COUNTS counts (kx * ky per type: 65,536 types of
+    4 x 4 letters, 16 of 256 x 256), so no input can make a code hold more
+    than an enumeration may."""
 
     n: int
     ax: Alphabet
@@ -91,37 +105,36 @@ class FVCode:
     header_width: int
     _types: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __len__(self) -> int:
+    @cached_attribute
+    def type_count(self) -> int:
         return joint_type_count(self.n, self.ax.size, self.ay.size)
 
-    def __getitem__(self, index: int) -> JointType:
-        return self.type_at(index)[0]
-
-    def symbol_width(self, jt: JointType) -> int:
-        return bit_width(num_symbols_of(jt))
+    symbol_width = staticmethod(symbol_width)
 
     def codeword_length(self, jt: JointType) -> int:
         return self.header_width + self.symbol_width(jt)
 
-    @cached_property
+    @cached_attribute
     def codeword_lengths(self) -> tuple[int, ...]:
         """`codeword_length` of every type, by type index (enumerated: MAX_JOINT_TYPE_COUNTS)."""
         return tuple(map(self.codeword_length, enumerate_joint_types(self.n, self.ax, self.ay)))
 
-    def type_at(self, index: int, jt: JointType | None = None) -> tuple[JointType, int]:
-        """(joint type, symbol width) of a type index, whose joint type is `jt`
-        when the caller has it; MalformedCodewordError if there is none."""
-        entry = self._types.get(index)
-        if entry is None:
-            if not 0 <= index < len(self):
+    def type_at(self, index: int) -> JointType:
+        """The joint type of a type index: MalformedCodewordError if there is
+        none, ValueError if the code already holds its most types."""
+        jt = self._types.get(index)
+        if jt is None:
+            if not 0 <= index < self.type_count:
                 raise MalformedCodewordError(f"type index {index} out of range")
-            jt = jt or joint_types_at([index], self.n, self.ax.size, self.ay.size)[0]
-            entry = self._types[index] = jt, self.symbol_width(jt)
-        return entry
+            kx, ky, held = self.ax.size, self.ay.size, len(self._types)
+            if (held + 1) * kx * ky > MAX_JOINT_TYPE_COUNTS:
+                raise ValueError(f"over {held} joint types of {kx} x {ky} letters: past MAX_JOINT_TYPE_COUNTS counts")
+            jt = self._types[index] = joint_types_at([index], self.n, kx, ky)[0]
+        return jt
 
     def _symbol_widths(self, type_index: np.ndarray) -> np.ndarray:
         keys, inverse = np.unique(type_index, return_inverse=True)
-        return np.array([self.type_at(key)[1] for key in keys.tolist()], np.int64)[inverse]
+        return np.array([symbol_width(self.type_at(key)) for key in keys.tolist()], np.int64)[inverse]
 
     def pack_words(self, words: FVWords) -> bytes:
         """The codewords of a batch (as `fv_encode_batch` returns it), back
@@ -142,9 +155,9 @@ class FVCode:
         and the error of word i.  A symbol wider than 63 bits whose value
         does not fit in them reads as -1 (see `read_fields`).
         """
-        header, size, total = self.header_width, len(self), 8 * len(payload)
+        header, size, total = self.header_width, self.type_count, 8 * len(payload)
         heads = fields_at_every_offset(payload, header)
-        head_at, types = memoryview(heads), self._types
+        head_at = memoryview(heads)
         starts, pos, error = [], 0, None
         for i in range(count):
             if pos >= len(heads):
@@ -154,7 +167,7 @@ class FVCode:
             if idx >= size:
                 error = MalformedCodewordError(f"type index {idx} out of range", i)
                 break
-            end = pos + header + (types.get(idx) or self.type_at(idx))[1]
+            end = pos + header + symbol_width(self.type_at(idx))
             if end > total:
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
                 break
@@ -181,9 +194,8 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
         raise ValueError(f"sequences must have length n={n}")
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
-    idx = jt.index
-    width = (code._types.get(idx) or code.type_at(idx, jt))[1]
-    return FVCodeword(idx << width | encode_pair(jt, x, y), code.header_width + width)
+    width = symbol_width(jt)
+    return FVCodeword(jt.index << width | encode_pair(jt, x, y), code.header_width + width)
 
 
 # A batch of FV codewords: (type indices, symbols), one per row.
@@ -200,7 +212,7 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     """
     x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y", len(x))
     type_index = joint_type_index(x, y, code.ax.size, code.ay.size)
-    return type_index, encode_rows(x, y, code, type_index)
+    return type_index, encode_rows(x, y, code.type_at, type_index)
 
 
 def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -214,7 +226,7 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     held, reproduced = held_and_decoded(side, code.ax, code.ay)
     side_info = _as_blocks(code.n, side_info, held, "side information", len(words[0]))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    decode_rows(code, words[0], words[1], side_info, side, out, np.arange(len(side_info)), MalformedCodewordError)
+    decode_rows(code.type_at, code.type_count, *words, side_info, side, out, np.arange(len(out)), MalformedCodewordError)
     return out
 
 
@@ -235,8 +247,8 @@ def fv_decode_y_stream(n: int, reader: BitReader, x: Sequence, ay: Alphabet | No
 
 
 def _decode_stream_word(code: FVCode, reader: BitReader, side_info: Sequence, side: str) -> Sequence:
-    jt, width = code.type_at(reader.read(code.header_width))
-    return decode_side(jt, side_info, reader.read(width), side)
+    jt = code.type_at(reader.read(code.header_width))
+    return decode_side(jt, side_info, reader.read(symbol_width(jt)), side)
 
 
 def _fv_decode(code: FVCode, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
@@ -244,8 +256,8 @@ def _fv_decode(code: FVCode, cw: FVCodeword, side_info: Sequence, side: str) -> 
     rest = cw.length - code.header_width  # bits of the word after the field read
     if rest < 0:
         raise MalformedCodewordError("codeword ends inside a field")
-    idx = cw.value >> rest
-    jt, width = code._types.get(idx) or code.type_at(idx)
+    jt = code.type_at(cw.value >> rest)
+    width = symbol_width(jt)
     rest -= width
     if rest < 0:
         raise MalformedCodewordError("codeword ends inside a field")
@@ -325,7 +337,7 @@ class WrappedFVCode:
 
     def codeword_length(self, jt: JointType) -> int:
         code = make_code(self.cfg)
-        if code.region_index[jt.index] >= 0:
+        if code.region_of[jt.index] >= 0:
             return 1 + code.codeword_width
         return 1 + raw_pair_width(self.cfg.n, self.cfg.ax, self.cfg.ay)
 

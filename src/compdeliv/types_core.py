@@ -25,6 +25,7 @@ computed (`joint_type_index`, inverse `joint_types_at`), not enumerated.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, make_dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, repeat
@@ -59,13 +60,27 @@ class RowError(ValueError):
 # of a table within the budget pass.
 MAX_CLASS_SIZE = 2 ** 26
 
-# Most counts an enumeration of joint types holds: joint types x cells.
+# Most counts an enumeration of joint types, or an FV code's memo of the
+# types it has met (`fv_codec.FVCode.type_at`), holds: joint types x cells.
 # Binary joint types cost about 2.5 us and 75 B per count (the most
 # measured), so this bound is about 2.6 s and 80 MB; binary block lengths
 # up to n = 114 fit, and 3 x 2 ones up to n = 26.  Bounding the number of
 # types alone would admit n = 1 over 256 x 256 letters: 65,536 types of
 # 65,536 counts each.
 MAX_JOINT_TYPE_COUNTS = 2 ** 20
+
+
+class cached_attribute(cached_property):
+    """`functools.cached_property` that stores its value with `object.__setattr__`,
+    as a frozen dataclass allows: the instance keeps its attributes inline,
+    where a write to its `__dict__` makes every later read about 3x slower."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
 
 
 _LIVE = weakref.WeakValueDictionary()  # (class, field values) -> the live interned object
@@ -206,11 +221,11 @@ class JointType:
     def flat_counts(self) -> tuple[int, ...]:
         return tuple(c for row in self.counts for c in row)
 
-    @cached_property
+    @cached_attribute
     def index(self) -> int:
-        """This type's position in `enumerate_joint_types` order (`joint_type_index`)."""
-        table = _rank_table(self.n, self.num_x * self.num_y)
-        return int(table[np.arange(self.n), np.repeat(np.arange(table.shape[1]), self.flat_counts())].sum())
+        """This type's position in `enumerate_joint_types` order: `joint_type_index` of a block of it."""
+        pairs = np.repeat(np.arange(self.num_x * self.num_y), self.flat_counts())[None]
+        return int(joint_type_index(pairs // self.num_y, pairs % self.num_y, self.num_x, self.num_y)[0])
 
 
 # Most entries of each type cache below: every joint type of a binary
@@ -302,8 +317,8 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
     kx, ky = ax.size, ay.size
     check_joint_type_count(n, kx, ky)
     types = tuple(_joint_type(flat, ky) for flat in _compositions(n, kx * ky))
-    for i, jt in enumerate(types):  # enumeration order is index order: `JointType.index` is known
-        vars(jt).setdefault("index", i)
+    for i, jt in enumerate(types):  # enumeration order is index order: no type need be ranked
+        object.__setattr__(jt, "index", i)
     return types
 
 
@@ -516,15 +531,18 @@ def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
     """The joint type of each type index, inverting `joint_type_index`: each
     sorted letter is the first whose table entry the rest of the index
     covers.  ValueError for an index outside the type count."""
-    table, count = _rank_table(n, kx * ky), joint_type_count(n, kx, ky)
-    rest = np.array(index, np.int64).ravel()
-    if rest.size and not (0 <= rest.min() and rest.max() < count):
+    cells, count, index = kx * ky, joint_type_count(n, kx, ky), np.ravel(index).tolist()
+    if index and not (0 <= min(index) and max(index) < count):
         raise ValueError(f"type index outside 0..{count - 1}")
-    letters = np.zeros((len(rest), n), np.intp)
-    for k, row in enumerate(table):  # rows descend: count the entries the rest covers from the end
-        letters[:, k] = kx * ky - np.searchsorted(row[::-1], rest, side="right")
-        rest -= row[letters[:, k]]
-    return [_joint_type(tuple(np.bincount(row, minlength=kx * ky).tolist()), ky) for row in letters]
+    rows, types = _rank_table(n, cells)[:, ::-1].tolist(), []  # each row ascending
+    for rest in index:  # one index at a time: numpy calls cost more than these few steps
+        counts = [0] * cells
+        for row in rows:
+            covered = bisect_right(row, rest)  # the entries the rest covers, counted from the last letter
+            counts[cells - covered] += 1
+            rest -= row[covered - 1]
+        types.append(_joint_type(tuple(counts), ky))
+    return types
 
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:

@@ -764,6 +764,32 @@ class TestResourceLimits:
         assert decode_side(tmp_path, data, "x", [0] * n)[0] == EXIT_MALFORMED
         assert "header field n/kx/ky" in (err := capsys.readouterr().err) and "32 bits" in err
 
+    def test_fv_refuses_more_distinct_types_than_a_code_keeps(self, tmp_path, capsys, monkeypatch):
+        # A joint type of 256 x 256 letters holds 65,536 counts, so an FV
+        # code keeps 16 types; 32 blocks of random byte pairs at n=2 hold
+        # more.  The decoder refuses the file an unbounded encoder writes.
+        x, y = np.random.default_rng(5).integers(0, 256, (2, 64)).tolist()
+        assert len(set(types_core.joint_type_index(np.reshape(x, (-1, 2)), np.reshape(y, (-1, 2)), 256, 256))) > 16
+        fv_codec.make_fv_code.cache_clear()  # every code below starts holding no type
+        try:
+            write_letters(tmp_path / "x.bin", x)
+            write_letters(tmp_path / "y.bin", y)
+            argv = ["encode", "--mode", "fv", "--n", "2", "--kx", "256", "--ky", "256", "--input-x",
+                    str(tmp_path / "x.bin"), "--input-y", str(tmp_path / "y.bin"), "--out", str(tmp_path / "c.bin")]
+            assert main(argv) == EXIT_VALIDATION
+            assert "MAX_JOINT_TYPE_COUNTS" in capsys.readouterr().err
+            assert not (tmp_path / "c.bin").exists()
+            monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", 2 ** 30)
+            cw = encode_pair(tmp_path, x, y, 2, "fv", kx=256, ky=256)
+            monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", types_core.MAX_JOINT_TYPE_COUNTS)
+            for side, side_letters in (("x", y), ("y", x)):
+                fv_codec.make_fv_code.cache_clear()
+                assert decode_side(tmp_path, cw, side, side_letters) == (EXIT_MALFORMED, None)
+                err = capsys.readouterr().err
+                assert "malformed codeword stream" in err and "MAX_JOINT_TYPE_COUNTS" in err
+        finally:
+            fv_codec.make_fv_code.cache_clear()
+
     def test_fv_type_index_past_the_type_count_is_malformed(self, tmp_path, capsys):
         # 165 binary joint types at n=8 take an 8-bit index: 255 names none.
         x = [0, 1] * 8

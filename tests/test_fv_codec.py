@@ -8,8 +8,10 @@ import pytest
 from compdeliv.bitio import BitReader, BitWriter, TruncatedStreamError
 from compdeliv.coding_table import SideInfoMismatchError
 from compdeliv.ff_codec import FFCodeConfig, bit_width, exact_error_probability
+from compdeliv import fv_codec
 from compdeliv.fv_codec import (
     MalformedCodewordError,
+    FVCode,
     FVCodeword,
     expected_length,
     fv_decode_batch,
@@ -39,6 +41,7 @@ from compdeliv.types_core import (
     Sequence,
     enumerate_joint_types,
     joint_type_count,
+    joint_type_index,
     joint_type_of,
 )
 from conftest import PAST_ENUMERATION, all_binary_pairs, bit_text, correlated_blocks, seq
@@ -133,7 +136,7 @@ class TestDecode:
     def test_type_index_checked_before_the_symbol_field(self, extra, message):
         code = make_fv_code(4)
         width = code.header_width
-        assert len(code) < 1 << width
+        assert code.type_count < 1 << width
         top = (1 << width) - 1  # an index past the last joint type
         with pytest.raises(MalformedCodewordError, match=message):
             fv_decode_y(FVCodeword(top >> -extra if extra < 0 else top << extra, width + extra), seq("0101"))
@@ -189,19 +192,37 @@ class TestBatch:
             cw = fv_encode(n, xs, ys)
             assert fv_decode_x(cw, ys) == xs and fv_decode_y(cw, xs) == ys
 
+    def test_a_code_keeps_at_most_max_joint_type_counts(self, monkeypatch):
+        # Three binary joint types hold 12 counts; the fourth distinct one is refused.
+        monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", 12)
+        code = FVCode(4, BINARY, BINARY, bit_width(joint_type_count(4, 2, 2)))
+        kept = [code.type_at(i) for i in (0, 7, 34)]
+        with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS") as caught:
+            code.type_at(8)
+        assert not isinstance(caught.value, MalformedCodewordError)
+        assert [code.type_at(i) for i in (34, 7, 0)] == kept[::-1]
+        assert [jt.index for jt in kept] == [0, 7, 34]
+        with pytest.raises(MalformedCodewordError, match="type index 35 out of range"):
+            code.type_at(35)
+        x, y = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 1]]), np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]])
+        met = set(joint_type_index(x, y, 2, 2).tolist())
+        assert {0, 34} < met and not met <= {0, 7, 34}  # two kept types and a new one
+        with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS"):
+            fv_encode_batch(code, x, y)
+
     def test_framing_stops_at_the_first_word_it_cannot_frame(self):
         code = make_fv_code(4)
         x = np.array([[0, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 1]], np.uint8)
         y = np.array([[0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1]], np.uint8)
         words = fv_encode_batch(code, x, y)
         payload = code.pack_words(words)
-        lengths = [code.header_width + code.type_at(i)[1] for i in words[0].tolist()]
+        lengths = [code.codeword_length(code.type_at(i)) for i in words[0].tolist()]
         read, end, error = code.read_words(payload[:(lengths[0] + lengths[1]) // 8], 3)
         assert isinstance(error, TruncatedStreamError) and error.row == len(read[0])
         assert end == sum(lengths[:len(read[0])])
         bad = BitWriter()
-        bad.write(int(words[0][0]) << code.type_at(int(words[0][0]))[1] | int(words[1][0]), lengths[0])
-        bad.write(len(code), code.header_width)  # one past the last type index
+        bad.write(int(words[0][0]) << lengths[0] - code.header_width | int(words[1][0]), lengths[0])
+        bad.write(code.type_count, code.header_width)  # one past the last type index
         read, end, error = code.read_words(bad.getvalue() + bytes(4), 3)
         assert isinstance(error, MalformedCodewordError) and error.row == 1
         assert (len(read[0]), end) == (1, lengths[0])
@@ -378,6 +399,6 @@ class TestWidths:
     def test_bit_width_agreement(self):
         # header width addresses every joint type
         code = make_fv_code(6, BINARY, BINARY)
-        assert len(code) == len(enumerate_joint_types(6, BINARY, BINARY))
-        assert code.header_width == bit_width(len(code))
-        assert 2 ** code.header_width >= len(code)
+        assert code.type_count == len(enumerate_joint_types(6, BINARY, BINARY))
+        assert code.header_width == bit_width(code.type_count)
+        assert 2 ** code.header_width >= code.type_count

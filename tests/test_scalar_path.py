@@ -25,7 +25,6 @@ from compdeliv.coding_table import (
 from compdeliv.ff_codec import (
     FFCodeConfig,
     FFCodeword,
-    bit_width,
     decode_rows,
     encode_rows,
     ff_decode_batch,
@@ -36,7 +35,6 @@ from compdeliv.ff_codec import (
     make_code,
 )
 from compdeliv.fv_codec import (
-    FVCode,
     FVCodeword,
     fv_decode_batch,
     fv_decode_x,
@@ -59,6 +57,7 @@ from compdeliv.types_core import (
     joint_type_groups,
     joint_type_index,
     joint_type_of,
+    joint_types_at,
     multinomial,
     rank_in_type_class,
     type_of,
@@ -116,7 +115,7 @@ def test_fv_scalar_matches_batch(n, kx, ky, rate):
     assert (fv_decode_batch(code, (type_index, symbols), x, "y") == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, code.ax), _sequences(y, code.ay))):
         cw = fv_encode(n, xi, yi)
-        width = code.type_at(int(type_index[i]))[1]
+        width = code.symbol_width(code.type_at(int(type_index[i])))
         assert (cw.value, cw.length) == (int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
         # The decoders take the reproduced alphabet when it differs from
         # the side information's.
@@ -130,19 +129,23 @@ def test_300_letter_blocks_match_the_array_path():
     # No FF code enumerates the joint types of 300 x 300 letters at n=3
     # (they exceed MAX_JOINT_TYPE_COUNTS), and their type index needs 47
     # bits, more than an FV header may take; so the steps of the encoders
-    # and the decoders past the code are compared, through a code built
-    # directly: the joint type, the table symbol and both reproductions.
+    # and the decoders past the code are compared, with each type unranked
+    # by `joint_types_at`: the joint type, the table symbol and both
+    # reproductions.
     k, n = 300, 3
     ax = Alphabet(k)
     x, y = _pairs(300, 12, n, k, k)
-    code = FVCode(n, ax, ax, bit_width(joint_type_count(n, k, k)))
     type_index = joint_type_index(x, y, k, k)
-    symbols = encode_rows(x, y, code, type_index)
-    types = [code[i] for i in type_index.tolist()]
-    rows = np.arange(len(x))
+
+    def type_at(index):
+        return joint_types_at([index], n, k, k)[0]
+
+    symbols = encode_rows(x, y, type_at, type_index)
+    types = [type_at(i) for i in type_index.tolist()]
+    rows, count = np.arange(len(x)), joint_type_count(n, k, k)
     out_x, out_y = np.zeros_like(x), np.zeros_like(y)
-    decode_rows(code, type_index, symbols, y, "x", out_x, rows)
-    decode_rows(code, type_index, symbols, x, "y", out_y, rows)
+    decode_rows(type_at, count, type_index, symbols, y, "x", out_x, rows)
+    decode_rows(type_at, count, type_index, symbols, x, "y", out_y, rows)
     assert (out_x == x).all() and (out_y == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, ax), _sequences(y, ax))):
         jt = joint_type_of(xi, yi)
@@ -263,7 +266,7 @@ def test_no_encoder_builds_a_one_symbol_table(encoder):
     balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
     ENCODERS[encoder](balanced, balanced)
     assert get_coding_table.cache_info().currsize == 0
-    symbols = encode_rows(x, x, make_fv_code(8), joint_type_index(x, x, 2, 2))
+    symbols = encode_rows(x, x, make_fv_code(8).type_at, joint_type_index(x, x, 2, 2))
     assert not symbols.any()
     assert get_coding_table.cache_info().currsize == 0
 
@@ -324,7 +327,7 @@ def test_no_decoder_builds_a_one_symbol_table():
 PLANTED = ("side", "symbol", "hole", "index", "side+symbol")
 
 
-def _plant(kinds, types, words, held, side, seed):
+def _plant(kinds, type_at, count, words, held, side, seed):
     """Copies of (type index, symbol, side information) with `kinds`
     planted at seeded rows of distinct held classes."""
     type_index, symbols, held = words[-2].copy(), words[-1].copy(), held.copy()
@@ -335,10 +338,10 @@ def _plant(kinds, types, words, held, side, seed):
             counts = tuple(np.bincount(held[i], minlength=2))
             if counts in used or len(words) == 3 and words[0][i]:
                 continue  # a flagged FF row is not decoded
-            delta = num_symbols_of(types[type_index[i]])
+            delta = num_symbols_of(type_at(type_index[i]))
             if delta == 1 or delta & (delta - 1) == 0:
                 continue  # a symbol count that is a power of two leaves no field value >= it
-            t = get_coding_table(types[type_index[i]])
+            t = get_coding_table(type_at(type_index[i]))
             rank = rank_in_type_class(Sequence(tuple(held[i].tolist()), BINARY))
             slots = (t.row_of if side == "x" else t.col_of)[rank * delta:(rank + 1) * delta]
             holes = [s for s, other in enumerate(slots) if other < 0]
@@ -351,7 +354,7 @@ def _plant(kinds, types, words, held, side, seed):
             if kind == "hole":
                 symbols[i] = holes[0]
             if kind == "index":
-                type_index[i] = len(types)
+                type_index[i] = count
             used.update({counts, tuple(np.bincount(held[i], minlength=2))})
             break
         else:
@@ -374,13 +377,14 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
     x, y = _pairs(8, 300, 8, 2, 2)
     cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
     if mode == "ff":
-        words, types = ff_encode_batch(cfg, x, y), make_code(cfg).region
+        region = make_code(cfg).region
+        words, type_at, count = ff_encode_batch(cfg, x, y), region.__getitem__, len(region)
     else:
-        words, types = fv_encode_batch(code, x, y), code
+        words, type_at, count = fv_encode_batch(code, x, y), code.type_at, code.type_count
     held = y if side == "x" else x
     subsets = [kinds for r in range(1, 4) for kinds in itertools.combinations(PLANTED, r)] + [PLANTED]
     for seed, kinds in enumerate(subsets):
-        type_index, symbols, held_i = _plant(kinds, types, words, held, side, seed)
+        type_index, symbols, held_i = _plant(kinds, type_at, count, words, held, side, seed)
         held_seqs = _sequences(held_i, BINARY)
         if mode == "ff":
             planted = (words[0], type_index, symbols)
@@ -394,7 +398,7 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
                 ff_decode_batch(cfg, planted, held_i, side)
         else:
             def decode_one(i):
-                width = code.type_at(int(type_index[i]))[1] if type_index[i] < len(types) else 0
+                width = code.symbol_width(type_at(int(type_index[i]))) if type_index[i] < count else 0
                 cw = FVCodeword(int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
                 (fv_decode_x if side == "x" else fv_decode_y)(cw, held_seqs[i])
 

@@ -310,10 +310,10 @@ def corrupt_decoders(monkeypatch, corrupted) -> None:
             return replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
         return table
 
-    def corrupted_decode(types, type_index, symbols, side_info, decoded, out, rows):
+    def corrupted_decode(type_at, count, type_index, symbols, side_info, decoded, out, rows):
         monkeypatch.setattr(ff_codec, "get_coding_table", table_for(decoded))
         try:
-            return real_decode(types, type_index, symbols, side_info, decoded, out, rows)
+            return real_decode(type_at, count, type_index, symbols, side_info, decoded, out, rows)
         finally:
             monkeypatch.setattr(ff_codec, "get_coding_table", real_table)
 

@@ -309,7 +309,8 @@ class TestTypeIndex:
         types = enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
         x, y = _type_rows(types, ky, np.random.default_rng(n))
         assert joint_type_index(x, y, kx, ky).tolist() == list(range(len(types)))
-        assert [jt.index for jt in types] == list(range(len(types)))
+        assert [jt.index for jt in types] == list(range(len(types)))  # recorded by the enumeration
+        assert [JointType.index.func(jt) for jt in types] == list(range(len(types)))  # computed
 
     @pytest.mark.parametrize("n, kx, ky", SHAPES + [(1, 1, 1), (4, 1, 1), (2, 1, 3)])
     def test_inverse_round_trips(self, n, kx, ky):
