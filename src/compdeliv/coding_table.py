@@ -42,10 +42,13 @@ from .types_core import (
     Sequence,
     TypeVector,
     _as_keys,
+    _class_keys,
     _class_letters,
+    _letter_dtype,
     _lex_maps,
     _rank_letters,
     _unrank_letters,
+    code_table,
     type_class_size,
     type_of,
     v_shell_size,
@@ -153,23 +156,30 @@ def _shell_columns(jt: JointType) -> np.ndarray:
     Row x's shell is every interleaving of one arrangement of each joint
     count row jt.counts[a], placed where x takes letter a.  Lexicographic
     rank in a type class is the position among the class's sequences in
-    sorted order, so a searchsorted over byte-string keys gives the column
-    ranks with no integer code to overflow at large n.
+    sorted order.  Within the code table's limit a shell is its code, the
+    sum of its parts' codes, and one gather of the table ranks it; above
+    it the shells are built as letters and a searchsorted over byte-string
+    keys ranks them, with no integer code to overflow at large n.
     """
-    n = jt.n
+    n, y_counts = jt.n, jt.y_marginal().counts
     x_class = _class_letters(jt.x_marginal().counts)
     rows = len(x_class)
     row_idx = np.arange(rows)[:, None, None]
-    y_class = _class_letters(jt.y_marginal().counts)
-    shells = np.zeros((rows, 1, n), y_class.dtype)
+    table, dtype = code_table(n, len(y_counts)), _letter_dtype(len(y_counts))
+    shells = np.zeros((rows, 1), np.int64) if table is not None else np.zeros((rows, 1, n), dtype)
     for a, sub_counts in enumerate(jt.counts):
         arrangements = _class_letters(sub_counts)
         positions = np.argsort(x_class != a, axis=1, kind="stable")[:, : sum(sub_counts)]
-        part = np.zeros((rows, len(arrangements), n), y_class.dtype)
-        arr_idx = np.arange(len(arrangements))[None, :, None]
-        part[row_idx, arr_idx, positions[:, None, :]] = arrangements
-        shells = (shells[:, :, None, :] + part[:, None, :, :]).reshape(rows, -1, n)
-    cols = np.searchsorted(_as_keys(y_class), _as_keys(shells.reshape(-1, n))).reshape(rows, -1)
+        if table is not None:  # (rows, arrangements) codes
+            part = table.powers[positions] @ arrangements.T
+        else:
+            part = np.zeros((rows, len(arrangements), n), dtype)
+            part[row_idx, np.arange(len(arrangements))[None, :, None], positions[:, None, :]] = arrangements
+        shells = (shells[:, :, None] + part[:, None]).reshape(rows, -1, *part.shape[2:])
+    if table is not None:
+        cols = table.rank[shells]
+    else:
+        cols = np.searchsorted(_class_keys(y_counts), _as_keys(shells.reshape(-1, n))).reshape(rows, -1)
     cols.sort(axis=1)
     return cols
 
@@ -222,18 +232,16 @@ class CodingTable:
         Rows are taken in slices of at most `_SLICE_SLOTS` slots, so the
         comparison's temporaries stay bounded on long batches.
         """
-        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        rows, cols = np.asarray(rows), np.asarray(cols)
         slots = np.frombuffer(self.col_of, np.int32).reshape(-1, self.num_symbols)
         out = np.empty(len(rows), np.int64)
         step = max(1, _SLICE_SLOTS // self.num_symbols)
         for lo in range(0, len(rows), step):
-            r, c = rows[lo:lo + step], cols[lo:lo + step]
-            symbols = (slots[r] == c[:, None]).argmax(axis=1)
-            missing = slots[r, symbols] != c
-            if missing.any():
-                i = lo + int(np.argmax(missing))
+            hit = slots[rows[lo:lo + step]] == cols[lo:lo + step, None]
+            out[lo:lo + step] = hit.argmax(axis=1)
+            if np.count_nonzero(hit) < len(hit):  # a column fills at most one slot of a row
+                i = lo + int(np.argmin(hit.any(axis=1)))
                 raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}", i)
-            out[lo:lo + step] = symbols
         return out
 
     def dump_csv(self, stream) -> None:

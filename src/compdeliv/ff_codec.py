@@ -30,15 +30,15 @@ from .types_core import (
     JointType,
     RowError,
     Sequence,
-    _class_letters,
     _letter_dtype,
     _lex_maps,
     enumerate_joint_types,
-    index_groups,
+    index_runs,
     interned,
     joint_type_index,
     joint_type_of,
-    rank_rows,
+    rank_runs,
+    unrank_runs,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, in_decodable_region, type_columns
@@ -215,7 +215,8 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, type_index=
 
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
-    Rows are ranked once per marginal class (`encode_rows`); `type_index`
+    Rows are ranked by one code-table gather per side (`encode_rows`;
+    past the table's limit, one search per marginal class); `type_index`
     is `joint_type_index` of the rows when the caller has it, and a row
     the caller gives index -1 is flagged.
     """
@@ -231,40 +232,25 @@ def encode_rows(x, y, type_at, index: np.ndarray) -> np.ndarray:
     """The symbol of every row pair of (m, n) letter arrays: row i is of
     joint type `type_at(index[i])`, or left out when `index[i]` is negative;
     rows left out, and rows of a type of one symbol, get symbol 0.
-    Every table is built, and its budget checked, before x and y are ranked
-    once per marginal class (every row is of its group's marginal types, so
-    no rank misses); each type's symbols are then one `symbols_at`.
+
+    Rows are sorted by type index once.  Every table is built, and its
+    budget checked, before x and y are ranked: each side with one gather of
+    its code table (`types_core.rank_runs`), or, past the table's limit,
+    one search per marginal class.  Every row is of its run's marginal
+    types, so no rank misses; each table is then read once, by
+    `symbols_at` on its contiguous run of rows.
     """
+    order, runs = index_runs(index)
+    types = [(type_at(value), start, stop) for value, start, stop in runs]
+    tabled = [(get_coding_table(jt), start, stop) for jt, start, stop in types if num_symbols_of(jt) > 1]
+    x_rank, _ = rank_runs(x, order, [(t.jt.x_marginal().counts, start, stop) for t, start, stop in tabled])
+    y_rank, _ = rank_runs(y, order, [(t.jt.y_marginal().counts, start, stop) for t, start, stop in tabled])
+    found = np.zeros(len(order), np.int64)
+    for t, start, stop in tabled:
+        found[start:stop] = t.symbols_at(x_rank[start:stop], y_rank[start:stop])
     symbols = np.zeros(len(x), np.int64)
-    groups = [(type_at(key), rows) for key, rows in index_groups(index)]
-    tabled = [(get_coding_table(jt), rows) for jt, rows in groups if num_symbols_of(jt) > 1]
-    x_rank, _ = _class_ranks(x, [(t.jt.x_marginal().counts, rows) for t, rows in tabled])
-    y_rank, _ = _class_ranks(y, [(t.jt.y_marginal().counts, rows) for t, rows in tabled])
-    for t, rows in tabled:
-        symbols[rows] = t.symbols_at(x_rank[rows], y_rank[rows])
+    symbols[order] = found
     return symbols
-
-
-def _by_class(members) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(class counts, row indices) pairs merged into one per class, rows sorted."""
-    parts = {}
-    for counts, rows in members:
-        parts.setdefault(counts, []).append(rows)
-    return [(counts, np.sort(np.concatenate(rows))) for counts, rows in parts.items()]
-
-
-def _class_ranks(letters: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of the rows `members` lists by class, one `rank_rows` per class,
-    and a mask of each class's lowest row not of its type; rows after that
-    one (they cannot fail first) and rows not listed rank 0."""
-    ranks, missing = np.zeros(len(letters), np.int64), np.zeros(len(letters), bool)
-    for counts, rows in _by_class(members):
-        try:
-            ranks[rows] = rank_rows(letters[rows], counts)
-        except RowError as exc:
-            missing[rows[exc.row]] = True
-            ranks[rows[:exc.row]] = rank_rows(letters[rows[:exc.row]], counts)
-    return ranks, missing
 
 
 def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -289,11 +275,15 @@ def decode_rows(type_at, count, type_index, symbols, side_info, side, out, rows,
     (type `type_at(type_index[i])`, of the `count` types, `symbols[i]`) and
     side information `side_info[i]`.
 
-    Side information is ranked once per held class (the search is its type
-    check), slots are read with one gather per type, ranks are unranked once
-    per reproduced class, and a type of one symbol goes through `letter_map`.
-    A failure raises the lowest failing row's error (`range_error` for a type
-    index out of range; checks in the scalar order), with that row as `row`.
+    Rows are sorted by type index once.  The side information of every
+    row is ranked and type-checked with one gather of its code table
+    (`types_core.rank_runs`; past the table's limit, one search per held
+    class), each table's slot buffer is read once, on its contiguous run
+    of rows, ranks are unranked by one gather (`types_core.unrank_runs`;
+    past the limit, one per reproduced class), and a type of one symbol
+    goes through `letter_map`.  A failure raises the lowest failing row's
+    error (`range_error` for a type index out of range; checks in the
+    scalar order), with that row as `row`.
     """
     type_index, symbols = np.asarray(type_index), np.asarray(symbols)
     if not len(type_index) == len(symbols) == len(side_info):
@@ -303,34 +293,35 @@ def decode_rows(type_at, count, type_index, symbols, side_info, side, out, rows,
         row = int(rows[np.argmax(bad)])
         failures.append(range_error(f"type index {type_index[row]} out of range", row))
         rows = rows[~bad]
-    # Positions into `rows` from here; a one-symbol row keeps delta 1, and `which` picks its map.
-    held_letters, symbol, delta = side_info[rows], symbols[rows], np.ones(len(rows), np.int64)
-    which, first, to, tabled = np.zeros(len(rows), np.intp), [], [], []
-    for idx, at in index_groups(type_index[rows]):
+    order, runs = index_runs(type_index[rows])
+    rows = rows[order]  # sorted by type index: positions into `rows` from here
+    symbol, delta = symbols[rows], np.ones(len(rows), np.int64)  # a one-symbol row keeps delta 1
+    tabled, maps = [], []
+    for idx, start, stop in runs:
         jt = type_at(idx)
         held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
         if num_symbols_of(jt) == 1:
-            which[at] = len(to)
-            first.append(np.repeat(np.arange(len(held.counts)), held.counts))
-            to.append(letter_map(jt, side))
+            maps.append((letter_map(jt, side), held.counts, start, stop))
         else:
             t = get_coding_table(jt)
-            delta[at] = t.num_symbols
-            tabled.append((t, at, held.counts, other.counts))
-    rank, wrong_side = _class_ranks(held_letters, [(held, at) for _, at, held, _ in tabled])
+            delta[start:stop] = t.num_symbols
+            tabled.append((t, held.counts, other.counts, start, stop))
+    rank, wrong_side = rank_runs(
+        side_info, rows, [(held, start, stop) for _, held, _, start, stop in tabled],
+        [(held, start, stop) for _, held, start, stop in maps],
+    )
     slot, found = rank * delta + symbol, np.zeros(len(rows), np.int64)
-    for t, at, _, _ in tabled:  # a clipped read is a bad symbol
-        found[at] = np.frombuffer(t.row_of if side == "x" else t.col_of, np.int32).take(slot[at], mode="clip")
-    if to:  # a row is of the class whose first member its sorted letters are
-        one = np.flatnonzero(delta == 1)
-        pick, held_one = which[one], held_letters[one]
-        wrong_side[one] = (np.sort(held_one, axis=1) != np.array(first)[pick]).any(axis=1)
-        out[rows[one]] = np.array(to, out.dtype).ravel()[pick[:, None] * len(to[0]) + held_one]
-    for counts, at in _by_class((other, at) for _, at, _, other in tabled):
-        out[rows[at]] = _class_letters(counts)[found[at]]
+    for t, _, _, start, stop in tabled:  # a clipped read is a bad symbol
+        found[start:stop] = np.frombuffer(t.row_of if side == "x" else t.col_of, np.int32).take(slot[start:stop], mode="clip")
+    unrank_runs([(other, start, stop) for _, _, other, start, stop in tabled], found, out, rows)
+    if maps:  # one gather over every one-symbol row, each picking its type's map
+        one = rows[delta == 1]
+        pick = np.repeat(np.arange(len(maps)), [stop - start for _, _, start, stop in maps])
+        out[one] = np.array([to for to, _, _, _ in maps], out.dtype)[pick[:, None], side_info[one]]
     wrong = wrong_side | (symbol < 0) | (symbol >= delta) | (found < 0)
     if wrong.any():
-        i = int(np.argmax(wrong))
+        at = np.flatnonzero(wrong)
+        i = at[np.argmin(rows[at])]
         if wrong_side[i]:
             failures.append(SideInfoMismatchError("side information type does not match codeword", int(rows[i])))
         else:

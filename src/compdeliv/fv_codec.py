@@ -12,8 +12,8 @@ width after reading the header, so concatenated codewords frame uniquely.
 
 A code enumerates no types (`types_core.joint_type_index` computes the
 index), so it reaches any n and alphabets whose index fits
-MAX_HEADER_WIDTH bits, and keeps the types it meets up to
-MAX_JOINT_TYPE_COUNTS counts (`FVCode.type_at`).  Codeword length is a
+MAX_HEADER_WIDTH bits; a batch may hold joint types of up to
+MAX_JOINT_TYPE_COUNTS counts (`FVCode.types_kept`).  Codeword length is a
 function of the joint type only, which is what the overflow/underflow
 analysis sums over.  `fv_encode` and the stream decoders code one block;
 `fv_encode_batch`, `FVCode.pack_words`, `FVCode.read_words` and
@@ -94,9 +94,12 @@ def symbol_width(jt: JointType) -> int:
 class FVCode:
     """Block length, alphabets and type index width of an FV code.
 
-    `type_at` memoizes the joint type of each type index the code meets,
-    up to MAX_JOINT_TYPE_COUNTS counts (kx * ky per type: 65,536 types of
-    4 x 4 letters, 16 of 256 x 256), so no input can make a code hold more
+    A batch may hold at most `types_kept` distinct joint types, which is
+    MAX_JOINT_TYPE_COUNTS counts (kx * ky per type: 65,536 types of 4 x 4
+    letters, 16 of 256 x 256): the batch codecs and `read_words` refuse
+    more with a ValueError, whatever the code coded before.  `type_at`
+    memoizes the joint type of each type index it meets and drops every
+    entry when the memo is full, so no input can make a code hold more
     than an enumeration may."""
 
     n: int
@@ -119,17 +122,34 @@ class FVCode:
         """`codeword_length` of every type, by type index (enumerated: MAX_JOINT_TYPE_COUNTS)."""
         return tuple(map(self.codeword_length, enumerate_joint_types(self.n, self.ax, self.ay)))
 
+    @property
+    def types_kept(self) -> int:
+        """Most distinct joint types a batch holds and the memo keeps."""
+        return MAX_JOINT_TYPE_COUNTS // (self.ax.size * self.ay.size)
+
+    def check_distinct(self, type_index: np.ndarray) -> None:
+        """Raise ValueError if a batch's type indices name more than `types_kept` joint types."""
+        if len(type_index) > self.types_kept and len(distinct := np.unique(type_index)) > self.types_kept:
+            self._refuse(len(distinct))
+
+    def _refuse(self, distinct: int):
+        raise ValueError(
+            f"{distinct} distinct joint types of {self.ax.size} x {self.ay.size} letters: "
+            f"past MAX_JOINT_TYPE_COUNTS counts ({self.types_kept} types)"
+        )
+
     def type_at(self, index: int) -> JointType:
-        """The joint type of a type index: MalformedCodewordError if there is
-        none, ValueError if the code already holds its most types."""
+        """The joint type of a type index: MalformedCodewordError if there is none."""
         jt = self._types.get(index)
         if jt is None:
             if not 0 <= index < self.type_count:
                 raise MalformedCodewordError(f"type index {index} out of range")
-            kx, ky, held = self.ax.size, self.ay.size, len(self._types)
-            if (held + 1) * kx * ky > MAX_JOINT_TYPE_COUNTS:
-                raise ValueError(f"over {held} joint types of {kx} x {ky} letters: past MAX_JOINT_TYPE_COUNTS counts")
-            jt = self._types[index] = joint_types_at([index], self.n, kx, ky)[0]
+            kept = self.types_kept
+            if len(self._types) >= kept:  # full: start again
+                self._types.clear()
+            jt = joint_types_at([index], self.n, self.ax.size, self.ay.size)[0]
+            if kept:
+                self._types[index] = jt
         return jt
 
     def _symbol_widths(self, type_index: np.ndarray) -> np.ndarray:
@@ -153,12 +173,14 @@ class FVCode:
         or, when word i cannot be framed (the payload ends inside it, or
         its type index is out of range), the i words before it, their bits
         and the error of word i.  A symbol wider than 63 bits whose value
-        does not fit in them reads as -1 (see `read_fields`).
+        does not fit in them reads as -1 (see `read_fields`).  Raises
+        ValueError once the words framed hold more than `types_kept`
+        distinct joint types.
         """
         header, size, total = self.header_width, self.type_count, 8 * len(payload)
         heads = fields_at_every_offset(payload, header)
         head_at = memoryview(heads)
-        starts, pos, error = [], 0, None
+        starts, pos, error, seen, kept = [], 0, None, set(), self.types_kept
         for i in range(count):
             if pos >= len(heads):
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
@@ -167,6 +189,10 @@ class FVCode:
             if idx >= size:
                 error = MalformedCodewordError(f"type index {idx} out of range", i)
                 break
+            if idx not in seen:
+                seen.add(idx)
+                if len(seen) > kept:
+                    self._refuse(len(seen))
             end = pos + header + symbol_width(self.type_at(idx))
             if end > total:
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
@@ -207,11 +233,15 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     code's alphabets: the word of row i is `words[0][i]` in the header and
     `words[1][i]` in the symbol field (0 for a type of one symbol).
 
-    Rows are ranked once per marginal class (`ff_codec.encode_rows`).  The
-    fields are kept apart because a word can be wider than an int64.
+    Rows are ranked by one code-table gather per side
+    (`ff_codec.encode_rows`; past the table's limit, one search per
+    marginal class).  The fields are kept apart because a word can be
+    wider than an int64.  ValueError, before any table is built, if the
+    rows hold more than `code.types_kept` distinct joint types.
     """
     x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y", len(x))
     type_index = joint_type_index(x, y, code.ax.size, code.ay.size)
+    code.check_distinct(type_index)
     return type_index, encode_rows(x, y, code.type_at, type_index)
 
 
@@ -221,10 +251,12 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     `words` is what `fv_encode_batch` or `FVCode.read_words` returns; row i
     of `side_info` is the side information of codeword i.  A failure
     raises what the scalar path raises for the first failing row, with
-    that row as its `row`.
+    that row as its `row`; a batch of more than `code.types_kept` distinct
+    type indices is refused first (ValueError).
     """
     held, reproduced = held_and_decoded(side, code.ax, code.ay)
     side_info = _as_blocks(code.n, side_info, held, "side information", len(words[0]))
+    code.check_distinct(np.asarray(words[0]))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
     decode_rows(code.type_at, code.type_count, *words, side_info, side, out, np.arange(len(out)), MalformedCodewordError)
     return out

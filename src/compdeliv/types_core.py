@@ -12,6 +12,13 @@ through the row functions (larger ones).  A class is enumerated only up
 to MAX_CLASS_SIZE members, and a small class's members are Sequence
 objects built once and shared by every decode.
 
+A block's code is its letters read as a base-k integer, and blocks sort
+as their codes do.  For blocks of up to _CODE_TABLE_LIMIT = 2^16 codes
+`code_table` lists every block's rank in its class and its class key
+(the code of its sorted letters), so `rank_runs` ranks and type-checks a
+whole sorted batch with one gather and `unrank_runs` unranks with one;
+above the limit both search each class once, as `rank_rows` does.
+
 `type_of` and `joint_type_of` count a block in one pass and return the
 validated object of that count vector from a bounded cache, and a joint
 type's marginals are memoized, so coding one block builds no new type
@@ -28,8 +35,9 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, make_dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,7 +333,7 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
 @lru_cache(maxsize=None)
 def _multinomial_cached(counts: tuple[int, ...]) -> int:
     n = sum(counts)
-    return reduce(lambda acc, c: acc // factorial(c), counts, factorial(n))
+    return reduce(lambda acc, c: acc // factorial(c), filter(None, counts), factorial(n))
 
 
 def multinomial(counts) -> int:
@@ -357,6 +365,14 @@ def w_shell_size(jt: JointType) -> int:
 # Classes up to this size get memoized rank<->sequence maps for the scalar
 # calls; larger ones are ranked by searching the class (same order).
 _RANK_MAP_LIMIT = 1 << 16
+
+
+# Most codes (k^n blocks of n letters over k) a code table lists: binary
+# blocks up to n = 16, 3 letters up to n = 10, 256 letters up to n = 2.
+# A table takes 16 + n B per code (n bytes of letters, more above 256
+# letters), 2 MB at the limit for binary n = 16, built in about 5 ms;
+# above it, batches are ranked by searching each class.
+_CODE_TABLE_LIMIT = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -447,6 +463,19 @@ def _class_keys(counts: tuple[int, ...]) -> np.ndarray:
     return keys
 
 
+def _search_ranks(letters: np.ndarray, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's position in the sorted class `counts`, found by one search
+    over the class's keys, and a mask of the rows not in the class."""
+    letters, dtype = np.asarray(letters), _letter_dtype(len(counts))
+    stray = np.zeros(len(letters), bool)
+    if letters.dtype != dtype:  # a cast could wrap a stray letter into the class
+        stray = ((letters < 0) | (letters >= len(counts))).any(axis=1)
+        letters = letters.astype(dtype)
+    keys, wanted = _class_keys(counts), _as_keys(letters)
+    ranks = np.searchsorted(keys, wanted)
+    return ranks, stray | (keys[np.minimum(ranks, len(keys) - 1)] != wanted)
+
+
 def rank_rows(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """Lexicographic rank of every row of `letters` within the class `counts`.
 
@@ -456,15 +485,7 @@ def rank_rows(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     over it already does.  Raises RowError, at the first such row, if a
     row is not of type `counts`.
     """
-    letters, dtype = np.asarray(letters), _letter_dtype(len(counts))
-    if letters.dtype != dtype:  # a cast could wrap a stray letter into the class
-        stray = ((letters < 0) | (letters >= len(counts))).any(axis=1)
-        if stray.any():
-            raise RowError(f"a row is not of type {counts}", int(np.argmax(stray)))
-        letters = letters.astype(dtype)
-    keys, wanted = _class_keys(counts), _as_keys(letters)
-    ranks = np.searchsorted(keys, wanted)
-    missing = keys[np.minimum(ranks, len(keys) - 1)] != wanted
+    ranks, missing = _search_ranks(letters, counts)
     if missing.any():
         raise RowError(f"a row is not of type {counts}", int(np.argmax(missing)))
     return ranks
@@ -479,17 +500,140 @@ def unrank_rows(counts: tuple[int, ...], ranks: np.ndarray) -> np.ndarray:
     return letters[ranks]
 
 
-def index_groups(index: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Rows grouped by a 1-D integer index, rows of a negative value left
-    out: (value, row indices) pairs, both ascending.  One stable argsort,
-    numpy's radix sort when the values fit 16 bits."""
+class CodeTable(NamedTuple):
+    """Every block of n letters over k, addressed by its code: its letters
+    read as a base-k integer.  Same-length blocks sort as their codes do,
+    so a class's members in rank order are its codes in increasing order."""
+
+    powers: np.ndarray  # k^(n-1), ..., k, 1: a block's code is its letters dotted with these
+    rank: np.ndarray  # by code: the block's rank in its type class
+    key: np.ndarray  # by code: its class key, the code of its sorted letters (its class's first member)
+    start: np.ndarray  # by class key: where the class begins in `by_class`
+    by_class: np.ndarray  # the codes, classes by key, each class in rank order
+    members: np.ndarray  # by code: the block's letters
+
+    def unrank(self, keys, ranks) -> np.ndarray:
+        """The letters of the member of rank `ranks[i]` of the class of key `keys[i]`."""
+        return self.members[self.by_class[self.start[keys] + ranks]]
+
+
+@lru_cache(maxsize=8)
+def code_table(n: int, k: int) -> CodeTable | None:
+    """The code table of blocks of n letters over k, None past _CODE_TABLE_LIMIT codes.
+
+    The class keys are built one leading letter at a time, the ranks with
+    one stable sort of the codes by key; cached (at most 8 tables, 17 MB)
+    and read-only."""
+    if k ** n > _CODE_TABLE_LIMIT:
+        return None
+    size, dtype, powers = k ** n, _letter_dtype(k), k ** np.arange(n - 1, -1, -1)
+    members = np.empty((size, n), dtype)
+    for i, power in enumerate(powers.tolist()):
+        members[:, i] = np.repeat(np.tile(np.arange(k, dtype=dtype), size // (k * power)), power)
+    # Letter d put before a block whose sorted letters hold `above[d]`
+    # letters past d goes just before those: key = high * k^(above+1) +
+    # d * k^above + low.  Blocks are d-major, so the keys come in code order.
+    letters, weight = np.arange(k, dtype=np.int32), k ** np.arange(n + 1, dtype=np.int32)
+    key, above = np.zeros(1, np.int32), np.zeros((k, 1), np.uint8)
+    for t in range(n):
+        p = weight[above]
+        high, low = np.divmod(key, p)
+        key = ((high * k + letters[:, None]) * p + low).ravel()
+        if t < n - 1:
+            above = (above[:, None, :] + (letters[:, None, None] < letters[None, :, None])).reshape(k, -1)
+    order = np.argsort(key.astype(np.uint16), kind="stable").astype(np.int32)  # by class, then code (a radix sort)
+    key_order = key[order]
+    first = np.flatnonzero(np.diff(key_order, prepend=-1)).astype(np.int32)  # where each class begins
+    start = np.zeros(size, np.int32)
+    start[key_order[first]] = first
+    rank = np.empty(size, np.int32)
+    rank[order] = np.arange(size, dtype=np.int32) - start[key_order]
+    table = CodeTable(powers, rank, key, start, order, members)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def class_key(counts: tuple[int, ...]) -> int:
+    """The code of the sorted letters of the class `counts`: the class key of its members."""
+    k, key = len(counts), 0
+    for letter in compress(range(k), counts):  # counts[letter] digits `letter` each
+        step = k ** counts[letter]
+        key = key * step + (letter * (step - 1) // (k - 1) if letter else 0)
+    return key
+
+
+def rank_runs(letters: np.ndarray, rows: np.ndarray, ranked, checked=()) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of the blocks `letters[rows]` in their classes and a mask of the
+    ones not of their class, by position in `rows`.
+
+    `ranked` and `checked` list runs (class counts, start, stop): positions
+    start..stop-1 should be of that class.  Rows of a `checked` run are
+    only type-checked, and rows in no run pass; the rank of either is
+    unspecified.  Letters lie in their alphabet (not checked).  Within
+    _CODE_TABLE_LIMIT codes one gather of the code table ranks and checks
+    every row; above it each ranked class is searched once, as by
+    `rank_rows`, and checked rows are sorted and compared with their
+    class's first member.
+    """
+    runs = [*ranked, *checked]
+    table = code_table(letters.shape[1], len(runs[0][0])) if runs else None
+    if table is not None:
+        codes = (letters @ table.powers)[rows]
+        key = table.key[codes]
+        expected = key.copy()
+        for counts, start, stop in runs:
+            expected[start:stop] = class_key(counts)
+        return table.rank[codes], key != expected
+    ranks, wrong = np.zeros(len(rows), np.int64), np.zeros(len(rows), bool)
+    for counts, start, stop in checked:
+        first = np.repeat(np.arange(len(counts)), counts)
+        wrong[start:stop] = (np.sort(letters[rows[start:stop]], axis=1) != first).any(axis=1)
+    for counts, at in _by_class(ranked):
+        ranks[at], wrong[at] = _search_ranks(letters[rows[at]], counts)
+    return ranks, wrong
+
+
+def unrank_runs(runs, ranks: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+    """Write into `out[rows[i]]`, for every position i of a run (class counts,
+    start, stop), the member of rank `ranks[i]` of that class: one gather of
+    the code table within its limit, one per class above it."""
+    if not runs:
+        return
+    table = code_table(out.shape[1], len(runs[0][0]))
+    if table is None:
+        for counts, at in _by_class(runs):
+            out[rows[at]] = _class_letters(counts)[ranks[at]]
+        return
+    at = np.concatenate([np.arange(start, stop) for _, start, stop in runs])
+    keys = np.repeat([class_key(counts) for counts, _, _ in runs], [stop - start for _, start, stop in runs])
+    out[rows[at]] = table.unrank(keys, ranks[at])
+
+
+def _by_class(runs) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The positions of the runs (class counts, start, stop), merged into one array per class."""
+    parts = {}
+    for counts, start, stop in runs:
+        parts.setdefault(counts, []).append(np.arange(start, stop))
+    return [(counts, np.concatenate(at)) for counts, at in parts.items()]
+
+
+def index_runs(index: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The rows of a 1-D integer index sorted by value, rows of a negative
+    value left out, and the run (value, start, stop) of each value in
+    that order: values ascending, each run's rows ascending.  One stable
+    argsort, numpy's radix sort when the values fit 16 bits."""
     index = np.asarray(index)
     small = len(index) and -1 <= index.min() and index.max() < (1 << 16) - 1
     order = np.argsort((index + 1).astype(np.uint16) if small else index, kind="stable")
     value = index[order]
     first = int(np.searchsorted(value, 0))
-    bounds = [first, *(np.flatnonzero(np.diff(value[first:])) + first + 1).tolist(), len(order)]
-    return [(int(value[a]), order[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+    order, value = order[first:], value[first:]
+    if not len(order):
+        return order, []
+    bounds = [0, *(np.flatnonzero(np.diff(value)) + 1).tolist(), len(order)]
+    return order, list(zip(value[bounds[:-1]].tolist(), bounds, bounds[1:]))
 
 
 @lru_cache(maxsize=64)
@@ -547,5 +691,6 @@ def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
     """Row pairs (x[i], y[i]) grouped by joint type, in type index order."""
-    groups = index_groups(joint_type_index(x, y, kx, ky))
-    return list(zip(joint_types_at([key for key, _ in groups], np.shape(x)[1], kx, ky), (rows for _, rows in groups)))
+    order, runs = index_runs(joint_type_index(x, y, kx, ky))
+    types = joint_types_at([value for value, _, _ in runs], np.shape(x)[1], kx, ky)
+    return [(jt, order[start:stop]) for jt, (_, start, stop) in zip(types, runs)]

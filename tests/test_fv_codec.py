@@ -193,20 +193,51 @@ class TestBatch:
             assert fv_decode_x(cw, ys) == xs and fv_decode_y(cw, xs) == ys
 
     def test_a_code_keeps_at_most_max_joint_type_counts(self, monkeypatch):
-        # Three binary joint types hold 12 counts; the fourth distinct one is refused.
+        # Three binary joint types hold 12 counts: the memo keeps three, and
+        # a fourth distinct one starts it again; a batch of four is refused.
         monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", 12)
         code = FVCode(4, BINARY, BINARY, bit_width(joint_type_count(4, 2, 2)))
+        assert code.types_kept == 3
         kept = [code.type_at(i) for i in (0, 7, 34)]
-        with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS") as caught:
-            code.type_at(8)
-        assert not isinstance(caught.value, MalformedCodewordError)
+        assert len(code._types) == 3
+        assert code.type_at(8).index == 8 and len(code._types) <= 3
         assert [code.type_at(i) for i in (34, 7, 0)] == kept[::-1]
-        assert [jt.index for jt in kept] == [0, 7, 34]
+        assert [jt.index for jt in kept] == [0, 7, 34] and len(code._types) <= 3
         with pytest.raises(MalformedCodewordError, match="type index 35 out of range"):
             code.type_at(35)
         x, y = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 1]]), np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]])
         met = set(joint_type_index(x, y, 2, 2).tolist())
         assert {0, 34} < met and not met <= {0, 7, 34}  # two kept types and a new one
+        words = fv_encode_batch(code, x, y)  # three types fit the 12-count bound
+        assert (fv_decode_batch(code, words, y, "x") == x).all() and len(code._types) <= 3
+        x4, y4 = np.vstack([x, [[0, 0, 1, 1]]]), np.vstack([y, [[0, 1, 0, 1]]])
+        assert len(set(joint_type_index(x4, y4, 2, 2).tolist())) == 4
+        with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS") as caught:
+            fv_encode_batch(code, x4, y4)
+        assert not isinstance(caught.value, MalformedCodewordError)
+        with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS"):
+            fv_decode_batch(code, (joint_type_index(x4, y4, 2, 2), np.zeros(4, np.int64)), y4, "x")
+
+    def test_refusals_do_not_depend_on_what_the_code_coded_before(self):
+        # 16 joint types of 256 x 256 letters fill a code's memo; a batch of
+        # one new block after them is coded as a fresh code codes it.
+        ax = Alphabet(256)
+        rng = np.random.default_rng(17)
+        x, y = rng.integers(0, 256, (2, 17, 2), dtype=np.uint8)
+        assert len(set(joint_type_index(x, y, 256, 256).tolist())) == 17
+        code = FVCode(2, ax, ax, make_fv_code(2, ax, ax).header_width)
+        assert code.types_kept == 16
+        words = fv_encode_batch(code, x[:16], y[:16])
+        assert (fv_decode_batch(code, words, y[:16], "x") == x[:16]).all()
+        fresh = FVCode(2, ax, ax, code.header_width)
+        for c in (code, fresh):
+            last = fv_encode_batch(c, x[16:], y[16:])
+            assert (fv_decode_batch(c, last, x[16:], "y") == y[16:]).all()
+            assert len(c._types) <= 16
+        assert [w.tolist() for w in fv_encode_batch(code, x[16:], y[16:])] == [w.tolist() for w in last]
+        payload = code.pack_words(words)
+        read, _, error = code.read_words(payload, 16)
+        assert error is None and read[0].tolist() == words[0].tolist()
         with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS"):
             fv_encode_batch(code, x, y)
 

@@ -410,36 +410,107 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
         assert (type(caught.value), caught.value.row) == (kind, row), kinds
 
 
+def _sparse_pairs(seed, m, n):
+    """m seeded binary (x, y) block pairs, x of one to three ones and y x
+    with up to two letters flipped: few, small tables at any n."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((m, n), np.uint8)
+    for row in x:
+        row[rng.choice(n, rng.integers(1, 4), replace=False)] = 1
+    y = x.copy()
+    for row in y:
+        row[rng.choice(n, rng.integers(0, 3), replace=False)] ^= 1
+    return x, y
+
+
 @pytest.mark.parametrize("mode", ["ff", "fv"])
 def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
-    # Whichever module calls it, a batch ranks each marginal class once,
-    # however many joint types share the class.
-    calls, real = [], types_core.rank_rows
+    # Whichever module calls it, a batch ranks each side with one
+    # `rank_runs`: within the code table's limit (binary n=10) one table
+    # gather and no class search; past it (binary n=17) one search per
+    # marginal class, however many joint types share the class.
+    ranked, searched = [], []
+    rank_runs, search = types_core.rank_runs, types_core._search_ranks
 
-    def counted(letters, counts):
-        calls.append(counts)
-        return real(letters, counts)
+    def counted_runs(*args):
+        ranked.append(len(args[1]))
+        return rank_runs(*args)
+
+    def counted_search(letters, counts):
+        searched.append(counts)
+        return search(letters, counts)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("compdeliv") and getattr(module, "rank_rows", None) is real:
-            monkeypatch.setattr(module, "rank_rows", counted)
-    x, y = _pairs(10, 2000, 10, 2, 2)
-    tabled = [jt for jt, _ in joint_type_groups(x, y, 2, 2) if num_symbols_of(jt) > 1]
-    x_classes = {jt.x_marginal() for jt in tabled}
-    y_classes = {jt.y_marginal() for jt in tabled}
-    assert len(tabled) > 2 * (len(x_classes) + len(y_classes))
-    cfg, code = FFCodeConfig(10, 1.0), make_fv_code(10)
-    encode, decode = (
-        (lambda: ff_encode_batch(cfg, x, y), lambda w, held, side: ff_decode_batch(cfg, w, held, side))
-        if mode == "ff" else
-        (lambda: fv_encode_batch(code, x, y), lambda w, held, side: fv_decode_batch(code, w, held, side))
-    )
-    words = encode()
-    assert 0 < len(calls) <= len(x_classes) + len(y_classes)
-    for side, held, classes in (("x", y, y_classes), ("y", x, x_classes)):
-        calls.clear()
-        assert (decode(words, held, side) == (x if side == "x" else y)).all()
-        assert 0 < len(calls) == len(set(calls)) <= len(classes)
+        if name.startswith("compdeliv") and getattr(module, "rank_runs", None) is rank_runs:
+            monkeypatch.setattr(module, "rank_runs", counted_runs)
+    monkeypatch.setattr(types_core, "_search_ranks", counted_search)
+    for n, (x, y) in ((10, _pairs(10, 2000, 10, 2, 2)), (17, _sparse_pairs(17, 300, 17))):
+        within = types_core.code_table(n, 2) is not None
+        assert within == (n == 10)
+        tabled = [jt for jt, _ in joint_type_groups(x, y, 2, 2) if num_symbols_of(jt) > 1]
+        x_classes = {jt.x_marginal() for jt in tabled}
+        y_classes = {jt.y_marginal() for jt in tabled}
+        assert len(tabled) > (2 if within else 1) * (len(x_classes) + len(y_classes))
+        cfg, code = FFCodeConfig(n, 1.0), make_fv_code(n)
+        encode, decode = (
+            (lambda: ff_encode_batch(cfg, x, y), lambda w, held, side: ff_decode_batch(cfg, w, held, side))
+            if mode == "ff" else
+            (lambda: fv_encode_batch(code, x, y), lambda w, held, side: fv_decode_batch(code, w, held, side))
+        )
+        ranked.clear()
+        searched.clear()
+        words = encode()
+        assert len(ranked) == 2  # x, then y
+        assert searched == [] if within else 0 < len(searched) <= len(x_classes) + len(y_classes)
+        for side, held, classes in (("x", y, y_classes), ("y", x, x_classes)):
+            ranked.clear()
+            searched.clear()
+            assert (decode(words, held, side) == (x if side == "x" else y)).all()
+            assert len(ranked) == 1
+            assert searched == [] if within else 0 < len(searched) == len(set(searched)) <= len(classes)
+
+
+@pytest.mark.parametrize("mode", ["ff", "fv"])
+def test_code_table_and_class_search_code_alike(mode, monkeypatch):
+    # Seeded n=8 batches through the code table and, with its limit below
+    # 2^8 codes, through the class search (tables built again): the same
+    # symbols, the same decodes and the same first failing row and error
+    # for each planted fault.
+    x, y = _pairs(18, 300, 8, 2, 2)
+
+    def code_and_refuse():
+        cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
+        if mode == "ff":
+            region = make_code(cfg).region
+            words, type_at, count = ff_encode_batch(cfg, x, y), region.__getitem__, len(region)
+
+            def decode(type_index, symbols, held, side):
+                return ff_decode_batch(cfg, (words[0], type_index, symbols), held, side)
+        else:
+            words, type_at, count = fv_encode_batch(code, x, y), code.type_at, code.type_count
+
+            def decode(type_index, symbols, held, side):
+                return fv_decode_batch(code, (type_index, symbols), held, side)
+        out = [part.tolist() for part in words]
+        for side, held in (("x", y), ("y", x)):
+            out.append(decode(words[-2], words[-1], held, side).tolist())
+            for seed, kind in enumerate(("side", "symbol", "hole", "index")):
+                with pytest.raises(ValueError) as caught:
+                    decode(*_plant((kind,), type_at, count, words, held, side, seed), side)
+                out.append((kind, type(caught.value), caught.value.row, str(caught.value)))
+        return out
+
+    with_table = code_and_refuse()
+    monkeypatch.setattr(types_core, "_CODE_TABLE_LIMIT", 2 ** 8 - 1)
+    for cache in (types_core.code_table, coding_table.get_coding_table):
+        cache.cache_clear()
+    try:
+        assert types_core.code_table(8, 2) is None
+        assert code_and_refuse() == with_table
+    finally:
+        monkeypatch.undo()
+        for cache in (types_core.code_table, coding_table.get_coding_table):
+            cache.cache_clear()
 
 
 def _counted(monkeypatch, calls, name, real):

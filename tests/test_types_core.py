@@ -7,21 +7,25 @@ import numpy as np
 import pytest
 
 from compdeliv.types_core import (
+    _CODE_TABLE_LIMIT,
     _RANK_MAP_LIMIT,
     _class_letters,
     _compositions,
+    _multinomial_cached,
     MAX_CLASS_SIZE,
     MAX_JOINT_TYPE_COUNTS,
     Alphabet,
     BINARY,
     ClassSizeError,
+    class_key,
+    code_table,
     JointType,
     LengthMismatchError,
     RankRangeError,
     Sequence,
     TypeVector,
     enumerate_joint_types,
-    index_groups,
+    index_runs,
     joint_type_groups,
     joint_type_index,
     joint_types_at,
@@ -30,10 +34,12 @@ from compdeliv.types_core import (
     multinomial,
     rank_in_type_class,
     rank_rows,
+    rank_runs,
     type_class_size,
     type_of,
     unrank_in_type_class,
     unrank_rows,
+    unrank_runs,
     v_shell_size,
     w_shell_size,
 )
@@ -289,16 +295,85 @@ class TestRowRanks:
         for i, value in enumerate(keys.tolist()):
             if value >= 0:
                 expected.setdefault(value, []).append(i)
-        groups = index_groups(keys)
+        order, runs = index_runs(keys)
+        groups = [(value, order[start:stop]) for value, start, stop in runs]
         assert [value for value, _ in groups] == sorted(expected)
         assert {value: rows.tolist() for value, rows in groups} == expected
-        assert index_groups(keys[:0]) == [] and index_groups(np.full(3, -1)) == []
+        assert [stop for _, _, stop in runs] == [start for _, start, _ in runs[1:]] + [len(order)]
+        for empty in (keys[:0], np.full(3, -1)):
+            order, runs = index_runs(empty)
+            assert runs == [] and len(order) == 0
 
 
 def _type_rows(types, ky, rng):
     """One (x, y) block pair of each joint type, its pairs in a seeded order, as two arrays."""
     cells = np.array([np.repeat(np.arange(len(jt.flat_counts())), jt.flat_counts()) for jt in types])
     return np.divmod(rng.permuted(cells, axis=1), ky)
+
+
+class TestCodeTable:
+    """The code table of every block within its limit against the class search."""
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, 2) for n in range(1, 13)] + [(n, 3) for n in range(1, 8)] + [(n, 4) for n in range(1, 6)] + [(2, 256)]
+    )
+    def test_every_member_of_every_class_agrees_with_the_search(self, n, k):
+        table = code_table(n, k)
+        assert table is not None and k ** n <= _CODE_TABLE_LIMIT
+        # Each class once, in _compositions order: the sorted blocks, counted.
+        runs, start = [], 0
+        for first in reversed(list(itertools.combinations_with_replacement(range(k), n))):
+            counts = [0] * k
+            for letter in first:
+                counts[letter] += 1
+            size = math.factorial(n) // math.prod(map(math.factorial, counts))
+            runs.append((tuple(counts), start, start + size))
+            start += size
+        assert [counts for counts, _, _ in runs[:50]] == list(itertools.islice(_compositions(n, k), 50))
+        every, searched = [], []
+        try:
+            for counts, start, stop in runs:
+                every.append(unrank_rows(counts, np.arange(stop - start)))
+                searched.append(rank_rows(every[-1], counts))
+        finally:  # 33k classes of 256 letters: drop their counts from the unbounded multinomial memo
+            _multinomial_cached.cache_clear()
+        every, searched = np.concatenate(every), np.concatenate(searched)
+        codes = every.astype(np.int64) @ table.powers
+        assert sorted(codes.tolist()) == list(range(k ** n)) and len(table.rank) == k ** n
+        keys = np.repeat([class_key(counts) for counts, _, _ in runs], [stop - start for _, start, stop in runs])
+        assert (table.rank[codes] == searched).all() and (table.key[codes] == keys).all()
+        assert (table.unrank(keys, searched) == every).all()
+        # Batch entries: every block ranked, checked and unranked through runs.
+        rows = np.random.default_rng(n * k).permutation(len(every))
+        letters = np.empty_like(every)
+        letters[rows] = every
+        ranks, wrong = rank_runs(letters, rows, runs)
+        assert not wrong.any()
+        assert ranks.tolist() == [r for counts, start, stop in runs for r in range(stop - start)]
+        out = np.zeros_like(letters)
+        unrank_runs(runs, ranks, out, rows)
+        assert (out == letters).all()
+
+    def test_limit(self):
+        # The limit is 2^16 codes: past it there is no table.
+        assert code_table(16, 2) is not None and code_table(1, 2 ** 16) is not None
+        for n, k in ((17, 2), (11, 3), (3, 300), (3, 41), (2, 257)):
+            assert k ** n > _CODE_TABLE_LIMIT and code_table(n, k) is None
+
+    def test_rows_of_another_class_flagged_on_both_paths(self, monkeypatch):
+        letters = np.array([[0, 1, 1], [0, 0, 1], [1, 1, 0], [1, 0, 0]], np.uint8)
+        rows, ranked, checked = np.arange(4), [((1, 2), 0, 2)], [((2, 1), 2, 4)]
+        with_table = rank_runs(letters, rows, ranked, checked)
+        monkeypatch.setattr("compdeliv.types_core._CODE_TABLE_LIMIT", 0)
+        code_table.cache_clear()
+        try:
+            searched = rank_runs(letters, rows, ranked, checked)
+        finally:
+            monkeypatch.undo()
+            code_table.cache_clear()
+        for ranks, wrong in (with_table, searched):
+            assert wrong.tolist() == [False, True, True, False] and ranks[0] == 0
+        assert rank_runs(letters, rows, []) [1].tolist() == [False] * 4
 
 
 class TestTypeIndex:
