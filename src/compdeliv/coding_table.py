@@ -12,15 +12,17 @@ right endpoint of the conflicted edge, so two independent builds of the
 same joint type produce identical tables.  Encoder and decoder therefore
 rebuild tables locally and never exchange them.
 
-A table is its two flat 32-bit slot buffers, not per-cell Python objects:
+A table is its two flat slot buffers, not per-cell Python objects:
 `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` hold
 the other end of the cell carrying symbol s, or -1 for a hole: the
 coloring and its inverse, which the recoloring chains walk from both sides.
+A slot takes 2 B (both classes below _NARROW_CLASS members) or 4 B.
 
-A pair's symbol is `encode_pair` of one block, or `symbols_at` of a
-batch's ranks (`ff_codec.encode_rows`).  A joint type of one symbol codes
-every pair as 0 and nothing builds its table: it pairs each letter of one
-side with one of the other (`letter_map`), and the decoders apply that.
+A pair's symbol is `encode_pair` of one block; the batch codecs read
+copies of every table they have met from one `slot_book`.  A joint type
+of one symbol codes every pair as 0 and nothing builds its table: it
+pairs each letter of one side with one of the other (`letter_map`), and
+the decoders apply that.
 """
 
 from __future__ import annotations
@@ -41,14 +43,21 @@ from .types_core import (
     RowError,
     Sequence,
     TypeVector,
+    _CODE_TABLE_LIMIT,
     _as_keys,
     _class_keys,
     _class_letters,
     _letter_dtype,
     _lex_maps,
+    _marginals,
     _rank_letters,
+    _search_ranks,
     _unrank_letters,
+    class_key,
     code_table,
+    joint_type_count,
+    joint_types_at,
+    multinomial,
     type_class_size,
     type_of,
     v_shell_size,
@@ -56,21 +65,29 @@ from .types_core import (
 )
 
 # Largest table, in allocated lookup slots ((rows + columns) x symbols),
-# built without an explicit override.  A table costs 4 B per slot plus
-# 4 B per marked cell (its graph's edge columns); slots are at least twice
-# the cells, so a table at this budget takes at most about 384 MB.
-# Measured: 12 B per cell on a balanced table, 21 B per cell over the
-# whole n=10 codebook.
-# The per-cell dicts these buffers replaced cost about 320 B per cell,
-# about 21 GB at this budget.  Both classes of a table within it are
-# small enough to enumerate.
+# built without an explicit override.  A table costs one item (4 B, or 2 B
+# below _NARROW_CLASS) per slot and per marked cell (its graph's edge
+# columns); slots are at least twice the cells, so a 4 B table at this
+# budget takes at most about 384 MB.  Measured at 4 B: 12 B per cell on a
+# balanced table, 21 B per cell over the n=10 codebook; the per-cell dicts
+# these buffers replaced cost about 320 B per cell.  Both classes of a
+# table within it are small enough to enumerate.
 DEFAULT_CELL_BUDGET = MAX_CLASS_SIZE
 
-# Buffers hold 32-bit ranks; every stored value is below the slot count.
+# Buffers hold at most 32-bit ranks; every stored value is below the slot count.
 _MAX_SLOTS = 2 ** 31 - 1
 
-# Most slots `symbols_at` compares at once.
+# Classes of fewer members than this keep their ranks in 16-bit slots and
+# edge columns (binary n <= 17, 3 letters n <= 11), larger ones in 32-bit.
+_NARROW_CLASS = 2 ** 15
+
+# Most slots the batch encoder compares at once (`SlotBook.symbols`).
 _SLICE_SLOTS = 2 ** 20
+
+
+def _slot_code(*class_sizes: int) -> str:
+    """The `array` typecode of slots holding ranks in classes of these sizes."""
+    return "h" if max(class_sizes) < _NARROW_CLASS else "i"
 
 
 class TableBudgetError(ResourceWarning, ValueError):
@@ -139,14 +156,14 @@ def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> Bipart
     right_degree = w_shell_size(jt)
     cells = left_size * left_degree
     slots = (left_size + right_size) * max(left_degree, right_degree)
-    limit = min(cell_budget, _MAX_SLOTS)
+    limit, code = min(cell_budget, _MAX_SLOTS), _slot_code(left_size, right_size)
     if slots > limit:
         raise TableBudgetError(
             f"joint type {jt.counts} at n={jt.n} needs {slots} table slots for {cells} "
-            f"cells, about {(4 * slots + 4 * cells) / 2 ** 20:.0f} MB (> budget {limit} slots)"
+            f"cells, about {array(code).itemsize * (slots + cells) / 2 ** 20:.0f} MB (> budget {limit} slots)"
         )
-    cols = array("i", [0]) * cells  # sized exactly; frombytes would over-allocate
-    np.frombuffer(cols, np.int32)[:] = _shell_columns(jt).ravel()
+    cols = array(code, [0]) * cells  # sized exactly; frombytes would over-allocate
+    np.frombuffer(cols, code)[:] = _shell_columns(jt).ravel()
     return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, TypeEdges(cols, left_degree))
 
 
@@ -186,14 +203,11 @@ def _shell_columns(jt: JointType) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodingTable:
-    """Edge-colored table over two flat 32-bit slot buffers.
+    """Edge-colored table over two flat slot buffers (`_slot_code`).
 
     `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
     the other end of the cell carrying symbol s, -1 for a hole, so a cell's
-    symbol is its slot number in its row.  Lookups return Python ints;
-    `symbols_at` takes and returns numpy arrays, one element per lookup,
-    and raises what `symbol_at` raises if any element fails, with the
-    first failing element as its `row`.
+    symbol is its slot number in its row.  Lookups return Python ints.
     """
 
     graph: BipartiteTypeGraph
@@ -226,24 +240,6 @@ class CodingTable:
                 return col
         raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}")
 
-    def symbols_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Vector `symbol_at`: each row's slots compared with its column.
-
-        Rows are taken in slices of at most `_SLICE_SLOTS` slots, so the
-        comparison's temporaries stay bounded on long batches.
-        """
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        slots = np.frombuffer(self.col_of, np.int32).reshape(-1, self.num_symbols)
-        out = np.empty(len(rows), np.int64)
-        step = max(1, _SLICE_SLOTS // self.num_symbols)
-        for lo in range(0, len(rows), step):
-            hit = slots[rows[lo:lo + step]] == cols[lo:lo + step, None]
-            out[lo:lo + step] = hit.argmax(axis=1)
-            if np.count_nonzero(hit) < len(hit):  # a column fills at most one slot of a row
-                i = lo + int(np.argmin(hit.any(axis=1)))
-                raise PairTypeMismatchError(f"no marked cell at row {rows[i]}, column {cols[i]}", i)
-        return out
-
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
         delta = self.num_symbols
@@ -265,9 +261,9 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
     Colors used at a vertex are a bitmask; `~u & (u + 1)` is the lowest
     free one.
     """
-    delta = max(g.left_degree, g.right_degree)
-    col_of = array("i", [-1]) * (g.left_size * delta)
-    row_of = array("i", [-1]) * (g.right_size * delta)
+    delta, code = max(g.left_degree, g.right_degree), _slot_code(g.left_size, g.right_size)
+    col_of = array(code, [-1]) * (g.left_size * delta)
+    row_of = array(code, [-1]) * (g.right_size * delta)
     left_used = [0] * g.left_size
     right_used = [0] * g.right_size
     full = 1 << delta
@@ -455,3 +451,138 @@ def letter_map(jt: JointType, side: str) -> tuple[int, ...]:
     column): the `side` letter paired with each side-information letter."""
     counts = np.array(jt.counts)
     return tuple((counts.T if side == "x" else counts).argmax(axis=1).tolist())
+
+
+class _Classes:
+    """The type classes of n-letter blocks over k letters that a slot book
+    has met, by id: counts, code-table key (`class_key`, -1 past 63 bits)
+    and letters sorted."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k, self.ids, self.counts = n, k, {}, []
+        self.keys, self.first = np.zeros(0, np.int64), np.zeros((0, n), _letter_dtype(k))
+
+    def ids_of(self, classes: list[tuple[int, ...]]) -> list[int]:
+        """The ids of these classes (counts), indexing the ones met for the first time."""
+        ids = [self.ids.setdefault(counts, len(self.ids)) for counts in classes]
+        new = list(self.ids)[len(self.counts):]
+        self.counts += new
+        keys = [class_key(counts) if self.k ** self.n < 2 ** 63 else -1 for counts in new]
+        self.keys = np.concatenate([self.keys, np.array(keys, np.int64)])
+        first = [np.repeat(np.arange(self.k), counts) for counts in new]
+        self.first = np.concatenate([self.first, np.array(first, self.first.dtype).reshape(-1, self.n)])
+        return ids
+
+    def rank(self, letters: np.ndarray, cls: np.ndarray, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's rank in its class `cls[i]` (the blocks `ranked`
+        marks) and a mask of the blocks not of their class: one code-table
+        gather, or past its limit a sort and a search of each ranked class."""
+        table = code_table(self.n, self.k)
+        if table is not None:
+            codes = (letters @ table.powers.astype(np.float32)).astype(np.intp)  # exact: codes < 2^24
+            return table.rank[codes], table.key[codes] != self.keys[cls]
+        ranks = np.zeros(len(letters), np.int64)
+        for c in np.flatnonzero(np.bincount(cls[ranked])).tolist():
+            at = np.flatnonzero(ranked & (cls == c))
+            ranks[at] = _search_ranks(letters.take(at, axis=0), self.counts[c])[0]
+        return ranks, (np.sort(letters, axis=1) != self.first.take(cls, axis=0)).any(axis=1)
+
+    def unrank(self, cls: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The member of rank `ranks[i]` of class `cls[i]`: one code-table
+        gather, or past its limit one per class."""
+        table = code_table(self.n, self.k)
+        if table is not None:
+            return table.unrank(self.keys[cls], ranks)
+        out = np.empty((len(cls), self.n), self.first.dtype)
+        for c in np.flatnonzero(np.bincount(cls)).tolist():
+            at = np.flatnonzero(cls == c)
+            out[at] = _class_letters(self.counts[c])[ranks[at]]
+        return out
+
+
+class SlotBook:
+    """Every joint type of n-letter blocks over kx x ky letters that a batch
+    has met, as arrays by book id, so that a batch reads all of its tables
+    with gathers and no loop over joint types.
+
+    Entry i is of the i-th type index in `met` and has `delta[i]` symbols;
+    on side s (0 for x, 1 for y) its marginal class is `cls[s][i]` of
+    `classes[s]`.  A tabled entry's col_of (s = 0) and row_of (s = 1) are
+    copied to `slots[s][base[s][i]:]`; a type of one symbol has instead
+    `maps[s][i]`, its `letter_map` decoding side s.  Both buffers take one
+    slot type and grow by doubling.
+    """
+
+    def __init__(self, n: int, kx: int, ky: int):
+        self.n, self.type_count = n, joint_type_count(n, kx, ky)
+        self.classes, self.delta = (_Classes(n, kx), _Classes(n, ky)), np.zeros(0, np.int64)
+        self.cls, self.base = [np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2
+        self.maps = [np.zeros((0, ky), _letter_dtype(kx)), np.zeros((0, kx), _letter_dtype(ky))]
+        code = _slot_code(*(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky)))
+        self.slots, self.used = [np.zeros(0, code)] * 2, [0, 0]
+        # Each type index met, to its entry; and, when the type indices
+        # number at most _CODE_TABLE_LIMIT, an array of every index's entry.
+        self.met = {}
+        self.dense = np.full(self.type_count, -1, np.int64) if self.type_count <= _CODE_TABLE_LIMIT else None
+
+    def ids(self, index: np.ndarray) -> np.ndarray:
+        """The book id of each type index (all in range), entering the types met for the first time."""
+        ids = self._find(index)
+        if len(ids) and ids.min() < 0:
+            new = np.sort(index[ids < 0])  # np.unique would import numpy.ma
+            self._enter(new[np.diff(new, prepend=-1) > 0])
+            ids = self._find(index)
+        return ids
+
+    def _find(self, index: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense[index]
+        values, inverse = np.unique(index, return_inverse=True)
+        return np.array([self.met.get(value, -1) for value in values.tolist()], np.int64)[inverse]
+
+    def _enter(self, index: np.ndarray) -> None:
+        """Enter these types, every table built, and its budget checked, first."""
+        types = joint_types_at(index, self.n, self.classes[0].k, self.classes[1].k)
+        tables = [get_coding_table(jt) if num_symbols_of(jt) > 1 else None for jt in types]
+        ids = np.arange(len(self.met), len(self.met) + len(types))
+        self.delta = np.append(self.delta, [t.num_symbols if t else 1 for t in tables])
+        for side, (classes, maps) in enumerate(zip(self.classes, self.maps)):
+            self.cls[side] = np.append(self.cls[side], classes.ids_of([_marginals(jt)[side].counts for jt in types]))
+            self.base[side] = np.append(self.base[side], [self._copy(side, t) if t else 0 for t in tables])
+            new = [letter_map(jt, "xy"[side]) if t is None else [0] * maps.shape[1] for jt, t in zip(types, tables)]
+            self.maps[side] = np.concatenate([maps, np.array(new, maps.dtype)])
+        if self.dense is not None:
+            self.dense[index] = ids
+        self.met.update(zip(index.tolist(), ids.tolist()))
+
+    def _copy(self, side: int, t: CodingTable) -> int:
+        """Append t's col_of (side 0) or row_of (side 1) to `slots[side]`; where it starts."""
+        slots, buf, start = (t.col_of, t.row_of)[side], self.slots[side], self.used[side]
+        if start + len(slots) > len(buf):  # at least double it
+            self.slots[side] = buf = np.concatenate([buf[:start], np.empty(max(len(buf), len(slots)), buf.dtype)])
+        buf[start:start + len(slots)] = slots
+        self.used[side] += len(slots)
+        return start
+
+    def symbols(self, ids: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The symbol of cell (rows[i], cols[i]) of tabled entry ids[i], -1
+        for an unmarked cell: every row's slots compared with its column at
+        once, in slices of at most `_SLICE_SLOTS` slots."""
+        delta = self.delta[ids]
+        start, out = self.base[0][ids] + rows * delta, np.full(len(ids), -1, np.int64)
+        step = max(1, _SLICE_SLOTS // int(delta.max(initial=1)))
+        for lo in range(0, len(ids), step):
+            d, first = delta[lo:lo + step], start[lo:lo + step]
+            at = np.repeat(first - np.cumsum(d) + d, d) + np.arange(d.sum())  # every slot of every row
+            hit = np.flatnonzero(self.slots[0][at] == np.repeat(cols[lo:lo + step], d))
+            # A column fills at most one slot of a row: a hit per row is one in each, in order.
+            owner = np.repeat(np.arange(len(d)), d)[hit] if len(hit) < len(d) else slice(None)
+            out[lo:lo + step][owner] = at[hit] - first[owner]
+        return out
+
+
+@lru_cache(maxsize=None)
+def slot_book(n: int, ax: Alphabet, ay: Alphabet) -> SlotBook:
+    """The `SlotBook` of blocks of n letters over ax x ay, one per process:
+    the FV code and every FF rate read it; `cache_clear` empties it."""
+    return SlotBook(n, ax.size, ay.size)

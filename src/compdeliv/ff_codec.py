@@ -33,17 +33,14 @@ from .types_core import (
     _letter_dtype,
     _lex_maps,
     enumerate_joint_types,
-    index_runs,
     interned,
     joint_type_index,
     joint_type_of,
-    rank_runs,
-    unrank_runs,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, in_decodable_region, type_columns
-from .coding_table import decode_side, encode_pair, get_coding_table, held_and_decoded, letter_map, num_symbols_of
-from .coding_table import SideInfoMismatchError, SymbolNotFoundError
+from .coding_table import SlotBook, decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
+from .coding_table import PairTypeMismatchError, SideInfoMismatchError, SymbolNotFoundError
 
 
 class CodewordRangeError(RowError):
@@ -215,41 +212,40 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, type_index=
 
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
-    Rows are ranked by one code-table gather per side (`encode_rows`;
-    past the table's limit, one search per marginal class); `type_index`
-    is `joint_type_index` of the rows when the caller has it, and a row
-    the caller gives index -1 is flagged.
+    `type_index` is `joint_type_index` of the rows when the caller has
+    it, and a row the caller gives index -1 is flagged.
     """
     x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y", len(x))
     if type_index is None:
         type_index = joint_type_index(x, y, cfg.ax.size, cfg.ay.size)
-    code = make_code(cfg)
-    region = np.where(type_index < 0, -1, code.region_index[type_index])
-    return region < 0, np.maximum(region, 0), encode_rows(x, y, code.region.__getitem__, region)
+    region = np.where(type_index < 0, -1, make_code(cfg).region_index[type_index])
+    symbols = encode_rows(slot_book(cfg.n, cfg.ax, cfg.ay), x, y, np.where(region < 0, -1, type_index))
+    return region < 0, np.maximum(region, 0), symbols
 
 
-def encode_rows(x, y, type_at, index: np.ndarray) -> np.ndarray:
-    """The symbol of every row pair of (m, n) letter arrays: row i is of
-    joint type `type_at(index[i])`, or left out when `index[i]` is negative;
+def encode_rows(book: SlotBook, x, y, index: np.ndarray) -> np.ndarray:
+    """The symbol of every row pair of (m, n) letter arrays: row i is of the
+    joint type of index `index[i]`, or left out when that is negative;
     rows left out, and rows of a type of one symbol, get symbol 0.
 
-    Rows are sorted by type index once.  Every table is built, and its
-    budget checked, before x and y are ranked: each side with one gather of
-    its code table (`types_core.rank_runs`), or, past the table's limit,
-    one search per marginal class.  Every row is of its run's marginal
-    types, so no rank misses; each table is then read once, by
-    `symbols_at` on its contiguous run of rows.
+    One lookup gives every row its book entry (a type met for the first
+    time is entered: its table built, and budget checked, before any
+    rank).  Each side is ranked by one code-table gather (past its limit,
+    one search per class) and every row's slots are compared with its
+    column rank at once: no loop runs over joint types.
     """
-    order, runs = index_runs(index)
-    types = [(type_at(value), start, stop) for value, start, stop in runs]
-    tabled = [(get_coding_table(jt), start, stop) for jt, start, stop in types if num_symbols_of(jt) > 1]
-    x_rank, _ = rank_runs(x, order, [(t.jt.x_marginal().counts, start, stop) for t, start, stop in tabled])
-    y_rank, _ = rank_runs(y, order, [(t.jt.y_marginal().counts, start, stop) for t, start, stop in tabled])
-    found = np.zeros(len(order), np.int64)
-    for t, start, stop in tabled:
-        found[start:stop] = t.symbols_at(x_rank[start:stop], y_rank[start:stop])
     symbols = np.zeros(len(x), np.int64)
-    symbols[order] = found
+    rows = np.flatnonzero(index >= 0)
+    ids = book.ids(index[rows])
+    tabled = book.delta[ids] > 1
+    rows, ids = rows[tabled], ids[tabled]
+    x_rank, _ = book.classes[0].rank(x.take(rows, axis=0), book.cls[0][ids], np.ones(len(rows), bool))
+    y_rank, _ = book.classes[1].rank(y.take(rows, axis=0), book.cls[1][ids], np.ones(len(rows), bool))
+    found = book.symbols(ids, x_rank, y_rank)
+    if len(found) and found.min() < 0:
+        i = int(np.argmax(found < 0))
+        raise PairTypeMismatchError(f"no marked cell at row {x_rank[i]}, column {y_rank[i]}", int(rows[i]))
+    symbols[rows] = found
     return symbols
 
 
@@ -265,63 +261,52 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
     held, reproduced = held_and_decoded(side, cfg.ax, cfg.ay)
     side_info = _as_blocks(cfg.n, side_info, held, "side information", len(flags))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    region = make_code(cfg).region
-    decode_rows(region.__getitem__, len(region), words[1], words[2], side_info, side, out, np.flatnonzero(~flags))
+    book, types = slot_book(cfg.n, cfg.ax, cfg.ay), np.flatnonzero(make_code(cfg).region_index >= 0)
+    decode_rows(book, types, *words[1:], side_info, side, out, np.flatnonzero(~flags))
     return out
 
 
-def decode_rows(type_at, count, type_index, symbols, side_info, side, out, rows, range_error=CodewordRangeError) -> None:
-    """Decode the given rows (ascending) into `out`: row i has the codeword
-    (type `type_at(type_index[i])`, of the `count` types, `symbols[i]`) and
-    side information `side_info[i]`.
+def decode_rows(book: SlotBook, types, type_index, symbols, side_info, side, out, rows, range_error=CodewordRangeError) -> None:
+    """Decode the given rows (ascending) into `out`: row i
+    has the codeword (type field `type_index[i]`, `symbols[i]`) and side
+    information `side_info[i]`.  The type field indexes `types`, the type
+    indices of an FF region, or with `types` None is a type index.
 
-    Rows are sorted by type index once.  The side information of every
-    row is ranked and type-checked with one gather of its code table
-    (`types_core.rank_runs`; past the table's limit, one search per held
-    class), each table's slot buffer is read once, on its contiguous run
-    of rows, ranks are unranked by one gather (`types_core.unrank_runs`;
-    past the limit, one per reproduced class), and a type of one symbol
-    goes through `letter_map`.  A failure raises the lowest failing row's
-    error (`range_error` for a type index out of range; checks in the
-    scalar order), with that row as `row`.
+    One lookup gives every row its book entry.  The side information is
+    ranked and type-checked by one code-table gather (past its limit a
+    sort checks it and each held class is searched once), and every slot
+    read, unrank (past the limit, one per class) and letter map of a type
+    of one symbol is one gather.  A failure raises the lowest failing
+    row's error (`range_error` for a type field out of range; checks in
+    the scalar order), with that row as `row`.
     """
     type_index, symbols = np.asarray(type_index), np.asarray(symbols)
     if not len(type_index) == len(symbols) == len(side_info):
         raise ValueError(f"codeword fields of {len(type_index)} and {len(symbols)} rows for {len(side_info)} blocks")
-    failures, bad = [], (type_index[rows] < 0) | (type_index[rows] >= count)
+    count = book.type_count if types is None else len(types)
+    fields = type_index[rows]
+    failures, bad = [], (fields < 0) | (fields >= count)
     if bad.any():
         row = int(rows[np.argmax(bad)])
         failures.append(range_error(f"type index {type_index[row]} out of range", row))
-        rows = rows[~bad]
-    order, runs = index_runs(type_index[rows])
-    rows = rows[order]  # sorted by type index: positions into `rows` from here
-    symbol, delta = symbols[rows], np.ones(len(rows), np.int64)  # a one-symbol row keeps delta 1
-    tabled, maps = [], []
-    for idx, start, stop in runs:
-        jt = type_at(idx)
-        held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
-        if num_symbols_of(jt) == 1:
-            maps.append((letter_map(jt, side), held.counts, start, stop))
-        else:
-            t = get_coding_table(jt)
-            delta[start:stop] = t.num_symbols
-            tabled.append((t, held.counts, other.counts, start, stop))
-    rank, wrong_side = rank_runs(
-        side_info, rows, [(held, start, stop) for _, held, _, start, stop in tabled],
-        [(held, start, stop) for _, held, start, stop in maps],
-    )
-    slot, found = rank * delta + symbol, np.zeros(len(rows), np.int64)
-    for t, _, _, start, stop in tabled:  # a clipped read is a bad symbol
-        found[start:stop] = np.frombuffer(t.row_of if side == "x" else t.col_of, np.int32).take(slot[start:stop], mode="clip")
-    unrank_runs([(other, start, stop) for _, _, other, start, stop in tabled], found, out, rows)
-    if maps:  # one gather over every one-symbol row, each picking its type's map
-        one = rows[delta == 1]
-        pick = np.repeat(np.arange(len(maps)), [stop - start for _, _, start, stop in maps])
-        out[one] = np.array([to for to, _, _, _ in maps], out.dtype)[pick[:, None], side_info[one]]
-    wrong = wrong_side | (symbol < 0) | (symbol >= delta) | (found < 0)
+        rows, fields = rows[~bad], fields[~bad]
+    ids = book.ids(fields if types is None else types[fields])
+    held, other = held_and_decoded(side, 0, 1)  # x is side 0 of the book, y side 1
+    delta, symbol, letters = book.delta[ids], symbols[rows], side_info.take(rows, axis=0)
+    tabled = delta > 1
+    rank, wrong_side = book.classes[held].rank(letters, book.cls[held][ids], tabled)
+    wrong = wrong_side | (symbol < 0) | (symbol >= delta)
+    read, found = np.flatnonzero(tabled & ~wrong), np.zeros(len(rows), np.int64)
+    found[read] = book.slots[held][book.base[held][ids[read]] + rank[read] * delta[read] + symbol[read]]
+    wrong |= found < 0
+    read = read[found[read] >= 0]
+    _put_rows(out, rows[read], book.classes[other].unrank(book.cls[other][ids[read]], found[read]))
+    one = np.flatnonzero(~tabled)
+    maps = book.maps[other]  # a one-symbol row's letters through its entry's map
+    mapped = maps.ravel().take(letters.take(one, axis=0) + (ids[one] * maps.shape[1])[:, None])
+    _put_rows(out, rows[one], mapped)
     if wrong.any():
-        at = np.flatnonzero(wrong)
-        i = at[np.argmin(rows[at])]
+        i = int(np.argmax(wrong))
         if wrong_side[i]:
             failures.append(SideInfoMismatchError("side information type does not match codeword", int(rows[i])))
         else:
@@ -329,6 +314,13 @@ def decode_rows(type_at, count, type_index, symbols, side_info, side, out, rows,
             failures.append(SymbolNotFoundError(f"symbol {symbol[i]} absent in {where}", int(rows[i])))
     if failures:
         raise min(failures, key=lambda exc: exc.row)
+
+
+def _put_rows(out: np.ndarray, at: np.ndarray, rows: np.ndarray) -> None:
+    """`out[at] = rows`, a whole row per item: several times faster than
+    numpy's fancy indexing of short rows.  `out`'s rows must be contiguous."""
+    whole = np.dtype((np.void, out.shape[1] * out.itemsize))
+    out.view(whole)[:, 0][at] = np.ascontiguousarray(rows, out.dtype).view(whole)[:, 0]
 
 
 def _as_blocks(n: int, letters: np.ndarray, alphabet: Alphabet, what: str, rows: int | None = None) -> np.ndarray:

@@ -46,7 +46,7 @@ from .types_core import (
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, type_columns
-from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of
+from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
 from .ff_codec import (
     FFCodeConfig,
     _as_blocks,
@@ -233,16 +233,15 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     code's alphabets: the word of row i is `words[0][i]` in the header and
     `words[1][i]` in the symbol field (0 for a type of one symbol).
 
-    Rows are ranked by one code-table gather per side
-    (`ff_codec.encode_rows`; past the table's limit, one search per
-    marginal class).  The fields are kept apart because a word can be
-    wider than an int64.  ValueError, before any table is built, if the
-    rows hold more than `code.types_kept` distinct joint types.
+    The symbols come from `ff_codec.encode_rows` over the slot book the
+    FF codes of this n share.  The fields are kept apart because a word
+    can be wider than an int64.  ValueError, before any table is built,
+    if the rows hold more than `code.types_kept` distinct joint types.
     """
     x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y", len(x))
     type_index = joint_type_index(x, y, code.ax.size, code.ay.size)
     code.check_distinct(type_index)
-    return type_index, encode_rows(x, y, code.type_at, type_index)
+    return type_index, encode_rows(slot_book(code.n, code.ax, code.ay), x, y, type_index)
 
 
 def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -258,7 +257,8 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     side_info = _as_blocks(code.n, side_info, held, "side information", len(words[0]))
     code.check_distinct(np.asarray(words[0]))
     out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    decode_rows(code.type_at, code.type_count, *words, side_info, side, out, np.arange(len(out)), MalformedCodewordError)
+    book = slot_book(code.n, code.ax, code.ay)
+    decode_rows(book, None, *words, side_info, side, out, np.arange(len(out)), MalformedCodewordError)
     return out
 
 

@@ -15,9 +15,9 @@ objects built once and shared by every decode.
 A block's code is its letters read as a base-k integer, and blocks sort
 as their codes do.  For blocks of up to _CODE_TABLE_LIMIT = 2^16 codes
 `code_table` lists every block's rank in its class and its class key
-(the code of its sorted letters), so `rank_runs` ranks and type-checks a
-whole sorted batch with one gather and `unrank_runs` unranks with one;
-above the limit both search each class once, as `rank_rows` does.
+(the code of its sorted letters), so the batch codecs rank and
+type-check a whole batch with one gather and unrank with one; above the
+limit they search each class once, as `rank_rows` does.
 
 `type_of` and `joint_type_of` count a block in one pass and return the
 validated object of that count vector from a bounded cache, and a joint
@@ -330,7 +330,7 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
     return types
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a 256-letter key takes about 2 KB: a few MB at most
 def _multinomial_cached(counts: tuple[int, ...]) -> int:
     n = sum(counts)
     return reduce(lambda acc, c: acc // factorial(c), filter(None, counts), factorial(n))
@@ -514,7 +514,7 @@ class CodeTable(NamedTuple):
 
     def unrank(self, keys, ranks) -> np.ndarray:
         """The letters of the member of rank `ranks[i]` of the class of key `keys[i]`."""
-        return self.members[self.by_class[self.start[keys] + ranks]]
+        return self.members.take(self.by_class[self.start[keys] + ranks], axis=0)
 
 
 @lru_cache(maxsize=8)
@@ -562,78 +562,6 @@ def class_key(counts: tuple[int, ...]) -> int:
         step = k ** counts[letter]
         key = key * step + (letter * (step - 1) // (k - 1) if letter else 0)
     return key
-
-
-def rank_runs(letters: np.ndarray, rows: np.ndarray, ranked, checked=()) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of the blocks `letters[rows]` in their classes and a mask of the
-    ones not of their class, by position in `rows`.
-
-    `ranked` and `checked` list runs (class counts, start, stop): positions
-    start..stop-1 should be of that class.  Rows of a `checked` run are
-    only type-checked, and rows in no run pass; the rank of either is
-    unspecified.  Letters lie in their alphabet (not checked).  Within
-    _CODE_TABLE_LIMIT codes one gather of the code table ranks and checks
-    every row; above it each ranked class is searched once, as by
-    `rank_rows`, and checked rows are sorted and compared with their
-    class's first member.
-    """
-    runs = [*ranked, *checked]
-    table = code_table(letters.shape[1], len(runs[0][0])) if runs else None
-    if table is not None:
-        codes = (letters @ table.powers)[rows]
-        key = table.key[codes]
-        expected = key.copy()
-        for counts, start, stop in runs:
-            expected[start:stop] = class_key(counts)
-        return table.rank[codes], key != expected
-    ranks, wrong = np.zeros(len(rows), np.int64), np.zeros(len(rows), bool)
-    for counts, start, stop in checked:
-        first = np.repeat(np.arange(len(counts)), counts)
-        wrong[start:stop] = (np.sort(letters[rows[start:stop]], axis=1) != first).any(axis=1)
-    for counts, at in _by_class(ranked):
-        ranks[at], wrong[at] = _search_ranks(letters[rows[at]], counts)
-    return ranks, wrong
-
-
-def unrank_runs(runs, ranks: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    """Write into `out[rows[i]]`, for every position i of a run (class counts,
-    start, stop), the member of rank `ranks[i]` of that class: one gather of
-    the code table within its limit, one per class above it."""
-    if not runs:
-        return
-    table = code_table(out.shape[1], len(runs[0][0]))
-    if table is None:
-        for counts, at in _by_class(runs):
-            out[rows[at]] = _class_letters(counts)[ranks[at]]
-        return
-    at = np.concatenate([np.arange(start, stop) for _, start, stop in runs])
-    keys = np.repeat([class_key(counts) for counts, _, _ in runs], [stop - start for _, start, stop in runs])
-    out[rows[at]] = table.unrank(keys, ranks[at])
-
-
-def _by_class(runs) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The positions of the runs (class counts, start, stop), merged into one array per class."""
-    parts = {}
-    for counts, start, stop in runs:
-        parts.setdefault(counts, []).append(np.arange(start, stop))
-    return [(counts, np.concatenate(at)) for counts, at in parts.items()]
-
-
-def index_runs(index: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """The rows of a 1-D integer index sorted by value, rows of a negative
-    value left out, and the run (value, start, stop) of each value in
-    that order: values ascending, each run's rows ascending.  One stable
-    argsort, numpy's radix sort when the values fit 16 bits."""
-    index = np.asarray(index)
-    small = len(index) and -1 <= index.min() and index.max() < (1 << 16) - 1
-    order = np.argsort((index + 1).astype(np.uint16) if small else index, kind="stable")
-    value = index[order]
-    first = int(np.searchsorted(value, 0))
-    order, value = order[first:], value[first:]
-    if not len(order):
-        return order, []
-    bounds = [0, *(np.flatnonzero(np.diff(value)) + 1).tolist(), len(order)]
-    return order, list(zip(value[bounds[:-1]].tolist(), bounds, bounds[1:]))
 
 
 @lru_cache(maxsize=64)
@@ -691,6 +619,8 @@ def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
 
 def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
     """Row pairs (x[i], y[i]) grouped by joint type, in type index order."""
-    order, runs = index_runs(joint_type_index(x, y, kx, ky))
-    types = joint_types_at([value for value, _, _ in runs], np.shape(x)[1], kx, ky)
-    return [(jt, order[start:stop]) for jt, (_, start, stop) in zip(types, runs)]
+    index = joint_type_index(x, y, kx, ky)
+    order = np.argsort(index, kind="stable")
+    values, starts = np.unique(index[order], return_index=True)
+    groups = np.split(order, starts[1:])
+    return list(zip(joint_types_at(values, np.shape(x)[1], kx, ky), groups))

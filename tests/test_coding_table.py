@@ -19,9 +19,10 @@ from compdeliv.coding_table import (
     decode_side,
     edge_color,
     get_coding_table,
+    slot_book,
 )
-from compdeliv.ff_codec import bit_width
-from compdeliv.fv_codec import fv_decode_batch, make_fv_code
+from compdeliv.ff_codec import FFCodeConfig, bit_width, encode_rows, ff_decode_batch, ff_encode_batch
+from compdeliv.fv_codec import fv_decode_batch, fv_encode_batch, make_fv_code
 from compdeliv.types_core import (
     BINARY,
     Alphabet,
@@ -32,10 +33,20 @@ from compdeliv.types_core import (
     rank_in_type_class,
     type_class_size,
     unrank_in_type_class,
+    unrank_rows,
     v_shell_size,
     w_shell_size,
 )
 from conftest import all_binary_pairs, assert_proper_coloring as assert_proper, seq
+
+
+def batch_symbols(jt: JointType, rows, cols) -> np.ndarray:
+    """The batch encoder's symbols (`ff_codec.encode_rows`) of the blocks of
+    ranks rows[i] and cols[i] in jt's marginal classes, every pair given
+    jt's type index, whatever its own joint type."""
+    x, y = unrank_rows(jt.x_marginal().counts, rows), unrank_rows(jt.y_marginal().counts, cols)
+    book = slot_book(jt.n, Alphabet(jt.num_x), Alphabet(jt.num_y))
+    return encode_rows(book, x, y, np.full(len(x), jt.index))
 
 
 def cells(table):
@@ -215,8 +226,9 @@ class TestLookups:
             t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
         unmarked = next(c for c in range(t.graph.right_size) if (0, c) not in set(t.graph.edges))
         (first_row, first_col), *_ = t.graph.edges
-        with pytest.raises(PairTypeMismatchError):  # one bad element fails the batch
-            t.symbols_at(np.array([first_row, 0]), np.array([first_col, unmarked]))
+        with pytest.raises(PairTypeMismatchError) as caught:  # one bad element fails the batch
+            batch_symbols(t.jt, np.array([first_row, 0]), np.array([first_col, unmarked]))
+        assert caught.value.row == 1
 
     def test_absent_symbol_signals_desync(self):
         with pytest.raises(SymbolNotFoundError):  # a type of one symbol
@@ -293,7 +305,7 @@ class TestLookups:
         for jt in enumerate_joint_types(n, BINARY, BINARY):
             t = get_coding_table(jt)
             rows, cols = np.array(list(t.graph.edges)).T
-            syms = t.symbols_at(rows, cols)
+            syms = batch_symbols(jt, rows, cols)
             assert syms.tolist() == [t.symbol_at(i, j) for i, j in t.graph.edges]
 
 
@@ -309,7 +321,7 @@ class TestSlotBuffers:
             delta = t.num_symbols
             rows, cols = np.array(list(t.graph.edges)).reshape(-1, 2).T
             syms = [t.symbol_at(i, j) for i, j in t.graph.edges]
-            assert t.symbols_at(rows, cols).tolist() == syms
+            assert batch_symbols(jt, rows, cols).tolist() == syms
             for i, j, s in zip(rows.tolist(), cols.tolist(), syms):
                 assert t.col_of[i * delta + s] == j and t.row_of[j * delta + s] == i
                 assert t.row_for(j, s) == i and t.col_for(i, s) == j
@@ -324,23 +336,62 @@ class TestSlotBuffers:
         rows, cols = rows[order], cols[order]
         step = max(1, slice_slots // t.num_symbols)
         assert len(rows) > 3 * step  # the batch spans several slices
-        syms = t.symbols_at(rows, cols)
+        syms = batch_symbols(t.jt, rows, cols)
         assert syms.tolist() == [t.symbol_at(i, j) for i, j in zip(rows.tolist(), cols.tolist())]
         bad, delta = len(rows) - 2, t.num_symbols  # a cell in the last slice
         marked = set(t.col_of[rows[bad] * delta:(rows[bad] + 1) * delta])
         cols[bad] = unmarked = next(c for c in range(t.graph.right_size) if c not in marked)
         with pytest.raises(PairTypeMismatchError, match=f"row {rows[bad]}, column {unmarked}") as info:
-            t.symbols_at(rows, cols)
+            batch_symbols(t.jt, rows, cols)
         assert info.value.row == bad
 
-    def test_buffers_total_four_bytes_per_slot(self):
+    @pytest.mark.parametrize("narrow_class, itemsize", [(2 ** 15, 2), (1, 4)])
+    def test_buffers_take_their_item_size_per_slot(self, monkeypatch, narrow_class, itemsize):
+        # Classes of binary n=6 have at most 20 members: 16-bit slots,
+        # unless the narrow limit is below them.
+        monkeypatch.setattr(coding_table, "_NARROW_CLASS", narrow_class)
         assert [f.name for f in dataclasses.fields(CodingTable)] == ["graph", "num_symbols", "col_of", "row_of"]
         for jt in enumerate_joint_types(6, BINARY, BINARY):
-            t = get_coding_table(jt)
-            g = t.graph
+            g = build_graph(jt)
+            t = edge_color(g)
             buffers = [v for v in vars(t).values() if isinstance(v, array)]
+            assert {b.itemsize for b in buffers} == {g.edges.cols.itemsize} == {itemsize}
             total = sum(b.itemsize * len(b) for b in buffers)
-            assert total == 4 * (g.left_size + g.right_size) * t.num_symbols
+            assert total == itemsize * (g.left_size + g.right_size) * t.num_symbols
+
+    def test_narrow_and_wide_slots_code_alike(self, monkeypatch):
+        # Binary n=8 classes have at most 70 members.  With the narrow limit
+        # at 60 the slot book and the tables of the largest classes are
+        # 32-bit and the other tables 16-bit; at 1 everything is 32-bit.
+        # Every limit gives the same tables, words and decodes.
+        rng = np.random.default_rng(16)
+        x = rng.integers(0, 2, size=(400, 8))
+        y = x ^ (rng.random(x.shape) < 0.2)
+        cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
+
+        def code_all(narrow_class):
+            monkeypatch.setattr(coding_table, "_NARROW_CLASS", narrow_class)
+            get_coding_table.cache_clear()
+            slot_book.cache_clear()
+            tables = [edge_color(build_graph(jt)) for jt in enumerate_joint_types(8, BINARY, BINARY)]
+            out = [(list(t.col_of), list(t.row_of), list(t.graph.edges.cols)) for t in tables]
+            ff_words, fv_words = ff_encode_batch(cfg, x, y), fv_encode_batch(code, x, y)
+            out += [part.tolist() for part in (*ff_words, *fv_words)]
+            for side, held in (("x", y), ("y", x)):
+                out.append(ff_decode_batch(cfg, ff_words, held, side).tolist())
+                out.append(fv_decode_batch(code, fv_words, held, side).tolist())
+            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY).slots[0].dtype, out
+
+        try:
+            narrow, mixed, wide = code_all(2 ** 15), code_all(60), code_all(1)
+        finally:
+            monkeypatch.undo()
+            get_coding_table.cache_clear()
+            slot_book.cache_clear()
+        assert narrow[:2] == ({"h"}, np.int16)
+        assert mixed[:2] == ({"h", "i"}, np.int32)
+        assert wide[:2] == ({"i"}, np.int32)
+        assert narrow[2] == mixed[2] == wide[2]
 
 
 class TestDump:

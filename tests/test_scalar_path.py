@@ -21,6 +21,7 @@ from compdeliv.coding_table import (
     encode_pair,
     get_coding_table,
     num_symbols_of,
+    slot_book,
 )
 from compdeliv.ff_codec import (
     FFCodeConfig,
@@ -137,15 +138,14 @@ def test_300_letter_blocks_match_the_array_path():
     x, y = _pairs(300, 12, n, k, k)
     type_index = joint_type_index(x, y, k, k)
 
-    def type_at(index):
-        return joint_types_at([index], n, k, k)[0]
-
-    symbols = encode_rows(x, y, type_at, type_index)
-    types = [type_at(i) for i in type_index.tolist()]
-    rows, count = np.arange(len(x)), joint_type_count(n, k, k)
+    book = slot_book(n, ax, ax)
+    assert book.type_count == joint_type_count(n, k, k) > 2 ** 40
+    symbols = encode_rows(book, x, y, type_index)
+    types = joint_types_at(type_index, n, k, k)
+    rows = np.arange(len(x))
     out_x, out_y = np.zeros_like(x), np.zeros_like(y)
-    decode_rows(type_at, count, type_index, symbols, y, "x", out_x, rows)
-    decode_rows(type_at, count, type_index, symbols, x, "y", out_y, rows)
+    decode_rows(book, None, type_index, symbols, y, "x", out_x, rows)
+    decode_rows(book, None, type_index, symbols, x, "y", out_y, rows)
     assert (out_x == x).all() and (out_y == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, ax), _sequences(y, ax))):
         jt = joint_type_of(xi, yi)
@@ -266,7 +266,7 @@ def test_no_encoder_builds_a_one_symbol_table(encoder):
     balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
     ENCODERS[encoder](balanced, balanced)
     assert get_coding_table.cache_info().currsize == 0
-    symbols = encode_rows(x, x, make_fv_code(8).type_at, joint_type_index(x, x, 2, 2))
+    symbols = encode_rows(slot_book(8, BINARY, BINARY), x, x, joint_type_index(x, x, 2, 2))
     assert not symbols.any()
     assert get_coding_table.cache_info().currsize == 0
 
@@ -425,25 +425,25 @@ def _sparse_pairs(seed, m, n):
 
 @pytest.mark.parametrize("mode", ["ff", "fv"])
 def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
-    # Whichever module calls it, a batch ranks each side with one
-    # `rank_runs`: within the code table's limit (binary n=10) one table
-    # gather and no class search; past it (binary n=17) one search per
-    # marginal class, however many joint types share the class.
+    # A batch ranks each side with one call of its slot book's class
+    # ranker: within the code table's limit (binary n=10) one table gather
+    # and no class search; past it (binary n=17) one search per marginal
+    # class, however many joint types share the class.
     ranked, searched = [], []
-    rank_runs, search = types_core.rank_runs, types_core._search_ranks
+    rank, search = coding_table._Classes.rank, types_core._search_ranks
 
-    def counted_runs(*args):
+    def counted_rank(*args):
         ranked.append(len(args[1]))
-        return rank_runs(*args)
+        return rank(*args)
 
     def counted_search(letters, counts):
         searched.append(counts)
         return search(letters, counts)
 
+    monkeypatch.setattr(coding_table._Classes, "rank", counted_rank)
     for name, module in list(sys.modules.items()):
-        if name.startswith("compdeliv") and getattr(module, "rank_runs", None) is rank_runs:
-            monkeypatch.setattr(module, "rank_runs", counted_runs)
-    monkeypatch.setattr(types_core, "_search_ranks", counted_search)
+        if name.startswith("compdeliv") and getattr(module, "_search_ranks", None) is search:
+            monkeypatch.setattr(module, "_search_ranks", counted_search)
     for n, (x, y) in ((10, _pairs(10, 2000, 10, 2, 2)), (17, _sparse_pairs(17, 300, 17))):
         within = types_core.code_table(n, 2) is not None
         assert within == (n == 10)

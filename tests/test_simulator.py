@@ -2,8 +2,6 @@
 
 import json
 import math
-from array import array
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +29,7 @@ from compdeliv.simulator import (
     _sample_cells,
     run_plan,
 )
-from compdeliv.types_core import enumerate_joint_types, joint_type_groups
+from compdeliv.types_core import enumerate_joint_types, joint_type_groups, joint_types_at, type_class_size
 from conftest import sample_pair
 
 
@@ -271,51 +269,50 @@ class TestBatchedSweep:
     def test_builds_the_tables_the_row_by_row_sweep_builds(self, monkeypatch):
         """On a cold cache: a type inside the largest rate's region whose
         trials are all of smaller rates gets no table."""
-        real, wanted = ff_codec.get_coding_table, []
-        monkeypatch.setattr(ff_codec, "get_coding_table", lambda jt: wanted.append(jt) or real(jt))
+        real, wanted = coding_table.get_coding_table, []
+        monkeypatch.setattr(coding_table, "get_coding_table", lambda jt: wanted.append(jt) or real(jt))
         built = []
         for run in (reference_run_plan, run_plan):
-            coding_table.get_coding_table.cache_clear()
+            real.cache_clear()
+            coding_table.slot_book.cache_clear()
             wanted.clear()
             run(MC_PLAN)
-            built.append((coding_table.get_coding_table.cache_info().misses, set(wanted)))
+            built.append((real.cache_info().misses, set(wanted)))
         assert built[0][0] > 0
         assert built[1] == built[0]
 
 
-def _swap_first_two_symbols(slots: array, vertices: int, delta: int) -> array:
-    """A copy of a lookup buffer whose every vertex with two or more cells
-    has its first two symbols exchanged."""
-    grid = np.frombuffer(slots, np.int32).reshape(vertices, delta).copy()
+def _swap_first_two_symbols(grid: np.ndarray) -> None:
+    """Exchange the first two symbols of every vertex with two or more cells
+    in `grid`, a (vertices, symbols) view of lookup slots."""
     for cells in grid:
         used = np.flatnonzero(cells >= 0)[:2]
         cells[used] = cells[used[::-1]]
-    return array("i", grid.tobytes())
 
 
 def corrupt_decoders(monkeypatch, corrupted) -> None:
     """Decoders of side s read a corrupted table of the joint type jt when
-    `corrupted(jt, s)`.  Only the decoders see it: the encoder reads its
-    symbols from col_of too, so corrupting the table for every caller would
-    keep the y round trip consistent."""
-    real_decode, real_table = ff_codec.decode_rows, ff_codec.get_coding_table
+    `corrupted(jt, s)`.  The batch decoders read the slot book's copies of
+    the tables, and the encoder reads the col_of copy too, so each decode
+    reads a corrupted copy of the book's buffer of its side (x is read
+    from the row_of copy, y from the col_of copy) while the encoder, and
+    every other caller, reads the clean one."""
+    real_decode = ff_codec.decode_rows
 
-    def table_for(side):
-        def table(jt):
-            t = real_table(jt)
-            if not corrupted(jt, side):
-                return t
-            if side == "x":  # x is read from row_of, y from col_of
-                return replace(t, row_of=_swap_first_two_symbols(t.row_of, t.graph.right_size, t.num_symbols))
-            return replace(t, col_of=_swap_first_two_symbols(t.col_of, t.graph.left_size, t.num_symbols))
-        return table
-
-    def corrupted_decode(type_at, count, type_index, symbols, side_info, decoded, out, rows):
-        monkeypatch.setattr(ff_codec, "get_coding_table", table_for(decoded))
+    def corrupted_decode(book, types, type_index, symbols, side_info, decoded, out, rows):
+        held = 1 if decoded == "x" else 0
+        book.ids(type_index[rows] if types is None else types[type_index[rows]])  # enter every type first
+        clean = book.slots[held]
+        book.slots[held] = clean.copy()
+        for i, jt in enumerate(joint_types_at(list(book.met), book.n, 2, 2)):
+            delta, vertices = int(book.delta[i]), type_class_size(jt.y_marginal() if held else jt.x_marginal())
+            if delta > 1 and corrupted(jt, decoded):
+                start = int(book.base[held][i])
+                _swap_first_two_symbols(book.slots[held][start:start + vertices * delta].reshape(vertices, delta))
         try:
-            return real_decode(type_at, count, type_index, symbols, side_info, decoded, out, rows)
+            return real_decode(book, types, type_index, symbols, side_info, decoded, out, rows)
         finally:
-            monkeypatch.setattr(ff_codec, "get_coding_table", real_table)
+            book.slots[held] = clean
 
     monkeypatch.setattr(ff_codec, "decode_rows", corrupted_decode)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from compdeliv.coding_table import _Classes
 from compdeliv.types_core import (
     _CODE_TABLE_LIMIT,
     _RANK_MAP_LIMIT,
@@ -25,7 +26,6 @@ from compdeliv.types_core import (
     Sequence,
     TypeVector,
     enumerate_joint_types,
-    index_runs,
     joint_type_groups,
     joint_type_index,
     joint_types_at,
@@ -34,12 +34,10 @@ from compdeliv.types_core import (
     multinomial,
     rank_in_type_class,
     rank_rows,
-    rank_runs,
     type_class_size,
     type_of,
     unrank_in_type_class,
     unrank_rows,
-    unrank_runs,
     v_shell_size,
     w_shell_size,
 )
@@ -284,26 +282,6 @@ class TestRowRanks:
         with pytest.raises(RankRangeError):
             unrank_rows((2, 1), [-1])
 
-    @pytest.mark.parametrize("high", [3, 2 ** 40])
-    def test_index_groups_exact_at_any_width(self, high):
-        # Values below 2^16 take the 16-bit radix sort, 2^40-wide ones the
-        # int64 sort; rows of value -1 are left out of both.
-        rng = np.random.default_rng(high)
-        keys = rng.integers(-1, high, size=50)[rng.integers(0, 50, size=400)]
-        keys[::7] = -1
-        expected = {}
-        for i, value in enumerate(keys.tolist()):
-            if value >= 0:
-                expected.setdefault(value, []).append(i)
-        order, runs = index_runs(keys)
-        groups = [(value, order[start:stop]) for value, start, stop in runs]
-        assert [value for value, _ in groups] == sorted(expected)
-        assert {value: rows.tolist() for value, rows in groups} == expected
-        assert [stop for _, _, stop in runs] == [start for _, start, _ in runs[1:]] + [len(order)]
-        for empty in (keys[:0], np.full(3, -1)):
-            order, runs = index_runs(empty)
-            assert runs == [] and len(order) == 0
-
 
 def _type_rows(types, ky, rng):
     """One (x, y) block pair of each joint type, its pairs in a seeded order, as two arrays."""
@@ -331,28 +309,26 @@ class TestCodeTable:
             start += size
         assert [counts for counts, _, _ in runs[:50]] == list(itertools.islice(_compositions(n, k), 50))
         every, searched = [], []
-        try:
-            for counts, start, stop in runs:
-                every.append(unrank_rows(counts, np.arange(stop - start)))
-                searched.append(rank_rows(every[-1], counts))
-        finally:  # 33k classes of 256 letters: drop their counts from the unbounded multinomial memo
-            _multinomial_cached.cache_clear()
+        for counts, start, stop in runs:
+            every.append(unrank_rows(counts, np.arange(stop - start)))
+            searched.append(rank_rows(every[-1], counts))
+        # 32,896 classes of 256 letters at n=2: the multinomial memo keeps at most its bound.
+        memo = _multinomial_cached.cache_info()
+        assert memo.currsize <= memo.maxsize
         every, searched = np.concatenate(every), np.concatenate(searched)
         codes = every.astype(np.int64) @ table.powers
         assert sorted(codes.tolist()) == list(range(k ** n)) and len(table.rank) == k ** n
         keys = np.repeat([class_key(counts) for counts, _, _ in runs], [stop - start for _, start, stop in runs])
         assert (table.rank[codes] == searched).all() and (table.key[codes] == keys).all()
         assert (table.unrank(keys, searched) == every).all()
-        # Batch entries: every block ranked, checked and unranked through runs.
-        rows = np.random.default_rng(n * k).permutation(len(every))
-        letters = np.empty_like(every)
-        letters[rows] = every
-        ranks, wrong = rank_runs(letters, rows, runs)
+        # A slot book's classes: every block ranked, checked and unranked, in a seeded order.
+        classes = _Classes(n, k)
+        cls = np.repeat(classes.ids_of([counts for counts, _, _ in runs]), [stop - start for _, start, stop in runs])
+        order = np.random.default_rng(n * k).permutation(len(every))
+        ranks, wrong = classes.rank(every[order], cls[order], np.ones(len(order), bool))
         assert not wrong.any()
-        assert ranks.tolist() == [r for counts, start, stop in runs for r in range(stop - start)]
-        out = np.zeros_like(letters)
-        unrank_runs(runs, ranks, out, rows)
-        assert (out == letters).all()
+        assert (ranks == searched[order]).all()
+        assert (classes.unrank(cls[order], ranks) == every[order]).all()
 
     def test_limit(self):
         # The limit is 2^16 codes: past it there is no table.
@@ -361,19 +337,22 @@ class TestCodeTable:
             assert k ** n > _CODE_TABLE_LIMIT and code_table(n, k) is None
 
     def test_rows_of_another_class_flagged_on_both_paths(self, monkeypatch):
+        # Rows 0 and 1 should be of class (1, 2) and are ranked; rows 2 and
+        # 3 should be of (2, 1) and are only checked.
         letters = np.array([[0, 1, 1], [0, 0, 1], [1, 1, 0], [1, 0, 0]], np.uint8)
-        rows, ranked, checked = np.arange(4), [((1, 2), 0, 2)], [((2, 1), 2, 4)]
-        with_table = rank_runs(letters, rows, ranked, checked)
+        classes = _Classes(3, 2)
+        cls = np.array(classes.ids_of([(1, 2), (1, 2), (2, 1), (2, 1)]))
+        ranked = np.array([True, True, False, False])
+        with_table = classes.rank(letters, cls, ranked)
         monkeypatch.setattr("compdeliv.types_core._CODE_TABLE_LIMIT", 0)
         code_table.cache_clear()
         try:
-            searched = rank_runs(letters, rows, ranked, checked)
+            searched = classes.rank(letters, cls, ranked)
         finally:
             monkeypatch.undo()
             code_table.cache_clear()
         for ranks, wrong in (with_table, searched):
             assert wrong.tolist() == [False, True, True, False] and ranks[0] == 0
-        assert rank_runs(letters, rows, []) [1].tolist() == [False] * 4
 
 
 class TestTypeIndex:
