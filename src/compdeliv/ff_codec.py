@@ -32,6 +32,7 @@ from .types_core import (
     Sequence,
     _letter_dtype,
     _lex_maps,
+    _read_only,
     enumerate_joint_types,
     interned,
     joint_type_index,
@@ -146,8 +147,7 @@ def make_code(cfg: FFCodeConfig) -> FFCode:
     types = enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
     inside = np.array([in_decodable_region(jt, cfg.rate) for jt in types], bool)
     region = tuple(jt for jt, keep in zip(types, inside) if keep)
-    region_index = np.where(inside, np.cumsum(inside) - 1, -1)
-    region_index.flags.writeable = False
+    region_index = _read_only(np.where(inside, np.cumsum(inside) - 1, -1))
     max_symbols = max((num_symbols_of(jt) for jt in region), default=1)
     return FFCode(cfg, region, region_index, region_index.tolist(), bit_width(len(region)), bit_width(max_symbols))
 
@@ -362,7 +362,7 @@ class ErrorProbability:
 def exact_error_probability(cfg: FFCodeConfig, p: SourceSpec) -> ErrorProbability:
     """Both decoders fail exactly on region escape, so e_x = e_y = P(escape)."""
     cols, limit = _source_columns(cfg, p), cfg.rate + RATE_TIE_TOL
-    escape = sum(q for h, q in zip(cols.max_entropy, cols.probability) if h > limit)  # outside the region
+    escape = sum(cols.probability[cols.max_entropy > limit].tolist())  # outside the region, type after type
     return ErrorProbability(e_x=escape, e_y=escape)
 
 

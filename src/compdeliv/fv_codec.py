@@ -36,6 +36,7 @@ from .types_core import (
     RowError,
     Sequence,
     _letter_dtype,
+    _read_only,
     _types_over,
     cached_attribute,
     enumerate_joint_types,
@@ -118,9 +119,9 @@ class FVCode:
         return self.header_width + self.symbol_width(jt)
 
     @cached_attribute
-    def codeword_lengths(self) -> tuple[int, ...]:
-        """`codeword_length` of every type, by type index (enumerated: MAX_JOINT_TYPE_COUNTS)."""
-        return tuple(map(self.codeword_length, enumerate_joint_types(self.n, self.ax, self.ay)))
+    def codeword_lengths(self) -> np.ndarray:
+        """`codeword_length` of every type, by type index, read-only (enumerated: MAX_JOINT_TYPE_COUNTS)."""
+        return _read_only(np.array(list(map(self.codeword_length, enumerate_joint_types(self.n, self.ax, self.ay)))))
 
     @property
     def types_kept(self) -> int:
@@ -314,23 +315,24 @@ def fv_decode_y(cw: FVCodeword, x: Sequence, ay: Alphabet | None = None) -> Sequ
 
 def expected_length(n: int, p: SourceSpec) -> float:
     """E[codeword length] in bits, exact sum over joint types."""
-    return sum(q * length for q, length in _probabilities_and_lengths(n, p))
+    return sum(np.multiply(*_probabilities_and_lengths(n, p)).tolist())
 
 
 def overflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     """P(length > n(rate + epsilon_n)), exact sum over joint types."""
-    threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
-    return sum(q for q, length in _probabilities_and_lengths(n, p) if length > threshold)
+    q, lengths = _probabilities_and_lengths(n, p)
+    return sum(q[lengths > n * (rate + epsilon_n(n, p.ax, p.ay))].tolist())
 
 
 def underflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     """P(length < n * rate), exact sum over joint types."""
-    return sum(q for q, length in _probabilities_and_lengths(n, p) if length < n * rate)
+    q, lengths = _probabilities_and_lengths(n, p)
+    return sum(q[lengths < n * rate].tolist())
 
 
-def _probabilities_and_lengths(n: int, p: SourceSpec):
-    """(type-class probability, codeword length) of every joint type, by type index."""
-    return zip(type_columns(n, p).probability, make_fv_code(n, p.ax, p.ay).codeword_lengths)
+def _probabilities_and_lengths(n: int, p: SourceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The type-class probabilities and codeword lengths of the joint types, by type index."""
+    return type_columns(n, p).probability, make_fv_code(n, p.ax, p.ay).codeword_lengths
 
 
 # --- Wrapping a fixed-length code into a zero-error variable-length one ---
@@ -396,7 +398,7 @@ class WrappedFVCode:
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""
         cols = _source_columns(self.cfg, p)
-        total = sum(q * self.codeword_length(jt) for jt, q in zip(cols.types, cols.probability))
+        total = sum(q * self.codeword_length(jt) for jt, q in zip(cols.types, cols.probability.tolist()))
         return total / self.cfg.n
 
 

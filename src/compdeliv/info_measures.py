@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import Alphabet, JointType, enumerate_joint_types, interned, _is_rectangular, multinomial
+from .types_core import Alphabet, JointType, cached_attribute, enumerate_joint_types, interned, multinomial
+from .types_core import _is_rectangular, _read_only
 
 # Ties against the rate threshold count as inside the decodable region
 # (the region is defined with "<=").
@@ -50,11 +51,11 @@ class SourceSpec:
     def num_y(self) -> int:
         return len(self.p_xy[0])
 
-    @property
+    @cached_attribute
     def ax(self) -> Alphabet:
         return Alphabet(self.num_x)
 
-    @property
+    @cached_attribute
     def ay(self) -> Alphabet:
         return Alphabet(self.num_y)
 
@@ -175,26 +176,26 @@ def prob_of_type_class(jt: JointType, p: SourceSpec) -> float:
 @dataclass(frozen=True)
 class TypeColumns:
     """Per joint type of block length n over a source's alphabets, in
-    `enumerate_joint_types` order: max conditional entropy, probability of
-    the type class and divergence from the source."""
+    `enumerate_joint_types` order, as read-only float64 arrays: max conditional
+    entropy, probability of the type class and divergence from the source."""
 
     types: tuple[JointType, ...]
-    max_entropy: tuple[float, ...]
-    probability: tuple[float, ...]
-    divergence: tuple[float, ...]
+    max_entropy: np.ndarray
+    probability: np.ndarray
+    divergence: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def type_columns(n: int, p: SourceSpec) -> TypeColumns:
     """The `TypeColumns` of (n, p), worked out once: a sweep reads them at
     every rate, for the error sum, the exponents and the overflow sum."""
     types = enumerate_joint_types(n, p.ax, p.ay)
-    return TypeColumns(
-        types,
-        tuple(map(_type_max_conditional_entropy, types)),
-        tuple(prob_of_type_class(jt, p) for jt in types),
-        tuple(kl_divergence(jt, p) for jt in types),
+    columns = (
+        list(map(_type_max_conditional_entropy, types)),
+        [prob_of_type_class(jt, p) for jt in types],
+        [kl_divergence(jt, p) for jt in types],
     )
+    return TypeColumns(types, *(_read_only(np.array(column)) for column in columns))
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,20 @@ class ExponentReport:
     argmin_type: JointType | None
 
 
+def _first_min(rate: float, n: int, cols: TypeColumns, objective: np.ndarray) -> ExponentReport:
+    """The least of `objective`, one value per type of cols, and the first
+    type in enumeration order that takes it (None when it is inf)."""
+    i = int(objective.argmin())
+    best = float(objective[i])
+    return ExponentReport(rate, n, best, cols.types[i] if best < math.inf else None)
+
+
 def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> ExponentReport:
     """min D(Q||P) over the joint types inside (or outside) the decodable
     region; the first minimizer in enumeration order."""
-    cols, limit = type_columns(n, p), rate + RATE_TIE_TOL
-    best, arg = math.inf, None
-    for jt, h, d in zip(cols.types, cols.max_entropy, cols.divergence):
-        if (h <= limit) == inside and d < best:
-            best, arg = d, jt
-    return ExponentReport(rate, n, best, arg)
+    cols = type_columns(n, p)
+    kept = (cols.max_entropy <= rate + RATE_TIE_TOL) == inside
+    return _first_min(rate, n, cols, np.where(kept, cols.divergence, math.inf))
 
 
 def error_exponent_outside(rate: float, p: SourceSpec, n: int) -> ExponentReport:
@@ -236,12 +242,7 @@ def converse_correct_exponent(rate: float, p: SourceSpec, n: int) -> ExponentRep
     """
     slack = epsilon_n(n, p.ax, p.ay)
     cols = type_columns(n, p)
-    best, arg = math.inf, None
-    for jt, h, d in zip(cols.types, cols.max_entropy, cols.divergence):
-        obj = max(h - (rate + slack), 0.0) + d
-        if obj < best:
-            best, arg = obj, jt
-    return ExponentReport(rate, n, best, arg)
+    return _first_min(rate, n, cols, np.maximum(cols.max_entropy - (rate + slack), 0.0) + cols.divergence)
 
 
 def _exp2_scaled(n: int, exponent: float) -> float:

@@ -1,18 +1,18 @@
 """Source sampling and Monte-Carlo verification sweeps.
 
-Exact type-sum computation is the primary truth; the Monte-Carlo columns
-exist to exercise the full encode/decode pipeline end to end, so every
-trial is actually encoded and both-side decoded (an unflagged mismatch is
-a table-logic defect and raises before the next block length is coded).
-The trials of every rate at one block length are coded together, in
-slices of at most `_BATCH_ROWS` rows: one `ff_encode_batch` and one
-`ff_decode_batch` per side and slice, with the code of the largest rate.
-Each trial is flagged by its own rate's region, so the report is the one
-that coding each grid row alone gives.
+Exact type sums (masked `type_columns` arrays) are the primary truth; the
+Monte-Carlo columns exercise the encode/decode pipeline end to end: every
+trial is encoded and decoded on both sides, and an unflagged mismatch, a
+table defect, raises before the next block length is coded.  The trials
+of every rate at one block length are coded together, in slices of at
+most `_BATCH_ROWS` rows: one `ff_encode_batch` and one `ff_decode_batch`
+per side and slice, with the code of the largest rate.  Each trial is
+flagged by its own rate's region, as coding each grid row alone flags it.
 
 PRNG contract: NumPy PCG64 (period 2^128), seeded through SeedSequence.
 Per-row generators are spawned from the master seed in row order, so the
-report depends only on the master seed, never on scheduling.
+report depends only on the master seed, never on scheduling.  A row's
+uniforms pick cells of p's CDF, read as letters from two per-source tables.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .types_core import _letter_dtype, joint_type_index
+from .types_core import _as_keys, _letter_dtype, _read_only, joint_type_index
 from .info_measures import (
     SourceSpec,
     correct_exponent_inside,
@@ -90,30 +91,33 @@ class ExperimentReport:
     rows: tuple[ReportRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        fields = list(ReportRow.__dataclass_fields__)
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(asdict(row))
+        buf, fields = io.StringIO(), list(ReportRow.__dataclass_fields__)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(map(attrgetter(*fields), self.rows))
         return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps([asdict(row) for row in self.rows], indent=2) + "\n"
 
 
-def _sample_cells(p: SourceSpec, n: int, trials: int, rng) -> np.ndarray:
-    cdf = np.cumsum(np.asarray(p.flat()))
+@lru_cache(maxsize=16)
+def _cell_tables(p: SourceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CDF of p's cells, row after row, and each cell's x and y letter."""
+    cdf = np.cumsum(p.flat())
     cdf[-1] = 1.0
-    u = rng.random((trials, n))
-    return np.searchsorted(cdf, u, side="right")
+    x, y = np.divmod(np.arange(len(cdf)), p.num_y)
+    return tuple(map(_read_only, (cdf, x.astype(_letter_dtype(p.num_x)), y.astype(_letter_dtype(p.num_y)))))
+
+
+def _sample_cells(p: SourceSpec, n: int, trials: int, rng) -> np.ndarray:
+    return np.searchsorted(_cell_tables(p)[0], rng.random((trials, n)), side="right")
 
 
 def _sample_letters(p: SourceSpec, n: int, trials: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """A grid row's (trials, n) x and y letters, drawn from the row's own seed."""
     cells = _sample_cells(p, n, trials, np.random.Generator(np.random.PCG64(seed)))
-    x, y = np.divmod(cells, p.num_y)
-    return x.astype(_letter_dtype(p.num_x)), y.astype(_letter_dtype(p.num_y))
+    return tuple(letters.take(cells) for letters in _cell_tables(p)[1:])
 
 
 def run_plan(plan: TrialPlan) -> ExperimentReport:
@@ -142,7 +146,7 @@ def _count_trials(p: SourceSpec, n: int, rates: list[float], trials: int, x, y) 
     `ff_encode_batch`, so it is flagged and no table is built for it.
     """
     cfg = FFCodeConfig(n, rates[-1], p.ax, p.ay)
-    lengths = np.array(make_fv_code(n, p.ax, p.ay).codeword_lengths)
+    lengths = make_fv_code(n, p.ax, p.ay).codeword_lengths
     # inside[i, t]: joint type t lies in the region of rate i.
     inside = np.array([make_code(FFCodeConfig(n, rate, p.ax, p.ay)).region_index >= 0 for rate in rates])
     eps = epsilon_n(n, p.ax, p.ay)
@@ -155,7 +159,7 @@ def _count_trials(p: SourceSpec, n: int, rates: list[float], trials: int, x, y) 
         index = joint_type_index(xs, ys, p.num_x, p.num_y)
         words = ff_encode_batch(cfg, xs, ys, np.where(inside[at, index], index, -1))
         wrong = [
-            (ff_decode_batch(cfg, words, side_info, side) != truth).any(axis=1) & ~words[0]
+            (_as_keys(ff_decode_batch(cfg, words, side_info, side)) != _as_keys(truth)) & ~words[0]
             for side, truth, side_info in (("x", xs, ys), ("y", ys, xs))
         ]
         masks = (words[0], lengths[index] > overflow_threshold[at], *wrong)
@@ -174,8 +178,7 @@ def _count_trials(p: SourceSpec, n: int, rates: list[float], trials: int, x, y) 
 def _report_row(p: SourceSpec, n: int, rate: float, trials: int, escapes: int, overflows: int) -> ReportRow:
     exact = exact_error_probability(FFCodeConfig(n, rate, p.ax, p.ay), p)
     mind_out = error_exponent_outside(rate, p, n).value
-    escape_exact = exact.e_x
-    stderr = 2.0 * math.sqrt(escape_exact * (1 - escape_exact) / trials)
+    stderr = 2.0 * math.sqrt(exact.e_x * (1 - exact.e_x) / trials)
     return ReportRow(
         n=n,
         rate=rate,

@@ -26,7 +26,8 @@ objects once its types have been seen.  Alphabets and types are
 `interned`: one live object per value, compared and hashed by identity.
 
 A joint type's index, its position in `enumerate_joint_types` order, is
-computed (`joint_type_index`, inverse `joint_types_at`), not enumerated.
+computed (`joint_type_index`, inverse `joint_types_at`), not enumerated:
+read by a block's count code from a table, or summed over its sorted letters.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ _RANK_MAP_LIMIT = 1 << 16
 _CODE_TABLE_LIMIT = 1 << 16
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # as many classes as `_class_letters` keeps
 def _lex_maps(counts: tuple[int, ...]):
     """(letters -> rank, rank -> Sequence) of a class up to _RANK_MAP_LIMIT, else None.
 
@@ -421,6 +422,12 @@ def _letter_dtype(k: int) -> type:
     return np.uint8 if k <= 256 else np.uint32
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only: a cached array is shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=256)
 def _class_letters(counts: tuple[int, ...]) -> np.ndarray:
     """Every arrangement of the multiset `counts`, one per row, lexicographic.
@@ -440,8 +447,7 @@ def _class_letters(counts: tuple[int, ...]) -> np.ndarray:
         letters = np.concatenate([letters[parent], letter[:, None].astype(dtype)], axis=1)
         remaining = remaining[parent]
         remaining[np.arange(len(parent)), letter] -= 1
-    letters.flags.writeable = False
-    return letters
+    return _read_only(letters)
 
 
 def _as_keys(letters: np.ndarray) -> np.ndarray:
@@ -458,9 +464,7 @@ def _as_keys(letters: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _class_keys(counts: tuple[int, ...]) -> np.ndarray:
     """`_as_keys` of `_class_letters(counts)`: the class's sorted search keys."""
-    keys = _as_keys(_class_letters(counts))
-    keys.flags.writeable = False
-    return keys
+    return _read_only(_as_keys(_class_letters(counts)))
 
 
 def _search_ranks(letters: np.ndarray, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -548,10 +552,7 @@ def code_table(n: int, k: int) -> CodeTable | None:
     start[key_order[first]] = first
     rank = np.empty(size, np.int32)
     rank[order] = np.arange(size, dtype=np.int32) - start[key_order]
-    table = CodeTable(powers, rank, key, start, order, members)
-    for array in table:
-        array.flags.writeable = False
-    return table
+    return CodeTable(*map(_read_only, (powers, rank, key, start, order, members)))
 
 
 @lru_cache(maxsize=_TYPE_CACHE_SIZE)
@@ -577,22 +578,45 @@ def _rank_table(n: int, cells: int) -> np.ndarray:
     table[n - 1] = np.arange(cells - 1, -1, -1)
     for k in range(n - 2, -1, -1):
         table[k] = np.cumsum(table[k + 1][::-1])[::-1]
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
+
+
+# Most count codes, (n + 1)^(kx * ky), of a `joint_type_index` table (8 B per
+# code): binary blocks up to n = 15, 3 x 2 letters up to n = 5.
+_COUNT_CODE_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _count_code(n: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, index): a block's count code sums weights[c] = (n+1)^c over its
+    pair letters c, and index[code] sums `_rank_table` along its sorted block."""
+    base, prefix = n + 1, np.zeros((n + 1, cells), np.int64)
+    np.cumsum(_rank_table(n, cells), axis=0, out=prefix[1:])
+    index, end = np.zeros(base ** cells, np.int64), np.zeros(base ** cells, np.int64)
+    for c in range(cells):  # a sorted block's letters c fill positions start to end - 1 (end > n: no block)
+        start, end = end, np.minimum(end + np.arange(base ** cells) // base ** c % base, n)
+        index += prefix[end, c] - prefix[start, c]
+    return _read_only(base ** np.arange(cells, dtype=np.float32)), _read_only(index)
 
 
 def joint_type_index(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> np.ndarray:
     """The type index (int64) of every row pair (x[i], y[i]) of two (m, n)
-    letter arrays, with nothing enumerated: a sum over the block's sorted
-    pair letters, so its cost grows with n, not the alphabets.  ValueError
-    for arrays of two shapes or a letter outside its alphabet."""
+    letter arrays, with nothing enumerated: a gather by the block's count
+    code up to _COUNT_CODE_LIMIT codes, else a sum over its sorted pair
+    letters.  ValueError for arrays of two shapes or a letter outside its
+    alphabet."""
     x, y = np.asarray(x), np.asarray(y)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError(f"x of shape {x.shape} and y of shape {y.shape}: row pairs need (m, n) arrays of one shape")
-    table = _rank_table(x.shape[1], kx * ky)
+    n, cells = x.shape[1], kx * ky
+    counted = cells <= 16 and (n + 1) ** cells <= _COUNT_CODE_LIMIT  # n >= 1 needs cells <= 16: no huge power
+    table = _count_code(n, cells) if counted else _rank_table(n, cells)
     for side, k in ((x, kx), (y, ky)):
         if side.size and not (0 <= side.min() and side.max() < k):
             raise ValueError(f"letter outside alphabet of size {k}")
+    if counted:  # the row sums as a float32 product: exact below 2^24
+        weights, index = table
+        return index.take((weights.take(x * ky + y) @ np.ones(n, np.float32)).astype(np.intp))
     letters = x.astype(np.intp) * ky + y  # the pair's letter in the kx * ky alphabet
     letters.sort(axis=1)
     letters += np.arange(0, table.size, kx * ky)

@@ -192,6 +192,25 @@ class TestBatch:
             cw = fv_encode(n, xs, ys)
             assert fv_decode_x(cw, ys) == xs and fv_decode_y(cw, xs) == ys
 
+    def test_cold_codec_enumerates_no_joint_types(self):
+        # Either side of the count code's limit, an FV encode and both
+        # decodes with a cold code, slot book and index tables compute every
+        # type index and list no joint types (the enumeration's cache counts
+        # every call, hit or miss).
+        from compdeliv import coding_table, types_core
+
+        for cache in (make_fv_code, coding_table.slot_book, types_core._count_code, types_core._rank_table):
+            cache.cache_clear()
+        before = enumerate_joint_types.cache_info()
+        for n, k, counted in ((8, 2, True), (2, 3, True), (4, 3, False)):
+            assert ((n + 1) ** (k * k) <= types_core._COUNT_CODE_LIMIT) == counted
+            x, y = correlated_blocks(n + k, 300, n, k)
+            code = make_fv_code(n, Alphabet(k), Alphabet(k))
+            words = fv_encode_batch(code, x, y)
+            assert (fv_decode_batch(code, words, y, "x") == x).all()
+            assert (fv_decode_batch(code, words, x, "y") == y).all()
+        assert enumerate_joint_types.cache_info() == before
+
     def test_a_code_keeps_at_most_max_joint_type_counts(self, monkeypatch):
         # Three binary joint types hold 12 counts: the memo keeps three, and
         # a fourth distinct one starts it again; a batch of four is refused.

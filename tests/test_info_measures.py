@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from compdeliv.info_measures import (
+    RATE_TIE_TOL,
     SourceSpec,
     achievable_rate,
     conditional_entropy,
@@ -234,9 +236,11 @@ class TestTypeColumns:
         p = SourceSpec(((0.3, 0.1), (0.05, 0.25), (0.2, 0.1)))
         cols = type_columns(n, p)
         assert cols.types == enumerate_joint_types(n, p.ax, p.ay)
-        assert cols.max_entropy == tuple(map(max_conditional_entropy, cols.types))
-        assert cols.probability == tuple(prob_of_type_class(jt, p) for jt in cols.types)
-        assert cols.divergence == tuple(kl_divergence(jt, p) for jt in cols.types)
+        assert cols.max_entropy.tolist() == list(map(max_conditional_entropy, cols.types))
+        assert cols.probability.tolist() == [prob_of_type_class(jt, p) for jt in cols.types]
+        assert cols.divergence.tolist() == [kl_divergence(jt, p) for jt in cols.types]
+        for column in (cols.max_entropy, cols.probability, cols.divergence):
+            assert column.dtype == np.float64 and not column.flags.writeable
         assert type_columns(n, p) is cols
 
     def test_argmin_is_the_first_minimizer(self):
@@ -249,6 +253,55 @@ class TestTypeColumns:
                 if candidates:
                     first = min(candidates, key=lambda jt: kl_divergence(jt, p))  # min keeps the first
                     assert report.argmin_type is first and report.value == kl_divergence(first, p)
+
+
+def _scan_min_divergence(rate, p, n, inside):
+    """The per-type scan the exponent reports were once taken with."""
+    cols, limit = type_columns(n, p), rate + RATE_TIE_TOL
+    best, arg = math.inf, None
+    for jt, h, d in zip(cols.types, cols.max_entropy.tolist(), cols.divergence.tolist()):
+        if (h <= limit) == inside and d < best:
+            best, arg = d, jt
+    return best, arg
+
+
+class TestMinDivergenceArrays:
+    @pytest.mark.parametrize("source", [dsbs(0.11), uniform_independent()], ids=["dsbs", "tied"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_scan_on_region_boundaries(self, source, n):
+        # Rates at which a type's max entropy ties the region's edge, just
+        # inside and just outside the tolerance.
+        cols = type_columns(n, source)
+        rates = set()
+        for h in set(cols.max_entropy.tolist()):
+            edge = h - RATE_TIE_TOL
+            rates |= {h, edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)}
+        for rate in sorted(rates):
+            for inside, scan in ((False, error_exponent_outside), (True, correct_exponent_inside)):
+                report = scan(rate, source, n)
+                best, arg = _scan_min_divergence(rate, source, n, inside)
+                assert type(report.value) is float and report.value == best and report.argmin_type is arg
+
+    def test_an_empty_side_is_inf_without_a_minimizer(self):
+        p = dsbs(0.11)
+        for rate, scan in ((10.0, error_exponent_outside), (-1.0, correct_exponent_inside)):
+            report = scan(rate, p, 4)
+            assert report.value == math.inf and report.argmin_type is None
+        # Every type outside a one-cell source's region is off its support.
+        point = SourceSpec(((1.0, 0.0), (0.0, 0.0)))
+        report = error_exponent_outside(0.5, point, 4)
+        assert report.value == math.inf and report.argmin_type is None
+        assert _scan_min_divergence(0.5, point, 4, False) == (math.inf, None)
+
+    def test_columns_stay_within_their_bound(self):
+        # More sources than the memo keeps; columns worked out again after
+        # eviction hold the same values.
+        type_columns.cache_clear()
+        sources = [dsbs(c / 200) for c in range(1, 100)]
+        first = [type_columns(2, p).probability.tolist() for p in sources]
+        info = type_columns.cache_info()
+        assert info.misses == len(sources) > info.maxsize >= info.currsize
+        assert [type_columns(2, p).probability.tolist() for p in sources] == first
 
 
 class TestSourceSpecValidation:

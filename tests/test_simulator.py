@@ -27,6 +27,7 @@ from compdeliv.simulator import (
     ReportRow,
     TrialPlan,
     _sample_cells,
+    _sample_letters,
     run_plan,
 )
 from compdeliv.types_core import enumerate_joint_types, joint_type_groups, joint_types_at, type_class_size
@@ -66,6 +67,37 @@ class TestSamplePair:
         p = SourceSpec(((0.1, 0.2), (0.3, 0.1), (0.2, 0.1)))
         x, y = sample_pair(p, 2000, 5)
         assert set(x) == {0, 1, 2} and set(y) == {0, 1}
+
+
+def _weights_source(weights) -> SourceSpec:
+    weights = np.asarray(weights, float)
+    return SourceSpec(tuple(map(tuple, (weights / weights.sum()).tolist())))
+
+
+SAMPLED_SOURCES = {
+    "dsbs": dsbs(0.11),
+    "3x2": SourceSpec(((0.3, 0.05), (0.05, 0.25), (0.15, 0.2))),
+    "zero cell": SourceSpec(((0.4, 0.0), (0.35, 0.25))),  # cells 0 and 1 end at one CDF entry
+    "17x17": _weights_source(np.random.default_rng(17).random((17, 17))),
+}
+
+
+class TestSampleLetters:
+    @pytest.mark.parametrize("name", SAMPLED_SOURCES)
+    def test_letters_are_the_reference_cells_split(self, name):
+        # The gathers from the cell tables against the reference cells, split
+        # by divmod and cast to each side's letter type.
+        p = SAMPLED_SOURCES[name]
+        for n, trials, entropy in ((1, 9, 3), (7, 400, 4)):
+            seed = np.random.SeedSequence(entropy)
+            cells = _sample_cells(p, n, trials, np.random.Generator(np.random.PCG64(seed)))
+            want = np.divmod(cells, p.num_y)
+            got = _sample_letters(p, n, trials, seed)
+            for letters, reference in zip(got, want):
+                assert letters.dtype == np.uint8 and letters.shape == (trials, n)
+                assert np.array_equal(letters, reference)
+        if name == "zero cell":
+            assert not ((got[0] == 0) & (got[1] == 1)).any()
 
 
 class TestTrialPlanValidation:

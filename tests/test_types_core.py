@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from compdeliv import types_core
 from compdeliv.coding_table import _Classes
 from compdeliv.types_core import (
     _CODE_TABLE_LIMIT,
+    _COUNT_CODE_LIMIT,
     _RANK_MAP_LIMIT,
     _class_letters,
     _compositions,
@@ -203,6 +205,20 @@ class TestRankUnrank:
         expected = sum(math.comb(18 - 2 * i, 10 - i) for i in range(10))
         assert rank_in_type_class(x) == expected
         assert unrank_in_type_class(q, expected) == x
+
+    def test_rank_maps_stay_within_their_bound(self):
+        # 30 letters at n=2 make 465 classes, more than the memo keeps; a
+        # class ranked again after its maps were dropped ranks the same.
+        alphabet, maps = Alphabet(30), types_core._lex_maps
+        blocks = [Sequence((a, b), alphabet) for a in range(30) for b in range(30)]
+        maps.cache_clear()
+        ranks = [rank_in_type_class(x) for x in blocks]
+        info = maps.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
+        assert ranks == [int(a > b) for a, b in (x.letters for x in blocks)]
+        assert [rank_in_type_class(x) for x in blocks] == ranks
+        assert all(unrank_in_type_class(type_of(x), r) == x for x, r in zip(blocks, ranks))
+        assert maps.cache_info().currsize <= info.maxsize
 
 
 class TestClassOrder:
@@ -404,6 +420,48 @@ class TestTypeIndex:
         # y = 2 over 2 letters would still make a pair letter below 2 x 2.
         with pytest.raises(ValueError, match="alphabet of size 2"):
             joint_type_index(np.zeros((1, 3), np.uint8), np.array([[0, 2, 0]]), 2, 2)
+
+    @staticmethod
+    def _sorted_index(monkeypatch, x, y, kx, ky):
+        """`joint_type_index` through the sort of each block's pair letters,
+        the only path past the count code's limit."""
+        with monkeypatch.context() as patch:
+            patch.setattr(types_core, "_COUNT_CODE_LIMIT", 0)
+            return joint_type_index(x, y, kx, ky)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_count_code_gives_every_binary_type_its_index(self, monkeypatch, n):
+        types = enumerate_joint_types(n, BINARY, BINARY)
+        x, y = _type_rows(types, 2, np.random.default_rng(n))
+        index = joint_type_index(x, y, 2, 2)
+        assert index.dtype == np.int64 and index.tolist() == list(range(len(types)))
+        assert self._sorted_index(monkeypatch, x, y, 2, 2).tolist() == index.tolist()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_count_code_matches_the_row_sort_on_3x2_batches(self, monkeypatch, n):
+        rng = np.random.default_rng(60 + n)
+        x, y = rng.integers(0, 3, (500, n), dtype=np.uint8), rng.integers(0, 2, (500, n))
+        index = joint_type_index(x, y, 3, 2)
+        assert index.tolist() == self._sorted_index(monkeypatch, x, y, 3, 2).tolist()
+        assert joint_types_at(index, n, 3, 2) == [joint_type_of(Sequence(a, Alphabet(3)), Sequence(b, Alphabet(2)))
+                                                  for a, b in zip(x.tolist(), y.tolist())]
+
+    @pytest.mark.parametrize("n, kx, ky, counted", [(15, 2, 2, True), (16, 2, 2, False), (5, 3, 2, True), (6, 3, 2, False)])
+    def test_either_side_of_the_count_code_limit(self, monkeypatch, n, kx, ky, counted):
+        assert ((n + 1) ** (kx * ky) <= _COUNT_CODE_LIMIT) == counted
+        types = enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
+        x, y = _type_rows(types, ky, np.random.default_rng(n))
+        types_core._count_code.cache_clear()
+        assert joint_type_index(x, y, kx, ky).tolist() == list(range(len(types)))
+        assert types_core._count_code.cache_info().currsize == counted
+        assert self._sorted_index(monkeypatch, x, y, kx, ky).tolist() == list(range(len(types)))
+
+    @pytest.mark.parametrize("limit", [0, _COUNT_CODE_LIMIT])
+    @pytest.mark.parametrize("x, y", [([[0, 2, 0]], [[0, 0, 0]]), ([[0, 0, 0]], [[0, 2, 0]]), ([[0, -1, 0]], [[0, 0, 0]])])
+    def test_letters_outside_either_alphabet_refused_on_both_paths(self, monkeypatch, limit, x, y):
+        monkeypatch.setattr(types_core, "_COUNT_CODE_LIMIT", limit)
+        with pytest.raises(ValueError, match="alphabet of size 2"):
+            joint_type_index(np.array(x), np.array(y), 2, 2)
 
     @pytest.mark.parametrize("n, kx, ky", [(70, 64, 1), (200, 4, 4), (3, 2 ** 22, 1)])
     def test_indices_past_int64_refused(self, n, kx, ky):
