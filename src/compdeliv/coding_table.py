@@ -65,13 +65,16 @@ from .types_core import (
 )
 
 # Largest table, in allocated lookup slots ((rows + columns) x symbols),
-# built without an explicit override.  A table costs one item (4 B, or 2 B
-# below _NARROW_CLASS) per slot and per marked cell (its graph's edge
-# columns); slots are at least twice the cells, so a 4 B table at this
-# budget takes at most about 384 MB.  Measured at 4 B: 12 B per cell on a
-# balanced table, 21 B per cell over the n=10 codebook; the per-cell dicts
-# these buffers replaced cost about 320 B per cell.  Both classes of a
-# table within it are small enough to enumerate.
+# built without an explicit override.  A built table costs one item (4 B,
+# or 2 B below _NARROW_CLASS) per slot, and its graph one per marked cell
+# (the edge columns); slots are at least twice the cells.  While coloring,
+# `edge_color` also holds its slots as Python lists, 8 B per slot, so a
+# build peaks at about item + 8 B per slot plus an item per cell: at most
+# about 384 MB for a 4 B table at this budget once built, and 896 MB while
+# it is colored.  Measured at 4 B: 12 B per cell on a balanced table, 21 B
+# per cell over the n=10 codebook; the per-cell dicts these buffers
+# replaced cost about 320 B per cell.  Both classes of a table within it
+# are small enough to enumerate.
 DEFAULT_CELL_BUDGET = MAX_CLASS_SIZE
 
 # Buffers hold at most 32-bit ranks; every stored value is below the slot count.
@@ -158,9 +161,10 @@ def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> Bipart
     slots = (left_size + right_size) * max(left_degree, right_degree)
     limit, code = min(cell_budget, _MAX_SLOTS), _slot_code(left_size, right_size)
     if slots > limit:
+        peak = array(code).itemsize * (slots + cells) + 8 * slots  # buffers, and edge_color's lists
         raise TableBudgetError(
             f"joint type {jt.counts} at n={jt.n} needs {slots} table slots for {cells} "
-            f"cells, about {array(code).itemsize * (slots + cells) / 2 ** 20:.0f} MB (> budget {limit} slots)"
+            f"cells, about {peak / 2 ** 20:.0f} MB while it is built (> budget {limit} slots)"
         )
     cols = array(code, [0]) * cells  # sized exactly; frombytes would over-allocate
     np.frombuffer(cols, code)[:] = _shell_columns(jt).ravel()
@@ -254,67 +258,71 @@ class CodingTable:
 def edge_color(g: BipartiteTypeGraph) -> CodingTable:
     """Properly color the edges with exactly max-degree symbols.
 
-    Incremental assignment with alternating-path recoloring: when the two
-    endpoints of a fresh edge have no common free color, swap the two
-    candidate colors along the alternating chain starting at the right
-    endpoint, which frees the left endpoint's candidate on both sides.
-    Colors used at a vertex are a bitmask; `~u & (u + 1)` is the lowest
-    free one.
+    Greedy in edge order with alternating-path recoloring: a fresh edge
+    takes the lowest color free at both ends.  When there is none, a is
+    the lowest free at the row and b the lowest free at the column, and
+    swapping a and b along the alternating chain from the column frees a
+    there too.  The colors free at a vertex are a bitmask, `f & -f` the
+    lowest.  The slots are Python lists while coloring, 8 B per slot: every
+    slot naming a column holds the one int of `columns`, and one naming a
+    row the int the edges give.  They are packed into `_slot_code` arrays
+    at the end.
     """
     delta, code = max(g.left_degree, g.right_degree), _slot_code(g.left_size, g.right_size)
-    col_of = array(code, [-1]) * (g.left_size * delta)
-    row_of = array(code, [-1]) * (g.right_size * delta)
-    left_used = [0] * g.left_size
-    right_used = [0] * g.right_size
-    full = 1 << delta
+    col_of = [-1] * (g.left_size * delta)
+    row_of = [-1] * (g.right_size * delta)
+    columns = list(range(g.right_size))
+    all_free = (1 << delta) - 1
+    left_free, right_free = [all_free] * g.left_size, [all_free] * g.right_size
+    # The current row's free mask and first slot live in locals until the
+    # row changes.  No chain enters that row: a chain enters rows only
+    # along color a, and a is free at it.
+    row, free_row, base = -1, 0, 0
 
     for i, j in g.edges:
-        lu = left_used[i]
-        ru = right_used[j]
-        used = lu | ru
-        bit = ~used & (used + 1)
-        if bit >= full:  # no common free color
-            bit = ~lu & (lu + 1)
-            b = ~ru & (ru + 1)
-            if bit >= full or b >= full:
+        if i != row:
+            if row >= 0:
+                left_free[row] = free_row
+            row, free_row, base = i, left_free[i], i * delta
+        free_col = right_free[j]
+        bit = free_row & free_col
+        if bit:
+            bit &= -bit
+        else:  # no common free color: flip the a/b chain from column j
+            bit, b = free_row & -free_row, free_col & -free_col
+            if not bit or not b:
                 raise ValueError(f"edge ({i}, {j}) exceeds the maximum degree {delta}")
-            _flip_chain(col_of, row_of, left_used, right_used, delta, j,
-                        bit.bit_length() - 1, b.bit_length() - 1)
-            ru = right_used[j]
+            # Column j carries a and misses b.  The chain alternates a (into
+            # rows) and b (into columns); swapping the a and b slots of each
+            # of its vertices recolors it, and only its two ends change
+            # which of a and b they use.
+            ab = bit | b
+            a, b = bit.bit_length() - 1, b.bit_length() - 1
+            free_col ^= ab
+            col = j
+            while True:
+                k = col * delta
+                r = row_of[k + a]
+                row_of[k + a] = row_of[k + b]
+                row_of[k + b] = r
+                if r < 0:  # the chain ends at a column
+                    right_free[col] ^= ab
+                    break
+                k = r * delta
+                col = col_of[k + b]
+                col_of[k + b] = col_of[k + a]
+                col_of[k + a] = col
+                if col < 0:  # the chain ends at a row
+                    left_free[r] ^= ab
+                    break
         s = bit.bit_length() - 1
-        left_used[i] = lu | bit
-        right_used[j] = ru | bit
-        col_of[i * delta + s] = j
+        free_row ^= bit
+        right_free[j] = free_col ^ bit
+        col_of[base + s] = columns[j]
         row_of[j * delta + s] = i
 
-    return CodingTable(g, delta, col_of, row_of)
-
-
-def _flip_chain(col_of, row_of, left_used, right_used, delta: int, col: int, a: int, b: int):
-    """Swap colors a and b along the alternating chain starting at `col`.
-
-    `col` carries a and misses b; the chain alternates a (into rows) and b
-    (into columns) and, being simple and unable to reach the left endpoint
-    of the conflicted edge, the swap leaves a free at `col`.  Swapping the
-    a and b slots of every chain vertex recolors the chain; only its two
-    ends change which of a and b they use.
-    """
-    ab = (1 << a) | (1 << b)
-    right_used[col] ^= ab
-    while True:
-        ka, kb = col * delta + a, col * delta + b
-        row = row_of[ka]
-        row_of[ka], row_of[kb] = row_of[kb], row
-        if row < 0:
-            right_used[col] ^= ab
-            return
-        ka, kb = row * delta + a, row * delta + b
-        nxt = col_of[kb]
-        col_of[ka], col_of[kb] = nxt, col_of[ka]
-        if nxt < 0:
-            left_used[row] ^= ab
-            return
-        col = nxt
+    col_of = array(code, col_of)  # frees that list before the other is packed
+    return CodingTable(g, delta, col_of, array(code, row_of))
 
 
 @lru_cache(maxsize=None)

@@ -181,7 +181,7 @@ class FVCode:
         header, size, total = self.header_width, self.type_count, 8 * len(payload)
         heads = fields_at_every_offset(payload, header)
         head_at = memoryview(heads)
-        starts, pos, error, seen, kept = [], 0, None, set(), self.types_kept
+        starts, pos, error, lengths, kept = [], 0, None, {}, self.types_kept  # lengths: type index -> word bits
         for i in range(count):
             if pos >= len(heads):
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
@@ -190,11 +190,12 @@ class FVCode:
             if idx >= size:
                 error = MalformedCodewordError(f"type index {idx} out of range", i)
                 break
-            if idx not in seen:
-                seen.add(idx)
-                if len(seen) > kept:
-                    self._refuse(len(seen))
-            end = pos + header + symbol_width(self.type_at(idx))
+            length = lengths.get(idx)
+            if length is None:
+                if len(lengths) >= kept:
+                    self._refuse(len(lengths) + 1)
+                length = lengths[idx] = header + symbol_width(self.type_at(idx))
+            end = pos + length
             if end > total:
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
                 break

@@ -8,7 +8,10 @@ with a deliberate change of the tables or of the file format (and a bump
 of the file-format VERSION).
 
 - tables.json: SHA-256 of the `dump_csv` grid of every joint type's
-  colored table, binary for n <= 8 and a 3x2 alphabet for n <= 5.
+  colored table, binary for n <= 8 and a 3x2 alphabet for n <= 5; and,
+  past that range where the recoloring chains run longer, one SHA-256
+  per set of `BUFFER_SETS` over its tables' `col_of` and `row_of`
+  buffers (keys starting "buffers ").
 - sweep.json: SHA-256 of the CSV report of criterion 6's Monte-Carlo
   plan (DSBS(0.11), n in 4..10, three rates, 100k trials per row; a few
   seconds) and of the benchmark's mc_sweep plan (n in 4..8, 500 trials).
@@ -34,7 +37,7 @@ from compdeliv.ff_codec import FFCodeConfig
 from compdeliv.fv_codec import wrap_ff_as_fv
 from compdeliv.info_measures import dsbs
 from compdeliv.simulator import TrialPlan, run_plan
-from compdeliv.types_core import Alphabet, Sequence, enumerate_joint_types
+from compdeliv.types_core import Alphabet, Sequence, enumerate_joint_types, type_class_size, v_shell_size
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 TABLE_ALPHABETS = ((2, 2, 8), (3, 2, 5))  # (kx, ky, largest n)
@@ -59,6 +62,37 @@ def table_hashes() -> dict[str, str]:
             for jt in enumerate_joint_types(n, Alphabet(kx), Alphabet(ky)):
                 out[table_key(kx, ky, jt)] = table_digest(jt)
     return out
+
+
+def _cells(jt) -> int:
+    return type_class_size(jt.x_marginal()) * v_shell_size(jt)
+
+
+def _largest(n: int, kx: int, ky: int, count: int):
+    """The `count` joint types with the most cells, ties in enumeration order."""
+    return sorted(enumerate_joint_types(n, Alphabet(kx), Alphabet(ky)), key=_cells, reverse=True)[:count]
+
+
+# Table sets pinned by their slot buffers: name -> the joint types, in order.
+BUFFER_SETS = {
+    "buffers 2x2 n=9": lambda: enumerate_joint_types(9, Alphabet(2), Alphabet(2)),
+    "buffers 3x3 n<=3": lambda: [jt for n in (1, 2, 3) for jt in enumerate_joint_types(n, Alphabet(3), Alphabet(3))],
+    "buffers 2x2 n=10 largest 3": lambda: _largest(10, 2, 2, 3),
+}
+
+
+def buffer_digest(types) -> str:
+    """SHA-256 over the `col_of` then `row_of` bytes of each table in turn."""
+    h = hashlib.sha256()
+    for jt in types:
+        t = get_coding_table(jt)
+        h.update(t.col_of.tobytes())
+        h.update(t.row_of.tobytes())
+    return h.hexdigest()
+
+
+def buffer_hashes() -> dict[str, str]:
+    return {name: buffer_digest(types()) for name, types in BUFFER_SETS.items()}
 
 
 def letter_pair() -> tuple[bytes, bytes]:
@@ -133,6 +167,6 @@ def write_json(name: str, obj) -> None:
 
 
 if __name__ == "__main__":
-    write_json("tables.json", table_hashes())
+    write_json("tables.json", {**table_hashes(), **buffer_hashes()})
     write_json("codec.json", codec_fixture())
     write_json("sweep.json", sweep_fixture())

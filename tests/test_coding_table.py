@@ -183,11 +183,36 @@ class TestEdgeColor:
         assert table.num_symbols == 3
         assert_proper(table)
 
+    def test_k33_in_column_major_order_revisits_rows(self):
+        # the row changes on every edge, so each row's colors are picked up again
+        placeholder = JointType(((3, 0), (0, 0)), 3)
+        edges = tuple((i, j) for j in range(3) for i in range(3))
+        table = edge_color(BipartiteTypeGraph(placeholder, 3, 3, 3, 3, edges))
+        assert table.num_symbols == 3
+        assert {s for _, _, s in cells(table)} == {0, 1, 2}
+        assert_proper(table)
+
+    def test_shuffled_five_by_five_circulant(self):
+        placeholder = JointType(((5, 0), (0, 0)), 5)
+        edges = [(i, (i + d) % 5) for i in range(5) for d in range(3)]
+        np.random.default_rng(7).shuffle(edges)
+        table = edge_color(BipartiteTypeGraph(placeholder, 5, 5, 3, 3, tuple(edges)))
+        assert table.num_symbols == 3
+        assert {s for _, _, s in cells(table)} == {0, 1, 2}
+        assert_proper(table)
+
     def test_edges_beyond_the_declared_degree_rejected(self):
         placeholder = JointType(((2, 0), (0, 0)), 2)
         edges = ((0, 0), (0, 1), (1, 0))  # row 0 and column 0 have degree 2
-        with pytest.raises(ValueError, match="maximum degree 1"):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) exceeds the maximum degree 1"):
             edge_color(BipartiteTypeGraph(placeholder, 2, 2, 1, 1, edges))
+
+    def test_a_column_beyond_its_degree_rejected(self):
+        # rows of degree 1 always have a free color; column 0's third edge has none
+        placeholder = JointType(((3, 0), (0, 0)), 3)
+        edges = ((0, 0), (1, 0), (2, 0))
+        with pytest.raises(ValueError, match=r"edge \(2, 0\) exceeds the maximum degree 2"):
+            edge_color(BipartiteTypeGraph(placeholder, 3, 2, 1, 2, edges))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_types_proper_and_optimal(self, n):

@@ -14,7 +14,16 @@ from compdeliv.ff_codec import FFCodeConfig
 from compdeliv.fv_codec import wrap_ff_as_fv
 from compdeliv.types_core import Alphabet, enumerate_joint_types
 from conftest import bit_text
-from golden.generate import SWEEP_PLANS, TABLE_ALPHABETS, padded_blocks, sweep_digest, table_digest, table_key
+from golden.generate import (
+    BUFFER_SETS,
+    SWEEP_PLANS,
+    TABLE_ALPHABETS,
+    buffer_digest,
+    padded_blocks,
+    sweep_digest,
+    table_digest,
+    table_key,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -33,6 +42,13 @@ def test_table_hashes(kx, ky, n_max):
             assert table_digest(jt) == pinned[key], key
             checked += 1
     assert checked == sum(key.startswith(f"{kx}x{ky} ") for key in pinned)
+
+
+@pytest.mark.parametrize("name", BUFFER_SETS)
+def test_table_buffer_digests(name):
+    """Binary n=9, 3x3 n <= 3 and the largest binary n=10 tables, where
+    the recoloring chains run longer than in the tables above."""
+    assert buffer_digest(BUFFER_SETS[name]()) == load("tables.json")[name]
 
 
 @pytest.fixture(scope="module")
