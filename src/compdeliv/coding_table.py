@@ -12,17 +12,14 @@ right endpoint of the conflicted edge, so two independent builds of the
 same joint type produce identical tables.  Encoder and decoder therefore
 rebuild tables locally and never exchange them.
 
-A table is its two flat slot buffers, not per-cell Python objects:
-`col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` hold
-the other end of the cell carrying symbol s, or -1 for a hole: the
-coloring and its inverse, which the recoloring chains walk from both sides.
-A slot takes 2 B (both classes below _NARROW_CLASS members) or 4 B.
-
-A pair's symbol is `encode_pair` of one block; the batch codecs read
-copies of every table they have met from one `slot_book`.  A joint type
-of one symbol codes every pair as 0 and nothing builds its table: it
-pairs each letter of one side with one of the other (`letter_map`), and
-the decoders apply that.
+A table is two flat slot buffers, `col_of` and `row_of` (see
+`CodingTable`): the coloring and its inverse, which the recoloring chains
+walk from both sides.  A slot takes 2 B (both classes below _NARROW_CLASS
+members) or 4 B.  Every table is held once, in the `slot_book` of its
+block length and alphabets: the batch codecs gather from it, and the
+table `get_coding_table` returns is a window on that book entry.  A joint
+type of one symbol codes every pair as 0 and nothing builds its table: it
+pairs each letter of one side with one of the other (`letter_map`).
 """
 
 from __future__ import annotations
@@ -65,16 +62,12 @@ from .types_core import (
 )
 
 # Largest table, in allocated lookup slots ((rows + columns) x symbols),
-# built without an explicit override.  A built table costs one item (4 B,
-# or 2 B below _NARROW_CLASS) per slot, and its graph one per marked cell
-# (the edge columns); slots are at least twice the cells.  While coloring,
-# `edge_color` also holds its slots as Python lists, 8 B per slot, so a
-# build peaks at about item + 8 B per slot plus an item per cell: at most
-# about 384 MB for a 4 B table at this budget once built, and 896 MB while
-# it is colored.  Measured at 4 B: 12 B per cell on a balanced table, 21 B
-# per cell over the n=10 codebook; the per-cell dicts these buffers
-# replaced cost about 320 B per cell.  Both classes of a table within it
-# are small enough to enumerate.
+# read by `build_graph` at each call; both classes of a table within it are
+# small enough to enumerate.  A table is held once, in its slot book, at one
+# item (4 B, or 2 B below _NARROW_CLASS) per slot, and its graph takes one
+# per cell while it is built or a window keeps it.  While coloring,
+# `edge_color` also holds 8 B per slot of lists: at this budget a 4 B table
+# takes about 384 MB once built, 896 MB while it is colored.
 DEFAULT_CELL_BUDGET = MAX_CLASS_SIZE
 
 # Buffers hold at most 32-bit ranks; every stored value is below the slot count.
@@ -147,11 +140,11 @@ class BipartiteTypeGraph:
     edges: TypeEdges | tuple[tuple[int, int], ...]
 
 
-def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> BipartiteTypeGraph:
+def build_graph(jt: JointType) -> BipartiteTypeGraph:
     """Materialize the type class as rank-indexed edges, lex sorted.
 
-    The budget bounds the slots the colored table allocates, checked
-    before anything is built.
+    `DEFAULT_CELL_BUDGET` bounds the slots the colored table allocates,
+    checked before anything is built.
     """
     left_size = type_class_size(jt.x_marginal())
     right_size = type_class_size(jt.y_marginal())
@@ -159,7 +152,7 @@ def build_graph(jt: JointType, cell_budget: int = DEFAULT_CELL_BUDGET) -> Bipart
     right_degree = w_shell_size(jt)
     cells = left_size * left_degree
     slots = (left_size + right_size) * max(left_degree, right_degree)
-    limit, code = min(cell_budget, _MAX_SLOTS), _slot_code(left_size, right_size)
+    limit, code = min(DEFAULT_CELL_BUDGET, _MAX_SLOTS), _slot_code(left_size, right_size)
     if slots > limit:
         peak = array(code).itemsize * (slots + cells) + 8 * slots  # buffers, and edge_color's lists
         raise TableBudgetError(
@@ -207,49 +200,57 @@ def _shell_columns(jt: JointType) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodingTable:
-    """Edge-colored table over two flat slot buffers (`_slot_code`).
+    """Edge-colored table: a window on two slot buffers (`_slot_code`), of
+    its own (`edge_color`) or its slot book entry's (`get_coding_table`).
 
+    Its col_of starts at `col_start` in `col_slots`, its row_of at
+    `row_start` in `row_slots` (the properties copy them out):
     `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
-    the other end of the cell carrying symbol s, -1 for a hole, so a cell's
+    the other end of the cell with symbol s, -1 for a hole, so a cell's
     symbol is its slot number in its row.  Lookups return Python ints.
     """
 
     graph: BipartiteTypeGraph
     num_symbols: int
-    col_of: array
-    row_of: array
+    col_slots: array
+    row_slots: array
+    col_start: int = 0
+    row_start: int = 0
 
     @property
     def jt(self) -> JointType:
         return self.graph.jt
 
+    col_of = property(lambda self: self.col_slots[self.col_start:self.col_start + self.graph.left_size * self.num_symbols])
+    row_of = property(lambda self: self.row_slots[self.row_start:self.row_start + self.graph.right_size * self.num_symbols])
+
     def symbol_at(self, row: int, col: int) -> int:
-        start = row * self.num_symbols
+        start = self.col_start + row * self.num_symbols
         try:
-            return self.col_of.index(col, start, start + self.num_symbols) - start
+            return self.col_slots.index(col, start, start + self.num_symbols) - start
         except ValueError:
             raise PairTypeMismatchError(f"no marked cell at row {row}, column {col}") from None
 
     def row_for(self, col: int, symbol: int) -> int:
         if 0 <= symbol < self.num_symbols:
-            row = self.row_of[col * self.num_symbols + symbol]
+            row = self.row_slots[self.row_start + col * self.num_symbols + symbol]
             if row >= 0:
                 return row
         raise SymbolNotFoundError(f"symbol {symbol} absent in column {col}")
 
     def col_for(self, row: int, symbol: int) -> int:
         if 0 <= symbol < self.num_symbols:
-            col = self.col_of[row * self.num_symbols + symbol]
+            col = self.col_slots[self.col_start + row * self.num_symbols + symbol]
             if col >= 0:
                 return col
         raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}")
 
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
-        delta = self.num_symbols
+        delta, col_of = self.num_symbols, self.col_of
         for i in range(self.graph.left_size):
             cells = [""] * self.graph.right_size
-            for s, j in enumerate(self.col_of[i * delta:(i + 1) * delta]):
+            for s, j in enumerate(col_of[i * delta:(i + 1) * delta]):
                 if j >= 0:
                     cells[j] = str(s)
             stream.write(",".join(cells) + "\n")
@@ -327,8 +328,11 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
 
 @lru_cache(maxsize=None)
 def get_coding_table(jt: JointType) -> CodingTable:
-    """Deterministic table for jt, cached per process (idempotent rebuild)."""
-    return edge_color(build_graph(jt))
+    """Deterministic table for jt, cached per process: a window on its
+    `slot_book` entry, or for a type of one symbol a table of its own."""
+    if num_symbols_of(jt) == 1:
+        return edge_color(build_graph(jt))
+    return slot_book(jt.n, Alphabet(jt.num_x), Alphabet(jt.num_y)).table(jt)
 
 
 @lru_cache(maxsize=None)
@@ -510,24 +514,26 @@ class _Classes:
 
 class SlotBook:
     """Every joint type of n-letter blocks over kx x ky letters that a batch
-    has met, as arrays by book id, so that a batch reads all of its tables
-    with gathers and no loop over joint types.
+    or `get_coding_table` has met, as arrays by book id, so that a batch
+    reads all of its tables with gathers and no loop over joint types.
 
-    Entry i is of the i-th type index in `met` and has `delta[i]` symbols;
-    on side s (0 for x, 1 for y) its marginal class is `cls[s][i]` of
-    `classes[s]`.  A tabled entry's col_of (s = 0) and row_of (s = 1) are
-    copied to `slots[s][base[s][i]:]`; a type of one symbol has instead
-    `maps[s][i]`, its `letter_map` decoding side s.  Both buffers take one
-    slot type and grow by doubling.
+    Entry i is of the i-th type index in `met`.  `entries[i]` holds its
+    symbol count, its marginal counts on side 0 (x) and 1 (y), where its
+    col_of (side 0) and row_of (side 1) start in `slots[side]`, the one
+    copy of its table, and a one-symbol type's `letter_map`s decoding x and
+    y.  `ids` updates the arrays a batch gathers: `delta`, `cls[side]` (ids
+    in `classes[side]`), `base[side]` and `maps[side]`.  The slot buffers
+    are `array`s, viewed as numpy arrays only within a call: a viewed
+    buffer cannot grow.
     """
 
     def __init__(self, n: int, kx: int, ky: int):
         self.n, self.type_count = n, joint_type_count(n, kx, ky)
-        self.classes, self.delta = (_Classes(n, kx), _Classes(n, ky)), np.zeros(0, np.int64)
-        self.cls, self.base = [np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2
+        self.classes, self.entries = (_Classes(n, kx), _Classes(n, ky)), []
+        self.delta, self.cls, self.base = np.zeros(0, np.int64), [np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2
         self.maps = [np.zeros((0, ky), _letter_dtype(kx)), np.zeros((0, kx), _letter_dtype(ky))]
         code = _slot_code(*(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky)))
-        self.slots, self.used = [np.zeros(0, code)] * 2, [0, 0]
+        self.slots = [array(code), array(code)]
         # Each type index met, to its entry; and, when the type indices
         # number at most _CODE_TABLE_LIMIT, an array of every index's entry.
         self.met = {}
@@ -537,10 +543,25 @@ class SlotBook:
         """The book id of each type index (all in range), entering the types met for the first time."""
         ids = self._find(index)
         if len(ids) and ids.min() < 0:
-            new = np.sort(index[ids < 0])  # np.unique would import numpy.ma
-            self._enter(new[np.diff(new, prepend=-1) > 0])
+            new = list(dict.fromkeys(np.sort(index[ids < 0]).tolist()))  # np.unique would import numpy.ma
+            for i, jt in zip(new, joint_types_at(new, self.n, self.classes[0].k, self.classes[1].k)):
+                self._enter(i, jt)
             ids = self._find(index)
+        if len(self.delta) < len(self.entries):  # types entered since the last call: rebuild the arrays
+            delta, *counts, x_base, y_base, x_maps, y_maps = zip(*self.entries)
+            self.delta, self.base = np.array(delta, np.int64), [np.array(x_base, np.int64), np.array(y_base, np.int64)]
+            self.cls = [np.array(classes.ids_of(c), np.int64) for classes, c in zip(self.classes, counts)]
+            for side, maps in enumerate((x_maps, y_maps)):
+                zeros = (0,) * self.maps[side].shape[1]
+                self.maps[side] = np.array([m or zeros for m in maps], self.maps[side].dtype)
         return ids
+
+    def table(self, jt: JointType) -> CodingTable:
+        """A window on the entry of jt, a tabled type, entered first if new.
+        Its graph is the one entering built; an entry a batch made builds one."""
+        graph = None if jt.index in self.met else self._enter(jt.index, jt)
+        entry = self.entries[self.met[jt.index]]
+        return CodingTable(graph or build_graph(jt), entry[0], *self.slots, *entry[3:5])
 
     def _find(self, index: np.ndarray) -> np.ndarray:
         if self.dense is not None:
@@ -548,41 +569,40 @@ class SlotBook:
         values, inverse = np.unique(index, return_inverse=True)
         return np.array([self.met.get(value, -1) for value in values.tolist()], np.int64)[inverse]
 
-    def _enter(self, index: np.ndarray) -> None:
-        """Enter these types, every table built, and its budget checked, first."""
-        types = joint_types_at(index, self.n, self.classes[0].k, self.classes[1].k)
-        tables = [get_coding_table(jt) if num_symbols_of(jt) > 1 else None for jt in types]
-        ids = np.arange(len(self.met), len(self.met) + len(types))
-        self.delta = np.append(self.delta, [t.num_symbols if t else 1 for t in tables])
-        for side, (classes, maps) in enumerate(zip(self.classes, self.maps)):
-            self.cls[side] = np.append(self.cls[side], classes.ids_of([_marginals(jt)[side].counts for jt in types]))
-            self.base[side] = np.append(self.base[side], [self._copy(side, t) if t else 0 for t in tables])
-            new = [letter_map(jt, "xy"[side]) if t is None else [0] * maps.shape[1] for jt, t in zip(types, tables)]
-            self.maps[side] = np.concatenate([maps, np.array(new, maps.dtype)])
+    def _enter(self, index: int, jt: JointType) -> BipartiteTypeGraph | None:
+        """Enter jt, of this type index: its table built (budget checked first)
+        and its slots appended, or a one-symbol type's letter maps.  Returns
+        the table's graph, None for a type of one symbol."""
+        delta, graph, start = num_symbols_of(jt), None, (0, 0)
+        if delta > 1:
+            graph = build_graph(jt)
+            start, t = tuple(map(len, self.slots)), edge_color(graph)
+            for buf, part in zip(self.slots, (t.col_slots, t.row_slots)):
+                buf.extend(part if part.typecode == buf.typecode else array(buf.typecode, part.tolist()))
+        maps = (letter_map(jt, "x"), letter_map(jt, "y")) if delta == 1 else (None, None)
+        self.entries.append((delta, *(m.counts for m in _marginals(jt)), *start, *maps))
+        self.met[index] = len(self.met)
         if self.dense is not None:
-            self.dense[index] = ids
-        self.met.update(zip(index.tolist(), ids.tolist()))
+            self.dense[index] = self.met[index]
+        return graph
 
-    def _copy(self, side: int, t: CodingTable) -> int:
-        """Append t's col_of (side 0) or row_of (side 1) to `slots[side]`; where it starts."""
-        slots, buf, start = (t.col_of, t.row_of)[side], self.slots[side], self.used[side]
-        if start + len(slots) > len(buf):  # at least double it
-            self.slots[side] = buf = np.concatenate([buf[:start], np.empty(max(len(buf), len(slots)), buf.dtype)])
-        buf[start:start + len(slots)] = slots
-        self.used[side] += len(slots)
-        return start
+    def read(self, side: int, ids: np.ndarray, ranks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Slot `symbols[i]` (in range) of vertex `ranks[i]` on `side` of tabled
+        entry ids[i]: the other end of the cell with that symbol, -1 for a hole."""
+        slots = np.frombuffer(self.slots[side], self.slots[side].typecode)
+        return slots[self.base[side][ids] + ranks * self.delta[ids] + symbols]
 
     def symbols(self, ids: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The symbol of cell (rows[i], cols[i]) of tabled entry ids[i], -1
         for an unmarked cell: every row's slots compared with its column at
         once, in slices of at most `_SLICE_SLOTS` slots."""
-        delta = self.delta[ids]
+        delta, col_of = self.delta[ids], np.frombuffer(self.slots[0], self.slots[0].typecode)
         start, out = self.base[0][ids] + rows * delta, np.full(len(ids), -1, np.int64)
         step = max(1, _SLICE_SLOTS // int(delta.max(initial=1)))
         for lo in range(0, len(ids), step):
             d, first = delta[lo:lo + step], start[lo:lo + step]
             at = np.repeat(first - np.cumsum(d) + d, d) + np.arange(d.sum())  # every slot of every row
-            hit = np.flatnonzero(self.slots[0][at] == np.repeat(cols[lo:lo + step], d))
+            hit = np.flatnonzero(col_of[at] == np.repeat(cols[lo:lo + step], d))
             # A column fills at most one slot of a row: a hit per row is one in each, in order.
             owner = np.repeat(np.arange(len(d)), d)[hit] if len(hit) < len(d) else slice(None)
             out[lo:lo + step][owner] = at[hit] - first[owner]
@@ -592,5 +612,9 @@ class SlotBook:
 @lru_cache(maxsize=None)
 def slot_book(n: int, ax: Alphabet, ay: Alphabet) -> SlotBook:
     """The `SlotBook` of blocks of n letters over ax x ay, one per process:
-    the FV code and every FF rate read it; `cache_clear` empties it."""
+    the FV code, every FF rate and `get_coding_table` read it.  Its
+    `cache_clear` drops every book, and `get_coding_table`'s windows with them."""
     return SlotBook(n, ax.size, ay.size)
+
+
+slot_book.cache_clear = lambda books=slot_book.cache_clear, windows=get_coding_table.cache_clear: books() or windows()

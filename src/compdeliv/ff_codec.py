@@ -297,7 +297,7 @@ def decode_rows(book: SlotBook, types, type_index, symbols, side_info, side, out
     rank, wrong_side = book.classes[held].rank(letters, book.cls[held][ids], tabled)
     wrong = wrong_side | (symbol < 0) | (symbol >= delta)
     read, found = np.flatnonzero(tabled & ~wrong), np.zeros(len(rows), np.int64)
-    found[read] = book.slots[held][book.base[held][ids[read]] + rank[read] * delta[read] + symbol[read]]
+    found[read] = book.read(held, ids[read], rank[read], symbol[read])
     wrong |= found < 0
     read = read[found[read] >= 0]
     _put_rows(out, rows[read], book.classes[other].unrank(book.cls[other][ids[read]], found[read]))

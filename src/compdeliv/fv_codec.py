@@ -202,8 +202,8 @@ class FVCode:
             starts.append(pos)
             pos = end
         starts = np.array(starts, np.int64)
-        type_index = heads[starts].astype(np.int64)
-        return (type_index, read_fields(payload, starts + header, self._symbol_widths(type_index))), pos, error
+        widths = np.diff(starts, append=pos) - header  # words lie back to back: a word's bits end where the next starts
+        return (heads[starts].astype(np.int64), read_fields(payload, starts + header, widths)), pos, error
 
 
 @lru_cache(maxsize=None)

@@ -640,11 +640,3 @@ def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
         types.append(_joint_type(tuple(counts), ky))
     return types
 
-
-def joint_type_groups(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> list[tuple[JointType, np.ndarray]]:
-    """Row pairs (x[i], y[i]) grouped by joint type, in type index order."""
-    index = joint_type_index(x, y, kx, ky)
-    order = np.argsort(index, kind="stable")
-    values, starts = np.unique(index[order], return_index=True)
-    groups = np.split(order, starts[1:])
-    return list(zip(joint_types_at(values, np.shape(x)[1], kx, ky), groups))

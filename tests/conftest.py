@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from compdeliv.simulator import _sample_cells
-from compdeliv.types_core import Alphabet, BINARY, Sequence
+from compdeliv.types_core import Alphabet, BINARY, Sequence, joint_type_index, joint_types_at
 
 
 def seq(letters, k=2):
@@ -77,3 +77,13 @@ def correlated_blocks(seed, m, n, k):
     x = rng.integers(0, k, size=(m, n), dtype=np.uint8)
     y = np.where(rng.random((m, n)) < 0.9, x, rng.integers(0, k, size=(m, n), dtype=np.uint8))
     return x, y
+
+
+def joint_type_groups(x, y, kx, ky):
+    """Row pairs (x[i], y[i]) grouped by joint type, in type index order: a
+    reference the batch codecs, which read the type index itself, are checked against."""
+    index = joint_type_index(x, y, kx, ky)
+    order = np.argsort(index, kind="stable")
+    values, starts = np.unique(index[order], return_index=True)
+    groups = np.split(order, starts[1:])
+    return list(zip(joint_types_at(values, np.shape(x)[1], kx, ky), groups))

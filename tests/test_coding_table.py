@@ -91,18 +91,21 @@ class TestBuildGraph:
             assert set(left.values()) == {v_shell_size(jt)}
             assert set(right.values()) == {w_shell_size(jt)}
 
-    def test_budget_error_names_the_type(self):
+    def test_budget_error_names_the_type(self, monkeypatch):
         jt = JointType(((8, 8), (8, 8)), 32)
+        monkeypatch.setattr(coding_table, "DEFAULT_CELL_BUDGET", 100)
         with pytest.raises(TableBudgetError, match="n=32"):
-            build_graph(jt, cell_budget=100)
+            build_graph(jt)
 
-    def test_budget_bounds_allocated_slots_not_cells(self):
+    def test_budget_bounds_allocated_slots_not_cells(self, monkeypatch):
         # one row of degree 3 against three columns of degree 1: 3 cells,
         # but (1 + 3) rows and columns x 3 symbols = 12 lookup slots
         jt = JointType(((2, 1), (0, 0)), 3)
+        monkeypatch.setattr(coding_table, "DEFAULT_CELL_BUDGET", 11)
         with pytest.raises(TableBudgetError, match=r"12 table slots .* MB"):
-            build_graph(jt, cell_budget=11)
-        assert len(build_graph(jt, cell_budget=12).edges) == 3
+            build_graph(jt)
+        monkeypatch.setattr(coding_table, "DEFAULT_CELL_BUDGET", 12)
+        assert len(build_graph(jt).edges) == 3
 
 
 # Types whose sequence codes k^n overflow 64 bits: binary n=64 and a 3x2
@@ -307,8 +310,8 @@ class TestLookups:
         x, y = seq("0011"), seq("0101")
         t = get_coding_table(jt)
         symbol = t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
-        held, buffer = (y, t.row_of) if side == "x" else (x, t.col_of)
-        slot = rank_in_type_class(held) * t.num_symbols + symbol
+        held, buffer, start = (y, t.row_slots, t.row_start) if side == "x" else (x, t.col_slots, t.col_start)
+        slot = start + rank_in_type_class(held) * t.num_symbols + symbol
         saved, buffer[slot] = buffer[slot], 6
         try:
             with pytest.raises(RankRangeError, match="rank 6 outside type class of size 6"):
@@ -375,11 +378,13 @@ class TestSlotBuffers:
         # Classes of binary n=6 have at most 20 members: 16-bit slots,
         # unless the narrow limit is below them.
         monkeypatch.setattr(coding_table, "_NARROW_CLASS", narrow_class)
-        assert [f.name for f in dataclasses.fields(CodingTable)] == ["graph", "num_symbols", "col_of", "row_of"]
+        fields = ["graph", "num_symbols", "col_slots", "row_slots", "col_start", "row_start"]
+        assert [f.name for f in dataclasses.fields(CodingTable)] == fields
         for jt in enumerate_joint_types(6, BINARY, BINARY):
             g = build_graph(jt)
             t = edge_color(g)
-            buffers = [v for v in vars(t).values() if isinstance(v, array)]
+            buffers = [t.col_slots, t.row_slots]
+            assert all(isinstance(b, array) for b in buffers) and t.col_start == t.row_start == 0
             assert {b.itemsize for b in buffers} == {g.edges.cols.itemsize} == {itemsize}
             total = sum(b.itemsize * len(b) for b in buffers)
             assert total == itemsize * (g.left_size + g.right_size) * t.num_symbols
@@ -405,7 +410,7 @@ class TestSlotBuffers:
             for side, held in (("x", y), ("y", x)):
                 out.append(ff_decode_batch(cfg, ff_words, held, side).tolist())
                 out.append(fv_decode_batch(code, fv_words, held, side).tolist())
-            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY).slots[0].dtype, out
+            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY).slots[0].typecode, out
 
         try:
             narrow, mixed, wide = code_all(2 ** 15), code_all(60), code_all(1)
@@ -413,9 +418,9 @@ class TestSlotBuffers:
             monkeypatch.undo()
             get_coding_table.cache_clear()
             slot_book.cache_clear()
-        assert narrow[:2] == ({"h"}, np.int16)
-        assert mixed[:2] == ({"h", "i"}, np.int32)
-        assert wide[:2] == ({"i"}, np.int32)
+        assert narrow[:2] == ({"h"}, "h")
+        assert mixed[:2] == ({"h", "i"}, "i")
+        assert wide[:2] == ({"i"}, "i")
         assert narrow[2] == mixed[2] == wide[2]
 
 

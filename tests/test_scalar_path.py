@@ -55,7 +55,6 @@ from compdeliv.types_core import (
     TypeVector,
     enumerate_joint_types,
     joint_type_count,
-    joint_type_groups,
     joint_type_index,
     joint_type_of,
     joint_types_at,
@@ -63,7 +62,7 @@ from compdeliv.types_core import (
     rank_in_type_class,
     type_of,
 )
-from conftest import seq
+from conftest import joint_type_groups, seq
 
 
 def _pairs(seed, m, n, kx, ky):
@@ -257,18 +256,20 @@ def test_encoders_check_the_table_budget_before_ranking(encoder):
 
 
 @pytest.mark.parametrize("encoder", ENCODERS)
-def test_no_encoder_builds_a_one_symbol_table(encoder):
+def test_no_encoder_builds_a_one_symbol_table(encoder, monkeypatch):
     # x = y is a joint type of one symbol: every pair codes as symbol 0.
     x = np.random.default_rng(8).integers(0, 2, size=(50, 8))
     get_coding_table.cache_clear()
+    calls = {"edge_color": 0}
+    _counted(monkeypatch, calls, "edge_color", coding_table.edge_color)
     ENCODERS[encoder](x, x)
-    assert get_coding_table.cache_info().currsize == 0
+    assert calls["edge_color"] == 0
     balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
     ENCODERS[encoder](balanced, balanced)
-    assert get_coding_table.cache_info().currsize == 0
+    assert calls["edge_color"] == 0
     symbols = encode_rows(slot_book(8, BINARY, BINARY), x, x, joint_type_index(x, x, 2, 2))
     assert not symbols.any()
-    assert get_coding_table.cache_info().currsize == 0
+    assert calls["edge_color"] == 0
 
 
 @pytest.mark.parametrize("rows", [0, 3])
@@ -302,12 +303,14 @@ def test_joint_types_are_interned():
     assert len(groups) == len(types) and all(got is jt for (got, _), jt in zip(groups, types))
 
 
-def test_no_decoder_builds_a_one_symbol_table():
+def test_no_decoder_builds_a_one_symbol_table(monkeypatch):
     # x = y and y = 1 - x: types of one symbol, decoded through their
     # letter map on both paths.
     x = np.random.default_rng(9).integers(0, 2, size=(50, 8))
     cfg, code = FFCodeConfig(8, 1.0), make_fv_code(8)
     get_coding_table.cache_clear()
+    calls = {"edge_color": 0}
+    _counted(monkeypatch, calls, "edge_color", coding_table.edge_color)
     for y in (x, 1 - x):
         ff_words, fv_words = ff_encode_batch(cfg, x, y), fv_encode_batch(code, x, y)
         for side, held, want in (("x", y, x), ("y", x, y)):
@@ -317,7 +320,7 @@ def test_no_decoder_builds_a_one_symbol_table():
             ff_cw, fv_cw = ff_encode(cfg, xi, yi), fv_encode(8, xi, yi)
             assert ff_decode_x(cfg, ff_cw, yi) == xi and ff_decode_y(cfg, ff_cw, xi) == yi
             assert fv_decode_x(fv_cw, yi) == xi and fv_decode_y(fv_cw, xi) == yi
-    assert get_coding_table.cache_info().currsize == 0
+    assert calls["edge_color"] == 0
 
 
 # Failures planted in a decoded batch, each in its own held class: side

@@ -30,8 +30,8 @@ from compdeliv.simulator import (
     _sample_letters,
     run_plan,
 )
-from compdeliv.types_core import enumerate_joint_types, joint_type_groups, joint_types_at, type_class_size
-from conftest import sample_pair
+from compdeliv.types_core import enumerate_joint_types, joint_types_at, type_class_size
+from conftest import joint_type_groups, sample_pair
 
 
 class TestSamplePair:
@@ -301,15 +301,14 @@ class TestBatchedSweep:
     def test_builds_the_tables_the_row_by_row_sweep_builds(self, monkeypatch):
         """On a cold cache: a type inside the largest rate's region whose
         trials are all of smaller rates gets no table."""
-        real, wanted = coding_table.get_coding_table, []
-        monkeypatch.setattr(coding_table, "get_coding_table", lambda jt: wanted.append(jt) or real(jt))
+        real, colored = coding_table.edge_color, []
+        monkeypatch.setattr(coding_table, "edge_color", lambda g: colored.append(g.jt) or real(g))
         built = []
         for run in (reference_run_plan, run_plan):
-            real.cache_clear()
             coding_table.slot_book.cache_clear()
-            wanted.clear()
+            colored.clear()
             run(MC_PLAN)
-            built.append((real.cache_info().misses, set(wanted)))
+            built.append((len(colored), set(colored)))
         assert built[0][0] > 0
         assert built[1] == built[0]
 
@@ -324,23 +323,24 @@ def _swap_first_two_symbols(grid: np.ndarray) -> None:
 
 def corrupt_decoders(monkeypatch, corrupted) -> None:
     """Decoders of side s read a corrupted table of the joint type jt when
-    `corrupted(jt, s)`.  The batch decoders read the slot book's copies of
-    the tables, and the encoder reads the col_of copy too, so each decode
-    reads a corrupted copy of the book's buffer of its side (x is read
-    from the row_of copy, y from the col_of copy) while the encoder, and
-    every other caller, reads the clean one."""
+    `corrupted(jt, s)`.  The batch decoders read the slot book's buffers,
+    and the encoder reads the col_of buffer too, so each decode reads a
+    corrupted copy of the book's buffer of its side (x is read from the
+    row_of buffer, y from the col_of buffer) while the encoder, and every
+    other caller, reads the clean one."""
     real_decode = ff_codec.decode_rows
 
     def corrupted_decode(book, types, type_index, symbols, side_info, decoded, out, rows):
         held = 1 if decoded == "x" else 0
         book.ids(type_index[rows] if types is None else types[type_index[rows]])  # enter every type first
         clean = book.slots[held]
-        book.slots[held] = clean.copy()
+        book.slots[held] = clean[:]  # a copy
+        slots = np.frombuffer(book.slots[held], clean.typecode)
         for i, jt in enumerate(joint_types_at(list(book.met), book.n, 2, 2)):
             delta, vertices = int(book.delta[i]), type_class_size(jt.y_marginal() if held else jt.x_marginal())
             if delta > 1 and corrupted(jt, decoded):
                 start = int(book.base[held][i])
-                _swap_first_two_symbols(book.slots[held][start:start + vertices * delta].reshape(vertices, delta))
+                _swap_first_two_symbols(slots[start:start + vertices * delta].reshape(vertices, delta))
         try:
             return real_decode(book, types, type_index, symbols, side_info, decoded, out, rows)
         finally:

@@ -2,16 +2,26 @@
 with gathers.  Batches that fill it a few types at a time code as one
 fresh batch does, and a warm batch does no per-type Python work."""
 
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from compdeliv import coding_table, types_core
-from compdeliv.coding_table import SideInfoMismatchError, SymbolNotFoundError, slot_book
+from compdeliv.coding_table import (
+    SideInfoMismatchError,
+    SymbolNotFoundError,
+    build_graph,
+    edge_color,
+    get_coding_table,
+    num_symbols_of,
+    slot_book,
+)
 from compdeliv.ff_codec import FFCodeConfig, ff_decode_batch, ff_encode_batch
 from compdeliv.fv_codec import FVCode, fv_decode_batch, fv_encode_batch, make_fv_code
-from compdeliv.types_core import BINARY
+from compdeliv.types_core import BINARY, enumerate_joint_types, type_class_size
 
 
 def _pairs(n, m, seed):
@@ -106,21 +116,21 @@ def test_cache_clear_empties_the_book():
     x, y = _pairs(8, 100, 4)
     ff_encode_batch(FFCodeConfig(8, 0.9), x, y)
     book = slot_book(8, BINARY, BINARY)
-    assert book.met and book.used[0] > 0 and len(book.delta) == len(book.met)
+    assert book.met and len(book.slots[0]) > 0 and len(book.delta) == len(book.met)
     slot_book.cache_clear()
     fresh = slot_book(8, BINARY, BINARY)
-    assert fresh is not book and not fresh.met and fresh.used == [0, 0] and len(fresh.delta) == 0
+    assert fresh is not book and not fresh.met and list(map(len, fresh.slots)) == [0, 0] and len(fresh.delta) == 0
 
 
 # What a batch once did per joint type; a warm batch calls none of them.
-PER_TYPE = ("get_coding_table", "num_symbols_of", "class_key", "type_at")
+PER_TYPE = ("edge_color", "num_symbols_of", "class_key", "type_at")
 
 
 def _count_calls(monkeypatch, calls):
     """Count every call of the `PER_TYPE` functions, through every compdeliv
     module that binds them and through `FVCode.type_at`."""
     monkeypatch.setattr(FVCode, "type_at", _counted(calls, "type_at", FVCode.type_at))
-    for name, real in (("get_coding_table", coding_table.get_coding_table),
+    for name, real in (("edge_color", coding_table.edge_color),
                        ("num_symbols_of", coding_table.num_symbols_of), ("class_key", types_core.class_key)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("compdeliv") and getattr(module, name, None) is real:
@@ -152,4 +162,87 @@ def test_a_warm_batch_does_no_per_type_work(mode, n, monkeypatch):
     # The count is live: a batch into an empty book makes these calls.
     _fresh_book(n)
     encode(x, y)
-    assert calls["get_coding_table"] > 0 and calls["num_symbols_of"] > 0 and calls["class_key"] > 0
+    assert calls["edge_color"] > 0 and calls["num_symbols_of"] > 0 and calls["class_key"] > 0
+
+
+def _every_type(n):
+    """One binary block pair of each joint type at n, in enumeration order."""
+    rows = []
+    for jt in enumerate_joint_types(n, BINARY, BINARY):
+        (a, b), (c, d) = jt.counts
+        rows.append(([0] * (a + b) + [1] * (c + d), [0] * a + [1] * b + [0] * c + [1] * d))
+    return tuple(np.array(side, np.uint8) for side in zip(*rows))
+
+
+def _fill_with_every_type(n):
+    """A fresh book that FV batches coding every joint type at n, decoded on both sides, filled."""
+    book, code, (x, y) = _fresh_book(n), make_fv_code(n), _every_type(n)
+    half = len(x) // 2
+    for rows in (slice(0, half), slice(half, None)):
+        words = fv_encode_batch(code, x[rows], y[rows])
+        assert (fv_decode_batch(code, words, y[rows], "x") == x[rows]).all()
+        assert (fv_decode_batch(code, words, x[rows], "y") == y[rows]).all()
+    return book
+
+
+def test_the_book_holds_each_table_once():
+    book, types = _fill_with_every_type(8), enumerate_joint_types(8, BINARY, BINARY)
+    tabled = [jt for jt in types if num_symbols_of(jt) > 1]
+    assert len(book.met) == len(types) and 0 < len(tabled) < len(types)
+    # Slots in closed form: each tabled entry's classes times its symbol count, nothing more.
+    for side, marginal in ((0, "x_marginal"), (1, "y_marginal")):
+        slots = sum(type_class_size(getattr(jt, marginal)()) * num_symbols_of(jt) for jt in tabled)
+        assert len(book.slots[side]) == slots
+    # A table read through get_coding_table is a window on the book's own
+    # buffers, holding the slots a fresh build gives.
+    get_coding_table.cache_clear()
+    for jt in tabled:
+        t = get_coding_table(jt)
+        assert t.col_slots is book.slots[0] and t.row_slots is book.slots[1]
+        fresh = edge_color(build_graph(jt))
+        assert (t.col_of, t.row_of, t.num_symbols) == (fresh.col_of, fresh.row_of, fresh.num_symbols)
+
+
+def test_a_window_built_by_its_own_call_enters_the_book_once(monkeypatch):
+    jt, calls = enumerate_joint_types(8, BINARY, BINARY)[40], []
+    assert num_symbols_of(jt) > 1
+    real = coding_table.build_graph
+    monkeypatch.setattr(coding_table, "build_graph", lambda t: calls.append(t) or real(t))
+    book = _fresh_book(8)
+    t = get_coding_table(jt)
+    assert calls == [jt] and list(book.met) == [jt.index] and t.col_slots is book.slots[0]
+    assert len(book.slots[0]) == len(t.col_of) and len(book.slots[1]) == len(t.row_of)
+
+
+def _window_buffers(n):
+    """Weak references to the buffers of a filled book that windows read."""
+    book = _fill_with_every_type(n)
+    tabled = [jt for jt in enumerate_joint_types(n, BINARY, BINARY) if num_symbols_of(jt) > 1]
+    assert all(get_coding_table(jt).col_slots is book.slots[0] for jt in tabled)
+    return [weakref.ref(buf) for buf in book.slots]
+
+
+def test_clearing_the_books_drops_the_windows_on_them():
+    refs = _window_buffers(6)
+    slot_book.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    jt = next(jt for jt in enumerate_joint_types(6, BINARY, BINARY) if num_symbols_of(jt) > 1)
+    assert get_coding_table(jt).row_slots is slot_book(6, BINARY, BINARY).slots[1]
+
+
+def test_a_batch_that_raised_leaves_the_book_free_to_grow():
+    # The exception of a failed decode stays alive, with its traceback's
+    # frames, while the next batch enters new types into the same buffers.
+    x, y = _pairs(8, 400, 3)
+    code, book = make_fv_code(8), _fresh_book(8)
+    words = fv_encode_batch(code, x[:100], y[:100])
+    symbols = words[1].copy()
+    symbols[7] = 1 << 20
+    with pytest.raises(SymbolNotFoundError) as caught:
+        fv_decode_batch(code, (words[0], symbols), y[:100], "x")
+    met, size = len(book.met), len(book.slots[0])
+    words = fv_encode_batch(code, x[300:], y[300:])
+    assert len(book.met) > met and len(book.slots[0]) > size
+    assert (fv_decode_batch(code, words, y[300:], "x") == x[300:]).all()
+    assert caught.value.row == 7

@@ -33,3 +33,36 @@ def test_traced_names_resolve(metric, home, names):
             assert method in vars(getattr(module, cls_name)), f"{metric}: {name}"
         else:
             assert callable(getattr(module, name, None)), f"{metric}: {name}"
+
+
+# What the benchmark reads of the table store: `Tracer` reads the hits and
+# misses of `get_coding_table.cache_info()`, `table_build` and `mc_sweep`
+# count `len(get_coding_table(jt).graph.edges)`, and `workloads.table_ok`
+# walks each table's graph and lookups.
+GRAPH_FIELDS = ("left_size", "right_size", "left_degree", "right_degree")
+
+
+def test_the_table_cache_reports_hits_and_misses():
+    from compdeliv import coding_table
+
+    info = coding_table.get_coding_table.cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
+
+
+@pytest.mark.parametrize("counts", [((1, 1), (1, 1)), ((2, 0), (0, 2)), ((2, 1), (0, 3))])
+def test_tables_offer_what_the_benchmark_reads(counts, monkeypatch):
+    from compdeliv.coding_table import build_graph, get_coding_table, slot_book
+    from compdeliv.types_core import JointType
+
+    monkeypatch.syspath_prepend(str(LAYERS.parent))
+    table_ok = importlib.import_module("workloads").table_ok
+    jt = JointType(counts, sum(map(sum, counts)))
+    assert len(build_graph(jt).edges) == len(list(build_graph(jt).edges))
+    for fresh in (True, False):  # a window whose call built the table, and one on a book entry
+        if fresh:
+            slot_book.cache_clear()
+        get_coding_table.cache_clear()
+        g = get_coding_table(jt).graph
+        assert all(isinstance(getattr(g, name), int) for name in GRAPH_FIELDS)
+        assert len(g.edges) == len(list(g.edges)) == g.left_size * g.left_degree
+        assert table_ok(get_coding_table(jt))

@@ -28,7 +28,6 @@ from compdeliv.types_core import (
     Sequence,
     TypeVector,
     enumerate_joint_types,
-    joint_type_groups,
     joint_type_index,
     joint_types_at,
     joint_type_count,
@@ -43,7 +42,7 @@ from compdeliv.types_core import (
     v_shell_size,
     w_shell_size,
 )
-from conftest import all_binary_pairs, all_binary_sequences, seq
+from conftest import all_binary_pairs, all_binary_sequences, joint_type_groups, seq
 
 
 class TestJointTypeOf:

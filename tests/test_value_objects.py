@@ -29,11 +29,12 @@ from compdeliv.types_core import (
     Sequence,
     TypeVector,
     enumerate_joint_types,
-    joint_type_groups,
     joint_type_of,
     rank_in_type_class,
     type_of,
 )
+
+from conftest import joint_type_groups
 
 ROUND_TRIPS = {
     "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
