@@ -104,9 +104,9 @@ def parse_source(text: str) -> SourceSpec:
         except OSError as exc:
             raise CliError(f"cannot read source file {text}: {exc}") from exc
     try:
-        return SourceSpec(tuple(tuple(float(v) for v in row) for row in raw))
+        return SourceSpec(SWEEP_FIELDS["p_xy"][1](raw))  # read as a sweep config's p_xy
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid source matrix: {exc}") from exc
+        raise CliError(f"invalid source matrix {text}: {exc}") from exc
 
 
 def parse_counts(text: str, n: int) -> JointType:

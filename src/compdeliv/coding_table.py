@@ -16,10 +16,12 @@ A table is two flat slot buffers, `col_of` and `row_of` (see
 `CodingTable`): the coloring and its inverse, which the recoloring chains
 walk from both sides.  A slot takes 2 B (both classes below _NARROW_CLASS
 members) or 4 B.  Every table is held once, in the `slot_book` of its
-block length and alphabets: the batch codecs gather from it, and the
-table `get_coding_table` returns is a window on that book entry.  A joint
-type of one symbol codes every pair as 0 and nothing builds its table: it
-pairs each letter of one side with one of the other (`letter_map`).
+block length and alphabets.  `encode_pair` and `decode_side` code one
+block through `get_coding_table`, a window on its book entry;
+`SlotBook.encode` and `SlotBook.decode` code a batch with gathers from the
+book.  A joint type of one symbol codes every pair as 0 and nothing builds
+its table: it pairs each letter of one side with one of the other
+(`letter_map`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .types_core import (
     Sequence,
     TypeVector,
     _CODE_TABLE_LIMIT,
+    _as_blocks,
     _as_keys,
     _class_keys,
     _class_letters,
@@ -77,7 +80,7 @@ _MAX_SLOTS = 2 ** 31 - 1
 # edge columns (binary n <= 17, 3 letters n <= 11), larger ones in 32-bit.
 _NARROW_CLASS = 2 ** 15
 
-# Most slots the batch encoder compares at once (`SlotBook.symbols`).
+# Most slots the batch encoder compares at once (`SlotBook.encode`).
 _SLICE_SLOTS = 2 ** 20
 
 
@@ -515,59 +518,154 @@ class _Classes:
 class SlotBook:
     """Every joint type of n-letter blocks over kx x ky letters that a batch
     or `get_coding_table` has met, as arrays by book id, so that a batch
-    reads all of its tables with gathers and no loop over joint types.
+    reads all of its tables with gathers and no loop over joint types:
+    `encode` and `decode` are the batch twins of `encode_pair` and
+    `decode_side`, and `table` is the window `get_coding_table` returns.
 
-    Entry i is of the i-th type index in `met`.  `entries[i]` holds its
+    Entry i is of the i-th type index in `_met`.  `_entries[i]` holds its
     symbol count, its marginal counts on side 0 (x) and 1 (y), where its
-    col_of (side 0) and row_of (side 1) start in `slots[side]`, the one
+    col_of (side 0) and row_of (side 1) start in `_slots[side]`, the one
     copy of its table, and a one-symbol type's `letter_map`s decoding x and
-    y.  `ids` updates the arrays a batch gathers: `delta`, `cls[side]` (ids
-    in `classes[side]`), `base[side]` and `maps[side]`.  The slot buffers
-    are `array`s, viewed as numpy arrays only within a call: a viewed
-    buffer cannot grow.
+    y.  `_ids` updates the arrays a batch gathers: `_delta`, `_cls[side]`
+    (ids in `_classes[side]`), `_base[side]` and `_maps[side]`.  Vertex r's
+    slot s on a side is `_slots[side][_base[side][i] + r * _delta[i] + s]`.
+    The slot buffers are `array`s, viewed as numpy arrays only within an
+    expression: a viewed buffer cannot grow, and the traceback of an error
+    a method raises keeps its locals.
     """
 
     def __init__(self, n: int, kx: int, ky: int):
         self.n, self.type_count = n, joint_type_count(n, kx, ky)
-        self.classes, self.entries = (_Classes(n, kx), _Classes(n, ky)), []
-        self.delta, self.cls, self.base = np.zeros(0, np.int64), [np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2
-        self.maps = [np.zeros((0, ky), _letter_dtype(kx)), np.zeros((0, kx), _letter_dtype(ky))]
+        self._classes, self._entries = (_Classes(n, kx), _Classes(n, ky)), []
+        self._delta, self._cls, self._base = np.zeros(0, np.int64), [np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2
+        self._maps = [np.zeros((0, ky), _letter_dtype(kx)), np.zeros((0, kx), _letter_dtype(ky))]
         code = _slot_code(*(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky)))
-        self.slots = [array(code), array(code)]
+        self._slots = [array(code), array(code)]
         # Each type index met, to its entry; and, when the type indices
         # number at most _CODE_TABLE_LIMIT, an array of every index's entry.
-        self.met = {}
-        self.dense = np.full(self.type_count, -1, np.int64) if self.type_count <= _CODE_TABLE_LIMIT else None
+        self._met = {}
+        self._dense = np.full(self.type_count, -1, np.int64) if self.type_count <= _CODE_TABLE_LIMIT else None
 
-    def ids(self, index: np.ndarray) -> np.ndarray:
-        """The book id of each type index (all in range), entering the types met for the first time."""
-        ids = self._find(index)
-        if len(ids) and ids.min() < 0:
-            new = list(dict.fromkeys(np.sort(index[ids < 0]).tolist()))  # np.unique would import numpy.ma
-            for i, jt in zip(new, joint_types_at(new, self.n, self.classes[0].k, self.classes[1].k)):
-                self._enter(i, jt)
-            ids = self._find(index)
-        if len(self.delta) < len(self.entries):  # types entered since the last call: rebuild the arrays
-            delta, *counts, x_base, y_base, x_maps, y_maps = zip(*self.entries)
-            self.delta, self.base = np.array(delta, np.int64), [np.array(x_base, np.int64), np.array(y_base, np.int64)]
-            self.cls = [np.array(classes.ids_of(c), np.int64) for classes, c in zip(self.classes, counts)]
-            for side, maps in enumerate((x_maps, y_maps)):
-                zeros = (0,) * self.maps[side].shape[1]
-                self.maps[side] = np.array([m or zeros for m in maps], self.maps[side].dtype)
-        return ids
+    def encode(self, x: np.ndarray, y: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The symbol of every row pair of (m, n) letter arrays (checked by
+        the caller): row i is of the joint type of index `index[i]`, or left
+        out when that is negative; rows left out, and rows of a type of one
+        symbol, get symbol 0.
+
+        One lookup gives every row its book entry (a type met for the first
+        time is entered: its table built, and budget checked, before any
+        rank).  Each side is ranked by one code-table gather (past its limit,
+        one search per class), and every row's slots are compared with its
+        column rank at once, in slices of at most `_SLICE_SLOTS` slots: no
+        loop runs over joint types.
+        """
+        symbols = np.zeros(len(x), np.int64)
+        rows = np.flatnonzero(index >= 0)
+        ids = self._ids(index[rows])
+        tabled = self._delta[ids] > 1
+        rows, ids = rows[tabled], ids[tabled]
+        x_rank, _ = self._classes[0].rank(x.take(rows, axis=0), self._cls[0][ids], np.ones(len(rows), bool))
+        y_rank, _ = self._classes[1].rank(y.take(rows, axis=0), self._cls[1][ids], np.ones(len(rows), bool))
+        delta, col_of = self._delta[ids], self._slots[0]
+        start, found = self._base[0][ids] + x_rank * delta, np.full(len(ids), -1, np.int64)
+        step = max(1, _SLICE_SLOTS // int(delta.max(initial=1)))
+        for lo in range(0, len(ids), step):
+            d, first = delta[lo:lo + step], start[lo:lo + step]
+            at = np.repeat(first - np.cumsum(d) + d, d) + np.arange(d.sum())  # every slot of every row
+            hit = np.flatnonzero(np.frombuffer(col_of, col_of.typecode)[at] == np.repeat(y_rank[lo:lo + step], d))
+            # A column fills at most one slot of a row: a hit per row is one in each, in order.
+            owner = np.repeat(np.arange(len(d)), d)[hit] if len(hit) < len(d) else slice(None)
+            found[lo:lo + step][owner] = at[hit] - first[owner]
+        if len(found) and found.min() < 0:
+            i = int(np.argmax(found < 0))
+            raise PairTypeMismatchError(f"no marked cell at row {x_rank[i]}, column {y_rank[i]}", int(rows[i]))
+        symbols[rows] = found
+        return symbols
+
+    def decode(self, types, type_index, symbols, side_info, side: str, rows, range_error) -> np.ndarray:
+        """Reproduce the `side` blocks of a batch from (m, n) side information
+        `side_info` and codewords of fields `type_index` and `symbols`, one
+        per row: `decode_side` of the given rows (ascending), zeros elsewhere.
+        The type field indexes `types`, the type indices of an FF region, or
+        with `types` None is a type index.
+
+        The side and the shapes are checked first (ValueError).  One lookup
+        gives every row its book entry.  The side information is ranked and
+        type-checked by one code-table gather (past its limit a sort checks
+        it and each held class is searched once), and every slot read,
+        unrank (past the limit, one per class) and letter map of a type of
+        one symbol is one gather.  A failure raises the lowest failing row's
+        error (`range_error` for a type field out of range; checks in the
+        scalar order), with that row as `row`.
+        """
+        held, other = held_and_decoded(side, 0, 1)  # x is side 0 of the book, y side 1
+        type_index, symbols = np.asarray(type_index), np.asarray(symbols)
+        if len(type_index) != len(symbols):
+            raise ValueError(f"codeword fields of {len(type_index)} and {len(symbols)} rows for {len(side_info)} blocks")
+        side_info = _as_blocks(self.n, side_info, self._classes[held].k, "side information", len(type_index))
+        count = self.type_count if types is None else len(types)
+        fields = type_index[rows]
+        failures, bad = [], (fields < 0) | (fields >= count)
+        if bad.any():
+            row = int(rows[np.argmax(bad)])
+            failures.append(range_error(f"type index {type_index[row]} out of range", row))
+            rows, fields = rows[~bad], fields[~bad]
+        ids = self._ids(fields if types is None else types[fields])
+        delta, symbol, letters = self._delta[ids], symbols[rows], side_info.take(rows, axis=0)
+        tabled = delta > 1
+        rank, wrong_side = self._classes[held].rank(letters, self._cls[held][ids], tabled)
+        wrong = wrong_side | (symbol < 0) | (symbol >= delta)
+        read, found = np.flatnonzero(tabled & ~wrong), np.zeros(len(rows), np.int64)
+        slots, at = self._slots[held], self._base[held][ids[read]] + rank[read] * delta[read] + symbol[read]
+        found[read] = np.frombuffer(slots, slots.typecode)[at]
+        wrong |= found < 0  # a hole
+        read = read[found[read] >= 0]
+        out = np.zeros(side_info.shape, _letter_dtype(self._classes[other].k))
+        _put_rows(out, rows[read], self._classes[other].unrank(self._cls[other][ids[read]], found[read]))
+        one = np.flatnonzero(~tabled)
+        maps = self._maps[other]  # a one-symbol row's letters through its entry's map
+        mapped = maps.ravel().take(letters.take(one, axis=0) + (ids[one] * maps.shape[1])[:, None])
+        _put_rows(out, rows[one], mapped)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            if wrong_side[i]:
+                failures.append(SideInfoMismatchError("side information type does not match codeword", int(rows[i])))
+            else:
+                where = "a joint type of one symbol" if delta[i] == 1 else f"{'column' if side == 'x' else 'row'} {rank[i]}"
+                failures.append(SymbolNotFoundError(f"symbol {symbol[i]} absent in {where}", int(rows[i])))
+        if failures:
+            raise min(failures, key=lambda exc: exc.row)
+        return out
 
     def table(self, jt: JointType) -> CodingTable:
         """A window on the entry of jt, a tabled type, entered first if new.
         Its graph is the one entering built; an entry a batch made builds one."""
-        graph = None if jt.index in self.met else self._enter(jt.index, jt)
-        entry = self.entries[self.met[jt.index]]
-        return CodingTable(graph or build_graph(jt), entry[0], *self.slots, *entry[3:5])
+        graph = None if jt.index in self._met else self._enter(jt.index, jt)
+        entry = self._entries[self._met[jt.index]]
+        return CodingTable(graph or build_graph(jt), entry[0], *self._slots, *entry[3:5])
+
+    def _ids(self, index: np.ndarray) -> np.ndarray:
+        """The book id of each type index (all in range), entering the types met for the first time."""
+        ids = self._find(index)
+        if len(ids) and ids.min() < 0:
+            new = list(dict.fromkeys(np.sort(index[ids < 0]).tolist()))  # np.unique would import numpy.ma
+            for i, jt in zip(new, joint_types_at(new, self.n, self._classes[0].k, self._classes[1].k)):
+                self._enter(i, jt)
+            ids = self._find(index)
+        if len(self._delta) < len(self._entries):  # types entered since the last call: rebuild the arrays
+            delta, *counts, x_base, y_base, x_maps, y_maps = zip(*self._entries)
+            self._delta, self._base = np.array(delta, np.int64), [np.array(x_base, np.int64), np.array(y_base, np.int64)]
+            self._cls = [np.array(classes.ids_of(c), np.int64) for classes, c in zip(self._classes, counts)]
+            for side, maps in enumerate((x_maps, y_maps)):
+                zeros = (0,) * self._maps[side].shape[1]
+                self._maps[side] = np.array([m or zeros for m in maps], self._maps[side].dtype)
+        return ids
 
     def _find(self, index: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense[index]
+        if self._dense is not None:
+            return self._dense[index]
         values, inverse = np.unique(index, return_inverse=True)
-        return np.array([self.met.get(value, -1) for value in values.tolist()], np.int64)[inverse]
+        return np.array([self._met.get(value, -1) for value in values.tolist()], np.int64)[inverse]
 
     def _enter(self, index: int, jt: JointType) -> BipartiteTypeGraph | None:
         """Enter jt, of this type index: its table built (budget checked first)
@@ -576,37 +674,22 @@ class SlotBook:
         delta, graph, start = num_symbols_of(jt), None, (0, 0)
         if delta > 1:
             graph = build_graph(jt)
-            start, t = tuple(map(len, self.slots)), edge_color(graph)
-            for buf, part in zip(self.slots, (t.col_slots, t.row_slots)):
+            start, t = tuple(map(len, self._slots)), edge_color(graph)
+            for buf, part in zip(self._slots, (t.col_slots, t.row_slots)):
                 buf.extend(part if part.typecode == buf.typecode else array(buf.typecode, part.tolist()))
         maps = (letter_map(jt, "x"), letter_map(jt, "y")) if delta == 1 else (None, None)
-        self.entries.append((delta, *(m.counts for m in _marginals(jt)), *start, *maps))
-        self.met[index] = len(self.met)
-        if self.dense is not None:
-            self.dense[index] = self.met[index]
+        self._entries.append((delta, *(m.counts for m in _marginals(jt)), *start, *maps))
+        self._met[index] = len(self._met)
+        if self._dense is not None:
+            self._dense[index] = self._met[index]
         return graph
 
-    def read(self, side: int, ids: np.ndarray, ranks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Slot `symbols[i]` (in range) of vertex `ranks[i]` on `side` of tabled
-        entry ids[i]: the other end of the cell with that symbol, -1 for a hole."""
-        slots = np.frombuffer(self.slots[side], self.slots[side].typecode)
-        return slots[self.base[side][ids] + ranks * self.delta[ids] + symbols]
 
-    def symbols(self, ids: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The symbol of cell (rows[i], cols[i]) of tabled entry ids[i], -1
-        for an unmarked cell: every row's slots compared with its column at
-        once, in slices of at most `_SLICE_SLOTS` slots."""
-        delta, col_of = self.delta[ids], np.frombuffer(self.slots[0], self.slots[0].typecode)
-        start, out = self.base[0][ids] + rows * delta, np.full(len(ids), -1, np.int64)
-        step = max(1, _SLICE_SLOTS // int(delta.max(initial=1)))
-        for lo in range(0, len(ids), step):
-            d, first = delta[lo:lo + step], start[lo:lo + step]
-            at = np.repeat(first - np.cumsum(d) + d, d) + np.arange(d.sum())  # every slot of every row
-            hit = np.flatnonzero(col_of[at] == np.repeat(cols[lo:lo + step], d))
-            # A column fills at most one slot of a row: a hit per row is one in each, in order.
-            owner = np.repeat(np.arange(len(d)), d)[hit] if len(hit) < len(d) else slice(None)
-            out[lo:lo + step][owner] = at[hit] - first[owner]
-        return out
+def _put_rows(out: np.ndarray, at: np.ndarray, rows: np.ndarray) -> None:
+    """`out[at] = rows`, a whole row per item: several times faster than
+    numpy's fancy indexing of short rows.  `out`'s rows must be contiguous."""
+    whole = np.dtype((np.void, out.shape[1] * out.itemsize))
+    out.view(whole)[:, 0][at] = np.ascontiguousarray(rows, out.dtype).view(whole)[:, 0]
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@
 One codeword serves both decoders: the first part indexes the joint type
 of the pair within the decodable region for the configured rate, the
 second part is the symbol of the cell, which `coding_table.encode_pair`
-(one block) and `encode_rows` (a batch) give.  Pairs whose joint
+(one block) and `SlotBook.encode` (a batch) give.  Pairs whose joint
 type falls outside the region get a reserved all-zero codeword with an
 explicit error flag; both per-decoder error probabilities are charged on
 that event, which makes the accounting exact and testable.
@@ -30,7 +30,7 @@ from .types_core import (
     JointType,
     RowError,
     Sequence,
-    _letter_dtype,
+    _as_blocks,
     _lex_maps,
     _read_only,
     enumerate_joint_types,
@@ -40,8 +40,7 @@ from .types_core import (
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, in_decodable_region, type_columns
-from .coding_table import SlotBook, decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
-from .coding_table import PairTypeMismatchError, SideInfoMismatchError, SymbolNotFoundError
+from .coding_table import SideInfoMismatchError, decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
 
 
 class CodewordRangeError(RowError):
@@ -175,7 +174,7 @@ def _check_side_info(cfg: FFCodeConfig, side_info: Sequence, side: str) -> Alpha
     """The alphabet a decode of `side` reproduces, once side_info passes every decoder's checks."""
     if len(side_info.letters) != cfg.n:
         raise ValueError(f"side information must have length n={cfg.n}")
-    held, reproduced = (cfg.ay, cfg.ax) if side == "x" else (cfg.ax, cfg.ay)
+    held, reproduced = held_and_decoded(side, cfg.ax, cfg.ay)
     if side_info.alphabet is not held:  # flagged or not, as the batch path refuses it
         raise SideInfoMismatchError("side information type does not match codeword")
     return reproduced
@@ -215,38 +214,12 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, type_index=
     `type_index` is `joint_type_index` of the rows when the caller has
     it, and a row the caller gives index -1 is flagged.
     """
-    x, y = _as_blocks(cfg.n, x, cfg.ax, "x"), _as_blocks(cfg.n, y, cfg.ay, "y", len(x))
+    x, y = _as_blocks(cfg.n, x, cfg.ax.size, "x"), _as_blocks(cfg.n, y, cfg.ay.size, "y", len(x))
     if type_index is None:
         type_index = joint_type_index(x, y, cfg.ax.size, cfg.ay.size)
     region = np.where(type_index < 0, -1, make_code(cfg).region_index[type_index])
-    symbols = encode_rows(slot_book(cfg.n, cfg.ax, cfg.ay), x, y, np.where(region < 0, -1, type_index))
+    symbols = slot_book(cfg.n, cfg.ax, cfg.ay).encode(x, y, np.where(region < 0, -1, type_index))
     return region < 0, np.maximum(region, 0), symbols
-
-
-def encode_rows(book: SlotBook, x, y, index: np.ndarray) -> np.ndarray:
-    """The symbol of every row pair of (m, n) letter arrays: row i is of the
-    joint type of index `index[i]`, or left out when that is negative;
-    rows left out, and rows of a type of one symbol, get symbol 0.
-
-    One lookup gives every row its book entry (a type met for the first
-    time is entered: its table built, and budget checked, before any
-    rank).  Each side is ranked by one code-table gather (past its limit,
-    one search per class) and every row's slots are compared with its
-    column rank at once: no loop runs over joint types.
-    """
-    symbols = np.zeros(len(x), np.int64)
-    rows = np.flatnonzero(index >= 0)
-    ids = book.ids(index[rows])
-    tabled = book.delta[ids] > 1
-    rows, ids = rows[tabled], ids[tabled]
-    x_rank, _ = book.classes[0].rank(x.take(rows, axis=0), book.cls[0][ids], np.ones(len(rows), bool))
-    y_rank, _ = book.classes[1].rank(y.take(rows, axis=0), book.cls[1][ids], np.ones(len(rows), bool))
-    found = book.symbols(ids, x_rank, y_rank)
-    if len(found) and found.min() < 0:
-        i = int(np.argmax(found < 0))
-        raise PairTypeMismatchError(f"no marked cell at row {x_rank[i]}, column {y_rank[i]}", int(rows[i]))
-    symbols[rows] = found
-    return symbols
 
 
 def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -254,85 +227,16 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
 
     `words` is what `ff_encode_batch` returns; row i of `side_info` is the
     side information of codeword i.  Flagged rows decode to all zeros, as
-    in the scalar path.  A failure raises what the scalar path raises for
-    the first failing row, with that row as its `row`.
+    in the scalar path; the others decode through `SlotBook.decode`, their
+    region indices read as type indices.  A failure raises what the scalar
+    path raises for the first failing row, with that row as its `row`.
     """
     flags = np.asarray(words[0], bool)
-    held, reproduced = held_and_decoded(side, cfg.ax, cfg.ay)
-    side_info = _as_blocks(cfg.n, side_info, held, "side information", len(flags))
-    out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
-    book, types = slot_book(cfg.n, cfg.ax, cfg.ay), np.flatnonzero(make_code(cfg).region_index >= 0)
-    decode_rows(book, types, *words[1:], side_info, side, out, np.flatnonzero(~flags))
-    return out
-
-
-def decode_rows(book: SlotBook, types, type_index, symbols, side_info, side, out, rows, range_error=CodewordRangeError) -> None:
-    """Decode the given rows (ascending) into `out`: row i
-    has the codeword (type field `type_index[i]`, `symbols[i]`) and side
-    information `side_info[i]`.  The type field indexes `types`, the type
-    indices of an FF region, or with `types` None is a type index.
-
-    One lookup gives every row its book entry.  The side information is
-    ranked and type-checked by one code-table gather (past its limit a
-    sort checks it and each held class is searched once), and every slot
-    read, unrank (past the limit, one per class) and letter map of a type
-    of one symbol is one gather.  A failure raises the lowest failing
-    row's error (`range_error` for a type field out of range; checks in
-    the scalar order), with that row as `row`.
-    """
-    type_index, symbols = np.asarray(type_index), np.asarray(symbols)
-    if not len(type_index) == len(symbols) == len(side_info):
-        raise ValueError(f"codeword fields of {len(type_index)} and {len(symbols)} rows for {len(side_info)} blocks")
-    count = book.type_count if types is None else len(types)
-    fields = type_index[rows]
-    failures, bad = [], (fields < 0) | (fields >= count)
-    if bad.any():
-        row = int(rows[np.argmax(bad)])
-        failures.append(range_error(f"type index {type_index[row]} out of range", row))
-        rows, fields = rows[~bad], fields[~bad]
-    ids = book.ids(fields if types is None else types[fields])
-    held, other = held_and_decoded(side, 0, 1)  # x is side 0 of the book, y side 1
-    delta, symbol, letters = book.delta[ids], symbols[rows], side_info.take(rows, axis=0)
-    tabled = delta > 1
-    rank, wrong_side = book.classes[held].rank(letters, book.cls[held][ids], tabled)
-    wrong = wrong_side | (symbol < 0) | (symbol >= delta)
-    read, found = np.flatnonzero(tabled & ~wrong), np.zeros(len(rows), np.int64)
-    found[read] = book.read(held, ids[read], rank[read], symbol[read])
-    wrong |= found < 0
-    read = read[found[read] >= 0]
-    _put_rows(out, rows[read], book.classes[other].unrank(book.cls[other][ids[read]], found[read]))
-    one = np.flatnonzero(~tabled)
-    maps = book.maps[other]  # a one-symbol row's letters through its entry's map
-    mapped = maps.ravel().take(letters.take(one, axis=0) + (ids[one] * maps.shape[1])[:, None])
-    _put_rows(out, rows[one], mapped)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        if wrong_side[i]:
-            failures.append(SideInfoMismatchError("side information type does not match codeword", int(rows[i])))
-        else:
-            where = "a joint type of one symbol" if delta[i] == 1 else f"{'column' if side == 'x' else 'row'} {rank[i]}"
-            failures.append(SymbolNotFoundError(f"symbol {symbol[i]} absent in {where}", int(rows[i])))
-    if failures:
-        raise min(failures, key=lambda exc: exc.row)
-
-
-def _put_rows(out: np.ndarray, at: np.ndarray, rows: np.ndarray) -> None:
-    """`out[at] = rows`, a whole row per item: several times faster than
-    numpy's fancy indexing of short rows.  `out`'s rows must be contiguous."""
-    whole = np.dtype((np.void, out.shape[1] * out.itemsize))
-    out.view(whole)[:, 0][at] = np.ascontiguousarray(rows, out.dtype).view(whole)[:, 0]
-
-
-def _as_blocks(n: int, letters: np.ndarray, alphabet: Alphabet, what: str, rows: int | None = None) -> np.ndarray:
-    """`letters` checked as (m, n) blocks over `alphabet` (m = `rows` if given), in its array letter type."""
-    letters = np.asarray(letters)
-    if letters.ndim != 2 or letters.shape[1] != n:
-        raise ValueError(f"{what} must be an (m, {n}) letter array")
-    if rows is not None and len(letters) != rows:
-        raise ValueError(f"{what} has {len(letters)} rows, not {rows}")
-    if letters.size and not (0 <= letters.min() and letters.max() < alphabet.size):
-        raise ValueError(f"{what} has a letter outside the alphabet of size {alphabet.size}")
-    return letters.astype(_letter_dtype(alphabet.size), copy=False)
+    if len(flags) != len(side_info):
+        raise ValueError(f"side information has {len(side_info)} rows, not {len(flags)}")
+    types = np.flatnonzero(make_code(cfg).region_index >= 0)
+    book = slot_book(cfg.n, cfg.ax, cfg.ay)
+    return book.decode(types, *words[1:], side_info, side, np.flatnonzero(~flags), CodewordRangeError)
 
 
 def codebook_size(cfg: FFCodeConfig) -> int:

@@ -18,7 +18,7 @@ function of the joint type only, which is what the overflow/underflow
 analysis sums over.  `fv_encode` and the stream decoders code one block;
 `fv_encode_batch`, `FVCode.pack_words`, `FVCode.read_words` and
 `fv_decode_batch` code whole (m, n) arrays of blocks to and from the
-same bits.
+same bits, their symbols coded by `coding_table.SlotBook`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .types_core import (
     JointType,
     RowError,
     Sequence,
-    _letter_dtype,
+    _as_blocks,
     _read_only,
     _types_over,
     cached_attribute,
@@ -48,18 +48,7 @@ from .types_core import (
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, type_columns
 from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
-from .ff_codec import (
-    FFCodeConfig,
-    _as_blocks,
-    _check_side_info,
-    _ff_decode,
-    bit_width,
-    decode_rows,
-    encode_rows,
-    ff_encode,
-    make_code,
-    _source_columns,
-)
+from .ff_codec import FFCodeConfig, _check_side_info, _ff_decode, _source_columns, bit_width, ff_encode, make_code
 
 MAX_HEADER_WIDTH = 32  # widest type index `fields_at_every_offset` frames
 
@@ -235,15 +224,15 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     code's alphabets: the word of row i is `words[0][i]` in the header and
     `words[1][i]` in the symbol field (0 for a type of one symbol).
 
-    The symbols come from `ff_codec.encode_rows` over the slot book the
-    FF codes of this n share.  The fields are kept apart because a word
-    can be wider than an int64.  ValueError, before any table is built,
-    if the rows hold more than `code.types_kept` distinct joint types.
+    The symbols come from `SlotBook.encode` over the slot book the FF
+    codes of this n share.  The fields are kept apart because a word can
+    be wider than an int64.  ValueError, before any table is built, if
+    the rows hold more than `code.types_kept` distinct joint types.
     """
-    x, y = _as_blocks(code.n, x, code.ax, "x"), _as_blocks(code.n, y, code.ay, "y", len(x))
+    x, y = _as_blocks(code.n, x, code.ax.size, "x"), _as_blocks(code.n, y, code.ay.size, "y", len(x))
     type_index = joint_type_index(x, y, code.ax.size, code.ay.size)
     code.check_distinct(type_index)
-    return type_index, encode_rows(slot_book(code.n, code.ax, code.ay), x, y, type_index)
+    return type_index, slot_book(code.n, code.ax, code.ay).encode(x, y, type_index)
 
 
 def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: str) -> np.ndarray:
@@ -255,13 +244,10 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     that row as its `row`; a batch of more than `code.types_kept` distinct
     type indices is refused first (ValueError).
     """
-    held, reproduced = held_and_decoded(side, code.ax, code.ay)
-    side_info = _as_blocks(code.n, side_info, held, "side information", len(words[0]))
-    code.check_distinct(np.asarray(words[0]))
-    out = np.zeros(side_info.shape, _letter_dtype(reproduced.size))
+    type_index, symbols = words
+    code.check_distinct(np.asarray(type_index))
     book = slot_book(code.n, code.ax, code.ay)
-    decode_rows(book, None, *words, side_info, side, out, np.arange(len(out)), MalformedCodewordError)
-    return out
+    return book.decode(None, type_index, symbols, side_info, side, np.arange(len(type_index)), MalformedCodewordError)
 
 
 def fv_decode_x_stream(n: int, reader: BitReader, y: Sequence, ax: Alphabet | None = None) -> Sequence:

@@ -422,6 +422,18 @@ def _letter_dtype(k: int) -> type:
     return np.uint8 if k <= 256 else np.uint32
 
 
+def _as_blocks(n: int, letters: np.ndarray, k: int, what: str, rows: int | None = None) -> np.ndarray:
+    """`letters` checked as (m, n) blocks over k letters (m = `rows` if given), in its array letter type."""
+    letters = np.asarray(letters)
+    if letters.ndim != 2 or letters.shape[1] != n:
+        raise ValueError(f"{what} must be an (m, {n}) letter array")
+    if rows is not None and len(letters) != rows:
+        raise ValueError(f"{what} has {len(letters)} rows, not {rows}")
+    if letters.size and not (0 <= letters.min() and letters.max() < k):
+        raise ValueError(f"{what} has a letter outside the alphabet of size {k}")
+    return letters.astype(_letter_dtype(k), copy=False)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """`array`, made read-only: a cached array is shared by every caller."""
     array.flags.writeable = False

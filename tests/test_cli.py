@@ -373,6 +373,23 @@ class TestExitCodes:
         assert main([*argv, "--source", str(tmp_path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: cannot read source file {tmp_path}: ")
 
+    @pytest.mark.parametrize("matrix", ["[[true, false]]", '[["0.25", "0.25"], ["0.25", "0.25"]]'], ids=["booleans", "strings"])
+    @pytest.mark.parametrize("where", ["inline", "file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate"], ["exponent", "--n", "2", "--rate", "0.5"], ["sweep", "--n", "4", "--rate", "0.8", "--trials", "10"]],
+    )
+    def test_source_of_booleans_or_strings_is_validation_error(self, argv, where, matrix, tmp_path, capsys):
+        # Read as a sweep config's p_xy is: a list of lists of numbers.
+        source = matrix
+        if where == "file":
+            source = str(tmp_path / "p.json")
+            (tmp_path / "p.json").write_text(matrix)
+        assert main([*argv, "--source", source]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid source matrix {source}: ") and "is not a number" in captured.err
+        assert not captured.out
+
     def test_alphabet_violation(self, tmp_path, capsys):
         x = tmp_path / "x.bin"
         y = tmp_path / "y.bin"

@@ -21,7 +21,7 @@ from compdeliv.coding_table import (
     get_coding_table,
     slot_book,
 )
-from compdeliv.ff_codec import FFCodeConfig, bit_width, encode_rows, ff_decode_batch, ff_encode_batch
+from compdeliv.ff_codec import FFCodeConfig, bit_width, ff_decode_batch, ff_encode_batch
 from compdeliv.fv_codec import fv_decode_batch, fv_encode_batch, make_fv_code
 from compdeliv.types_core import (
     BINARY,
@@ -41,12 +41,12 @@ from conftest import all_binary_pairs, assert_proper_coloring as assert_proper, 
 
 
 def batch_symbols(jt: JointType, rows, cols) -> np.ndarray:
-    """The batch encoder's symbols (`ff_codec.encode_rows`) of the blocks of
+    """The batch encoder's symbols (`SlotBook.encode`) of the blocks of
     ranks rows[i] and cols[i] in jt's marginal classes, every pair given
     jt's type index, whatever its own joint type."""
     x, y = unrank_rows(jt.x_marginal().counts, rows), unrank_rows(jt.y_marginal().counts, cols)
     book = slot_book(jt.n, Alphabet(jt.num_x), Alphabet(jt.num_y))
-    return encode_rows(book, x, y, np.full(len(x), jt.index))
+    return book.encode(x, y, np.full(len(x), jt.index))
 
 
 def cells(table):
@@ -410,7 +410,7 @@ class TestSlotBuffers:
             for side, held in (("x", y), ("y", x)):
                 out.append(ff_decode_batch(cfg, ff_words, held, side).tolist())
                 out.append(fv_decode_batch(code, fv_words, held, side).tolist())
-            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY).slots[0].typecode, out
+            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY)._slots[0].typecode, out
 
         try:
             narrow, mixed, wide = code_all(2 ** 15), code_all(60), code_all(1)

@@ -385,6 +385,14 @@ class TestWrapping:
         for cw in (wrapped.encode(x, y), wrapped.encode(x, x)):  # verbatim, then a fixed-length word
             with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
                 wrapped.decode(cw, x, "z")
+        # 2 x 3 letters: side information over either alphabet names the
+        # side, not a type mismatch.
+        wrapped = wrap_ff_as_fv(FFCodeConfig(4, 0.5, Alphabet(2), Alphabet(3)))
+        x, y = seq("0011"), seq("0122", 3)
+        for cw in (wrapped.encode(x, seq("0000", 3)), wrapped.encode(x, y)):  # verbatim, then a fixed-length word
+            for side_info in (x, y):
+                with pytest.raises(ValueError, match="side must be 'x' or 'y', not 'z'"):
+                    wrapped.decode(cw, side_info, "z")
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_words_of_another_length_rejected(self, side):

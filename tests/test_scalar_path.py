@@ -26,8 +26,6 @@ from compdeliv.coding_table import (
 from compdeliv.ff_codec import (
     FFCodeConfig,
     FFCodeword,
-    decode_rows,
-    encode_rows,
     ff_decode_batch,
     ff_decode_x,
     ff_decode_y,
@@ -37,6 +35,7 @@ from compdeliv.ff_codec import (
 )
 from compdeliv.fv_codec import (
     FVCodeword,
+    MalformedCodewordError,
     fv_decode_batch,
     fv_decode_x,
     fv_decode_x_stream,
@@ -139,12 +138,11 @@ def test_300_letter_blocks_match_the_array_path():
 
     book = slot_book(n, ax, ax)
     assert book.type_count == joint_type_count(n, k, k) > 2 ** 40
-    symbols = encode_rows(book, x, y, type_index)
+    symbols = book.encode(x, y, type_index)
     types = joint_types_at(type_index, n, k, k)
     rows = np.arange(len(x))
-    out_x, out_y = np.zeros_like(x), np.zeros_like(y)
-    decode_rows(book, None, type_index, symbols, y, "x", out_x, rows)
-    decode_rows(book, None, type_index, symbols, x, "y", out_y, rows)
+    out_x = book.decode(None, type_index, symbols, y, "x", rows, MalformedCodewordError)
+    out_y = book.decode(None, type_index, symbols, x, "y", rows, MalformedCodewordError)
     assert (out_x == x).all() and (out_y == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, ax), _sequences(y, ax))):
         jt = joint_type_of(xi, yi)
@@ -267,7 +265,7 @@ def test_no_encoder_builds_a_one_symbol_table(encoder, monkeypatch):
     balanced = np.array([[0] * 16 + [1] * 16])  # a class too large to build
     ENCODERS[encoder](balanced, balanced)
     assert calls["edge_color"] == 0
-    symbols = encode_rows(slot_book(8, BINARY, BINARY), x, x, joint_type_index(x, x, 2, 2))
+    symbols = slot_book(8, BINARY, BINARY).encode(x, x, joint_type_index(x, x, 2, 2))
     assert not symbols.any()
     assert calls["edge_color"] == 0
 
@@ -516,11 +514,12 @@ def test_code_table_and_class_search_code_alike(mode, monkeypatch):
             cache.cache_clear()
 
 
-def _counted(monkeypatch, calls, name, real):
-    """Count calls to `real` through every compdeliv module that imports it as `name`."""
+def _counted(monkeypatch, calls, name, real, when=lambda *args: True):
+    """Count calls to `real` through every compdeliv module that imports it
+    as `name`: the calls whose arguments `when` accepts."""
 
     def counted(*args, **kwargs):
-        calls[name] += 1
+        calls[name] += when(*args)
         return real(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -584,7 +583,9 @@ def test_warm_scalar_calls_rederive_nothing(n, kx, ky, rate, monkeypatch):
     assert any(num_symbols_of(joint_type_of(xi, yi)) == 1 for xi, yi in pairs)
     calls = dict.fromkeys(("multinomial", "held_and_decoded", "Alphabet"), 0)
     _counted(monkeypatch, calls, "multinomial", types_core.multinomial)
-    _counted(monkeypatch, calls, "held_and_decoded", coding_table.held_and_decoded)
+    # Held and reproduced marginals; picking one of the code's two alphabets derives nothing.
+    per_type = lambda side, x, y: not isinstance(x, Alphabet)  # noqa: E731
+    _counted(monkeypatch, calls, "held_and_decoded", coding_table.held_and_decoded, per_type)
     _count_alphabets(monkeypatch, calls)
     Alphabet(2)
     assert calls["Alphabet"] == 1  # the counter sees every construction
@@ -592,6 +593,9 @@ def test_warm_scalar_calls_rederive_nothing(n, kx, ky, rate, monkeypatch):
     for _ in range(3):
         code_every_block()
     assert calls == dict.fromkeys(calls, 0)
+    coding_table._side_coders.cache_clear()  # the filtered count is live: cold coders derive the sides
+    code_every_block()
+    assert calls["held_and_decoded"] > 0
 
 
 @pytest.mark.parametrize("n, kx, ky, rate", [(8, 2, 2, 0.8), *SHAPES])

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from compdeliv import coding_table, ff_codec, info_measures, simulator
+from compdeliv import coding_table, info_measures, simulator
+from compdeliv.coding_table import SlotBook
 from compdeliv.fv_codec import make_fv_code
 from compdeliv.info_measures import (
     SourceSpec,
@@ -328,25 +329,25 @@ def corrupt_decoders(monkeypatch, corrupted) -> None:
     corrupted copy of the book's buffer of its side (x is read from the
     row_of buffer, y from the col_of buffer) while the encoder, and every
     other caller, reads the clean one."""
-    real_decode = ff_codec.decode_rows
+    real_decode = SlotBook.decode
 
-    def corrupted_decode(book, types, type_index, symbols, side_info, decoded, out, rows):
+    def corrupted_decode(book, types, type_index, symbols, side_info, decoded, rows, range_error):
         held = 1 if decoded == "x" else 0
-        book.ids(type_index[rows] if types is None else types[type_index[rows]])  # enter every type first
-        clean = book.slots[held]
-        book.slots[held] = clean[:]  # a copy
-        slots = np.frombuffer(book.slots[held], clean.typecode)
-        for i, jt in enumerate(joint_types_at(list(book.met), book.n, 2, 2)):
-            delta, vertices = int(book.delta[i]), type_class_size(jt.y_marginal() if held else jt.x_marginal())
+        book._ids(type_index[rows] if types is None else types[type_index[rows]])  # enter every type first
+        clean = book._slots[held]
+        book._slots[held] = clean[:]  # a copy
+        slots = np.frombuffer(book._slots[held], clean.typecode)
+        for i, jt in enumerate(joint_types_at(list(book._met), book.n, 2, 2)):
+            delta, vertices = int(book._delta[i]), type_class_size(jt.y_marginal() if held else jt.x_marginal())
             if delta > 1 and corrupted(jt, decoded):
-                start = int(book.base[held][i])
+                start = int(book._base[held][i])
                 _swap_first_two_symbols(slots[start:start + vertices * delta].reshape(vertices, delta))
         try:
-            return real_decode(book, types, type_index, symbols, side_info, decoded, out, rows)
+            return real_decode(book, types, type_index, symbols, side_info, decoded, rows, range_error)
         finally:
-            book.slots[held] = clean
+            book._slots[held] = clean
 
-    monkeypatch.setattr(ff_codec, "decode_rows", corrupted_decode)
+    monkeypatch.setattr(SlotBook, "decode", corrupted_decode)
 
 
 def desync_message(run, plan) -> str:

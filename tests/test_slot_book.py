@@ -3,6 +3,7 @@ with gathers.  Batches that fill it a few types at a time code as one
 fresh batch does, and a warm batch does no per-type Python work."""
 
 import gc
+import itertools
 import sys
 import weakref
 
@@ -11,6 +12,7 @@ import pytest
 
 from compdeliv import coding_table, types_core
 from compdeliv.coding_table import (
+    PairTypeMismatchError,
     SideInfoMismatchError,
     SymbolNotFoundError,
     build_graph,
@@ -19,9 +21,17 @@ from compdeliv.coding_table import (
     num_symbols_of,
     slot_book,
 )
-from compdeliv.ff_codec import FFCodeConfig, ff_decode_batch, ff_encode_batch
-from compdeliv.fv_codec import FVCode, fv_decode_batch, fv_encode_batch, make_fv_code
-from compdeliv.types_core import BINARY, enumerate_joint_types, type_class_size
+from compdeliv.ff_codec import CodewordRangeError, FFCodeConfig, ff_decode_batch, ff_encode_batch, make_code
+from compdeliv.fv_codec import FVCode, MalformedCodewordError, fv_decode_batch, fv_encode_batch, make_fv_code
+from compdeliv.types_core import (
+    BINARY,
+    JointType,
+    enumerate_joint_types,
+    joint_type_index,
+    joint_types_at,
+    type_class_size,
+    unrank_rows,
+)
 
 
 def _pairs(n, m, seed):
@@ -80,8 +90,8 @@ def test_batches_that_meet_new_types_code_as_one_fresh_batch(mode):
     book, parts, met = _fresh_book(n), [], []
     for at in slices:
         parts.append(encode(x[at], y[at]))
-        met.append(len(book.met))
-    assert 0 < met[0] < met[1] < met[2] < met[3] == len(book.delta)
+        met.append(len(book._met))
+    assert 0 < met[0] < met[1] < met[2] < met[3] == len(book._delta)
     assert [np.concatenate(part).tolist() for part in zip(*parts)] == [part.tolist() for part in whole]
 
     # Decoding each side slice by slice into an empty book, the book first
@@ -100,7 +110,7 @@ def test_batches_that_meet_new_types_code_as_one_fresh_batch(mode):
             for at in slices:
                 part = _outcome(lambda: decode(tuple(w[at] for w in words), info[at], side), at[0])
                 got.append(part)
-                met.append(len(book.met))
+                met.append(len(book._met))
                 if isinstance(part, tuple):
                     break
             if isinstance(expected, tuple):
@@ -116,10 +126,10 @@ def test_cache_clear_empties_the_book():
     x, y = _pairs(8, 100, 4)
     ff_encode_batch(FFCodeConfig(8, 0.9), x, y)
     book = slot_book(8, BINARY, BINARY)
-    assert book.met and len(book.slots[0]) > 0 and len(book.delta) == len(book.met)
+    assert book._met and len(book._slots[0]) > 0 and len(book._delta) == len(book._met)
     slot_book.cache_clear()
     fresh = slot_book(8, BINARY, BINARY)
-    assert fresh is not book and not fresh.met and list(map(len, fresh.slots)) == [0, 0] and len(fresh.delta) == 0
+    assert fresh is not book and not fresh._met and list(map(len, fresh._slots)) == [0, 0] and len(fresh._delta) == 0
 
 
 # What a batch once did per joint type; a warm batch calls none of them.
@@ -188,17 +198,17 @@ def _fill_with_every_type(n):
 def test_the_book_holds_each_table_once():
     book, types = _fill_with_every_type(8), enumerate_joint_types(8, BINARY, BINARY)
     tabled = [jt for jt in types if num_symbols_of(jt) > 1]
-    assert len(book.met) == len(types) and 0 < len(tabled) < len(types)
+    assert len(book._met) == len(types) and 0 < len(tabled) < len(types)
     # Slots in closed form: each tabled entry's classes times its symbol count, nothing more.
     for side, marginal in ((0, "x_marginal"), (1, "y_marginal")):
         slots = sum(type_class_size(getattr(jt, marginal)()) * num_symbols_of(jt) for jt in tabled)
-        assert len(book.slots[side]) == slots
+        assert len(book._slots[side]) == slots
     # A table read through get_coding_table is a window on the book's own
     # buffers, holding the slots a fresh build gives.
     get_coding_table.cache_clear()
     for jt in tabled:
         t = get_coding_table(jt)
-        assert t.col_slots is book.slots[0] and t.row_slots is book.slots[1]
+        assert t.col_slots is book._slots[0] and t.row_slots is book._slots[1]
         fresh = edge_color(build_graph(jt))
         assert (t.col_of, t.row_of, t.num_symbols) == (fresh.col_of, fresh.row_of, fresh.num_symbols)
 
@@ -210,16 +220,16 @@ def test_a_window_built_by_its_own_call_enters_the_book_once(monkeypatch):
     monkeypatch.setattr(coding_table, "build_graph", lambda t: calls.append(t) or real(t))
     book = _fresh_book(8)
     t = get_coding_table(jt)
-    assert calls == [jt] and list(book.met) == [jt.index] and t.col_slots is book.slots[0]
-    assert len(book.slots[0]) == len(t.col_of) and len(book.slots[1]) == len(t.row_of)
+    assert calls == [jt] and list(book._met) == [jt.index] and t.col_slots is book._slots[0]
+    assert len(book._slots[0]) == len(t.col_of) and len(book._slots[1]) == len(t.row_of)
 
 
 def _window_buffers(n):
     """Weak references to the buffers of a filled book that windows read."""
     book = _fill_with_every_type(n)
     tabled = [jt for jt in enumerate_joint_types(n, BINARY, BINARY) if num_symbols_of(jt) > 1]
-    assert all(get_coding_table(jt).col_slots is book.slots[0] for jt in tabled)
-    return [weakref.ref(buf) for buf in book.slots]
+    assert all(get_coding_table(jt).col_slots is book._slots[0] for jt in tabled)
+    return [weakref.ref(buf) for buf in book._slots]
 
 
 def test_clearing_the_books_drops_the_windows_on_them():
@@ -228,7 +238,7 @@ def test_clearing_the_books_drops_the_windows_on_them():
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     jt = next(jt for jt in enumerate_joint_types(6, BINARY, BINARY) if num_symbols_of(jt) > 1)
-    assert get_coding_table(jt).row_slots is slot_book(6, BINARY, BINARY).slots[1]
+    assert get_coding_table(jt).row_slots is slot_book(6, BINARY, BINARY)._slots[1]
 
 
 def test_a_batch_that_raised_leaves_the_book_free_to_grow():
@@ -241,8 +251,83 @@ def test_a_batch_that_raised_leaves_the_book_free_to_grow():
     symbols[7] = 1 << 20
     with pytest.raises(SymbolNotFoundError) as caught:
         fv_decode_batch(code, (words[0], symbols), y[:100], "x")
-    met, size = len(book.met), len(book.slots[0])
+    met, size = len(book._met), len(book._slots[0])
     words = fv_encode_batch(code, x[300:], y[300:])
-    assert len(book.met) > met and len(book.slots[0]) > size
+    assert len(book._met) > met and len(book._slots[0]) > size
     assert (fv_decode_batch(code, words, y[300:], "x") == x[300:]).all()
     assert caught.value.row == 7
+
+
+def test_an_encode_that_raised_leaves_the_book_free_to_grow():
+    # Row 7 is x = y = 00001111 given the index of counts ((3, 1), (1, 3)),
+    # a type of the same marginals: no cell of its table, and the book
+    # still takes new types while the exception lives.
+    book = _fresh_book(8)
+    x, y = _pairs(8, 400, 3)
+    x[7] = y[7] = [0] * 4 + [1] * 4
+    index = joint_type_index(x[:100], y[:100], 2, 2)
+    index[7] = JointType(((3, 1), (1, 3)), 8).index
+    with pytest.raises(PairTypeMismatchError) as caught:
+        book.encode(x[:100], y[:100], index)
+    met, size = len(book._met), len(book._slots[0])
+    words = fv_encode_batch(make_fv_code(8), x[300:], y[300:])
+    assert len(book._met) > met and len(book._slots[0]) > size
+    assert (fv_decode_batch(make_fv_code(8), words, y[300:], "x") == x[300:]).all()
+    assert caught.value.row == 7
+
+
+# Binary n=4 types whose held side (y decoding x, x decoding y) has
+# vertices of degree 2 below their 3 symbols: a hole at each of them.
+HOLE_TYPES = {"x": ((2, 1), (0, 1)), "y": ((2, 0), (1, 1))}
+
+
+def _hole(side):
+    """(joint type, held block, symbol) of a hole met when decoding `side`:
+    a symbol below the type's symbol count absent at the held block's vertex."""
+    jt = JointType(HOLE_TYPES[side], 4)
+    t = get_coding_table(jt)
+    slots, held = (t.row_of, jt.y_marginal()) if side == "x" else (t.col_of, jt.x_marginal())
+    vertex, symbol = divmod(slots.index(-1), t.num_symbols)
+    return jt, unrank_rows(held.counts, np.array([vertex]))[0], symbol
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("mode", ["ff", "fv"])
+def test_a_batch_decode_reports_its_lowest_failing_row(mode, side):
+    # Four failures on distinct rows, in every order: a type field out of
+    # range, side information of another type, a symbol past its type's
+    # count and a hole.  The error raised is the lowest row's.
+    rng = np.random.default_rng(21)
+    x, y = rng.integers(0, 2, (12, 4), np.uint8), rng.integers(0, 2, (12, 4), np.uint8)
+    hole_type, hole_block, hole_symbol = _hole(side)
+    if mode == "ff":
+        cfg = FFCodeConfig(4, 1.0)
+        flags, *fields = ff_encode_batch(cfg, x, y)
+        assert not flags.any()
+        code = make_code(cfg)
+        count, hole_field, range_error = len(code.region), code.region_of[hole_type.index], CodewordRangeError
+        decode = lambda words, held: ff_decode_batch(cfg, (flags, *words), held, side)  # noqa: E731
+    else:
+        code = make_fv_code(4)
+        fields = fv_encode_batch(code, x, y)
+        count, hole_field, range_error = code.type_count, hole_type.index, MalformedCodewordError
+        decode = lambda words, held: fv_decode_batch(code, words, held, side)  # noqa: E731
+    assert hole_field >= 0 and hole_symbol < num_symbols_of(hole_type)
+    raised = {"range": range_error, "side": SideInfoMismatchError, "symbol": SymbolNotFoundError,
+              "hole": SymbolNotFoundError}
+    types = joint_types_at(joint_type_index(x, y, 2, 2), 4, 2, 2)
+    for order in itertools.permutations(raised):
+        rows = np.sort(rng.choice(len(x), 4, replace=False))
+        type_field, symbols, held = fields[0].copy(), fields[1].copy(), (y if side == "x" else x).copy()
+        for row, failure in zip(rows, order):
+            if failure == "range":
+                type_field[row] = count
+            elif failure == "side":
+                held[row, 0] ^= 1
+            elif failure == "symbol":
+                symbols[row] = num_symbols_of(types[row])
+            else:
+                type_field[row], symbols[row], held[row] = hole_field, hole_symbol, hole_block
+        with pytest.raises(raised[order[0]]) as caught:
+            decode((type_field, symbols), held)
+        assert type(caught.value) is raised[order[0]] and caught.value.row == rows[0]

@@ -66,3 +66,47 @@ def test_tables_offer_what_the_benchmark_reads(counts, monkeypatch):
         assert all(isinstance(getattr(g, name), int) for name in GRAPH_FIELDS)
         assert len(g.edges) == len(list(g.edges)) == g.left_size * g.left_degree
         assert table_ok(get_coding_table(jt))
+
+
+# The spans the library feeds: a refactor of the table path must not
+# leave one of these per-layer metrics reading 0.
+FED = (
+    "coding_table.lookup",
+    "coding_table.build_graph",
+    "coding_table.edge_color",
+    "ff_codec.ff_encode",
+    "ff_codec.ff_decode",
+    "fv_codec.fv_encode",
+    "simulator.run_plan",
+    "info_measures.exact",
+    "cli.main",
+)
+
+
+def test_the_library_feeds_the_benchmark_spans(tmp_path):
+    from compdeliv import cli, coding_table, ff_codec, fv_codec, simulator
+    from compdeliv.info_measures import dsbs
+    from compdeliv.types_core import BINARY, Sequence
+
+    x, y = Sequence((0, 0, 1, 1), BINARY), Sequence((0, 1, 1, 1), BINARY)
+    (tmp_path / "x.bin").write_bytes(bytes([0, 1, 1, 0] * 25))
+    (tmp_path / "y.bin").write_bytes(bytes([0, 1, 0, 0] * 25))
+    tracer = _load_layers().Tracer()
+    coding_table.slot_book.cache_clear()  # every table is built while traced
+    tracer.install()
+    try:
+        tracer.begin()
+        cfg = ff_codec.FFCodeConfig(4, 0.9)
+        cw = ff_codec.ff_encode(cfg, x, y)
+        assert not cw.error_flag and ff_codec.ff_decode_x(cfg, cw, y) == x and ff_codec.ff_decode_y(cfg, cw, x) == y
+        assert fv_codec.fv_decode_x(fv_codec.fv_encode(4, x, y), y) == x
+        plan = simulator.TrialPlan(p=dsbs(0.11), n_grid=(4,), rates=(0.8,), trials=10, master_seed=1)
+        simulator.run_plan(plan)
+        assert cli.main([
+            "encode", "--mode", "ff", "--n", "4", "--rate", "0.8", "--input-x", str(tmp_path / "x.bin"),
+            "--input-y", str(tmp_path / "y.bin"), "--out", str(tmp_path / "ff.cdlv"),
+        ]) == 0
+        layers = tracer.finish()
+    finally:
+        tracer.uninstall()
+    assert {name: layers[f"{name}.calls"] for name in FED if not layers[f"{name}.calls"]} == {}
