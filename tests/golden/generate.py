@@ -1,8 +1,9 @@
 """Write the golden fixtures that pin today's tables and codewords.
 
-    PYTHONPATH=src python3 tests/golden/generate.py
+    PYTHONPATH=src python3 tests/golden/generate.py [tables|codec|sweep|analytics ...]
 
-`tests/test_golden.py` checks every build against these files, so a
+writes the fixtures named on the command line, and all of them when none
+is named.  `tests/test_golden.py` checks every build against these files, so a
 refactor must reproduce them bit for bit.  Regenerate them only together
 with a deliberate change of the tables or of the file format (and a bump
 of the file-format VERSION).
@@ -19,6 +20,12 @@ of the file-format VERSION).
   n=8 block is short), its FF(rate 0.8) and FV codeword files as the CLI
   writes them, the decoded output of both sides, and the bits of the
   `WrappedFVCode` codeword of each zero-padded block.
+- analytics.json: `float.hex` of the exponent scans (value and argmin
+  type), the seven error, correct-decoding, overflow and underflow
+  bounds, the exact FF error probability and the exact FV overflow and
+  underflow probabilities at every rate of `ANALYTICS_RATES`, and the
+  expected FV length, for DSBS(0.11) at binary n <= 8 and n = 32, and a
+  2x3 source with a zero cell at n <= 5.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -33,9 +41,10 @@ import numpy as np
 
 from compdeliv.cli import main
 from compdeliv.coding_table import get_coding_table
-from compdeliv.ff_codec import FFCodeConfig
-from compdeliv.fv_codec import wrap_ff_as_fv
-from compdeliv.info_measures import dsbs
+from compdeliv import info_measures
+from compdeliv.ff_codec import FFCodeConfig, exact_error_probability
+from compdeliv.fv_codec import expected_length, overflow_probability, underflow_probability, wrap_ff_as_fv
+from compdeliv.info_measures import SourceSpec, achievable_rate, dsbs
 from compdeliv.simulator import TrialPlan, run_plan
 from compdeliv.types_core import Alphabet, Sequence, enumerate_joint_types, type_class_size, v_shell_size
 
@@ -162,11 +171,77 @@ def sweep_fixture() -> dict:
     return {name: {"plan": text, "csv_sha256": sweep_digest(plan)} for name, (text, plan) in SWEEP_PLANS.items()}
 
 
+# Sources of analytics.json: name -> (source, block lengths).  At binary
+# n <= 8, epsilon_n exceeds 1 bit, so the bounds taken at rate + epsilon_n
+# are 0; at n = 32 they are not for rate 0.25.  The rates past 1.6 put
+# rate - epsilon_n inside [0, 1.6] at the small n.
+ANALYTICS_SOURCES = {
+    "dsbs(0.11)": (dsbs(0.11), (*range(1, 9), 32)),
+    "2x3 zero cell": (SourceSpec(((0.3, 0.0, 0.2), (0.1, 0.25, 0.15))), tuple(range(1, 6))),
+}
+ANALYTICS_RATES = (0.25, 0.5, 0.7, 0.8, 0.9, 1.0, 1.3, 1.6, 2.0, 3.0, 4.0)
+EXPONENT_SCANS = ("error_exponent_outside", "correct_exponent_inside", "converse_correct_exponent")
+BOUNDS = (
+    "error_sum_upper_bound", "error_sum_lower_bound",
+    "correct_decoding_lower_bound", "correct_decoding_upper_bound",
+    "overflow_upper_bound", "overflow_lower_bound", "underflow_upper_bound",
+)
+
+
+def hex_float(x) -> str:
+    """`float.hex` of x; an empty sum (the int 0) reads as 0.0."""
+    return float.hex(float(x))
+
+
+def analytics_point(p: SourceSpec, n: int, rate: float) -> dict:
+    """Every analytic quantity of (p, n, rate), as `hex_float` text; a scan
+    also gives the counts of its argmin type (None for an empty scan)."""
+    out = {}
+    for name in EXPONENT_SCANS:
+        report = getattr(info_measures, name)(rate, p, n)
+        argmin = report.argmin_type and [list(row) for row in report.argmin_type.counts]
+        out[name] = [hex_float(report.value), argmin]
+    for name in BOUNDS:
+        out[name] = hex_float(getattr(info_measures, name)(rate, p, n))
+    err = exact_error_probability(FFCodeConfig(n, rate, p.ax, p.ay), p)
+    out["exact_error_probability"] = [hex_float(err.e_x), hex_float(err.e_y)]
+    out["overflow_probability"] = hex_float(overflow_probability(n, rate, p))
+    out["underflow_probability"] = hex_float(underflow_probability(n, rate, p))
+    return out
+
+
+def analytics_entries(name: str) -> dict:
+    """The analytics.json entries of one source of `ANALYTICS_SOURCES`."""
+    p, lengths = ANALYTICS_SOURCES[name]
+    out = {name: {"achievable_rate": hex_float(achievable_rate(p))}}
+    for n in lengths:
+        out[f"{name} n={n}"] = {"expected_length": hex_float(expected_length(n, p))}
+        for rate in ANALYTICS_RATES:
+            out[f"{name} n={n} rate={rate}"] = analytics_point(p, n, rate)
+    return out
+
+
+def analytics_fixture() -> dict:
+    return {key: value for name in ANALYTICS_SOURCES for key, value in analytics_entries(name).items()}
+
+
 def write_json(name: str, obj) -> None:
     (GOLDEN_DIR / name).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
+# Fixture name -> its contents; each is written to <name>.json.
+FIXTURES = {
+    "tables": lambda: {**table_hashes(), **buffer_hashes()},
+    "codec": codec_fixture,
+    "sweep": sweep_fixture,
+    "analytics": analytics_fixture,
+}
+
+
 if __name__ == "__main__":
-    write_json("tables.json", {**table_hashes(), **buffer_hashes()})
-    write_json("codec.json", codec_fixture())
-    write_json("sweep.json", sweep_fixture())
+    names = sys.argv[1:] or list(FIXTURES)
+    unknown = [name for name in names if name not in FIXTURES]
+    if unknown:
+        raise SystemExit(f"unknown fixture {', '.join(unknown)}; choose from {', '.join(FIXTURES)}")
+    for name in names:
+        write_json(f"{name}.json", FIXTURES[name]())

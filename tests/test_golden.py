@@ -15,9 +15,11 @@ from compdeliv.fv_codec import wrap_ff_as_fv
 from compdeliv.types_core import Alphabet, enumerate_joint_types
 from conftest import bit_text
 from golden.generate import (
+    ANALYTICS_SOURCES,
     BUFFER_SETS,
     SWEEP_PLANS,
     TABLE_ALPHABETS,
+    analytics_entries,
     buffer_digest,
     padded_blocks,
     sweep_digest,
@@ -95,3 +97,14 @@ def test_mc_sweep_csv():
     pinned = load("sweep.json")["mc_sweep"]
     assert pinned["plan"] == text
     assert sweep_digest(plan) == pinned["csv_sha256"]
+
+
+@pytest.mark.parametrize("name", ANALYTICS_SOURCES)
+def test_analytics(name):
+    """Exponent scans, the seven bounds and the exact FF and FV
+    probabilities, bit for bit (`float.hex`)."""
+    pinned = {key: value for key, value in load("analytics.json").items() if key == name or key.startswith(f"{name} ")}
+    entries = analytics_entries(name)
+    assert entries.keys() == pinned.keys()
+    for key, value in entries.items():
+        assert value == pinned[key], key
