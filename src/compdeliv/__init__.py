@@ -31,13 +31,6 @@ from .info_measures import (
     prob_of_type_class,
     uniform_independent,
 )
-from .coding_table import (
-    BipartiteTypeGraph,
-    CodingTable,
-    build_graph,
-    edge_color,
-    get_coding_table,
-)
 from .ff_codec import (
     FFCodeConfig,
     FFCodeword,

@@ -67,7 +67,7 @@ from .info_measures import (
     dsbs,
     error_exponent_outside,
 )
-from .coding_table import get_coding_table
+from .coding_table import get_coding_table, held_and_decoded
 from .ff_codec import FFCodeConfig, check_rate, ff_decode_batch, ff_encode_batch, make_code
 from .fv_codec import fv_decode_batch, fv_encode_batch, make_fv_code
 from .bitio import TruncatedStreamError
@@ -93,18 +93,15 @@ class CliError(Exception):
 
 
 def parse_source(text: str) -> SourceSpec:
-    """Inline JSON matrix, 'dsbs:<p>', or a path to a JSON file."""
-    if text.startswith("dsbs:"):
-        return dsbs(float(text.split(":", 1)[1]))
-    if text.lstrip().startswith("["):
-        raw = json.loads(text)
-    else:
-        try:
-            raw = json.loads(Path(text).read_text())
-        except OSError as exc:
-            raise CliError(f"cannot read source file {text}: {exc}") from exc
+    """Inline JSON matrix, 'dsbs:<p>', or a path to a JSON file; any
+    failure is a CliError (exit 2) that names the text."""
     try:
+        if text.startswith("dsbs:"):
+            return dsbs(float(text.split(":", 1)[1]))
+        raw = json.loads(text if text.lstrip().startswith("[") else Path(text).read_text())
         return SourceSpec(SWEEP_FIELDS["p_xy"][1](raw))  # read as a sweep config's p_xy
+    except OSError as exc:
+        raise CliError(f"cannot read source file {text}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid source matrix {text}: {exc}") from exc
 
@@ -224,6 +221,22 @@ SWEEP_FIELDS = {
 }
 
 
+def _number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _list_option(option: str, text: str, field: str) -> tuple:
+    """A comma-separated option, read as a sweep config reads `field`."""
+    kind, convert = SWEEP_FIELDS[field]
+    try:
+        return convert(list(map(_number, text.split(","))))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{option} is {text}; it must be {kind}, comma-separated") from exc
+
+
 def cmd_sweep(args) -> int:
     if args.config:
         try:
@@ -246,8 +259,8 @@ def cmd_sweep(args) -> int:
             raise CliError("sweep needs --config or (--source, --n, --rate)")
         plan = TrialPlan(
             p=parse_source(args.source),
-            n_grid=tuple(int(v) for v in args.n_grid.split(",")),
-            rates=tuple(float(v) for v in args.rates.split(",")),
+            n_grid=_list_option("--n", args.n_grid, "n_grid"),
+            rates=_list_option("--rate", args.rates, "rates"),
             trials=args.trials,
             master_seed=args.seed,
         )
@@ -338,8 +351,7 @@ def cmd_decode(args) -> int:
             EXIT_MALFORMED,
         )
     ax, ay = Alphabet(kx), Alphabet(ky)
-    # --side names the sequence reproduced; the side information is the other one.
-    held = ay if args.side == "x" else ax
+    held, _ = held_and_decoded(args.side, ax, ay)
     side_letters = _read_letters(args.side_info, held.size)
     if len(side_letters) != orig_len:
         raise CliError("side information length does not match header", EXIT_MALFORMED)

@@ -53,7 +53,6 @@ from .types_core import (
     _rank_letters,
     _search_ranks,
     _unrank_letters,
-    class_key,
     code_table,
     joint_type_count,
     joint_types_at,
@@ -460,7 +459,6 @@ def decode_side(jt: JointType, side_info: Sequence, symbol: int, side: str) -> S
     return letters_of[r] if letters_of is not None else Sequence(_unrank_letters(other.counts, r), alphabet)
 
 
-@lru_cache(maxsize=None)
 def letter_map(jt: JointType, side: str) -> tuple[int, ...]:
     """For a joint type of one symbol (at most one nonzero count per row and
     column): the `side` letter paired with each side-information letter."""
@@ -470,8 +468,8 @@ def letter_map(jt: JointType, side: str) -> tuple[int, ...]:
 
 class _Classes:
     """The type classes of n-letter blocks over k letters that a slot book
-    has met, by id: counts, code-table key (`class_key`, -1 past 63 bits)
-    and letters sorted."""
+    has met, by id: counts, letters sorted and, when the code table
+    exists, code-table key (the code of the letters sorted)."""
 
     def __init__(self, n: int, k: int):
         self.n, self.k, self.ids, self.counts = n, k, {}, []
@@ -482,10 +480,12 @@ class _Classes:
         ids = [self.ids.setdefault(counts, len(self.ids)) for counts in classes]
         new = list(self.ids)[len(self.counts):]
         self.counts += new
-        keys = [class_key(counts) if self.k ** self.n < 2 ** 63 else -1 for counts in new]
-        self.keys = np.concatenate([self.keys, np.array(keys, np.int64)])
         first = [np.repeat(np.arange(self.k), counts) for counts in new]
-        self.first = np.concatenate([self.first, np.array(first, self.first.dtype).reshape(-1, self.n)])
+        first = np.array(first, self.first.dtype).reshape(-1, self.n)
+        self.first = np.concatenate([self.first, first])
+        table = code_table(self.n, self.k)
+        if table is not None:
+            self.keys = np.concatenate([self.keys, first @ table.powers])
         return ids
 
     def rank(self, letters: np.ndarray, cls: np.ndarray, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from .types_core import (
     joint_type_of,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
-from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, in_decodable_region, type_columns
+from .info_measures import SourceSpec, TypeColumns, in_decodable_region, type_columns
 from .coding_table import SideInfoMismatchError, decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
 
 
@@ -265,8 +265,8 @@ class ErrorProbability:
 
 def exact_error_probability(cfg: FFCodeConfig, p: SourceSpec) -> ErrorProbability:
     """Both decoders fail exactly on region escape, so e_x = e_y = P(escape)."""
-    cols, limit = _source_columns(cfg, p), cfg.rate + RATE_TIE_TOL
-    escape = sum(cols.probability[cols.max_entropy > limit].tolist())  # outside the region, type after type
+    cols = _source_columns(cfg, p)
+    escape = sum(cols.probability[make_code(cfg).region_index < 0].tolist())  # the code's escape set, type after type
     return ErrorProbability(e_x=escape, e_y=escape)
 
 

@@ -3,7 +3,8 @@
 All logarithms are base 2 and all quantities are in bits.  Exponent
 minimizations are exhaustive over the finite set of joint types at the
 given block length; there is no continuous optimization.  Infinite
-divergence is represented by math.inf, never by a large float.
+divergence is represented by math.inf, never by a large float, and a
+bound over an empty scan is 2^(-inf) = 0.0, as float arithmetic gives it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .types_core import _is_rectangular, _read_only
 # Ties against the rate threshold count as inside the decodable region
 # (the region is defined with "<=").
 RATE_TIE_TOL = 1e-12
-
-
-def _exp2(x: float) -> float:
-    return 2.0 ** x
 
 
 @interned
@@ -131,7 +128,7 @@ def kl_divergence(q, p) -> float:
 
 def achievable_rate(p: SourceSpec) -> float:
     """Infimum achievable rate, fixed- and variable-length alike."""
-    return max(conditional_entropy(p, "y|x"), conditional_entropy(p, "x|y"))
+    return max_conditional_entropy(p)
 
 
 # Every code's region, every sweep's region filter and `type_columns`
@@ -170,7 +167,7 @@ def prob_of_type_class(jt: JointType, p: SourceSpec) -> float:
     lp = log2_prob_of_sequence_pair(jt, p)
     if lp == -math.inf:
         return 0.0
-    return _exp2(math.log2(multinomial(jt.flat_counts())) + lp)
+    return 2.0 ** (math.log2(multinomial(jt.flat_counts())) + lp)
 
 
 @dataclass(frozen=True)
@@ -245,13 +242,6 @@ def converse_correct_exponent(rate: float, p: SourceSpec, n: int) -> ExponentRep
     return _first_min(rate, n, cols, np.maximum(cols.max_entropy - (rate + slack), 0.0) + cols.divergence)
 
 
-def _exp2_scaled(n: int, exponent: float) -> float:
-    """2^(-n * exponent), with the empty-scan convention 2^(-inf) = 0."""
-    if exponent == math.inf:
-        return 0.0
-    return _exp2(-n * exponent)
-
-
 def error_sum_upper_bound(rate: float, p: SourceSpec, n: int, exponent: float | None = None) -> float:
     """Direct bound on e_x + e_y: 2 (n+1)^|XY| 2^(-n minD outside).
 
@@ -261,7 +251,7 @@ def error_sum_upper_bound(rate: float, p: SourceSpec, n: int, exponent: float | 
     if exponent is None:
         exponent = error_exponent_outside(rate, p, n).value
     cells = p.num_x * p.num_y
-    return 2 * (n + 1) ** cells * _exp2_scaled(n, exponent)
+    return 2 * (n + 1) ** cells * 2.0 ** (-n * exponent)
 
 
 def error_sum_lower_bound(rate: float, p: SourceSpec, n: int) -> float:
@@ -269,43 +259,33 @@ def error_sum_lower_bound(rate: float, p: SourceSpec, n: int) -> float:
     cells = p.num_x * p.num_y
     eps = epsilon_n(n, p.ax, p.ay)
     mind = error_exponent_outside(rate + eps, p, n).value
-    return 0.5 * (n + 1) ** (-cells) * _exp2_scaled(n, mind)
+    return 0.5 * (n + 1) ** (-cells) * 2.0 ** (-n * mind)
 
 
 def correct_decoding_lower_bound(rate: float, p: SourceSpec, n: int) -> float:
     """Direct bound on the correct-decoding probability: 2^(-n(eps_n + minD inside))."""
     eps = epsilon_n(n, p.ax, p.ay)
     mind = correct_exponent_inside(rate, p, n).value
-    if mind == math.inf:
-        return 0.0
-    return _exp2(-n * (eps + mind))
+    return 2.0 ** (-n * (eps + mind))
 
 
 def correct_decoding_upper_bound(rate: float, p: SourceSpec, n: int) -> float:
     """Converse bound: 2^(-n(-eps_n + min clipped-gap-plus-divergence))."""
     eps = epsilon_n(n, p.ax, p.ay)
     obj = converse_correct_exponent(rate, p, n).value
-    return _exp2(-n * (-eps + obj))
+    return 2.0 ** (-n * (-eps + obj))
 
 
 def overflow_upper_bound(rate: float, p: SourceSpec, n: int) -> float:
-    """(n+1)^|XY| 2^(-n minD outside) — direct bound on the overflow probability."""
-    cells = p.num_x * p.num_y
-    return (n + 1) ** cells * _exp2_scaled(n, error_exponent_outside(rate, p, n).value)
+    """Direct bound on the overflow probability, (n+1)^|XY| 2^(-n minD outside): half the error sum's."""
+    return error_sum_upper_bound(rate, p, n) / 2
 
 
 def overflow_lower_bound(rate: float, p: SourceSpec, n: int) -> float:
-    """(n+1)^-|XY| 2^(-n minD outside at rate+eps_n) — converse bound."""
-    cells = p.num_x * p.num_y
-    eps = epsilon_n(n, p.ax, p.ay)
-    mind = error_exponent_outside(rate + eps, p, n).value
-    return (n + 1) ** (-cells) * _exp2_scaled(n, mind)
+    """Converse bound, (n+1)^-|XY| 2^(-n minD outside at rate+eps_n): twice the error sum's."""
+    return 2 * error_sum_lower_bound(rate, p, n)
 
 
 def underflow_upper_bound(rate: float, p: SourceSpec, n: int) -> float:
-    """Direct bound on P(length < nR): 2^(-n(eps_n + minD inside at rate-eps_n))."""
-    eps = epsilon_n(n, p.ax, p.ay)
-    mind = correct_exponent_inside(rate - eps, p, n).value
-    if mind == math.inf:
-        return 0.0
-    return _exp2(-n * (eps + mind))
+    """Direct bound on P(length < nR): the correct-decoding bound at rate - eps_n."""
+    return correct_decoding_lower_bound(rate - epsilon_n(n, p.ax, p.ay), p, n)

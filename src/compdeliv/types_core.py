@@ -36,7 +36,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, make_dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -565,16 +565,6 @@ def code_table(n: int, k: int) -> CodeTable | None:
     rank = np.empty(size, np.int32)
     rank[order] = np.arange(size, dtype=np.int32) - start[key_order]
     return CodeTable(*map(_read_only, (powers, rank, key, start, order, members)))
-
-
-@lru_cache(maxsize=_TYPE_CACHE_SIZE)
-def class_key(counts: tuple[int, ...]) -> int:
-    """The code of the sorted letters of the class `counts`: the class key of its members."""
-    k, key = len(counts), 0
-    for letter in compress(range(k), counts):  # counts[letter] digits `letter` each
-        step = k ** counts[letter]
-        key = key * step + (letter * (step - 1) // (k - 1) if letter else 0)
-    return key
 
 
 @lru_cache(maxsize=64)

@@ -99,6 +99,30 @@ class TestParsing:
         f.write_text(json.dumps([[0.5, 0.0], [0.0, 0.5]]))
         assert parse_source(str(f)).p_xy == ((0.5, 0.0), (0.0, 0.5))
 
+    @pytest.mark.parametrize("text", ["[[0.5", "file [[0.5", "dsbs:x", "dsbs:2", "dsbs:nan"])
+    def test_unusable_source_is_a_cli_error_naming_it(self, text, tmp_path, capsys):
+        from compdeliv.cli import CliError
+
+        if text.startswith("file "):
+            (tmp_path / "p.json").write_text(text.removeprefix("file "))
+            text = str(tmp_path / "p.json")
+        with pytest.raises(CliError, match="invalid source matrix") as caught:
+            parse_source(text)
+        assert caught.value.code == EXIT_VALIDATION and text in str(caught.value)
+        assert main(["rate", "--source", text]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid source matrix {text}: ") and not captured.out
+
+    @pytest.mark.parametrize(
+        "option, value", [("--n", "4,x"), ("--n", "4,6.5"), ("--rate", "0.8,x"), ("--rate", "0.8,,0.9")]
+    )
+    def test_sweep_list_option_that_is_not_a_list_names_the_option(self, option, value, capsys):
+        lists = {"--n": "4", "--rate": "0.8", option: value}
+        argv = ["sweep", "--source", "dsbs:0.11", "--n", lists["--n"], "--rate", lists["--rate"], "--trials", "10"]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {option} is {value}; it must be a list of ") and not captured.out
+
     def test_parse_counts(self):
         jt = parse_counts("1,2;3,4", 10)
         assert jt.counts == ((1, 2), (3, 4))

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from compdeliv import coding_table, types_core
+from compdeliv import coding_table
 from compdeliv.coding_table import (
     PairTypeMismatchError,
     SideInfoMismatchError,
@@ -133,15 +133,15 @@ def test_cache_clear_empties_the_book():
 
 
 # What a batch once did per joint type; a warm batch calls none of them.
-PER_TYPE = ("edge_color", "num_symbols_of", "class_key", "type_at")
+PER_TYPE = ("edge_color", "num_symbols_of", "ids_of", "type_at")
 
 
 def _count_calls(monkeypatch, calls):
     """Count every call of the `PER_TYPE` functions, through every compdeliv
-    module that binds them and through `FVCode.type_at`."""
+    module that binds them, and of `FVCode.type_at` and `_Classes.ids_of`."""
     monkeypatch.setattr(FVCode, "type_at", _counted(calls, "type_at", FVCode.type_at))
-    for name, real in (("edge_color", coding_table.edge_color),
-                       ("num_symbols_of", coding_table.num_symbols_of), ("class_key", types_core.class_key)):
+    monkeypatch.setattr(coding_table._Classes, "ids_of", _counted(calls, "ids_of", coding_table._Classes.ids_of))
+    for name, real in (("edge_color", coding_table.edge_color), ("num_symbols_of", coding_table.num_symbols_of)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("compdeliv") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, _counted(calls, name, real))
@@ -172,7 +172,7 @@ def test_a_warm_batch_does_no_per_type_work(mode, n, monkeypatch):
     # The count is live: a batch into an empty book makes these calls.
     _fresh_book(n)
     encode(x, y)
-    assert calls["edge_color"] > 0 and calls["num_symbols_of"] > 0 and calls["class_key"] > 0
+    assert calls["edge_color"] > 0 and calls["num_symbols_of"] > 0 and calls["ids_of"] > 0
 
 
 def _every_type(n):

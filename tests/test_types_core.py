@@ -20,7 +20,6 @@ from compdeliv.types_core import (
     Alphabet,
     BINARY,
     ClassSizeError,
-    class_key,
     code_table,
     JointType,
     LengthMismatchError,
@@ -333,12 +332,15 @@ class TestCodeTable:
         every, searched = np.concatenate(every), np.concatenate(searched)
         codes = every.astype(np.int64) @ table.powers
         assert sorted(codes.tolist()) == list(range(k ** n)) and len(table.rank) == k ** n
-        keys = np.repeat([class_key(counts) for counts, _, _ in runs], [stop - start for _, start, stop in runs])
+        # A class's key is the code of its letters sorted.
+        first = np.array([np.repeat(np.arange(k), counts) for counts, _, _ in runs])
+        keys = np.repeat(first @ table.powers, [stop - start for _, start, stop in runs])
         assert (table.rank[codes] == searched).all() and (table.key[codes] == keys).all()
         assert (table.unrank(keys, searched) == every).all()
         # A slot book's classes: every block ranked, checked and unranked, in a seeded order.
         classes = _Classes(n, k)
         cls = np.repeat(classes.ids_of([counts for counts, _, _ in runs]), [stop - start for _, start, stop in runs])
+        assert (classes.keys[cls] == keys).all()
         order = np.random.default_rng(n * k).permutation(len(every))
         ranks, wrong = classes.rank(every[order], cls[order], np.ones(len(order), bool))
         assert not wrong.any()
