@@ -1,6 +1,6 @@
 """Write the golden fixtures that pin today's tables and codewords.
 
-    PYTHONPATH=src python3 tests/golden/generate.py [tables|codec|sweep|analytics ...]
+    PYTHONPATH=src python3 tests/golden/generate.py [tables|codec|codec_3x2|sweep|analytics ...]
 
 writes the fixtures named on the command line, and all of them when none
 is named.  `tests/test_golden.py` checks every build against these files, so a
@@ -20,6 +20,10 @@ of the file-format VERSION).
   n=8 block is short), its FF(rate 0.8) and FV codeword files as the CLI
   writes them, the decoded output of both sides, and the bits of the
   `WrappedFVCode` codeword of each zero-padded block.
+- codec_3x2.json: a seeded pair of 599 letters, x over 3 letters and y
+  over 2 (the last block is short at both n), its FF (n=5, rate 1.0)
+  and FV (n=6) codeword files as the CLI writes them, and the decoded
+  output of both sides.
 - analytics.json: `float.hex` of the exponent scans (value and argmin
   type), the seven error, correct-decoding, overflow and underflow
   bounds, the exact FF error probability and the exact FV overflow and
@@ -123,19 +127,18 @@ def run_cli(argv: list[str]) -> None:
         raise SystemExit(f"compdeliv {' '.join(argv)} exited {code}")
 
 
-def codec_fixture() -> dict:
-    x, y = letter_pair()
-    out = {
-        "n": CODEC_N, "rate": CODEC_RATE, "seed": CODEC_SEED,
-        "x": x.hex(), "y": y.hex(),
-    }
+def cli_files(x: bytes, y: bytes, codes: dict, kx: int = 2, ky: int = 2) -> dict:
+    """For each mode of `codes` (mode -> (n, rate or None)), the codeword file
+    of the letter files x and y as the CLI writes it (key: mode) and its
+    decoded output of each side (key: mode_decoded_side), as hex."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "x.bin").write_bytes(x)
         (d / "y.bin").write_bytes(y)
-        for mode in ("ff", "fv"):
-            rate = ["--rate", str(CODEC_RATE)] if mode == "ff" else []
-            run_cli(["encode", "--mode", mode, "--n", str(CODEC_N), *rate,
+        for mode, (n, rate) in codes.items():
+            rate = ["--rate", str(rate)] if rate is not None else []
+            run_cli(["encode", "--mode", mode, "--n", str(n), *rate, "--kx", str(kx), "--ky", str(ky),
                      "--input-x", str(d / "x.bin"), "--input-y", str(d / "y.bin"),
                      "--out", str(d / f"{mode}.cdlv")])
             out[mode] = (d / f"{mode}.cdlv").read_bytes().hex()
@@ -143,10 +146,34 @@ def codec_fixture() -> dict:
                 run_cli(["decode", "--side", side, "--codeword", str(d / f"{mode}.cdlv"),
                          "--side-info", str(d / side_info), "--out", str(d / "out.bin")])
                 out[f"{mode}_decoded_{side}"] = (d / "out.bin").read_bytes().hex()
+    return out
+
+
+def codec_fixture() -> dict:
+    x, y = letter_pair()
+    out = {
+        "n": CODEC_N, "rate": CODEC_RATE, "seed": CODEC_SEED,
+        "x": x.hex(), "y": y.hex(),
+        **cli_files(x, y, {"ff": (CODEC_N, CODEC_RATE), "fv": (CODEC_N, None)}),
+    }
     wrapped = wrap_ff_as_fv(FFCodeConfig(CODEC_N, CODEC_RATE))
     words = [wrapped.encode(bx, by) for bx, by in zip(padded_blocks(x, CODEC_N), padded_blocks(y, CODEC_N))]
     out["wrapped"] = [format(cw.value, f"0{cw.length}b") for cw in words]
     return out
+
+
+# The 3x2 files: mode -> (n, rate or None).  y is x's low bit, flipped
+# with probability 0.1.
+CODES_3X2, LETTERS_3X2, SEED_3X2 = {"ff": (5, 1.0), "fv": (6, None)}, 599, 2008
+
+
+def codec_3x2_fixture() -> dict:
+    rng = np.random.default_rng(SEED_3X2)
+    x = rng.integers(0, 3, size=LETTERS_3X2, dtype=np.uint8)
+    y = (x & 1) ^ (rng.random(LETTERS_3X2) < 0.1).astype(np.uint8)
+    x, y = x.tobytes(), y.tobytes()
+    codes = {mode: [n, rate] for mode, (n, rate) in CODES_3X2.items()}
+    return {"codes": codes, "seed": SEED_3X2, "x": x.hex(), "y": y.hex(), **cli_files(x, y, CODES_3X2, 3, 2)}
 
 
 # The plan of tests/test_acceptance.py::test_criterion_6_monte_carlo_consistency,
@@ -233,6 +260,7 @@ def write_json(name: str, obj) -> None:
 FIXTURES = {
     "tables": lambda: {**table_hashes(), **buffer_hashes()},
     "codec": codec_fixture,
+    "codec_3x2": codec_3x2_fixture,
     "sweep": sweep_fixture,
     "analytics": analytics_fixture,
 }

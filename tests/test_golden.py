@@ -21,6 +21,7 @@ from golden.generate import (
     TABLE_ALPHABETS,
     analytics_entries,
     buffer_digest,
+    codec_3x2_fixture,
     padded_blocks,
     sweep_digest,
     table_digest,
@@ -77,6 +78,12 @@ def test_cli_codewords_and_decoded_output(mode, codec, letter_files):
         assert main(["decode", "--side", side, "--codeword", str(d / "code.cdlv"),
                      "--side-info", str(d / side_info), "--out", str(d / "out.bin")]) == EXIT_OK
         assert (d / "out.bin").read_bytes().hex() == codec[f"{mode}_decoded_{side}"]
+
+
+def test_3x2_cli_codewords_and_decoded_output():
+    """FF (n=5) and FV (n=6) files of a 3x2 letter pair and all four
+    decodes, flagged FF blocks' fallbacks included."""
+    assert codec_3x2_fixture() == load("codec_3x2.json")
 
 
 def test_wrapped_codewords(codec):
