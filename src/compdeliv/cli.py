@@ -19,14 +19,14 @@ of a file as arrays (`ff_encode_batch`, `fv_encode_batch` and the
 decoders beside them); the bytes are those of coding block by block.
 
 Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
-bytes), and a rate finite and positive.  An ff code enumerates its
-region, so its joint types must lie within MAX_JOINT_TYPE_COUNTS: n up
-to 114 for 2 x 2 alphabets, 11 for 3 x 3, 6 for 4 x 4, 2 for 8 x 8, 1
-for 16 x 16.  An fv type index must fit 32 bits (MAX_HEADER_WIDTH;
-4 x 4 at n=8 takes 19, 3 x 3 at n=12 17; 2 x 2 reaches n=2951), and an
-fv file may hold joint types of up to MAX_JOINT_TYPE_COUNTS counts (16
-distinct types of 256 x 256 letters, 65,536 of 4 x 4): one with more is
-refused before any table is built.
+bytes), and a rate, which ff mode needs, finite and positive.  An ff
+code enumerates its region, so its joint types must lie within
+MAX_JOINT_TYPE_COUNTS: n up to 114 for 2 x 2 alphabets, 11 for 3 x 3, 6
+for 4 x 4, 2 for 8 x 8, 1 for 16 x 16.  An fv type index must fit 32
+bits (MAX_HEADER_WIDTH; 4 x 4 at n=8 takes 19, 3 x 3 at n=12 17; 2 x 2
+reaches n=2951), and an fv file may hold joint types of up to
+MAX_JOINT_TYPE_COUNTS counts (16 distinct types of 256 x 256 letters,
+65,536 of 4 x 4): one with more is refused before any table is built.
 
 Large alphabets do not compress at the block lengths they allow.  Every
 block carries its joint type, log2 C(n + kx*ky - 1, kx*ky - 1) bits, before
@@ -107,12 +107,12 @@ def parse_source(text: str) -> SourceSpec:
 
 
 def parse_counts(text: str, n: int) -> JointType:
-    """Joint count matrix written as 'c00,c01;c10,c11'."""
-    rows = tuple(tuple(int(v) for v in row.split(",")) for row in text.split(";"))
+    """Joint count matrix written as 'c00,c01;c10,c11'; any failure is a
+    CliError (exit 2) that names the option and the text."""
     try:
-        return JointType(rows, n)
+        return JointType(tuple(tuple(map(int, row.split(","))) for row in text.split(";")), n)
     except ValueError as exc:
-        raise CliError(f"invalid joint counts: {exc}") from exc
+        raise CliError(f"--counts {text!r} with --n {n}: {exc}") from exc
 
 
 def _read_letters(path: str, k: int) -> np.ndarray:
@@ -280,6 +280,8 @@ def cmd_dump_table(args) -> int:
 def cmd_encode(args) -> int:
     n, kx, ky = args.n, args.kx, args.ky
     _check_size(n, kx, ky, args.mode == "ff", EXIT_VALIDATION, "", ("--n", "--kx", "--ky"))
+    if args.mode == "ff" and args.rate is None:
+        raise CliError("--rate is required in ff mode")
     if args.rate is not None:
         check_rate(args.rate, "--rate")
     letters_x = _read_letters(args.input_x, kx)
@@ -290,8 +292,6 @@ def cmd_encode(args) -> int:
     ax, ay = Alphabet(kx), Alphabet(ky)
     flagged = 0
     if args.mode == "ff":
-        if args.rate is None:
-            raise CliError("--rate is required in ff mode")
         cfg = FFCodeConfig(n, args.rate, ax, ay)
         code = make_code(cfg)
         type_width, symbol_width = code.type_width, code.symbol_width

@@ -42,18 +42,13 @@ from .types_core import (
     RowError,
     Sequence,
     TypeVector,
-    _CODE_TABLE_LIMIT,
+    _Classes,
     _as_blocks,
-    _as_keys,
-    _class_keys,
-    _class_letters,
     _letter_dtype,
     _lex_maps,
-    _marginals,
     _rank_letters,
-    _search_ranks,
+    _shell_columns,
     _unrank_letters,
-    code_table,
     joint_type_count,
     joint_types_at,
     multinomial,
@@ -81,6 +76,10 @@ _NARROW_CLASS = 2 ** 15
 
 # Most slots the batch encoder compares at once (`SlotBook.encode`).
 _SLICE_SLOTS = 2 ** 20
+
+# Most type indices a slot book maps to its entries with a dense array, at
+# 8 B per index (512 KB: binary n <= 71, 3 x 2 letters n <= 20); past it, a dict.
+_DENSE_TYPES = 2 ** 16
 
 
 def _slot_code(*class_sizes: int) -> str:
@@ -164,40 +163,6 @@ def build_graph(jt: JointType) -> BipartiteTypeGraph:
     cols = array(code, [0]) * cells  # sized exactly; frombytes would over-allocate
     np.frombuffer(cols, code)[:] = _shell_columns(jt).ravel()
     return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, TypeEdges(cols, left_degree))
-
-
-def _shell_columns(jt: JointType) -> np.ndarray:
-    """Column ranks of every row's V-shell, row-major, ascending in a row.
-
-    Row x's shell is every interleaving of one arrangement of each joint
-    count row jt.counts[a], placed where x takes letter a.  Lexicographic
-    rank in a type class is the position among the class's sequences in
-    sorted order.  Within the code table's limit a shell is its code, the
-    sum of its parts' codes, and one gather of the table ranks it; above
-    it the shells are built as letters and a searchsorted over byte-string
-    keys ranks them, with no integer code to overflow at large n.
-    """
-    n, y_counts = jt.n, jt.y_marginal().counts
-    x_class = _class_letters(jt.x_marginal().counts)
-    rows = len(x_class)
-    row_idx = np.arange(rows)[:, None, None]
-    table, dtype = code_table(n, len(y_counts)), _letter_dtype(len(y_counts))
-    shells = np.zeros((rows, 1), np.int64) if table is not None else np.zeros((rows, 1, n), dtype)
-    for a, sub_counts in enumerate(jt.counts):
-        arrangements = _class_letters(sub_counts)
-        positions = np.argsort(x_class != a, axis=1, kind="stable")[:, : sum(sub_counts)]
-        if table is not None:  # (rows, arrangements) codes
-            part = table.powers[positions] @ arrangements.T
-        else:
-            part = np.zeros((rows, len(arrangements), n), dtype)
-            part[row_idx, np.arange(len(arrangements))[None, :, None], positions[:, None, :]] = arrangements
-        shells = (shells[:, :, None] + part[:, None]).reshape(rows, -1, *part.shape[2:])
-    if table is not None:
-        cols = table.rank[shells]
-    else:
-        cols = np.searchsorted(_class_keys(y_counts), _as_keys(shells.reshape(-1, n))).reshape(rows, -1)
-    cols.sort(axis=1)
-    return cols
 
 
 @dataclass(frozen=True)
@@ -466,55 +431,6 @@ def letter_map(jt: JointType, side: str) -> tuple[int, ...]:
     return tuple((counts.T if side == "x" else counts).argmax(axis=1).tolist())
 
 
-class _Classes:
-    """The type classes of n-letter blocks over k letters that a slot book
-    has met, by id: counts, letters sorted and, when the code table
-    exists, code-table key (the code of the letters sorted)."""
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k, self.ids, self.counts = n, k, {}, []
-        self.keys, self.first = np.zeros(0, np.int64), np.zeros((0, n), _letter_dtype(k))
-
-    def ids_of(self, classes: list[tuple[int, ...]]) -> list[int]:
-        """The ids of these classes (counts), indexing the ones met for the first time."""
-        ids = [self.ids.setdefault(counts, len(self.ids)) for counts in classes]
-        new = list(self.ids)[len(self.counts):]
-        self.counts += new
-        first = [np.repeat(np.arange(self.k), counts) for counts in new]
-        first = np.array(first, self.first.dtype).reshape(-1, self.n)
-        self.first = np.concatenate([self.first, first])
-        table = code_table(self.n, self.k)
-        if table is not None:
-            self.keys = np.concatenate([self.keys, first @ table.powers])
-        return ids
-
-    def rank(self, letters: np.ndarray, cls: np.ndarray, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each block's rank in its class `cls[i]` (the blocks `ranked`
-        marks) and a mask of the blocks not of their class: one code-table
-        gather, or past its limit a sort and a search of each ranked class."""
-        table = code_table(self.n, self.k)
-        if table is not None:
-            codes = (letters @ table.powers.astype(np.float32)).astype(np.intp)  # exact: codes < 2^24
-            return table.rank[codes], table.key[codes] != self.keys[cls]
-        ranks = np.zeros(len(letters), np.int64)
-        for c in np.flatnonzero(np.bincount(cls[ranked])).tolist():
-            at = np.flatnonzero(ranked & (cls == c))
-            ranks[at] = _search_ranks(letters.take(at, axis=0), self.counts[c])[0]
-        return ranks, (np.sort(letters, axis=1) != self.first.take(cls, axis=0)).any(axis=1)
-
-    def unrank(self, cls: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """The member of rank `ranks[i]` of class `cls[i]`: one code-table
-        gather, or past its limit one per class."""
-        table = code_table(self.n, self.k)
-        if table is not None:
-            return table.unrank(self.keys[cls], ranks)
-        out = np.empty((len(cls), self.n), self.first.dtype)
-        for c in np.flatnonzero(np.bincount(cls)).tolist():
-            at = np.flatnonzero(cls == c)
-            out[at] = _class_letters(self.counts[c])[ranks[at]]
-        return out
-
-
 class SlotBook:
     """Every joint type of n-letter blocks over kx x ky letters that a batch
     or `get_coding_table` has met, as arrays by book id, so that a batch
@@ -542,9 +458,9 @@ class SlotBook:
         code = _slot_code(*(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky)))
         self._slots = [array(code), array(code)]
         # Each type index met, to its entry; and, when the type indices
-        # number at most _CODE_TABLE_LIMIT, an array of every index's entry.
+        # number at most _DENSE_TYPES, an array of every index's entry.
         self._met = {}
-        self._dense = np.full(self.type_count, -1, np.int64) if self.type_count <= _CODE_TABLE_LIMIT else None
+        self._dense = np.full(self.type_count, -1, np.int64) if self.type_count <= _DENSE_TYPES else None
 
     def encode(self, x: np.ndarray, y: np.ndarray, index: np.ndarray) -> np.ndarray:
         """The symbol of every row pair of (m, n) letter arrays (checked by
@@ -678,7 +594,7 @@ class SlotBook:
             for buf, part in zip(self._slots, (t.col_slots, t.row_slots)):
                 buf.extend(part if part.typecode == buf.typecode else array(buf.typecode, part.tolist()))
         maps = (letter_map(jt, "x"), letter_map(jt, "y")) if delta == 1 else (None, None)
-        self._entries.append((delta, *(m.counts for m in _marginals(jt)), *start, *maps))
+        self._entries.append((delta, jt.x_marginal().counts, jt.y_marginal().counts, *start, *maps))
         self._met[index] = len(self._met)
         if self._dense is not None:
             self._dense[index] = self._met[index]

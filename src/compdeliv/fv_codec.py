@@ -102,10 +102,8 @@ class FVCode:
     def type_count(self) -> int:
         return joint_type_count(self.n, self.ax.size, self.ay.size)
 
-    symbol_width = staticmethod(symbol_width)
-
     def codeword_length(self, jt: JointType) -> int:
-        return self.header_width + self.symbol_width(jt)
+        return self.header_width + symbol_width(jt)
 
     @cached_attribute
     def codeword_lengths(self) -> np.ndarray:
@@ -142,16 +140,14 @@ class FVCode:
                 self._types[index] = jt
         return jt
 
-    def _symbol_widths(self, type_index: np.ndarray) -> np.ndarray:
-        keys, inverse = np.unique(type_index, return_inverse=True)
-        return np.array([symbol_width(self.type_at(key)) for key in keys.tolist()], np.int64)[inverse]
-
     def pack_words(self, words: FVWords) -> bytes:
         """The codewords of a batch (as `fv_encode_batch` returns it), back
         to back and zero-padded to a whole byte: the bits `fv_encode`'s
         words make, written one after another."""
         type_index, symbols = np.asarray(words[0], np.int64), np.asarray(words[1], np.int64)
-        widths = np.stack([np.full(len(type_index), self.header_width), self._symbol_widths(type_index)], 1)
+        keys, inverse = np.unique(type_index, return_inverse=True)
+        symbol_widths = np.array([symbol_width(self.type_at(key)) for key in keys.tolist()], np.int64)[inverse]
+        widths = np.stack([np.full(len(type_index), self.header_width), symbol_widths], 1)
         return pack_fields(np.stack([type_index, symbols], 1), widths)
 
     def read_words(self, payload: bytes, count: int) -> tuple[FVWords, int, RowError | None]:

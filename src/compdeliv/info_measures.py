@@ -148,25 +148,15 @@ def epsilon_n(n: int, ax: Alphabet, ay: Alphabet) -> float:
     return (ax.size * ay.size * math.log2(n + 1) + 1) / n
 
 
-def log2_prob_of_sequence_pair(jt: JointType, p: SourceSpec) -> float:
-    """log2 P(x,y) for any single pair of joint type jt; -inf off support."""
-    lp = 0.0
-    for a in range(jt.num_x):
-        for b in range(jt.num_y):
-            c = jt.counts[a][b]
-            if c == 0:
-                continue
-            if p.p_xy[a][b] == 0:
-                return -math.inf
-            lp += c * math.log2(p.p_xy[a][b])
-    return lp
-
-
 def prob_of_type_class(jt: JointType, p: SourceSpec) -> float:
-    """P_XY(T_jt): point probability times the exact class cardinality."""
-    lp = log2_prob_of_sequence_pair(jt, p)
-    if lp == -math.inf:
-        return 0.0
+    """P_XY(T_jt): point probability times the exact class cardinality; 0.0 off support."""
+    lp = 0.0  # log2 P(x, y) of one pair of type jt, summed row-major
+    for row, probs in zip(jt.counts, p.p_xy, strict=True):
+        for c, q in zip(row, probs, strict=True):
+            if c:
+                if q == 0:
+                    return 0.0
+                lp += c * math.log2(q)
     return 2.0 ** (math.log2(multinomial(jt.flat_counts())) + lp)
 
 

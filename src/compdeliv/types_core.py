@@ -15,9 +15,11 @@ objects built once and shared by every decode.
 A block's code is its letters read as a base-k integer, and blocks sort
 as their codes do.  For blocks of up to _CODE_TABLE_LIMIT = 2^16 codes
 `code_table` lists every block's rank in its class and its class key
-(the code of its sorted letters), so the batch codecs rank and
+(the code of its sorted letters), so a slot book's `_Classes` rank and
 type-check a whole batch with one gather and unrank with one; above the
-limit they search each class once, as `rank_rows` does.
+limit they search each class once, as `rank_rows` does.  `_shell_columns`
+ranks the V-shells of a joint type's x class in its y class the same way:
+a coding table's edges (`coding_table.build_graph`).
 
 `type_of` and `joint_type_of` count a block in one pass and return the
 validated object of that count vector from a bounded cache, and a joint
@@ -565,6 +567,89 @@ def code_table(n: int, k: int) -> CodeTable | None:
     rank = np.empty(size, np.int32)
     rank[order] = np.arange(size, dtype=np.int32) - start[key_order]
     return CodeTable(*map(_read_only, (powers, rank, key, start, order, members)))
+
+
+class _Classes:
+    """The type classes of n-letter blocks over k letters that a slot book
+    has met, by id: counts, letters sorted and, when the code table
+    exists, code-table key (the code of the letters sorted)."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k, self.ids, self.counts = n, k, {}, []
+        self.keys, self.first = np.zeros(0, np.int64), np.zeros((0, n), _letter_dtype(k))
+
+    def ids_of(self, classes: list[tuple[int, ...]]) -> list[int]:
+        """The ids of these classes (counts), indexing the ones met for the first time."""
+        ids = [self.ids.setdefault(counts, len(self.ids)) for counts in classes]
+        new = list(self.ids)[len(self.counts):]
+        self.counts += new
+        first = [np.repeat(np.arange(self.k), counts) for counts in new]
+        first = np.array(first, self.first.dtype).reshape(-1, self.n)
+        self.first = np.concatenate([self.first, first])
+        table = code_table(self.n, self.k)
+        if table is not None:
+            self.keys = np.concatenate([self.keys, first @ table.powers])
+        return ids
+
+    def rank(self, letters: np.ndarray, cls: np.ndarray, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's rank in its class `cls[i]` (the blocks `ranked`
+        marks) and a mask of the blocks not of their class: one code-table
+        gather, or past its limit a sort and a search of each ranked class."""
+        table = code_table(self.n, self.k)
+        if table is not None:
+            codes = (letters @ table.powers.astype(np.float32)).astype(np.intp)  # exact: codes < 2^24
+            return table.rank[codes], table.key[codes] != self.keys[cls]
+        ranks = np.zeros(len(letters), np.int64)
+        for c in np.flatnonzero(np.bincount(cls[ranked])).tolist():
+            at = np.flatnonzero(ranked & (cls == c))
+            ranks[at] = _search_ranks(letters.take(at, axis=0), self.counts[c])[0]
+        return ranks, (np.sort(letters, axis=1) != self.first.take(cls, axis=0)).any(axis=1)
+
+    def unrank(self, cls: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The member of rank `ranks[i]` of class `cls[i]`: one code-table
+        gather, or past its limit one per class."""
+        table = code_table(self.n, self.k)
+        if table is not None:
+            return table.unrank(self.keys[cls], ranks)
+        out = np.empty((len(cls), self.n), self.first.dtype)
+        for c in np.flatnonzero(np.bincount(cls)).tolist():
+            at = np.flatnonzero(cls == c)
+            out[at] = _class_letters(self.counts[c])[ranks[at]]
+        return out
+
+
+def _shell_columns(jt: JointType) -> np.ndarray:
+    """Column ranks of every row's V-shell, row-major, ascending in a row.
+
+    Row x's shell is every interleaving of one arrangement of each joint
+    count row jt.counts[a], placed where x takes letter a.  Lexicographic
+    rank in a type class is the position among the class's sequences in
+    sorted order.  Within the code table's limit a shell is its code, the
+    sum of its parts' codes, and one gather of the table ranks it; above
+    it the shells are built as letters and a searchsorted over byte-string
+    keys ranks them, with no integer code to overflow at large n.
+    """
+    n, y_counts = jt.n, jt.y_marginal().counts
+    x_class = _class_letters(jt.x_marginal().counts)
+    rows = len(x_class)
+    row_idx = np.arange(rows)[:, None, None]
+    table, dtype = code_table(n, len(y_counts)), _letter_dtype(len(y_counts))
+    shells = np.zeros((rows, 1), np.int64) if table is not None else np.zeros((rows, 1, n), dtype)
+    for a, sub_counts in enumerate(jt.counts):
+        arrangements = _class_letters(sub_counts)
+        positions = np.argsort(x_class != a, axis=1, kind="stable")[:, : sum(sub_counts)]
+        if table is not None:  # (rows, arrangements) codes
+            part = table.powers[positions] @ arrangements.T
+        else:
+            part = np.zeros((rows, len(arrangements), n), dtype)
+            part[row_idx, np.arange(len(arrangements))[None, :, None], positions[:, None, :]] = arrangements
+        shells = (shells[:, :, None] + part[:, None]).reshape(rows, -1, *part.shape[2:])
+    if table is not None:
+        cols = table.rank[shells]
+    else:
+        cols = np.searchsorted(_class_keys(y_counts), _as_keys(shells.reshape(-1, n))).reshape(rows, -1)
+    cols.sort(axis=1)
+    return cols
 
 
 @lru_cache(maxsize=64)

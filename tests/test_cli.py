@@ -265,6 +265,12 @@ class TestDumpTable:
         assert main(["dump-table", "--n", "0", "--counts", "0,0;0,0"]) == EXIT_VALIDATION
         assert "n=0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", ["1,x;1,1", "", "1,1;1"], ids=["letter", "empty", "ragged"])
+    def test_bad_counts_name_the_option_and_the_text(self, counts, capsys):
+        assert main(["dump-table", "--n", "3", "--counts", counts]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --counts {counts!r} with --n 3: ") and not captured.out
+
     def test_latin_rectangle_pattern(self, capsys):
         assert main(["dump-table", "--n", "4", "--counts", "1,1;1,1"]) == EXIT_OK
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
@@ -357,6 +363,14 @@ class TestFileCodec:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    def test_ff_rate_is_checked_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.bin"
+        argv = ["encode", "--mode", "ff", "--n", "8", "--input-x", str(missing), "--input-y", str(missing),
+                "--out", str(tmp_path / "c.bin")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --rate is required in ff mode\n"
+        assert not (tmp_path / "c.bin").exists()
 
 
 class TestExitCodes:

@@ -44,6 +44,7 @@ from compdeliv.fv_codec import (
     fv_encode,
     fv_encode_batch,
     make_fv_code,
+    symbol_width,
 )
 from compdeliv.types_core import (
     _RANK_MAP_LIMIT,
@@ -114,7 +115,7 @@ def test_fv_scalar_matches_batch(n, kx, ky, rate):
     assert (fv_decode_batch(code, (type_index, symbols), x, "y") == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, code.ax), _sequences(y, code.ay))):
         cw = fv_encode(n, xi, yi)
-        width = code.symbol_width(code.type_at(int(type_index[i])))
+        width = symbol_width(code.type_at(int(type_index[i])))
         assert (cw.value, cw.length) == (int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
         # The decoders take the reproduced alphabet when it differs from
         # the side information's.
@@ -399,7 +400,7 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
                 ff_decode_batch(cfg, planted, held_i, side)
         else:
             def decode_one(i):
-                width = code.symbol_width(type_at(int(type_index[i]))) if type_index[i] < count else 0
+                width = symbol_width(type_at(int(type_index[i]))) if type_index[i] < count else 0
                 cw = FVCodeword(int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
                 (fv_decode_x if side == "x" else fv_decode_y)(cw, held_seqs[i])
 
@@ -431,7 +432,7 @@ def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
     # and no class search; past it (binary n=17) one search per marginal
     # class, however many joint types share the class.
     ranked, searched = [], []
-    rank, search = coding_table._Classes.rank, types_core._search_ranks
+    rank, search = types_core._Classes.rank, types_core._search_ranks
 
     def counted_rank(*args):
         ranked.append(len(args[1]))
@@ -441,7 +442,7 @@ def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
         searched.append(counts)
         return search(letters, counts)
 
-    monkeypatch.setattr(coding_table._Classes, "rank", counted_rank)
+    monkeypatch.setattr(types_core._Classes, "rank", counted_rank)
     for name, module in list(sys.modules.items()):
         if name.startswith("compdeliv") and getattr(module, "_search_ranks", None) is search:
             monkeypatch.setattr(module, "_search_ranks", counted_search)

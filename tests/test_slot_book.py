@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from compdeliv import coding_table
+from compdeliv import coding_table, types_core
 from compdeliv.coding_table import (
     PairTypeMismatchError,
     SideInfoMismatchError,
@@ -140,7 +140,7 @@ def _count_calls(monkeypatch, calls):
     """Count every call of the `PER_TYPE` functions, through every compdeliv
     module that binds them, and of `FVCode.type_at` and `_Classes.ids_of`."""
     monkeypatch.setattr(FVCode, "type_at", _counted(calls, "type_at", FVCode.type_at))
-    monkeypatch.setattr(coding_table._Classes, "ids_of", _counted(calls, "ids_of", coding_table._Classes.ids_of))
+    monkeypatch.setattr(types_core._Classes, "ids_of", _counted(calls, "ids_of", types_core._Classes.ids_of))
     for name, real in (("edge_color", coding_table.edge_color), ("num_symbols_of", coding_table.num_symbols_of)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("compdeliv") and getattr(module, name, None) is real:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from compdeliv import types_core
-from compdeliv.coding_table import _Classes
 from compdeliv.types_core import (
     _CODE_TABLE_LIMIT,
+    _Classes,
     _COUNT_CODE_LIMIT,
     _RANK_MAP_LIMIT,
     _class_letters,
