@@ -1,6 +1,6 @@
 """Write the golden fixtures that pin today's tables and codewords.
 
-    PYTHONPATH=src python3 tests/golden/generate.py [tables|codec|codec_3x2|sweep|analytics ...]
+    PYTHONPATH=src python3 tests/golden/generate.py [tables|codec|codec_3x2|codec_n17|sweep|analytics ...]
 
 writes the fixtures named on the command line, and all of them when none
 is named.  `tests/test_golden.py` checks every build against these files, so a
@@ -24,6 +24,12 @@ of the file-format VERSION).
   over 2 (the last block is short at both n), its FF (n=5, rate 1.0)
   and FV (n=6) codeword files as the CLI writes them, and the decoded
   output of both sides.
+- codec_n17.json: a seeded binary pair of 200 sparse n=17 blocks, its FF
+  (rate 1.0) and FV codeword files as the CLI writes them, the decoded
+  output of both sides, and the scalar ranks of seeded members and
+  members at seeded ranks of the class (10, 9).  Every other fixture
+  stays inside the rank maps, the code table and the count code; this
+  one is past all three.
 - analytics.json: `float.hex` of the exponent scans (value and argmin
   type), the seven error, correct-decoding, overflow and underflow
   bounds, the exact FF error probability and the exact FV overflow and
@@ -50,7 +56,16 @@ from compdeliv.ff_codec import FFCodeConfig, exact_error_probability
 from compdeliv.fv_codec import expected_length, overflow_probability, underflow_probability, wrap_ff_as_fv
 from compdeliv.info_measures import SourceSpec, achievable_rate, dsbs
 from compdeliv.simulator import TrialPlan, run_plan
-from compdeliv.types_core import Alphabet, Sequence, enumerate_joint_types, type_class_size, v_shell_size
+from compdeliv.types_core import (
+    Alphabet,
+    Sequence,
+    TypeVector,
+    enumerate_joint_types,
+    rank_in_type_class,
+    type_class_size,
+    unrank_in_type_class,
+    v_shell_size,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 TABLE_ALPHABETS = ((2, 2, 8), (3, 2, 5))  # (kx, ky, largest n)
@@ -176,6 +191,40 @@ def codec_3x2_fixture() -> dict:
     return {"codes": codes, "seed": SEED_3X2, "x": x.hex(), "y": y.hex(), **cli_files(x, y, CODES_3X2, 3, 2)}
 
 
+# The n=17 files: binary blocks past the code table (2^17 codes) and the
+# count code (18^4 count codes).  Each x block holds 0 to 3 ones, and y
+# is x with each letter flipped with probability 0.08.  The class (10, 9)
+# has 92,378 members, past the scalar rank maps.  The seed is the first
+# from 2009 whose pair's largest table has under 2^23 slots (5.7 M; 0.8 M
+# cells in all), so the check peaks near 130 MB: most seeds draw a block
+# of 5 or more flips, whose table needs 20 M to 156 M slots (up to 1.5 GB
+# while it is colored, or a refusal past `DEFAULT_CELL_BUDGET`).
+CODES_N17, BLOCKS_N17, SEED_N17, CLASS_N17, SAMPLES_N17 = {"ff": (17, 1.0), "fv": (17, None)}, 200, 2052, (10, 9), 50
+
+
+def codec_n17_fixture() -> dict:
+    rng = np.random.default_rng(SEED_N17)
+    x = np.zeros((BLOCKS_N17, 17), np.uint8)
+    for block, ones in zip(x, rng.integers(0, 4, size=BLOCKS_N17)):
+        block[rng.choice(17, size=ones, replace=False)] = 1
+    x = x.ravel()
+    y = x ^ (rng.random(x.size) < 0.08).astype(np.uint8)
+    x, y = x.tobytes(), y.tobytes()
+    q, alphabet = TypeVector(CLASS_N17, sum(CLASS_N17)), Alphabet(len(CLASS_N17))
+    base = np.repeat(np.arange(len(CLASS_N17)), CLASS_N17)
+    members = ["".join(map(str, rng.permutation(base).tolist())) for _ in range(SAMPLES_N17)]
+    ranks = rng.integers(0, type_class_size(q), size=SAMPLES_N17).tolist()
+    return {
+        "codes": {mode: [n, rate] for mode, (n, rate) in CODES_N17.items()}, "seed": SEED_N17,
+        "x": x.hex(), "y": y.hex(), **cli_files(x, y, CODES_N17),
+        "class": list(CLASS_N17),
+        "members": members,
+        "member_ranks": [rank_in_type_class(Sequence(tuple(map(int, m)), alphabet)) for m in members],
+        "ranks": ranks,
+        "unranked": ["".join(map(str, unrank_in_type_class(q, r).letters)) for r in ranks],
+    }
+
+
 # The plan of tests/test_acceptance.py::test_criterion_6_monte_carlo_consistency,
 # and the benchmark's mc_sweep plan (a fast guard: about 20 ms).
 SWEEP_PLANS = {
@@ -261,6 +310,7 @@ FIXTURES = {
     "tables": lambda: {**table_hashes(), **buffer_hashes()},
     "codec": codec_fixture,
     "codec_3x2": codec_3x2_fixture,
+    "codec_n17": codec_n17_fixture,
     "sweep": sweep_fixture,
     "analytics": analytics_fixture,
 }

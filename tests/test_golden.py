@@ -12,16 +12,26 @@ import pytest
 from compdeliv.cli import EXIT_OK, main
 from compdeliv.ff_codec import FFCodeConfig
 from compdeliv.fv_codec import wrap_ff_as_fv
-from compdeliv.types_core import Alphabet, enumerate_joint_types
+from compdeliv.types_core import (
+    _CODE_TABLE_LIMIT,
+    _COUNT_CODE_LIMIT,
+    _RANK_MAP_LIMIT,
+    Alphabet,
+    enumerate_joint_types,
+    multinomial,
+)
 from conftest import bit_text
 from golden.generate import (
     ANALYTICS_SOURCES,
     BUFFER_SETS,
+    CLASS_N17,
+    CODES_N17,
     SWEEP_PLANS,
     TABLE_ALPHABETS,
     analytics_entries,
     buffer_digest,
     codec_3x2_fixture,
+    codec_n17_fixture,
     padded_blocks,
     sweep_digest,
     table_digest,
@@ -84,6 +94,16 @@ def test_3x2_cli_codewords_and_decoded_output():
     """FF (n=5) and FV (n=6) files of a 3x2 letter pair and all four
     decodes, flagged FF blocks' fallbacks included."""
     assert codec_3x2_fixture() == load("codec_3x2.json")
+
+
+def test_n17_cli_codewords_decoded_output_and_scalar_ranks():
+    """FF and FV files of binary n=17 blocks and all four decodes, past the
+    code table and the count code, and scalar ranks and unranks past the
+    rank maps: the class searches the fixtures above never reach."""
+    for n, _ in CODES_N17.values():
+        assert 2 ** n > _CODE_TABLE_LIMIT and (n + 1) ** 4 > _COUNT_CODE_LIMIT
+    assert multinomial(CLASS_N17) > _RANK_MAP_LIMIT
+    assert codec_n17_fixture() == load("codec_n17.json")
 
 
 def test_wrapped_codewords(codec):
