@@ -212,12 +212,17 @@ def ff_encode_batch(cfg: FFCodeConfig, x: np.ndarray, y: np.ndarray, type_index=
     Returns the codewords as three arrays (error flags, type indices,
     symbols); a flagged row has index and symbol 0, as `ff_encode` gives.
     `type_index` is `joint_type_index` of the rows when the caller has
-    it, and a row the caller gives index -1 is flagged.
+    it: one per row, each a type index or -1, which flags the row
+    (ValueError otherwise, before any row is coded).
     """
     x, y = _as_blocks(cfg.n, x, cfg.ax.size, "x"), _as_blocks(cfg.n, y, cfg.ay.size, "y", len(x))
+    code = make_code(cfg)
     if type_index is None:
         type_index = joint_type_index(x, y, cfg.ax.size, cfg.ay.size)
-    region = np.where(type_index < 0, -1, make_code(cfg).region_index[type_index])
+    type_index, count = np.asarray(type_index), len(code.region_index)
+    if type_index.shape != (len(x),) or not ((-1 <= type_index) & (type_index < count)).all():
+        raise ValueError(f"type_index of shape {type_index.shape} for {len(x)} rows: one index in -1..{count - 1} per row")
+    region = np.where(type_index < 0, -1, code.region_index[type_index])
     symbols = slot_book(cfg.n, cfg.ax, cfg.ay).encode(x, y, np.where(region < 0, -1, type_index))
     return region < 0, np.maximum(region, 0), symbols
 

@@ -62,6 +62,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed is {self.master_seed}; it must be >= 0")
         if not self.n_grid or not self.rates:
             raise ValueError("grid must be nonempty")
         for i, n in enumerate(self.n_grid):

@@ -5,19 +5,20 @@ uses Python's unbounded integers.  The order of the sequences inside a
 type class is lexicographic (Cover's enumerative order) and has one
 definition, `_class_letters`, which lists a class row by row; encoder and
 decoder rebuild the same tables independently and never exchange them.
-A rank is a position in that list: `rank_rows`/`unrank_rows` search it
-for whole batches, and the scalar `rank_in_type_class`/
-`unrank_in_type_class` read maps memoized from it (small classes) or go
-through the row functions (larger ones).  A class is enumerated only up
-to MAX_CLASS_SIZE members, and a small class's members are Sequence
-objects built once and shared by every decode.
+A rank is a position in that list.  The scalar `rank_in_type_class`/
+`unrank_in_type_class` read maps memoized from it (small classes);
+past the maps and the code table below, a rank is one `_search_ranks`
+over the class's sorted keys (`_class_keys`) and an unrank indexes
+`_class_letters`.  A class is enumerated only up to MAX_CLASS_SIZE
+members, and a small class's members are Sequence objects built once
+and shared by every decode.
 
 A block's code is its letters read as a base-k integer, and blocks sort
 as their codes do.  For blocks of up to _CODE_TABLE_LIMIT = 2^16 codes
 `code_table` lists every block's rank in its class and its class key
 (the code of its sorted letters), so a slot book's `_Classes` rank and
 type-check a whole batch with one gather and unrank with one; above the
-limit they search each class once, as `rank_rows` does.  `_shell_columns`
+limit they search each class once with `_search_ranks`.  `_shell_columns`
 ranks the V-shells of a joint type's x class in its y class the same way:
 a coding table's edges (`coding_table.build_graph`).
 
@@ -398,9 +399,7 @@ def rank_in_type_class(x: Sequence) -> int:
 def _rank_letters(letters: tuple[int, ...], counts: tuple[int, ...]) -> int:
     """Rank of `letters`, a member of the class `counts` (not checked)."""
     maps = _lex_maps(counts)
-    if maps:
-        return maps[0][letters]
-    return int(rank_rows(np.array([letters]), counts)[0])
+    return maps[0][letters] if maps else int(_search_ranks(np.array([letters]), counts)[0])
 
 
 def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
@@ -412,8 +411,8 @@ def unrank_in_type_class(q: TypeVector, r: int) -> Sequence:
 
 
 def _unrank_letters(counts: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The letters at rank r of the class `counts`, found by searching it."""
-    return tuple(unrank_rows(counts, [r])[0].tolist())
+    """The letters at rank r of the class `counts`, read from its list."""
+    return tuple(_class_letters(counts)[r].tolist())
 
 
 # --- batches of sequences as (m, n) integer arrays ------------------------------
@@ -481,41 +480,10 @@ def _class_keys(counts: tuple[int, ...]) -> np.ndarray:
     return _read_only(_as_keys(_class_letters(counts)))
 
 
-def _search_ranks(letters: np.ndarray, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's position in the sorted class `counts`, found by one search
-    over the class's keys, and a mask of the rows not in the class."""
-    letters, dtype = np.asarray(letters), _letter_dtype(len(counts))
-    stray = np.zeros(len(letters), bool)
-    if letters.dtype != dtype:  # a cast could wrap a stray letter into the class
-        stray = ((letters < 0) | (letters >= len(counts))).any(axis=1)
-        letters = letters.astype(dtype)
-    keys, wanted = _class_keys(counts), _as_keys(letters)
-    ranks = np.searchsorted(keys, wanted)
-    return ranks, stray | (keys[np.minimum(ranks, len(keys) - 1)] != wanted)
-
-
-def rank_rows(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Lexicographic rank of every row of `letters` within the class `counts`.
-
-    Vector `rank_in_type_class`: rank is position in the sorted class, so
-    one search over the class's keys ranks the whole batch.  The class is
-    materialized and cached (about 2n bytes per member), as a coding table
-    over it already does.  Raises RowError, at the first such row, if a
-    row is not of type `counts`.
-    """
-    ranks, missing = _search_ranks(letters, counts)
-    if missing.any():
-        raise RowError(f"a row is not of type {counts}", int(np.argmax(missing)))
-    return ranks
-
-
-def unrank_rows(counts: tuple[int, ...], ranks: np.ndarray) -> np.ndarray:
-    """Inverse of `rank_rows`: the class `counts` sequence at each rank, one per row."""
-    letters = _class_letters(counts)
-    ranks = np.asarray(ranks, np.int64)
-    if ranks.size and not (0 <= ranks.min() and ranks.max() < len(letters)):
-        raise RankRangeError(f"rank outside type class of size {len(letters)}")
-    return letters[ranks]
+def _search_ranks(letters: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Each row's rank in the class `counts`, of which it is a member (not
+    checked): its position among the class's sorted keys, found by one search."""
+    return np.searchsorted(_class_keys(counts), _as_keys(np.asarray(letters, _letter_dtype(len(counts)))))
 
 
 class CodeTable(NamedTuple):
@@ -602,7 +570,7 @@ class _Classes:
         ranks = np.zeros(len(letters), np.int64)
         for c in np.flatnonzero(np.bincount(cls[ranked])).tolist():
             at = np.flatnonzero(ranked & (cls == c))
-            ranks[at] = _search_ranks(letters.take(at, axis=0), self.counts[c])[0]
+            ranks[at] = _search_ranks(letters.take(at, axis=0), self.counts[c])
         return ranks, (np.sort(letters, axis=1) != self.first.take(cls, axis=0)).any(axis=1)
 
     def unrank(self, cls: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -259,6 +259,20 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION
         assert missing in capsys.readouterr().err
 
+    def test_sweep_negative_seed_names_it(self, capsys):
+        argv = ["sweep", "--source", "dsbs:0.11", "--n", "4", "--rate", "0.8", "--trials", "10", "--seed", "-1"]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: master_seed is -1; it must be >= 0\n" and not captured.out
+
+    def test_sweep_config_negative_master_seed_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"p_xy": [[0.25, 0.25], [0.25, 0.25]], "n_grid": [4], "rates": [1.0],
+                                   "trials": 10, "master_seed": -7}))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: master_seed is -7; it must be >= 0\n" and not captured.out
+
 
 class TestDumpTable:
     def test_zero_block_length_is_a_validation_error(self, capsys):

@@ -24,6 +24,7 @@ from compdeliv.coding_table import (
 from compdeliv.ff_codec import FFCodeConfig, bit_width, ff_decode_batch, ff_encode_batch
 from compdeliv.fv_codec import fv_decode_batch, fv_encode_batch, make_fv_code
 from compdeliv.types_core import (
+    _class_letters,
     BINARY,
     Alphabet,
     JointType,
@@ -33,7 +34,6 @@ from compdeliv.types_core import (
     rank_in_type_class,
     type_class_size,
     unrank_in_type_class,
-    unrank_rows,
     v_shell_size,
     w_shell_size,
 )
@@ -44,7 +44,7 @@ def batch_symbols(jt: JointType, rows, cols) -> np.ndarray:
     """The batch encoder's symbols (`SlotBook.encode`) of the blocks of
     ranks rows[i] and cols[i] in jt's marginal classes, every pair given
     jt's type index, whatever its own joint type."""
-    x, y = unrank_rows(jt.x_marginal().counts, rows), unrank_rows(jt.y_marginal().counts, cols)
+    x, y = _class_letters(jt.x_marginal().counts)[rows], _class_letters(jt.y_marginal().counts)[cols]
     book = slot_book(jt.n, Alphabet(jt.num_x), Alphabet(jt.num_y))
     return book.encode(x, y, np.full(len(x), jt.index))
 

@@ -24,7 +24,7 @@ from compdeliv.ff_codec import (
     rate_bound_check,
 )
 from compdeliv.info_measures import SourceSpec, dsbs, in_decodable_region, uniform_independent
-from compdeliv.types_core import BINARY, Alphabet, JointType, Sequence, joint_type_of
+from compdeliv.types_core import BINARY, Alphabet, JointType, Sequence, joint_type_index, joint_type_of
 from conftest import all_binary_pairs, seq
 
 RATES = (0.25, 0.5, 0.75, 1.0)
@@ -188,6 +188,24 @@ class TestBatch:
                                ((flags, type_index, np.resize(symbols, m)), (10, m))):
             with pytest.raises(ValueError, match="codeword fields of %d and %d rows for 10 blocks" % counts):
                 ff_decode_batch(cfg, fields, ten, "x")
+
+    def test_type_index_of_another_row_count_refused(self):
+        cfg = FFCodeConfig(4, 1.0)
+        x, y = _blocks(1, 3, 4, 2), _blocks(2, 3, 4, 2)
+        for type_index in (np.array([0]), np.zeros(4, np.int64), np.zeros((3, 1), np.int64)):
+            with pytest.raises(ValueError, match=rf"type_index of shape \({len(type_index)},.*\) for 3 rows"):
+                ff_encode_batch(cfg, x, y, type_index)
+
+    def test_type_index_past_the_joint_type_count_refused(self):
+        cfg = FFCodeConfig(4, 1.0)  # 35 joint types
+        x, y = _blocks(1, 3, 4, 2), _blocks(2, 3, 4, 2)
+        index = joint_type_index(x, y, 2, 2)
+        assert [w.tolist() for w in ff_encode_batch(cfg, x, y, index)] == [
+            w.tolist() for w in ff_encode_batch(cfg, x, y)
+        ]
+        for bad in (999, 35, -2):
+            with pytest.raises(ValueError, match=r"one index in -1\.\.34 per row"):
+                ff_encode_batch(cfg, x, y, np.array([index[0], bad, index[2]]))
 
     def test_decode_error_names_the_first_failing_row(self):
         # Rows decode grouped by type index; the error raised is the lowest

@@ -24,13 +24,13 @@ from compdeliv.coding_table import (
 from compdeliv.ff_codec import CodewordRangeError, FFCodeConfig, ff_decode_batch, ff_encode_batch, make_code
 from compdeliv.fv_codec import FVCode, MalformedCodewordError, fv_decode_batch, fv_encode_batch, make_fv_code
 from compdeliv.types_core import (
+    _class_letters,
     BINARY,
     JointType,
     enumerate_joint_types,
     joint_type_index,
     joint_types_at,
     type_class_size,
-    unrank_rows,
 )
 
 
@@ -288,7 +288,7 @@ def _hole(side):
     t = get_coding_table(jt)
     slots, held = (t.row_of, jt.y_marginal()) if side == "x" else (t.col_of, jt.x_marginal())
     vertex, symbol = divmod(slots.index(-1), t.num_symbols)
-    return jt, unrank_rows(held.counts, np.array([vertex]))[0], symbol
+    return jt, _class_letters(held.counts)[vertex], symbol
 
 
 @pytest.mark.parametrize("side", ["x", "y"])

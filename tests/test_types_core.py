@@ -15,6 +15,7 @@ from compdeliv.types_core import (
     _class_letters,
     _compositions,
     _multinomial_cached,
+    _search_ranks,
     MAX_CLASS_SIZE,
     MAX_JOINT_TYPE_COUNTS,
     Alphabet,
@@ -33,11 +34,9 @@ from compdeliv.types_core import (
     joint_type_of,
     multinomial,
     rank_in_type_class,
-    rank_rows,
     type_class_size,
     type_of,
     unrank_in_type_class,
-    unrank_rows,
     v_shell_size,
     w_shell_size,
 )
@@ -250,8 +249,6 @@ class TestClassOrder:
             _class_letters(counts)
         with pytest.raises(ClassSizeError):
             rank_in_type_class(seq("01" * 40))
-        with pytest.raises(ClassSizeError):
-            unrank_rows(counts, [0])
 
     def test_too_large_table_refused_by_its_budget_first(self):
         from compdeliv.coding_table import TableBudgetError, build_graph
@@ -271,13 +268,13 @@ class TestRowRanks:
         rng = np.random.default_rng(sum(counts))
         base = np.repeat(np.arange(k, dtype=np.uint8), counts)
         rows = np.array([rng.permutation(base) for _ in range(200)])
-        ranks = rank_rows(rows, counts)
+        ranks = _search_ranks(rows, counts)
         alphabet = Alphabet(k)
         assert ranks.tolist() == [
             rank_in_type_class(Sequence(tuple(r), alphabet)) for r in rows.tolist()
         ]
-        assert (unrank_rows(counts, ranks) == rows).all()
-        ends = unrank_rows(counts, [0, size - 1])
+        assert (_class_letters(counts)[ranks] == rows).all()
+        ends = _class_letters(counts)[[0, size - 1]]
         q = TypeVector(counts, sum(counts))
         assert [tuple(r) for r in ends.tolist()] == [
             unrank_in_type_class(q, 0).letters, unrank_in_type_class(q, size - 1).letters
@@ -285,16 +282,6 @@ class TestRowRanks:
 
     def test_cases_cross_the_memoized_class_limit(self):
         assert multinomial((3, 4, 5)) <= _RANK_MAP_LIMIT < multinomial((10, 10))
-
-    def test_rows_of_another_type_and_bad_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            rank_rows(np.array([[0, 1, 1], [0, 0, 1]], np.uint8), (2, 1))
-        with pytest.raises(ValueError):  # 256 would wrap to the letter 0 in a byte
-            rank_rows(np.array([[256, 0, 1]]), (2, 1))
-        with pytest.raises(RankRangeError):
-            unrank_rows((2, 1), [0, 3])
-        with pytest.raises(RankRangeError):
-            unrank_rows((2, 1), [-1])
 
 
 def _type_rows(types, ky, rng):
@@ -324,8 +311,8 @@ class TestCodeTable:
         assert [counts for counts, _, _ in runs[:50]] == list(itertools.islice(_compositions(n, k), 50))
         every, searched = [], []
         for counts, start, stop in runs:
-            every.append(unrank_rows(counts, np.arange(stop - start)))
-            searched.append(rank_rows(every[-1], counts))
+            every.append(_class_letters(counts))
+            searched.append(_search_ranks(every[-1], counts))
         # 32,896 classes of 256 letters at n=2: the multinomial memo keeps at most its bound.
         memo = _multinomial_cached.cache_info()
         assert memo.currsize <= memo.maxsize
