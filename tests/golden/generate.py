@@ -34,8 +34,11 @@ of the file-format VERSION).
   type), the seven error, correct-decoding, overflow and underflow
   bounds, the exact FF error probability and the exact FV overflow and
   underflow probabilities at every rate of `ANALYTICS_RATES`, and the
-  expected FV length, for DSBS(0.11) at binary n <= 8 and n = 32, and a
-  2x3 source with a zero cell at n <= 5.
+  expected FV length, for DSBS(0.11) at binary n <= 8 and n = 32, a 2x3
+  source with a zero cell and a 3x3 source with zero cells at n <= 5;
+  the exponent scans alone of DSBS(0.11) at n = 48; and a SHA-256 of
+  `make_code(...).region_index` at rates where types tie the rate
+  exactly (`REGION_TIES`), so that `RATE_TIE_TOL` alone decides them.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from compdeliv.cli import main
 from compdeliv.coding_table import get_coding_table
 from compdeliv import info_measures
-from compdeliv.ff_codec import FFCodeConfig, exact_error_probability
+from compdeliv.ff_codec import FFCodeConfig, exact_error_probability, make_code
 from compdeliv.fv_codec import expected_length, overflow_probability, underflow_probability, wrap_ff_as_fv
 from compdeliv.info_measures import SourceSpec, achievable_rate, dsbs
 from compdeliv.simulator import TrialPlan, run_plan
@@ -254,7 +257,15 @@ def sweep_fixture() -> dict:
 ANALYTICS_SOURCES = {
     "dsbs(0.11)": (dsbs(0.11), (*range(1, 9), 32)),
     "2x3 zero cell": (SourceSpec(((0.3, 0.0, 0.2), (0.1, 0.25, 0.15))), tuple(range(1, 6))),
+    "3x3 zero cells": (SourceSpec(((0.3, 0.0, 0.05), (0.1, 0.2, 0.0), (0.0, 0.15, 0.2))), tuple(range(1, 6))),
 }
+# Longer blocks of a source of `ANALYTICS_SOURCES` at which only the exponent scans are pinned.
+ANALYTICS_SCANS = {"dsbs(0.11)": (48,)}
+# Exact ties: name -> (alphabet sizes, block lengths, rate).  At rate 0.7, 16
+# binary types of n <= 40 have max{H(X|Y), H(Y|X)} equal to 0.7; at rate 1.2,
+# 108 3x3 types of n <= 5 equal 1.2.  The float rate lies just below each
+# decimal, so only RATE_TIE_TOL keeps those types inside the region.
+REGION_TIES = {"2x2": ((2, 2), range(1, 41), 0.7), "3x3": ((3, 3), range(1, 6), 1.2)}
 ANALYTICS_RATES = (0.25, 0.5, 0.7, 0.8, 0.9, 1.0, 1.3, 1.6, 2.0, 3.0, 4.0)
 EXPONENT_SCANS = ("error_exponent_outside", "correct_exponent_inside", "converse_correct_exponent")
 BOUNDS = (
@@ -269,14 +280,21 @@ def hex_float(x) -> str:
     return float.hex(float(x))
 
 
-def analytics_point(p: SourceSpec, n: int, rate: float) -> dict:
-    """Every analytic quantity of (p, n, rate), as `hex_float` text; a scan
-    also gives the counts of its argmin type (None for an empty scan)."""
+def exponent_scans(p: SourceSpec, n: int, rate: float) -> dict:
+    """The exponent scans of (p, n, rate): each value as `hex_float` text and
+    the counts of its argmin type (None for an empty scan)."""
     out = {}
     for name in EXPONENT_SCANS:
         report = getattr(info_measures, name)(rate, p, n)
         argmin = report.argmin_type and [list(row) for row in report.argmin_type.counts]
         out[name] = [hex_float(report.value), argmin]
+    return out
+
+
+def analytics_point(p: SourceSpec, n: int, rate: float) -> dict:
+    """Every analytic quantity of (p, n, rate), as `hex_float` text: the
+    `exponent_scans`, the bounds and the exact probabilities."""
+    out = exponent_scans(p, n, rate)
     for name in BOUNDS:
         out[name] = hex_float(getattr(info_measures, name)(rate, p, n))
     err = exact_error_probability(FFCodeConfig(n, rate, p.ax, p.ay), p)
@@ -294,11 +312,25 @@ def analytics_entries(name: str) -> dict:
         out[f"{name} n={n}"] = {"expected_length": hex_float(expected_length(n, p))}
         for rate in ANALYTICS_RATES:
             out[f"{name} n={n} rate={rate}"] = analytics_point(p, n, rate)
+    for n in ANALYTICS_SCANS.get(name, ()):
+        for rate in ANALYTICS_RATES:
+            out[f"{name} n={n} rate={rate} scans"] = exponent_scans(p, n, rate)
+    return out
+
+
+def region_digests(name: str) -> dict:
+    """SHA-256 of the little-endian int64 `region_index` of each code of `REGION_TIES[name]`."""
+    (kx, ky), lengths, rate = REGION_TIES[name]
+    out = {}
+    for n in lengths:
+        region_index = make_code(FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky))).region_index
+        out[f"region {name} n={n} rate={rate}"] = hashlib.sha256(region_index.astype("<i8").tobytes()).hexdigest()
     return out
 
 
 def analytics_fixture() -> dict:
-    return {key: value for name in ANALYTICS_SOURCES for key, value in analytics_entries(name).items()}
+    entries = [analytics_entries(name) for name in ANALYTICS_SOURCES] + [region_digests(name) for name in REGION_TIES]
+    return {key: value for part in entries for key, value in part.items()}
 
 
 def write_json(name: str, obj) -> None:

@@ -26,6 +26,7 @@ from golden.generate import (
     BUFFER_SETS,
     CLASS_N17,
     CODES_N17,
+    REGION_TIES,
     SWEEP_PLANS,
     TABLE_ALPHABETS,
     analytics_entries,
@@ -33,6 +34,7 @@ from golden.generate import (
     codec_3x2_fixture,
     codec_n17_fixture,
     padded_blocks,
+    region_digests,
     sweep_digest,
     table_digest,
     table_key,
@@ -135,3 +137,10 @@ def test_analytics(name):
     assert entries.keys() == pinned.keys()
     for key, value in entries.items():
         assert value == pinned[key], key
+
+
+@pytest.mark.parametrize("name", REGION_TIES)
+def test_region_at_exact_ties(name):
+    """Every code's region where types tie the rate exactly, bit for bit."""
+    pinned = {key: value for key, value in load("analytics.json").items() if key.startswith(f"region {name} ")}
+    assert region_digests(name) == pinned
