@@ -39,7 +39,7 @@ from .types_core import (
     joint_type_of,
 )
 from .bitio import TruncatedStreamError, pack_fields, read_fields
-from .info_measures import SourceSpec, TypeColumns, in_decodable_region, type_columns
+from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, max_entropy_column, type_columns
 from .coding_table import SideInfoMismatchError, decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
 
 
@@ -144,7 +144,7 @@ class FFCode:
 @lru_cache(maxsize=None)
 def make_code(cfg: FFCodeConfig) -> FFCode:
     types = enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
-    inside = np.array([in_decodable_region(jt, cfg.rate) for jt in types], bool)
+    inside = max_entropy_column(cfg.n, cfg.ax.size, cfg.ay.size) <= cfg.rate + RATE_TIE_TOL
     region = tuple(jt for jt, keep in zip(types, inside) if keep)
     region_index = _read_only(np.where(inside, np.cumsum(inside) - 1, -1))
     max_symbols = max((num_symbols_of(jt) for jt in region), default=1)

@@ -36,14 +36,16 @@ from .types_core import (
     RowError,
     Sequence,
     _as_blocks,
+    _by_distinct_row,
     _read_only,
     _types_over,
     cached_attribute,
-    enumerate_joint_types,
     joint_type_count,
+    joint_type_counts,
     joint_type_index,
     joint_type_of,
     joint_types_at,
+    multinomial,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, type_columns
@@ -107,8 +109,11 @@ class FVCode:
 
     @cached_attribute
     def codeword_lengths(self) -> np.ndarray:
-        """`codeword_length` of every type, by type index, read-only (enumerated: MAX_JOINT_TYPE_COUNTS)."""
-        return _read_only(np.array(list(map(self.codeword_length, enumerate_joint_types(self.n, self.ax, self.ay)))))
+        """`codeword_length` of every type, by type index, read-only: the shell
+        sizes of `joint_type_counts` (MAX_JOINT_TYPE_COUNTS), no JointType built."""
+        counts = joint_type_counts(self.n, self.ax.size, self.ay.size).reshape(-1, self.ax.size, self.ay.size)
+        v, w = (np.prod(_by_distinct_row(rows, multinomial, object), axis=1) for rows in (counts, counts.transpose(0, 2, 1)))
+        return _read_only(np.array([self.header_width + bit_width(max(s)) for s in zip(v.tolist(), w.tolist())]))
 
     @property
     def types_kept(self) -> int:
@@ -381,8 +386,9 @@ class WrappedFVCode:
     def expected_rate(self, p: SourceSpec) -> float:
         """(1/n) E[length], exact sum over joint types."""
         cols = _source_columns(self.cfg, p)
-        total = sum(q * self.codeword_length(jt) for jt, q in zip(cols.types, cols.probability.tolist()))
-        return total / self.cfg.n
+        code, raw = make_code(self.cfg), raw_pair_width(self.cfg.n, self.cfg.ax, self.cfg.ay)
+        lengths = 1 + np.where(code.region_index >= 0, code.codeword_width, raw)  # `codeword_length` of each type
+        return sum(np.multiply(cols.probability, lengths).tolist()) / self.cfg.n
 
 
 def wrap_ff_as_fv(cfg: FFCodeConfig) -> WrappedFVCode:

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import Alphabet, JointType, cached_attribute, enumerate_joint_types, interned, multinomial
-from .types_core import _is_rectangular, _read_only
+from .types_core import Alphabet, JointType, cached_attribute, interned, joint_type_counts, joint_types_at, multinomial
+from .types_core import _by_distinct_row, _is_rectangular, _read_only
 
 # Ties against the rate threshold count as inside the decodable region
 # (the region is defined with "<=").
@@ -131,14 +131,9 @@ def achievable_rate(p: SourceSpec) -> float:
     return max_conditional_entropy(p)
 
 
-# Every code's region, every sweep's region filter and `type_columns`
-# read this per joint type.
-_type_max_conditional_entropy = lru_cache(maxsize=None)(max_conditional_entropy)
-
-
 def in_decodable_region(jt: JointType, rate: float) -> bool:
     """True iff both conditional entropies of jt lie at or below `rate`."""
-    return _type_max_conditional_entropy(jt) <= rate + RATE_TIE_TOL
+    return max_conditional_entropy(jt) <= rate + RATE_TIE_TOL
 
 
 def epsilon_n(n: int, ax: Alphabet, ay: Alphabet) -> float:
@@ -160,13 +155,23 @@ def prob_of_type_class(jt: JointType, p: SourceSpec) -> float:
     return 2.0 ** (math.log2(multinomial(jt.flat_counts())) + lp)
 
 
+@lru_cache(maxsize=16)
+def max_entropy_column(n: int, kx: int, ky: int) -> np.ndarray:
+    """`max_conditional_entropy` of each type of `joint_type_counts(n, kx, ky)`, read-only: the
+    scalar `conditional_entropy` of each row alone, a type's rows added in turn from 0.0."""
+    counts = joint_type_counts(n, kx, ky).reshape(-1, kx, ky)
+    term = lambda row: conditional_entropy([[c / n for c in row]])
+    h = [sum(_by_distinct_row(rows, term).T, np.zeros(len(counts))) for rows in (counts, counts.transpose(0, 2, 1))]
+    return _read_only(np.maximum(*h))  # H(Y|X) by x rows, H(X|Y) by y columns
+
+
 @dataclass(frozen=True)
 class TypeColumns:
-    """Per joint type of block length n over a source's alphabets, in
-    `enumerate_joint_types` order, as read-only float64 arrays: max conditional
-    entropy, probability of the type class and divergence from the source."""
+    """Per joint type of block length n over a source's alphabets, in enumeration
+    order: counts (`joint_type_counts`) and, as read-only float64 arrays, max
+    conditional entropy, probability of the type class and divergence from the source."""
 
-    types: tuple[JointType, ...]
+    counts: np.ndarray
     max_entropy: np.ndarray
     probability: np.ndarray
     divergence: np.ndarray
@@ -175,14 +180,27 @@ class TypeColumns:
 @lru_cache(maxsize=64)
 def type_columns(n: int, p: SourceSpec) -> TypeColumns:
     """The `TypeColumns` of (n, p), worked out once: a sweep reads them at
-    every rate, for the error sum, the exponents and the overflow sum."""
-    types = enumerate_joint_types(n, p.ax, p.ay)
-    columns = (
-        list(map(_type_max_conditional_entropy, types)),
-        [prob_of_type_class(jt, p) for jt in types],
-        [kl_divergence(jt, p) for jt in types],
-    )
-    return TypeColumns(types, *(_read_only(np.array(column)) for column in columns))
+    every rate, for the error sum, the exponents and the overflow sum.
+
+    Array arithmetic over `joint_type_counts` with the scalar functions' bits:
+    each log2 is `math.log2` of a distinct argument, gathered (numpy's differs
+    in the last bit), of the exact multinomial too; terms add in the scalar
+    order, a zero count adds nothing; the final power is Python's `2.0 ** x`.
+    """
+    counts = joint_type_counts(n, p.num_x, p.num_y)
+    lp, d, off = np.zeros(len(counts)), np.zeros(len(counts)), np.zeros(len(counts), bool)
+    for c, q in zip(counts.T, p.flat()):  # cell after cell, row-major
+        if q == 0:
+            off |= c > 0  # mass outside the source's support
+            continue
+        np.add(lp, c * math.log2(q), out=lp, where=c > 0)
+        terms = [0.0] + [k / n * math.log2(k / n / q) for k in range(1, n + 1)]
+        np.add(d, np.take(terms, c), out=d, where=c > 0)
+    lm = _by_distinct_row(np.sort(counts, axis=1), lambda row: math.log2(multinomial(row)))
+    probability = [0.0 if o else 2.0 ** x for x, o in zip((lm + lp).tolist(), off.tolist())]
+    d[off] = math.inf
+    columns = max_entropy_column(n, p.num_x, p.num_y), np.array(probability), d
+    return TypeColumns(counts, *(_read_only(column) for column in columns))
 
 
 @dataclass(frozen=True)
@@ -195,12 +213,12 @@ class ExponentReport:
     argmin_type: JointType | None
 
 
-def _first_min(rate: float, n: int, cols: TypeColumns, objective: np.ndarray) -> ExponentReport:
-    """The least of `objective`, one value per type of cols, and the first
-    type in enumeration order that takes it (None when it is inf)."""
+def _first_min(rate: float, p: SourceSpec, n: int, objective: np.ndarray) -> ExponentReport:
+    """The least of `objective`, one value per joint type of (n, p), and the
+    first type in enumeration order that takes it (None when it is inf)."""
     i = int(objective.argmin())
     best = float(objective[i])
-    return ExponentReport(rate, n, best, cols.types[i] if best < math.inf else None)
+    return ExponentReport(rate, n, best, joint_types_at([i], n, p.num_x, p.num_y)[0] if best < math.inf else None)
 
 
 def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> ExponentReport:
@@ -208,7 +226,7 @@ def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> Exponen
     region; the first minimizer in enumeration order."""
     cols = type_columns(n, p)
     kept = (cols.max_entropy <= rate + RATE_TIE_TOL) == inside
-    return _first_min(rate, n, cols, np.where(kept, cols.divergence, math.inf))
+    return _first_min(rate, p, n, np.where(kept, cols.divergence, math.inf))
 
 
 def error_exponent_outside(rate: float, p: SourceSpec, n: int) -> ExponentReport:
@@ -229,19 +247,23 @@ def converse_correct_exponent(rate: float, p: SourceSpec, n: int) -> ExponentRep
     """
     slack = epsilon_n(n, p.ax, p.ay)
     cols = type_columns(n, p)
-    return _first_min(rate, n, cols, np.maximum(cols.max_entropy - (rate + slack), 0.0) + cols.divergence)
+    return _first_min(rate, p, n, np.maximum(cols.max_entropy - (rate + slack), 0.0) + cols.divergence)
 
 
 def error_sum_upper_bound(rate: float, p: SourceSpec, n: int, exponent: float | None = None) -> float:
     """Direct bound on e_x + e_y: 2 (n+1)^|XY| 2^(-n minD outside).
 
     `exponent` is `error_exponent_outside(rate, p, n).value` when the
-    caller has it already.
+    caller has it already.  Past float range, 2 (n+1)^|XY| gives inf, or
+    0.0 when 2^(-n minD) is 0.0 (no type outside the region).
     """
     if exponent is None:
         exponent = error_exponent_outside(rate, p, n).value
-    cells = p.num_x * p.num_y
-    return 2 * (n + 1) ** cells * 2.0 ** (-n * exponent)
+    factor = 2.0 ** (-n * exponent)
+    try:
+        return 2 * (n + 1) ** (p.num_x * p.num_y) * factor
+    except OverflowError:  # int too large to convert to float
+        return math.inf if factor else 0.0
 
 
 def error_sum_lower_bound(rate: float, p: SourceSpec, n: int) -> float:

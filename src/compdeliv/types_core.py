@@ -72,13 +72,13 @@ class RowError(ValueError):
 # of a table within the budget pass.
 MAX_CLASS_SIZE = 2 ** 26
 
-# Most counts an enumeration of joint types, or an FV code's memo of the
-# types it has met (`fv_codec.FVCode.type_at`), holds: joint types x cells.
-# Binary joint types cost about 2.5 us and 75 B per count (the most
-# measured), so this bound is about 2.6 s and 80 MB; binary block lengths
-# up to n = 114 fit, and 3 x 2 ones up to n = 26.  Bounding the number of
-# types alone would admit n = 1 over 256 x 256 letters: 65,536 types of
-# 65,536 counts each.
+# Most counts an enumeration of joint types, or an FV code's memo of the types it
+# has met (`fv_codec.FVCode.type_at`), holds: joint types x cells.  Binary joint
+# types cost about 2.5 us and 75 B per count (the most measured), so this bound is
+# about 2.6 s and 80 MB; as the analytic arrays (`info_measures.type_columns`),
+# 0.44 us and 14 B (62 B at the peak; binary n = 114, 2 vCPUs, numpy 2.4).  Binary
+# block lengths up to n = 114 fit, and 3 x 2 ones up to n = 26.  Bounding the number
+# of types alone would admit n = 1 over 256 x 256 letters: 65,536 types of 65,536 counts each.
 MAX_JOINT_TYPE_COUNTS = 2 ** 20
 
 
@@ -283,16 +283,14 @@ def joint_type_of(x: Sequence, y: Sequence) -> JointType:
     return _joint_type(tuple(counts), ky)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic.
-
-    Stars and bars: the parts - 1 bar positions among total + parts - 1
-    slots, taken in lexicographic order, give the compositions in
-    lexicographic order.
-    """
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic, as
+    int64 rows.  Stars and bars: the parts - 1 bar positions among total + parts - 1
+    slots, taken in lexicographic order, give the compositions in that order."""
     slots = total + parts - 1
-    for bars in combinations(range(slots), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)), np.int64)
+    bars = np.pad(bars.reshape(comb(slots, parts - 1), parts - 1), ((0, 0), (1, 1)), constant_values=(-1, slots))
+    return np.diff(bars, axis=1) - 1
 
 
 def joint_type_count(n: int, kx: int, ky: int) -> int:
@@ -324,14 +322,28 @@ def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType
     agree on indices without exchanging tables.  Raises ValueError above
     MAX_JOINT_TYPE_COUNTS, before enumerating anything.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    kx, ky = ax.size, ay.size
-    check_joint_type_count(n, kx, ky)
-    types = tuple(_joint_type(flat, ky) for flat in _compositions(n, kx * ky))
+    types = tuple(_joint_type(flat, ay.size) for flat in map(tuple, joint_type_counts(n, ax.size, ay.size).tolist()))
     for i, jt in enumerate(types):  # enumeration order is index order: no type need be ranked
         object.__setattr__(jt, "index", i)
     return types
+
+
+@lru_cache(maxsize=16)
+def joint_type_counts(n: int, kx: int, ky: int) -> np.ndarray:
+    """The counts of every joint type of block length n over kx x ky letters,
+    row-major, one row per type in `enumerate_joint_types` order, as a read-only
+    int64 array, with no JointType built.  ValueError above MAX_JOINT_TYPE_COUNTS."""
+    _check_block_length(n)
+    check_joint_type_count(n, kx, ky)
+    return _read_only(_compositions(n, kx * ky))
+
+
+def _by_distinct_row(counts: np.ndarray, f, dtype=float) -> np.ndarray:
+    """f(row) of every last-axis row of a count array, the row as a list: one
+    call per distinct row, gathered into the array's other axes."""
+    rows = np.ascontiguousarray(counts.reshape(-1, counts.shape[-1]))
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))), return_index=True, return_inverse=True)
+    return np.array([f(row) for row in rows[first].tolist()], dtype)[inverse.reshape(counts.shape[:-1])]
 
 
 @lru_cache(maxsize=1024)  # a 256-letter key takes about 2 KB: a few MB at most

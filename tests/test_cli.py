@@ -210,6 +210,17 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert rows[0]["exact_e_sum"] == 0.0
 
+    def test_sweep_config_past_float_range_bounds_at_n1(self, tmp_path):
+        # 2 (n+1)^|XY| = 2^1025 for a 32 x 32 source: no float holds it, but
+        # no type lies outside the region at n=1, so the bound is 0.0.
+        cfg = tmp_path / "plan.json"
+        plan = {"p_xy": [[1 / 1024] * 32] * 32, "n_grid": [1], "rates": [5.0], "trials": 20, "master_seed": 1}
+        cfg.write_text(json.dumps(plan))
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]) == EXIT_OK
+        (row,) = json.loads(out.read_text())
+        assert row["bound_upper"] == 0.0 and row["mc_e_sum"] == 0.0
+
     def test_sweep_requires_arguments(self):
         assert main(["sweep"]) == EXIT_VALIDATION
 
@@ -769,8 +780,10 @@ class TestResourceLimits:
         def refuse(*args):
             raise AssertionError("joint types enumerated")
 
-        for module in (types_core, info_measures, ff_codec, fv_codec):
+        for module in (types_core, ff_codec):
             monkeypatch.setattr(module, "enumerate_joint_types", refuse)
+        for module in (types_core, info_measures, fv_codec):  # the count array of every type
+            monkeypatch.setattr(module, "joint_type_counts", refuse)
 
     @pytest.mark.parametrize(
         "args, field",

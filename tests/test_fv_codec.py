@@ -72,6 +72,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             fv_encode(4, seq("001"), seq("010"))
 
+    @pytest.mark.parametrize("n, kx, ky", [(n, 2, 2) for n in range(1, 11)] + [(5, 3, 2), (4, 3, 3), (1, 16, 16)])
+    def test_length_table_is_the_per_type_length(self, n, kx, ky):
+        code = make_fv_code(n, Alphabet(kx), Alphabet(ky))
+        types = enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
+        assert code.codeword_lengths.tolist() == [code.codeword_length(jt) for jt in types]
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_per_type_length_bound(self, n):
         # length <= n * maxH + eps_n overhead + 2 ceiling bits
@@ -440,7 +446,7 @@ class TestWrapping:
             prob_of_type_class(jt, dsbs(0.11)) * wrapped.codeword_length(jt)
             for jt in enumerate_joint_types(10, BINARY, BINARY)
         ) / 10
-        assert wrapped.expected_rate(dsbs(0.11)) == pytest.approx(direct, rel=1e-12)
+        assert wrapped.expected_rate(dsbs(0.11)) == direct  # the same terms, added in the same order
 
     def test_expected_rate_bound(self):
         cfg = FFCodeConfig(8, 0.8)

@@ -16,14 +16,17 @@ from compdeliv.info_measures import (
     entropy,
     epsilon_n,
     error_exponent_outside,
+    error_sum_upper_bound,
     in_decodable_region,
     kl_divergence,
     max_conditional_entropy,
+    overflow_upper_bound,
     prob_of_type_class,
     type_columns,
     uniform_independent,
 )
-from compdeliv.types_core import BINARY, JointType, enumerate_joint_types
+from compdeliv.ff_codec import FFCodeConfig, make_code
+from compdeliv.types_core import BINARY, Alphabet, JointType, enumerate_joint_types
 from conftest import all_binary_pairs
 
 
@@ -230,15 +233,36 @@ class TestExponentScans:
         assert converse_correct_exponent(0.7, dsbs(0.11), 6).value >= 0.0
 
 
+class TestUpperBoundPastFloatRange:
+    """2 (n+1)^|XY| is 2^1025 for a 32 x 32 source at n = 1."""
+
+    P32 = SourceSpec(((1 / 1024,) * 32,) * 32)
+
+    def test_nothing_outside_the_region_bounds_at_zero(self):
+        assert error_exponent_outside(5.0, self.P32, 1).value == math.inf
+        assert error_sum_upper_bound(5.0, self.P32, 1) == 0.0
+        assert overflow_upper_bound(5.0, self.P32, 1) == 0.0
+
+    def test_a_nonzero_factor_is_inf(self):
+        assert error_sum_upper_bound(5.0, self.P32, 1, exponent=1.0) == math.inf
+
+    def test_in_range_bounds_are_the_product(self):
+        p, n = dsbs(0.11), 6
+        exponent = error_exponent_outside(0.5, p, n).value
+        assert error_sum_upper_bound(0.5, p, n) == 2 * (n + 1) ** 4 * 2.0 ** (-n * exponent)
+        assert error_sum_upper_bound(0.5, p, n, exponent=0.0) == 2.0 * 7 ** 4
+
+
 class TestTypeColumns:
     @pytest.mark.parametrize("n", [1, 4])
     def test_columns_are_the_per_type_quantities(self, n):
         p = SourceSpec(((0.3, 0.1), (0.05, 0.25), (0.2, 0.1)))
-        cols = type_columns(n, p)
-        assert cols.types == enumerate_joint_types(n, p.ax, p.ay)
-        assert cols.max_entropy.tolist() == list(map(max_conditional_entropy, cols.types))
-        assert cols.probability.tolist() == [prob_of_type_class(jt, p) for jt in cols.types]
-        assert cols.divergence.tolist() == [kl_divergence(jt, p) for jt in cols.types]
+        cols, types = type_columns(n, p), enumerate_joint_types(n, p.ax, p.ay)
+        assert cols.counts.tolist() == [list(jt.flat_counts()) for jt in types]
+        assert cols.max_entropy.tolist() == list(map(max_conditional_entropy, types))
+        assert cols.probability.tolist() == [prob_of_type_class(jt, p) for jt in types]
+        assert cols.divergence.tolist() == [kl_divergence(jt, p) for jt in types]
+        assert cols.counts.dtype == np.int64 and not cols.counts.flags.writeable
         for column in (cols.max_entropy, cols.probability, cols.divergence):
             assert column.dtype == np.float64 and not column.flags.writeable
         assert type_columns(n, p) is cols
@@ -259,7 +283,8 @@ def _scan_min_divergence(rate, p, n, inside):
     """The per-type scan the exponent reports were once taken with."""
     cols, limit = type_columns(n, p), rate + RATE_TIE_TOL
     best, arg = math.inf, None
-    for jt, h, d in zip(cols.types, cols.max_entropy.tolist(), cols.divergence.tolist()):
+    types = enumerate_joint_types(n, p.ax, p.ay)
+    for jt, h, d in zip(types, cols.max_entropy.tolist(), cols.divergence.tolist()):
         if (h <= limit) == inside and d < best:
             best, arg = d, jt
     return best, arg
@@ -302,6 +327,50 @@ class TestMinDivergenceArrays:
         info = type_columns.cache_info()
         assert info.misses == len(sources) > info.maxsize >= info.currsize
         assert [type_columns(2, p).probability.tolist() for p in sources] == first
+
+
+def _random_source(kx: int, ky: int, seed: int) -> SourceSpec:
+    """A seeded kx x ky source with about a third of its cells zero (never all)."""
+    rng = np.random.default_rng([kx, ky, seed])
+    weights = rng.random((kx, ky)) * (rng.random((kx, ky)) > 0.35)
+    weights.flat[rng.integers(kx * ky)] += 0.5
+    return SourceSpec(tuple(map(tuple, (weights / weights.sum()).tolist())))
+
+
+# (kx, ky, n): the array columns are checked against the scalar functions here.
+COLUMN_POINTS = (
+    [(2, 2, n) for n in range(1, 13)] + [(3, 2, n) for n in range(1, 7)]
+    + [(3, 3, n) for n in range(1, 6)] + [(4, 5, 1), (8, 8, 1), (16, 16, 1)]
+)
+
+
+class TestArrayColumnsBitForBit:
+    """`type_columns`, `max_entropy_column` and `make_code`'s region hold the
+    bits of the scalar per-type functions, on sources with zero cells."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kx, ky, n", COLUMN_POINTS)
+    def test_columns_are_the_scalar_functions(self, kx, ky, n, seed):
+        p = _random_source(kx, ky, seed)
+        cols, types = type_columns(n, p), enumerate_joint_types(n, p.ax, p.ay)
+        scalar = {
+            "max_entropy": list(map(max_conditional_entropy, types)),
+            "probability": [prob_of_type_class(jt, p) for jt in types],
+            "divergence": [kl_divergence(jt, p) for jt in types],
+        }
+        for name, values in scalar.items():
+            np.testing.assert_array_equal(getattr(cols, name).view(np.int64), np.array(values).view(np.int64), name)
+
+    @pytest.mark.parametrize("kx, ky, n", COLUMN_POINTS)
+    def test_region_is_the_per_type_membership(self, kx, ky, n):
+        ax, ay = Alphabet(kx), Alphabet(ky)
+        types = enumerate_joint_types(n, ax, ay)
+        entropies = sorted(set(map(max_conditional_entropy, types)) - {0.0})
+        # Each entropy as a rate, and the rates where it just leaves the tolerance.
+        rates = {r for h in entropies[::max(1, len(entropies) // 6)] for r in (h, h - RATE_TIE_TOL, math.nextafter(h - RATE_TIE_TOL, 0))}
+        for rate in sorted(rates | {0.7, 1.2}):
+            inside = make_code(FFCodeConfig(n, rate, ax, ay)).region_index >= 0
+            assert inside.tolist() == [in_decodable_region(jt, rate) for jt in types], rate
 
 
 class TestSourceSpecValidation:

@@ -31,6 +31,7 @@ from compdeliv.types_core import (
     joint_type_index,
     joint_types_at,
     joint_type_count,
+    joint_type_counts,
     joint_type_of,
     multinomial,
     rank_in_type_class,
@@ -98,7 +99,9 @@ class TestEnumeration:
                 for rest in recursive(total - first, parts - 1):
                     yield (first,) + rest
 
-        assert list(_compositions(total, parts)) == list(recursive(total, parts))
+        compositions = _compositions(total, parts)
+        assert compositions.dtype == np.int64 and compositions.shape == (math.comb(total + parts - 1, parts - 1), parts)
+        assert list(map(tuple, compositions.tolist())) == list(recursive(total, parts))
 
     @pytest.mark.parametrize("n, kx, ky", [(1, 1, 1), (5, 1, 1), (4, 2, 2), (3, 3, 2), (2, 4, 3)])
     def test_joint_type_count_is_closed_form(self, n, kx, ky):
@@ -109,6 +112,17 @@ class TestEnumeration:
         assert joint_type_count(n, kx, ky) * kx * ky > MAX_JOINT_TYPE_COUNTS
         with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS"):
             enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))
+
+    @pytest.mark.parametrize("n, kx, ky", [(1, 1, 1), (5, 1, 1), (4, 2, 2), (3, 3, 2), (2, 4, 3), (1, 16, 16)])
+    def test_count_array_rows_are_the_enumerated_types(self, n, kx, ky):
+        counts = joint_type_counts(n, kx, ky)
+        assert counts.dtype == np.int64 and not counts.flags.writeable and joint_type_counts(n, kx, ky) is counts
+        assert counts.tolist() == [list(jt.flat_counts()) for jt in enumerate_joint_types(n, Alphabet(kx), Alphabet(ky))]
+
+    @pytest.mark.parametrize("n, kx, ky", [(0, 2, 2), (115, 2, 2), (1, 256, 256)])
+    def test_count_array_refused_as_the_enumeration_is(self, n, kx, ky):
+        with pytest.raises(ValueError):
+            joint_type_counts(n, kx, ky)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_pair_has_an_enumerated_type(self, n):
@@ -308,7 +322,7 @@ class TestCodeTable:
             size = math.factorial(n) // math.prod(map(math.factorial, counts))
             runs.append((tuple(counts), start, start + size))
             start += size
-        assert [counts for counts, _, _ in runs[:50]] == list(itertools.islice(_compositions(n, k), 50))
+        assert [counts for counts, _, _ in runs[:50]] == list(map(tuple, _compositions(n, k)[:50].tolist()))
         every, searched = [], []
         for counts, start, stop in runs:
             every.append(_class_letters(counts))
