@@ -19,9 +19,10 @@ members) or 4 B.  Every table is held once, in the `slot_book` of its
 block length and alphabets.  `encode_pair` and `decode_side` code one
 block through `get_coding_table`, a window on its book entry;
 `SlotBook.encode` and `SlotBook.decode` code a batch with gathers from the
-book.  A joint type of one symbol codes every pair as 0 and nothing builds
-its table: it pairs each letter of one side with one of the other
-(`letter_map`).
+book.  A table's symbol count Δ is `JointType.num_symbols`, in closed form
+(`types_core.num_symbols_column` for every type at once).  A joint type of
+one symbol codes every pair as 0 and nothing builds its table: it pairs
+each letter of one side with one of the other (`letter_map`).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def build_graph(jt: JointType) -> BipartiteTypeGraph:
     left_degree = v_shell_size(jt)
     right_degree = w_shell_size(jt)
     cells = left_size * left_degree
-    slots = (left_size + right_size) * max(left_degree, right_degree)
+    slots = (left_size + right_size) * jt.num_symbols
     limit, code = min(DEFAULT_CELL_BUDGET, _MAX_SLOTS), _slot_code(left_size, right_size)
     if slots > limit:
         peak = array(code).itemsize * (slots + cells) + 8 * slots  # buffers, and edge_color's lists
@@ -297,15 +298,9 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
 def get_coding_table(jt: JointType) -> CodingTable:
     """Deterministic table for jt, cached per process: a window on its
     `slot_book` entry, or for a type of one symbol a table of its own."""
-    if num_symbols_of(jt) == 1:
+    if jt.num_symbols == 1:
         return edge_color(build_graph(jt))
     return slot_book(jt.n, Alphabet(jt.num_x), Alphabet(jt.num_y)).table(jt)
-
-
-@lru_cache(maxsize=None)
-def num_symbols_of(jt: JointType) -> int:
-    """Symbols a table for jt uses: its maximum degree, in closed form."""
-    return max(v_shell_size(jt), w_shell_size(jt))
 
 
 class SideCoder(NamedTuple):
@@ -337,7 +332,7 @@ def _side_coders(jt: JointType) -> tuple[SideCoder, SideCoder]:
     coders = []
     for side in ("x", "y"):
         held, other = held_and_decoded(side, jt.x_marginal(), jt.y_marginal())
-        to = letter_map(jt, side) if num_symbols_of(jt) == 1 else None
+        to = letter_map(jt, side) if jt.num_symbols == 1 else None
         held_maps, other_maps = _lex_maps(held.counts), _lex_maps(other.counts)
         members = other_maps and other_maps[1]
         support = [to[a] for a, c in enumerate(held.counts) if c] if to is not None else []
@@ -587,7 +582,7 @@ class SlotBook:
         """Enter jt, of this type index: its table built (budget checked first)
         and its slots appended, or a one-symbol type's letter maps.  Returns
         the table's graph, None for a type of one symbol."""
-        delta, graph, start = num_symbols_of(jt), None, (0, 0)
+        delta, graph, start = jt.num_symbols, None, (0, 0)
         if delta > 1:
             graph = build_graph(jt)
             start, t = tuple(map(len, self._slots)), edge_color(graph)

@@ -24,23 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import (
-    BINARY,
-    Alphabet,
-    JointType,
-    RowError,
-    Sequence,
-    _as_blocks,
-    _lex_maps,
-    _read_only,
-    enumerate_joint_types,
-    interned,
-    joint_type_index,
-    joint_type_of,
-)
+from .types_core import BINARY, Alphabet, JointType, RowError, Sequence, _as_blocks, _lex_maps, _read_only, cached_attribute
+from .types_core import enumerate_joint_types, interned, joint_type_index, joint_type_of, num_symbols_column
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, max_entropy_column, type_columns
-from .coding_table import SideInfoMismatchError, decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
+from .coding_table import SideInfoMismatchError, decode_side, encode_pair, held_and_decoded, slot_book
 
 
 class CodewordRangeError(RowError):
@@ -82,14 +70,20 @@ def bit_width(count: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FFCode:
-    """Precomputed region enumeration and field widths for one configuration."""
+    """The region and field widths of one configuration."""
 
     cfg: FFCodeConfig
-    region: tuple[JointType, ...]
-    region_index: np.ndarray  # by type index (`JointType.index`): index in the region, or -1; read-only
+    region_types: np.ndarray  # by region index: the type index (`JointType.index`); read-only
+    region_index: np.ndarray  # by type index: index in the region, or -1; read-only
     region_of: list[int]  # `region_index` as a list, for one-block lookups
     type_width: int
     symbol_width: int
+
+    @cached_attribute
+    def region(self) -> tuple[JointType, ...]:
+        """The joint type of each region index, which the scalar decoder reads: listed at its first read."""
+        types = enumerate_joint_types(self.cfg.n, self.cfg.ax, self.cfg.ay)
+        return tuple(types[i] for i in self.region_types.tolist())
 
     @property
     def codeword_width(self) -> int:
@@ -143,12 +137,12 @@ class FFCode:
 
 @lru_cache(maxsize=None)
 def make_code(cfg: FFCodeConfig) -> FFCode:
-    types = enumerate_joint_types(cfg.n, cfg.ax, cfg.ay)
+    """The code of cfg, read from the source-free type columns: no joint type is built."""
     inside = max_entropy_column(cfg.n, cfg.ax.size, cfg.ay.size) <= cfg.rate + RATE_TIE_TOL
-    region = tuple(jt for jt, keep in zip(types, inside) if keep)
+    types = _read_only(np.flatnonzero(inside))
     region_index = _read_only(np.where(inside, np.cumsum(inside) - 1, -1))
-    max_symbols = max((num_symbols_of(jt) for jt in region), default=1)
-    return FFCode(cfg, region, region_index, region_index.tolist(), bit_width(len(region)), bit_width(max_symbols))
+    max_symbols = max(num_symbols_column(cfg.n, cfg.ax.size, cfg.ay.size)[types].tolist(), default=1)
+    return FFCode(cfg, types, region_index, region_index.tolist(), bit_width(len(types)), bit_width(max_symbols))
 
 
 def ff_encode(cfg: FFCodeConfig, x: Sequence, y: Sequence) -> FFCodeword:
@@ -187,7 +181,7 @@ def _ff_decode(cfg: FFCodeConfig, cw: FFCodeword, side_info: Sequence, side: str
         # Total-decoder fallback for flagged codewords: the lexicographically
         # first sequence (row/column 0 of the constant-letter coupling).
         return _lex_maps((cfg.n,) + (0,) * (reproduced.size - 1))[1][0]
-    if not 0 <= cw.type_index < len(code.region):
+    if not 0 <= cw.type_index < len(code.region_types):
         raise CodewordRangeError(f"type index {cw.type_index} out of range")
     return decode_side(code.region[cw.type_index], side_info, cw.symbol, side)
 
@@ -239,15 +233,13 @@ def ff_decode_batch(cfg: FFCodeConfig, words: FFWords, side_info: np.ndarray, si
     flags = np.asarray(words[0], bool)
     if len(flags) != len(side_info):
         raise ValueError(f"side information has {len(side_info)} rows, not {len(flags)}")
-    types = np.flatnonzero(make_code(cfg).region_index >= 0)
     book = slot_book(cfg.n, cfg.ax, cfg.ay)
-    return book.decode(types, *words[1:], side_info, side, np.flatnonzero(~flags), CodewordRangeError)
+    return book.decode(make_code(cfg).region_types, *words[1:], side_info, side, np.flatnonzero(~flags), CodewordRangeError)
 
 
 def codebook_size(cfg: FFCodeConfig) -> int:
     """Exact M_n: per-type symbol counts over the region, plus the error word."""
-    code = make_code(cfg)
-    return sum(num_symbols_of(jt) for jt in code.region) + 1
+    return sum(num_symbols_column(cfg.n, cfg.ax.size, cfg.ay.size)[make_code(cfg).region_types].tolist()) + 1
 
 
 def rate_bound_check(cfg: FFCodeConfig) -> bool:

@@ -5,20 +5,21 @@ pair is ever rejected.  A codeword is
 
     [type index: fixed width over all joint types][symbol: per-type width]
 
-where the symbol width is determined by the joint type alone (ceil-log of
-the larger shell size, zero when both shells are singletons).  The fixed
-header makes the code a prefix set: a parser always knows the symbol
-width after reading the header, so concatenated codewords frame uniquely.
+where the symbol width is determined by the joint type alone,
+`bit_width(jt.num_symbols)` (the ceil-log of the larger shell size, zero
+when both shells are singletons).  The fixed header makes the code a
+prefix set: a parser always knows the symbol width after reading the
+header, so concatenated codewords frame uniquely.
 
 A code enumerates no types (`types_core.joint_type_index` computes the
 index), so it reaches any n and alphabets whose index fits
 MAX_HEADER_WIDTH bits; a batch may hold joint types of up to
 MAX_JOINT_TYPE_COUNTS counts (`FVCode.types_kept`).  Codeword length is a
 function of the joint type only, which is what the overflow/underflow
-analysis sums over.  `fv_encode` and the stream decoders code one block;
-`fv_encode_batch`, `FVCode.pack_words`, `FVCode.read_words` and
-`fv_decode_batch` code whole (m, n) arrays of blocks to and from the
-same bits, their symbols coded by `coding_table.SlotBook`.
+analysis sums over (`FVCode.codeword_lengths`).  `fv_encode` and the
+stream decoders code one block; `fv_encode_batch`, `FVCode.pack_words`,
+`FVCode.read_words` and `fv_decode_batch` code whole (m, n) arrays of
+blocks to and from the same bits, their symbols coded by `SlotBook`.
 """
 
 from __future__ import annotations
@@ -36,20 +37,18 @@ from .types_core import (
     RowError,
     Sequence,
     _as_blocks,
-    _by_distinct_row,
     _read_only,
     _types_over,
     cached_attribute,
     joint_type_count,
-    joint_type_counts,
     joint_type_index,
     joint_type_of,
     joint_types_at,
-    multinomial,
+    num_symbols_column,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
 from .info_measures import SourceSpec, epsilon_n, type_columns
-from .coding_table import decode_side, encode_pair, held_and_decoded, num_symbols_of, slot_book
+from .coding_table import decode_side, encode_pair, held_and_decoded, slot_book
 from .ff_codec import FFCodeConfig, _check_side_info, _ff_decode, _source_columns, bit_width, ff_encode, make_code
 
 MAX_HEADER_WIDTH = 32  # widest type index `fields_at_every_offset` frames
@@ -76,12 +75,6 @@ class FVCodeword:
         return self.length
 
 
-@lru_cache(maxsize=None)
-def symbol_width(jt: JointType) -> int:
-    """Bits of the symbol field of a codeword of joint type jt."""
-    return bit_width(num_symbols_of(jt))
-
-
 @dataclass(frozen=True)
 class FVCode:
     """Block length, alphabets and type index width of an FV code.
@@ -105,15 +98,14 @@ class FVCode:
         return joint_type_count(self.n, self.ax.size, self.ay.size)
 
     def codeword_length(self, jt: JointType) -> int:
-        return self.header_width + symbol_width(jt)
+        return self.header_width + bit_width(jt.num_symbols)
 
     @cached_attribute
     def codeword_lengths(self) -> np.ndarray:
-        """`codeword_length` of every type, by type index, read-only: the shell
-        sizes of `joint_type_counts` (MAX_JOINT_TYPE_COUNTS), no JointType built."""
-        counts = joint_type_counts(self.n, self.ax.size, self.ay.size).reshape(-1, self.ax.size, self.ay.size)
-        v, w = (np.prod(_by_distinct_row(rows, multinomial, object), axis=1) for rows in (counts, counts.transpose(0, 2, 1)))
-        return _read_only(np.array([self.header_width + bit_width(max(s)) for s in zip(v.tolist(), w.tolist())]))
+        """`codeword_length` of every type, by type index, read-only: `num_symbols_column`
+        (MAX_JOINT_TYPE_COUNTS), no JointType built."""
+        symbols = num_symbols_column(self.n, self.ax.size, self.ay.size).tolist()
+        return _read_only(np.array([self.header_width + bit_width(delta) for delta in symbols]))
 
     @property
     def types_kept(self) -> int:
@@ -151,7 +143,7 @@ class FVCode:
         words make, written one after another."""
         type_index, symbols = np.asarray(words[0], np.int64), np.asarray(words[1], np.int64)
         keys, inverse = np.unique(type_index, return_inverse=True)
-        symbol_widths = np.array([symbol_width(self.type_at(key)) for key in keys.tolist()], np.int64)[inverse]
+        symbol_widths = np.array([bit_width(self.type_at(key).num_symbols) for key in keys.tolist()], np.int64)[inverse]
         widths = np.stack([np.full(len(type_index), self.header_width), symbol_widths], 1)
         return pack_fields(np.stack([type_index, symbols], 1), widths)
 
@@ -184,7 +176,7 @@ class FVCode:
             if length is None:
                 if len(lengths) >= kept:
                     self._refuse(len(lengths) + 1)
-                length = lengths[idx] = header + symbol_width(self.type_at(idx))
+                length = lengths[idx] = header + bit_width(self.type_at(idx).num_symbols)
             end = pos + length
             if end > total:
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
@@ -212,7 +204,7 @@ def fv_encode(n: int, x: Sequence, y: Sequence) -> FVCodeword:
         raise ValueError(f"sequences must have length n={n}")
     code = make_fv_code(n, x.alphabet, y.alphabet)
     jt = joint_type_of(x, y)
-    width = symbol_width(jt)
+    width = bit_width(jt.num_symbols)
     return FVCodeword(jt.index << width | encode_pair(jt, x, y), code.header_width + width)
 
 
@@ -269,7 +261,7 @@ def fv_decode_y_stream(n: int, reader: BitReader, x: Sequence, ay: Alphabet | No
 
 def _decode_stream_word(code: FVCode, reader: BitReader, side_info: Sequence, side: str) -> Sequence:
     jt = code.type_at(reader.read(code.header_width))
-    return decode_side(jt, side_info, reader.read(symbol_width(jt)), side)
+    return decode_side(jt, side_info, reader.read(bit_width(jt.num_symbols)), side)
 
 
 def _fv_decode(code: FVCode, cw: FVCodeword, side_info: Sequence, side: str) -> Sequence:
@@ -278,7 +270,7 @@ def _fv_decode(code: FVCode, cw: FVCodeword, side_info: Sequence, side: str) -> 
     if rest < 0:
         raise MalformedCodewordError("codeword ends inside a field")
     jt = code.type_at(cw.value >> rest)
-    width = symbol_width(jt)
+    width = bit_width(jt.num_symbols)
     rest -= width
     if rest < 0:
         raise MalformedCodewordError("codeword ends inside a field")

@@ -100,7 +100,9 @@ class ExperimentReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps([asdict(row) for row in self.rows], indent=2) + "\n"
+        """The rows as strict JSON: a non-finite value is the string "inf", "-inf" or "nan", as `to_csv` prints it."""
+        rows = [{k: v if math.isfinite(v) else str(v) for k, v in asdict(row).items()} for row in self.rows]
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 @lru_cache(maxsize=16)

@@ -40,7 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, make_dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, repeat
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -239,6 +239,11 @@ class JointType:
         pairs = np.repeat(np.arange(self.num_x * self.num_y), self.flat_counts())[None]
         return int(joint_type_index(pairs // self.num_y, pairs % self.num_y, self.num_x, self.num_y)[0])
 
+    @cached_attribute
+    def num_symbols(self) -> int:
+        """Δ, the symbols of this type's coding table: its larger shell size (`num_symbols_column` of every type)."""
+        return max(v_shell_size(self), w_shell_size(self))
+
 
 # Most entries of each type cache below: every joint type of a binary
 # block up to n = 9.  An entry holds its counts twice, as key and as
@@ -314,7 +319,7 @@ def check_joint_type_count(n: int, kx: int, ky: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def enumerate_joint_types(n: int, ax: Alphabet, ay: Alphabet) -> tuple[JointType, ...]:
     """All joint types of block length n, lexicographic on flattened counts.
 
@@ -336,6 +341,15 @@ def joint_type_counts(n: int, kx: int, ky: int) -> np.ndarray:
     _check_block_length(n)
     check_joint_type_count(n, kx, ky)
     return _read_only(_compositions(n, kx * ky))
+
+
+@lru_cache(maxsize=16)
+def num_symbols_column(n: int, kx: int, ky: int) -> np.ndarray:
+    """`JointType.num_symbols` of each type of `joint_type_counts(n, kx, ky)`, read-only:
+    exact integers (an object array), the larger product of row and of column multinomials."""
+    counts = joint_type_counts(n, kx, ky).reshape(-1, kx, ky)
+    v, w = (np.prod(_by_distinct_row(rows, multinomial, object), axis=1) for rows in (counts, counts.transpose(0, 2, 1)))
+    return _read_only(np.maximum(v, w))
 
 
 def _by_distinct_row(counts: np.ndarray, f, dtype=float) -> np.ndarray:
@@ -364,18 +378,12 @@ def type_class_size(q: TypeVector) -> int:
 
 def v_shell_size(jt: JointType) -> int:
     """|T_V(x)| for any x of jt's row-marginal type: product of per-row multinomials."""
-    size = 1
-    for row in jt.counts:
-        size *= multinomial(row)
-    return size
+    return prod(map(multinomial, jt.counts))
 
 
 def w_shell_size(jt: JointType) -> int:
     """|T_W(y)| for any y of jt's column-marginal type: per-column multinomials."""
-    size = 1
-    for b in range(jt.num_y):
-        size *= multinomial(tuple(row[b] for row in jt.counts))
-    return size
+    return prod(map(multinomial, zip(*jt.counts)))
 
 
 # Classes up to this size get memoized rank<->sequence maps for the scalar

@@ -210,6 +210,18 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert rows[0]["exact_e_sum"] == 0.0
 
+    def test_sweep_json_is_strict_when_no_type_lies_outside(self, tmp_path):
+        # No binary type at n=4 has max conditional entropy above 3.0: the outside scan is empty (inf).
+        out = tmp_path / "report.json"
+        argv = ["sweep", "--source", "dsbs:0.11", "--n", "4", "--rate", "3.0", "--trials", "20"]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        (row,) = json.loads(out.read_text(), parse_constant=refuse)
+        assert row["min_divergence_outside"] == "inf" and row["rate"] == 3.0
+
     def test_sweep_config_past_float_range_bounds_at_n1(self, tmp_path):
         # 2 (n+1)^|XY| = 2^1025 for a 32 x 32 source: no float holds it, but
         # no type lies outside the region at n=1, so the bound is 0.0.
@@ -337,6 +349,25 @@ class TestFileCodec:
             == EXIT_OK
         )
         assert out.read_bytes() == source.read_bytes()
+
+    def test_ff_code_lists_no_joint_types(self, tmp_path, monkeypatch):
+        # A cold FF code is read from the type columns: with ff_codec's
+        # enumeration and index inversion refusing, the code, its codebook
+        # size, a batch and a CLI round trip at n=8 all work.
+        def refuse(*args):
+            raise AssertionError("joint types listed")
+
+        monkeypatch.setattr(ff_codec, "enumerate_joint_types", refuse)
+        monkeypatch.setattr(ff_codec, "joint_types_at", refuse, raising=False)
+        ff_codec.make_code.cache_clear()
+        cfg, (x, y) = FFCodeConfig(8, 1.0), correlated_blocks(3, 500, 8, 2)
+        code = ff_codec.make_code(cfg)
+        assert ff_codec.codebook_size(cfg) > len(code.region_types) == 165  # every binary type at rate 1
+        words = ff_codec.ff_encode_batch(cfg, x, y)
+        cw = encode_pair(tmp_path, x.ravel().tolist(), y.ravel().tolist(), 8, "ff", 1.0)
+        for side, held, want in (("x", y, x), ("y", x, y)):
+            assert (ff_codec.ff_decode_batch(cfg, words, held, side) == want).all()
+            assert decode_side(tmp_path, cw, side, held.ravel().tolist()) == (EXIT_OK, want.tobytes())
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_fv_round_trip(self, sample_files, tmp_path, side):
@@ -782,7 +813,7 @@ class TestResourceLimits:
 
         for module in (types_core, ff_codec):
             monkeypatch.setattr(module, "enumerate_joint_types", refuse)
-        for module in (types_core, info_measures, fv_codec):  # the count array of every type
+        for module in (types_core, info_measures):  # the count array of every type
             monkeypatch.setattr(module, "joint_type_counts", refuse)
 
     @pytest.mark.parametrize(

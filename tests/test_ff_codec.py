@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from compdeliv import ff_codec
 from compdeliv.bitio import BitWriter, TruncatedStreamError
 from compdeliv.ff_codec import (
     CodewordRangeError,
@@ -20,12 +21,21 @@ from compdeliv.ff_codec import (
     ff_encode,
     ff_encode_batch,
     make_code,
-    num_symbols_of,
     rate_bound_check,
 )
 from compdeliv.info_measures import SourceSpec, dsbs, in_decodable_region, uniform_independent
-from compdeliv.types_core import BINARY, Alphabet, JointType, Sequence, joint_type_index, joint_type_of
+from compdeliv.types_core import (
+    BINARY,
+    Alphabet,
+    JointType,
+    Sequence,
+    enumerate_joint_types,
+    joint_type_count,
+    joint_type_index,
+    joint_type_of,
+)
 from conftest import all_binary_pairs, seq
+from golden.generate import REGION_TIES
 
 RATES = (0.25, 0.5, 0.75, 1.0)
 
@@ -40,7 +50,7 @@ class TestBitWidth:
         assert bit_width(5) == 3
 
     def test_num_symbols_balanced(self):
-        assert num_symbols_of(JointType(((1, 1), (1, 1)), 4)) == 4
+        assert JointType(((1, 1), (1, 1)), 4).num_symbols == 4
 
 
 class TestEncode:
@@ -254,8 +264,6 @@ class TestSizing:
     def test_region_enumeration_is_filtered_and_ordered(self):
         cfg = FFCodeConfig(4, 0.5)
         code = make_code(cfg)
-        from compdeliv.types_core import enumerate_joint_types
-
         expected = [
             jt
             for jt in enumerate_joint_types(4, BINARY, BINARY)
@@ -271,8 +279,36 @@ class TestSizing:
         # only deterministic couplings survive a tiny rate, one symbol each
         cfg = FFCodeConfig(3, 1e-9)
         code = make_code(cfg)
-        assert all(num_symbols_of(jt) == 1 for jt in code.region)
+        assert all(jt.num_symbols == 1 for jt in code.region)
         assert code.symbol_width == 0
+        assert codebook_size(cfg) == len(code.region) + 1
+
+    @pytest.mark.parametrize("name", REGION_TIES)
+    def test_codebook_size_is_the_per_type_sum(self, name):
+        # At rates that types tie exactly, and at a tiny rate (one-symbol types alone).
+        (kx, ky), lengths, tie = REGION_TIES[name]
+        ax, ay = Alphabet(kx), Alphabet(ky)
+        for n in lengths[::max(1, len(lengths) // 5)]:
+            types = enumerate_joint_types(n, ax, ay)
+            for rate in (tie, 1e-9):
+                cfg = FFCodeConfig(n, rate, ax, ay)
+                region = [jt for jt in types if in_decodable_region(jt, rate)]
+                code = make_code(cfg)
+                assert codebook_size(cfg) == sum(jt.num_symbols for jt in region) + 1, (n, rate)
+                assert code.symbol_width == bit_width(max(jt.num_symbols for jt in region)), (n, rate)
+                assert code.region_types.tolist() == [jt.index for jt in region] and list(code.region) == region
+
+    def test_empty_region(self, monkeypatch):
+        # Every positive rate keeps the types of entropy 0; with no type
+        # inside, the code holds the error word alone and both fields are empty.
+        monkeypatch.setattr(ff_codec, "max_entropy_column", lambda n, kx, ky: np.full(joint_type_count(n, kx, ky), np.inf))
+        cfg = FFCodeConfig(5, 0.5)
+        make_code.cache_clear()
+        try:
+            code = make_code(cfg)
+            assert (code.type_width, code.symbol_width, codebook_size(cfg), code.region) == (0, 0, 1, ())
+        finally:
+            make_code.cache_clear()
 
     @pytest.mark.parametrize("rate", RATES)
     @pytest.mark.parametrize("n", range(1, 11))

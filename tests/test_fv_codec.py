@@ -24,7 +24,6 @@ from compdeliv.fv_codec import (
     make_fv_code,
     overflow_probability,
     raw_pair_width,
-    symbol_width,
     underflow_probability,
     wrap_ff_as_fv,
 )
@@ -57,7 +56,7 @@ class TestEncode:
     def test_balanced_type_symbol_width(self):
         code = make_fv_code(4, BINARY, BINARY)
         jt = joint_type_of(seq("0011"), seq("0101"))
-        assert symbol_width(jt) == 2
+        assert bit_width(jt.num_symbols) == 2
 
     def test_length_is_a_function_of_the_type(self):
         code = make_fv_code(5, BINARY, BINARY)

@@ -26,7 +26,7 @@ from compdeliv.info_measures import (
     uniform_independent,
 )
 from compdeliv.ff_codec import FFCodeConfig, make_code
-from compdeliv.types_core import BINARY, Alphabet, JointType, enumerate_joint_types
+from compdeliv.types_core import BINARY, Alphabet, JointType, enumerate_joint_types, num_symbols_column
 from conftest import all_binary_pairs
 
 
@@ -345,8 +345,8 @@ COLUMN_POINTS = (
 
 
 class TestArrayColumnsBitForBit:
-    """`type_columns`, `max_entropy_column` and `make_code`'s region hold the
-    bits of the scalar per-type functions, on sources with zero cells."""
+    """`type_columns`, `max_entropy_column`, `num_symbols_column` and `make_code`'s
+    region hold the bits of the scalar per-type functions, on sources with zero cells."""
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("kx, ky, n", COLUMN_POINTS)
@@ -365,6 +365,8 @@ class TestArrayColumnsBitForBit:
     def test_region_is_the_per_type_membership(self, kx, ky, n):
         ax, ay = Alphabet(kx), Alphabet(ky)
         types = enumerate_joint_types(n, ax, ay)
+        # make_code's other column, Δ, is each type's symbol count.
+        assert num_symbols_column(n, kx, ky).tolist() == [jt.num_symbols for jt in types]
         entropies = sorted(set(map(max_conditional_entropy, types)) - {0.0})
         # Each entropy as a rate, and the rates where it just leaves the tolerance.
         rates = {r for h in entropies[::max(1, len(entropies) // 6)] for r in (h, h - RATE_TIE_TOL, math.nextafter(h - RATE_TIE_TOL, 0))}

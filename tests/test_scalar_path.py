@@ -20,12 +20,12 @@ from compdeliv.coding_table import (
     decode_side,
     encode_pair,
     get_coding_table,
-    num_symbols_of,
     slot_book,
 )
 from compdeliv.ff_codec import (
     FFCodeConfig,
     FFCodeword,
+    bit_width,
     ff_decode_batch,
     ff_decode_x,
     ff_decode_y,
@@ -44,7 +44,6 @@ from compdeliv.fv_codec import (
     fv_encode,
     fv_encode_batch,
     make_fv_code,
-    symbol_width,
 )
 from compdeliv.types_core import (
     _RANK_MAP_LIMIT,
@@ -115,7 +114,7 @@ def test_fv_scalar_matches_batch(n, kx, ky, rate):
     assert (fv_decode_batch(code, (type_index, symbols), x, "y") == y).all()
     for i, (xi, yi) in enumerate(zip(_sequences(x, code.ax), _sequences(y, code.ay))):
         cw = fv_encode(n, xi, yi)
-        width = symbol_width(code.type_at(int(type_index[i])))
+        width = bit_width(code.type_at(int(type_index[i])).num_symbols)
         assert (cw.value, cw.length) == (int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
         # The decoders take the reproduced alphabet when it differs from
         # the side information's.
@@ -340,7 +339,7 @@ def _plant(kinds, type_at, count, words, held, side, seed):
             counts = tuple(np.bincount(held[i], minlength=2))
             if counts in used or len(words) == 3 and words[0][i]:
                 continue  # a flagged FF row is not decoded
-            delta = num_symbols_of(type_at(type_index[i]))
+            delta = type_at(type_index[i]).num_symbols
             if delta == 1 or delta & (delta - 1) == 0:
                 continue  # a symbol count that is a power of two leaves no field value >= it
             t = get_coding_table(type_at(type_index[i]))
@@ -400,7 +399,7 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
                 ff_decode_batch(cfg, planted, held_i, side)
         else:
             def decode_one(i):
-                width = symbol_width(type_at(int(type_index[i]))) if type_index[i] < count else 0
+                width = bit_width(type_at(int(type_index[i])).num_symbols) if type_index[i] < count else 0
                 cw = FVCodeword(int(type_index[i]) << width | int(symbols[i]), code.header_width + width)
                 (fv_decode_x if side == "x" else fv_decode_y)(cw, held_seqs[i])
 
@@ -449,7 +448,7 @@ def test_batches_rank_once_per_marginal_class(mode, monkeypatch):
     for n, (x, y) in ((10, _pairs(10, 2000, 10, 2, 2)), (17, _sparse_pairs(17, 300, 17))):
         within = types_core.code_table(n, 2) is not None
         assert within == (n == 10)
-        tabled = [jt for jt, _ in joint_type_groups(x, y, 2, 2) if num_symbols_of(jt) > 1]
+        tabled = [jt for jt, _ in joint_type_groups(x, y, 2, 2) if jt.num_symbols > 1]
         x_classes = {jt.x_marginal() for jt in tabled}
         y_classes = {jt.y_marginal() for jt in tabled}
         assert len(tabled) > (2 if within else 1) * (len(x_classes) + len(y_classes))
@@ -581,7 +580,7 @@ def test_warm_scalar_calls_rederive_nothing(n, kx, ky, rate, monkeypatch):
     code_every_block()
     flags = [ff_encode(cfg, xi, yi).error_flag for xi, yi in pairs]
     assert any(flags) and not all(flags)
-    assert any(num_symbols_of(joint_type_of(xi, yi)) == 1 for xi, yi in pairs)
+    assert any(joint_type_of(xi, yi).num_symbols == 1 for xi, yi in pairs)
     calls = dict.fromkeys(("multinomial", "held_and_decoded", "Alphabet"), 0)
     _counted(monkeypatch, calls, "multinomial", types_core.multinomial)
     # Held and reproduced marginals; picking one of the code's two alphabets derives nothing.
@@ -610,7 +609,7 @@ def test_warm_scalar_decodes_build_nothing(n, kx, ky, rate, monkeypatch):
     cfg = FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky))
     words = [(ff_encode(cfg, xi, yi), fv_encode(n, xi, yi)) for xi, yi in pairs]
     assert any(ff.error_flag for ff, _ in words) and not all(ff.error_flag for ff, _ in words)
-    assert any(num_symbols_of(joint_type_of(xi, yi)) == 1 for xi, yi in pairs)
+    assert any(joint_type_of(xi, yi).num_symbols == 1 for xi, yi in pairs)
     cfg, ax, ay = FFCodeConfig(n, rate, Alphabet(kx), Alphabet(ky)), Alphabet(kx), Alphabet(ky)
 
     def decode_every_block():

@@ -186,6 +186,17 @@ class TestReportSerialization:
         assert data[0]["n"] == 4
         assert data[0]["mc_e_sum"] == 0.11
 
+    def test_json_is_strict_with_non_finite_values_as_text(self):
+        row = ReportRow(4, 3.0, 0.0, 0.0, 0.0, math.inf, -math.inf, 0.0, 0.0, math.nan, 0.0)
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        (data,) = json.loads(ExperimentReport((row,)).to_json(), parse_constant=refuse)
+        assert [data[k] for k in ("min_divergence_outside", "min_divergence_inside", "overflow_exact")] == ["inf", "-inf", "nan"]
+        assert data["rate"] == 3.0 and data["bound_upper"] == 0.0
+        assert ExperimentReport((row,)).to_csv().splitlines()[1] == "4,3.0,0.0,0.0,0.0,inf,-inf,0.0,0.0,nan,0.0"
+
 
 def reference_run_plan(plan: TrialPlan) -> ExperimentReport:
     """`run_plan` coded one grid row at a time, each row with its own rate's

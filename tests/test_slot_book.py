@@ -18,7 +18,6 @@ from compdeliv.coding_table import (
     build_graph,
     edge_color,
     get_coding_table,
-    num_symbols_of,
     slot_book,
 )
 from compdeliv.ff_codec import CodewordRangeError, FFCodeConfig, ff_decode_batch, ff_encode_batch, make_code
@@ -132,19 +131,20 @@ def test_cache_clear_empties_the_book():
     assert fresh is not book and not fresh._met and list(map(len, fresh._slots)) == [0, 0] and len(fresh._delta) == 0
 
 
-# What a batch once did per joint type; a warm batch calls none of them.
-PER_TYPE = ("edge_color", "num_symbols_of", "ids_of", "type_at")
+# What a batch once did per joint type; a warm batch does none of it.
+PER_TYPE = ("edge_color", "num_symbols", "ids_of", "type_at")
 
 
 def _count_calls(monkeypatch, calls):
-    """Count every call of the `PER_TYPE` functions, through every compdeliv
-    module that binds them, and of `FVCode.type_at` and `_Classes.ids_of`."""
+    """Count every call of `edge_color`, through every compdeliv module that
+    binds it, of `FVCode.type_at` and `_Classes.ids_of`, and every read of
+    `JointType.num_symbols`, cached or not."""
     monkeypatch.setattr(FVCode, "type_at", _counted(calls, "type_at", FVCode.type_at))
     monkeypatch.setattr(types_core._Classes, "ids_of", _counted(calls, "ids_of", types_core._Classes.ids_of))
-    for name, real in (("edge_color", coding_table.edge_color), ("num_symbols_of", coding_table.num_symbols_of)):
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("compdeliv") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, _counted(calls, name, real))
+    monkeypatch.setattr(JointType, "num_symbols", property(_counted(calls, "num_symbols", JointType.num_symbols.func)))
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("compdeliv") and getattr(module, "edge_color", None) is coding_table.edge_color:
+            monkeypatch.setattr(module, "edge_color", _counted(calls, "edge_color", coding_table.edge_color))
 
 
 def _counted(calls, name, real):
@@ -172,7 +172,7 @@ def test_a_warm_batch_does_no_per_type_work(mode, n, monkeypatch):
     # The count is live: a batch into an empty book makes these calls.
     _fresh_book(n)
     encode(x, y)
-    assert calls["edge_color"] > 0 and calls["num_symbols_of"] > 0 and calls["ids_of"] > 0
+    assert calls["edge_color"] > 0 and calls["num_symbols"] > 0 and calls["ids_of"] > 0
 
 
 def _every_type(n):
@@ -197,11 +197,11 @@ def _fill_with_every_type(n):
 
 def test_the_book_holds_each_table_once():
     book, types = _fill_with_every_type(8), enumerate_joint_types(8, BINARY, BINARY)
-    tabled = [jt for jt in types if num_symbols_of(jt) > 1]
+    tabled = [jt for jt in types if jt.num_symbols > 1]
     assert len(book._met) == len(types) and 0 < len(tabled) < len(types)
     # Slots in closed form: each tabled entry's classes times its symbol count, nothing more.
     for side, marginal in ((0, "x_marginal"), (1, "y_marginal")):
-        slots = sum(type_class_size(getattr(jt, marginal)()) * num_symbols_of(jt) for jt in tabled)
+        slots = sum(type_class_size(getattr(jt, marginal)()) * jt.num_symbols for jt in tabled)
         assert len(book._slots[side]) == slots
     # A table read through get_coding_table is a window on the book's own
     # buffers, holding the slots a fresh build gives.
@@ -215,7 +215,7 @@ def test_the_book_holds_each_table_once():
 
 def test_a_window_built_by_its_own_call_enters_the_book_once(monkeypatch):
     jt, calls = enumerate_joint_types(8, BINARY, BINARY)[40], []
-    assert num_symbols_of(jt) > 1
+    assert jt.num_symbols > 1
     real = coding_table.build_graph
     monkeypatch.setattr(coding_table, "build_graph", lambda t: calls.append(t) or real(t))
     book = _fresh_book(8)
@@ -227,7 +227,7 @@ def test_a_window_built_by_its_own_call_enters_the_book_once(monkeypatch):
 def _window_buffers(n):
     """Weak references to the buffers of a filled book that windows read."""
     book = _fill_with_every_type(n)
-    tabled = [jt for jt in enumerate_joint_types(n, BINARY, BINARY) if num_symbols_of(jt) > 1]
+    tabled = [jt for jt in enumerate_joint_types(n, BINARY, BINARY) if jt.num_symbols > 1]
     assert all(get_coding_table(jt).col_slots is book._slots[0] for jt in tabled)
     return [weakref.ref(buf) for buf in book._slots]
 
@@ -237,7 +237,7 @@ def test_clearing_the_books_drops_the_windows_on_them():
     slot_book.cache_clear()
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    jt = next(jt for jt in enumerate_joint_types(6, BINARY, BINARY) if num_symbols_of(jt) > 1)
+    jt = next(jt for jt in enumerate_joint_types(6, BINARY, BINARY) if jt.num_symbols > 1)
     assert get_coding_table(jt).row_slots is slot_book(6, BINARY, BINARY)._slots[1]
 
 
@@ -312,7 +312,7 @@ def test_a_batch_decode_reports_its_lowest_failing_row(mode, side):
         fields = fv_encode_batch(code, x, y)
         count, hole_field, range_error = code.type_count, hole_type.index, MalformedCodewordError
         decode = lambda words, held: fv_decode_batch(code, words, held, side)  # noqa: E731
-    assert hole_field >= 0 and hole_symbol < num_symbols_of(hole_type)
+    assert hole_field >= 0 and hole_symbol < hole_type.num_symbols
     raised = {"range": range_error, "side": SideInfoMismatchError, "symbol": SymbolNotFoundError,
               "hole": SymbolNotFoundError}
     types = joint_types_at(joint_type_index(x, y, 2, 2), 4, 2, 2)
@@ -325,7 +325,7 @@ def test_a_batch_decode_reports_its_lowest_failing_row(mode, side):
             elif failure == "side":
                 held[row, 0] ^= 1
             elif failure == "symbol":
-                symbols[row] = num_symbols_of(types[row])
+                symbols[row] = types[row].num_symbols
             else:
                 type_field[row], symbols[row], held[row] = hole_field, hole_symbol, hole_block
         with pytest.raises(raised[order[0]]) as caught:
