@@ -20,9 +20,9 @@ decoders beside them); the bytes are those of coding block by block.
 
 Before any work, n must be 1 to 65535, kx and ky 1 to 256 (letters are
 bytes), and a rate, which ff mode needs, finite and positive.  An ff
-code enumerates its region, so its joint types must lie within
-MAX_JOINT_TYPE_COUNTS: n up to 114 for 2 x 2 alphabets, 11 for 3 x 3, 6
-for 4 x 4, 2 for 8 x 8, 1 for 16 x 16.  An fv type index must fit 32
+code reads count columns over every joint type, which hold at most
+MAX_JOINT_TYPE_COUNTS counts: n up to 114 for 2 x 2 alphabets, 11 for
+3 x 3, 6 for 4 x 4, 2 for 8 x 8, 1 for 16 x 16.  An fv type index must fit 32
 bits (MAX_HEADER_WIDTH; 4 x 4 at n=8 takes 19, 3 x 3 at n=12 17; 2 x 2
 reaches n=2951), and an fv file may hold joint types of up to
 MAX_JOINT_TYPE_COUNTS counts (16 distinct types of 256 x 256 letters,

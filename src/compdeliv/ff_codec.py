@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import BINARY, Alphabet, JointType, RowError, Sequence, _as_blocks, _lex_maps, _read_only, cached_attribute
-from .types_core import enumerate_joint_types, interned, joint_type_index, joint_type_of, num_symbols_column
+from .types_core import BINARY, Alphabet, RowError, Sequence, TypesAt, _as_blocks, _lex_maps, _read_only
+from .types_core import interned, joint_type_index, joint_type_of, num_symbols_column
 from .bitio import TruncatedStreamError, pack_fields, read_fields
 from .info_measures import RATE_TIE_TOL, SourceSpec, TypeColumns, max_entropy_column, type_columns
 from .coding_table import SideInfoMismatchError, decode_side, encode_pair, held_and_decoded, slot_book
@@ -58,6 +58,8 @@ def check_rate(rate: float, name: str = "rate") -> None:
 
 @dataclass(frozen=True, slots=True)
 class FFCodeword:
+    """`type_index` holds the pair's region index (a position in `FFCode.region_types`), not its type index."""
+
     type_index: int
     symbol: int
     error_flag: bool
@@ -79,11 +81,8 @@ class FFCode:
     type_width: int
     symbol_width: int
 
-    @cached_attribute
-    def region(self) -> tuple[JointType, ...]:
-        """The joint type of each region index, which the scalar decoder reads: listed at its first read."""
-        types = enumerate_joint_types(self.cfg.n, self.cfg.ax, self.cfg.ay)
-        return tuple(types[i] for i in self.region_types.tolist())
+    def __post_init__(self):  # `region`: the joint type of each region index a scalar decode reads, built at that read
+        object.__setattr__(self, "region", TypesAt(self.cfg.n, self.cfg.ax.size, self.cfg.ay.size, self.region_types))
 
     @property
     def codeword_width(self) -> int:
@@ -263,7 +262,7 @@ class ErrorProbability:
 def exact_error_probability(cfg: FFCodeConfig, p: SourceSpec) -> ErrorProbability:
     """Both decoders fail exactly on region escape, so e_x = e_y = P(escape)."""
     cols = _source_columns(cfg, p)
-    escape = sum(cols.probability[make_code(cfg).region_index < 0].tolist())  # the code's escape set, type after type
+    escape = float(sum(cols.probability[make_code(cfg).region_index < 0].tolist()))  # the code's escape set, type after type
     return ErrorProbability(e_x=escape, e_y=escape)
 
 

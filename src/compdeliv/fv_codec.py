@@ -14,7 +14,7 @@ header, so concatenated codewords frame uniquely.
 A code enumerates no types (`types_core.joint_type_index` computes the
 index), so it reaches any n and alphabets whose index fits
 MAX_HEADER_WIDTH bits; a batch may hold joint types of up to
-MAX_JOINT_TYPE_COUNTS counts (`FVCode.types_kept`).  Codeword length is a
+MAX_JOINT_TYPE_COUNTS counts (`FVCode.types.kept`).  Codeword length is a
 function of the joint type only, which is what the overflow/underflow
 analysis sums over (`FVCode.codeword_lengths`).  `fv_encode` and the
 stream decoders code one block; `fv_encode_batch`, `FVCode.pack_words`,
@@ -24,18 +24,18 @@ blocks to and from the same bits, their symbols coded by `SlotBook`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .types_core import (
     BINARY,
-    MAX_JOINT_TYPE_COUNTS,
     Alphabet,
     JointType,
     RowError,
     Sequence,
+    TypesAt,
     _as_blocks,
     _read_only,
     _types_over,
@@ -43,7 +43,6 @@ from .types_core import (
     joint_type_count,
     joint_type_index,
     joint_type_of,
-    joint_types_at,
     num_symbols_column,
 )
 from .bitio import BitReader, TruncatedStreamError, fields_at_every_offset, pack_fields, read_fields
@@ -79,19 +78,16 @@ class FVCodeword:
 class FVCode:
     """Block length, alphabets and type index width of an FV code.
 
-    A batch may hold at most `types_kept` distinct joint types, which is
-    MAX_JOINT_TYPE_COUNTS counts (kx * ky per type: 65,536 types of 4 x 4
-    letters, 16 of 256 x 256): the batch codecs and `read_words` refuse
-    more with a ValueError, whatever the code coded before.  `type_at`
-    memoizes the joint type of each type index it meets and drops every
-    entry when the memo is full, so no input can make a code hold more
-    than an enumeration may."""
+    `type_at` reads `types`, a `types_core.TypesAt` memo as an FF code's
+    region is: it keeps `types.kept` types, MAX_JOINT_TYPE_COUNTS counts
+    (kx * ky each: 65,536 of 4 x 4 letters, 16 of 256 x 256), as many as a
+    batch may hold; the batch codecs and `read_words` refuse more with a
+    ValueError, whatever the code coded before."""
 
     n: int
     ax: Alphabet
     ay: Alphabet
     header_width: int
-    _types: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_attribute
     def type_count(self) -> int:
@@ -107,35 +103,26 @@ class FVCode:
         symbols = num_symbols_column(self.n, self.ax.size, self.ay.size).tolist()
         return _read_only(np.array([self.header_width + bit_width(delta) for delta in symbols]))
 
-    @property
-    def types_kept(self) -> int:
-        """Most distinct joint types a batch holds and the memo keeps."""
-        return MAX_JOINT_TYPE_COUNTS // (self.ax.size * self.ay.size)
+    def __post_init__(self):  # `types`: the joint type of each type index met (`type_at`)
+        object.__setattr__(self, "types", TypesAt(self.n, self.ax.size, self.ay.size))
 
     def check_distinct(self, type_index: np.ndarray) -> None:
-        """Raise ValueError if a batch's type indices name more than `types_kept` joint types."""
-        if len(type_index) > self.types_kept and len(distinct := np.unique(type_index)) > self.types_kept:
+        """Raise ValueError if a batch's type indices name more than `types.kept` joint types."""
+        if len(type_index) > self.types.kept and len(distinct := np.unique(type_index)) > self.types.kept:
             self._refuse(len(distinct))
 
     def _refuse(self, distinct: int):
         raise ValueError(
             f"{distinct} distinct joint types of {self.ax.size} x {self.ay.size} letters: "
-            f"past MAX_JOINT_TYPE_COUNTS counts ({self.types_kept} types)"
+            f"past MAX_JOINT_TYPE_COUNTS counts ({self.types.kept} types)"
         )
 
     def type_at(self, index: int) -> JointType:
         """The joint type of a type index: MalformedCodewordError if there is none."""
-        jt = self._types.get(index)
-        if jt is None:
-            if not 0 <= index < self.type_count:
-                raise MalformedCodewordError(f"type index {index} out of range")
-            kept = self.types_kept
-            if len(self._types) >= kept:  # full: start again
-                self._types.clear()
-            jt = joint_types_at([index], self.n, self.ax.size, self.ay.size)[0]
-            if kept:
-                self._types[index] = jt
-        return jt
+        try:
+            return self.types[index]
+        except ValueError:  # `joint_types_at` refuses an index outside the type count
+            raise MalformedCodewordError(f"type index {index} out of range") from None
 
     def pack_words(self, words: FVWords) -> bytes:
         """The codewords of a batch (as `fv_encode_batch` returns it), back
@@ -157,13 +144,13 @@ class FVCode:
         its type index is out of range), the i words before it, their bits
         and the error of word i.  A symbol wider than 63 bits whose value
         does not fit in them reads as -1 (see `read_fields`).  Raises
-        ValueError once the words framed hold more than `types_kept`
+        ValueError once the words framed hold more than `types.kept`
         distinct joint types.
         """
         header, size, total = self.header_width, self.type_count, 8 * len(payload)
         heads = fields_at_every_offset(payload, header)
         head_at = memoryview(heads)
-        starts, pos, error, lengths, kept = [], 0, None, {}, self.types_kept  # lengths: type index -> word bits
+        starts, pos, error, lengths, kept = [], 0, None, {}, self.types.kept  # lengths: type index -> word bits
         for i in range(count):
             if pos >= len(heads):
                 error = TruncatedStreamError("the payload ends inside this codeword", i)
@@ -220,7 +207,7 @@ def fv_encode_batch(code: FVCode, x: np.ndarray, y: np.ndarray) -> FVWords:
     The symbols come from `SlotBook.encode` over the slot book the FF
     codes of this n share.  The fields are kept apart because a word can
     be wider than an int64.  ValueError, before any table is built, if
-    the rows hold more than `code.types_kept` distinct joint types.
+    the rows hold more than `code.types.kept` distinct joint types.
     """
     x, y = _as_blocks(code.n, x, code.ax.size, "x"), _as_blocks(code.n, y, code.ay.size, "y", len(x))
     type_index = joint_type_index(x, y, code.ax.size, code.ay.size)
@@ -234,7 +221,7 @@ def fv_decode_batch(code: FVCode, words: FVWords, side_info: np.ndarray, side: s
     `words` is what `fv_encode_batch` or `FVCode.read_words` returns; row i
     of `side_info` is the side information of codeword i.  A failure
     raises what the scalar path raises for the first failing row, with
-    that row as its `row`; a batch of more than `code.types_kept` distinct
+    that row as its `row`; a batch of more than `code.types.kept` distinct
     type indices is refused first (ValueError).
     """
     type_index, symbols = words
@@ -307,7 +294,7 @@ def overflow_probability(n: int, rate: float, p: SourceSpec) -> float:
 def underflow_probability(n: int, rate: float, p: SourceSpec) -> float:
     """P(length < n * rate), exact sum over joint types."""
     q, lengths = _probabilities_and_lengths(n, p)
-    return sum(q[lengths < n * rate].tolist())
+    return float(sum(q[lengths < n * rate].tolist()))
 
 
 def _probabilities_and_lengths(n: int, p: SourceSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -72,8 +72,8 @@ class RowError(ValueError):
 # of a table within the budget pass.
 MAX_CLASS_SIZE = 2 ** 26
 
-# Most counts an enumeration of joint types, or an FV code's memo of the types it
-# has met (`fv_codec.FVCode.type_at`), holds: joint types x cells.  Binary joint
+# Most counts an enumeration of joint types, or a decoder's memo of the types it has
+# met (`TypesAt`: `FFCode.region`, `FVCode.types`), holds: joint types x cells.  Binary joint
 # types cost about 2.5 us and 75 B per count (the most measured), so this bound is
 # about 2.6 s and 80 MB; as the analytic arrays (`info_measures.type_columns`),
 # 0.44 us and 14 B (62 B at the peak; binary n = 114, 2 vCPUs, numpy 2.4).  Binary
@@ -715,3 +715,20 @@ def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
         types.append(_joint_type(tuple(counts), ky))
     return types
 
+
+class TypesAt(dict):
+    """key -> the joint type of n letters over kx x ky of type index `type_index[key]` (the key
+    if `type_index` is None), built by `joint_types_at` at its first read.  A hit is one dict
+    subscript.  It holds at most `kept` types, MAX_JOINT_TYPE_COUNTS counts: a miss when full
+    starts again, so no input can make a memo hold more than an enumeration may."""
+
+    def __init__(self, n: int, kx: int, ky: int, type_index=None):
+        self.n, self.kx, self.ky, self.type_index, self.kept = n, kx, ky, type_index, MAX_JOINT_TYPE_COUNTS // (kx * ky)
+
+    def __missing__(self, key) -> JointType:
+        jt = joint_types_at([key if self.type_index is None else self.type_index[key]], self.n, self.kx, self.ky)[0]
+        if len(self) >= self.kept:  # full: start again
+            self.clear()
+        if self.kept:
+            self[key] = jt
+        return jt

@@ -357,7 +357,7 @@ class TestFileCodec:
         def refuse(*args):
             raise AssertionError("joint types listed")
 
-        monkeypatch.setattr(ff_codec, "enumerate_joint_types", refuse)
+        monkeypatch.setattr(ff_codec, "enumerate_joint_types", refuse, raising=False)
         monkeypatch.setattr(ff_codec, "joint_types_at", refuse, raising=False)
         ff_codec.make_code.cache_clear()
         cfg, (x, y) = FFCodeConfig(8, 1.0), correlated_blocks(3, 500, 8, 2)
@@ -811,8 +811,8 @@ class TestResourceLimits:
         def refuse(*args):
             raise AssertionError("joint types enumerated")
 
-        for module in (types_core, ff_codec):
-            monkeypatch.setattr(module, "enumerate_joint_types", refuse)
+        for module in (types_core, ff_codec):  # ff_codec binds none, but would meet the refusal
+            monkeypatch.setattr(module, "enumerate_joint_types", refuse, raising=False)
         for module in (types_core, info_measures):  # the count array of every type
             monkeypatch.setattr(module, "joint_type_counts", refuse)
 
@@ -894,9 +894,10 @@ class TestResourceLimits:
             assert main(argv) == EXIT_VALIDATION
             assert "MAX_JOINT_TYPE_COUNTS" in capsys.readouterr().err
             assert not (tmp_path / "c.bin").exists()
-            monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", 2 ** 30)
+            monkeypatch.setattr(types_core, "MAX_JOINT_TYPE_COUNTS", 2 ** 30)
+            fv_codec.make_fv_code.cache_clear()  # a code's memo takes its bound when it is made
             cw = encode_pair(tmp_path, x, y, 2, "fv", kx=256, ky=256)
-            monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", types_core.MAX_JOINT_TYPE_COUNTS)
+            monkeypatch.undo()
             for side, side_letters in (("x", y), ("y", x)):
                 fv_codec.make_fv_code.cache_clear()
                 assert decode_side(tmp_path, cw, side, side_letters) == (EXIT_MALFORMED, None)

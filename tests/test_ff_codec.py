@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from compdeliv import ff_codec
+from compdeliv import ff_codec, types_core
 from compdeliv.bitio import BitWriter, TruncatedStreamError
 from compdeliv.ff_codec import (
     CodewordRangeError,
@@ -33,6 +33,7 @@ from compdeliv.types_core import (
     joint_type_count,
     joint_type_index,
     joint_type_of,
+    joint_types_at,
 )
 from conftest import all_binary_pairs, seq
 from golden.generate import REGION_TIES
@@ -127,6 +128,23 @@ class TestDecode:
         cw = ff_encode(cfg, seq("0011"), seq("0101"))
         with pytest.raises(SideInfoMismatchError):
             ff_decode_x(cfg, cw, seq("1111"))
+
+    def test_a_decode_builds_only_the_type_it_reads(self, monkeypatch):
+        # Binary n=114 at rate 1.0 has 260,130 region types; with every
+        # enumeration refusing, both decoders of one block build its type alone.
+        def refuse(*args):
+            raise AssertionError("joint types listed")
+
+        for module in (types_core, ff_codec):
+            monkeypatch.setattr(module, "enumerate_joint_types", refuse, raising=False)
+        cfg = FFCodeConfig(114, 1.0)
+        code = make_code(cfg)
+        code.region.clear()
+        x, y = seq("1" + "0" * 113), seq("0" * 113 + "1")
+        cw = ff_encode(cfg, x, y)
+        assert not cw.error_flag and len(code.region_types) == 260130
+        assert ff_decode_x(cfg, cw, y) == x and ff_decode_y(cfg, cw, x) == y
+        assert list(code.region) == [cw.type_index] and code.region[cw.type_index] == joint_type_of(x, y)
 
 
 def _blocks(seed: int, m: int, n: int, k: int) -> np.ndarray:
@@ -231,7 +249,7 @@ class TestBatch:
                 ff_decode_batch(cfg, (flags, type_index, symbols), wrong, side)
             assert err.value.row == 0
         bad_index = type_index.copy()
-        bad_index[3] = len(make_code(cfg).region)
+        bad_index[3] = len(make_code(cfg).region_types)
         with pytest.raises(SideInfoMismatchError) as err:
             ff_decode_batch(cfg, (flags, bad_index, symbols), wrong, "x")
         assert err.value.row == 0
@@ -269,7 +287,7 @@ class TestSizing:
             for jt in enumerate_joint_types(4, BINARY, BINARY)
             if in_decodable_region(jt, 0.5)
         ]
-        assert list(code.region) == expected
+        assert joint_types_at(code.region_types, 4, 2, 2) == expected
 
     def test_codebook_size_high_rate_n2(self):
         m = codebook_size(FFCodeConfig(2, 1.0))
@@ -279,9 +297,9 @@ class TestSizing:
         # only deterministic couplings survive a tiny rate, one symbol each
         cfg = FFCodeConfig(3, 1e-9)
         code = make_code(cfg)
-        assert all(jt.num_symbols == 1 for jt in code.region)
+        assert all(jt.num_symbols == 1 for jt in joint_types_at(code.region_types, 3, 2, 2))
         assert code.symbol_width == 0
-        assert codebook_size(cfg) == len(code.region) + 1
+        assert codebook_size(cfg) == len(code.region_types) + 1
 
     @pytest.mark.parametrize("name", REGION_TIES)
     def test_codebook_size_is_the_per_type_sum(self, name):
@@ -296,7 +314,8 @@ class TestSizing:
                 code = make_code(cfg)
                 assert codebook_size(cfg) == sum(jt.num_symbols for jt in region) + 1, (n, rate)
                 assert code.symbol_width == bit_width(max(jt.num_symbols for jt in region)), (n, rate)
-                assert code.region_types.tolist() == [jt.index for jt in region] and list(code.region) == region
+                assert code.region_types.tolist() == [jt.index for jt in region]
+                assert joint_types_at(code.region_types, n, kx, ky) == region
 
     def test_empty_region(self, monkeypatch):
         # Every positive rate keeps the types of entropy 0; with no type
@@ -306,7 +325,8 @@ class TestSizing:
         make_code.cache_clear()
         try:
             code = make_code(cfg)
-            assert (code.type_width, code.symbol_width, codebook_size(cfg), code.region) == (0, 0, 1, ())
+            region = joint_types_at(code.region_types, 5, 2, 2)
+            assert (code.type_width, code.symbol_width, codebook_size(cfg), region) == (0, 0, 1, [])
         finally:
             make_code.cache_clear()
 
@@ -369,6 +389,11 @@ class TestExactError:
         three_by_two = SourceSpec(((0.2, 0.1), (0.1, 0.2), (0.2, 0.2)))
         with pytest.raises(ValueError, match="source over 3 x 2 letters"):
             exact_error_probability(FFCodeConfig(4, 0.8), three_by_two)
+
+    def test_an_empty_escape_sum_is_a_float(self):
+        # Every binary type of n=1 lies inside rate 1.6: nothing is summed.
+        err = exact_error_probability(FFCodeConfig(1, 1.6), dsbs(0.11))
+        assert (float.hex(err.e_x), float.hex(err.e_y)) == ("0x0.0p+0", "0x0.0p+0")
 
     def test_both_sides_charged_equally(self):
         err = exact_error_probability(FFCodeConfig(4, 0.5), dsbs(0.11))

@@ -7,8 +7,8 @@ import pytest
 
 from compdeliv.bitio import BitReader, BitWriter, TruncatedStreamError
 from compdeliv.coding_table import SideInfoMismatchError
-from compdeliv.ff_codec import FFCodeConfig, bit_width, exact_error_probability
-from compdeliv import fv_codec
+from compdeliv.ff_codec import FFCodeConfig, bit_width, exact_error_probability, make_code
+from compdeliv import types_core
 from compdeliv.fv_codec import (
     MalformedCodewordError,
     FVCode,
@@ -203,7 +203,7 @@ class TestBatch:
         # decodes with a cold code, slot book and index tables compute every
         # type index and list no joint types (the enumeration's cache counts
         # every call, hit or miss).
-        from compdeliv import coding_table, types_core
+        from compdeliv import coding_table
 
         for cache in (make_fv_code, coding_table.slot_book, types_core._count_code, types_core._rank_table):
             cache.cache_clear()
@@ -220,21 +220,28 @@ class TestBatch:
     def test_a_code_keeps_at_most_max_joint_type_counts(self, monkeypatch):
         # Three binary joint types hold 12 counts: the memo keeps three, and
         # a fourth distinct one starts it again; a batch of four is refused.
-        monkeypatch.setattr(fv_codec, "MAX_JOINT_TYPE_COUNTS", 12)
+        # An FF code's region is the same memo, under the same bound.
+        monkeypatch.setattr(types_core, "MAX_JOINT_TYPE_COUNTS", 12)
         code = FVCode(4, BINARY, BINARY, bit_width(joint_type_count(4, 2, 2)))
-        assert code.types_kept == 3
+        assert code.types.kept == 3
         kept = [code.type_at(i) for i in (0, 7, 34)]
-        assert len(code._types) == 3
-        assert code.type_at(8).index == 8 and len(code._types) <= 3
+        assert len(code.types) == 3
+        assert code.type_at(8).index == 8 and len(code.types) <= 3
         assert [code.type_at(i) for i in (34, 7, 0)] == kept[::-1]
-        assert [jt.index for jt in kept] == [0, 7, 34] and len(code._types) <= 3
+        assert [jt.index for jt in kept] == [0, 7, 34] and len(code.types) <= 3
         with pytest.raises(MalformedCodewordError, match="type index 35 out of range"):
             code.type_at(35)
+        with pytest.raises(MalformedCodewordError, match="type index -1 out of range"):
+            code.type_at(-1)
         x, y = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 1]]), np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]])
         met = set(joint_type_index(x, y, 2, 2).tolist())
         assert {0, 34} < met and not met <= {0, 7, 34}  # two kept types and a new one
         words = fv_encode_batch(code, x, y)  # three types fit the 12-count bound
-        assert (fv_decode_batch(code, words, y, "x") == x).all() and len(code._types) <= 3
+        assert (fv_decode_batch(code, words, y, "x") == x).all() and len(code.types) <= 3
+        ff = make_code.__wrapped__(FFCodeConfig(4, 1.0))  # a code of its own, made under the 12-count bound
+        assert len(ff.region_types) == 35 and type(ff.region) is type(code.types) and ff.region.kept == 3
+        assert [ff.region[i] for i in (0, 7, 34)] == kept and len(ff.region) == 3
+        assert ff.region[8].index == 8 and len(ff.region) <= 3
         x4, y4 = np.vstack([x, [[0, 0, 1, 1]]]), np.vstack([y, [[0, 1, 0, 1]]])
         assert len(set(joint_type_index(x4, y4, 2, 2).tolist())) == 4
         with pytest.raises(ValueError, match="MAX_JOINT_TYPE_COUNTS") as caught:
@@ -251,14 +258,14 @@ class TestBatch:
         x, y = rng.integers(0, 256, (2, 17, 2), dtype=np.uint8)
         assert len(set(joint_type_index(x, y, 256, 256).tolist())) == 17
         code = FVCode(2, ax, ax, make_fv_code(2, ax, ax).header_width)
-        assert code.types_kept == 16
+        assert code.types.kept == 16
         words = fv_encode_batch(code, x[:16], y[:16])
         assert (fv_decode_batch(code, words, y[:16], "x") == x[:16]).all()
         fresh = FVCode(2, ax, ax, code.header_width)
         for c in (code, fresh):
             last = fv_encode_batch(c, x[16:], y[16:])
             assert (fv_decode_batch(c, last, x[16:], "y") == y[16:]).all()
-            assert len(c._types) <= 16
+            assert len(c.types) <= 16
         assert [w.tolist() for w in fv_encode_batch(code, x[16:], y[16:])] == [w.tolist() for w in last]
         payload = code.pack_words(words)
         read, _, error = code.read_words(payload, 16)
@@ -343,6 +350,10 @@ class TestLengthStatistics:
         assert underflow_probability(6, 6.0, p) > 0.0
         assert underflow_probability(6, 1e-9, p) == 0.0
 
+    def test_an_empty_underflow_sum_is_a_float(self):
+        # No codeword is shorter than a tiny rate allows: nothing is summed.
+        assert float.hex(underflow_probability(6, 1e-9, dsbs(0.11))) == "0x0.0p+0"
+
     def test_kraft_sum_at_most_one_plus_slack(self):
         # widths are ceilings, so the distinct emitted words satisfy Kraft
         n = 5
@@ -363,8 +374,6 @@ class TestLengthStatistics:
 
 class TestWrapping:
     def test_inside_length(self):
-        from compdeliv.ff_codec import make_code
-
         cfg = FFCodeConfig(4, 1.0)
         wrapped = wrap_ff_as_fv(cfg)
         cw = wrapped.encode(seq("0011"), seq("0101"))

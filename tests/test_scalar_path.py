@@ -378,8 +378,8 @@ def test_batch_decoders_fail_at_the_first_row_the_scalar_ones_fail(mode, side):
     x, y = _pairs(8, 300, 8, 2, 2)
     cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
     if mode == "ff":
-        region = make_code(cfg).region
-        words, type_at, count = ff_encode_batch(cfg, x, y), region.__getitem__, len(region)
+        ff = make_code(cfg)
+        words, type_at, count = ff_encode_batch(cfg, x, y), ff.region.__getitem__, len(ff.region_types)
     else:
         words, type_at, count = fv_encode_batch(code, x, y), code.type_at, code.type_count
     held = y if side == "x" else x
@@ -482,8 +482,8 @@ def test_code_table_and_class_search_code_alike(mode, monkeypatch):
     def code_and_refuse():
         cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
         if mode == "ff":
-            region = make_code(cfg).region
-            words, type_at, count = ff_encode_batch(cfg, x, y), region.__getitem__, len(region)
+            ff = make_code(cfg)
+            words, type_at, count = ff_encode_batch(cfg, x, y), ff.region.__getitem__, len(ff.region_types)
 
             def decode(type_index, symbols, held, side):
                 return ff_decode_batch(cfg, (words[0], type_index, symbols), held, side)

@@ -210,7 +210,7 @@ def reference_run_plan(plan: TrialPlan) -> ExperimentReport:
 
 def _reference_row(p, n, rate, trials, seed) -> ReportRow:
     cfg, fv = FFCodeConfig(n, rate, p.ax, p.ay), make_fv_code(n, p.ax, p.ay)
-    region = set(make_code(cfg).region)
+    region = set(joint_types_at(make_code(cfg).region_types, n, p.num_x, p.num_y))
     escape_exact = sum(prob_of_type_class(jt, p) for jt in enumerate_joint_types(n, p.ax, p.ay) if jt not in region)
     threshold = n * (rate + epsilon_n(n, p.ax, p.ay))
     overflow_exact = sum(

@@ -305,7 +305,7 @@ def test_a_batch_decode_reports_its_lowest_failing_row(mode, side):
         flags, *fields = ff_encode_batch(cfg, x, y)
         assert not flags.any()
         code = make_code(cfg)
-        count, hole_field, range_error = len(code.region), code.region_of[hole_type.index], CodewordRangeError
+        count, hole_field, range_error = len(code.region_types), code.region_of[hole_type.index], CodewordRangeError
         decode = lambda words, held: ff_decode_batch(cfg, (flags, *words), held, side)  # noqa: E731
     else:
         code = make_fv_code(4)
