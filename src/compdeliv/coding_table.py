@@ -12,23 +12,28 @@ right endpoint of the conflicted edge, so two independent builds of the
 same joint type produce identical tables.  Encoder and decoder therefore
 rebuild tables locally and never exchange them.
 
-A table is two flat slot buffers, `col_of` and `row_of` (see
-`CodingTable`): the coloring and its inverse, which the recoloring chains
-walk from both sides.  A slot takes 2 B (both classes below _NARROW_CLASS
-members) or 4 B.  Every table is held once, in the `slot_book` of its
-block length and alphabets.  `encode_pair` and `decode_side` code one
-block through `get_coding_table`, a window on its book entry;
-`SlotBook.encode` and `SlotBook.decode` code a batch with gathers from the
-book.  A table's symbol count Δ is `JointType.num_symbols`, in closed form
-(`types_core.num_symbols_column` for every type at once).  A joint type of
-one symbol codes every pair as 0 and nothing builds its table: it pairs
-each letter of one side with one of the other (`letter_map`).
+A table is two sides, rows and columns (see `CodingTable`): the coloring
+`col_of` and its inverse `row_of`, which the recoloring chains walk from
+both sides.  The side of higher degree fills its Δ slots per vertex and
+is stored dense.  The other side is mostly holes, and is stored by edge
+when that takes fewer bytes (`table_bytes`): each vertex's d symbols and
+the other end of each, at a stride of its degree d.  A slot, a symbol and
+an end take 2 B (both classes below _NARROW_CLASS members) or 4 B.  Every
+table is held once, in the `slot_book` of its block length and alphabets.
+`encode_pair` and `decode_side` code one block through `get_coding_table`,
+a window on its book entry; `SlotBook.encode` and `SlotBook.decode` code a
+batch with gathers and vertex scans in the book.  A table's symbol count Δ
+is `JointType.num_symbols`, in closed form (`types_core.num_symbols_column`
+for every type at once).  A joint type of one symbol codes every pair as 0
+and nothing builds its table: it pairs each letter of one side with one of
+the other (`letter_map`).
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .types_core import (
-    MAX_CLASS_SIZE,
     Alphabet,
     JointType,
     RankRangeError,
@@ -59,17 +63,18 @@ from .types_core import (
     w_shell_size,
 )
 
-# Largest table, in allocated lookup slots ((rows + columns) x symbols),
-# read by `build_graph` at each call; both classes of a table within it are
-# small enough to enumerate.  A table is held once, in its slot book, at one
-# item (4 B, or 2 B below _NARROW_CLASS) per slot, and its graph takes one
-# per cell while it is built or a window keeps it.  While coloring,
-# `edge_color` also holds 8 B per slot of lists: at this budget a 4 B table
-# takes about 384 MB once built, 896 MB while it is colored.
-DEFAULT_CELL_BUDGET = MAX_CLASS_SIZE
+# Most bytes one table may take while it is built, read by `build_graph` at
+# each call and counted in closed form before anything is allocated
+# (`table_bytes`): what its slot book stores, and what `edge_color` holds
+# while it colors (8 B per slot of a list, _DICT_ITEM_BYTES per edge of a
+# dict).  The graph adds one slot item per cell while it is built or a
+# window keeps it.  At 12 B per slot, 4 B stored and 8 B listed, a table
+# of 2^26 slots fits with both sides dense.
+DEFAULT_BUILD_BYTES = 768 * 2 ** 20
 
-# Buffers hold at most 32-bit ranks; every stored value is below the slot count.
-_MAX_SLOTS = 2 ** 31 - 1
+# Bytes per edge of a side colored in a dict (a dict item and its key's
+# int, measured 72-85 B).
+_DICT_ITEM_BYTES = 96
 
 # Classes of fewer members than this keep their ranks in 16-bit slots and
 # edge columns (binary n <= 17, 3 letters n <= 11), larger ones in 32-bit.
@@ -88,8 +93,43 @@ def _slot_code(*class_sizes: int) -> str:
     return "h" if max(class_sizes) < _NARROW_CLASS else "i"
 
 
+@lru_cache(maxsize=16)
+def _largest_classes(n: int, kx: int, ky: int) -> tuple[int, ...]:
+    """The sizes of the largest x and y classes of n-letter blocks over kx x ky letters,
+    whose `_slot_code` is their slot book's."""
+    return tuple(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky))
+
+
+def _layout(degrees, delta: int) -> list[tuple[bool, bool]]:
+    """(stored by edge, colored in a dict) of the rows, then the columns, of
+    a table of these degrees.  A side of degree d is stored by edge when a
+    symbol and an end per edge take fewer items than Δ slots per vertex
+    (2d < Δ), and then colored in a dict when that takes fewer bytes than a
+    list of its slots (about Δ > 12d)."""
+    return [(2 * d < delta, 2 * d < delta and d * _DICT_ITEM_BYTES < delta * 8) for d in degrees]
+
+
+def _shape(jt: JointType) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The class sizes, then the degrees, of the rows and the columns of jt's table."""
+    return (type_class_size(jt.x_marginal()), type_class_size(jt.y_marginal())), (v_shell_size(jt), w_shell_size(jt))
+
+
+def table_bytes(jt: JointType, shape=None) -> tuple[int, int]:
+    """(stored, colored), in closed form: the bytes the slot book stores for
+    jt's table, 0 for a type of one symbol (no table), and those `edge_color`
+    holds in lists or dicts while it colors it.  A dense side stores an item
+    per vertex and symbol, a side stored by edge two per edge, at the book's
+    item size.  `shape` is `_shape(jt)`, if the caller has it."""
+    (sizes, degrees), delta = shape or _shape(jt), jt.num_symbols
+    itemsize, stored, colored = array(_slot_code(*_largest_classes(jt.n, jt.num_x, jt.num_y))).itemsize, 0, 0
+    for size, degree, (by_edge, in_dict) in zip(sizes, degrees, _layout(degrees, delta)):
+        stored += size * (2 * degree if by_edge else delta) * itemsize
+        colored += size * (degree * _DICT_ITEM_BYTES if in_dict else delta * 8)
+    return stored if delta > 1 else 0, colored
+
+
 class TableBudgetError(ResourceWarning, ValueError):
-    """Joint type's table exceeds the configured cell budget."""
+    """Joint type's table exceeds the configured byte budget."""
 
 
 class SymbolNotFoundError(RowError):
@@ -145,31 +185,64 @@ class BipartiteTypeGraph:
 def build_graph(jt: JointType) -> BipartiteTypeGraph:
     """Materialize the type class as rank-indexed edges, lex sorted.
 
-    `DEFAULT_CELL_BUDGET` bounds the slots the colored table allocates,
-    checked before anything is built.
+    `DEFAULT_BUILD_BYTES` bounds the bytes the table takes while it is
+    built (`table_bytes`), checked before anything is built.
     """
-    left_size = type_class_size(jt.x_marginal())
-    right_size = type_class_size(jt.y_marginal())
-    left_degree = v_shell_size(jt)
-    right_degree = w_shell_size(jt)
-    cells = left_size * left_degree
-    slots = (left_size + right_size) * jt.num_symbols
-    limit, code = min(DEFAULT_CELL_BUDGET, _MAX_SLOTS), _slot_code(left_size, right_size)
-    if slots > limit:
-        peak = array(code).itemsize * (slots + cells) + 8 * slots  # buffers, and edge_color's lists
+    (left_size, right_size), (left_degree, right_degree) = shape = _shape(jt)
+    cells, (stored, colored) = left_size * left_degree, table_bytes(jt, shape)
+    if stored + colored > DEFAULT_BUILD_BYTES:
         raise TableBudgetError(
-            f"joint type {jt.counts} at n={jt.n} needs {slots} table slots for {cells} "
-            f"cells, about {peak / 2 ** 20:.0f} MB while it is built (> budget {limit} slots)"
+            f"joint type {jt.counts} at n={jt.n} needs {stored + colored} B for {cells} cells, "
+            f"{stored / 2 ** 20:.0f} MB stored and {colored / 2 ** 20:.0f} MB more while it is colored "
+            f"(> budget {DEFAULT_BUILD_BYTES} B)"
         )
+    code = _slot_code(left_size, right_size)
     cols = array(code, [0]) * cells  # sized exactly; frombytes would over-allocate
     np.frombuffer(cols, code)[:] = _shell_columns(jt).ravel()
     return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, TypeEdges(cols, left_degree))
+
+
+class EdgeSlots:
+    """A side of a table stored by edge, read as its dense slots.  Each of
+    its vertices has `degree` cells: vertex v's ends are the `degree` items
+    of `slots` from `start + v * degree`, and their symbols, ascending, the
+    `degree` items `edges` (the side's cell count) further on.  Slot number
+    v * delta + s holds the end of v's cell of symbol s, or is a hole (-1)
+    where v has none.  It reads as the `array` of those slots does: an item
+    (a bisect of the vertex's symbols), a slice of whole vertices (built)
+    and `index` within one vertex."""
+
+    __slots__ = ("slots", "start", "degree", "delta", "edges")
+
+    def __init__(self, slots: array, start: int, degree: int, delta: int, edges: int):
+        self.slots, self.start, self.degree, self.delta, self.edges = slots, start, degree, delta, edges
+
+    def __getitem__(self, number):
+        slots, gap = self.slots, self.edges
+        if isinstance(number, slice):  # the dense slots of whole vertices
+            lo, hi = (self.start + k // self.delta * self.degree for k in (number.start, number.stop))
+            out = array(slots.typecode, [-1]) * (number.stop - number.start)
+            at = np.arange(0, len(out), self.delta).repeat(self.degree)  # each vertex's first slot, per cell
+            at += np.frombuffer(slots, slots.typecode)[lo + gap:hi + gap]
+            np.frombuffer(out, out.typecode)[at] = np.frombuffer(slots, slots.typecode)[lo:hi]
+            return out
+        vertex, symbol = divmod(number, self.delta)
+        lo = self.start + gap + vertex * self.degree
+        at = bisect_left(slots, symbol, lo, lo + self.degree)
+        return slots[at - gap] if at < lo + self.degree and slots[at] == symbol else -1
+
+    def index(self, value: int, start: int, stop: int) -> int:
+        """The slot number holding `value` in [start, stop), the slots of one vertex; ValueError if none does."""
+        lo = self.start + start // self.delta * self.degree
+        return start + self.slots[self.slots.index(value, lo, lo + self.degree) + self.edges]
 
 
 @dataclass(frozen=True)
 class CodingTable:
     """Edge-colored table: a window on two slot buffers (`_slot_code`), of
     its own (`edge_color`) or its slot book entry's (`get_coding_table`).
+    A side stored by edge is an `EdgeSlots`, read as its dense slots; the
+    side of degree Δ is always dense.
 
     Its col_of starts at `col_start` in `col_slots`, its row_of at
     `row_start` in `row_slots` (the properties copy them out):
@@ -180,8 +253,8 @@ class CodingTable:
 
     graph: BipartiteTypeGraph
     num_symbols: int
-    col_slots: array
-    row_slots: array
+    col_slots: array | EdgeSlots
+    row_slots: array | EdgeSlots
     col_start: int = 0
     row_start: int = 0
 
@@ -224,6 +297,31 @@ class CodingTable:
             stream.write(",".join(cells) + "\n")
 
 
+class _Holes(dict):
+    """The slots of a side while it is colored, by slot number: a missing one is a hole."""
+
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
+def _pack(slots, code: str, delta: int, degree: int | None) -> array | EdgeSlots:
+    """A side's slots, colored in a list or a `_Holes` dict, packed as the
+    book stores them: dense, or by edge at a stride of `degree` (every slot
+    but the holes, in slot order: each vertex's cells by symbol)."""
+    if degree is None:
+        return array(code, slots)
+    if isinstance(slots, dict):  # from its sorted keys: an int64 array of them would add 8-16 B per cell
+        keys = sorted(slots)
+        ends = np.fromiter(map(slots.__getitem__, keys), code, len(keys))
+        symbols = np.fromiter((k % delta for k in keys), code, len(keys))
+    else:
+        slots = array(code, slots)
+        keys = np.flatnonzero(np.frombuffer(slots, code) >= 0)
+        ends, symbols = np.frombuffer(slots, code)[keys], (keys % delta).astype(code)
+    keep = ends >= 0  # a chain may leave a hole written as -1 in a dict
+    return EdgeSlots(array(code, np.concatenate([ends[keep], symbols[keep]]).tobytes()), 0, degree, delta, int(keep.sum()))
+
+
 def edge_color(g: BipartiteTypeGraph) -> CodingTable:
     """Properly color the edges with exactly max-degree symbols.
 
@@ -232,14 +330,17 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
     the lowest free at the row and b the lowest free at the column, and
     swapping a and b along the alternating chain from the column frees a
     there too.  The colors free at a vertex are a bitmask, `f & -f` the
-    lowest.  The slots are Python lists while coloring, 8 B per slot: every
-    slot naming a column holds the one int of `columns`, and one naming a
-    row the int the edges give.  They are packed into `_slot_code` arrays
-    at the end.
+    lowest.  The slots of a side are a Python list while coloring, 8 B per
+    slot, or for a side stored by edge whose list would be the larger a
+    `_Holes` dict (`_layout`): every slot naming a column holds the one int
+    of `columns`, and one naming a row the int the edges give.  Both read
+    and write the same slots, so the colors are the same.  They are
+    packed into `_slot_code` buffers at the end (`_pack`).
     """
     delta, code = max(g.left_degree, g.right_degree), _slot_code(g.left_size, g.right_size)
-    col_of = [-1] * (g.left_size * delta)
-    row_of = [-1] * (g.right_size * delta)
+    sizes, degrees = (g.left_size, g.right_size), (g.left_degree, g.right_degree)
+    layout = _layout(degrees, delta)
+    col_of, row_of = (_Holes() if in_dict else [-1] * (size * delta) for size, (_, in_dict) in zip(sizes, layout))
     columns = list(range(g.right_size))
     all_free = (1 << delta) - 1
     left_free, right_free = [all_free] * g.left_size, [all_free] * g.right_size
@@ -290,8 +391,9 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
         col_of[base + s] = columns[j]
         row_of[j * delta + s] = i
 
-    col_of = array(code, col_of)  # frees that list before the other is packed
-    return CodingTable(g, delta, col_of, array(code, row_of))
+    strides = [degree if by_edge else None for degree, (by_edge, _) in zip(degrees, layout)]
+    col_of = _pack(col_of, code, delta, strides[0])  # frees that container before the other is packed
+    return CodingTable(g, delta, col_of, _pack(row_of, code, delta, strides[1]))
 
 
 @lru_cache(maxsize=None)
@@ -434,13 +536,18 @@ class SlotBook:
     `decode_side`, and `table` is the window `get_coding_table` returns.
 
     Entry i is of the i-th type index in `_met`.  `_entries[i]` holds its
-    symbol count, its marginal counts on side 0 (x) and 1 (y), where its
-    col_of (side 0) and row_of (side 1) start in `_slots[side]`, the one
-    copy of its table, and a one-symbol type's `letter_map`s decoding x and
-    y.  `_ids` updates the arrays a batch gathers: `_delta`, `_cls[side]`
-    (ids in `_classes[side]`), `_base[side]` and `_maps[side]`.  Vertex r's
-    slot s on a side is `_slots[side][_base[side][i] + r * _delta[i] + s]`.
-    The slot buffers are `array`s, viewed as numpy arrays only within an
+    symbol count, its marginal counts on side 0 (x) and 1 (y), the slots
+    and start of its col_of (side 0) and its row_of (side 1), the one copy
+    of its table, and a one-symbol type's `letter_map`s decoding x and y.
+    Both sides of every entry are in the one buffer `_slots`: a dense side
+    from its start, a side stored by edge as an `EdgeSlots` on it (its
+    window start is 0).  `_ids` updates the arrays a batch gathers:
+    `_delta`, `_cls[side]` (ids in `_classes[side]`), `_base[side]`,
+    `_width[side]`, `_edges[side]` and `_maps[side]`.  Vertex r of a side
+    holds `_width[side][i]` items from `_base[side][i] + r *
+    _width[side][i]`: its Δ slots, or where `_edges[side][i]` is not 0 its
+    ends by edge, whose symbols are that many items further on.  The
+    buffer is an `array`, viewed as a numpy array only within an
     expression: a viewed buffer cannot grow, and the traceback of an error
     a method raises keeps its locals.
     """
@@ -448,10 +555,10 @@ class SlotBook:
     def __init__(self, n: int, kx: int, ky: int):
         self.n, self.type_count = n, joint_type_count(n, kx, ky)
         self._classes, self._entries = (_Classes(n, kx), _Classes(n, ky)), []
-        self._delta, self._cls, self._base = np.zeros(0, np.int64), [np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2
+        self._delta, self._cls = np.zeros(0, np.int64), [np.zeros(0, np.int64)] * 2
+        self._base, self._width, self._edges = ([np.zeros(0, np.int64)] * 2 for _ in range(3))
         self._maps = [np.zeros((0, ky), _letter_dtype(kx)), np.zeros((0, kx), _letter_dtype(ky))]
-        code = _slot_code(*(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky)))
-        self._slots = [array(code), array(code)]
+        self._slots = array(_slot_code(*_largest_classes(n, kx, ky)))
         # Each type index met, to its entry; and, when the type indices
         # number at most _DENSE_TYPES, an array of every index's entry.
         self._met = {}
@@ -466,8 +573,9 @@ class SlotBook:
         One lookup gives every row its book entry (a type met for the first
         time is entered: its table built, and budget checked, before any
         rank).  Each side is ranked by one code-table gather (past its limit,
-        one search per class), and every row's slots are compared with its
-        column rank at once, in slices of at most `_SLICE_SLOTS` slots: no
+        one search per class).  Every row's col_of vertex is scanned for its
+        column rank at once (`_scan`): its Δ dense slots, or its ends when
+        col_of is stored by edge, whose symbols are then one gather.  No
         loop runs over joint types.
         """
         symbols = np.zeros(len(x), np.int64)
@@ -477,16 +585,13 @@ class SlotBook:
         rows, ids = rows[tabled], ids[tabled]
         x_rank, _ = self._classes[0].rank(x.take(rows, axis=0), self._cls[0][ids], np.ones(len(rows), bool))
         y_rank, _ = self._classes[1].rank(y.take(rows, axis=0), self._cls[1][ids], np.ones(len(rows), bool))
-        delta, col_of = self._delta[ids], self._slots[0]
-        start, found = self._base[0][ids] + x_rank * delta, np.full(len(ids), -1, np.int64)
-        step = max(1, _SLICE_SLOTS // int(delta.max(initial=1)))
-        for lo in range(0, len(ids), step):
-            d, first = delta[lo:lo + step], start[lo:lo + step]
-            at = np.repeat(first - np.cumsum(d) + d, d) + np.arange(d.sum())  # every slot of every row
-            hit = np.flatnonzero(np.frombuffer(col_of, col_of.typecode)[at] == np.repeat(y_rank[lo:lo + step], d))
-            # A column fills at most one slot of a row: a hit per row is one in each, in order.
-            owner = np.repeat(np.arange(len(d)), d)[hit] if len(hit) < len(d) else slice(None)
-            found[lo:lo + step][owner] = at[hit] - first[owner]
+        width, edges = self._width[0][ids], self._edges[0][ids]
+        start = self._base[0][ids] + x_rank * width
+        found, at = _scan(self._slots, start, width, y_rank), np.flatnonzero(edges)
+        if len(at):  # rows stored by edge: the symbol of the end found, kept -1 where none was
+            place = found[at]
+            found_symbols = np.frombuffer(self._slots, self._slots.typecode)[start[at] + place + edges[at]]
+            found[at] = np.where(place >= 0, found_symbols, -1)
         if len(found) and found.min() < 0:
             i = int(np.argmax(found < 0))
             raise PairTypeMismatchError(f"no marked cell at row {x_rank[i]}, column {y_rank[i]}", int(rows[i]))
@@ -503,9 +608,11 @@ class SlotBook:
         The side and the shapes are checked first (ValueError).  One lookup
         gives every row its book entry.  The side information is ranked and
         type-checked by one code-table gather (past its limit a sort checks
-        it and each held class is searched once), and every slot read,
-        unrank (past the limit, one per class) and letter map of a type of
-        one symbol is one gather.  A failure raises the lowest failing row's
+        it and each held class is searched once).  The dense slots are read
+        by one gather, after one scan of each held vertex's symbols on the
+        sides stored by edge (`_scan`) finds their places, and every unrank
+        (past the limit, one per class) and letter map of a type of one
+        symbol is one gather.  A failure raises the lowest failing row's
         error (`range_error` for a type field out of range; checks in the
         scalar order), with that row as `row`.
         """
@@ -527,8 +634,13 @@ class SlotBook:
         rank, wrong_side = self._classes[held].rank(letters, self._cls[held][ids], tabled)
         wrong = wrong_side | (symbol < 0) | (symbol >= delta)
         read, found = np.flatnonzero(tabled & ~wrong), np.zeros(len(rows), np.int64)
-        slots, at = self._slots[held], self._base[held][ids[read]] + rank[read] * delta[read] + symbol[read]
-        found[read] = np.frombuffer(slots, slots.typecode)[at]
+        entry = ids[read]
+        width, edges = self._width[held][entry], self._edges[held][entry]
+        start, at = self._base[held][entry] + rank[read] * width, np.flatnonzero(edges)
+        found[read] = np.frombuffer(self._slots, self._slots.typecode).take(start + symbol[read], mode="clip")
+        if len(at):  # rows stored by edge: the symbol's place among the vertex's symbols, -1 for a hole
+            place = _scan(self._slots, start[at] + edges[at], width[at], symbol[read[at]])
+            found[read[at]] = np.where(place >= 0, np.frombuffer(self._slots, self._slots.typecode)[start[at] + place], -1)
         wrong |= found < 0  # a hole
         read = read[found[read] >= 0]
         out = np.zeros(side_info.shape, _letter_dtype(self._classes[other].k))
@@ -553,7 +665,7 @@ class SlotBook:
         Its graph is the one entering built; an entry a batch made builds one."""
         graph = None if jt.index in self._met else self._enter(jt.index, jt)
         entry = self._entries[self._met[jt.index]]
-        return CodingTable(graph or build_graph(jt), entry[0], *self._slots, *entry[3:5])
+        return CodingTable(graph or build_graph(jt), entry[0], *entry[3:7])
 
     def _ids(self, index: np.ndarray) -> np.ndarray:
         """The book id of each type index (all in range), entering the types met for the first time."""
@@ -564,8 +676,12 @@ class SlotBook:
                 self._enter(i, jt)
             ids = self._find(index)
         if len(self._delta) < len(self._entries):  # types entered since the last call: rebuild the arrays
-            delta, *counts, x_base, y_base, x_maps, y_maps = zip(*self._entries)
-            self._delta, self._base = np.array(delta, np.int64), [np.array(x_base, np.int64), np.array(y_base, np.int64)]
+            delta, *counts, x_slots, y_slots, x_start, y_start, x_maps, y_maps = zip(*self._entries)
+            self._delta = np.array(delta, np.int64)
+            for side, (slots, start) in enumerate(((x_slots, x_start), (y_slots, y_start))):
+                placed = [(s.start, s.degree, s.edges) if isinstance(s, EdgeSlots) else (b, d, 0)
+                          for s, b, d in zip(slots, start, delta)]
+                self._base[side], self._width[side], self._edges[side] = np.array(placed, np.int64).T.copy()
             self._cls = [np.array(classes.ids_of(c), np.int64) for classes, c in zip(self._classes, counts)]
             for side, maps in enumerate((x_maps, y_maps)):
                 zeros = (0,) * self._maps[side].shape[1]
@@ -580,20 +696,42 @@ class SlotBook:
 
     def _enter(self, index: int, jt: JointType) -> BipartiteTypeGraph | None:
         """Enter jt, of this type index: its table built (budget checked first)
-        and its slots appended, or a one-symbol type's letter maps.  Returns
+        and its sides appended, or a one-symbol type's letter maps.  Returns
         the table's graph, None for a type of one symbol."""
-        delta, graph, start = jt.num_symbols, None, (0, 0)
+        delta, graph, placed = jt.num_symbols, None, (self._slots, self._slots, 0, 0)
         if delta > 1:
             graph = build_graph(jt)
-            start, t = tuple(map(len, self._slots)), edge_color(graph)
-            for buf, part in zip(self._slots, (t.col_slots, t.row_slots)):
-                buf.extend(part if part.typecode == buf.typecode else array(buf.typecode, part.tolist()))
+            t = edge_color(graph)
+            (x_slots, x_start), (y_slots, y_start) = self._append(t.col_slots), self._append(t.row_slots)
+            placed = x_slots, y_slots, x_start, y_start
         maps = (letter_map(jt, "x"), letter_map(jt, "y")) if delta == 1 else (None, None)
-        self._entries.append((delta, jt.x_marginal().counts, jt.y_marginal().counts, *start, *maps))
+        self._entries.append((delta, jt.x_marginal().counts, jt.y_marginal().counts, *placed, *maps))
         self._met[index] = len(self._met)
         if self._dense is not None:
             self._dense[index] = self._met[index]
         return graph
+
+    def _append(self, part: array | EdgeSlots) -> tuple[array | EdgeSlots, int]:
+        """Append a side of a table: (its slots on the book's buffer, its start)."""
+        buf, start, new = self._slots, len(self._slots), part if isinstance(part, array) else part.slots
+        buf.extend(new if new.typecode == buf.typecode else array(buf.typecode, new.tolist()))
+        return (buf, start) if isinstance(part, array) else (EdgeSlots(buf, start, part.degree, part.delta, part.edges), 0)
+
+
+def _scan(buf: array, start: np.ndarray, width: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """For each vertex, the place among its `width` items from `start` in
+    `buf` of the one equal to `want`, -1 where none is: every item compared
+    at once, in slices of at most `_SLICE_SLOTS` items.  A vertex holds
+    each value at most once, so a hit per vertex is one in each, in order."""
+    found = np.full(len(start), -1, np.int64)
+    step = max(1, _SLICE_SLOTS // int(width.max(initial=1)))
+    for lo in range(0, len(start), step):  # array methods: numpy's function wrappers cost more on short rows
+        d, first, ends = width[lo:lo + step], start[lo:lo + step], width[lo:lo + step].cumsum()
+        at = (first - ends + d).repeat(d) + np.arange(ends[-1])  # every item of every vertex
+        hit = (np.frombuffer(buf, buf.typecode)[at] == want[lo:lo + step].repeat(d)).nonzero()[0]
+        owner = np.arange(len(d)).repeat(d)[hit] if len(hit) < len(d) else slice(None)
+        found[lo:lo + step][owner] = at[hit] - first[owner]
+    return found
 
 
 def _put_rows(out: np.ndarray, at: np.ndarray, rows: np.ndarray) -> None:

@@ -67,9 +67,8 @@ class RowError(ValueError):
 
 
 # Most members of a type class that is enumerated (about 2n bytes each,
-# letters and search keys).  It is also the default cell budget of coding
-# tables: a table's slots are (rows + columns) x symbols, so both classes
-# of a table within the budget pass.
+# letters and search keys).  Every coding table within its default byte
+# budget (`coding_table.DEFAULT_BUILD_BYTES`) has classes within it.
 MAX_CLASS_SIZE = 2 ** 26
 
 # Most counts an enumeration of joint types, or a decoder's memo of the types it has
@@ -698,14 +697,22 @@ def joint_type_index(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> np.ndarr
     return table.ravel().take(letters).sum(axis=1)
 
 
+@lru_cache(maxsize=64)
+def _rank_rows(n: int, cells: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of `_rank_table(n, cells)` as Python ints, each reversed to ascend."""
+    return tuple(map(tuple, _rank_table(n, cells)[:, ::-1].tolist()))
+
+
 def joint_types_at(index, n: int, kx: int, ky: int) -> list[JointType]:
-    """The joint type of each type index, inverting `joint_type_index`: each
-    sorted letter is the first whose table entry the rest of the index
-    covers.  ValueError for an index outside the type count."""
-    cells, count, index = kx * ky, joint_type_count(n, kx, ky), np.ravel(index).tolist()
+    """The joint type of each type index (a list of ints is taken as given),
+    inverting `joint_type_index`: each sorted letter is the first whose
+    table entry the rest of the index covers.  ValueError for an index
+    outside the type count."""
+    cells, count = kx * ky, joint_type_count(n, kx, ky)
+    index = index if isinstance(index, list) else np.ravel(index).tolist()
     if index and not (0 <= min(index) and max(index) < count):
         raise ValueError(f"type index outside 0..{count - 1}")
-    rows, types = _rank_table(n, cells)[:, ::-1].tolist(), []  # each row ascending
+    rows, types = _rank_rows(n, cells), []
     for rest in index:  # one index at a time: numpy calls cost more than these few steps
         counts = [0] * cells
         for row in rows:
@@ -726,7 +733,7 @@ class TypesAt(dict):
         self.n, self.kx, self.ky, self.type_index, self.kept = n, kx, ky, type_index, MAX_JOINT_TYPE_COUNTS // (kx * ky)
 
     def __missing__(self, key) -> JointType:
-        jt = joint_types_at([key if self.type_index is None else self.type_index[key]], self.n, self.kx, self.ky)[0]
+        jt = joint_types_at([key if self.type_index is None else int(self.type_index[key])], self.n, self.kx, self.ky)[0]
         if len(self) >= self.kept:  # full: start again
             self.clear()
         if self.kept:

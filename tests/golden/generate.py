@@ -200,19 +200,24 @@ def codec_3x2_fixture() -> dict:
 # has 92,378 members, past the scalar rank maps.  The seed is the first
 # from 2009 whose pair's largest table has under 2^23 slots (5.7 M; 0.8 M
 # cells in all), so the check peaks near 130 MB: most seeds draw a block
-# of 5 or more flips, whose table needs 20 M to 156 M slots (up to 1.5 GB
-# while it is colored, or a refusal past `DEFAULT_CELL_BUDGET`).
+# of 5 or more flips, whose table has 20 M to 156 M slots, dense.  Seed
+# 2009's pair (tests/test_cli.py) stores that side by edge.
 CODES_N17, BLOCKS_N17, SEED_N17, CLASS_N17, SAMPLES_N17 = {"ff": (17, 1.0), "fv": (17, None)}, 200, 2052, (10, 9), 50
 
 
-def codec_n17_fixture() -> dict:
-    rng = np.random.default_rng(SEED_N17)
+def n17_pair(rng: np.random.Generator) -> tuple[bytes, bytes]:
+    """The letter files of the n=17 fixture, drawn from `rng`."""
     x = np.zeros((BLOCKS_N17, 17), np.uint8)
     for block, ones in zip(x, rng.integers(0, 4, size=BLOCKS_N17)):
         block[rng.choice(17, size=ones, replace=False)] = 1
     x = x.ravel()
     y = x ^ (rng.random(x.size) < 0.08).astype(np.uint8)
-    x, y = x.tobytes(), y.tobytes()
+    return x.tobytes(), y.tobytes()
+
+
+def codec_n17_fixture() -> dict:
+    rng = np.random.default_rng(SEED_N17)
+    x, y = n17_pair(rng)
     q, alphabet = TypeVector(CLASS_N17, sum(CLASS_N17)), Alphabet(len(CLASS_N17))
     base = np.repeat(np.arange(len(CLASS_N17)), CLASS_N17)
     members = ["".join(map(str, rng.permutation(base).tolist())) for _ in range(SAMPLES_N17)]

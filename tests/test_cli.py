@@ -23,6 +23,7 @@ from compdeliv.ff_codec import FFCodeConfig, ff_decode_x, ff_decode_y, ff_encode
 from compdeliv.fv_codec import fv_decode_x_stream, fv_decode_y_stream, fv_encode
 from compdeliv.types_core import Alphabet, Sequence
 from conftest import PAST_ENUMERATION, correlated_blocks
+from golden.generate import n17_pair
 
 
 def write_letters(path, letters):
@@ -800,6 +801,22 @@ class TestArrayCodec:
         assert "block 4:" in capsys.readouterr().err
         assert decode_side(tmp_path, cw, "x", wrong)[0] == EXIT_MALFORMED
         assert "block 0:" in capsys.readouterr().err
+
+
+def test_a_sparse_n17_file_with_one_table_of_many_holes_round_trips(tmp_path):
+    # The n=17 fixture's pair drawn from seed 2009: one block of 6 flips is
+    # of type ((10, 6), (0, 1)), whose columns have degree 7 against 8,008
+    # symbols.  Dense, that side would take 155,875,720 slots for 136,136
+    # cells, past the table budget; stored by edge, it takes 0.5 MB.
+    x, y = n17_pair(np.random.default_rng(2009))
+    jt = types_core.JointType(((10, 6), (0, 1)), 17)
+    blocks = [np.frombuffer(letters, np.uint8).reshape(-1, 17) for letters in (x, y)]
+    assert jt.index in types_core.joint_type_index(*blocks, 2, 2)
+    assert coding_table.table_bytes(jt)[0] == 17 * 8008 * 2 + 136136 * (2 + 2)
+    cw = encode_pair(tmp_path, x, y, 17, "ff", 1.0)
+    assert decode_side(tmp_path, cw, "x", y) == (EXIT_OK, x)
+    assert decode_side(tmp_path, cw, "y", x) == (EXIT_OK, y)
+    assert isinstance(coding_table.get_coding_table(jt).row_slots, coding_table.EdgeSlots)
 
 
 class TestResourceLimits:

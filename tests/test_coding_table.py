@@ -11,6 +11,7 @@ from compdeliv import coding_table
 from compdeliv.coding_table import (
     BipartiteTypeGraph,
     CodingTable,
+    EdgeSlots,
     PairTypeMismatchError,
     SideInfoMismatchError,
     SymbolNotFoundError,
@@ -93,18 +94,22 @@ class TestBuildGraph:
 
     def test_budget_error_names_the_type(self, monkeypatch):
         jt = JointType(((8, 8), (8, 8)), 32)
-        monkeypatch.setattr(coding_table, "DEFAULT_CELL_BUDGET", 100)
+        monkeypatch.setattr(coding_table, "DEFAULT_BUILD_BYTES", 100)
         with pytest.raises(TableBudgetError, match="n=32"):
             build_graph(jt)
 
     def test_budget_bounds_allocated_slots_not_cells(self, monkeypatch):
         # one row of degree 3 against three columns of degree 1: 3 cells,
-        # but (1 + 3) rows and columns x 3 symbols = 12 lookup slots
+        # but (1 + 3) rows and columns x 3 symbols = 12 slots of 8 B listed
+        # while colored, and stored in 2 B items: the row's 3 slots, and a
+        # symbol and an end per column, by edge (2 items where 3 slots
+        # would be): 96 + 18 = 114 B
         jt = JointType(((2, 1), (0, 0)), 3)
-        monkeypatch.setattr(coding_table, "DEFAULT_CELL_BUDGET", 11)
-        with pytest.raises(TableBudgetError, match=r"12 table slots .* MB"):
+        assert coding_table.table_bytes(jt) == (18, 96)
+        monkeypatch.setattr(coding_table, "DEFAULT_BUILD_BYTES", 113)
+        with pytest.raises(TableBudgetError, match=r"needs 114 B for 3 cells, .* MB"):
             build_graph(jt)
-        monkeypatch.setattr(coding_table, "DEFAULT_CELL_BUDGET", 12)
+        monkeypatch.setattr(coding_table, "DEFAULT_BUILD_BYTES", 114)
         assert len(build_graph(jt).edges) == 3
 
 
@@ -376,18 +381,27 @@ class TestSlotBuffers:
     @pytest.mark.parametrize("narrow_class, itemsize", [(2 ** 15, 2), (1, 4)])
     def test_buffers_take_their_item_size_per_slot(self, monkeypatch, narrow_class, itemsize):
         # Classes of binary n=6 have at most 20 members: 16-bit slots,
-        # unless the narrow limit is below them.
+        # unless the narrow limit is below them.  A side stored by edge
+        # holds a symbol and an end per cell: `table_bytes` in all.
         monkeypatch.setattr(coding_table, "_NARROW_CLASS", narrow_class)
         fields = ["graph", "num_symbols", "col_slots", "row_slots", "col_start", "row_start"]
         assert [f.name for f in dataclasses.fields(CodingTable)] == fields
+        edge_sides = 0
         for jt in enumerate_joint_types(6, BINARY, BINARY):
             g = build_graph(jt)
             t = edge_color(g)
-            buffers = [t.col_slots, t.row_slots]
+            sides = [t.col_slots, t.row_slots]
+            buffers = [side.slots if isinstance(side, EdgeSlots) else side for side in sides]
+            by_edge = [side for side in sides if isinstance(side, EdgeSlots)]
             assert all(isinstance(b, array) for b in buffers) and t.col_start == t.row_start == 0
             assert {b.itemsize for b in buffers} == {g.edges.cols.itemsize} == {itemsize}
+            cells = len(g.edges)
+            assert [(len(side.slots), side.start, side.edges) for side in by_edge] == [(2 * cells, 0, cells)] * len(by_edge)
             total = sum(b.itemsize * len(b) for b in buffers)
-            assert total == itemsize * (g.left_size + g.right_size) * t.num_symbols
+            dense = itemsize * (g.left_size + g.right_size) * t.num_symbols
+            assert total == (coding_table.table_bytes(jt)[0] if t.num_symbols > 1 else dense)
+            edge_sides += len(by_edge)
+        assert edge_sides > 0
 
     def test_narrow_and_wide_slots_code_alike(self, monkeypatch):
         # Binary n=8 classes have at most 70 members.  With the narrow limit
@@ -410,7 +424,7 @@ class TestSlotBuffers:
             for side, held in (("x", y), ("y", x)):
                 out.append(ff_decode_batch(cfg, ff_words, held, side).tolist())
                 out.append(fv_decode_batch(code, fv_words, held, side).tolist())
-            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY)._slots[0].typecode, out
+            return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY)._slots.typecode, out
 
         try:
             narrow, mixed, wide = code_all(2 ** 15), code_all(60), code_all(1)

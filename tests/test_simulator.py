@@ -331,27 +331,28 @@ def _swap_first_two_symbols(grid: np.ndarray) -> None:
 def corrupt_decoders(monkeypatch, corrupted) -> None:
     """Decoders of side s read a corrupted table of the joint type jt when
     `corrupted(jt, s)`.  The batch decoders read the slot book's buffers,
-    and the encoder reads the col_of buffer too, so each decode reads a
-    corrupted copy of the book's buffer of its side (x is read from the
-    row_of buffer, y from the col_of buffer) while the encoder, and every
-    other caller, reads the clean one."""
+    and the encoder reads the same buffer, so each decode reads a corrupted
+    copy of the book's buffer, in which the entries' sides it reads (x is
+    read from the row_of side, y from the col_of side) are corrupted, while
+    the encoder, and every other caller, reads the clean one."""
     real_decode = SlotBook.decode
 
     def corrupted_decode(book, types, type_index, symbols, side_info, decoded, rows, range_error):
         held = 1 if decoded == "x" else 0
         book._ids(type_index[rows] if types is None else types[type_index[rows]])  # enter every type first
-        clean = book._slots[held]
-        book._slots[held] = clean[:]  # a copy
-        slots = np.frombuffer(book._slots[held], clean.typecode)
+        clean = book._slots
+        book._slots = clean[:]  # a copy
+        slots = np.frombuffer(book._slots, clean.typecode)
         for i, jt in enumerate(joint_types_at(list(book._met), book.n, 2, 2)):
             delta, vertices = int(book._delta[i]), type_class_size(jt.y_marginal() if held else jt.x_marginal())
             if delta > 1 and corrupted(jt, decoded):
-                start = int(book._base[held][i])
-                _swap_first_two_symbols(slots[start:start + vertices * delta].reshape(vertices, delta))
+                # Δ dense slots per vertex, or the ends of its d cells by edge, in symbol order
+                start, width = int(book._base[held][i]), int(book._width[held][i])
+                _swap_first_two_symbols(slots[start:start + vertices * width].reshape(vertices, width))
         try:
             return real_decode(book, types, type_index, symbols, side_info, decoded, rows, range_error)
         finally:
-            book._slots[held] = clean
+            book._slots = clean
 
     monkeypatch.setattr(SlotBook, "decode", corrupted_decode)
 

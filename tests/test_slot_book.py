@@ -4,14 +4,17 @@ fresh batch does, and a warm batch does no per-type Python work."""
 
 import gc
 import itertools
+import json
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from compdeliv import coding_table, types_core
 from compdeliv.coding_table import (
+    EdgeSlots,
     PairTypeMismatchError,
     SideInfoMismatchError,
     SymbolNotFoundError,
@@ -25,12 +28,20 @@ from compdeliv.fv_codec import FVCode, MalformedCodewordError, fv_decode_batch, 
 from compdeliv.types_core import (
     _class_letters,
     BINARY,
+    Alphabet,
     JointType,
     enumerate_joint_types,
     joint_type_index,
     joint_types_at,
     type_class_size,
+    v_shell_size,
+    w_shell_size,
 )
+from golden.generate import BUFFER_SETS, buffer_digest, table_digest, table_key
+
+
+def load_golden(name):
+    return json.loads((Path(__file__).resolve().parent / "golden" / name).read_text())
 
 
 def _pairs(n, m, seed):
@@ -125,10 +136,10 @@ def test_cache_clear_empties_the_book():
     x, y = _pairs(8, 100, 4)
     ff_encode_batch(FFCodeConfig(8, 0.9), x, y)
     book = slot_book(8, BINARY, BINARY)
-    assert book._met and len(book._slots[0]) > 0 and len(book._delta) == len(book._met)
+    assert book._met and len(book._slots) > 0 and len(book._delta) == len(book._met)
     slot_book.cache_clear()
     fresh = slot_book(8, BINARY, BINARY)
-    assert fresh is not book and not fresh._met and list(map(len, fresh._slots)) == [0, 0] and len(fresh._delta) == 0
+    assert fresh is not book and not fresh._met and _book_bytes(fresh) == 0 and len(fresh._delta) == 0
 
 
 # What a batch once did per joint type; a warm batch does none of it.
@@ -195,20 +206,38 @@ def _fill_with_every_type(n):
     return book
 
 
+def _on_book(t, book) -> bool:
+    """Whether both sides of window t read the book's own buffer, dense or by edge."""
+    return all((side.slots if isinstance(side, EdgeSlots) else side) is book._slots for side in (t.col_slots, t.row_slots))
+
+
+def _book_bytes(book) -> int:
+    return book._slots.itemsize * len(book._slots)
+
+
 def test_the_book_holds_each_table_once():
     book, types = _fill_with_every_type(8), enumerate_joint_types(8, BINARY, BINARY)
     tabled = [jt for jt in types if jt.num_symbols > 1]
     assert len(book._met) == len(types) and 0 < len(tabled) < len(types)
-    # Slots in closed form: each tabled entry's classes times its symbol count, nothing more.
-    for side, marginal in ((0, "x_marginal"), (1, "y_marginal")):
-        slots = sum(type_class_size(getattr(jt, marginal)()) * jt.num_symbols for jt in tabled)
-        assert len(book._slots[side]) == slots
+    # Bytes in closed form: each tabled entry's stored bytes, nothing more.
+    # A dense side holds its class times its symbol count in slots; a side
+    # stored by edge holds a symbol and an end per cell.
+    assert _book_bytes(book) == sum(coding_table.table_bytes(jt)[0] for jt in tabled)
+    slots = cells = 0
+    for jt in tabled:
+        t = get_coding_table(jt)
+        for side, marginal in zip((t.col_slots, t.row_slots), (jt.x_marginal(), jt.y_marginal())):
+            if not isinstance(side, EdgeSlots):
+                slots += type_class_size(marginal) * jt.num_symbols
+            else:
+                cells += type_class_size(jt.x_marginal()) * v_shell_size(jt)
+    assert len(book._slots) == slots + 2 * cells and cells > 0
     # A table read through get_coding_table is a window on the book's own
     # buffers, holding the slots a fresh build gives.
     get_coding_table.cache_clear()
     for jt in tabled:
         t = get_coding_table(jt)
-        assert t.col_slots is book._slots[0] and t.row_slots is book._slots[1]
+        assert _on_book(t, book)
         fresh = edge_color(build_graph(jt))
         assert (t.col_of, t.row_of, t.num_symbols) == (fresh.col_of, fresh.row_of, fresh.num_symbols)
 
@@ -220,25 +249,25 @@ def test_a_window_built_by_its_own_call_enters_the_book_once(monkeypatch):
     monkeypatch.setattr(coding_table, "build_graph", lambda t: calls.append(t) or real(t))
     book = _fresh_book(8)
     t = get_coding_table(jt)
-    assert calls == [jt] and list(book._met) == [jt.index] and t.col_slots is book._slots[0]
-    assert len(book._slots[0]) == len(t.col_of) and len(book._slots[1]) == len(t.row_of)
+    assert calls == [jt] and list(book._met) == [jt.index] and _on_book(t, book)
+    assert _book_bytes(book) == coding_table.table_bytes(jt)[0]
 
 
 def _window_buffers(n):
     """Weak references to the buffers of a filled book that windows read."""
     book = _fill_with_every_type(n)
     tabled = [jt for jt in enumerate_joint_types(n, BINARY, BINARY) if jt.num_symbols > 1]
-    assert all(get_coding_table(jt).col_slots is book._slots[0] for jt in tabled)
-    return [weakref.ref(buf) for buf in book._slots]
+    assert all(_on_book(get_coding_table(jt), book) for jt in tabled)
+    return [weakref.ref(book._slots)]
 
 
 def test_clearing_the_books_drops_the_windows_on_them():
     refs = _window_buffers(6)
     slot_book.cache_clear()
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None]
     jt = next(jt for jt in enumerate_joint_types(6, BINARY, BINARY) if jt.num_symbols > 1)
-    assert get_coding_table(jt).row_slots is slot_book(6, BINARY, BINARY)._slots[1]
+    assert _on_book(get_coding_table(jt), slot_book(6, BINARY, BINARY))
 
 
 def test_a_batch_that_raised_leaves_the_book_free_to_grow():
@@ -251,9 +280,9 @@ def test_a_batch_that_raised_leaves_the_book_free_to_grow():
     symbols[7] = 1 << 20
     with pytest.raises(SymbolNotFoundError) as caught:
         fv_decode_batch(code, (words[0], symbols), y[:100], "x")
-    met, size = len(book._met), len(book._slots[0])
+    met, size = len(book._met), len(book._slots)
     words = fv_encode_batch(code, x[300:], y[300:])
-    assert len(book._met) > met and len(book._slots[0]) > size
+    assert len(book._met) > met and len(book._slots) > size
     assert (fv_decode_batch(code, words, y[300:], "x") == x[300:]).all()
     assert caught.value.row == 7
 
@@ -269,9 +298,9 @@ def test_an_encode_that_raised_leaves_the_book_free_to_grow():
     index[7] = JointType(((3, 1), (1, 3)), 8).index
     with pytest.raises(PairTypeMismatchError) as caught:
         book.encode(x[:100], y[:100], index)
-    met, size = len(book._met), len(book._slots[0])
+    met, size = len(book._met), len(book._slots)
     words = fv_encode_batch(make_fv_code(8), x[300:], y[300:])
-    assert len(book._met) > met and len(book._slots[0]) > size
+    assert len(book._met) > met and len(book._slots) > size
     assert (fv_decode_batch(make_fv_code(8), words, y[300:], "x") == x[300:]).all()
     assert caught.value.row == 7
 
@@ -331,3 +360,103 @@ def test_a_batch_decode_reports_its_lowest_failing_row(mode, side):
         with pytest.raises(raised[order[0]]) as caught:
             decode((type_field, symbols), held)
         assert type(caught.value) is raised[order[0]] and caught.value.row == rows[0]
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_the_last_hole_of_each_side_stored_by_edge_fails_in_batch_as_in_scalar(side):
+    # The highest-symbol hole of the last vertex of each held side stored by
+    # edge at binary n=8 (all but the last followed by another such side in
+    # the book), between two good rows: the batch decode raises the scalar
+    # decoder's SymbolNotFoundError, at the hole's row.
+    book, code, (x, y) = _fill_with_every_type(8), make_fv_code(8), _pairs(8, 4, 22)
+    held = 1 if side == "x" else 0  # decoding x reads y's side, row_of
+    words, good = fv_encode_batch(code, x, y), y if side == "x" else x
+    checked = 0
+    for jt in joint_types_at(list(book._met), 8, 2, 2):
+        part = book._entries[book._met[jt.index]][3 + held]
+        if not isinstance(part, EdgeSlots):
+            continue
+        t, counts = get_coding_table(jt), (jt.y_marginal() if held else jt.x_marginal()).counts
+        last = type_class_size(jt.y_marginal() if held else jt.x_marginal()) - 1
+        slots = (t.row_of if held else t.col_of)[last * jt.num_symbols:(last + 1) * jt.num_symbols]
+        hole = max(s for s, other in enumerate(slots) if other < 0)
+        letters = _class_letters(counts)[last]
+        with pytest.raises(SymbolNotFoundError):
+            coding_table.decode_side(jt, types_core.Sequence(tuple(letters.tolist()), BINARY), hole, side)
+        fields = [np.array([f[0], value, f[1]], f.dtype) for f, value in zip(words, (jt.index, hole))]
+        with pytest.raises(SymbolNotFoundError) as caught:
+            fv_decode_batch(code, fields, np.stack([good[0], letters, good[1]]), side)
+        assert caught.value.row == 1
+        checked += 1
+    assert checked > 1
+
+
+# Every joint type of binary blocks up to n=9 and 3 x 3 blocks up to n=3.
+STORED = [(n, 2) for n in range(1, 10)] + [(n, 3) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("n, k", STORED)
+def test_table_bytes_are_what_the_book_stores(n, k):
+    alphabet = Alphabet(k)
+    slot_book.cache_clear()
+    book, kinds = slot_book(n, alphabet, alphabet), set()
+    for jt in enumerate_joint_types(n, alphabet, alphabet):
+        before = _book_bytes(book)
+        if jt.num_symbols > 1:
+            t = book.table(jt)
+            for side, degree in zip((t.col_slots, t.row_slots), (t.graph.left_degree, t.graph.right_degree)):
+                kinds.add("by edge" if isinstance(side, EdgeSlots) else "holes" if degree < jt.num_symbols else "full")
+        assert _book_bytes(book) - before == coding_table.table_bytes(jt)[0], jt
+    if (n, k) == (9, 2):  # tables on both sides of the rule
+        assert kinds == {"by edge", "holes", "full"}
+
+
+def test_the_n12_codebook_stores_at_most_95_mb():
+    # In closed form, with nothing built: 144.9 MB with every side dense.
+    book, types = _fresh_book(12), enumerate_joint_types(12, BINARY, BINARY)
+    assert sum(coding_table.table_bytes(jt)[0] for jt in types) <= 95 * 2 ** 20
+    assert not book._met and get_coding_table.cache_info().currsize == 0
+
+
+def _every_side_by_edge(in_dict):
+    """A `coding_table._layout` storing every side of lower degree than Δ by
+    edge, colored in a dict (`in_dict`) or in a list."""
+    return lambda degrees, delta: [(degree < delta, degree < delta and in_dict) for degree in degrees]
+
+
+def test_sides_colored_in_a_dict_or_a_list_store_the_same_tables(monkeypatch):
+    # Every table of binary n <= 8 and 3 x 3 n <= 3, dense and batch-coded.
+    # Each layout holds the pinned tables: the dump digests of the binary
+    # ones and the buffer digest of the 3 x 3 ones.
+    types = [jt for n, k in STORED if (n, k) != (9, 2) for jt in enumerate_joint_types(n, Alphabet(k), Alphabet(k))]
+    tabled = [jt for jt in types if jt.num_symbols > 1]
+    pinned, (x, y), code = load_golden("tables.json"), _pairs(8, 400, 7), make_fv_code(8)
+    containers, real_pack = [], coding_table._pack
+    record = lambda slots, *args: containers.append(type(slots)) or real_pack(slots, *args)  # noqa: E731
+    monkeypatch.setattr(coding_table, "_pack", record)
+
+    def run(layout):
+        monkeypatch.setattr(coding_table, "_layout", layout)
+        slot_book.cache_clear()
+        containers.clear()
+        tables = [get_coding_table(jt) for jt in tabled]
+        words = fv_encode_batch(code, x, y)
+        coded = [*words, fv_decode_batch(code, words, y, "x"), fv_decode_batch(code, words, x, "y")]
+        binary = [jt for jt in types if jt.num_x == 2]
+        assert [table_digest(jt) for jt in binary] == [pinned[table_key(2, 2, jt)] for jt in binary]
+        assert buffer_digest(BUFFER_SETS["buffers 3x3 n<=3"]()) == pinned["buffers 3x3 n<=3"]
+        by_edge = sum(isinstance(side, EdgeSlots) for t in tables for side in (t.col_slots, t.row_slots))
+        dense = [(t.col_of.tobytes(), t.row_of.tobytes()) for t in tables]
+        return dense, [c.tolist() for c in coded], by_edge, set(containers)
+
+    try:
+        default = run(coding_table._layout)
+        in_dict = run(_every_side_by_edge(True))
+        in_list = run(_every_side_by_edge(False))
+    finally:
+        monkeypatch.undo()
+        slot_book.cache_clear()
+    assert default[:2] == in_dict[:2] == in_list[:2]
+    lower = sum(degree < jt.num_symbols for jt in tabled for degree in (v_shell_size(jt), w_shell_size(jt)))
+    assert 0 < default[2] < in_dict[2] == in_list[2] == lower
+    assert default[3] == in_dict[3] == {list, coding_table._Holes} and in_list[3] == {list}
