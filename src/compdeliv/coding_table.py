@@ -18,8 +18,10 @@ both sides.  The side of higher degree fills its Δ slots per vertex and
 is stored dense.  The other side is mostly holes, and is stored by edge
 when that takes fewer bytes (`table_bytes`): each vertex's d symbols and
 the other end of each, at a stride of its degree d.  A slot, a symbol and
-an end take 2 B (both classes below _NARROW_CLASS members) or 4 B.  Every
-table is held once, in the `slot_book` of its block length and alphabets.
+an end take the item size of the slot book of the table's block length
+and alphabets (`_slot_code`): 2 B when their largest class has fewer than
+_NARROW_CLASS members, else 4 B, for every table of that book.  Every
+table is held once, in that `slot_book`.
 `encode_pair` and `decode_side` code one block through `get_coding_table`,
 a window on its book entry; `SlotBook.encode` and `SlotBook.decode` code a
 batch with gathers and vertex scans in the book.  A table's symbol count Δ
@@ -76,8 +78,9 @@ DEFAULT_BUILD_BYTES = 768 * 2 ** 20
 # int, measured 72-85 B).
 _DICT_ITEM_BYTES = 96
 
-# Classes of fewer members than this keep their ranks in 16-bit slots and
-# edge columns (binary n <= 17, 3 letters n <= 11), larger ones in 32-bit.
+# A slot book whose largest class has fewer members than this keeps every
+# slot, end and edge column in 16 bits (binary n <= 17, 3 letters n <= 11),
+# else in 32.
 _NARROW_CLASS = 2 ** 15
 
 # Most slots the batch encoder compares at once (`SlotBook.encode`).
@@ -88,16 +91,13 @@ _SLICE_SLOTS = 2 ** 20
 _DENSE_TYPES = 2 ** 16
 
 
-def _slot_code(*class_sizes: int) -> str:
-    """The `array` typecode of slots holding ranks in classes of these sizes."""
-    return "h" if max(class_sizes) < _NARROW_CLASS else "i"
-
-
 @lru_cache(maxsize=16)
-def _largest_classes(n: int, kx: int, ky: int) -> tuple[int, ...]:
-    """The sizes of the largest x and y classes of n-letter blocks over kx x ky letters,
-    whose `_slot_code` is their slot book's."""
-    return tuple(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky))
+def _slot_code(n: int, kx: int, ky: int) -> str:
+    """The `array` typecode of the slot book of n-letter blocks over kx x ky
+    letters, by the size of its largest x or y class: every table, graph
+    and book of those blocks takes items of it."""
+    largest = max(multinomial([n // k + (i < n % k) for i in range(min(k, n))]) for k in (kx, ky))
+    return "h" if largest < _NARROW_CLASS else "i"
 
 
 def _layout(degrees, delta: int) -> list[tuple[bool, bool]]:
@@ -121,7 +121,7 @@ def table_bytes(jt: JointType, shape=None) -> tuple[int, int]:
     per vertex and symbol, a side stored by edge two per edge, at the book's
     item size.  `shape` is `_shape(jt)`, if the caller has it."""
     (sizes, degrees), delta = shape or _shape(jt), jt.num_symbols
-    itemsize, stored, colored = array(_slot_code(*_largest_classes(jt.n, jt.num_x, jt.num_y))).itemsize, 0, 0
+    itemsize, stored, colored = array(_slot_code(jt.n, jt.num_x, jt.num_y)).itemsize, 0, 0
     for size, degree, (by_edge, in_dict) in zip(sizes, degrees, _layout(degrees, delta)):
         stored += size * (2 * degree if by_edge else delta) * itemsize
         colored += size * (degree * _DICT_ITEM_BYTES if in_dict else delta * 8)
@@ -196,95 +196,84 @@ def build_graph(jt: JointType) -> BipartiteTypeGraph:
             f"{stored / 2 ** 20:.0f} MB stored and {colored / 2 ** 20:.0f} MB more while it is colored "
             f"(> budget {DEFAULT_BUILD_BYTES} B)"
         )
-    code = _slot_code(left_size, right_size)
+    code = _slot_code(jt.n, jt.num_x, jt.num_y)
     cols = array(code, [0]) * cells  # sized exactly; frombytes would over-allocate
     np.frombuffer(cols, code)[:] = _shell_columns(jt).ravel()
     return BipartiteTypeGraph(jt, left_size, right_size, left_degree, right_degree, TypeEdges(cols, left_degree))
 
 
-class EdgeSlots:
-    """A side of a table stored by edge, read as its dense slots.  Each of
-    its vertices has `degree` cells: vertex v's ends are the `degree` items
-    of `slots` from `start + v * degree`, and their symbols, ascending, the
-    `degree` items `edges` (the side's cell count) further on.  Slot number
-    v * delta + s holds the end of v's cell of symbol s, or is a hole (-1)
-    where v has none.  It reads as the `array` of those slots does: an item
-    (a bisect of the vertex's symbols), a slice of whole vertices (built)
-    and `index` within one vertex."""
-
-    __slots__ = ("slots", "start", "degree", "delta", "edges")
-
-    def __init__(self, slots: array, start: int, degree: int, delta: int, edges: int):
-        self.slots, self.start, self.degree, self.delta, self.edges = slots, start, degree, delta, edges
-
-    def __getitem__(self, number):
-        slots, gap = self.slots, self.edges
-        if isinstance(number, slice):  # the dense slots of whole vertices
-            lo, hi = (self.start + k // self.delta * self.degree for k in (number.start, number.stop))
-            out = array(slots.typecode, [-1]) * (number.stop - number.start)
-            at = np.arange(0, len(out), self.delta).repeat(self.degree)  # each vertex's first slot, per cell
-            at += np.frombuffer(slots, slots.typecode)[lo + gap:hi + gap]
-            np.frombuffer(out, out.typecode)[at] = np.frombuffer(slots, slots.typecode)[lo:hi]
-            return out
-        vertex, symbol = divmod(number, self.delta)
-        lo = self.start + gap + vertex * self.degree
-        at = bisect_left(slots, symbol, lo, lo + self.degree)
-        return slots[at - gap] if at < lo + self.degree and slots[at] == symbol else -1
-
-    def index(self, value: int, start: int, stop: int) -> int:
-        """The slot number holding `value` in [start, stop), the slots of one vertex; ValueError if none does."""
-        lo = self.start + start // self.delta * self.degree
-        return start + self.slots[self.slots.index(value, lo, lo + self.degree) + self.edges]
+# Where a table side sits on its slot buffer, (base, width, edges): vertex
+# v's `width` items from `base + v * width` are its Δ slots when `edges` is 0
+# (dense), else the other ends of its `width` cells (stored by edge), whose
+# symbols, ascending, are the `width` items `edges` (the side's cell count)
+# further on.  A plain tuple: a NamedTuple unpacks 4x slower.
+_Side = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class CodingTable:
-    """Edge-colored table: a window on two slot buffers (`_slot_code`), of
-    its own (`edge_color`) or its slot book entry's (`get_coding_table`).
-    A side stored by edge is an `EdgeSlots`, read as its dense slots; the
-    side of degree Δ is always dense.
+    """Edge-colored table: its col_of and row_of sides (`_Side`) on one
+    slot buffer, of its own (`edge_color`) or its slot book's
+    (`get_coding_table`).  The side of degree Δ is always dense.
 
-    Its col_of starts at `col_start` in `col_slots`, its row_of at
-    `row_start` in `row_slots` (the properties copy them out):
-    `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]` give
-    the other end of the cell with symbol s, -1 for a hole, so a cell's
-    symbol is its slot number in its row.  Lookups return Python ints.
+    Dense, `col_of[row * num_symbols + s]` and `row_of[col * num_symbols + s]`
+    give the other end of the cell with symbol s, -1 for a hole, so a cell's
+    symbol is its slot number in its row; the properties build them.
+    Lookups read the sides as stored and return Python ints.
     """
 
     graph: BipartiteTypeGraph
     num_symbols: int
-    col_slots: array | EdgeSlots
-    row_slots: array | EdgeSlots
-    col_start: int = 0
-    row_start: int = 0
+    slots: array
+    col_side: _Side
+    row_side: _Side
 
     @property
     def jt(self) -> JointType:
         return self.graph.jt
 
-    col_of = property(lambda self: self.col_slots[self.col_start:self.col_start + self.graph.left_size * self.num_symbols])
-    row_of = property(lambda self: self.row_slots[self.row_start:self.row_start + self.graph.right_size * self.num_symbols])
+    col_of = property(lambda self: self._dense(self.col_side, self.graph.left_size))
+    row_of = property(lambda self: self._dense(self.row_side, self.graph.right_size))
 
     def symbol_at(self, row: int, col: int) -> int:
-        start = self.col_start + row * self.num_symbols
+        (base, width, edges), slots = self.col_side, self.slots
+        start = base + row * width
         try:
-            return self.col_slots.index(col, start, start + self.num_symbols) - start
+            at = slots.index(col, start, start + width)
         except ValueError:
             raise PairTypeMismatchError(f"no marked cell at row {row}, column {col}") from None
+        return slots[at + edges] if edges else at - start
 
     def row_for(self, col: int, symbol: int) -> int:
-        if 0 <= symbol < self.num_symbols:
-            row = self.row_slots[self.row_start + col * self.num_symbols + symbol]
-            if row >= 0:
-                return row
-        raise SymbolNotFoundError(f"symbol {symbol} absent in column {col}")
+        return self._end(self.row_side, col, symbol, "column")
 
     def col_for(self, row: int, symbol: int) -> int:
-        if 0 <= symbol < self.num_symbols:
-            col = self.col_slots[self.col_start + row * self.num_symbols + symbol]
-            if col >= 0:
-                return col
-        raise SymbolNotFoundError(f"symbol {symbol} absent in row {row}")
+        return self._end(self.col_side, row, symbol, "row")
+
+    def _end(self, side: _Side, vertex: int, symbol: int, name: str) -> int:
+        """The other end of the vertex's cell of this symbol on this side: a
+        dense slot, or a bisect of the vertex's symbols stored by edge."""
+        (base, width, edges), slots = side, self.slots
+        start = base + vertex * width
+        if not edges:
+            end = slots[start + symbol] if 0 <= symbol < width else -1
+        else:
+            at = bisect_left(slots, symbol, start + edges, start + edges + width)
+            end = slots[at - edges] if at < start + edges + width and slots[at] == symbol else -1
+        if end < 0:
+            raise SymbolNotFoundError(f"symbol {symbol} absent in {name} {vertex}")
+        return end
+
+    def _dense(self, side: _Side, size: int) -> array:
+        """The side's dense slots, copied out or built."""
+        (base, width, edges), slots, delta = side, self.slots, self.num_symbols
+        if not edges:
+            return slots[base:base + size * delta]
+        out = array(slots.typecode, [-1]) * (size * delta)
+        at = np.arange(0, len(out), delta).repeat(width)  # each vertex's first slot, per cell
+        at += np.frombuffer(slots, slots.typecode)[base + edges:base + 2 * edges]
+        np.frombuffer(out, out.typecode)[at] = np.frombuffer(slots, slots.typecode)[base:base + edges]
+        return out
 
     def dump_csv(self, stream) -> None:
         """Debug dump: rows x columns grid of symbols, blank for unmarked cells."""
@@ -304,25 +293,29 @@ class _Holes(dict):
         return -1
 
 
-def _pack(slots, code: str, delta: int, degree: int | None) -> array | EdgeSlots:
-    """A side's slots, colored in a list or a `_Holes` dict, packed as the
-    book stores them: dense, or by edge at a stride of `degree` (every slot
-    but the holes, in slot order: each vertex's cells by symbol)."""
+def _pack(colored, slots: array, delta: int, degree: int | None) -> _Side:
+    """Append a side's slots, colored in a list or a `_Holes` dict, to
+    `slots` as the book stores them, and return where they sit: dense, or
+    by edge at a stride of `degree` (every slot but the holes, in slot
+    order: each vertex's cells by symbol)."""
+    base, code = len(slots), slots.typecode
     if degree is None:
-        return array(code, slots)
-    if isinstance(slots, dict):  # from its sorted keys: an int64 array of them would add 8-16 B per cell
-        keys = sorted(slots)
-        ends = np.fromiter(map(slots.__getitem__, keys), code, len(keys))
+        slots.fromlist(colored)
+        return base, delta, 0
+    if isinstance(colored, dict):  # from its sorted keys: an int64 array of them would add 8-16 B per cell
+        keys = sorted(colored)
+        ends = np.fromiter(map(colored.__getitem__, keys), code, len(keys))
         symbols = np.fromiter((k % delta for k in keys), code, len(keys))
     else:
-        slots = array(code, slots)
-        keys = np.flatnonzero(np.frombuffer(slots, code) >= 0)
-        ends, symbols = np.frombuffer(slots, code)[keys], (keys % delta).astype(code)
+        colored = array(code, colored)
+        keys = np.flatnonzero(np.frombuffer(colored, code) >= 0)
+        ends, symbols = np.frombuffer(colored, code)[keys], (keys % delta).astype(code)
     keep = ends >= 0  # a chain may leave a hole written as -1 in a dict
-    return EdgeSlots(array(code, np.concatenate([ends[keep], symbols[keep]]).tobytes()), 0, degree, delta, int(keep.sum()))
+    slots.frombytes(np.concatenate([ends[keep], symbols[keep]]).tobytes())
+    return base, degree, (len(slots) - base) // 2
 
 
-def edge_color(g: BipartiteTypeGraph) -> CodingTable:
+def edge_color(g: BipartiteTypeGraph, slots: array | None = None) -> CodingTable:
     """Properly color the edges with exactly max-degree symbols.
 
     Greedy in edge order with alternating-path recoloring: a fresh edge
@@ -334,10 +327,11 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
     slot, or for a side stored by edge whose list would be the larger a
     `_Holes` dict (`_layout`): every slot naming a column holds the one int
     of `columns`, and one naming a row the int the edges give.  Both read
-    and write the same slots, so the colors are the same.  They are
-    packed into `_slot_code` buffers at the end (`_pack`).
+    and write the same slots, so the colors are the same.  At the end both
+    sides are packed onto `slots` (`_pack`): a slot book's buffer, or if
+    None a new one of the book's item size (`_slot_code`).
     """
-    delta, code = max(g.left_degree, g.right_degree), _slot_code(g.left_size, g.right_size)
+    delta = max(g.left_degree, g.right_degree)
     sizes, degrees = (g.left_size, g.right_size), (g.left_degree, g.right_degree)
     layout = _layout(degrees, delta)
     col_of, row_of = (_Holes() if in_dict else [-1] * (size * delta) for size, (_, in_dict) in zip(sizes, layout))
@@ -391,9 +385,10 @@ def edge_color(g: BipartiteTypeGraph) -> CodingTable:
         col_of[base + s] = columns[j]
         row_of[j * delta + s] = i
 
+    slots = array(_slot_code(g.jt.n, g.jt.num_x, g.jt.num_y)) if slots is None else slots
     strides = [degree if by_edge else None for degree, (by_edge, _) in zip(degrees, layout)]
-    col_of = _pack(col_of, code, delta, strides[0])  # frees that container before the other is packed
-    return CodingTable(g, delta, col_of, _pack(row_of, code, delta, strides[1]))
+    col_of = _pack(col_of, slots, delta, strides[0])  # frees that container before the other is packed
+    return CodingTable(g, delta, slots, col_of, _pack(row_of, slots, delta, strides[1]))
 
 
 @lru_cache(maxsize=None)
@@ -536,20 +531,15 @@ class SlotBook:
     `decode_side`, and `table` is the window `get_coding_table` returns.
 
     Entry i is of the i-th type index in `_met`.  `_entries[i]` holds its
-    symbol count, its marginal counts on side 0 (x) and 1 (y), the slots
-    and start of its col_of (side 0) and its row_of (side 1), the one copy
-    of its table, and a one-symbol type's `letter_map`s decoding x and y.
-    Both sides of every entry are in the one buffer `_slots`: a dense side
-    from its start, a side stored by edge as an `EdgeSlots` on it (its
-    window start is 0).  `_ids` updates the arrays a batch gathers:
-    `_delta`, `_cls[side]` (ids in `_classes[side]`), `_base[side]`,
-    `_width[side]`, `_edges[side]` and `_maps[side]`.  Vertex r of a side
-    holds `_width[side][i]` items from `_base[side][i] + r *
-    _width[side][i]`: its Δ slots, or where `_edges[side][i]` is not 0 its
-    ends by edge, whose symbols are that many items further on.  The
-    buffer is an `array`, viewed as a numpy array only within an
-    expression: a viewed buffer cannot grow, and the traceback of an error
-    a method raises keeps its locals.
+    symbol count, its marginal counts on side 0 (x) and 1 (y), the `_Side`
+    of its col_of (side 0) and of its row_of (side 1) on the one buffer
+    `_slots`, which holds the one copy of every table, and a one-symbol
+    type's `letter_map`s decoding x and y.  `_ids` updates the arrays a
+    batch gathers: `_delta`, `_cls[side]` (ids in `_classes[side]`), the
+    sides' fields `_base[side]`, `_width[side]` and `_edges[side]`, and
+    `_maps[side]`.  The buffer is an `array`, viewed as a numpy array only
+    within an expression: a viewed buffer cannot grow, and the traceback
+    of an error a method raises keeps its locals.
     """
 
     def __init__(self, n: int, kx: int, ky: int):
@@ -558,7 +548,7 @@ class SlotBook:
         self._delta, self._cls = np.zeros(0, np.int64), [np.zeros(0, np.int64)] * 2
         self._base, self._width, self._edges = ([np.zeros(0, np.int64)] * 2 for _ in range(3))
         self._maps = [np.zeros((0, ky), _letter_dtype(kx)), np.zeros((0, kx), _letter_dtype(ky))]
-        self._slots = array(_slot_code(*_largest_classes(n, kx, ky)))
+        self._slots = array(_slot_code(n, kx, ky))
         # Each type index met, to its entry; and, when the type indices
         # number at most _DENSE_TYPES, an array of every index's entry.
         self._met = {}
@@ -665,7 +655,7 @@ class SlotBook:
         Its graph is the one entering built; an entry a batch made builds one."""
         graph = None if jt.index in self._met else self._enter(jt.index, jt)
         entry = self._entries[self._met[jt.index]]
-        return CodingTable(graph or build_graph(jt), entry[0], *entry[3:7])
+        return CodingTable(graph or build_graph(jt), entry[0], self._slots, *entry[3:5])
 
     def _ids(self, index: np.ndarray) -> np.ndarray:
         """The book id of each type index (all in range), entering the types met for the first time."""
@@ -676,11 +666,9 @@ class SlotBook:
                 self._enter(i, jt)
             ids = self._find(index)
         if len(self._delta) < len(self._entries):  # types entered since the last call: rebuild the arrays
-            delta, *counts, x_slots, y_slots, x_start, y_start, x_maps, y_maps = zip(*self._entries)
+            delta, *counts, x_sides, y_sides, x_maps, y_maps = zip(*self._entries)
             self._delta = np.array(delta, np.int64)
-            for side, (slots, start) in enumerate(((x_slots, x_start), (y_slots, y_start))):
-                placed = [(s.start, s.degree, s.edges) if isinstance(s, EdgeSlots) else (b, d, 0)
-                          for s, b, d in zip(slots, start, delta)]
+            for side, placed in enumerate((x_sides, y_sides)):
                 self._base[side], self._width[side], self._edges[side] = np.array(placed, np.int64).T.copy()
             self._cls = [np.array(classes.ids_of(c), np.int64) for classes, c in zip(self._classes, counts)]
             for side, maps in enumerate((x_maps, y_maps)):
@@ -698,24 +686,17 @@ class SlotBook:
         """Enter jt, of this type index: its table built (budget checked first)
         and its sides appended, or a one-symbol type's letter maps.  Returns
         the table's graph, None for a type of one symbol."""
-        delta, graph, placed = jt.num_symbols, None, (self._slots, self._slots, 0, 0)
+        delta, graph, sides = jt.num_symbols, None, ((0, 0, 0),) * 2
         if delta > 1:
             graph = build_graph(jt)
-            t = edge_color(graph)
-            (x_slots, x_start), (y_slots, y_start) = self._append(t.col_slots), self._append(t.row_slots)
-            placed = x_slots, y_slots, x_start, y_start
+            t = edge_color(graph, self._slots)
+            sides = t.col_side, t.row_side
         maps = (letter_map(jt, "x"), letter_map(jt, "y")) if delta == 1 else (None, None)
-        self._entries.append((delta, jt.x_marginal().counts, jt.y_marginal().counts, *placed, *maps))
+        self._entries.append((delta, jt.x_marginal().counts, jt.y_marginal().counts, *sides, *maps))
         self._met[index] = len(self._met)
         if self._dense is not None:
             self._dense[index] = self._met[index]
         return graph
-
-    def _append(self, part: array | EdgeSlots) -> tuple[array | EdgeSlots, int]:
-        """Append a side of a table: (its slots on the book's buffer, its start)."""
-        buf, start, new = self._slots, len(self._slots), part if isinstance(part, array) else part.slots
-        buf.extend(new if new.typecode == buf.typecode else array(buf.typecode, new.tolist()))
-        return (buf, start) if isinstance(part, array) else (EdgeSlots(buf, start, part.degree, part.delta, part.edges), 0)
 
 
 def _scan(buf: array, start: np.ndarray, width: np.ndarray, want: np.ndarray) -> np.ndarray:

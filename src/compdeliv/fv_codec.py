@@ -89,10 +89,6 @@ class FVCode:
     ay: Alphabet
     header_width: int
 
-    @cached_attribute
-    def type_count(self) -> int:
-        return joint_type_count(self.n, self.ax.size, self.ay.size)
-
     def codeword_length(self, jt: JointType) -> int:
         return self.header_width + bit_width(jt.num_symbols)
 
@@ -104,6 +100,7 @@ class FVCode:
         return _read_only(np.array([self.header_width + bit_width(delta) for delta in symbols]))
 
     def __post_init__(self):  # `types`: the joint type of each type index met (`type_at`)
+        object.__setattr__(self, "type_count", joint_type_count(self.n, self.ax.size, self.ay.size))
         object.__setattr__(self, "types", TypesAt(self.n, self.ax.size, self.ay.size))
 
     def check_distinct(self, type_index: np.ndarray) -> None:

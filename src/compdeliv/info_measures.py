@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import Alphabet, JointType, cached_attribute, interned, joint_type_counts, joint_types_at, multinomial
+from .types_core import Alphabet, JointType, interned, joint_type_counts, joint_types_at, multinomial
 from .types_core import _by_distinct_row, _is_rectangular, _read_only
 
 # Ties against the rate threshold count as inside the decodable region
@@ -39,6 +39,8 @@ class SourceSpec:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if any(p < 0 for row in self.p_xy for p in row):
             raise ValueError("negative probability")
+        object.__setattr__(self, "ax", Alphabet(self.num_x))  # plain attributes: read at field speed
+        object.__setattr__(self, "ay", Alphabet(self.num_y))
 
     @property
     def num_x(self) -> int:
@@ -47,14 +49,6 @@ class SourceSpec:
     @property
     def num_y(self) -> int:
         return len(self.p_xy[0])
-
-    @cached_attribute
-    def ax(self) -> Alphabet:
-        return Alphabet(self.num_x)
-
-    @cached_attribute
-    def ay(self) -> Alphabet:
-        return Alphabet(self.num_y)
 
     def x_marginal(self) -> tuple[float, ...]:
         return tuple(sum(row) for row in self.p_xy)

@@ -776,7 +776,7 @@ class TestArrayCodec:
         y = x[:64] + [1 - a for a in x[64:]]
         coding_table.get_coding_table.cache_clear()
         colored, real = [], coding_table.edge_color
-        monkeypatch.setattr(coding_table, "edge_color", lambda g: colored.append(g.jt) or real(g))
+        monkeypatch.setattr(coding_table, "edge_color", lambda g, *slots: colored.append(g.jt) or real(g, *slots))
         cw = encode_pair(tmp_path, x, y, 32, mode, 1.0 if mode == "ff" else None)
         assert decode_side(tmp_path, cw, "x", y) == (EXIT_OK, bytes(x))
         assert decode_side(tmp_path, cw, "y", x) == (EXIT_OK, bytes(y))
@@ -816,7 +816,8 @@ def test_a_sparse_n17_file_with_one_table_of_many_holes_round_trips(tmp_path):
     cw = encode_pair(tmp_path, x, y, 17, "ff", 1.0)
     assert decode_side(tmp_path, cw, "x", y) == (EXIT_OK, x)
     assert decode_side(tmp_path, cw, "y", x) == (EXIT_OK, y)
-    assert isinstance(coding_table.get_coding_table(jt).row_slots, coding_table.EdgeSlots)
+    base, width, edges = coding_table.get_coding_table(jt).row_side
+    assert (width, edges) == (7, 136136)  # stored by edge: its degree and cell count
 
 
 class TestResourceLimits:

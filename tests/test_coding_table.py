@@ -11,7 +11,6 @@ from compdeliv import coding_table
 from compdeliv.coding_table import (
     BipartiteTypeGraph,
     CodingTable,
-    EdgeSlots,
     PairTypeMismatchError,
     SideInfoMismatchError,
     SymbolNotFoundError,
@@ -48,6 +47,24 @@ def batch_symbols(jt: JointType, rows, cols) -> np.ndarray:
     x, y = _class_letters(jt.x_marginal().counts)[rows], _class_letters(jt.y_marginal().counts)[cols]
     book = slot_book(jt.n, Alphabet(jt.num_x), Alphabet(jt.num_y))
     return book.encode(x, y, np.full(len(x), jt.index))
+
+
+@pytest.fixture
+def set_narrow_class(monkeypatch):
+    """Set `coding_table._NARROW_CLASS` for one test, emptying what reads it
+    (`_slot_code`, and the slot books with their windows) at each change
+    and after the test."""
+    def clear():
+        coding_table._slot_code.cache_clear()
+        slot_book.cache_clear()
+
+    def set_to(limit):
+        monkeypatch.setattr(coding_table, "_NARROW_CLASS", limit)
+        clear()
+
+    yield set_to
+    monkeypatch.undo()
+    clear()
 
 
 def cells(table):
@@ -315,8 +332,9 @@ class TestLookups:
         x, y = seq("0011"), seq("0101")
         t = get_coding_table(jt)
         symbol = t.symbol_at(rank_in_type_class(x), rank_in_type_class(y))
-        held, buffer, start = (y, t.row_slots, t.row_start) if side == "x" else (x, t.col_slots, t.col_start)
-        slot = start + rank_in_type_class(held) * t.num_symbols + symbol
+        held, (base, width, edges) = (y, t.row_side) if side == "x" else (x, t.col_side)
+        assert edges == 0 and width == t.num_symbols  # both sides dense
+        slot, buffer = base + rank_in_type_class(held) * width + symbol, t.slots
         saved, buffer[slot] = buffer[slot], 6
         try:
             with pytest.raises(RankRangeError, match="rank 6 outside type class of size 6"):
@@ -379,44 +397,44 @@ class TestSlotBuffers:
         assert info.value.row == bad
 
     @pytest.mark.parametrize("narrow_class, itemsize", [(2 ** 15, 2), (1, 4)])
-    def test_buffers_take_their_item_size_per_slot(self, monkeypatch, narrow_class, itemsize):
+    def test_buffers_take_their_item_size_per_slot(self, set_narrow_class, narrow_class, itemsize):
         # Classes of binary n=6 have at most 20 members: 16-bit slots,
         # unless the narrow limit is below them.  A side stored by edge
         # holds a symbol and an end per cell: `table_bytes` in all.
-        monkeypatch.setattr(coding_table, "_NARROW_CLASS", narrow_class)
-        fields = ["graph", "num_symbols", "col_slots", "row_slots", "col_start", "row_start"]
+        set_narrow_class(narrow_class)
+        fields = ["graph", "num_symbols", "slots", "col_side", "row_side"]
         assert [f.name for f in dataclasses.fields(CodingTable)] == fields
         edge_sides = 0
         for jt in enumerate_joint_types(6, BINARY, BINARY):
             g = build_graph(jt)
             t = edge_color(g)
-            sides = [t.col_slots, t.row_slots]
-            buffers = [side.slots if isinstance(side, EdgeSlots) else side for side in sides]
-            by_edge = [side for side in sides if isinstance(side, EdgeSlots)]
-            assert all(isinstance(b, array) for b in buffers) and t.col_start == t.row_start == 0
-            assert {b.itemsize for b in buffers} == {g.edges.cols.itemsize} == {itemsize}
-            cells = len(g.edges)
-            assert [(len(side.slots), side.start, side.edges) for side in by_edge] == [(2 * cells, 0, cells)] * len(by_edge)
-            total = sum(b.itemsize * len(b) for b in buffers)
+            sides = [t.col_side, t.row_side]
+            by_edge = [side for side in sides if side[2]]
+            assert isinstance(t.slots, array) and t.col_side[0] == 0
+            assert t.slots.itemsize == g.edges.cols.itemsize == itemsize
+            cells, delta = len(g.edges), t.num_symbols
+            spans = [t.row_side[0], len(t.slots) - t.row_side[0]]
+            for (_, width, edges), span, size, degree in zip(sides, spans, (g.left_size, g.right_size), (g.left_degree, g.right_degree)):
+                # dense: Δ slots per vertex; by edge: an end and a symbol per cell
+                assert (width, edges, span) in ((delta, 0, size * delta), (degree, cells, 2 * cells))
+            total = t.slots.itemsize * len(t.slots)
             dense = itemsize * (g.left_size + g.right_size) * t.num_symbols
             assert total == (coding_table.table_bytes(jt)[0] if t.num_symbols > 1 else dense)
             edge_sides += len(by_edge)
         assert edge_sides > 0
 
-    def test_narrow_and_wide_slots_code_alike(self, monkeypatch):
+    def test_narrow_and_wide_slots_code_alike(self, set_narrow_class):
         # Binary n=8 classes have at most 70 members.  With the narrow limit
-        # at 60 the slot book and the tables of the largest classes are
-        # 32-bit and the other tables 16-bit; at 1 everything is 32-bit.
-        # Every limit gives the same tables, words and decodes.
+        # at 60 the slot book, and with it every table of its blocks, is
+        # 32-bit, as at 1.  Every limit gives the same tables, words and
+        # decodes.
         rng = np.random.default_rng(16)
         x = rng.integers(0, 2, size=(400, 8))
         y = x ^ (rng.random(x.shape) < 0.2)
         cfg, code = FFCodeConfig(8, 0.9), make_fv_code(8)
 
         def code_all(narrow_class):
-            monkeypatch.setattr(coding_table, "_NARROW_CLASS", narrow_class)
-            get_coding_table.cache_clear()
-            slot_book.cache_clear()
+            set_narrow_class(narrow_class)
             tables = [edge_color(build_graph(jt)) for jt in enumerate_joint_types(8, BINARY, BINARY)]
             out = [(list(t.col_of), list(t.row_of), list(t.graph.edges.cols)) for t in tables]
             ff_words, fv_words = ff_encode_batch(cfg, x, y), fv_encode_batch(code, x, y)
@@ -426,16 +444,35 @@ class TestSlotBuffers:
                 out.append(fv_decode_batch(code, fv_words, held, side).tolist())
             return {t.col_of.typecode for t in tables}, slot_book(8, BINARY, BINARY)._slots.typecode, out
 
-        try:
-            narrow, mixed, wide = code_all(2 ** 15), code_all(60), code_all(1)
-        finally:
-            monkeypatch.undo()
-            get_coding_table.cache_clear()
-            slot_book.cache_clear()
+        narrow, mixed, wide = code_all(2 ** 15), code_all(60), code_all(1)
         assert narrow[:2] == ({"h"}, "h")
-        assert mixed[:2] == ({"h", "i"}, "i")
+        assert mixed[:2] == ({"i"}, "i")
         assert wide[:2] == ({"i"}, "i")
         assert narrow[2] == mixed[2] == wide[2]
+
+    def test_one_item_size_per_book(self, set_narrow_class):
+        # With the narrow limit at 60 the binary n=8 book (classes of up to
+        # 70 members) is 32-bit.  A table of smaller classes takes the
+        # book's items too, built alone, as a window or as graph columns,
+        # and codes as it does at the default limit.
+        def tables(narrow_class):
+            set_narrow_class(narrow_class)
+            out = []
+            for jt in small:
+                alone, window, g = edge_color(build_graph(jt)), get_coding_table(jt), build_graph(jt)
+                assert window.slots is slot_book(8, BINARY, BINARY)._slots
+                codes = {alone.slots.typecode, window.slots.typecode, g.edges.cols.typecode}
+                out.append((codes, [(cells(t), list(t.col_of), list(t.row_of)) for t in (alone, window)]))
+            return out
+
+        small = [jt for jt in enumerate_joint_types(8, BINARY, BINARY) if jt.num_symbols > 1
+                 and max(type_class_size(jt.x_marginal()), type_class_size(jt.y_marginal())) < 60]
+        assert any(2 * min(v_shell_size(jt), w_shell_size(jt)) < jt.num_symbols for jt in small)  # sides by edge too
+        wide, narrow = tables(60), tables(2 ** 15)
+        assert [codes for codes, _ in wide] == [{"i"}] * len(small)
+        assert [codes for codes, _ in narrow] == [{"h"}] * len(small)
+        assert [coded for _, coded in wide] == [coded for _, coded in narrow]
+        assert all(alone == window for _, (alone, window) in wide)
 
 
 class TestDump:

@@ -309,7 +309,7 @@ class TestBatchedSweep:
         """On a cold cache: a type inside the largest rate's region whose
         trials are all of smaller rates gets no table."""
         real, colored = coding_table.edge_color, []
-        monkeypatch.setattr(coding_table, "edge_color", lambda g: colored.append(g.jt) or real(g))
+        monkeypatch.setattr(coding_table, "edge_color", lambda g, *slots: colored.append(g.jt) or real(g, *slots))
         built = []
         for run in (reference_run_plan, run_plan):
             coding_table.slot_book.cache_clear()

@@ -14,7 +14,6 @@ import pytest
 
 from compdeliv import coding_table, types_core
 from compdeliv.coding_table import (
-    EdgeSlots,
     PairTypeMismatchError,
     SideInfoMismatchError,
     SymbolNotFoundError,
@@ -207,8 +206,8 @@ def _fill_with_every_type(n):
 
 
 def _on_book(t, book) -> bool:
-    """Whether both sides of window t read the book's own buffer, dense or by edge."""
-    return all((side.slots if isinstance(side, EdgeSlots) else side) is book._slots for side in (t.col_slots, t.row_slots))
+    """Whether window t reads the book's own buffer."""
+    return t.slots is book._slots
 
 
 def _book_bytes(book) -> int:
@@ -226,8 +225,8 @@ def test_the_book_holds_each_table_once():
     slots = cells = 0
     for jt in tabled:
         t = get_coding_table(jt)
-        for side, marginal in zip((t.col_slots, t.row_slots), (jt.x_marginal(), jt.y_marginal())):
-            if not isinstance(side, EdgeSlots):
+        for (_, _, edges), marginal in zip((t.col_side, t.row_side), (jt.x_marginal(), jt.y_marginal())):
+            if not edges:
                 slots += type_class_size(marginal) * jt.num_symbols
             else:
                 cells += type_class_size(jt.x_marginal()) * v_shell_size(jt)
@@ -373,8 +372,8 @@ def test_the_last_hole_of_each_side_stored_by_edge_fails_in_batch_as_in_scalar(s
     words, good = fv_encode_batch(code, x, y), y if side == "x" else x
     checked = 0
     for jt in joint_types_at(list(book._met), 8, 2, 2):
-        part = book._entries[book._met[jt.index]][3 + held]
-        if not isinstance(part, EdgeSlots):
+        _, _, edges = book._entries[book._met[jt.index]][3 + held]
+        if not edges:
             continue
         t, counts = get_coding_table(jt), (jt.y_marginal() if held else jt.x_marginal()).counts
         last = type_class_size(jt.y_marginal() if held else jt.x_marginal()) - 1
@@ -404,11 +403,28 @@ def test_table_bytes_are_what_the_book_stores(n, k):
         before = _book_bytes(book)
         if jt.num_symbols > 1:
             t = book.table(jt)
-            for side, degree in zip((t.col_slots, t.row_slots), (t.graph.left_degree, t.graph.right_degree)):
-                kinds.add("by edge" if isinstance(side, EdgeSlots) else "holes" if degree < jt.num_symbols else "full")
+            for (_, _, edges), degree in zip((t.col_side, t.row_side), (t.graph.left_degree, t.graph.right_degree)):
+                kinds.add("by edge" if edges else "holes" if degree < jt.num_symbols else "full")
         assert _book_bytes(book) - before == coding_table.table_bytes(jt)[0], jt
     if (n, k) == (9, 2):  # tables on both sides of the rule
         assert kinds == {"by edge", "holes", "full"}
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n, k in STORED if (n, k) != (9, 2)])
+def test_windows_and_batches_read_one_layout(n, k):
+    # Every tabled type of binary n <= 8 and 3 x 3 n <= 3: a window reads
+    # its sides on the book's buffer where the batch codecs read them.
+    alphabet = Alphabet(k)
+    slot_book.cache_clear()
+    book = slot_book(n, alphabet, alphabet)
+    tabled = [jt for jt in enumerate_joint_types(n, alphabet, alphabet) if jt.num_symbols > 1]
+    windows = [get_coding_table(jt) for jt in tabled]
+    book._ids(np.array([jt.index for jt in tabled], np.int64))  # the arrays a batch gathers, brought up to date
+    for jt, t in zip(tabled, windows):
+        i = book._met[jt.index]
+        assert t.slots is book._slots
+        for side, record in enumerate((t.col_side, t.row_side)):
+            assert record == (book._base[side][i], book._width[side][i], book._edges[side][i]), (jt, side)
 
 
 def test_the_n12_codebook_stores_at_most_95_mb():
@@ -445,7 +461,7 @@ def test_sides_colored_in_a_dict_or_a_list_store_the_same_tables(monkeypatch):
         binary = [jt for jt in types if jt.num_x == 2]
         assert [table_digest(jt) for jt in binary] == [pinned[table_key(2, 2, jt)] for jt in binary]
         assert buffer_digest(BUFFER_SETS["buffers 3x3 n<=3"]()) == pinned["buffers 3x3 n<=3"]
-        by_edge = sum(isinstance(side, EdgeSlots) for t in tables for side in (t.col_slots, t.row_slots))
+        by_edge = sum(bool(side[2]) for t in tables for side in (t.col_side, t.row_side))
         dense = [(t.col_of.tobytes(), t.row_of.tobytes()) for t in tables]
         return dense, [c.tolist() for c in coded], by_edge, set(containers)
 
