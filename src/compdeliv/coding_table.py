@@ -612,9 +612,9 @@ class SlotBook:
             raise ValueError(f"codeword fields of {len(type_index)} and {len(symbols)} rows for {len(side_info)} blocks")
         side_info = _as_blocks(self.n, side_info, self._classes[held].k, "side information", len(type_index))
         count = self.type_count if types is None else len(types)
-        fields = type_index[rows]
-        failures, bad = [], (fields < 0) | (fields >= count)
-        if bad.any():
+        failures, fields = [], type_index[rows]
+        if len(fields) and not 0 <= fields.min() <= fields.max() < count:
+            bad = (fields < 0) | (fields >= count)
             row = int(rows[np.argmax(bad)])
             failures.append(range_error(f"type index {type_index[row]} out of range", row))
             rows, fields = rows[~bad], fields[~bad]
@@ -623,19 +623,20 @@ class SlotBook:
         tabled = delta > 1
         rank, wrong_side = self._classes[held].rank(letters, self._cls[held][ids], tabled)
         wrong = wrong_side | (symbol < 0) | (symbol >= delta)
-        read, found = np.flatnonzero(tabled & ~wrong), np.zeros(len(rows), np.int64)
+        read, found = (tabled & ~wrong).nonzero()[0], np.zeros(len(rows), np.int64)  # array methods cost less
         entry = ids[read]
         width, edges = self._width[held][entry], self._edges[held][entry]
-        start, at = self._base[held][entry] + rank[read] * width, np.flatnonzero(edges)
+        start, at = self._base[held][entry] + rank[read] * width, edges.nonzero()[0]
         found[read] = np.frombuffer(self._slots, self._slots.typecode).take(start + symbol[read], mode="clip")
         if len(at):  # rows stored by edge: the symbol's place among the vertex's symbols, -1 for a hole
-            place = _scan(self._slots, start[at] + edges[at], width[at], symbol[read[at]])
-            found[read[at]] = np.where(place >= 0, np.frombuffer(self._slots, self._slots.typecode)[start[at] + place], -1)
+            first, by_edge = start[at], read[at]
+            place = _scan(self._slots, first + edges[at], width[at], symbol[by_edge])
+            found[by_edge] = np.where(place >= 0, np.frombuffer(self._slots, self._slots.typecode)[first + place], -1)
         wrong |= found < 0  # a hole
         read = read[found[read] >= 0]
         out = np.zeros(side_info.shape, _letter_dtype(self._classes[other].k))
         _put_rows(out, rows[read], self._classes[other].unrank(self._cls[other][ids[read]], found[read]))
-        one = np.flatnonzero(~tabled)
+        one = (~tabled).nonzero()[0]
         maps = self._maps[other]  # a one-symbol row's letters through its entry's map
         mapped = maps.ravel().take(letters.take(one, axis=0) + (ids[one] * maps.shape[1])[:, None])
         _put_rows(out, rows[one], mapped)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .types_core import Alphabet, JointType, interned, joint_type_counts, joint_types_at, multinomial
+from .types_core import Alphabet, JointType, cached_attribute, interned, joint_type_counts, joint_types_at, multinomial
 from .types_core import _by_distinct_row, _is_rectangular, _read_only
 
 # Ties against the rate threshold count as inside the decodable region
@@ -199,20 +199,27 @@ def type_columns(n: int, p: SourceSpec) -> TypeColumns:
 
 @dataclass(frozen=True)
 class ExponentReport:
-    """Result of an exhaustive exponent scan at one (rate, n) point."""
+    """Result of an exhaustive exponent scan at one (rate, n) point: the least
+    value and `argmin_type`, the first joint type in enumeration order that
+    takes it (None when it is inf), built at its first read from `argmin_at`,
+    its (type index, kx, ky)."""
 
     rate: float
     n: int
     value: float
-    argmin_type: JointType | None
+    argmin_at: tuple[int, int, int] | None
+
+    @cached_attribute
+    def argmin_type(self) -> JointType | None:
+        return self.argmin_at and joint_types_at([self.argmin_at[0]], self.n, *self.argmin_at[1:])[0]
 
 
 def _first_min(rate: float, p: SourceSpec, n: int, objective: np.ndarray) -> ExponentReport:
-    """The least of `objective`, one value per joint type of (n, p), and the
-    first type in enumeration order that takes it (None when it is inf)."""
+    """The least of `objective`, one value per joint type of (n, p), and
+    where the first type in enumeration order that takes it is."""
     i = int(objective.argmin())
     best = float(objective[i])
-    return ExponentReport(rate, n, best, joint_types_at([i], n, p.num_x, p.num_y)[0] if best < math.inf else None)
+    return ExponentReport(rate, n, best, (i, p.num_x, p.num_y) if best < math.inf else None)
 
 
 def _min_divergence(rate: float, p: SourceSpec, n: int, inside: bool) -> ExponentReport:

@@ -13,6 +13,9 @@ PRNG contract: NumPy PCG64 (period 2^128), seeded through SeedSequence.
 Per-row generators are spawned from the master seed in row order, so the
 report depends only on the master seed, never on scheduling.  A row's
 uniforms pick cells of p's CDF, read as letters from two per-source tables.
+A uniform's cell is the count of CDF entries at or below it, identical to
+`searchsorted(side="right")`: counted by comparison with each entry for a
+source of at most `_COMPARED_CELLS` cells, found by `searchsorted` above.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ from .fv_codec import make_fv_code, overflow_probability
 # go through the codec in slices of at most this many rows, which bounds
 # the batch's temporaries (about 200 B per row at n = 10).
 _BATCH_ROWS = 1 << 16
+# Most cells of a source whose uniforms are counted by comparison with each
+# CDF entry.  On a 2-vCPU Xeon (numpy 2.4) that ties `searchsorted` at 8-9
+# cells on 3,000 uniforms (500 trials of 6 letters), costs 4 us more at 8
+# cells on 2,000, and wins far past 16 cells on 12,000 and more.
+_COMPARED_CELLS = 8
 
 
 class DecoderDesyncError(RuntimeError):
@@ -107,9 +115,12 @@ class ExperimentReport:
 
 @lru_cache(maxsize=16)
 def _cell_tables(p: SourceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CDF of p's cells, row after row, and each cell's x and y letter."""
-    cdf = np.cumsum(p.flat())
-    cdf[-1] = 1.0
+    """The CDF of p's cells, row after row, and each cell's x and y letter.
+    The CDF is 1.0 from the last positive cell on, so that no uniform below
+    1 lands in a zero cell after it, whatever the float sum before it."""
+    probs = p.flat()
+    cdf = np.cumsum(probs)
+    cdf[max(i for i, q in enumerate(probs) if q > 0):] = 1.0
     x, y = np.divmod(np.arange(len(cdf)), p.num_y)
     return tuple(map(_read_only, (cdf, x.astype(_letter_dtype(p.num_x)), y.astype(_letter_dtype(p.num_y)))))
 
@@ -120,8 +131,14 @@ def _sample_cells(p: SourceSpec, n: int, trials: int, rng) -> np.ndarray:
 
 def _sample_letters(p: SourceSpec, n: int, trials: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """A grid row's (trials, n) x and y letters, drawn from the row's own seed."""
-    cells = _sample_cells(p, n, trials, np.random.Generator(np.random.PCG64(seed)))
-    return tuple(letters.take(cells) for letters in _cell_tables(p)[1:])
+    rng, (cdf, *letters) = np.random.Generator(np.random.PCG64(seed)), _cell_tables(p)
+    if len(cdf) > _COMPARED_CELLS:
+        cells = _sample_cells(p, n, trials, rng)
+    else:  # each uniform's count of CDF entries at or below it, the last (1.0) never
+        u, cells = rng.random((trials, n)), np.zeros((trials, n), np.uint8)
+        for bound in cdf[:-1].tolist():
+            cells += u >= bound
+    return tuple(side.take(cells) for side in letters)
 
 
 def run_plan(plan: TrialPlan) -> ExperimentReport:

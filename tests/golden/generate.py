@@ -15,7 +15,10 @@ of the file-format VERSION).
   buffers (keys starting "buffers ").
 - sweep.json: SHA-256 of the CSV report of criterion 6's Monte-Carlo
   plan (DSBS(0.11), n in 4..10, three rates, 100k trials per row; a few
-  seconds) and of the benchmark's mc_sweep plan (n in 4..8, 500 trials).
+  seconds), of the benchmark's mc_sweep plan (n in 4..8, 500 trials), and
+  of two plans of sources with zero cells at n in 2..4, 2,000 trials per
+  row: a 3x2 source whose last cell is 0 (its letters counted by
+  comparison) and a 3x3 source (its letters found by `searchsorted`).
 - codec.json: a seeded DSBS(0.11) letter pair of 403 letters (the last
   n=8 block is short), its FF(rate 0.8) and FV codeword files as the CLI
   writes them, the decoded output of both sides, and the bits of the
@@ -234,7 +237,9 @@ def codec_n17_fixture() -> dict:
 
 
 # The plan of tests/test_acceptance.py::test_criterion_6_monte_carlo_consistency,
-# and the benchmark's mc_sweep plan (a fast guard: about 20 ms).
+# the benchmark's mc_sweep plan (a fast guard: about 20 ms), and two sources
+# with zero cells at small n: 3x2 (6 cells) whose last cell is 0, and 3x3
+# (9 cells), on either side of `simulator._COMPARED_CELLS`.
 SWEEP_PLANS = {
     "criterion_6": (
         "dsbs(0.11) n=4,6,8,10 rates=0.7,0.8,0.9 trials=100000 seed=20230817",
@@ -243,6 +248,16 @@ SWEEP_PLANS = {
     "mc_sweep": (
         "dsbs(0.11) n=4,6,8 rates=0.7,0.8,0.9 trials=500 seed=20230817",
         TrialPlan(p=dsbs(0.11), n_grid=(4, 6, 8), rates=(0.7, 0.8, 0.9), trials=500, master_seed=20230817),
+    ),
+    "3x2 zero cell": (
+        "((0.3,0.05),(0.25,0.2),(0.2,0.0)) n=2,3,4 rates=0.5,1.0 trials=2000 seed=31",
+        TrialPlan(p=SourceSpec(((0.3, 0.05), (0.25, 0.2), (0.2, 0.0))), n_grid=(2, 3, 4), rates=(0.5, 1.0),
+                  trials=2000, master_seed=31),
+    ),
+    "3x3 zero cells": (
+        "((0.3,0.0,0.05),(0.1,0.2,0.0),(0.0,0.15,0.2)) n=2,3,4 rates=0.5,0.8 trials=2000 seed=9",
+        TrialPlan(p=SourceSpec(((0.3, 0.0, 0.05), (0.1, 0.2, 0.0), (0.0, 0.15, 0.2))), n_grid=(2, 3, 4),
+                  rates=(0.5, 0.8), trials=2000, master_seed=9),
     ),
 }
 

@@ -128,6 +128,16 @@ def test_mc_sweep_csv():
     assert sweep_digest(plan) == pinned["csv_sha256"]
 
 
+@pytest.mark.parametrize("name", ["3x2 zero cell", "3x3 zero cells"])
+def test_sweeps_of_sources_with_zero_cells(name):
+    """Sources of 6 and 9 cells: letters counted by comparison, and letters
+    found by `searchsorted`."""
+    text, plan = SWEEP_PLANS[name]
+    pinned = load("sweep.json")[name]
+    assert pinned["plan"] == text
+    assert sweep_digest(plan) == pinned["csv_sha256"]
+
+
 @pytest.mark.parametrize("name", ANALYTICS_SOURCES)
 def test_analytics(name):
     """Exponent scans, the seven bounds and the exact FF and FV

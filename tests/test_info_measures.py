@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from compdeliv import info_measures
 from compdeliv.info_measures import (
     RATE_TIE_TOL,
     SourceSpec,
@@ -231,6 +232,19 @@ class TestExponentScans:
 
     def test_converse_nonnegative(self):
         assert converse_correct_exponent(0.7, dsbs(0.11), 6).value >= 0.0
+
+    def test_argmin_type_is_built_at_its_first_read(self, monkeypatch):
+        # A scan finds where its minimizer is; the joint type is looked up
+        # once, at the first read, and is the interned first minimizer.
+        p, lookups = dsbs(0.11), []
+        real = info_measures.joint_types_at
+        monkeypatch.setattr(info_measures, "joint_types_at", lambda *args: lookups.append(args) or real(*args))
+        report = error_exponent_outside(0.8, p, 6)
+        assert lookups == []
+        outside = [jt for jt in enumerate_joint_types(6, BINARY, BINARY) if not in_decodable_region(jt, 0.8)]
+        first = min(outside, key=lambda jt: kl_divergence(jt, p))  # min keeps the first
+        assert report.argmin_type is first and report.value == kl_divergence(first, p)
+        assert report.argmin_type is first and len(lookups) == 1  # a second read looks up nothing
 
 
 class TestUpperBoundPastFloatRange:

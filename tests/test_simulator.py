@@ -2,11 +2,13 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from compdeliv import coding_table, info_measures, simulator
+import compdeliv
+from compdeliv import coding_table, info_measures, simulator, types_core
 from compdeliv.coding_table import SlotBook
 from compdeliv.fv_codec import make_fv_code
 from compdeliv.info_measures import (
@@ -23,10 +25,12 @@ from compdeliv.info_measures import (
 )
 from compdeliv.ff_codec import FFCodeConfig, exact_error_probability, ff_decode_batch, ff_encode_batch, make_code
 from compdeliv.simulator import (
+    _COMPARED_CELLS,
     DecoderDesyncError,
     ExperimentReport,
     ReportRow,
     TrialPlan,
+    _cell_tables,
     _sample_cells,
     _sample_letters,
     run_plan,
@@ -80,7 +84,30 @@ SAMPLED_SOURCES = {
     "3x2": SourceSpec(((0.3, 0.05), (0.05, 0.25), (0.15, 0.2))),
     "zero cell": SourceSpec(((0.4, 0.0), (0.35, 0.25))),  # cells 0 and 1 end at one CDF entry
     "17x17": _weights_source(np.random.default_rng(17).random((17, 17))),
+    # The largest source counted by comparison (2x4) and the smallest searched (3x3).
+    "at the cut": _weights_source(np.random.default_rng(8).random((2, 4))),
+    "past the cut": _weights_source(np.random.default_rng(9).random((3, 3))),
+    # The float sum of the ten positive cells is 1 - 2^-53, and a zero cell follows.
+    "trailing zeros": SourceSpec(((0.1,) * 5 + (0.0,),) * 2),
 }
+
+
+class StubGenerator:
+    """A generator whose `random` returns the given uniforms, as many as asked for."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, float)
+
+    def random(self, shape):
+        assert np.prod(shape) == len(self.uniforms)
+        return self.uniforms.reshape(shape)
+
+
+def boundary_uniforms(cdf: np.ndarray) -> list[float]:
+    """Each CDF entry and the floats next to it, 0.0 and 1 - 2^-53: the
+    uniforms below 1 at which a cell count could go wrong."""
+    near = [u for c in cdf.tolist() for u in (math.nextafter(c, 0.0), c, math.nextafter(c, 2.0))]
+    return sorted({u for u in near + [0.0, math.nextafter(1.0, 0.0)] if 0.0 <= u < 1.0})
 
 
 class TestSampleLetters:
@@ -99,6 +126,36 @@ class TestSampleLetters:
                 assert np.array_equal(letters, reference)
         if name == "zero cell":
             assert not ((got[0] == 0) & (got[1] == 1)).any()
+
+    def test_the_sources_straddle_the_comparison_cut(self):
+        cells = lambda name: len(_cell_tables(SAMPLED_SOURCES[name])[0])
+        assert cells("dsbs") < cells("at the cut") == _COMPARED_CELLS < cells("past the cut") < cells("17x17")
+
+    @pytest.mark.parametrize("name", SAMPLED_SOURCES)
+    def test_counted_cells_are_the_searched_cells_at_the_boundaries(self, monkeypatch, name):
+        # Letters drawn by `_sample_letters` against `_sample_cells`' searchsorted,
+        # split, at uniforms on, just below and just above every CDF entry.
+        p = SAMPLED_SOURCES[name]
+        uniforms = boundary_uniforms(_cell_tables(p)[0])
+        monkeypatch.setattr(np.random, "Generator", lambda bits: StubGenerator(uniforms))
+        want = np.divmod(_sample_cells(p, len(uniforms), 1, StubGenerator(uniforms)), p.num_y)
+        for letters, reference in zip(_sample_letters(p, len(uniforms), 1, np.random.SeedSequence(0)), want):
+            assert np.array_equal(letters, reference)
+
+    @pytest.mark.parametrize("name", ["zero cell", "trailing zeros"])
+    def test_no_uniform_lands_in_a_zero_cell(self, monkeypatch, name):
+        # The largest uniform, 1 - 2^-53, is the float sum of the positive
+        # cells of "trailing zeros", whose last cell is 0.
+        p = SAMPLED_SOURCES[name]
+        uniforms = boundary_uniforms(_cell_tables(p)[0])
+        flat = np.array(p.flat())
+        assert flat[_sample_cells(p, len(uniforms), 1, StubGenerator(uniforms))].min() > 0
+        monkeypatch.setattr(np.random, "Generator", lambda bits: StubGenerator(uniforms))
+        x, y = _sample_letters(p, len(uniforms), 1, np.random.SeedSequence(0))
+        assert flat[x * p.num_y + y].min() > 0
+        if name == "trailing zeros":  # the last uniform is the last positive cell's
+            assert math.fsum(flat) == 1.0 and float(np.cumsum(flat)[10]) == math.nextafter(1.0, 0.0)
+            assert (x[0, -1], y[0, -1]) == (1, 4)
 
 
 class TestTrialPlanValidation:
@@ -304,6 +361,20 @@ class TestBatchedSweep:
         for _ in range(2):
             run_plan(MC_PLAN)
             assert calls == [] and info_measures.type_columns.cache_info().misses == len(set(MC_PLAN.n_grid))
+
+    def test_a_warm_sweep_looks_up_no_joint_type(self, monkeypatch):
+        # No report column prints an argmin type, and every table is built:
+        # no module looks a joint type up by its index.
+        def refuse(*args):
+            raise AssertionError("joint_types_at called")
+
+        run_plan(MC_PLAN)
+        modules = [module for module in vars(compdeliv).values() if isinstance(module, types.ModuleType)]
+        patched = [m for m in modules if getattr(m, "joint_types_at", None) is types_core.joint_types_at]
+        assert {types_core, info_measures, coding_table} <= set(patched)
+        for module in patched:
+            monkeypatch.setattr(module, "joint_types_at", refuse)
+        run_plan(MC_PLAN)
 
     def test_builds_the_tables_the_row_by_row_sweep_builds(self, monkeypatch):
         """On a cold cache: a type inside the largest rate's region whose
